@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -106,76 +106,132 @@ def _unzigzag(u: np.ndarray) -> np.ndarray:
     )
 
 
-def _varint_encode(u: np.ndarray) -> bytes:
-    """LEB128-encode a uint64 vector (vectorized; ≤10 scatter passes)."""
-    n = u.shape[0]
-    if n == 0:
-        return b""
-    nb = np.ones(n, np.int64)
+def _varint_encode(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """LEB128-encode a non-empty uint64 vector.
+
+    Returns the byte buffer and each value's end offset in it, so a
+    caller holding many boxes in ``u`` can cut the buffer per box.  Pass
+    ``j`` writes byte ``j`` of every value that has one, over a shrinking
+    selection — total work is proportional to the bytes produced.
+    """
+    n_bytes = np.ones(u.shape[0], np.int64)
     for k in range(1, 10):
-        nb += u >= (np.uint64(1) << np.uint64(7 * k))
-    starts = np.zeros(n, np.int64)
-    np.cumsum(nb[:-1], out=starts[1:])
-    out = np.zeros(int(starts[-1] + nb[-1]), np.uint8)
-    for j in range(10):
-        m = nb > j
-        if not m.any():
+        longer = u >= (np.uint64(1) << np.uint64(7 * k))
+        if not longer.any():
             break
-        byte = ((u[m] >> np.uint64(7 * j)) & np.uint64(0x7F)).astype(np.uint8)
-        byte[nb[m] - 1 > j] |= np.uint8(0x80)
-        out[starts[m] + j] = byte
-    return out.tobytes()
+        n_bytes += longer
+    ends = np.cumsum(n_bytes)
+    out = np.empty(int(ends[-1]), np.uint8)
+    pos, rest, left = ends - n_bytes, u, n_bytes
+    while True:
+        more = left > 1
+        out[pos] = (rest & np.uint64(0x7F)).astype(np.uint8) | (
+            more.astype(np.uint8) << np.uint8(7)
+        )
+        if not more.any():
+            return out, ends
+        pos, rest, left = pos[more] + 1, rest[more] >> np.uint64(7), left[more] - 1
 
 
-def _varint_decode(data: bytes, count: int) -> np.ndarray:
-    """Inverse of :func:`_varint_encode`; validates the stream shape."""
+def _varint_decode(data: bytes, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`_varint_encode`.
+
+    Validates the stream shape and returns the values with each value's
+    end offset (for the caller's per-box boundary check).
+    """
     if count == 0:
         if data:
             raise ValueError("varint stream has trailing bytes")
-        return np.zeros(0, np.uint64)
+        return np.zeros(0, np.uint64), np.zeros(0, np.int64)
     buf = np.frombuffer(data, np.uint8)
-    ends = np.nonzero((buf & 0x80) == 0)[0]
-    if ends.shape[0] != count or (buf.shape[0] and ends[-1] != buf.shape[0] - 1):
+    last = np.nonzero((buf & 0x80) == 0)[0]
+    if last.shape[0] != count or last[-1] != buf.shape[0] - 1:
         raise ValueError(
-            f"varint stream decodes to {ends.shape[0]} values, expected {count}"
+            f"varint stream decodes to {last.shape[0]} values, expected {count}"
         )
     starts = np.empty(count, np.int64)
     starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
+    starts[1:] = last[:-1] + 1
+    lengths = last - starts + 1
     if int(lengths.max()) > 10:
         raise ValueError("varint value longer than 10 bytes")
-    vals = np.zeros(count, np.uint64)
-    for j in range(10):
-        m = lengths > j
-        if not m.any():
-            break
-        vals[m] |= (buf[starts[m] + j].astype(np.uint64) & np.uint64(0x7F)) << (
-            np.uint64(7 * j)
-        )
-    return vals
+    vals = (buf[starts] & np.uint8(0x7F)).astype(np.uint64)
+    idx = np.nonzero(lengths > 1)[0]
+    j = 1
+    while idx.shape[0]:
+        vals[idx] |= (buf[starts[idx] + j] & np.uint8(0x7F)).astype(
+            np.uint64
+        ) << np.uint64(7 * j)
+        j += 1
+        idx = idx[lengths[idx] > j]
+    return vals, last + 1
 
 
 # ---------------------------------------------------------------- codecs
+#
+# The batched entry points take consecutive boxes of one row block: box
+# ``k`` is ``rows[starts[k]:starts[k + 1]]``.  Every payload is exactly
+# what encoding that box alone produces, so batching is invisible on the
+# wire (byte counts, CRC envelopes, checkpoints) — see DESIGN §11.
 
-def _column_deltas(rows: np.ndarray) -> np.ndarray:
-    """Per-column first-differences, column-major flattened."""
+def _box_major_index(starts: np.ndarray, arity: int) -> np.ndarray:
+    """``(arity, n)`` stream position of cell ``(column, row)``.
+
+    A delta stream is box-major, column-major inside a box: box ``k``
+    starts at value ``arity * starts[k]`` and holds its columns one after
+    another.  Encode scatters through this index, decode gathers.
+    """
+    counts = np.diff(starts)
+    first = (arity - 1) * np.repeat(starts[:-1], counts) + np.arange(
+        starts[-1], dtype=np.int64
+    )
+    stride = np.repeat(counts, counts)
+    return first[None, :] + np.arange(arity, dtype=np.int64)[:, None] * stride[None, :]
+
+
+def _delta_encode(rows: np.ndarray, starts: np.ndarray) -> List[bytes]:
+    """Per-column first differences (reset at box starts) → zigzag → LEB128."""
+    arity = rows.shape[1]
+    lone = len(starts) == 2
     cols = np.ascontiguousarray(rows.T)
     d = np.empty_like(cols)
     d[:, 0] = cols[:, 0]
     d[:, 1:] = cols[:, 1:] - cols[:, :-1]
-    return d.ravel()
+    if lone:
+        stream = d.ravel()  # one box: the transpose is already the layout
+    else:
+        heads = starts[:-1][starts[:-1] < starts[1:]]
+        d[:, heads] = cols[:, heads]
+        stream = np.empty(d.size, np.int64)
+        stream[_box_major_index(starts, arity).ravel()] = d.ravel()
+    buf, ends = _varint_encode(_zigzag(stream))
+    data = buf.tobytes()
+    if lone:
+        return [data]
+    cuts = np.concatenate([np.zeros(1, np.int64), ends])[arity * starts].tolist()
+    return [data[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def _delta_encode(rows: np.ndarray) -> bytes:
-    return _varint_encode(_zigzag(_column_deltas(rows)))
-
-
-def _delta_decode(data: bytes, n_rows: int, arity: int) -> np.ndarray:
-    u = _varint_decode(data, n_rows * arity)
-    d = _unzigzag(u).reshape(arity, n_rows)
-    cols = np.cumsum(d, axis=1, dtype=np.int64)
-    return np.ascontiguousarray(cols.T)
+def _delta_decode(
+    payloads: Sequence[bytes], starts: np.ndarray, arity: int
+) -> np.ndarray:
+    n = int(starts[-1])
+    data = payloads[0] if len(payloads) == 1 else b"".join(payloads)
+    u, ends = _varint_decode(data, n * arity)
+    cuts = np.concatenate([np.zeros(1, np.int64), ends])[arity * starts]
+    if (np.diff(cuts) != [len(p) for p in payloads]).any():
+        raise ValueError("varint stream does not split at the box boundaries")
+    d = _unzigzag(u)
+    if len(payloads) == 1:
+        cols = np.cumsum(d.reshape(arity, n), axis=1, dtype=np.int64)
+        return np.ascontiguousarray(cols.T)
+    # Segmented cumsum: one running sum over the stream, rebased at each
+    # (box, column) segment start.  int64 wraps mod 2^64 on both sides.
+    total = np.concatenate([np.zeros(1, np.int64), np.cumsum(d, dtype=np.int64)])
+    seg_len = np.repeat(np.diff(starts), arity)
+    seg_start = np.cumsum(seg_len) - seg_len
+    total[1:] -= np.repeat(total[seg_start], seg_len)
+    return total[1:][_box_major_index(starts, arity).T]
 
 
 _DICT_HEADER = struct.Struct("<QBQ")  # n_dict, index width, dict byte length
@@ -191,9 +247,12 @@ def _index_dtype(n_dict: int) -> np.dtype:
     return np.dtype("<u8")
 
 
+_ONE_BOX = np.asarray([0, 1], np.int64)
+
+
 def _dict_encode(rows: np.ndarray) -> bytes:
     uniq, inv = np.unique(rows.ravel(), return_inverse=True)
-    dict_bytes = _varint_encode(_zigzag(_column_deltas(uniq.reshape(1, -1).T)))
+    (dict_bytes,) = _delta_encode(uniq[:, None], _ONE_BOX * uniq.shape[0])
     dtype = _index_dtype(uniq.shape[0])
     header = _DICT_HEADER.pack(uniq.shape[0], dtype.itemsize, len(dict_bytes))
     return header + dict_bytes + inv.astype(dtype).tobytes()
@@ -202,43 +261,71 @@ def _dict_encode(rows: np.ndarray) -> bytes:
 def _dict_decode(data: bytes, n_rows: int, arity: int) -> np.ndarray:
     n_dict, width, dict_len = _DICT_HEADER.unpack_from(data, 0)
     off = _DICT_HEADER.size
-    uniq = _delta_decode(data[off:off + dict_len], n_dict, 1).ravel()
+    uniq = _delta_decode([data[off:off + dict_len]], _ONE_BOX * n_dict, 1).ravel()
     dtype = np.dtype(f"<u{width}")
     inv = np.frombuffer(data, dtype, offset=off + dict_len).astype(np.int64)
     if inv.shape[0] != n_rows * arity:
         raise ValueError(
             f"dict stream has {inv.shape[0]} indices, expected {n_rows * arity}"
         )
-    return np.ascontiguousarray(uniq[inv].reshape(n_rows, arity))
+    return uniq[inv].reshape(n_rows, arity)
+
+
+def encode_blocks(rows: np.ndarray, starts: np.ndarray, codec: str) -> List[bytes]:
+    """Encode consecutive boxes of an ``(n, arity)`` int64 block.
+
+    One payload per box (``b""`` for an empty one).  ``delta`` runs a
+    single difference/zigzag/varint pass over the whole block; ``raw``
+    cuts the block's bytes; ``dict`` keeps a dictionary and an index
+    width per box, so its boxes are encoded one at a time.
+    """
+    if codec not in WIRE_CODECS:
+        raise ValueError(f"unknown wire codec {codec!r}")
+    if rows.shape[0] == 0:
+        return [b""] * (len(starts) - 1)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    if codec == "delta":
+        return _delta_encode(rows, starts)
+    bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    if codec == "raw":
+        rows = rows.astype("<i8", copy=False)
+        return [rows[a:b].tobytes() for a, b in bounds]
+    return [_dict_encode(rows[a:b]) if a < b else b"" for a, b in bounds]
+
+
+def decode_blocks(
+    payloads: Sequence[bytes], starts: np.ndarray, arity: int, codec: str
+) -> np.ndarray:
+    """Exact inverse of :func:`encode_blocks`: the boxes' rows as one
+    writable ``(starts[-1], arity)`` block, box ``k`` at
+    ``[starts[k], starts[k + 1])``."""
+    if codec not in WIRE_CODECS:
+        raise ValueError(f"unknown wire codec {codec!r}")
+    n = int(starts[-1])
+    if n == 0:
+        return np.zeros((0, arity), np.int64)
+    if codec == "delta":
+        return _delta_decode(payloads, starts, arity)
+    if codec == "raw":
+        if (np.diff(starts) * (arity * 8) != [len(p) for p in payloads]).any():
+            raise ValueError("raw payload sizes do not match the box row counts")
+        data = payloads[0] if len(payloads) == 1 else b"".join(payloads)
+        return np.frombuffer(data, "<i8").astype(np.int64).reshape(n, arity)
+    out = np.empty((n, arity), np.int64)
+    for payload, a, b in zip(payloads, starts[:-1].tolist(), starts[1:].tolist()):
+        if a < b:
+            out[a:b] = _dict_decode(payload, b - a, arity)
+    return out
 
 
 def encode_rows(rows: np.ndarray, codec: str) -> bytes:
-    """Encode an ``(n, arity)`` int64 block with the named codec."""
-    if rows.size == 0:
-        return b""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    if codec == "raw":
-        return rows.astype("<i8", copy=False).tobytes()
-    if codec == "delta":
-        return _delta_encode(rows)
-    if codec == "dict":
-        return _dict_encode(rows)
-    raise ValueError(f"unknown wire codec {codec!r}")
+    """Encode one ``(n, arity)`` int64 box (:func:`encode_blocks` of one)."""
+    return encode_blocks(rows, _ONE_BOX * rows.shape[0], codec)[0]
 
 
 def decode_rows(data: bytes, n_rows: int, arity: int, codec: str) -> np.ndarray:
     """Exact inverse of :func:`encode_rows` (returns a writable block)."""
-    if n_rows == 0:
-        return np.zeros((0, arity), np.int64)
-    if codec == "raw":
-        return (
-            np.frombuffer(data, "<i8").astype(np.int64).reshape(n_rows, arity)
-        )
-    if codec == "delta":
-        return _delta_decode(data, n_rows, arity)
-    if codec == "dict":
-        return _dict_decode(data, n_rows, arity)
-    raise ValueError(f"unknown wire codec {codec!r}")
+    return decode_blocks([data], _ONE_BOX * n_rows, arity, codec)
 
 
 def encoded_nbytes(payload: bytes) -> int:

@@ -68,14 +68,17 @@ def run_wire_bench(
     identical: List[bool] = []
     tot_pre = tot_wire = 0
     tot_off_s = tot_on_s = 0.0
-    for query in queries:
+    tot_on_wall = tot_off_wall = 0.0
+    for i, query in enumerate(queries):
         runs = {}
         answers = {}
-        for label, executor, w in (
-            ("scalar", "scalar", wire),
-            ("columnar", "columnar", wire),
-            ("off", "columnar", wire_off),
-        ):
+        # Wire-on and wire-off host walls are compared (perf-gate's
+        # on/off ratio), so alternate which runs first from query to
+        # query: warm-up and clock drift then favor neither side.
+        on_off = [("columnar", "columnar", wire), ("off", "columnar", wire_off)]
+        if i % 2:
+            on_off.reverse()
+        for label, executor, w in [("scalar", "scalar", wire)] + on_off:
             config = EngineConfig(
                 n_ranks=ranks,
                 subbuckets={"edge": edge_subbuckets},
@@ -87,7 +90,9 @@ def run_wire_bench(
             runs[label] = (res.fixpoint, wall)
             answers[label] = res.distances if query == "sssp" else res.labels
         fp_on, wall_on = runs["columnar"]
-        fp_off, _ = runs["off"]
+        fp_off, wall_off = runs["off"]
+        tot_on_wall += wall_on
+        tot_off_wall += wall_off
         fp_scalar, wall_scalar = runs["scalar"]
         # Semantics must be wire- and executor-invariant.
         identical_results = (
@@ -124,6 +129,8 @@ def run_wire_bench(
             "reduction_pct": 100.0 * (pre - on_wire) / pre if pre else 0.0,
             "wire_off_modeled_seconds": off_s,
             "wire_on_modeled_seconds": on_s,
+            "wire_off_wall_seconds": wall_off,
+            "wire_on_wall_seconds": wall_on,
             "modeled_improvement_pct": (
                 100.0 * (off_s - on_s) / off_s if off_s > 0 else 0.0
             ),
@@ -141,6 +148,13 @@ def run_wire_bench(
         ),
         "wire_off_modeled_seconds": tot_off_s,
         "wire_on_modeled_seconds": tot_on_s,
+        "wire_off_wall_seconds": tot_off_wall,
+        "wire_on_wall_seconds": tot_on_wall,
+        # Host cost of the layer: one wall sample per side per query, so
+        # a coarse tripwire (perf-gate fails above 2.0), not a measurement.
+        "wall_on_off_ratio": (
+            tot_on_wall / tot_off_wall if tot_off_wall > 0 else float("inf")
+        ),
         "end_to_end_improvement_pct": (
             100.0 * (tot_off_s - tot_on_s) / tot_off_s if tot_off_s > 0 else 0.0
         ),
@@ -179,6 +193,10 @@ def render(report: Dict[str, object]) -> str:
         f"{t['reduction_pct']:6.1f}% {t['wire_off_modeled_seconds']:10.6f} "
         f"{t['wire_on_modeled_seconds']:10.6f} "
         f"{t['end_to_end_improvement_pct']:6.1f}%"
+    )
+    lines.append(
+        f"host wall: wire on {t['wire_on_wall_seconds']:.2f} s / off "
+        f"{t['wire_off_wall_seconds']:.2f} s = {t['wall_on_off_ratio']:.2f}x"
     )
     ok = "yes" if report["all_identical"] else "NO"
     lines.append(f"identical results/ledgers/iterations: {ok}")

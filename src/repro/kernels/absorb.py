@@ -51,6 +51,7 @@ from repro.kernels.block import (
     GrowVec,
     as_rows,
     concat_ranges,
+    group_columns,
     group_ids,
     lex_group,
 )
@@ -712,11 +713,16 @@ def columnar_shard_for(schema: Schema):
     return ColumnarAggregateShard(schema, combiner)
 
 
-def combine_block(
-    rows: np.ndarray, n_indep: int, combiner: Optional[VectorCombiner]
-) -> np.ndarray:
-    """Sender-side fold of one route box: one row per independent key.
+def combine_blocks(
+    rows: np.ndarray,
+    starts: np.ndarray,
+    n_indep: int,
+    combiner: Optional[VectorCombiner],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sender-side fold of consecutive route boxes in one pass.
 
+    Box ``k`` is ``rows[starts[k]:starts[k + 1]]``; the result holds one
+    row per (box, independent key) with the same box-offset convention.
     ``combiner is None`` means a plain (set-semantics) relation —
     duplicates are dropped outright.  For aggregates the combiner's
     ``join`` must be ``combinable`` (the caller gates on that); each
@@ -724,33 +730,63 @@ def combine_block(
     logarithmic halving pass, so duplicate-heavy boxes cost
     O(n log max_dups) vector work instead of a Python-level group loop.
 
-    Output rows are sorted by independent key with distinct keys — the
-    canonical form the delta codec exploits.  Receiver absorption of the
+    Rows are grouped once on ``(box, independent key…)``: only those key
+    columns are sorted, and a lone box adds no box column and no copy.
+    Within each box the output is sorted by independent key with distinct
+    keys — the canonical form the delta codec exploits, and exactly what
+    folding that box on its own yields (halving positions are per group,
+    so neighbouring boxes never interact).  Receiver absorption of a
     folded box leaves shard state and Δ membership exactly as the
     unfolded box would (see ``VectorCombiner.combinable``).
     """
+    n, arity = rows.shape
+    n_boxes = len(starts) - 1
+    if n == 0:
+        return rows, np.zeros(n_boxes + 1, dtype=np.int64)
+    if combiner is None:
+        n_indep = arity
+    key_cols = [rows[:, c] for c in range(n_indep)]
+    if n_boxes > 1:
+        box = np.repeat(np.arange(n_boxes, dtype=np.int64), np.diff(starts))
+        key_cols.insert(0, box)
+    if key_cols:
+        order, g_starts, g_counts = group_columns(key_cols)
+    else:  # global aggregate, one box: every row shares the empty key
+        order = np.arange(n, dtype=np.int64)
+        g_starts = np.zeros(1, dtype=np.int64)
+        g_counts = np.asarray([n], dtype=np.int64)
+    n_groups = g_starts.shape[0]
+    heads = order[g_starts]
+    out = np.empty((n_groups, arity), dtype=np.int64)
+    out[:, :n_indep] = rows[heads, :n_indep]
+    if n_indep < arity:
+        vals = rows[:, n_indep:][order]
+        if n_groups != n:
+            join = combiner.join
+            # Within-group positions; halving joins odd positions into their
+            # even predecessors until one row per group remains.
+            pos = np.arange(n, dtype=np.int64) - np.repeat(g_starts, g_counts)
+            while vals.shape[0] > n_groups:
+                odd = (pos & 1) == 1
+                idx = np.nonzero(odd)[0]
+                vals[idx - 1] = join(vals[idx - 1], vals[idx])
+                keep = ~odd
+                vals = vals[keep]
+                pos = pos[keep] >> 1
+        out[:, n_indep:] = vals
+    if n_boxes == 1:
+        out_starts = np.asarray([0, n_groups], dtype=np.int64)
+    else:
+        out_starts = np.zeros(n_boxes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(box[heads], minlength=n_boxes), out=out_starts[1:])
+    return out, out_starts
+
+
+def combine_block(
+    rows: np.ndarray, n_indep: int, combiner: Optional[VectorCombiner]
+) -> np.ndarray:
+    """:func:`combine_blocks` for one box: one row per independent key."""
     n = rows.shape[0]
     if n <= 1:
         return rows
-    if combiner is None:
-        return np.unique(rows, axis=0)
-    indep = rows[:, :n_indep]
-    order, starts, counts = lex_group(indep)
-    n_groups = starts.shape[0]
-    vals = rows[:, n_indep:][order]
-    if n_groups != n:
-        join = combiner.join
-        # Within-group positions; halving joins odd positions into their
-        # even predecessors until one row per group remains.
-        pos = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
-        while vals.shape[0] > n_groups:
-            odd = (pos & 1) == 1
-            idx = np.nonzero(odd)[0]
-            vals[idx - 1] = join(vals[idx - 1], vals[idx])
-            keep = ~odd
-            vals = vals[keep]
-            pos = pos[keep] >> 1
-    out = np.empty((n_groups, rows.shape[1]), dtype=np.int64)
-    out[:, :n_indep] = indep[order[starts]]
-    out[:, n_indep:] = vals
-    return out
+    return combine_blocks(rows, np.asarray([0, n]), n_indep, combiner)[0]

@@ -19,7 +19,7 @@ on:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,60 @@ def as_rows(rows: np.ndarray, arity: int) -> np.ndarray:
     return arr
 
 
+def _pack_columns(cols: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """One int64 key whose order is the lexicographic order of ``cols``.
+
+    Each column gets exactly the bits its maximum needs, first column in
+    the high bits, so the packing is a bijection and a single stable
+    argsort replaces a k-key lexsort.  Returns ``None`` when a column
+    holds a negative value or the widths exceed 63 bits — the caller
+    falls back to ``np.lexsort``.  A lone column is its own key.
+    """
+    if len(cols) == 1:
+        return cols[0]
+    widths = []
+    for col in cols:
+        if col.min() < 0:
+            return None
+        widths.append(int(col.max()).bit_length())
+    if sum(widths) > 63:
+        return None
+    key = cols[0]
+    for col, width in zip(cols[1:], widths[1:]):
+        key = (key << np.int64(width)) | col
+    return key
+
+
+def group_columns(
+    cols: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`lex_group` over separate equal-length 1-D key columns.
+
+    Taking columns rather than a matrix lets a caller prepend a segment
+    id to some columns of a row block without stacking a key matrix.
+    """
+    n = cols[0].shape[0]
+    if n == 0:
+        return _EMPTY_GROUPS
+    key = _pack_columns(cols)
+    if key is not None:
+        order = np.argsort(key, kind="stable")
+        key_sorted = key[order]
+        boundary = key_sorted[1:] != key_sorted[:-1]
+    else:
+        # np.lexsort is stable and sorts by the *last* key first.
+        order = np.lexsort(tuple(cols[::-1]))
+        boundary = np.zeros(n - 1, dtype=bool)
+        for col in cols:
+            col_sorted = col[order]
+            boundary |= col_sorted[1:] != col_sorted[:-1]
+    starts = np.concatenate(
+        [np.zeros(1, dtype=np.int64), np.nonzero(boundary)[0].astype(np.int64) + 1]
+    )
+    counts = np.diff(np.concatenate([starts, np.asarray([n], dtype=np.int64)]))
+    return order.astype(np.int64, copy=False), starts, counts
+
+
 def lex_group(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group rows of ``mat`` by exact value, stably.
 
@@ -63,33 +117,7 @@ def lex_group(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     if ncols == 0:
         order = np.arange(n, dtype=np.int64)
         return order, np.zeros(1, dtype=np.int64), np.asarray([n], dtype=np.int64)
-    order = None
-    if ncols == 2:
-        # Composite-key fast path: one stable argsort instead of a 2-key
-        # lexsort.  (c0 << 31) | c1 is a bijection on [0, 2^31)² — exact
-        # grouping is preserved; out-of-range values take the general path.
-        c0, c1 = mat[:, 0], mat[:, 1]
-        if (
-            c0.min(initial=0) >= 0
-            and c1.min(initial=0) >= 0
-            and c0.max(initial=0) < 2**31
-            and c1.max(initial=0) < 2**31
-        ):
-            order = np.argsort((c0 << np.int64(31)) | c1, kind="stable")
-    if order is None:
-        # np.lexsort is stable and sorts by the *last* key first.
-        order = np.lexsort(tuple(mat[:, c] for c in range(ncols - 1, -1, -1)))
-    order = order.astype(np.int64, copy=False)
-    sorted_mat = mat[order]
-    if n == 1:
-        boundary = np.zeros(0, dtype=bool)
-    else:
-        boundary = (sorted_mat[1:] != sorted_mat[:-1]).any(axis=1)
-    starts = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.nonzero(boundary)[0].astype(np.int64) + 1]
-    )
-    counts = np.diff(np.concatenate([starts, np.asarray([n], dtype=np.int64)]))
-    return order, starts, counts
+    return group_columns([mat[:, c] for c in range(ncols)])
 
 
 def group_ids(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

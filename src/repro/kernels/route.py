@@ -18,11 +18,11 @@ the ordering the receiving shards' absorb semantics depend on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.wire import decode_rows, encode_rows
+from repro.comm.wire import decode_blocks, decode_rows, encode_blocks, encode_rows
 
 IntraBox = Tuple[np.ndarray, np.ndarray]  # (per-row buckets, rows)
 RouteBox = Tuple[int, int, np.ndarray]  # (bucket, sub, rows)
@@ -148,6 +148,80 @@ def build_route_sends(
     return sends, n_comm
 
 
+#: Row budget of one fold/codec pass.  Consecutive boxes are batched up
+#: to this many rows (an oversize box goes alone), so the pass's
+#: temporaries stay a bounded multiple of it however large one rank's
+#: send block is.  The bound is for memory, not speed: budgets from 8k
+#: to 128k rows measured alike on every workload, while no bound raised
+#: peak RSS ~10% on the 4-rank dense workload (EXPERIMENTS, PR 12).
+_CHUNK_ROWS = 1 << 16
+
+
+def _row_chunks(counts: Sequence[int], budget: int) -> Iterator[Tuple[int, int]]:
+    """Index ranges ``[lo, hi)`` of consecutive boxes within ``budget`` rows."""
+    lo = 0
+    acc = 0
+    for i, c in enumerate(counts):
+        if i > lo and acc + c > budget:
+            yield lo, i
+            lo, acc = i, 0
+        acc += c
+    if lo < len(counts):
+        yield lo, len(counts)
+
+
+def _offsets(counts: Sequence[int]) -> np.ndarray:
+    starts = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    return starts
+
+
+def encode_boxes(
+    blocks: Sequence[np.ndarray],
+    codec: str,
+    *,
+    n_indep: int = 0,
+    combiner=None,
+    combine: bool = False,
+) -> Tuple[List[int], List[bytes]]:
+    """Fold (when ``combine``) and encode row blocks, one payload each.
+
+    Blocks are processed in row-bounded chunks: a chunk is concatenated
+    (a lone block is used as is), folded once by
+    :func:`~repro.kernels.absorb.combine_blocks` and encoded once by
+    :func:`~repro.comm.wire.encode_blocks`.  Returns each block's row
+    count after the fold and its payload — byte-identical to folding and
+    encoding the block on its own.
+    """
+    from repro.kernels.absorb import combine_blocks
+
+    counts = [int(block.shape[0]) for block in blocks]
+    n_rows: List[int] = []
+    payloads: List[bytes] = []
+    for lo, hi in _row_chunks(counts, _CHUNK_ROWS):
+        rows = blocks[lo] if hi - lo == 1 else np.concatenate(blocks[lo:hi])
+        starts = _offsets(counts[lo:hi])
+        if combine:
+            rows, starts = combine_blocks(rows, starts, n_indep, combiner)
+        payloads += encode_blocks(rows, starts, codec)
+        n_rows += np.diff(starts).tolist()
+    return n_rows, payloads
+
+
+def decode_boxes(
+    payloads: Sequence[bytes], n_rows: Sequence[int], arity: int, codec: str
+) -> List[np.ndarray]:
+    """Inverse of :func:`encode_boxes`' encoding, in the same row-bounded
+    chunks; the returned blocks are writable views of each chunk's rows."""
+    out: List[np.ndarray] = []
+    for lo, hi in _row_chunks(n_rows, _CHUNK_ROWS):
+        starts = _offsets(n_rows[lo:hi])
+        rows = decode_blocks(payloads[lo:hi], starts, arity, codec)
+        bounds = starts.tolist()
+        out += [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return out
+
+
 def encode_wire_sends(
     sends: Dict[int, Dict[int, List[RouteBox]]],
     *,
@@ -157,41 +231,51 @@ def encode_wire_sends(
     codec: str,
 ) -> Tuple[Dict[int, Dict[int, List[WireBox]]], Dict[int, int]]:
     """Turn route boxes into wire boxes: optional sender-side fold, then
-    codec encoding.
+    codec encoding — one :func:`encode_boxes` batch per source rank.
 
     Returns the encoded sends plus, per source rank, the number of rows
     that went through a fold (the engine charges those at serialization
-    cost).  Shared by both executors — the scalar path converts its
-    tuple batches to row blocks and reuses this, which is what keeps the
-    two ledgers bit-identical with the wire layer on.
+    cost; a box of one row has nothing to fold).  Shared by both
+    executors — the scalar path converts its tuple batches to row blocks
+    and reuses this, which is what keeps the two ledgers bit-identical
+    with the wire layer on.
     """
-    from repro.kernels.absorb import combine_block
-
     out: Dict[int, Dict[int, List[WireBox]]] = {}
     folded: Dict[int, int] = {}
     for src, per_dst in sends.items():
-        row: Dict[int, List[WireBox]] = {}
+        flat = [(dst, box) for dst, boxes in per_dst.items() for box in boxes]
+        n_rows, payloads = encode_boxes(
+            [box[2] for _dst, box in flat],
+            codec,
+            n_indep=n_indep,
+            combiner=combiner,
+            combine=combine,
+        )
+        row: Dict[int, List[WireBox]] = {dst: [] for dst in per_dst}
         n_folded = 0
-        for dst, boxes in per_dst.items():
-            wboxes: List[WireBox] = []
-            for b, s, rows in boxes:
-                pre = int(rows.shape[0])
-                if combine and pre > 1:
-                    rows = combine_block(rows, n_indep, combiner)
-                    n_folded += pre
-                wboxes.append(
-                    (b, s, int(rows.shape[0]), pre, encode_rows(rows, codec))
-                )
-            row[dst] = wboxes
+        for (dst, (b, s, rows)), n, payload in zip(flat, n_rows, payloads):
+            pre = int(rows.shape[0])
+            if combine and pre > 1:
+                n_folded += pre
+            row[dst].append((b, s, n, pre, payload))
         out[src] = row
         folded[src] = n_folded
     return out, folded
 
 
+def decode_wire_boxes(
+    boxes: Sequence[WireBox], arity: int, codec: str
+) -> List[RouteBox]:
+    """Decode one receiving rank's inbox (inverse of :func:`encode_wire_sends`)."""
+    blocks = decode_boxes(
+        [box[4] for box in boxes], [box[2] for box in boxes], arity, codec
+    )
+    return [(box[0], box[1], rows) for box, rows in zip(boxes, blocks)]
+
+
 def decode_wire_box(box: WireBox, arity: int, codec: str) -> RouteBox:
-    """Inverse of the per-box encoding in :func:`encode_wire_sends`."""
-    b, s, n_rows, _pre, payload = box
-    return b, s, decode_rows(payload, n_rows, arity, codec)
+    """:func:`decode_wire_boxes` for a single box."""
+    return decode_wire_boxes([box], arity, codec)[0]
 
 
 #: A rebalance-exchange box: one (bucket, new sub-bucket) fragment of one

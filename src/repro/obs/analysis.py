@@ -66,7 +66,22 @@ BENCH_SCHEMA_VERSION = 2
 #: snapshot mirrored to its replica ring), and ``recovery`` carries the
 #: re-owning scatter after a permanent rank loss — both real charged
 #: traffic, separated so degraded runs stay comparable to fault-free.
-CHANNELS = ("data", "retransmit", "precombine", "rebalance", "replica", "recovery")
+#: ``update`` carries the incremental seed exchange (PR 10: an EDB
+#: insertion batch routed to its home shards) — charged traffic, kept out
+#: of ``data`` so an update's fixpoint traffic compares with a cold run's.
+CHANNELS = (
+    "data", "retransmit", "precombine", "rebalance", "replica", "recovery",
+    "update",
+)
+
+#: Exchanges whose charged traffic is recorded in a channel of their own
+#: rather than ``data``, by CommEvent/CommMatrix kind.
+KIND_CHANNEL = {
+    "rebalance": "rebalance",
+    "replica": "replica",
+    "reown": "recovery",
+    "incremental_seed": "update",
+}
 
 
 # ===================================================================== comm
@@ -81,22 +96,15 @@ class CommMatrix:
     delivery is free on the wire, but the tuples still matter for skew.
     """
 
-    __slots__ = (
-        "seq", "kind", "phase", "n_ranks", "data", "retransmit", "precombine",
-        "rebalance", "replica", "recovery",
-    )
+    __slots__ = ("seq", "kind", "phase", "n_ranks") + CHANNELS
 
     def __init__(self, seq: int, kind: str, phase: str, n_ranks: int):
         self.seq = seq
         self.kind = kind
         self.phase = phase
         self.n_ranks = n_ranks
-        self.data: Dict[Tuple[int, int], List[int]] = {}
-        self.retransmit: Dict[Tuple[int, int], List[int]] = {}
-        self.precombine: Dict[Tuple[int, int], List[int]] = {}
-        self.rebalance: Dict[Tuple[int, int], List[int]] = {}
-        self.replica: Dict[Tuple[int, int], List[int]] = {}
-        self.recovery: Dict[Tuple[int, int], List[int]] = {}
+        for channel in CHANNELS:
+            setattr(self, channel, {})
 
     def add(
         self, src: int, dst: int, nbytes: int, tuples: int,
@@ -115,19 +123,9 @@ class CommMatrix:
     # ---------------------------------------------------------------- totals
 
     def _chan(self, channel: str) -> Dict[Tuple[int, int], List[int]]:
-        if channel == "data":
-            return self.data
-        if channel == "retransmit":
-            return self.retransmit
-        if channel == "precombine":
-            return self.precombine
-        if channel == "rebalance":
-            return self.rebalance
-        if channel == "replica":
-            return self.replica
-        if channel == "recovery":
-            return self.recovery
-        raise ValueError(f"unknown channel {channel!r}; expected {CHANNELS}")
+        if channel not in CHANNELS:
+            raise ValueError(f"unknown channel {channel!r}; expected {CHANNELS}")
+        return getattr(self, channel)
 
     def bytes_total(self, channel: str = "data") -> int:
         return sum(cell[0] for cell in self._chan(channel).values())
@@ -161,35 +159,18 @@ class CommMatrix:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly form: entries as ``[src, dst, bytes, tuples]``."""
-        return {
+        out: Dict[str, Any] = {
             "seq": self.seq,
             "kind": self.kind,
             "phase": self.phase,
             "n_ranks": self.n_ranks,
-            "data": [
-                [s, d, c[0], c[1]] for (s, d), c in sorted(self.data.items())
-            ],
-            "retransmit": [
-                [s, d, c[0], c[1]]
-                for (s, d), c in sorted(self.retransmit.items())
-            ],
-            "precombine": [
-                [s, d, c[0], c[1]]
-                for (s, d), c in sorted(self.precombine.items())
-            ],
-            "rebalance": [
-                [s, d, c[0], c[1]]
-                for (s, d), c in sorted(self.rebalance.items())
-            ],
-            "replica": [
-                [s, d, c[0], c[1]]
-                for (s, d), c in sorted(self.replica.items())
-            ],
-            "recovery": [
-                [s, d, c[0], c[1]]
-                for (s, d), c in sorted(self.recovery.items())
-            ],
         }
+        for channel in CHANNELS:
+            out[channel] = [
+                [s, d, c[0], c[1]]
+                for (s, d), c in sorted(self._chan(channel).items())
+            ]
+        return out
 
     @classmethod
     def from_dict(cls, rec: Mapping[str, Any]) -> "CommMatrix":
@@ -197,26 +178,9 @@ class CommMatrix:
             int(rec["seq"]), str(rec["kind"]), str(rec["phase"]),
             int(rec["n_ranks"]),
         )
-        for s, d, nbytes, tuples in rec.get("data", ()):
-            m.add(int(s), int(d), int(nbytes), int(tuples))
-        for s, d, nbytes, tuples in rec.get("retransmit", ()):
-            m.add(int(s), int(d), int(nbytes), int(tuples), retransmit=True)
-        for s, d, nbytes, tuples in rec.get("precombine", ()):
-            m.add(
-                int(s), int(d), int(nbytes), int(tuples), channel="precombine"
-            )
-        for s, d, nbytes, tuples in rec.get("rebalance", ()):
-            m.add(
-                int(s), int(d), int(nbytes), int(tuples), channel="rebalance"
-            )
-        for s, d, nbytes, tuples in rec.get("replica", ()):
-            m.add(
-                int(s), int(d), int(nbytes), int(tuples), channel="replica"
-            )
-        for s, d, nbytes, tuples in rec.get("recovery", ()):
-            m.add(
-                int(s), int(d), int(nbytes), int(tuples), channel="recovery"
-            )
+        for channel in CHANNELS:
+            for s, d, nbytes, tuples in rec.get(channel, ()):
+                m.add(int(s), int(d), int(nbytes), int(tuples), channel=channel)
         return m
 
 
@@ -311,17 +275,11 @@ class CommMatrixRecorder:
         the comparison; raises ``ValueError`` on mismatch when ``strict``.
         """
         # Non-fixpoint exchanges record their charged traffic in a kind-
-        # specific channel (rebalance migration, checkpoint replication,
-        # permanent-loss re-owning), every other exchange in "data"; the
-        # ledger keys all of them by the exchange's kind.
-        kind_channel = {
-            "rebalance": "rebalance",
-            "replica": "replica",
-            "reown": "recovery",
-        }
+        # specific channel (see KIND_CHANNEL), every other exchange in
+        # "data"; the ledger keys all of them by the exchange's kind.
         by_kind: Dict[str, int] = {}
         for m in self.matrices:
-            chan = kind_channel.get(m.kind, "data")
+            chan = KIND_CHANNEL.get(m.kind, "data")
             by_kind[m.kind] = by_kind.get(m.kind, 0) + m.bytes_total(chan)
         ledger_by_kind = dict(comm_stats.by_kind)
         mismatches = {}

@@ -43,14 +43,15 @@ from repro.faults.plane import (
     RankFailure,
     UnrecoverableRankLoss,
 )
-from repro.comm.wire import encode_rows, encoded_nbytes
+from repro.comm.wire import encoded_nbytes
 from repro.kernels.absorb import vector_combiner
 from repro.kernels.block import concat_ranges, lex_group
 from repro.kernels.join import RankJoinIndex
 from repro.kernels.route import (
     build_intra_sends,
     build_route_sends,
-    decode_wire_box,
+    decode_wire_boxes,
+    encode_boxes,
     encode_wire_sends,
 )
 from repro.obs.tracer import NULL_TRACER
@@ -576,19 +577,22 @@ class Engine:
             with self.timer.phase(P_SEED):
                 dst_arr = rel.dist.rank_of_rows(arr)
                 src_arr = np.arange(arr.shape[0], dtype=np.int64) % n_ranks
-                order, starts, counts = lex_group(
+                order, starts, _counts = lex_group(
                     np.column_stack([src_arr, dst_arr])
                 )
+                routed = arr[order]
+                bounds = np.append(starts, arr.shape[0]).tolist()
+                boxes: List[object] = [
+                    routed[a:b] for a, b in zip(bounds[:-1], bounds[1:])
+                ]
+                if self.wire.enabled:
+                    _n, payloads = encode_boxes(boxes, self.wire.codec)
+                    boxes = list(zip(boxes, payloads))
                 sends: Dict[int, Dict[int, List[object]]] = {}
-                for g in range(starts.shape[0]):
-                    idx = order[starts[g] : starts[g] + counts[g]]
-                    src, dst = int(src_arr[idx[0]]), int(dst_arr[idx[0]])
-                    block = arr[idx]
-                    box: object = (
-                        (block, encode_rows(block, self.wire.codec))
-                        if self.wire.enabled
-                        else block
-                    )
+                heads = order[starts]
+                for src, dst, box in zip(
+                    src_arr[heads].tolist(), dst_arr[heads].tolist(), boxes
+                ):
                     sends.setdefault(src, {})[dst] = [box]
                 attempts = 0
                 while True:
@@ -1643,9 +1647,8 @@ class Engine:
         self.counters["wire_on_wire_bytes"] += cluster.route_wire_bytes - wire0
         for choice, n in cluster.collective_counts.items():
             self.counters[f"wire_collective_{choice}"] += n - coll0.get(choice, 0)
-        codec = wire.codec
         return {
-            r: [decode_wire_box(box, arity, codec) for box in boxes]
+            r: decode_wire_boxes(boxes, arity, wire.codec)
             for r, boxes in recv.items()
         }
 

@@ -32,8 +32,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.comm.asyncmpi import AsyncComm, run_spmd
-from repro.comm.wire import decode_rows, encode_rows
 from repro.core.local_agg import make_shard, _ShardBase
+from repro.kernels.absorb import vector_combiner
+from repro.kernels.route import decode_boxes, encode_boxes
 from repro.planner.ast import Program
 from repro.planner.compile_rules import CompiledProgram, CompiledRule, compile_program
 from repro.relational.distribution import Distribution
@@ -230,31 +231,36 @@ async def _route_and_absorb(
             state.absorb(head_name, batch)
         return
 
-    # Wire layer (mirrors the BSP engine): fold duplicates per
-    # independent key where the aggregate lattice allows, ship compact
-    # encoded payloads, and let the modeled collective autotune.
-    from repro.kernels.absorb import combine_block, vector_combiner
-
+    # Wire layer (mirrors the BSP engine, through the same batched
+    # kernels): fold duplicates per independent key where the aggregate
+    # lattice allows, ship compact encoded payloads, and let the modeled
+    # collective autotune.
     schema = state.compiled.schemas[head_name]
     if schema.is_aggregate:
         comb = vector_combiner(schema.aggregator)
         can_combine = comb is not None and comb.combinable
     else:
         comb, can_combine = None, True
-    combine = wire.sender_combine and can_combine
-    packed: List[Tuple[int, bytes]] = []
-    for batch in sends:
-        if not batch:
-            packed.append((0, b""))
-            continue
-        rows = np.asarray(batch, dtype=np.int64)
-        if combine and rows.shape[0] > 1:
-            rows = combine_block(rows, schema.n_indep, comb)
-        packed.append((int(rows.shape[0]), encode_rows(rows, wire.codec)))
-    received_packed = await comm.alltoall(packed, collective=wire.alltoallv)
-    for n_rows, payload in received_packed:
-        if n_rows:
-            rows = decode_rows(payload, n_rows, schema.arity, wire.codec)
+    n_rows, payloads = encode_boxes(
+        [
+            np.asarray(batch, dtype=np.int64).reshape(-1, schema.arity)
+            for batch in sends
+        ],
+        wire.codec,
+        n_indep=schema.n_indep,
+        combiner=comb,
+        combine=wire.sender_combine and can_combine,
+    )
+    received_packed = await comm.alltoall(
+        list(zip(n_rows, payloads)), collective=wire.alltoallv
+    )
+    for rows in decode_boxes(
+        [payload for _n, payload in received_packed],
+        [n for n, _payload in received_packed],
+        schema.arity,
+        wire.codec,
+    ):
+        if rows.shape[0]:
             state.absorb(head_name, [tuple(t) for t in rows.tolist()])
 
 

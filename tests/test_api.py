@@ -326,6 +326,35 @@ class TestSession:
         with pytest.raises(OptionsError):
             Session(Options(recovery=RecoveryOptions(replicas=1)))
 
+    @pytest.mark.parametrize("executor", ("scalar", "columnar"))
+    def test_traced_diagnosed_update(self, executor):
+        """The seed exchange records into the CommMatrix ``update`` channel
+        (it used to raise ``unknown channel 'update'``), and the recorder
+        still ties out against the ledger, online and from the trace."""
+        from repro.obs import Tracer
+        from repro.obs.analysis import comm_profile_from_spans
+
+        session = Session(Options(
+            n_ranks=4,
+            executor=executor,
+            diagnostics=DiagnosticsOptions(enabled=True, tracer=Tracer()),
+        ))
+        session.query(sssp_dsl(), {"edge": EDGES[:3], "start": [(0,)]})
+        result = session.update({"edge": EDGES[3:]})
+        profile = result.comm_profile
+        seed = [m for m in profile.matrices if m.kind == "incremental_seed"]
+        assert len(seed) == 1
+        assert seed[0].tuples_total("update") == len(EDGES[3:])
+        assert seed[0].tuples_total("data") == 0
+        report = profile.reconcile(result.ledger.comm)
+        assert report["ok"] and "incremental_seed" in report["kinds"]
+        assert report["bytes_by_kind"]["incremental_seed"] == (
+            profile.bytes_total("update")
+        )
+        offline = comm_profile_from_spans(result.spans)
+        assert offline.bytes_total("update") == profile.bytes_total("update")
+        assert offline.reconcile(result.ledger.comm)["ok"]
+
 
 class TestResultSchema:
     def test_to_dict_stable_keys(self):

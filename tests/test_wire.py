@@ -3,6 +3,9 @@ combining, collective autotuning, and the end-to-end invariant that the
 layer changes modeled bytes/seconds but never results, Δ trajectories,
 iteration counts, or executor agreement."""
 
+import struct
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,9 @@ from repro.comm.wire import (
     encoded_nbytes,
 )
 from repro.core.aggregators import make_aggregator
+from repro.kernels import route
 from repro.kernels.absorb import combine_block, vector_combiner
+from repro.kernels.block import group_columns, lex_group
 from repro.queries.cc import run_cc
 from repro.queries.sssp import run_sssp
 from repro.runtime.config import EngineConfig
@@ -148,6 +153,213 @@ class TestCombineBlock:
         for name in ("sum", "count"):
             comb = vector_combiner(make_aggregator(name))
             assert comb is not None and not comb.combinable, name
+
+
+# --- per-box reference: the wire format as PR 7 wrote it, one box at a
+# time (kept here as the oracle the segmented kernels must match).
+
+def _ref_group(mat):
+    """(order, starts, counts) by plain ``np.lexsort`` — no packed keys."""
+    n = mat.shape[0]
+    if mat.shape[1] == 0:
+        return np.arange(n), np.zeros(1, np.int64), np.asarray([n])
+    order = np.lexsort(tuple(mat[:, c] for c in range(mat.shape[1] - 1, -1, -1)))
+    sorted_mat = mat[order]
+    boundary = (sorted_mat[1:] != sorted_mat[:-1]).any(axis=1)
+    starts = np.concatenate([[0], np.nonzero(boundary)[0] + 1]).astype(np.int64)
+    return order, starts, np.diff(np.append(starts, n))
+
+
+def _ref_combine_block(rows, n_indep, combiner):
+    n = rows.shape[0]
+    if n <= 1:
+        return rows
+    if combiner is None:
+        return np.unique(rows, axis=0)
+    indep = rows[:, :n_indep]
+    order, starts, counts = _ref_group(indep)
+    n_groups = starts.shape[0]
+    vals = rows[:, n_indep:][order]
+    if n_groups != n:
+        pos = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
+        while vals.shape[0] > n_groups:
+            odd = (pos & 1) == 1
+            idx = np.nonzero(odd)[0]
+            vals[idx - 1] = combiner.join(vals[idx - 1], vals[idx])
+            vals = vals[~odd]
+            pos = pos[~odd] >> 1
+    out = np.empty((n_groups, rows.shape[1]), dtype=np.int64)
+    out[:, :n_indep] = indep[order[starts]]
+    out[:, n_indep:] = vals
+    return out
+
+
+def _ref_varint(u):
+    n = u.shape[0]
+    nb = np.ones(n, np.int64)
+    for k in range(1, 10):
+        nb += u >= (np.uint64(1) << np.uint64(7 * k))
+    starts = np.zeros(n, np.int64)
+    np.cumsum(nb[:-1], out=starts[1:])
+    out = np.zeros(int(starts[-1] + nb[-1]), np.uint8)
+    for j in range(10):
+        m = nb > j
+        if not m.any():
+            break
+        byte = ((u[m] >> np.uint64(7 * j)) & np.uint64(0x7F)).astype(np.uint8)
+        byte[nb[m] - 1 > j] |= np.uint8(0x80)
+        out[starts[m] + j] = byte
+    return out.tobytes()
+
+
+def _ref_delta(rows):
+    cols = np.ascontiguousarray(rows.T)
+    d = np.empty_like(cols)
+    d[:, 0] = cols[:, 0]
+    d[:, 1:] = cols[:, 1:] - cols[:, :-1]
+    d = d.ravel()
+    return _ref_varint(
+        (d.astype(np.uint64) << np.uint64(1))
+        ^ (d >> np.int64(63)).astype(np.uint64)
+    )
+
+
+def _ref_encode_rows(rows, codec):
+    if rows.size == 0:
+        return b""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    if codec == "raw":
+        return rows.astype("<i8", copy=False).tobytes()
+    if codec == "delta":
+        return _ref_delta(rows)
+    uniq, inv = np.unique(rows.ravel(), return_inverse=True)
+    dict_bytes = _ref_delta(uniq.reshape(-1, 1))
+    width = 1 if len(uniq) <= 1 << 8 else 2 if len(uniq) <= 1 << 16 else 4
+    return (
+        struct.pack("<QBQ", len(uniq), width, len(dict_bytes))
+        + dict_bytes
+        + inv.astype(f"<u{width}").tobytes()
+    )
+
+
+_wire_values = st.one_of(
+    st.integers(0, 3),  # few distinct values: duplicate keys to fold
+    st.integers(-5, 5),
+    st.integers(I64.min, I64.max),
+    st.sampled_from([I64.min, I64.max, -1, 2**31, 2**62]),
+)
+
+
+@st.composite
+def _wire_boxes(draw):
+    """(arity, boxes): 1–8 boxes of 0–12 rows, empty and one-row included."""
+    arity = draw(st.integers(1, 4))
+    row = st.lists(_wire_values, min_size=arity, max_size=arity)
+    boxes = draw(st.lists(st.lists(row, max_size=12), min_size=1, max_size=8))
+    return arity, [
+        np.asarray(b, dtype=np.int64).reshape(len(b), arity) for b in boxes
+    ]
+
+
+class TestBatchedKernels:
+    """The segmented fold + codec pass must equal the per-box reference
+    byte for byte, whatever the chunking."""
+
+    @pytest.mark.parametrize("codec", WIRE_CODECS)
+    @pytest.mark.parametrize("agg", (None, "min", "max", "sum"))
+    @given(case=_wire_boxes(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_encode_matches_reference_and_round_trips(self, codec, agg, case, data):
+        arity, boxes = case
+        n_indep = data.draw(st.integers(0, arity))
+        combine = data.draw(st.booleans())
+        # Budgets from 1 row up: boxes straddle a chunk, exceed one, or
+        # all share one.
+        budget = data.draw(st.sampled_from([1, 3, 7, 20, 1 << 16]))
+        combiner = None if agg is None else vector_combiner(make_aggregator(agg))
+        expect_rows = [
+            _ref_combine_block(b.copy(), n_indep, combiner)
+            if combine and b.shape[0] > 1 else b
+            for b in boxes
+        ]
+        expect = [_ref_encode_rows(r, codec) for r in expect_rows]
+        with mock.patch.object(route, "_CHUNK_ROWS", budget):
+            n_rows, payloads = route.encode_boxes(
+                boxes, codec, n_indep=n_indep, combiner=combiner, combine=combine
+            )
+            decoded = route.decode_boxes(payloads, n_rows, arity, codec)
+        assert payloads == expect
+        assert n_rows == [r.shape[0] for r in expect_rows]
+        for got, want in zip(decoded, expect_rows):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            got[:] = 0  # decoded blocks must be writable
+        # The single-box entry points are the same kernels, batch of one.
+        for b, want_rows, want in zip(boxes, expect_rows, expect):
+            if combine and b.shape[0] > 1:
+                assert np.array_equal(combine_block(b, n_indep, combiner), want_rows)
+            assert encode_rows(want_rows, codec) == want
+
+    @pytest.mark.parametrize("codec", WIRE_CODECS)
+    @given(case=_wire_boxes(), dup=st.integers(0, 7), budget=st.sampled_from([1, 5, 1 << 16]))
+    @settings(max_examples=25, deadline=None)
+    def test_inbox_with_duplicated_box(self, codec, case, dup, budget):
+        """A fault-plane ``dup`` delivers a box twice, adjacent to its
+        original; the inbox decode returns both copies."""
+        arity, boxes = case
+        inbox = [
+            (k, 0, b.shape[0], b.shape[0], _ref_encode_rows(b, codec))
+            for k, b in enumerate(boxes)
+        ]
+        dup %= len(inbox)
+        inbox.insert(dup, inbox[dup])
+        boxes = boxes[:dup] + [boxes[dup]] + boxes[dup:]
+        with mock.patch.object(route, "_CHUNK_ROWS", budget):
+            out = route.decode_wire_boxes(inbox, arity, codec)
+        assert [(b, s) for b, s, _rows in out] == [(w[0], 0) for w in inbox]
+        for (_b, _s, got), want in zip(out, boxes):
+            assert np.array_equal(got, want)
+        assert np.array_equal(
+            route.decode_wire_box(inbox[dup], arity, codec)[2], boxes[dup]
+        )
+
+    def test_box_boundary_mismatch_rejected(self):
+        """Row counts that disagree with the payloads must not decode."""
+        a = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        b = np.array([[5, 6]], dtype=np.int64)
+        for codec in ("raw", "delta"):
+            payloads = [encode_rows(a, codec), encode_rows(b, codec)]
+            with pytest.raises(ValueError):
+                route.decode_boxes(payloads, [1, 2], 2, codec)
+
+    @given(
+        cols=st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.integers(0, 3),
+                        st.integers(0, 2**20),
+                        st.integers(-4, 4),
+                        st.sampled_from([I64.min, I64.max, 2**40, 2**62]),
+                    ),
+                    min_size=k, max_size=k,
+                ),
+                min_size=1, max_size=40,
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_packed_sort_equals_lexsort(self, cols):
+        """One packed-key argsort (non-negative keys within 63 bits) and
+        the lexsort fallback (negatives, overflow) give the same stable
+        permutation and groups as plain ``np.lexsort``."""
+        mat = np.asarray(cols, dtype=np.int64)
+        want = _ref_group(mat)
+        for got in (
+            lex_group(mat),
+            group_columns([mat[:, c] for c in range(mat.shape[1])]),
+        ):
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
 
 class TestWireInvariance:
