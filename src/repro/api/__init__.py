@@ -22,11 +22,6 @@ Quickstart::
     session = Session(Options(n_ranks=8, recovery=RecoveryOptions(checkpoint_every=4)))
     result = session.query(program, {"edge": edges, "start": [(0,)]})
     result = session.update({"edge": new_edges})     # incremental, bit-identical
-
-Legacy :class:`~repro.runtime.config.EngineConfig` keyword arguments are
-still accepted by both :class:`Session` and :func:`make_options` — each
-emits a :class:`DeprecationWarning` once per kwarg name and is folded
-into the equivalent Options group.
 """
 
 from repro.api.options import (
@@ -37,7 +32,6 @@ from repro.api.options import (
     RebalanceOptions,
     RecoveryOptions,
     WireOptions,
-    make_options,
 )
 from repro.api.session import Session
 
@@ -50,5 +44,4 @@ __all__ = [
     "RecoveryOptions",
     "Session",
     "WireOptions",
-    "make_options",
 ]

@@ -24,14 +24,13 @@ rules that couple *different* fields:
   rejected.
 
 Conversions are lossless both ways: ``Options ⇄ EngineConfig`` round-trips
-every field, so legacy call sites migrate one at a time.
+every field.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, fields
-from typing import Dict, Literal, Optional, Set
+from dataclasses import dataclass, field
+from typing import Dict, Literal, Optional
 
 from repro.comm.costmodel import CostModel
 from repro.comm.wire import WireConfig
@@ -230,10 +229,9 @@ class Options:
 
     # --------------------------------------------------------- conversions
 
-    def to_engine_config(self, *, check: bool = True) -> EngineConfig:
+    def to_engine_config(self) -> EngineConfig:
         """Lower to the flat :class:`EngineConfig` (validating first)."""
-        if check:
-            self.validate()
+        self.validate()
         return EngineConfig(
             n_ranks=self.n_ranks,
             dynamic_join=self.dynamic_join,
@@ -302,52 +300,3 @@ class Options:
                 delta_fingerprints=config.delta_fingerprints,
             ),
         )
-
-
-#: Legacy EngineConfig kwarg names already warned about this process —
-#: each name warns exactly once, however many Sessions are built.
-_WARNED_LEGACY: Set[str] = set()
-
-_ENGINE_FIELD_NAMES = {f.name for f in fields(EngineConfig)}
-
-
-def _warn_legacy(name: str) -> None:
-    if name in _WARNED_LEGACY:
-        return
-    _WARNED_LEGACY.add(name)
-    warnings.warn(
-        f"passing EngineConfig kwarg {name!r} directly is deprecated; "
-        f"use repro.api.Options (it maps onto a typed option group)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def make_options(options: Optional[Options] = None, **legacy: object) -> Options:
-    """Resolve an :class:`Options`, folding legacy EngineConfig kwargs in.
-
-    Every keyword must be an :class:`EngineConfig` field name; each one
-    emits a :class:`DeprecationWarning` once per process and overrides
-    the corresponding (possibly grouped) Options field.  This is the
-    compatibility shim that keeps decade-old call sites working::
-
-        make_options(n_ranks=8, checkpoint_every=4)   # warns twice, works
-    """
-    base = options if options is not None else Options()
-    if not legacy:
-        return base
-    unknown = sorted(set(legacy) - _ENGINE_FIELD_NAMES)
-    if unknown:
-        raise TypeError(
-            f"unknown EngineConfig option(s) {unknown}; valid names: "
-            f"{sorted(_ENGINE_FIELD_NAMES)}"
-        )
-    for name in sorted(legacy):
-        _warn_legacy(name)
-    # Lower, override flat, lift back — the grouped structure re-forms
-    # around the legacy values without per-field plumbing.
-    flat = base.to_engine_config(check=False)
-    for name, value in legacy.items():
-        setattr(flat, name, value)
-    flat.__post_init__()  # re-run the per-field range checks
-    return Options.from_engine_config(flat)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Set, Tuple
 
-from repro.api.options import Options, make_options
-from repro.runtime.config import EngineConfig
+from repro.api.options import Options
 from repro.runtime.engine import Engine
 from repro.runtime.incremental import FixpointHandle
 from repro.runtime.result import FixpointResult
@@ -25,9 +24,7 @@ TupleT = Tuple[int, ...]
 class Session:
     """A configured engine front end with incremental maintenance.
 
-    Build one from grouped :class:`~repro.api.Options` (or legacy
-    :class:`~repro.runtime.config.EngineConfig` kwargs, which warn once
-    per name and keep working)::
+    Build one from grouped :class:`~repro.api.Options`::
 
         session = Session(Options(n_ranks=8))
         result = session.query(program, {"edge": edges, "start": starts})
@@ -39,14 +36,8 @@ class Session:
     bad combination fails before any work is done.
     """
 
-    def __init__(self, options: Optional[Options] = None, **legacy: object):
-        if isinstance(options, EngineConfig):
-            # Accept the flat config object itself as legacy input.
-            from repro.api.options import _warn_legacy
-
-            _warn_legacy("<EngineConfig>")
-            options = Options.from_engine_config(options)
-        self.options = make_options(options, **legacy)
+    def __init__(self, options: Optional[Options] = None):
+        self.options = options if options is not None else Options()
         self._config = self.options.to_engine_config()
         self._engine: Optional[Engine] = None
         self._handle: Optional[FixpointHandle] = None

@@ -8,8 +8,10 @@ cluster through the paper's iteration pipeline (Fig. 1):
 
 :mod:`repro.runtime.config` holds :class:`EngineConfig` (rank count,
 optimization toggles — the Fig. 2 baseline/optimized pair differ only in
-config), and :mod:`repro.runtime.result` the :class:`FixpointResult`
-returned to callers.
+config), :mod:`repro.runtime.executor` the columnar and scalar data
+planes the engine's one pipeline runs over, and
+:mod:`repro.runtime.result` the :class:`FixpointResult` returned to
+callers.
 """
 
 from repro.runtime.config import EngineConfig

@@ -20,6 +20,7 @@ modeled time exposes imbalance exactly as real ranks would.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -44,22 +45,17 @@ from repro.faults.plane import (
     UnrecoverableRankLoss,
 )
 from repro.comm.wire import encoded_nbytes
+from repro.core.balancer import recommend_subbuckets
 from repro.kernels.absorb import vector_combiner
-from repro.kernels.block import concat_ranges, lex_group
-from repro.kernels.join import RankJoinIndex
-from repro.kernels.route import (
-    build_intra_sends,
-    build_route_sends,
-    decode_wire_boxes,
-    encode_boxes,
-    encode_wire_sends,
-)
+from repro.kernels.block import lex_group
+from repro.kernels.route import decode_wire_boxes, encode_boxes, encode_wire_sends
 from repro.obs.tracer import NULL_TRACER
 from repro.planner.ast import Program
 from repro.planner.compile_rules import CompiledProgram, CompiledRule, compile_program
 from repro.planner.stratify import Stratum
 from repro.relational.storage import RelationStore, VersionedRelation
 from repro.runtime.config import EngineConfig
+from repro.runtime.executor import EXECUTORS
 from repro.runtime.result import FixpointResult, IterationTrace
 from repro.util.hashing import HashSeed, hash_columns
 from repro.util.timing import PhaseTimer
@@ -132,19 +128,20 @@ class Engine:
             and self.config.faults.audit_monotonicity
             and self.config.faults.has_message_faults
         )
-        #: Effective executor: the columnar kernels opt out when the
-        #: program needs features they don't cover (B-tree shards, head
-        #: operators with no array form).  Aggregators without a vector
-        #: combiner fall back per shard, not per engine.
-        self.executor = self._resolve_executor()
+        #: Effective executor and why: the columnar kernels opt out when
+        #: the program needs features they don't cover (B-tree shards,
+        #: head operators with no array form) — reported on the result,
+        #: never silent.  Aggregators without a vector combiner fall back
+        #: per shard, not per engine.
+        self.executor, self.executor_reason = self._resolve_executor()
+        #: The tuple representation's data plane (chosen once, here).
+        self._exec = EXECUTORS[self.executor]()
         self.store = RelationStore(
             self.config.n_ranks,
             seed=HashSeed().derive(self.config.seed),
             use_btree=self.config.use_btree,
             layout=self.executor,
         )
-        #: (relation, version, rank, match token) → (generation, index).
-        self._index_cache: Dict[Tuple, Tuple[int, RankJoinIndex]] = {}
         for schema in self.compiled.schemas.values():
             self.store.declare(schema)
         self.timer = PhaseTimer(tracer=self.tracer)
@@ -192,13 +189,17 @@ class Engine:
             self._wire_plans[head_name] = plan
         return plan
 
-    def _resolve_executor(self) -> str:
-        if self.config.executor == "scalar" or self.config.use_btree:
-            return "scalar"
+    def _resolve_executor(self) -> Tuple[str, str]:
+        """(executor name, reason): ``"requested"``, ``"use_btree"``, or
+        the first rule whose head has no array form."""
+        if self.config.executor == "scalar":
+            return "scalar", "requested"
+        if self.config.use_btree:
+            return "scalar", "use_btree"
         for cr in self.compiled.compiled.values():
             if cr.emit_spec is None or not cr.emit_spec.vectorizable:
-                return "scalar"
-        return "columnar"
+                return "scalar", f"rule {cr.rule!r} has no vectorizable emit"
+        return "columnar", "requested"
 
     # ------------------------------------------------------------------ load
 
@@ -237,11 +238,6 @@ class Engine:
 
         Returns the chosen sub-bucket count.
         """
-        import dataclasses
-
-        from repro.core.balancer import recommend_subbuckets
-        from repro.relational.storage import VersionedRelation
-
         rel = self.store[name]
         tuples = list(rel.iter_full())
         if not tuples:
@@ -264,7 +260,7 @@ class Engine:
             use_btree=self.config.use_btree,
             layout=self.executor,
         )
-        self._index_cache.clear()
+        self._exec.invalidate()
         # Physically move every tuple whose owner changes (phase: balance).
         sends: Dict[int, Dict[int, List[TupleT]]] = {}
         rows = np.asarray(tuples, dtype=np.int64)
@@ -286,7 +282,11 @@ class Engine:
         with self.tracer.span(
             "run",
             cat="run",
-            attrs={"n_ranks": self.config.n_ranks, "executor": self.executor},
+            attrs={
+                "n_ranks": self.config.n_ranks,
+                "executor": self.executor,
+                "executor_reason": self.executor_reason,
+            },
         ):
             if self.config.auto_balance is not None:
                 for decl in self.compiled.program.edb:
@@ -338,6 +338,9 @@ class Engine:
                 if self.rebalancer is not None
                 else None
             ),
+            executor=self.executor,
+            executor_requested=self.config.executor,
+            executor_reason=self.executor_reason,
         )
 
     def _finalize_metrics(self) -> None:
@@ -430,6 +433,7 @@ class Engine:
     # ----------------------------------------------------------- stratum loop
 
     def _run_stratum(self, stratum: Stratum) -> None:
+        """Cold start: the loop's first pass is the naive seed pass."""
         with self.tracer.span(
             "stratum",
             cat="stratum",
@@ -439,12 +443,27 @@ class Engine:
                 "recursive": stratum.recursive,
             },
         ):
-            self._run_stratum_body(stratum)
+            self._stratum_loop(
+                stratum, [(cr, None) for cr in self.compiled.rules_of(stratum)]
+            )
 
-    def _run_stratum_body(self, stratum: Stratum) -> None:
+    def _stratum_loop(
+        self,
+        stratum: Stratum,
+        first_pass: List[Tuple[CompiledRule, Optional[int]]],
+    ) -> None:
         """One stratum's fixpoint loop, with checkpoint/rollback recovery.
 
-        ``iteration == -1`` means the naive seed pass has not run yet;
+        ``first_pass`` lists the ``(rule, delta_atom)`` directions that
+        iteration 0 evaluates, and is the only thing that tells a cold
+        start from an incremental update: cold is ``(rule, None)`` for
+        every rule — the naive seed pass, all body atoms reading the full
+        version, the whole job for a non-recursive stratum — and an
+        update is ``(rule, i)`` for every body position whose relation
+        has a pending Δ (:mod:`repro.runtime.incremental`).  Every later
+        iteration evaluates each rule once per recursive body atom.
+
+        ``iteration == -1`` means the first pass has not run yet;
         afterwards ``iteration`` is the last *fully absorbed* iteration.
         A :class:`~repro.faults.plane.RankFailure` raised anywhere inside
         an iteration rolls the stratum back to the last checkpoint and
@@ -452,8 +471,14 @@ class Engine:
         run is bit-for-bit the run that would have happened without the
         failure (verified in the chaos tests).
         """
-        rules = self.compiled.rules_of(stratum)
-        recursive_rels = set(stratum.relations)
+        update = any(atom is not None for _, atom in first_pass)
+        update_attrs = {"update_pass": True} if update else None
+        semi_naive = [
+            (cr, i)
+            for cr in self.compiled.rules_of(stratum)
+            for i, rel_name in enumerate(cr.body_names)
+            if rel_name in stratum.relations
+        ]
         every = self.config.checkpoint_every
         ckpt: Optional[StratumCheckpoint] = (
             self._take_checkpoint(stratum, -1, changed=True)
@@ -466,7 +491,7 @@ class Engine:
             try:
                 if iteration < 0:
                     if self.rebalancer is not None:
-                        # First skew check before the seed pass: the EDBs
+                        # First skew check before the first pass: the EDBs
                         # are fully loaded and a hot bucket is already
                         # visible, so resizing here spares the seed
                         # pass's own joins the skew (CC-style programs
@@ -474,57 +499,41 @@ class Engine:
                         # the try: a crash mid-exchange rolls back to the
                         # pre-loop checkpoint and replays the decision.
                         self.rebalancer.maybe_rebalance(self, stratum, -1)
-                    # Seed pass: evaluate every rule naively (all body
-                    # atoms read the full version).  For non-recursive
-                    # strata this is the whole job.
-                    it_stats = _IterStats()
-                    with self.tracer.span(
-                        "iteration", cat="iteration", iteration=0,
-                        stratum=stratum.index,
-                    ):
-                        for cr in rules:
-                            self._evaluate_direction(
-                                cr, delta_atom=None, stats=it_stats
-                            )
-                        changed = self._advance_and_count(stratum)
-                        self._record_iteration(stratum, 0, it_stats)
-                    iteration = 0
-                    if not stratum.recursive:
-                        return
-                    if self.rebalancer is not None and changed:
-                        # Seed boundary: IDB relations the seed pass just
-                        # populated get their first skew check here.
-                        self.rebalancer.maybe_rebalance(self, stratum, 0)
-                    if every is not None and changed:
-                        ckpt = self._take_checkpoint(stratum, 0, changed)
-                    continue
-                if not changed or iteration >= self.config.max_iterations:
+                    number, directions, attrs = 0, first_pass, update_attrs
+                elif not changed or iteration >= self.config.max_iterations:
                     break
-                iteration += 1
-                self._iterations += 1
+                else:
+                    # Counted before it runs: a crash in flight is
+                    # reported against this iteration, the first pass's
+                    # against -1.
+                    iteration += 1
+                    self._iterations += 1
+                    number, directions, attrs = iteration, semi_naive, None
                 it_stats = _IterStats()
                 with self.tracer.span(
                     "iteration",
                     cat="iteration",
-                    iteration=iteration,
+                    iteration=number,
                     stratum=stratum.index,
+                    attrs=attrs,
                 ):
-                    for cr in rules:
-                        for i, rel_name in enumerate(cr.body_names):
-                            if rel_name in recursive_rels:
-                                self._evaluate_direction(
-                                    cr, delta_atom=i, stats=it_stats
-                                )
+                    for cr, delta_atom in directions:
+                        self._eval_rule(cr, delta_atom, it_stats)
                     changed = self._advance_and_count(stratum)
-                    self._record_iteration(stratum, iteration, it_stats)
+                    self._record_iteration(stratum, number, it_stats)
+                iteration = number
+                if not stratum.recursive:
+                    return
                 if (
                     self.rebalancer is not None
                     and changed
                     and iteration % self.config.rebalance_every == 0
                 ):
-                    # Iteration boundary: Δs advanced, nothing in flight.
-                    # Inside the try, so a crash mid-rebalance rolls back
-                    # like any other iteration failure.  Runs before the
+                    # Iteration boundary: Δs advanced, nothing in flight
+                    # (after the first pass, IDB relations it just
+                    # populated get their first skew check).  Inside the
+                    # try, so a crash mid-rebalance rolls back like any
+                    # other iteration failure.  Runs before the
                     # checkpoint below so snapshots capture the new map.
                     self.rebalancer.maybe_rebalance(self, stratum, iteration)
                 if every is not None and changed and iteration % every == 0:
@@ -538,8 +547,13 @@ class Engine:
         if changed:
             raise RuntimeError(
                 f"stratum {stratum.relations} did not converge within "
-                f"{self.config.max_iterations} iterations — non-terminating "
-                "program (is every aggregate a finite-height lattice?)"
+                f"{self.config.max_iterations} iterations"
+                + (
+                    " during an incremental update"
+                    if update
+                    else " — non-terminating program (is every aggregate "
+                    "a finite-height lattice?)"
+                )
             )
 
     # --------------------------------------------- incremental maintenance
@@ -585,9 +599,15 @@ class Engine:
                 boxes: List[object] = [
                     routed[a:b] for a, b in zip(bounds[:-1], bounds[1:])
                 ]
+                sizing = {"count_of": len}
                 if self.wire.enabled:
                     _n, payloads = encode_boxes(boxes, self.wire.codec)
                     boxes = list(zip(boxes, payloads))
+                    sizing = {
+                        "count_of": lambda box: box[0].shape[0],
+                        "nbytes_of": lambda box: encoded_nbytes(box[1]),
+                        "collective": self.wire.alltoallv,
+                    }
                 sends: Dict[int, Dict[int, List[object]]] = {}
                 heads = order[starts]
                 for src, dst, box in zip(
@@ -597,34 +617,26 @@ class Engine:
                 attempts = 0
                 while True:
                     try:
-                        if self.wire.enabled:
-                            self.cluster.alltoallv(
-                                sends,
-                                arity=rel.schema.arity,
-                                phase=P_SEED,
-                                kind="incremental_seed",
-                                channel="update",
-                                count_of=lambda box: box[0].shape[0],
-                                nbytes_of=lambda box: encoded_nbytes(box[1]),
-                                collective=self.wire.alltoallv,
-                            )
-                        else:
-                            self.cluster.alltoallv(
-                                sends,
-                                arity=rel.schema.arity,
-                                phase=P_SEED,
-                                kind="incremental_seed",
-                                channel="update",
-                                count_of=lambda box: box.shape[0],
-                            )
+                        self.cluster.alltoallv(
+                            sends,
+                            arity=rel.schema.arity,
+                            phase=P_SEED,
+                            kind="incremental_seed",
+                            channel="update",
+                            **sizing,
+                        )
                         break
                     except PermanentRankFailure:
                         raise
                     except RankFailure as failure:
                         # Nothing absorbed yet: restart the rank and replay
-                        # the exchange (bounded, then escalate).
+                        # the exchange, within the fault plane's own retry
+                        # budget (then escalate).
                         attempts += 1
-                        if self.fault_plane is None or attempts > 8:
+                        faults = self.config.faults
+                        if faults is None or faults.retry_policy().exhausted(
+                            attempts
+                        ):
                             raise
                         self.fault_plane.mark_restarted(failure.rank)
                         self.counters["update_seed_retries"] += 1
@@ -643,147 +655,6 @@ class Engine:
             n = rel.delta_size()
             self.counters["update_seed_tuples"] += n
             out[name] = n
-        return out
-
-    def _run_stratum_incremental(
-        self, stratum: Stratum, pending: set
-    ) -> Dict[str, int]:
-        """Resume one stratum's fixpoint from converged state after new Δs.
-
-        The *update pass* (the incremental analog of the seed pass)
-        evaluates each rule once per pending body position
-        (``delta_atom=i``), absorbing into heads exactly as a cold
-        iteration would; recursive strata then continue the normal
-        semi-naïve loop until quiescence.  Because the converged state is
-        a sound under-approximation of the union-EDB least fixpoint and
-        absorption is inflationary, resuming from it converges to the
-        same lattice point a cold recompute reaches — bit-identical full
-        contents (the identity gate asserts this).
-
-        Afterwards the stratum's *change set* — the set difference of
-        each relation's full version against its pre-update contents, not
-        the intermediate Δs (transient aggregate improvements must never
-        leak downstream) — is installed as Δ for later strata.  The diff
-        snapshot is host-side bookkeeping standing in for the touched-
-        group tracking a real rank keeps during absorption, so only the
-        installed change rows are charged (``incremental_seed`` phase).
-        Checkpoint/rollback, rebalance and wire behavior are the cold
-        loop's own.  A stratum no pending Δ reaches is skipped for free.
-        Returns ``{relation: installed Δ size}`` for relations that
-        changed.
-        """
-        rules = self.compiled.rules_of(stratum)
-        recursive_rels = set(stratum.relations)
-        relevant: List[Tuple[CompiledRule, List[int]]] = []
-        for cr in rules:
-            idxs = [i for i, n in enumerate(cr.body_names) if n in pending]
-            if idxs:
-                relevant.append((cr, idxs))
-        if not relevant:
-            return {}
-        before: Dict[str, set] = {}
-        if stratum.recursive:
-            with self.timer.phase(P_SEED):
-                before = {
-                    name: self.store[name].as_set()
-                    for name in sorted(recursive_rels)
-                }
-        every = self.config.checkpoint_every
-        ckpt: Optional[StratumCheckpoint] = (
-            self._take_checkpoint(stratum, -1, changed=True)
-            if every is not None
-            else None
-        )
-        iteration = -1
-        changed = True
-        while True:
-            try:
-                if iteration < 0:
-                    if self.rebalancer is not None:
-                        self.rebalancer.maybe_rebalance(self, stratum, -1)
-                    it_stats = _IterStats()
-                    with self.tracer.span(
-                        "iteration", cat="iteration", iteration=0,
-                        stratum=stratum.index, attrs={"update_pass": True},
-                    ):
-                        for cr, idxs in relevant:
-                            for i in idxs:
-                                self._evaluate_direction(
-                                    cr, delta_atom=i, stats=it_stats
-                                )
-                        changed = self._advance_and_count(stratum)
-                        self._record_iteration(stratum, 0, it_stats)
-                    iteration = 0
-                    if not stratum.recursive:
-                        break
-                    if self.rebalancer is not None and changed:
-                        self.rebalancer.maybe_rebalance(self, stratum, 0)
-                    if every is not None and changed:
-                        ckpt = self._take_checkpoint(stratum, 0, changed)
-                    continue
-                if not changed or iteration >= self.config.max_iterations:
-                    break
-                iteration += 1
-                self._iterations += 1
-                it_stats = _IterStats()
-                with self.tracer.span(
-                    "iteration",
-                    cat="iteration",
-                    iteration=iteration,
-                    stratum=stratum.index,
-                ):
-                    for cr in rules:
-                        for i, rel_name in enumerate(cr.body_names):
-                            if rel_name in recursive_rels:
-                                self._evaluate_direction(
-                                    cr, delta_atom=i, stats=it_stats
-                                )
-                    changed = self._advance_and_count(stratum)
-                    self._record_iteration(stratum, iteration, it_stats)
-                if (
-                    self.rebalancer is not None
-                    and changed
-                    and iteration % self.config.rebalance_every == 0
-                ):
-                    self.rebalancer.maybe_rebalance(self, stratum, iteration)
-                if every is not None and changed and iteration % every == 0:
-                    ckpt = self._take_checkpoint(stratum, iteration, changed)
-            except RankFailure as failure:
-                if ckpt is None:
-                    raise
-                iteration, changed = self._recover(
-                    stratum, ckpt, failure, at_iteration=iteration
-                )
-        if changed and stratum.recursive:
-            raise RuntimeError(
-                f"stratum {stratum.relations} did not converge within "
-                f"{self.config.max_iterations} iterations during an "
-                "incremental update"
-            )
-        out: Dict[str, int] = {}
-        if stratum.recursive:
-            per_rank = np.zeros(self.config.n_ranks, dtype=np.int64)
-            with self.timer.phase(P_SEED):
-                for name in sorted(recursive_rels):
-                    rel = self.store[name]
-                    diff = rel.as_set() - before[name]
-                    if diff:
-                        out[name] = rel.install_delta(
-                            np.asarray(sorted(diff), dtype=np.int64)
-                        )
-                        per_rank += rel.delta_sizes_by_rank()
-                    else:
-                        rel.install_delta(None)
-            if out:
-                cost = self.cluster.cost
-                self.cluster.ledger.add_compute_step(
-                    P_SEED, per_rank * (cost.tuple_insert * cost.compute_scale)
-                )
-        else:
-            for name in sorted({cr.head_name for cr, _ in relevant}):
-                n = self.store[name].delta_size()
-                if n:
-                    out[name] = n
         return out
 
     # ------------------------------------------------- checkpoint / recovery
@@ -944,7 +815,7 @@ class Engine:
             with self.timer.phase("recovery"):
                 failed_bytes = ckpt.rank_nbytes(self.store, failure.rank)
                 ckpt_mod.restore(self.store, ckpt)
-                self._index_cache.clear()
+                self._exec.invalidate()
                 self.counters = defaultdict(int)
                 self.counters.update(ckpt.counters)
                 self._iterations = ckpt.iterations_total
@@ -1050,7 +921,7 @@ class Engine:
             with self.timer.phase("recovery"):
                 failed_bytes = ckpt.rank_nbytes(self.store, rank)
                 ckpt_mod.restore(self.store, ckpt)
-                self._index_cache.clear()
+                self._exec.invalidate()
                 self.counters = defaultdict(int)
                 self.counters.update(ckpt.counters)
                 self._iterations = ckpt.iterations_total
@@ -1086,7 +957,7 @@ class Engine:
                             tuples,
                         ))
                     reowned += len(keys)
-                self._index_cache.clear()
+                self._exec.invalidate()
             _total, per_rank = self._stratum_state_bytes(ckpt.relations)
             restore_seconds = self.cluster.cost.recovery_restore(
                 self.config.n_ranks, int(per_rank.max()), failed_bytes
@@ -1233,95 +1104,41 @@ class Engine:
 
     # ------------------------------------------------------- rule evaluation
 
-    def _evaluate_direction(
+    def _eval_rule(
         self, cr: CompiledRule, delta_atom: Optional[int], stats: "_IterStats"
     ) -> None:
         """Evaluate one rule with body atom ``delta_atom`` reading Δ.
 
         ``delta_atom=None`` is the naive seed pass (all atoms read full).
+        The pipeline is written once here; only the tuple representation
+        lives in :attr:`_exec` (:mod:`repro.runtime.executor`).
         """
-        columnar = self.executor == "columnar"
-        if cr.is_join:
-            if columnar:
-                self._eval_join_columnar(cr, delta_atom, stats)
-            else:
-                self._eval_join(cr, delta_atom, stats)
-        else:
-            if columnar:
-                self._eval_copy_columnar(cr, delta_atom, stats)
-            else:
-                self._eval_copy(cr, delta_atom, stats)
-
-    def _eval_copy(
-        self, cr: CompiledRule, delta_atom: Optional[int], stats: "_IterStats"
-    ) -> None:
-        rel = self.store[cr.body_names[0]]
-        version = "delta" if delta_atom == 0 else "full"
-        match = cr.matches[0]
-        emit = cr.emit
-        empty: TupleT = ()
-        emitted: Dict[int, List[TupleT]] = defaultdict(list)
-        per_rank_scan = np.zeros(self.config.n_ranks, dtype=np.int64)
-        cost = self.cluster.cost
-        with self.timer.phase(P_JOIN):
-            for owner, batch in rel.version_batches(version):
-                per_rank_scan[owner] += len(batch)
-                out = emitted[owner]
-                if match is None:
-                    out.extend(emit(t, empty) for t in batch)
-                else:
-                    out.extend(emit(t, empty) for t in batch if match(t))
-        self.cluster.ledger.add_compute_step(
-            P_JOIN, per_rank_scan * (cost.tuple_probe * cost.compute_scale)
-        )
-        self._route_and_absorb(cr.head_name, emitted, stats)
-
-    def _eval_copy_columnar(
-        self, cr: CompiledRule, delta_atom: Optional[int], stats: "_IterStats"
-    ) -> None:
-        rel = self.store[cr.body_names[0]]
-        version = "delta" if delta_atom == 0 else "full"
-        match_block = cr.matches_block[0]
-        spec = cr.emit_spec
-        by_owner: Dict[int, List[np.ndarray]] = defaultdict(list)
-        per_rank_scan = np.zeros(self.config.n_ranks, dtype=np.int64)
-        cost = self.cluster.cost
-        with self.timer.phase(P_JOIN):
-            for owner, block in rel.version_blocks(version):
-                per_rank_scan[owner] += block.shape[0]
-                if match_block is not None:
-                    block = block[match_block.mask(block)]
-                if block.shape[0]:
-                    by_owner[owner].append(spec.eval_block(block, None))
-        emitted = {
-            owner: (blocks[0] if len(blocks) == 1 else np.vstack(blocks))
-            for owner, blocks in by_owner.items()
-        }
-        self.cluster.ledger.add_compute_step(
-            P_JOIN, per_rank_scan * (cost.tuple_probe * cost.compute_scale)
-        )
-        self._route_and_absorb_columnar(cr.head_name, emitted, stats)
-
-    def _eval_join(
-        self, cr: CompiledRule, delta_atom: Optional[int], stats: "_IterStats"
-    ) -> None:
         cfg = self.config
         cluster = self.cluster
         cost = cluster.cost
-        left = self.store[cr.body_names[0]]
-        right = self.store[cr.body_names[1]]
-        lver = "delta" if delta_atom == 0 else "full"
-        rver = "delta" if delta_atom == 1 else "full"
+        ex = self._exec
+        if not cr.is_join:
+            rel = self.store[cr.body_names[0]]
+            per_rank_scan = np.zeros(cfg.n_ranks, dtype=np.int64)
+            with self.timer.phase(P_JOIN):
+                emitted = ex.scan_emit(
+                    cr, rel, "delta" if delta_atom == 0 else "full", per_rank_scan
+                )
+            cluster.ledger.add_compute_step(
+                P_JOIN, per_rank_scan * (cost.tuple_probe * cost.compute_scale)
+            )
+            self._route_and_absorb(cr.head_name, emitted, stats)
+            return
+        rels = (self.store[cr.body_names[0]], self.store[cr.body_names[1]])
+        vers = tuple("delta" if delta_atom == i else "full" for i in (0, 1))
 
         # ---- phase: vote (dynamic join planning, Algorithm 1) ----
         with self.timer.phase(P_VOTE):
             if cfg.dynamic_join:
-                lsizes = _sizes_by_rank(left, lver)
-                rsizes = _sizes_by_rank(right, rver)
                 side = vote_outer_relation(
                     cluster,
-                    lsizes,
-                    rsizes,
+                    _sizes_by_rank(rels[0], vers[0]),
+                    _sizes_by_rank(rels[1], vers[1]),
                     phase=P_VOTE,
                     abstain_empty=cfg.vote_abstain_empty,
                 )
@@ -1331,212 +1148,18 @@ class Engine:
                     if cfg.static_outer == "left"
                     else JoinSide.RIGHT_OUTER
                 )
-        outer_is_left = side is JoinSide.LEFT_OUTER
-        stats.outer_choices[repr(cr.rule)] = "left" if outer_is_left else "right"
-
-        if outer_is_left:
-            outer_rel, outer_ver, inner_rel, inner_ver = left, lver, right, rver
-            probe_cols = cr.probe_from_left
-            probe_get = cr.probe_get_left
-            outer_match, inner_match = cr.matches[0], cr.matches[1]
-        else:
-            outer_rel, outer_ver, inner_rel, inner_ver = right, rver, left, lver
-            probe_cols = cr.probe_from_right
-            probe_get = cr.probe_get_right
-            outer_match, inner_match = cr.matches[1], cr.matches[0]
-        inner_dist = inner_rel.dist
-        n_sub_inner = inner_rel.schema.n_subbuckets
+        outer_pos = 0 if side is JoinSide.LEFT_OUTER else 1
+        stats.outer_choices[repr(cr.rule)] = ("left", "right")[outer_pos]
+        outer_rel, outer_ver = rels[outer_pos], vers[outer_pos]
+        inner_rel, inner_ver = rels[1 - outer_pos], vers[1 - outer_pos]
+        probe_cols = (cr.probe_from_left, cr.probe_from_right)[outer_pos]
 
         # ---- phase: intra-bucket communication (serialize + replicate) ----
-        # Vectorized: one hash pass computes every outer tuple's inner
-        # bucket; each tuple is replicated to every sub-bucket rank of that
-        # bucket.  Payload entries are (bucket, tuple) so receivers don't
-        # re-hash (the real system knows the bucket from message layout).
-        sends: Dict[int, Dict[int, List[Tuple[int, TupleT]]]] = {}
-        per_rank_ser = np.zeros(cfg.n_ranks, dtype=np.int64)
-        n_intra = 0
-        with self.timer.phase(P_INTRA):
-            outer_tuples: List[TupleT] = []
-            owner_spans: List[Tuple[int, int, int]] = []  # (owner, start, end)
-            for owner, batch in outer_rel.version_batches(outer_ver):
-                if outer_match is not None:
-                    batch = [t for t in batch if outer_match(t)]
-                if not batch:
-                    continue
-                start = len(outer_tuples)
-                outer_tuples.extend(batch)
-                owner_spans.append((owner, start, len(outer_tuples)))
-            if outer_tuples:
-                rows = np.asarray(outer_tuples, dtype=np.int64)
-                buckets = inner_dist.buckets_of_key_rows(rows, probe_cols)
-                dst_by_sub = [
-                    inner_dist.owners_of_buckets(buckets, s).tolist()
-                    for s in range(n_sub_inner)
-                ]
-                bucket_list = buckets.tolist()
-                for owner, start, end in owner_spans:
-                    row = sends.setdefault(owner, {})
-                    for i in range(start, end):
-                        t = outer_tuples[i]
-                        b = bucket_list[i]
-                        item = (b, t)
-                        if n_sub_inner == 1:
-                            dsts: Iterable[int] = (dst_by_sub[0][i],)
-                            fanout = 1
-                        else:
-                            dset = {dst_by_sub[s][i] for s in range(n_sub_inner)}
-                            dsts = dset
-                            fanout = len(dset)
-                        for dst in dsts:
-                            lst = row.get(dst)
-                            if lst is None:
-                                lst = row[dst] = []
-                            lst.append(item)
-                        per_rank_ser[owner] += fanout
-                        n_intra += fanout
-            cluster.ledger.add_compute_step(
-                P_INTRA, per_rank_ser * (cost.tuple_serialize * cost.compute_scale)
-            )
-            recv = cluster.alltoallv(
-                sends, arity=outer_rel.schema.arity, phase=P_INTRA
-            )
-        stats.intra_tuples += n_intra
-        self.counters["intra_bucket_tuples"] += n_intra
-
-        # ---- phase: local join ----
-        emit = cr.emit
-        emitted: Dict[int, List[TupleT]] = {}
-        per_rank_probe = np.zeros(cfg.n_ranks, dtype=np.int64)
-        per_rank_emit = np.zeros(cfg.n_ranks, dtype=np.int64)
-        version_attr = "delta" if inner_ver == "delta" else "full"
-        with self.timer.phase(P_JOIN):
-            for r, items in recv.items():
-                out: List[TupleT] = []
-                # Inner indexes of this rank's shards for each seen bucket.
-                index_cache: Dict[int, list] = {}
-                for b, t in items:
-                    indexes = index_cache.get(b)
-                    if indexes is None:
-                        indexes = [
-                            getattr(shard, version_attr)
-                            for shard in inner_rel.shards_at_rank_for_bucket(b, r)
-                        ]
-                        index_cache[b] = indexes
-                    if not indexes:
-                        continue
-                    jk = probe_get(t)
-                    for index in indexes:
-                        group = index.get(jk)
-                        if not group:
-                            continue
-                        if inner_match is None:
-                            if outer_is_left:
-                                out.extend(emit(t, it_) for it_ in group.values())
-                            else:
-                                out.extend(emit(it_, t) for it_ in group.values())
-                        else:
-                            for it_ in group.values():
-                                if inner_match(it_):
-                                    out.append(
-                                        emit(t, it_)
-                                        if outer_is_left
-                                        else emit(it_, t)
-                                    )
-                if out:
-                    emitted[r] = out
-                per_rank_probe[r] += len(items)
-                per_rank_emit[r] += len(out)
-            cluster.ledger.add_compute_step(
-                P_JOIN,
-                per_rank_probe * (cost.tuple_probe * cost.compute_scale)
-                + per_rank_emit * (cost.tuple_emit * cost.compute_scale),
-            )
-        n_emitted = int(per_rank_emit.sum())
-        stats.emitted += n_emitted
-        self.counters["emitted"] += n_emitted
-
-        self._route_and_absorb(cr.head_name, emitted, stats)
-
-    def _rank_index(
-        self,
-        rel: VersionedRelation,
-        version: str,
-        rank: int,
-        match_token,
-        match_block,
-    ) -> RankJoinIndex:
-        """Build-or-reuse the batch join index for one (relation, rank).
-
-        Cache entries are validated by the relation's version generation,
-        so static inners (EDB relations) index once per run while evolving
-        fulls rebuild only after an absorb actually admitted something.
-        """
-        gen = rel.delta_gen if version == "delta" else rel.full_gen
-        key = (rel.schema.name, version, rank, match_token)
-        hit = self._index_cache.get(key)
-        if hit is not None and hit[0] == gen:
-            return hit[1]
-        index = RankJoinIndex.build(rel, version, rank, match_block)
-        self._index_cache[key] = (gen, index)
-        return index
-
-    def _eval_join_columnar(
-        self, cr: CompiledRule, delta_atom: Optional[int], stats: "_IterStats"
-    ) -> None:
-        cfg = self.config
-        cluster = self.cluster
-        cost = cluster.cost
-        left = self.store[cr.body_names[0]]
-        right = self.store[cr.body_names[1]]
-        lver = "delta" if delta_atom == 0 else "full"
-        rver = "delta" if delta_atom == 1 else "full"
-
-        # ---- phase: vote (identical to the scalar path) ----
-        with self.timer.phase(P_VOTE):
-            if cfg.dynamic_join:
-                lsizes = _sizes_by_rank(left, lver)
-                rsizes = _sizes_by_rank(right, rver)
-                side = vote_outer_relation(
-                    cluster,
-                    lsizes,
-                    rsizes,
-                    phase=P_VOTE,
-                    abstain_empty=cfg.vote_abstain_empty,
-                )
-            else:
-                side = (
-                    JoinSide.LEFT_OUTER
-                    if cfg.static_outer == "left"
-                    else JoinSide.RIGHT_OUTER
-                )
-        outer_is_left = side is JoinSide.LEFT_OUTER
-        stats.outer_choices[repr(cr.rule)] = "left" if outer_is_left else "right"
-
-        if outer_is_left:
-            outer_rel, outer_ver, inner_rel, inner_ver = left, lver, right, rver
-            probe_cols = cr.probe_from_left
-            outer_mb, inner_mb = cr.matches_block[0], cr.matches_block[1]
-            inner_pos = 1
-        else:
-            outer_rel, outer_ver, inner_rel, inner_ver = right, rver, left, lver
-            probe_cols = cr.probe_from_right
-            outer_mb, inner_mb = cr.matches_block[1], cr.matches_block[0]
-            inner_pos = 0
-        inner_dist = inner_rel.dist
-        n_sub_inner = inner_rel.schema.n_subbuckets
-        spec = cr.emit_spec
-
-        # ---- phase: intra-bucket communication (vectorized) ----
         per_rank_ser = np.zeros(cfg.n_ranks, dtype=np.int64)
         with self.timer.phase(P_INTRA):
-            owner_blocks: List[Tuple[int, np.ndarray]] = []
-            for owner, block in outer_rel.version_blocks(outer_ver):
-                if outer_mb is not None and block.shape[0]:
-                    block = block[outer_mb.mask(block)]
-                if block.shape[0]:
-                    owner_blocks.append((owner, block))
-            sends, n_intra = build_intra_sends(
-                owner_blocks, inner_dist, n_sub_inner, probe_cols, per_rank_ser
+            sends, n_intra = ex.intra_sends(
+                cr, outer_pos, outer_rel, outer_ver, inner_rel, probe_cols,
+                per_rank_ser,
             )
             cluster.ledger.add_compute_step(
                 P_INTRA, per_rank_ser * (cost.tuple_serialize * cost.compute_scale)
@@ -1545,41 +1168,19 @@ class Engine:
                 sends,
                 arity=outer_rel.schema.arity,
                 phase=P_INTRA,
-                count_of=lambda box: box[1].shape[0],
+                count_of=ex.intra_count_of,
             )
         stats.intra_tuples += n_intra
         self.counters["intra_bucket_tuples"] += n_intra
 
-        # ---- phase: local join (batch hash join) ----
-        match_token = None if inner_mb is None else (id(cr), inner_pos)
-        emitted: Dict[int, np.ndarray] = {}
+        # ---- phase: local join ----
         per_rank_probe = np.zeros(cfg.n_ranks, dtype=np.int64)
         per_rank_emit = np.zeros(cfg.n_ranks, dtype=np.int64)
         with self.timer.phase(P_JOIN):
-            for r, boxes in recv.items():
-                if len(boxes) == 1:
-                    bucket_cat, rows_cat = boxes[0]
-                else:
-                    bucket_cat = np.concatenate([b for b, _ in boxes])
-                    rows_cat = np.vstack([rows for _, rows in boxes])
-                per_rank_probe[r] += rows_cat.shape[0]
-                index = self._rank_index(
-                    inner_rel, inner_ver, r, match_token, inner_mb
-                )
-                starts, counts = index.probe(rows_cat, bucket_cat, probe_cols)
-                n_pairs = int(counts.sum())
-                per_rank_emit[r] += n_pairs
-                if not n_pairs:
-                    continue
-                outer_gather = rows_cat[
-                    np.repeat(np.arange(rows_cat.shape[0], dtype=np.int64), counts)
-                ]
-                inner_gather = index.rows[concat_ranges(starts, counts)]
-                if outer_is_left:
-                    out = spec.eval_block(outer_gather, inner_gather)
-                else:
-                    out = spec.eval_block(inner_gather, outer_gather)
-                emitted[r] = out
+            emitted = ex.local_join(
+                cr, outer_pos, recv, inner_rel, inner_ver, probe_cols,
+                per_rank_probe, per_rank_emit,
+            )
             cluster.ledger.add_compute_step(
                 P_JOIN,
                 per_rank_probe * (cost.tuple_probe * cost.compute_scale)
@@ -1589,55 +1190,47 @@ class Engine:
         stats.emitted += n_emitted
         self.counters["emitted"] += n_emitted
 
-        self._route_and_absorb_columnar(cr.head_name, emitted, stats)
+        self._route_and_absorb(cr.head_name, emitted, stats)
 
     # ------------------------------------------------ routing and absorption
 
-    def _wire_exchange(
-        self,
-        head,
-        head_name: str,
-        sends: Dict[int, Dict[int, List[Tuple[int, int, np.ndarray]]]],
-    ) -> Dict[int, List[Tuple[int, int, np.ndarray]]]:
-        """Route exchange through the wire layer (PR 7), enabled path.
+    def _wire_exchange(self, head, head_name: str, sends):
+        """The route all-to-all, through the wire layer (PR 7) when on.
 
-        Folds each box per independent key where the lattice allows,
-        encodes payloads with the configured codec, charges the fold at
-        serialization cost and the exchange at *encoded* bytes, lets the
-        collective autotuner pick direct vs Bruck, and decodes on the
-        receive side.  Shared by both executors so their ledgers stay
-        bit-identical.
+        Enabled, it folds each box per independent key where the lattice
+        allows, encodes payloads with the configured codec, charges the
+        fold at serialization cost and the exchange at *encoded* bytes,
+        lets the collective autotuner pick direct vs Bruck, and decodes
+        on the receive side; disabled, boxes travel as built at their raw
+        tuple size.
         """
         wire = self.wire
-        arity = head.schema.arity
-        combiner, can_combine = self._wire_plan(head_name)
-        wire_sends, folded = encode_wire_sends(
-            sends,
-            n_indep=head.schema.n_indep,
-            combiner=combiner,
-            combine=wire.sender_combine and can_combine,
-            codec=wire.codec,
-        )
-        if any(folded.values()):
-            cost = self.cluster.cost
-            per_tuple = cost.tuple_serialize * cost.compute_scale
-            charge = np.zeros(self.config.n_ranks)
-            for src, n_folded in folded.items():
-                charge[src] = n_folded * per_tuple
-            self.cluster.ledger.add_compute_step(P_COMM, charge)
         cluster = self.cluster
-        pre0 = cluster.route_precombine_bytes
-        wire0 = cluster.route_wire_bytes
-        coll0 = dict(cluster.collective_counts)
-        recv = cluster.alltoallv(
-            wire_sends,
-            arity=arity,
-            phase=P_COMM,
-            count_of=lambda box: box[2],
-            nbytes_of=lambda box: encoded_nbytes(box[4]),
-            pre_count_of=lambda box: box[3],
-            collective=wire.alltoallv,
-        )
+        arity = head.schema.arity
+        sizing = _RAW_BOX
+        if wire.enabled:
+            combiner, can_combine = self._wire_plan(head_name)
+            sends, folded = encode_wire_sends(
+                sends,
+                n_indep=head.schema.n_indep,
+                combiner=combiner,
+                combine=wire.sender_combine and can_combine,
+                codec=wire.codec,
+            )
+            if any(folded.values()):
+                cost = cluster.cost
+                per_tuple = cost.tuple_serialize * cost.compute_scale
+                charge = np.zeros(self.config.n_ranks)
+                for src, n_folded in folded.items():
+                    charge[src] = n_folded * per_tuple
+                cluster.ledger.add_compute_step(P_COMM, charge)
+            sizing = dict(_WIRE_BOX, collective=wire.alltoallv)
+            pre0 = cluster.route_precombine_bytes
+            wire0 = cluster.route_wire_bytes
+            coll0 = dict(cluster.collective_counts)
+        recv = cluster.alltoallv(sends, arity=arity, phase=P_COMM, **sizing)
+        if not wire.enabled:
+            return recv
         # Tally per exchange into the engine counters (not read off the
         # cluster at the end) so checkpoint rollback rewinds them and a
         # recovered run's books match a fault-free run's.
@@ -1652,78 +1245,20 @@ class Engine:
             for r, boxes in recv.items()
         }
 
-    def _route_and_absorb(
-        self,
-        head_name: str,
-        emitted: Dict[int, List[TupleT]],
-        stats: "_IterStats",
-    ) -> None:
-        """All-to-all emitted tuples to their home shards and absorb them."""
+    def _route_and_absorb(self, head_name: str, emitted, stats: "_IterStats") -> None:
+        """All-to-all emitted tuples to their home shards and absorb them.
+
+        ``emitted`` is in the executor's representation: tuple lists per
+        rank (scalar) or one row block per rank (columnar).
+        """
         head = self.store[head_name]
-        dist = head.dist
-        cfg = self.config
         cost = self.cluster.cost
+        ex = self._exec
 
         # ---- phase: all-to-all of materialized tuples ----
-        # One hash pass per source computes each tuple's home shard
-        # (bucket, sub) *and* its owner rank; payloads travel as
-        # shard-tagged batches ("boxes") so the receiver absorbs without
-        # regrouping.
-        Box = Tuple[int, int, List[TupleT]]  # (bucket, sub, batch)
-        sends: Dict[int, Dict[int, List[Box]]] = {}
-        n_comm = 0
         with self.timer.phase(P_COMM):
-            for src, tuples in emitted.items():
-                if not tuples:
-                    continue
-                rows = np.asarray(tuples, dtype=np.int64)
-                b_arr, s_arr = dist.bucket_sub_of_rows(rows)
-                dst_arr = dist.ranks_of_bucket_subs(b_arr, s_arr)
-                buckets = b_arr.tolist()
-                subs = s_arr.tolist()
-                dsts = dst_arr.tolist()
-                by_shard: Dict[Tuple[int, int], List[TupleT]] = {}
-                shard_dst: Dict[Tuple[int, int], int] = {}
-                for i, t in enumerate(tuples):
-                    key = (buckets[i], subs[i])
-                    lst = by_shard.get(key)
-                    if lst is None:
-                        lst = by_shard[key] = []
-                        shard_dst[key] = dsts[i]
-                    lst.append(t)
-                row: Dict[int, List[Box]] = {}
-                for key, batch in by_shard.items():
-                    dst = shard_dst[key]
-                    row.setdefault(dst, []).append((key[0], key[1], batch))
-                sends[src] = row
-                n_comm += len(tuples)
-            if self.wire.enabled:
-                wire_in = {
-                    src: {
-                        dst: [
-                            (b, s, np.asarray(batch, dtype=np.int64))
-                            for b, s, batch in boxes
-                        ]
-                        for dst, boxes in row.items()
-                    }
-                    for src, row in sends.items()
-                }
-                recv = {
-                    r: [
-                        (b, s, [tuple(t) for t in rows.tolist()])
-                        for b, s, rows in boxes
-                    ]
-                    for r, boxes in self._wire_exchange(
-                        head, head_name, wire_in
-                    ).items()
-                }
-            else:
-                recv = self.cluster.alltoallv(
-                    sends,
-                    arity=head.schema.arity,
-                    phase=P_COMM,
-                    count_of=lambda box: len(box[2]),
-                )
+            sends, n_comm = ex.route_sends(emitted, head.dist, self.wire.enabled)
+            recv = self._wire_exchange(head, head_name, sends)
         stats.comm_tuples += n_comm
         self.counters["alltoall_tuples"] += n_comm
 
@@ -1733,13 +1268,12 @@ class Engine:
             if self._audit and head.schema.is_aggregate
             else None
         )
-        per_rank_recv = np.zeros(cfg.n_ranks, dtype=np.int64)
-        per_rank_adm = np.zeros(cfg.n_ranks, dtype=np.int64)
+        per_rank_recv = np.zeros(self.config.n_ranks, dtype=np.int64)
+        per_rank_adm = np.zeros(self.config.n_ranks, dtype=np.int64)
         with self.timer.phase(P_DEDUP):
             for r, boxes in recv.items():
                 absorb_stats = AbsorbStats()
-                for b, s, batch in boxes:
-                    head.shard(b, s).absorb(batch, absorb_stats)
+                ex.absorb(head, boxes, absorb_stats)
                 per_rank_recv[r] = absorb_stats.received
                 per_rank_adm[r] = absorb_stats.admitted
                 stats.admitted += absorb_stats.admitted
@@ -1754,66 +1288,17 @@ class Engine:
         self.counters["admitted"] += int(per_rank_adm.sum())
         self.counters["suppressed"] += int(per_rank_recv.sum() - per_rank_adm.sum())
 
-    def _route_and_absorb_columnar(
-        self,
-        head_name: str,
-        emitted: Dict[int, np.ndarray],
-        stats: "_IterStats",
-    ) -> None:
-        """Columnar twin of :meth:`_route_and_absorb` over row-blocks.
 
-        Boxes carry whole ``(bucket, sub, rows)`` blocks; the receiver
-        concatenates each shard's boxes in delivery order, so per-shard
-        tuple sequences — and therefore admitted counts — match the
-        scalar path exactly.
-        """
-        head = self.store[head_name]
-        cfg = self.config
-        cost = self.cluster.cost
-
-        with self.timer.phase(P_COMM):
-            sends, n_comm = build_route_sends(emitted, head.dist)
-            if self.wire.enabled:
-                recv = self._wire_exchange(head, head_name, sends)
-            else:
-                recv = self.cluster.alltoallv(
-                    sends,
-                    arity=head.schema.arity,
-                    phase=P_COMM,
-                    count_of=lambda box: box[2].shape[0],
-                )
-        stats.comm_tuples += n_comm
-        self.counters["alltoall_tuples"] += n_comm
-
-        before = (
-            accumulator_map(head)
-            if self._audit and head.schema.is_aggregate
-            else None
-        )
-        per_rank_recv = np.zeros(cfg.n_ranks, dtype=np.int64)
-        per_rank_adm = np.zeros(cfg.n_ranks, dtype=np.int64)
-        with self.timer.phase(P_DEDUP):
-            for r, boxes in recv.items():
-                absorb_stats = AbsorbStats()
-                by_shard: Dict[Tuple[int, int], List[np.ndarray]] = {}
-                for b, s, rows in boxes:
-                    by_shard.setdefault((b, s), []).append(rows)
-                for (b, s), blocks in by_shard.items():
-                    block = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-                    head.absorb_block(b, s, block, absorb_stats)
-                per_rank_recv[r] = absorb_stats.received
-                per_rank_adm[r] = absorb_stats.admitted
-                stats.admitted += absorb_stats.admitted
-                stats.suppressed += absorb_stats.suppressed
-            self.cluster.ledger.add_compute_step(
-                P_DEDUP,
-                per_rank_recv * (cost.tuple_agg * cost.compute_scale)
-                + per_rank_adm * (cost.tuple_insert * cost.compute_scale),
-            )
-        if before is not None:
-            monotonicity_audit(before, head)
-        self.counters["admitted"] += int(per_rank_adm.sum())
-        self.counters["suppressed"] += int(per_rank_recv.sum() - per_rank_adm.sum())
+#: How ``SimCluster.alltoallv`` sizes a route box as built —
+#: ``(bucket, sub, batch)``, a tuple list or a row block …
+_RAW_BOX = {"count_of": lambda box: len(box[2])}
+#: … and in wire form, ``(bucket, sub, n_rows, pre_rows, payload)``:
+#: charged at encoded bytes, pre-combine rows kept observable.
+_WIRE_BOX = {
+    "count_of": lambda box: box[2],
+    "nbytes_of": lambda box: encoded_nbytes(box[4]),
+    "pre_count_of": lambda box: box[3],
+}
 
 
 class _IterStats:

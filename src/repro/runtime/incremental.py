@@ -52,7 +52,8 @@ from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from repro.planner.compile_rules import CompiledProgram
-from repro.runtime.engine import Engine
+from repro.planner.stratify import Stratum
+from repro.runtime.engine import P_SEED, Engine
 from repro.runtime.result import FixpointResult
 
 TupleT = Tuple[int, ...]
@@ -275,7 +276,7 @@ class FixpointHandle:
                 )
                 pending = {n for n, c in seeded.items() if c}
                 for stratum in engine.compiled.strata:
-                    changed = engine._run_stratum_incremental(stratum, pending)
+                    changed = self._resume_stratum(stratum, pending)
                     self._check_improvements(
                         set(changed) & self._watch, baselines
                     )
@@ -293,6 +294,69 @@ class FixpointHandle:
         self._updates += 1
         self._result = engine._build_result()
         return self._result
+
+    def _resume_stratum(self, stratum: Stratum, pending: Set[str]) -> Dict[str, int]:
+        """Resume one stratum from converged state after new Δs.
+
+        Runs the engine's one stratum loop with the *update pass* as its
+        first pass — each rule once per pending body position, absorbing
+        into heads exactly as a cold iteration would — instead of the
+        naive seed pass; recursive strata then continue the normal
+        semi-naïve iterations to quiescence, with the loop's own
+        checkpoint/rollback, rebalance and wire behavior.  Because the
+        converged state is a sound under-approximation of the union-EDB
+        least fixpoint and absorption is inflationary, resuming from it
+        converges to the same lattice point a cold recompute reaches.
+
+        Afterwards the stratum's *change set* — the set difference of
+        each relation's full version against its pre-update contents, not
+        the intermediate Δs (transient aggregate improvements must never
+        leak downstream) — is installed as Δ for later strata.  The diff
+        snapshot is host-side bookkeeping standing in for the touched-
+        group tracking a real rank keeps during absorption, so only the
+        installed change rows are charged (``incremental_seed`` phase).
+        A stratum no pending Δ reaches is skipped for free.  Returns
+        ``{relation: installed Δ size}`` for relations that changed.
+        """
+        engine = self.engine
+        update_pass = [
+            (cr, i)
+            for cr in engine.compiled.rules_of(stratum)
+            for i, name in enumerate(cr.body_names)
+            if name in pending
+        ]
+        if not update_pass:
+            return {}
+        out: Dict[str, int] = {}
+        if not stratum.recursive:
+            engine._stratum_loop(stratum, update_pass)
+            for name in sorted({cr.head_name for cr, _ in update_pass}):
+                n = engine.store[name].delta_size()
+                if n:
+                    out[name] = n
+            return out
+        names = sorted(stratum.relations)
+        with engine.timer.phase(P_SEED):
+            before = {name: engine.store[name].as_set() for name in names}
+        engine._stratum_loop(stratum, update_pass)
+        per_rank = np.zeros(engine.config.n_ranks, dtype=np.int64)
+        with engine.timer.phase(P_SEED):
+            for name in names:
+                rel = engine.store[name]
+                diff = rel.as_set() - before[name]
+                if diff:
+                    out[name] = rel.install_delta(
+                        np.asarray(sorted(diff), dtype=np.int64)
+                    )
+                    per_rank += rel.delta_sizes_by_rank()
+                else:
+                    rel.install_delta(None)
+        if out:
+            cost = engine.cluster.cost
+            engine.cluster.ledger.add_compute_step(
+                P_SEED, per_rank * (cost.tuple_insert * cost.compute_scale)
+            )
+        return out
 
     # ----------------------------------------------------- improvement gate
 

@@ -316,7 +316,7 @@ class RebalanceManager:
                 # program's view (used by routing and explain) in sync and
                 # drop every join index built under the old placement.
                 engine.compiled.schemas[name] = rel.schema
-                engine._index_cache.clear()
+                engine._exec.invalidate()
                 event = RebalanceEvent(
                     relation=name,
                     stratum=stratum.index,

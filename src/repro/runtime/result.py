@@ -77,6 +77,14 @@ class FixpointResult:
     #: Δ fingerprints and iteration counts stay fault-free-identical; the
     #: per-rank layout legitimately differs on a degraded world).
     degraded: Optional[DegradedStats] = None
+    #: The executor that ran, the one ``EngineConfig.executor`` asked
+    #: for, and why they differ when they do: ``"requested"``,
+    #: ``"use_btree"``, or the first rule with no vectorizable emit.
+    #: Deliberately not part of :meth:`summary`, which is what the two
+    #: executors are compared by.
+    executor: str = "columnar"
+    executor_requested: str = "columnar"
+    executor_reason: str = "requested"
 
     def query(self, name: str) -> Set[TupleT]:
         """Materialize a relation's final contents as a set of tuples."""
@@ -118,6 +126,14 @@ class FixpointResult:
             "comm_messages": self.ledger.comm.messages,
         }
 
+    def executor_report(self) -> Dict[str, str]:
+        """Which executor ran and why — never a silent fallback."""
+        return {
+            "used": self.executor,
+            "requested": self.executor_requested,
+            "reason": self.executor_reason,
+        }
+
     def to_dict(self) -> Dict[str, object]:
         """One stable, JSON-serializable schema for the whole result.
 
@@ -135,6 +151,7 @@ class FixpointResult:
         degraded = (self.degraded or DegradedStats()).as_dict()
         return {
             "schema_version": 1,
+            "executor": self.executor_report(),
             "iterations": self.iterations,
             "modeled_seconds": self.ledger.total_seconds(),
             "wall_seconds": self.timer.total(),

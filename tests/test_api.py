@@ -1,14 +1,11 @@
-"""repro.api tests: Options groups, validation, shims, Session lifecycle.
+"""repro.api tests: Options groups, validation, Session lifecycle.
 
 Satellite coverage for PR 10: every CLI flag of ``run``/``update``/
 ``query``/``bench`` must round-trip flag → grouped Options →
-EngineConfig; the deprecation shims must warn once per name and keep
-legacy kwargs working; cross-field validation must name the Options
+EngineConfig; cross-field validation must name the Options
 fields involved; and ``FixpointResult.to_dict`` must expose one stable
 schema regardless of which subsystems ran.
 """
-
-import warnings
 
 import pytest
 
@@ -22,9 +19,7 @@ from repro.api import (
     RecoveryOptions,
     Session,
     WireOptions,
-    make_options,
 )
-from repro.api.options import _WARNED_LEGACY
 from repro.cli import _build_parser, _options_from_args
 from repro.comm.wire import WireConfig
 from repro.faults.config import FaultConfig
@@ -159,46 +154,6 @@ class TestValidation:
             recovery=RecoveryOptions(checkpoint_every=2, replicas=1),
         ).validate()
         Options(rebalance=RebalanceOptions(enabled=True, factor=1.0)).validate()
-
-
-class TestLegacyShims:
-    def test_legacy_kwargs_map_and_warn(self):
-        _WARNED_LEGACY.discard("checkpoint_every")
-        with pytest.warns(DeprecationWarning, match="checkpoint_every"):
-            options = make_options(checkpoint_every=4)
-        assert options.recovery.checkpoint_every == 4
-
-    def test_warns_once_per_name(self):
-        _WARNED_LEGACY.discard("use_btree")
-        with pytest.warns(DeprecationWarning):
-            make_options(use_btree=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            options = make_options(use_btree=True)  # second time: silent
-        assert options.use_btree is True
-
-    def test_unknown_kwarg_rejected(self):
-        with pytest.raises(TypeError, match="no_such_option"):
-            make_options(no_such_option=1)
-
-    def test_legacy_overrides_grouped_base(self):
-        _WARNED_LEGACY.discard("n_ranks")
-        base = Options(n_ranks=4, executor="scalar")
-        with pytest.warns(DeprecationWarning):
-            merged = make_options(base, n_ranks=32)
-        assert merged.n_ranks == 32
-        assert merged.executor == "scalar"  # untouched fields survive
-
-    def test_legacy_values_still_range_checked(self):
-        _WARNED_LEGACY.add("n_ranks")  # silence, we only care about the check
-        with pytest.raises(ValueError):
-            make_options(n_ranks=0)
-
-    def test_session_accepts_engine_config(self):
-        _WARNED_LEGACY.discard("<EngineConfig>")
-        with pytest.warns(DeprecationWarning):
-            session = Session(EngineConfig(n_ranks=8))
-        assert session.options.n_ranks == 8
 
 
 class TestCliFlagRoundTrip:
@@ -362,13 +317,16 @@ class TestResultSchema:
         session.query(sssp_dsl(), {"edge": EDGES, "start": [(0,)]})
         d = session.result().to_dict()
         for key in (
-            "schema_version", "iterations", "modeled_seconds",
+            "schema_version", "executor", "iterations", "modeled_seconds",
             "wall_seconds", "phase_seconds", "imbalance_ratio", "counters",
             "relation_sizes", "comm", "wire", "rebalance", "recovery",
             "degraded", "incremental",
         ):
             assert key in d, key
         assert d["schema_version"] == 1
+        assert d["executor"] == {
+            "used": "columnar", "requested": "columnar", "reason": "requested",
+        }
         assert d["rebalance"] == {"enabled": False, "events": []}
         assert d["incremental"]["updates"] == 0
         assert d["degraded"]["excluded_ranks"] == []

@@ -97,6 +97,54 @@ def test_scalar_forced_by_btree(graph):
     assert engine.executor == "scalar"
 
 
+def _gcd_program():
+    """A head operator with no array form (registered, not built in)."""
+    import math
+
+    from repro import Program, Rel, vars_
+    from repro.planner.ast import BinOp, register_function
+
+    register_function("gcd", math.gcd)
+    a, b = vars_("a b")
+    pair, g = Rel("pair"), Rel("g")
+    return Program(
+        rules=[g(a, BinOp("gcd", a, b)) <= pair(a, b)], edb={"pair": (2, (0,))}
+    )
+
+
+#: (program factory, config overrides, executor used, reason prefix).
+FALLBACKS = {
+    "default": (None, {}, "columnar", "requested"),
+    "asked-scalar": (None, {"executor": "scalar"}, "scalar", "requested"),
+    "btree": (None, {"use_btree": True}, "scalar", "use_btree"),
+    "custom-emit": (_gcd_program, {}, "scalar", "rule "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_executor_choice_is_reported(case):
+    """No silent fallback: the result says which executor ran and why."""
+    from repro.queries.sssp import sssp_program
+
+    make_program, overrides, used, reason = FALLBACKS[case]
+    config = EngineConfig(n_ranks=4, **overrides)
+    engine = Engine((make_program or sssp_program)(), config)
+    assert engine.executor == used
+    if make_program is not None:
+        engine.load("pair", [(12, 18), (7, 5)])
+    fp = engine.run()
+    assert (fp.executor, fp.executor_requested) == (used, config.executor)
+    assert fp.executor_reason.startswith(reason)
+    assert fp.to_dict()["executor"] == {
+        "used": used, "requested": config.executor, "reason": fp.executor_reason,
+    }
+    if case == "custom-emit":
+        assert "gcd" in fp.executor_reason  # names the offending rule
+        assert fp.query("g") == {(12, 6), (7, 1)}
+    # summary() is what the executors are compared by: it must not say.
+    assert "executor" not in fp.summary()
+
+
 def test_invalid_executor_rejected():
     with pytest.raises(ValueError):
         EngineConfig(executor="gpu")

@@ -169,6 +169,41 @@ class TestIdentity:
         assert results["scalar"] == results["columnar"]
 
 
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_update_hitting_max_iterations_raises(self, executor):
+        """The resumed loop honours max_iterations, and says it was an update."""
+        config = EngineConfig(n_ranks=4, executor=executor, max_iterations=4)
+        handle = FixpointHandle.converge(
+            sssp_program(), {"edge": [(0, 1, 1)], "start": [(0,)]}, config
+        )
+        chain = [(i, i + 1, 1) for i in range(1, 12)]  # 11 more hops
+        with pytest.raises(
+            RuntimeError,
+            match="did not converge within 4 iterations during an incremental update",
+        ):
+            handle.update({"edge": chain})
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_update_pass_is_marked_in_the_trace(self, executor):
+        """Cold start and update are one loop; only the update's first
+        pass carries ``update_pass``."""
+        from repro.obs import Tracer
+
+        edges = random_edges(30, 90, seed=8)
+        base, batch = split(edges, 6)
+        config = EngineConfig(n_ranks=4, executor=executor, tracer=Tracer())
+        handle = FixpointHandle.converge(
+            sssp_program(), {"edge": base, "start": [(0,)]}, config
+        )
+        cold = handle.result().spans_named("iteration")
+        assert cold and not any("update_pass" in sp.attrs for sp in cold)
+        n_cold = len(cold)
+        warm = handle.update({"edge": batch}).spans_named("iteration")[n_cold:]
+        marked = [sp for sp in warm if sp.attrs.get("update_pass")]
+        assert [sp.iteration for sp in marked] == [0]
+        assert warm[0] is marked[0]  # and it is the update's first pass
+
+
 class TestComposition:
     def test_wire_codecs(self):
         edges = random_edges(50, 220, seed=7)
