@@ -890,41 +890,50 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.planner.parser import parse_program
     from repro.runtime.engine import Engine
 
-    if args.spmd and (args.trace or args.json or _want_diagnostics(args)):
-        raise SystemExit(
-            "--trace/--json/--diagnostics require the BSP driver (drop --spmd)"
-        )
+    if args.spmd:
+        # Everything the per-rank driver cannot honour, refused at once.
+        refused = [
+            f"--{name}"
+            for name in ("trace", "json", "diagnostics", "flamegraph", "rebalance")
+            if getattr(args, name)
+        ]
+        if refused:
+            raise SystemExit(
+                f"{'/'.join(refused)} require the BSP driver (drop --spmd)"
+            )
     source = pathlib.Path(args.file).read_text()
     parsed = parse_program(source)
     tracer = Tracer() if args.trace or _want_diagnostics(args) else None
-    engine = Engine(parsed.program, _engine_config(args, tracer=tracer))
-    if args.explain:
-        print(engine.explain())
-    for name, rows in parsed.facts.items():
-        engine.load(name, rows)
+    config = _engine_config(args, tracer=tracer)
     file_inputs = dict(parsed.inputs)
     for spec in args.facts:
         rel, _, path = spec.partition("=")
         if not path:
             raise SystemExit(f"--facts needs REL=PATH, got {spec!r}")
         file_inputs[rel] = path
-    all_facts = dict(parsed.facts)
+    all_facts = {name: list(rows) for name, rows in parsed.facts.items()}
     for rel, path in file_inputs.items():
         rows = np.loadtxt(path, dtype=np.int64, ndmin=2)
-        loaded = [tuple(int(v) for v in r) for r in rows]
-        engine.load(rel, loaded)
-        all_facts.setdefault(rel, []).extend(loaded)
-    t0 = time.time()
+        all_facts.setdefault(rel, []).extend(
+            tuple(int(v) for v in r) for r in rows
+        )
+    # Only the chosen driver is built and loaded (--explain under --spmd
+    # plans on an unloaded engine).
+    if not args.spmd or args.explain:
+        engine = Engine(parsed.program, config)
+        if args.explain:
+            print(engine.explain())
     if args.spmd:
         from repro.runtime.spmd import run_spmd_engine
 
-        relations = run_spmd_engine(
-            parsed.program, all_facts,
-            EngineConfig(n_ranks=args.ranks, wire=_wire_config(args)),
-        )
+        t0 = time.time()
+        relations = run_spmd_engine(parsed.program, all_facts, config)
         lookup = relations.__getitem__
         footer = f"[SPMD engine, wall {time.time() - t0:.2f}s]"
     else:
+        for name, rows in all_facts.items():
+            engine.load(name, rows)
+        t0 = time.time()
         result = engine.run()
         lookup = result.query
         footer = (f"[{result.iterations} iterations, "

@@ -85,14 +85,3 @@ def vote_outer_relation(
     if ranks_want_right_outer >= threshold:
         return JoinSide.RIGHT_OUTER
     return JoinSide.LEFT_OUTER
-
-
-def static_outer_relation() -> JoinSide:
-    """The baseline layout (no voting): the left body atom is always outer.
-
-    For the paper's SSSP rule the left atom is the recursive Δ — which
-    happens to be the good choice early, but the *baseline* in Fig. 2
-    models engines that fix the layout at plan time regardless of sizes.
-    The ablation benchmarks flip this to study both static layouts.
-    """
-    return JoinSide.LEFT_OUTER

@@ -79,14 +79,6 @@ class StratumCheckpoint:
     def nbytes(self) -> int:
         return sum(snap.nbytes for snap in self.relations.values())
 
-    def rank_nbytes(self, store, rank: int) -> int:
-        """Checkpointed bytes owned by one rank (the failed rank's shard)."""
-        total = 0
-        for name in self.relations:
-            rel = store[name]
-            total += int(rel.full_sizes_by_rank()[rank]) * rel.schema.arity * BYTES_PER_WORD
-        return total
-
 
 def capture(
     store,

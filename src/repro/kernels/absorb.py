@@ -196,6 +196,25 @@ def vector_combiner(agg: RecursiveAggregator) -> Optional[VectorCombiner]:
     return factory(agg) if factory is not None else None
 
 
+def sender_fold_plan(schema: Schema) -> Tuple[Optional[VectorCombiner], bool]:
+    """``(combiner, can_combine)``: how a sender may fold one head
+    relation's route boxes before the all-to-all (wire layer, every
+    driver).
+
+    Plain relations fold by deduplication (no combiner needed);
+    aggregates fold only when their vector combiner exists and is marked
+    ``combinable`` (sender folding provably commutes with receiver
+    absorption).  Everything else ships verbatim — the codec still
+    applies.
+    """
+    if not schema.is_aggregate:
+        return None, True
+    comb = vector_combiner(schema.aggregator)
+    if comb is not None and comb.combinable:
+        return comb, True
+    return None, False
+
+
 class _ColumnarShardBase:
     """Shared state and machinery of the columnar shard flavours.
 

@@ -300,9 +300,6 @@ class Rule:
     def is_join(self) -> bool:
         return len(self.body) == 2
 
-    def body_relations(self) -> Tuple[str, ...]:
-        return tuple(a.relation for a in self.body)
-
     def __repr__(self) -> str:
         return f"{self.head!r} <= {', '.join(repr(a) for a in self.body)}"
 

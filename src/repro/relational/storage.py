@@ -232,19 +232,6 @@ class VersionedRelation:
         for key in sorted(self.shards):
             yield from self.shards[key].iter_delta()
 
-    def iter_delta_with_owner(self) -> Iterator[Tuple[int, TupleT]]:
-        """Δ tuples tagged with the rank that holds them (join send side)."""
-        for key in sorted(self.shards):
-            owner = self.owner_of(key)
-            for t in self.shards[key].iter_delta():
-                yield owner, t
-
-    def iter_full_with_owner(self) -> Iterator[Tuple[int, TupleT]]:
-        for key in sorted(self.shards):
-            owner = self.owner_of(key)
-            for t in self.shards[key].iter_full():
-                yield owner, t
-
     def version_batches(self, version: str) -> Iterator[Tuple[int, List[TupleT]]]:
         """Per-shard tuple batches of one version, tagged with owner rank.
 

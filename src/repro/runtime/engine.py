@@ -16,39 +16,30 @@ Each iteration of a recursive stratum executes, per rule:
 A final allreduce of Δ sizes decides termination.  All compute is charged
 to the :class:`~repro.comm.ledger.PhaseLedger` per rank per superstep, so
 modeled time exposes imbalance exactly as real ranks would.
+
+This module is that pipeline and nothing else: how tuples are held while
+they cross it is :mod:`repro.runtime.executor`'s business, and
+checkpoint/rollback (:mod:`repro.runtime.recovery`) and online
+rebalancing (:mod:`repro.runtime.rebalance`) are managers the stratum
+loop consults at iteration boundaries, ``None`` when switched off.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.costmodel import BYTES_PER_WORD, CommEvent
 from repro.comm.simcluster import SimCluster
-from repro.core.join_planner import JoinSide, vote_outer_relation
-from repro.core.local_agg import AbsorbStats
-from repro.faults import checkpoint as ckpt_mod
-from repro.faults.checkpoint import (
-    DegradedStats,
-    RecoveryStats,
-    StratumCheckpoint,
-    replica_buddies,
-)
-from repro.faults.invariants import accumulator_map, monotonicity_audit
-from repro.faults.plane import (
-    FaultPlane,
-    PermanentRankFailure,
-    RankFailure,
-    UnrecoverableRankLoss,
-)
 from repro.comm.wire import encoded_nbytes
 from repro.core.balancer import recommend_subbuckets
-from repro.kernels.absorb import vector_combiner
-from repro.kernels.block import lex_group
-from repro.kernels.route import decode_wire_boxes, encode_boxes, encode_wire_sends
+from repro.core.join_planner import JoinSide, vote_outer_relation
+from repro.core.local_agg import AbsorbStats
+from repro.faults.invariants import accumulator_map, monotonicity_audit
+from repro.faults.plane import FaultPlane, RankFailure
+from repro.kernels.absorb import sender_fold_plan
+from repro.kernels.route import decode_wire_boxes, encode_wire_sends
 from repro.obs.tracer import NULL_TRACER
 from repro.planner.ast import Program
 from repro.planner.compile_rules import CompiledProgram, CompiledRule, compile_program
@@ -56,6 +47,8 @@ from repro.planner.stratify import Stratum
 from repro.relational.storage import RelationStore, VersionedRelation
 from repro.runtime.config import EngineConfig
 from repro.runtime.executor import EXECUTORS
+from repro.runtime.rebalance import RebalanceManager, reshard_relation
+from repro.runtime.recovery import RecoveryManager
 from repro.runtime.result import FixpointResult, IterationTrace
 from repro.util.hashing import HashSeed, hash_columns
 from repro.util.timing import PhaseTimer
@@ -108,19 +101,15 @@ class Engine:
             fault_plane=self.fault_plane,
             comm_recorder=self.comm_recorder,
         )
-        #: Fault/checkpoint/recovery accounting, exposed on the result.
-        self.recovery: Optional[RecoveryStats] = (
-            RecoveryStats()
+        #: Checkpoint/rollback plane (:mod:`repro.runtime.recovery`); None
+        #: without a fault plane or ``checkpoint_every``, so a plain run
+        #: executes none of it.
+        self.recovery: Optional[RecoveryManager] = (
+            RecoveryManager(self.config)
             if self.fault_plane is not None
             or self.config.checkpoint_every is not None
             else None
         )
-        #: Ranks permanently excluded from the world (elastic degraded
-        #: mode, PR 9) and its accounting; the set grows once per
-        #: permanent loss and every later checkpoint/replica ring is
-        #: computed over the survivors.
-        self.dead_ranks: set = set()
-        self.degraded: Optional[DegradedStats] = None
         # Lattice monotonicity audit: only worth paying for when injected
         # corruption could actually reach an absorb.
         self._audit = (
@@ -153,41 +142,18 @@ class Engine:
         # count of comm matrices already embedded in the trace stream.
         self._metric_counter_base: Dict[str, int] = {}
         self._embedded_matrices = 0
-        #: Wire layer (PR 7): per-head-relation (combiner, can_combine)
-        #: plan for sender-side folding; resolved lazily per relation.
+        #: Wire layer (PR 7) and each relation's sender-fold plan.
         self.wire = self.config.wire
-        self._wire_plans: Dict[str, Tuple[object, bool]] = {}
+        self._wire_plans = {
+            name: sender_fold_plan(schema)
+            for name, schema in self.compiled.schemas.items()
+        }
         #: Online adaptive spatial rebalancing (PR 8): periodically grows
         #: skewed relations' sub-bucket counts mid-fixpoint.  None when
         #: ``EngineConfig.rebalance`` is off.
-        self.rebalancer = None
-        if self.config.rebalance:
-            from repro.runtime.rebalance import RebalanceManager
-
-            self.rebalancer = RebalanceManager(self.config)
-
-    def _wire_plan(self, head_name: str) -> Tuple[object, bool]:
-        """Sender-combining plan for one head relation.
-
-        Plain relations fold by deduplication (no combiner needed);
-        aggregates fold only when their vector combiner exists and is
-        marked ``combinable`` (sender folding provably commutes with
-        receiver absorption).  Everything else ships verbatim — the
-        codec still applies.
-        """
-        plan = self._wire_plans.get(head_name)
-        if plan is None:
-            schema = self.compiled.schemas[head_name]
-            if not schema.is_aggregate:
-                plan = (None, True)
-            else:
-                comb = vector_combiner(schema.aggregator)
-                if comb is not None and comb.combinable:
-                    plan = (comb, True)
-                else:
-                    plan = (None, False)
-            self._wire_plans[head_name] = plan
-        return plan
+        self.rebalancer: Optional[RebalanceManager] = (
+            RebalanceManager(self.config) if self.config.rebalance else None
+        )
 
     def _resolve_executor(self) -> Tuple[str, str]:
         """(executor name, reason): ``"requested"``, ``"use_btree"``, or
@@ -233,8 +199,10 @@ class Engine:
 
         Measures the relation's projected imbalance, grows the sub-bucket
         count until max/mean ≤ ``tolerance`` (or the cap), and physically
-        redistributes the tuples — charging the redistribution alltoallv
-        to the ``balance`` phase, as the real system would pay it.
+        redistributes the shards through the rebalancer's block exchange
+        (:func:`~repro.runtime.rebalance.reshard_relation`, full and Δ
+        kept as they are) — charged at raw bytes to the ``balance``
+        phase, as the real system would pay it.
 
         Returns the chosen sub-bucket count.
         """
@@ -250,29 +218,10 @@ class Engine:
             max_subbuckets=max_subbuckets,
             seed=rel.dist.seed,
         )
-        if n_sub == rel.schema.n_subbuckets:
-            return n_sub
-        new_schema = dataclasses.replace(rel.schema, n_subbuckets=n_sub)
-        new_rel = VersionedRelation(
-            new_schema,
-            self.config.n_ranks,
-            seed=rel.dist.seed,
-            use_btree=self.config.use_btree,
-            layout=self.executor,
-        )
-        self._exec.invalidate()
-        # Physically move every tuple whose owner changes (phase: balance).
-        sends: Dict[int, Dict[int, List[TupleT]]] = {}
-        rows = np.asarray(tuples, dtype=np.int64)
-        old_owners = rel.dist.rank_of_rows(rows).tolist()
-        new_owners = new_rel.dist.rank_of_rows(rows).tolist()
-        for t, src, dst in zip(tuples, old_owners, new_owners):
-            sends.setdefault(src, {}).setdefault(dst, []).append(t)
-        self.cluster.alltoallv(sends, arity=rel.schema.arity, phase="balance")
-        new_rel.load(tuples)
-        new_rel.advance()
-        self.store.relations[name] = new_rel
-        self.compiled.schemas[name] = new_schema
+        if n_sub != rel.schema.n_subbuckets:
+            reshard_relation(rel, n_sub, self.cluster, phase="balance")
+            self.compiled.schemas[name] = rel.schema
+            self._exec.invalidate()
         return n_sub
 
     # ------------------------------------------------------------------- run
@@ -310,8 +259,9 @@ class Engine:
         be safe to invoke repeatedly — metric counters are folded
         incrementally and gauges overwritten.
         """
-        if self.recovery is not None and self.fault_plane is not None:
-            self.recovery.injected = self.fault_plane.stats
+        recovery = self.recovery
+        if recovery is not None and self.fault_plane is not None:
+            recovery.stats.injected = self.fault_plane.stats
         self._finalize_metrics()
         if self.comm_recorder is not None and self.tracer.enabled:
             # Embed the matrices in the span stream so trace-report can
@@ -330,8 +280,8 @@ class Engine:
             counters=dict(self.counters),
             spans=self.tracer.spans,
             metrics=self.tracer.metrics,
-            recovery=self.recovery,
-            degraded=self.degraded,
+            recovery=recovery.stats if recovery is not None else None,
+            degraded=recovery.degraded if recovery is not None else None,
             comm_profile=self.comm_recorder,
             rebalance=(
                 [e.to_dict() for e in self.rebalancer.events]
@@ -384,7 +334,7 @@ class Engine:
             )
             metrics.gauge(f"relation_tuples/{name}").set(rel.full_size())
         if self.recovery is not None:
-            for key, value in self.recovery.as_dict().items():
+            for key, value in self.recovery.stats.as_dict().items():
                 if isinstance(value, dict):
                     for sub, v in value.items():
                         metrics.gauge(f"faults/{key}/{sub}").set(float(v))
@@ -465,11 +415,14 @@ class Engine:
 
         ``iteration == -1`` means the first pass has not run yet;
         afterwards ``iteration`` is the last *fully absorbed* iteration.
-        A :class:`~repro.faults.plane.RankFailure` raised anywhere inside
-        an iteration rolls the stratum back to the last checkpoint and
-        replays — re-absorbed tuples are lattice no-ops, so the replayed
-        run is bit-for-bit the run that would have happened without the
-        failure (verified in the chaos tests).
+        The other planes are managers consulted once per boundary, in a
+        fixed order (rebalance, then checkpoint, so snapshots capture the
+        new map).  A :class:`~repro.faults.plane.RankFailure` raised
+        anywhere inside an iteration rolls the stratum back to the last
+        checkpoint (:meth:`RecoveryManager.recover
+        <repro.runtime.recovery.RecoveryManager.recover>`) and replays —
+        bit-for-bit the run that would have happened without the failure
+        (verified in the chaos tests).
         """
         update = any(atom is not None for _, atom in first_pass)
         update_attrs = {"update_pass": True} if update else None
@@ -479,12 +432,10 @@ class Engine:
             for i, rel_name in enumerate(cr.body_names)
             if rel_name in stratum.relations
         ]
-        every = self.config.checkpoint_every
-        ckpt: Optional[StratumCheckpoint] = (
-            self._take_checkpoint(stratum, -1, changed=True)
-            if every is not None
-            else None
-        )
+        recovery = self.recovery
+        ckpt = None
+        if recovery is not None and recovery.due(-1, True):
+            ckpt = recovery.checkpoint(self, stratum, -1, True)
         iteration = -1
         changed = True
         while True:
@@ -536,13 +487,13 @@ class Engine:
                     # other iteration failure.  Runs before the
                     # checkpoint below so snapshots capture the new map.
                     self.rebalancer.maybe_rebalance(self, stratum, iteration)
-                if every is not None and changed and iteration % every == 0:
-                    ckpt = self._take_checkpoint(stratum, iteration, changed)
+                if recovery is not None and recovery.due(iteration, changed):
+                    ckpt = recovery.checkpoint(self, stratum, iteration, changed)
             except RankFailure as failure:
                 if ckpt is None:
                     raise  # no checkpoint to recover from — unrecoverable
-                iteration, changed = self._recover(
-                    stratum, ckpt, failure, at_iteration=iteration
+                iteration, changed = recovery.recover(
+                    self, stratum, ckpt, failure, at_iteration=iteration
                 )
         if changed:
             raise RuntimeError(
@@ -555,461 +506,6 @@ class Engine:
                     "a finite-height lattice?)"
                 )
             )
-
-    # --------------------------------------------- incremental maintenance
-
-    def _seed_update(self, edb_deltas: Dict[str, "np.ndarray"]) -> Dict[str, int]:
-        """Route one EDB insertion batch to its home shards (update seed).
-
-        Models the batch arriving round-robin across ranks and being
-        alltoallv'd to owner ranks through the normal bucket/sub-bucket
-        placement — charged to the ``incremental_seed`` phase with its own
-        ledger kind and CommMatrix ``update`` channel, payloads codec-
-        encoded when the wire layer is on.  Each relation's stale Δ (the
-        full content :meth:`load` leaves behind, or a previous update's
-        seed) is flushed first; afterwards Δ holds exactly the batch rows
-        newly admitted on the affected ranks.
-
-        A restartable rank crash during the exchange retries after
-        ``FaultPlane.mark_restarted`` — nothing has been absorbed yet, so
-        the retry replays bit-identically.  Returns each relation's
-        global Δ size.
-        """
-        cost = self.cluster.cost
-        n_ranks = self.config.n_ranks
-        out: Dict[str, int] = {}
-        for name in sorted(edb_deltas):
-            rel = self.store[name]
-            batch = sorted(set(map(tuple, np.asarray(
-                edb_deltas[name], dtype=np.int64
-            ).reshape(-1, rel.schema.arity).tolist())))
-            rel.install_delta(None)  # flush the stale Δ left by load()
-            if not batch:
-                out[name] = 0
-                continue
-            arr = np.asarray(batch, dtype=np.int64)
-            with self.timer.phase(P_SEED):
-                dst_arr = rel.dist.rank_of_rows(arr)
-                src_arr = np.arange(arr.shape[0], dtype=np.int64) % n_ranks
-                order, starts, _counts = lex_group(
-                    np.column_stack([src_arr, dst_arr])
-                )
-                routed = arr[order]
-                bounds = np.append(starts, arr.shape[0]).tolist()
-                boxes: List[object] = [
-                    routed[a:b] for a, b in zip(bounds[:-1], bounds[1:])
-                ]
-                sizing = {"count_of": len}
-                if self.wire.enabled:
-                    _n, payloads = encode_boxes(boxes, self.wire.codec)
-                    boxes = list(zip(boxes, payloads))
-                    sizing = {
-                        "count_of": lambda box: box[0].shape[0],
-                        "nbytes_of": lambda box: encoded_nbytes(box[1]),
-                        "collective": self.wire.alltoallv,
-                    }
-                sends: Dict[int, Dict[int, List[object]]] = {}
-                heads = order[starts]
-                for src, dst, box in zip(
-                    src_arr[heads].tolist(), dst_arr[heads].tolist(), boxes
-                ):
-                    sends.setdefault(src, {})[dst] = [box]
-                attempts = 0
-                while True:
-                    try:
-                        self.cluster.alltoallv(
-                            sends,
-                            arity=rel.schema.arity,
-                            phase=P_SEED,
-                            kind="incremental_seed",
-                            channel="update",
-                            **sizing,
-                        )
-                        break
-                    except PermanentRankFailure:
-                        raise
-                    except RankFailure as failure:
-                        # Nothing absorbed yet: restart the rank and replay
-                        # the exchange, within the fault plane's own retry
-                        # budget (then escalate).
-                        attempts += 1
-                        faults = self.config.faults
-                        if faults is None or faults.retry_policy().exhausted(
-                            attempts
-                        ):
-                            raise
-                        self.fault_plane.mark_restarted(failure.rank)
-                        self.counters["update_seed_retries"] += 1
-                # Owners absorb the routed rows; the loader's placement is
-                # the same hash the exchange routed by, and absorption
-                # dedups, so duplicate deliveries can never double-apply.
-                rel.load(arr)
-                rel.advance()
-                per_rank_adm = rel.delta_sizes_by_rank()
-                self.cluster.ledger.add_compute_step(
-                    P_SEED,
-                    np.bincount(dst_arr, minlength=n_ranks)
-                    * (cost.tuple_agg * cost.compute_scale)
-                    + per_rank_adm * (cost.tuple_insert * cost.compute_scale),
-                )
-            n = rel.delta_size()
-            self.counters["update_seed_tuples"] += n
-            out[name] = n
-        return out
-
-    # ------------------------------------------------- checkpoint / recovery
-
-    def _stratum_state_bytes(self, names) -> Tuple[int, np.ndarray]:
-        """(total, per-rank) serialized bytes of the named relations."""
-        per_rank = np.zeros(self.config.n_ranks, dtype=np.int64)
-        for name in names:
-            rel = self.store[name]
-            per_rank += rel.full_sizes_by_rank() * (
-                rel.schema.arity * BYTES_PER_WORD
-            )
-        return int(per_rank.sum()), per_rank
-
-    def _take_checkpoint(
-        self, stratum: Stratum, iteration: int, changed: bool
-    ) -> StratumCheckpoint:
-        """Coordinated snapshot of the stratum's mutable relations.
-
-        Only this stratum's head relations can change inside its fixpoint
-        loop (EDBs and earlier strata are frozen by stratification), so
-        they are all that needs saving.  The modeled cost of every rank
-        writing its partition to stable storage in parallel is charged to
-        the ``checkpoint`` phase.
-
-        With the online rebalancer active, every rebalance-eligible
-        relation is captured too (the rebalancer may resize EDBs the
-        stratum only reads), and each snapshot pins the relation's schema
-        so rollback reverts the sub-bucket map together with the shards.
-        """
-        names = sorted(stratum.relations)
-        if self.rebalancer is not None:
-            names = sorted(
-                set(names) | set(self.rebalancer.eligible_names(self.store))
-            )
-        with self.tracer.span(
-            "checkpoint", cat="phase", stratum=stratum.index,
-            attrs={"iteration": iteration},
-        ):
-            with self.timer.phase("checkpoint"):
-                ckpt = ckpt_mod.capture(
-                    self.store,
-                    names,
-                    stratum=stratum.index,
-                    iteration=iteration,
-                    changed=changed,
-                    iterations_total=self._iterations,
-                    counters=dict(self.counters),
-                    trace_len=len(self.trace),
-                )
-                if self.rebalancer is not None:
-                    ckpt.rebalance = self.rebalancer.state()
-            total_bytes, per_rank = self._stratum_state_bytes(names)
-            seconds = self.cluster.cost.checkpoint_write(
-                self.config.n_ranks, int(per_rank.max())
-            )
-            # Charged directly (not through a collective) so the fault
-            # plane can never fire mid-checkpoint.
-            self.cluster.ledger.add_comm(
-                CommEvent(
-                    kind="checkpoint",
-                    phase="checkpoint",
-                    nbytes=total_bytes,
-                    messages=self.config.n_ranks,
-                    seconds=seconds,
-                )
-            )
-            # Buddy replication (PR 9): each live rank mirrors its shard
-            # partition to the next ``replicas`` live ranks on the ring.
-            # The mirrors are what make a *permanent* loss survivable; a
-            # checkpoint without them only covers restartable crashes.
-            replica_bytes = 0
-            replica_seconds = 0.0
-            if self.config.replicas >= 1:
-                live = sorted(set(range(self.config.n_ranks)) - self.dead_ranks)
-                ckpt.live_ranks = live
-                if len(live) > 1:
-                    eff = min(self.config.replicas, len(live) - 1)
-                    replica_bytes = int(per_rank[live].sum()) * eff
-                    replica_seconds = self.cluster.cost.checkpoint_replicate(
-                        self.config.n_ranks,
-                        int(per_rank.max()),
-                        self.config.replicas,
-                    )
-                    self.cluster.ledger.add_comm(
-                        CommEvent(
-                            kind="replica",
-                            phase="checkpoint",
-                            nbytes=replica_bytes,
-                            messages=len(live) * eff,
-                            seconds=replica_seconds,
-                        )
-                    )
-                    if self.comm_recorder is not None:
-                        per_rank_tuples = np.zeros(
-                            self.config.n_ranks, dtype=np.int64
-                        )
-                        for name in names:
-                            per_rank_tuples += self.store[name].full_sizes_by_rank()
-                        m = self.comm_recorder.begin("replica", "checkpoint")
-                        for rank in live:
-                            for buddy in replica_buddies(
-                                rank, live, self.config.replicas
-                            ):
-                                m.add(
-                                    rank,
-                                    buddy,
-                                    int(per_rank[rank]),
-                                    int(per_rank_tuples[rank]),
-                                    channel="replica",
-                                )
-        if self.recovery is not None:
-            self.recovery.checkpoints += 1
-            self.recovery.checkpoint_tuples += ckpt.tuples
-            self.recovery.checkpoint_bytes += ckpt.nbytes
-            self.recovery.checkpoint_seconds += seconds
-            self.recovery.replica_bytes += replica_bytes
-            self.recovery.replica_seconds += replica_seconds
-        return ckpt
-
-    def _recover(
-        self,
-        stratum: Stratum,
-        ckpt: StratumCheckpoint,
-        failure: RankFailure,
-        *,
-        at_iteration: int,
-    ) -> Tuple[int, bool]:
-        """Roll the stratum back to ``ckpt`` and restart the failed rank.
-
-        Every relation the stratum mutates is restored from the snapshot
-        (survivors re-read their partitions; the dead rank's shard is
-        re-fetched and redistributed to its replacement — "restart with
-        spare", so placement and therefore replayed results are identical).
-        Engine counters, iteration totals and the trace are rewound too,
-        so a recovered run's bookkeeping matches a fault-free run's.
-        Returns the (iteration, changed) loop position to resume from.
-
-        A *permanent* loss (the failure detector escalated to
-        :class:`PermanentRankFailure`) takes the elastic degraded-mode
-        path instead: the rank never comes back, its state is restored
-        from a buddy replica and its buckets are re-owned onto survivors.
-        """
-        if isinstance(failure, PermanentRankFailure):
-            return self._recover_permanent(
-                stratum, ckpt, failure, at_iteration=at_iteration
-            )
-        in_flight = at_iteration + 1 if at_iteration >= 0 else 0
-        with self.tracer.span(
-            "recovery", cat="phase", stratum=stratum.index,
-            attrs={
-                "failed_rank": failure.rank,
-                "superstep": failure.superstep,
-                "detected_at": failure.where,
-                "restored_iteration": ckpt.iteration,
-            },
-        ):
-            with self.timer.phase("recovery"):
-                failed_bytes = ckpt.rank_nbytes(self.store, failure.rank)
-                ckpt_mod.restore(self.store, ckpt)
-                self._exec.invalidate()
-                self.counters = defaultdict(int)
-                self.counters.update(ckpt.counters)
-                self._iterations = ckpt.iterations_total
-                del self.trace[ckpt.trace_len:]
-                if self.rebalancer is not None:
-                    # Restore may have reverted sub-bucket maps; re-sync
-                    # the compiled program's schema view and rewind the
-                    # rebalancer's bookkeeping so replay re-decides the
-                    # rolled-back resizes identically.
-                    for name in ckpt.relations:
-                        self.compiled.schemas[name] = self.store[name].schema
-                    self.rebalancer.restore_state(ckpt.rebalance)
-            _total, per_rank = self._stratum_state_bytes(ckpt.relations)
-            seconds = self.cluster.cost.recovery_restore(
-                self.config.n_ranks, int(per_rank.max()), failed_bytes
-            )
-            self.cluster.ledger.add_comm(
-                CommEvent(
-                    kind="recovery",
-                    phase="recovery",
-                    nbytes=failed_bytes,
-                    messages=self.config.n_ranks,
-                    seconds=seconds,
-                )
-            )
-            if self.fault_plane is not None:
-                self.fault_plane.mark_restarted(failure.rank)
-        if self.recovery is not None:
-            self.recovery.failures += 1
-            self.recovery.recoveries += 1
-            self.recovery.rolled_back_iterations += max(
-                0, in_flight - max(ckpt.iteration, 0)
-            )
-            self.recovery.recovery_seconds += seconds
-            self.recovery.events.append(
-                (stratum.index, in_flight, ckpt.iteration)
-            )
-        return ckpt.iteration, ckpt.changed
-
-    def _recover_permanent(
-        self,
-        stratum: Stratum,
-        ckpt: StratumCheckpoint,
-        failure: PermanentRankFailure,
-        *,
-        at_iteration: int,
-    ) -> Tuple[int, bool]:
-        """Elastic degraded-mode recovery: finish the run without the rank.
-
-        Unlike the restart path, the lost rank never comes back.  The
-        survivors (1) roll the stratum back to the checkpoint, (2) restore
-        the dead rank's checkpointed shard partition from its first
-        surviving buddy replica, and (3) re-own every shard the dead rank
-        held by installing the placement overlay — the owner function is
-        re-derived over the shrunken world, so every survivor computes the
-        same new map without coordination.  Because placement never enters
-        tuple *values* and lattice absorption is order-independent, the
-        replayed fixpoint on the degraded world produces results, Δ
-        fingerprints and iteration counts identical to a fault-free run
-        (the Algorithm-1 vote may legitimately see different per-rank
-        sizes; it only picks the probe direction, never the answer).
-
-        Raises :class:`UnrecoverableRankLoss` — loudly, never silently
-        wrong — when no replica of the dead rank's state survives.
-        """
-        rank = failure.rank
-        if self.config.replicas < 1:
-            raise UnrecoverableRankLoss(
-                rank,
-                failure.superstep,
-                "no checkpoint replica exists (replicas=0); "
-                "rerun with --replicas >= 1",
-            )
-        live_at_capture = (
-            ckpt.live_ranks
-            if ckpt.live_ranks is not None
-            else sorted(set(range(self.config.n_ranks)) - self.dead_ranks)
-        )
-        buddies = replica_buddies(rank, live_at_capture, self.config.replicas)
-        buddy = next(
-            (b for b in buddies if b not in self.dead_ranks and b != rank),
-            None,
-        )
-        if buddy is None:
-            raise UnrecoverableRankLoss(
-                rank,
-                failure.superstep,
-                f"all replica buddies {buddies} of the lost rank are dead "
-                "too; rerun with a higher --replicas",
-            )
-        in_flight = at_iteration + 1 if at_iteration >= 0 else 0
-        with self.tracer.span(
-            "recovery", cat="phase", stratum=stratum.index,
-            attrs={
-                "failed_rank": rank,
-                "superstep": failure.superstep,
-                "detected_at": failure.where,
-                "restored_iteration": ckpt.iteration,
-                "permanent": True,
-                "replica_buddy": buddy,
-            },
-        ):
-            with self.timer.phase("recovery"):
-                failed_bytes = ckpt.rank_nbytes(self.store, rank)
-                ckpt_mod.restore(self.store, ckpt)
-                self._exec.invalidate()
-                self.counters = defaultdict(int)
-                self.counters.update(ckpt.counters)
-                self._iterations = ckpt.iterations_total
-                del self.trace[ckpt.trace_len:]
-                if self.rebalancer is not None:
-                    for name in ckpt.relations:
-                        self.compiled.schemas[name] = self.store[name].schema
-                    self.rebalancer.restore_state(ckpt.rebalance)
-                # Checkpoint-state bytes/tuples the dead rank held — this
-                # is exactly what the buddy's mirror copy restores.
-                restored_bytes = ckpt.rank_nbytes(self.store, rank)
-                restored_tuples = 0
-                for name in ckpt.relations:
-                    restored_tuples += int(
-                        self.store[name].full_sizes_by_rank()[rank]
-                    )
-                # Re-own: install the overlay on EVERY relation (EDBs
-                # included — the dead rank cannot own anything anymore),
-                # diffing ownership to account the migrated shards.
-                reowned = 0
-                moves: List[Tuple[int, int, int]] = []
-                for _name, rel in sorted(self.store.relations.items()):
-                    old_dist = rel.dist
-                    keys = [
-                        k for k in rel.shards if old_dist.owner(*k) == rank
-                    ]
-                    rel.exclude_ranks({rank})
-                    for key in keys:
-                        tuples = rel.shards[key].full_size()
-                        moves.append((
-                            rel.dist.owner(*key),
-                            tuples * rel.schema.arity * BYTES_PER_WORD,
-                            tuples,
-                        ))
-                    reowned += len(keys)
-                self._exec.invalidate()
-            _total, per_rank = self._stratum_state_bytes(ckpt.relations)
-            restore_seconds = self.cluster.cost.recovery_restore(
-                self.config.n_ranks, int(per_rank.max()), failed_bytes
-            )
-            self.cluster.ledger.add_comm(
-                CommEvent(
-                    kind="recovery",
-                    phase="recovery",
-                    nbytes=failed_bytes,
-                    messages=self.config.n_ranks,
-                    seconds=restore_seconds,
-                )
-            )
-            reown_seconds = self.cluster.cost.recovery_reown(
-                self.config.n_ranks, restored_bytes
-            )
-            self.cluster.ledger.add_comm(
-                CommEvent(
-                    kind="reown",
-                    phase="recovery",
-                    nbytes=restored_bytes,
-                    messages=max(1, len(live_at_capture) - 1),
-                    seconds=reown_seconds,
-                )
-            )
-            if self.comm_recorder is not None:
-                m = self.comm_recorder.begin("reown", "recovery")
-                for dst, nbytes, tuples in moves:
-                    m.add(buddy, dst, nbytes, tuples, channel="recovery")
-            self.dead_ranks.add(rank)
-            if self.fault_plane is not None:
-                self.fault_plane.mark_excluded(rank)
-        if self.degraded is None:
-            self.degraded = DegradedStats()
-        self.degraded.excluded_ranks.append(rank)
-        self.degraded.epoch += 1
-        self.degraded.reowned_shards += reowned
-        self.degraded.restored_tuples += restored_tuples
-        self.degraded.restored_bytes += restored_bytes
-        self.degraded.replica_sources.append((rank, buddy))
-        self.degraded.reown_seconds += reown_seconds
-        if self.recovery is not None:
-            self.recovery.failures += 1
-            self.recovery.recoveries += 1
-            self.recovery.rolled_back_iterations += max(
-                0, in_flight - max(ckpt.iteration, 0)
-            )
-            self.recovery.recovery_seconds += restore_seconds + reown_seconds
-            self.recovery.events.append(
-                (stratum.index, in_flight, ckpt.iteration)
-            )
-        return ckpt.iteration, ckpt.changed
 
     def _advance_and_count(self, stratum: Stratum) -> bool:
         """Promote Δs and run the distributed fixpoint test."""
@@ -1209,7 +705,7 @@ class Engine:
         arity = head.schema.arity
         sizing = _RAW_BOX
         if wire.enabled:
-            combiner, can_combine = self._wire_plan(head_name)
+            combiner, can_combine = self._wire_plans[head_name]
             sends, folded = encode_wire_sends(
                 sends,
                 n_indep=head.schema.n_indep,

@@ -47,10 +47,14 @@ diverging from the cold run:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.comm.wire import encoded_nbytes
+from repro.faults.plane import PermanentRankFailure, RankFailure
+from repro.kernels.block import lex_group
+from repro.kernels.route import encode_boxes
 from repro.planner.compile_rules import CompiledProgram
 from repro.planner.stratify import Stratum
 from repro.runtime.engine import P_SEED, Engine
@@ -162,6 +166,38 @@ def check_batch_supported(
             }
 
 
+def watch_baselines(store, watch: Iterable[str]) -> Dict[str, Set[TupleT]]:
+    """Pre-update group keys of every watched aggregate relation."""
+    out: Dict[str, Set[TupleT]] = {}
+    for name in sorted(watch):
+        rel = store[name]
+        n = rel.schema.n_indep
+        out[name] = {t[:n] for t in rel.iter_full()}
+    return out
+
+
+def improved_group(
+    store, names: Iterable[str], baselines: Mapping[str, Set[TupleT]]
+) -> Optional[str]:
+    """Why the update must abort, if the Δ of any of ``names`` improves a
+    group that existed before it (``baselines``); else None.  Local to
+    the shards in ``store``, so a rank program can run it on its own."""
+    for name in sorted(names):
+        rel = store[name]
+        keys = baselines[name]
+        n = rel.schema.n_indep
+        for t in rel.iter_delta():
+            if t[:n] in keys:
+                return (
+                    f"update improved existing group {t[:n]} of "
+                    f"aggregate relation {name!r}, which is read "
+                    "outside its own stratum — downstream tuples "
+                    "derived from the old value cannot be retracted "
+                    "by insertion-only maintenance"
+                )
+    return None
+
+
 class FixpointHandle:
     """A converged fixpoint kept hot for incremental EDB updates.
 
@@ -267,9 +303,9 @@ class FixpointHandle:
                 "tuples": n_rows,
             },
         ):
-            baselines = self._watch_baselines()
+            baselines = watch_baselines(engine.store, self._watch)
             try:
-                seeded = engine._seed_update(batch)
+                seeded = self._seed_update(batch)
                 touched = set(batch)
                 self._check_improvements(
                     set(seeded) & self._watch, baselines
@@ -294,6 +330,105 @@ class FixpointHandle:
         self._updates += 1
         self._result = engine._build_result()
         return self._result
+
+    def _seed_update(self, edb_deltas: Dict[str, np.ndarray]) -> Dict[str, int]:
+        """Route one EDB insertion batch to its home shards (update seed).
+
+        Models the batch arriving round-robin across ranks and being
+        alltoallv'd to owner ranks through the normal bucket/sub-bucket
+        placement — charged to the ``incremental_seed`` phase with its own
+        ledger kind and CommMatrix ``update`` channel, payloads codec-
+        encoded when the wire layer is on.  Each relation's stale Δ (the
+        full content ``Engine.load`` leaves behind, or a previous
+        update's seed) is flushed first; afterwards Δ holds exactly the
+        batch rows newly admitted on the affected ranks.
+
+        A restartable rank crash during the exchange retries after
+        ``FaultPlane.mark_restarted`` — nothing has been absorbed yet, so
+        the retry replays bit-identically.  Returns each relation's
+        global Δ size.
+        """
+        engine = self.engine
+        cluster, wire = engine.cluster, engine.wire
+        cost = cluster.cost
+        n_ranks = engine.config.n_ranks
+        out: Dict[str, int] = {}
+        for name in sorted(edb_deltas):
+            rel = engine.store[name]
+            batch = sorted(set(map(tuple, edb_deltas[name].tolist())))
+            rel.install_delta(None)  # flush the stale Δ left by load()
+            if not batch:
+                out[name] = 0
+                continue
+            arr = np.asarray(batch, dtype=np.int64)
+            with engine.timer.phase(P_SEED):
+                dst_arr = rel.dist.rank_of_rows(arr)
+                src_arr = np.arange(arr.shape[0], dtype=np.int64) % n_ranks
+                order, starts, _counts = lex_group(
+                    np.column_stack([src_arr, dst_arr])
+                )
+                routed = arr[order]
+                bounds = np.append(starts, arr.shape[0]).tolist()
+                boxes: List[object] = [
+                    routed[a:b] for a, b in zip(bounds[:-1], bounds[1:])
+                ]
+                sizing = {"count_of": len}
+                if wire.enabled:
+                    _n, payloads = encode_boxes(boxes, wire.codec)
+                    boxes = list(zip(boxes, payloads))
+                    sizing = {
+                        "count_of": lambda box: box[0].shape[0],
+                        "nbytes_of": lambda box: encoded_nbytes(box[1]),
+                        "collective": wire.alltoallv,
+                    }
+                sends: Dict[int, Dict[int, List[object]]] = {}
+                heads = order[starts]
+                for src, dst, box in zip(
+                    src_arr[heads].tolist(), dst_arr[heads].tolist(), boxes
+                ):
+                    sends.setdefault(src, {})[dst] = [box]
+                attempts = 0
+                while True:
+                    try:
+                        cluster.alltoallv(
+                            sends,
+                            arity=rel.schema.arity,
+                            phase=P_SEED,
+                            kind="incremental_seed",
+                            channel="update",
+                            **sizing,
+                        )
+                        break
+                    except PermanentRankFailure:
+                        raise
+                    except RankFailure as failure:
+                        # Nothing absorbed yet: restart the rank and replay
+                        # the exchange, within the fault plane's own retry
+                        # budget (then escalate).
+                        attempts += 1
+                        faults = engine.config.faults
+                        if faults is None or faults.retry_policy().exhausted(
+                            attempts
+                        ):
+                            raise
+                        engine.fault_plane.mark_restarted(failure.rank)
+                        engine.counters["update_seed_retries"] += 1
+                # Owners absorb the routed rows; the loader's placement is
+                # the same hash the exchange routed by, and absorption
+                # dedups, so duplicate deliveries can never double-apply.
+                rel.load(arr)
+                rel.advance()
+                per_rank_adm = rel.delta_sizes_by_rank()
+                cluster.ledger.add_compute_step(
+                    P_SEED,
+                    np.bincount(dst_arr, minlength=n_ranks)
+                    * (cost.tuple_agg * cost.compute_scale)
+                    + per_rank_adm * (cost.tuple_insert * cost.compute_scale),
+                )
+            n = rel.delta_size()
+            engine.counters["update_seed_tuples"] += n
+            out[name] = n
+        return out
 
     def _resume_stratum(self, stratum: Stratum, pending: Set[str]) -> Dict[str, int]:
         """Resume one stratum from converged state after new Δs.
@@ -358,32 +493,10 @@ class FixpointHandle:
             )
         return out
 
-    # ----------------------------------------------------- improvement gate
-
-    def _watch_baselines(self) -> Dict[str, Set[TupleT]]:
-        """Pre-update group keys of every watched aggregate relation."""
-        out: Dict[str, Set[TupleT]] = {}
-        for name in sorted(self._watch):
-            rel = self.engine.store[name]
-            n = rel.schema.n_indep
-            out[name] = {t[:n] for t in rel.iter_full()}
-        return out
-
     def _check_improvements(
         self, names: Set[str], baselines: Dict[str, Set[TupleT]]
     ) -> None:
         """Abort if an update improved an existing watched aggregate group."""
-        for name in sorted(names):
-            rel = self.engine.store[name]
-            keys = baselines[name]
-            n = rel.schema.n_indep
-            for t in rel.iter_delta():
-                if t[:n] in keys:
-                    self._poisoned = (
-                        f"update improved existing group {t[:n]} of "
-                        f"aggregate relation {name!r}, which is read "
-                        "outside its own stratum — downstream tuples "
-                        "derived from the old value cannot be retracted "
-                        "by insertion-only maintenance"
-                    )
-                    raise IncrementalUnsupportedError(self._poisoned)
+        reason = improved_group(self.engine.store, names, baselines)
+        if reason is not None:
+            raise IncrementalUnsupportedError(reason)  # update() poisons

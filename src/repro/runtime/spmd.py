@@ -20,9 +20,20 @@ C++/MPI original:
 
 Tests assert this engine, the BSP engine, and the naive interpreter agree
 — which is what justifies using the fast BSP driver for the scaling
-studies.  (This engine is for validation and moderate rank counts; it
-shares the shard, distribution, and compiled-rule code with the BSP
-engine, so there is exactly one implementation of the semantics.)
+studies.  (This engine is for validation and moderate rank counts.)
+
+The rank programs run the *native* data plane; only the parallelisation
+is theirs.  Each rank holds a
+:class:`~repro.relational.storage.RelationStore` of nothing but the
+shards it owns (data enters pre-partitioned at load, or out of an
+``alltoall``) and runs the BSP engine's own
+:class:`~repro.runtime.executor.ScalarExecutor` steps between its
+``await``s, the wire branch through the same ``sender_fold_plan`` /
+``encode_wire_sends`` / ``decode_wire_boxes`` — one implementation of
+join, routing, fold and absorb.  The Algorithm-1 vote, the stratum and
+update loops, the improvement guard's symmetric verdict and every
+collective stay written out per rank: a sync engine cannot drive
+``asyncmpi``'s coroutines, and they are what this module exists to show.
 """
 
 from __future__ import annotations
@@ -32,108 +43,49 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.comm.asyncmpi import AsyncComm, run_spmd
-from repro.core.local_agg import make_shard, _ShardBase
-from repro.kernels.absorb import vector_combiner
-from repro.kernels.route import decode_boxes, encode_boxes
+from repro.kernels.absorb import sender_fold_plan
+from repro.kernels.route import decode_wire_boxes, encode_wire_sends
 from repro.planner.ast import Program
 from repro.planner.compile_rules import CompiledProgram, CompiledRule, compile_program
 from repro.relational.distribution import Distribution
+from repro.relational.storage import RelationStore
 from repro.runtime.config import EngineConfig
+from repro.runtime.executor import ScalarExecutor
 from repro.util.hashing import HashSeed
 
 TupleT = Tuple[int, ...]
-ShardKey = Tuple[int, int]
 
 
 class _RankState:
-    """One rank's private view: its shards of every relation."""
+    """One rank's private view: a store of only the shards it owns."""
 
     def __init__(self, rank: int, compiled: CompiledProgram, config: EngineConfig):
         self.rank = rank
         self.config = config
-        seed = HashSeed().derive(config.seed)
-        self.dist: Dict[str, Distribution] = {
-            name: Distribution(schema, config.n_ranks, seed)
-            for name, schema in compiled.schemas.items()
-        }
-        self.shards: Dict[str, Dict[ShardKey, _ShardBase]] = {
-            name: {} for name in compiled.schemas
-        }
         self.compiled = compiled
-
-    # ----------------------------------------------------------------- store
-
-    def shard(self, name: str, key: ShardKey) -> _ShardBase:
-        shards = self.shards[name]
-        s = shards.get(key)
-        if s is None:
-            s = make_shard(self.compiled.schemas[name], self.config.use_btree)
-            shards[key] = s
-        return s
-
-    def absorb(self, name: str, tuples: Iterable[TupleT]) -> int:
-        dist = self.dist[name]
-        admitted = 0
-        for t in tuples:
-            key = (dist.bucket_of(t), dist.sub_of(t))
-            admitted += self.shard(name, key).absorb([t])
-        return admitted
-
-    def advance(self, names: Iterable[str]) -> int:
-        total = 0
-        for name in names:
-            for shard in self.shards[name].values():
-                total += shard.advance()
-        return total
-
-    def size(self, name: str, version: str) -> int:
-        return sum(
-            s.delta_size() if version == "delta" else s.full_size()
-            for s in self.shards[name].values()
+        self.store = RelationStore(
+            config.n_ranks,
+            seed=HashSeed().derive(config.seed),
+            use_btree=config.use_btree,
         )
+        for schema in compiled.schemas.values():
+            self.store.declare(schema)
+        self.ex = ScalarExecutor()
+        #: Where the executor steps drop their per-rank work tallies: the
+        #: BSP engine turns those into ledger charges, a rank program is
+        #: charged by its communicator instead.
+        self.tally = np.zeros(config.n_ranks, dtype=np.int64)
 
-    def tuples(self, name: str, version: str) -> List[TupleT]:
-        out: List[TupleT] = []
-        for key in sorted(self.shards[name]):
-            shard = self.shards[name][key]
-            out.extend(
-                shard.iter_delta() if version == "delta" else shard.iter_full()
-            )
-        return out
 
-    def inner_indexes(self, name: str, bucket: int, version: str) -> List[dict]:
-        dist = self.dist[name]
-        schema = self.compiled.schemas[name]
-        out = []
-        for s in range(schema.n_subbuckets):
-            if dist.owner(bucket, s) == self.rank:
-                shard = self.shards[name].get((bucket, s))
-                if shard is not None:
-                    out.append(shard.delta if version == "delta" else shard.full)
-        return out
-
-    def install_delta(self, name: str, tuples: Iterable[TupleT]) -> int:
-        """Replace this rank's Δ of ``name`` with the given local tuples.
-
-        Mirrors :meth:`repro.relational.storage.VersionedRelation.install_delta`
-        for the SPMD store: every existing shard's Δ is cleared, then the
-        rows are regrouped by (bucket, sub) and installed sorted — the
-        caller passes tuples this rank already owns, so no communication
-        happens here.
-        """
-        schema = self.compiled.schemas[name]
-        empty = np.empty((0, schema.arity), dtype=np.int64)
-        for shard in self.shards[name].values():
-            shard.install_delta(empty)
-        dist = self.dist[name]
-        by_key: Dict[ShardKey, List[TupleT]] = {}
-        for t in tuples:
-            by_key.setdefault((dist.bucket_of(t), dist.sub_of(t)), []).append(t)
-        total = 0
-        for key in sorted(by_key):
-            rows = np.asarray(sorted(by_key[key]), dtype=np.int64)
-            total += self.shard(name, key).install_delta(rows)
-        return total
+async def _exchange(comm: AsyncComm, sends, collective: str = "direct") -> list:
+    """All-to-all this rank's row of an executor send map; returns the
+    received payload items, concatenated in source-rank order."""
+    row = sends.get(comm.Get_rank(), {})
+    received = await comm.alltoall(
+        [row.get(dst, []) for dst in range(comm.Get_size())],
+        collective=collective,
+    )
+    return [item for batch in received for item in batch]
 
 
 async def _eval_direction(
@@ -142,157 +94,103 @@ async def _eval_direction(
     cr: CompiledRule,
     delta_atom: Optional[int],
 ) -> None:
-    size = comm.Get_size()
+    ex, store, tally = state.ex, state.store, state.tally
+    config = state.config
     if not cr.is_join:
         version = "delta" if delta_atom == 0 else "full"
-        match = cr.matches[0]
-        emitted = [
-            cr.emit(t, ())
-            for t in state.tuples(cr.body_names[0], version)
-            if match is None or match(t)
-        ]
+        emitted = ex.scan_emit(cr, store[cr.body_names[0]], version, tally)
         await _route_and_absorb(comm, state, cr.head_name, emitted)
         return
+    rels = (store[cr.body_names[0]], store[cr.body_names[1]])
+    vers = tuple("delta" if delta_atom == i else "full" for i in (0, 1))
 
-    lver = "delta" if delta_atom == 0 else "full"
-    rver = "delta" if delta_atom == 1 else "full"
-    lname, rname = cr.body_names
     # ---- Algorithm 1: one-word vote; ties on empty ranks abstain when
     # configured, encoded as (vote, participating) pairs.
-    lsize, rsize = state.size(lname, lver), state.size(rname, rver)
-    if state.config.dynamic_join:
-        participating = 1 if (lsize or rsize or not state.config.vote_abstain_empty) else 0
+    if config.dynamic_join:
+        lsize, rsize = (
+            rel.delta_size() if ver == "delta" else rel.full_size()
+            for rel, ver in zip(rels, vers)
+        )
+        participating = 1 if (lsize or rsize or not config.vote_abstain_empty) else 0
         pair = (participating * (1 if lsize >= rsize else 0), participating)
         votes, voters = await comm.allreduce(
             pair, op=lambda a, b: (a[0] + b[0], a[1] + b[1])
         )
         threshold = (max(voters, 1) + 1) // 2
-        outer_is_left = not (votes >= threshold)
+        outer_pos = 1 if votes >= threshold else 0
     else:
-        outer_is_left = state.config.static_outer == "left"
-
-    if outer_is_left:
-        outer_name, outer_ver, inner_name, inner_ver = lname, lver, rname, rver
-        probe_get = cr.probe_get_left
-        outer_match, inner_match = cr.matches[0], cr.matches[1]
-    else:
-        outer_name, outer_ver, inner_name, inner_ver = rname, rver, lname, lver
-        probe_get = cr.probe_get_right
-        outer_match, inner_match = cr.matches[1], cr.matches[0]
-    inner_dist = state.dist[inner_name]
-    n_sub = state.compiled.schemas[inner_name].n_subbuckets
+        outer_pos = 0 if config.static_outer == "left" else 1
+    outer_rel, outer_ver = rels[outer_pos], vers[outer_pos]
+    inner_rel, inner_ver = rels[1 - outer_pos], vers[1 - outer_pos]
+    probe_cols = (cr.probe_from_left, cr.probe_from_right)[outer_pos]
 
     # ---- intra-bucket exchange: replicate outer tuples to the inner
     # bucket's sub-bucket owners.
-    sends: List[List[Tuple[int, TupleT]]] = [[] for _ in range(size)]
-    for t in state.tuples(outer_name, outer_ver):
-        if outer_match is not None and not outer_match(t):
-            continue
-        jk = probe_get(t)
-        b = inner_dist.bucket_of_key(jk)
-        for dst in dict.fromkeys(inner_dist.owner(b, s) for s in range(n_sub)):
-            sends[dst].append((b, t))
-    received = await comm.alltoall(sends)
+    sends, _n = ex.intra_sends(
+        cr, outer_pos, outer_rel, outer_ver, inner_rel, probe_cols, tally
+    )
+    received = await _exchange(comm, sends)
 
     # ---- local join against this rank's inner shards.
-    emit = cr.emit
-    emitted: List[TupleT] = []
-    for batch in received:
-        for b, t in batch:
-            indexes = state.inner_indexes(inner_name, b, inner_ver)
-            if not indexes:
-                continue
-            jk = probe_get(t)
-            for index in indexes:
-                group = index.get(jk)
-                if not group:
-                    continue
-                for inner_t in group.values():
-                    if inner_match is not None and not inner_match(inner_t):
-                        continue
-                    emitted.append(
-                        emit(t, inner_t) if outer_is_left else emit(inner_t, t)
-                    )
+    emitted = ex.local_join(
+        cr, outer_pos, {state.rank: received}, inner_rel, inner_ver,
+        probe_cols, tally, tally,
+    )
     await _route_and_absorb(comm, state, cr.head_name, emitted)
 
 
 async def _route_and_absorb(
-    comm: AsyncComm, state: _RankState, head_name: str, emitted: List[TupleT]
+    comm: AsyncComm, state: _RankState, head_name: str, emitted
 ) -> None:
-    size = comm.Get_size()
-    dist = state.dist[head_name]
-    sends: List[List[TupleT]] = [[] for _ in range(size)]
-    for t in emitted:
-        sends[dist.rank_of(t)].append(t)
+    head = state.store[head_name]
     wire = state.config.wire
+    sends, _n = state.ex.route_sends(emitted, head.dist, wire.enabled)
     if not wire.enabled:
-        received = await comm.alltoall(sends)
-        for batch in received:
-            state.absorb(head_name, batch)
+        state.ex.absorb(head, await _exchange(comm, sends), None)
         return
-
-    # Wire layer (mirrors the BSP engine, through the same batched
-    # kernels): fold duplicates per independent key where the aggregate
-    # lattice allows, ship compact encoded payloads, and let the modeled
-    # collective autotune.
-    schema = state.compiled.schemas[head_name]
-    if schema.is_aggregate:
-        comb = vector_combiner(schema.aggregator)
-        can_combine = comb is not None and comb.combinable
-    else:
-        comb, can_combine = None, True
-    n_rows, payloads = encode_boxes(
-        [
-            np.asarray(batch, dtype=np.int64).reshape(-1, schema.arity)
-            for batch in sends
-        ],
-        wire.codec,
-        n_indep=schema.n_indep,
-        combiner=comb,
+    # Wire layer, exactly the BSP engine's: fold duplicates per
+    # independent key where the aggregate lattice allows, ship compact
+    # encoded payloads, and let the modeled collective autotune.
+    combiner, can_combine = sender_fold_plan(head.schema)
+    sends, _folded = encode_wire_sends(
+        sends,
+        n_indep=head.schema.n_indep,
+        combiner=combiner,
         combine=wire.sender_combine and can_combine,
+        codec=wire.codec,
     )
-    received_packed = await comm.alltoall(
-        list(zip(n_rows, payloads)), collective=wire.alltoallv
+    boxes = await _exchange(comm, sends, wire.alltoallv)
+    state.ex.absorb(
+        head, decode_wire_boxes(boxes, head.schema.arity, wire.codec), None
     )
-    for rows in decode_boxes(
-        [payload for _n, payload in received_packed],
-        [n for n, _payload in received_packed],
-        schema.arity,
-        wire.codec,
-    ):
-        if rows.shape[0]:
-            state.absorb(head_name, [tuple(t) for t in rows.tolist()])
 
 
-async def _recursive_loop(comm, state, stratum, rules, changed) -> None:
-    """Drain one recursive stratum to quiescence (shared cold/incremental)."""
-    config = state.config
-    iterations = 0
-    while changed and iterations < config.max_iterations:
-        iterations += 1
-        for cr in rules:
-            for i, rel_name in enumerate(cr.body_names):
-                if rel_name in stratum.relations:
-                    await _eval_direction(comm, state, cr, delta_atom=i)
-        local_new = state.advance(stratum.relations)
-        changed = await comm.allreduce(local_new)
-    if changed:
-        raise RuntimeError(
-            f"stratum {stratum.relations} did not converge on rank "
-            f"{comm.Get_rank()}"
+async def _stratum_loop(comm, state, stratum, first_pass) -> None:
+    """One stratum to quiescence; ``first_pass`` as in
+    ``Engine._stratum_loop`` — ``(rule, None)`` per rule cold, ``(rule,
+    i)`` per pending body atom in an update."""
+    semi_naive = [
+        (cr, i)
+        for cr in state.compiled.rules_of(stratum)
+        for i, rel_name in enumerate(cr.body_names)
+        if rel_name in stratum.relations
+    ]
+    directions, iterations = first_pass, 0
+    while True:
+        for cr, delta_atom in directions:
+            await _eval_direction(comm, state, cr, delta_atom)
+        changed = await comm.allreduce(
+            sum(state.store[name].advance() for name in stratum.relations)
         )
-
-
-async def _cold_fixpoint(comm, state, compiled) -> None:
-    """Run every stratum from the currently loaded EDB to fixpoint."""
-    for stratum in compiled.strata:
-        rules = compiled.rules_of(stratum)
-        for cr in rules:
-            await _eval_direction(comm, state, cr, delta_atom=None)
-        local_new = state.advance(stratum.relations)
-        changed = await comm.allreduce(local_new)
-        if stratum.recursive:
-            await _recursive_loop(comm, state, stratum, rules, changed)
+        if not (stratum.recursive and changed):
+            return
+        if iterations >= state.config.max_iterations:
+            raise RuntimeError(
+                f"stratum {stratum.relations} did not converge on rank "
+                f"{comm.Get_rank()}"
+            )
+        iterations += 1
+        directions = semi_naive
 
 
 async def _seed_update_spmd(
@@ -311,15 +209,14 @@ async def _seed_update_spmd(
     size = comm.Get_size()
     seeded: Dict[str, int] = {}
     for name in sorted(batch_parts):
-        dist = state.dist[name]
+        rel = state.store[name]
         sends: List[List[TupleT]] = [[] for _ in range(size)]
         for t in batch_parts[name]:
-            sends[dist.rank_of(tuple(t))].append(tuple(t))
+            sends[rel.dist.rank_of(t)].append(t)
         received = await comm.alltoall(sends)
         for batch in received:
-            state.absorb(name, sorted(batch))
-        state.advance([name])
-        seeded[name] = await comm.allreduce(state.size(name, "delta"))
+            rel.load(sorted(batch))
+        seeded[name] = await comm.allreduce(rel.advance())
     return seeded
 
 
@@ -335,44 +232,25 @@ async def _check_improvements_spmd(
     verdict must be symmetric — an allgather shares each rank's finding
     so every rank raises the identical error.
     """
-    detail = ""
-    for name in sorted(names):
-        schema = state.compiled.schemas[name]
-        n = schema.n_indep
-        keys = baselines[name]
-        for t in state.tuples(name, "delta"):
-            if t[:n] in keys:
-                detail = (
-                    f"update improved existing group {t[:n]} of aggregate "
-                    f"relation {name!r}, which is read outside its own "
-                    "stratum — downstream tuples derived from the old "
-                    "value cannot be retracted by insertion-only "
-                    "maintenance"
-                )
-                break
-        if detail:
-            break
-    found = await comm.allgather(detail)
-    for msg in found:
-        if msg:
-            from repro.runtime.incremental import IncrementalUnsupportedError
+    from repro.runtime.incremental import IncrementalUnsupportedError, improved_group
 
-            raise IncrementalUnsupportedError(msg)
+    found = await comm.allgather(improved_group(state.store, names, baselines))
+    for reason in found:
+        if reason:
+            raise IncrementalUnsupportedError(reason)
 
 
 async def _apply_update_spmd(
     comm: AsyncComm,
     state: _RankState,
-    compiled: CompiledProgram,
     batch_parts: Mapping[str, List[TupleT]],
     watch: Set[str],
 ) -> None:
     """One incremental update batch: seed, resume strata, clear Δ."""
-    baselines: Dict[str, Set[TupleT]] = {}
-    for name in sorted(watch):
-        n = compiled.schemas[name].n_indep
-        baselines[name] = {t[:n] for t in state.tuples(name, "full")}
+    from repro.runtime.incremental import watch_baselines
 
+    store = state.store
+    baselines = watch_baselines(store, watch)
     seeded = await _seed_update_spmd(comm, state, batch_parts)
     await _check_improvements_spmd(
         comm, state, set(seeded) & watch, baselines
@@ -380,40 +258,33 @@ async def _apply_update_spmd(
     pending = {n for n, c in seeded.items() if c}
     touched = set(batch_parts)
 
-    for stratum in compiled.strata:
-        rules = compiled.rules_of(stratum)
-        relevant = [
-            (cr, [i for i, n in enumerate(cr.body_names) if n in pending])
-            for cr in rules
+    for stratum in state.compiled.strata:
+        update_pass = [
+            (cr, i)
+            for cr in state.compiled.rules_of(stratum)
+            for i, n in enumerate(cr.body_names)
+            if n in pending
         ]
-        relevant = [(cr, idxs) for cr, idxs in relevant if idxs]
-        if not relevant:
+        if not update_pass:
             continue
         if stratum.recursive:
-            before = {
-                name: set(state.tuples(name, "full"))
-                for name in stratum.relations
-            }
-        for cr, idxs in relevant:
-            for i in idxs:
-                await _eval_direction(comm, state, cr, delta_atom=i)
-        local_new = state.advance(stratum.relations)
-        changed_count = await comm.allreduce(local_new)
+            before = {name: store[name].as_set() for name in stratum.relations}
+        await _stratum_loop(comm, state, stratum, update_pass)
         changed_names: Set[str] = set()
         if stratum.recursive:
-            await _recursive_loop(comm, state, stratum, rules, changed_count)
             # Downstream Δ = final full-version growth, never the
-            # transient Δs the loop burned through (paper §III-A).
+            # transient Δs the loop burned through (paper §III-A); the
+            # rows are already this rank's, so nothing is communicated.
             for name in stratum.relations:
-                diff = set(state.tuples(name, "full")) - before[name]
-                n_global = await comm.allreduce(
-                    state.install_delta(name, diff)
+                diff = sorted(store[name].as_set() - before[name])
+                n_local = store[name].install_delta(
+                    np.asarray(diff, dtype=np.int64) if diff else None
                 )
-                if n_global:
+                if await comm.allreduce(n_local):
                     changed_names.add(name)
         else:
-            for name in sorted({cr.head_name for cr, _ in relevant}):
-                if await comm.allreduce(state.size(name, "delta")):
+            for name in sorted({cr.head_name for cr, _ in update_pass}):
+                if await comm.allreduce(store[name].delta_size()):
                     changed_names.add(name)
         await _check_improvements_spmd(
             comm, state, changed_names & watch, baselines
@@ -422,27 +293,26 @@ async def _apply_update_spmd(
         touched |= changed_names
 
     for name in sorted(touched):
-        state.install_delta(name, ())
+        store[name].install_delta(None)
 
 
 async def _rank_program(
     comm: AsyncComm,
-    program: Program,
+    compiled: CompiledProgram,
     config: EngineConfig,
     facts_by_rank: Mapping[str, List[List[TupleT]]],
     updates_by_rank: Sequence[Mapping[str, List[List[TupleT]]]] = (),
-) -> Dict[str, Set[TupleT]]:
-    compiled = compile_program(
-        program,
-        subbuckets=config.subbuckets,
-        default_subbuckets=config.default_subbuckets,
-    )
+) -> RelationStore:
     state = _RankState(comm.Get_rank(), compiled, config)
     for name, parts in facts_by_rank.items():
-        state.absorb(name, parts[comm.Get_rank()])
-        state.advance([name])
+        state.store[name].load(parts[comm.Get_rank()])
+        state.store[name].advance()
 
-    await _cold_fixpoint(comm, state, compiled)
+    for stratum in compiled.strata:
+        await _stratum_loop(
+            comm, state, stratum,
+            [(cr, None) for cr in compiled.rules_of(stratum)],
+        )
 
     if updates_by_rank:
         from repro.runtime.incremental import improvable_watch
@@ -452,11 +322,9 @@ async def _rank_program(
             parts = {
                 name: rows[comm.Get_rank()] for name, rows in batch.items()
             }
-            await _apply_update_spmd(comm, state, compiled, parts, watch)
+            await _apply_update_spmd(comm, state, parts, watch)
 
-    return {
-        name: set(state.tuples(name, "full")) for name in compiled.schemas
-    }
+    return state.store
 
 
 def run_spmd_engine(
@@ -492,6 +360,22 @@ def run_spmd_incremental(
     relation's final full contents (union across ranks), bit-identical
     to :func:`run_spmd_engine` on the union EDB.
     """
+    merged: Dict[str, Set[TupleT]] = {}
+    for store in spmd_rank_stores(program, facts, updates, config):
+        for rel in store:
+            merged.setdefault(rel.schema.name, set()).update(rel.iter_full())
+    return merged
+
+
+def spmd_rank_stores(
+    program: Program,
+    facts: Mapping[str, Iterable[TupleT]],
+    updates: Sequence[Mapping[str, Iterable[TupleT]]] = (),
+    config: Optional[EngineConfig] = None,
+) -> List[RelationStore]:
+    """Run the rank programs and return each rank's private store as it
+    stood at exit: entry ``r`` holds exactly the shards rank ``r`` owns
+    (what makes this driver a reference for the BSP one)."""
     from repro.runtime.incremental import check_batch_supported, check_program_supported
 
     config = config or EngineConfig()
@@ -535,16 +419,11 @@ def run_spmd_incremental(
             ]
         updates_by_rank.append(by_rank)
 
-    results = run_spmd(
+    return run_spmd(
         config.n_ranks,
         _rank_program,
-        program,
+        compiled,
         config,
         facts_by_rank,
         updates_by_rank,
     )
-    merged: Dict[str, Set[TupleT]] = {}
-    for per_rank in results:
-        for name, tuples in per_rank.items():
-            merged.setdefault(name, set()).update(tuples)
-    return merged

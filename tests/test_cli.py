@@ -138,6 +138,62 @@ class TestDiagnosticsFlags:
         with pytest.raises(SystemExit):
             main(["query", str(src), "--spmd", "--diagnostics"])
 
+    def test_every_unhonoured_flag_rejected_under_spmd_in_one_message(
+        self, tmp_path
+    ):
+        src = tmp_path / "prog.dl"
+        src.write_text(
+            ".decl e(x, y) keys(x)\ne(0, 1).\n"
+            "tc(x, y) :- e(x, y).\n.output tc\n"
+        )
+        for flags in (
+            ["--rebalance"],
+            ["--json"],
+            ["--trace", str(tmp_path / "t.json")],
+            ["--flamegraph", str(tmp_path / "fg.collapsed")],
+        ):
+            with pytest.raises(SystemExit, match="require the BSP driver") as exc:
+                main(["query", str(src), "--spmd", *flags])
+            assert flags[0] in str(exc.value)
+        with pytest.raises(SystemExit) as exc:
+            main(["query", str(src), "--spmd", "--rebalance", "--json"])
+        assert str(exc.value).startswith("--json/--rebalance require")
+
+    def test_spmd_builds_no_bsp_engine(self, capsys, tmp_path, monkeypatch):
+        """--spmd runs only the per-rank driver, on the validated config
+        (wire flags included); --explain plans on an unloaded engine."""
+        import repro.runtime.engine as engine_mod
+        import repro.runtime.spmd as spmd_mod
+
+        src = tmp_path / "prog.dl"
+        src.write_text(
+            ".decl e(x, y) keys(x)\ne(0, 1). e(1, 2).\n"
+            "tc(x, y) :- e(x, y).\ntc(x, z) :- tc(x, y), e(y, z).\n"
+            ".output tc\n"
+        )
+        loads, configs = [], []
+        real_load, real_spmd = engine_mod.Engine.load, spmd_mod.run_spmd_engine
+        monkeypatch.setattr(
+            engine_mod.Engine, "load",
+            lambda self, *a, **k: loads.append(a) or real_load(self, *a, **k),
+        )
+        monkeypatch.setattr(
+            spmd_mod, "run_spmd_engine",
+            lambda p, f, c: configs.append(c) or real_spmd(p, f, c),
+        )
+        monkeypatch.setattr(
+            engine_mod.Engine, "run",
+            lambda self: pytest.fail("BSP engine ran under --spmd"),
+        )
+        argv = ["query", str(src), "--ranks", "3", "--spmd", "--wire-codec", "dict"]
+        assert main(argv) == 0
+        assert main(argv + ["--explain"]) == 0
+        out = capsys.readouterr().out
+        assert "plan for 2 rule(s)" in out and out.count("tc: 3 tuple(s)") == 2
+        assert loads == []
+        assert [c.n_ranks for c in configs] == [3, 3]
+        assert all(c.wire.codec == "dict" and not c.rebalance for c in configs)
+
 
 class TestTraceReport:
     def _trace(self, tmp_path, fmt="chrome", diagnostics=True):

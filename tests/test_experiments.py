@@ -140,15 +140,16 @@ class TestScalingFigures:
         assert "Fig. 5" in fig5.render(fig5_result)
 
     def test_fig6_runs(self):
-        import repro.experiments.fig5 as f5
-
-        orig = f5.QUICK_RANKS
-        f5.QUICK_RANKS = (16, 32)
+        # fig6 imported the name from fig5, so it is fig6's binding that
+        # run_fig6 reads (patching fig5's ran CC up to 16,384 ranks).
+        orig = fig6.QUICK_RANKS
+        fig6.QUICK_RANKS = (16, 32)
         try:
             result = fig6.run_fig6(TINY)
         finally:
-            f5.QUICK_RANKS = orig
+            fig6.QUICK_RANKS = orig
         assert result.query == "cc"
+        assert set(result.total) == {16, 32}
         assert "Fig. 6" in fig6.render(result)
 
 

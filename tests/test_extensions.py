@@ -174,3 +174,37 @@ class TestAutoBalance:
         balanced.load("edge", g.tuples())
         balanced.load("start", [(0,)])
         assert balanced.run().query("spath") == expected
+
+    @pytest.mark.parametrize("executor", ("scalar", "columnar"))
+    def test_equals_static_run_with_chosen_subbuckets(self, executor):
+        """auto_balance reshards in place (the rebalancer's exchange):
+        the run is the one statically configured with the count it chose
+        — same relation multisets per shard, same iteration count."""
+        g = star(800).with_unit_weights()
+
+        def run(**kw):
+            eng = Engine(
+                sssp_program(), EngineConfig(n_ranks=16, executor=executor, **kw)
+            )
+            eng.load("edge", g.tuples())
+            eng.load("start", [(0,)])
+            return eng, eng.run()
+
+        auto_eng, auto = run(auto_balance=1.5)
+        n_sub = auto_eng.store["edge"].schema.n_subbuckets
+        assert n_sub > 1
+        assert auto.phase_breakdown()["balance"] > 0
+        static_eng, static = run(subbuckets={"edge": n_sub})
+        assert auto.iterations == static.iterations
+        for name, rel in auto_eng.store.relations.items():
+            other = static_eng.store[name]
+            assert rel.schema.n_subbuckets == other.schema.n_subbuckets
+            assert set(rel.shards) == set(other.shards)
+            for key, shard in rel.shards.items():
+                assert sorted(shard.iter_full()) == sorted(
+                    other.shards[key].iter_full()
+                )
+            assert (
+                rel.full_sizes_by_rank().tolist()
+                == other.full_sizes_by_rank().tolist()
+            )

@@ -490,6 +490,55 @@ class TestPermanentLoss:
         assert faulty.recovery.as_dict()["injected"]["permanent_crashes"] == 1
 
 
+class TestOneRollback:
+    """Restart and permanent loss share one rollback and one booking
+    tail (``RecoveryManager.recover``): the same crash point books the
+    same recovery.  Final ``counters`` are deliberately not compared —
+    on the degraded world the vote sees other per-rank sizes."""
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize(
+        "faults", (CRASH, PERM), ids=("restart", "permanent")
+    )
+    def test_same_crash_point_books_same_recovery(
+        self, medium_weighted_graph, executor, faults
+    ):
+        sources = list(range(10))
+        base = run_sssp(medium_weighted_graph, sources, _cfg(executor)).fixpoint
+        faulty = run_sssp(
+            medium_weighted_graph, sources,
+            _cfg(executor, faults, checkpoint_every=2, replicas=1),
+        ).fixpoint
+        assert faulty.query("spath") == base.query("spath")
+        assert faulty.iterations == base.iterations
+        rec = faulty.recovery
+        assert (rec.failures, rec.recoveries) == (1, 1)
+        # Crash in flight at iteration 3, last checkpoint after the
+        # first pass: three iterations replayed, whichever path ran.
+        assert rec.events == [(0, 3, 0)]
+        assert rec.rolled_back_iterations == 3
+        assert rec.recovery_seconds > 0
+        assert (faulty.degraded is not None) == faults.has_permanent_crash
+
+    def test_unrecoverable_loss_mutates_nothing(self, medium_weighted_graph):
+        """Buddy lookup precedes the rollback: with no replica to restore
+        from, the failure surfaces before any state is rewound."""
+        from repro.queries.sssp import sssp_program
+        from repro.runtime.engine import Engine
+
+        eng = Engine(sssp_program(), _cfg("columnar", PERM, checkpoint_every=2))
+        eng.load("edge", medium_weighted_graph.tuples())
+        eng.load("start", [(s,) for s in range(10)])
+        with pytest.raises(UnrecoverableRankLoss):
+            eng.run()
+        # Iteration 2 was in flight; a rollback would have rewound all
+        # three to the post-first-pass checkpoint.
+        assert eng._iterations == 2 and len(eng.trace) == 2
+        assert eng.counters["admitted"] > 0
+        assert eng.recovery.stats.recoveries == 0
+        assert eng.recovery.dead_ranks == set() and eng.recovery.degraded is None
+
+
 class TestCheckpointRoundTrip:
     """Property: capture → arbitrary mutation → restore is an exact
     round-trip of every observable the fixpoint loop reads — tuple sets,

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from repro import Engine, EngineConfig, MIN, Program, Rel, vars_
+from repro.comm.wire import WireConfig
 from repro.graphs.generators import chain, rmat, star
 from repro.planner.interpreter import interpret
 from repro.queries.cc import cc_program
 from repro.queries.reachability import tc_program
 from repro.queries.sssp import sssp_program
-from repro.runtime.spmd import run_spmd_engine
+from repro.runtime.spmd import run_spmd_engine, spmd_rank_stores
 
 x, y, z = vars_("x y z")
 
@@ -80,6 +81,67 @@ class TestAgainstBsp:
         spmd = run_spmd_engine(sssp_program(), facts, config)
         bsp = bsp_eval(sssp_program(), facts, config)
         assert spmd["spath"] == bsp["spath"]
+
+    def test_btree_shards(self, weighted_graph):
+        """``use_btree`` reaches the rank programs through RelationStore."""
+        from repro.ds.btree import BTreeMap
+
+        facts = {"edge": weighted_graph.tuples(), "start": [(0,), (3,)]}
+        config = EngineConfig(n_ranks=4, subbuckets={"edge": 2}, use_btree=True)
+        stores = spmd_rank_stores(sssp_program(), facts, config=config)
+        shards = [
+            shard
+            for store in stores
+            for name in ("edge", "spath")
+            for shard in store[name].shards.values()
+        ]
+        assert shards and all(isinstance(s.full, BTreeMap) for s in shards)
+        spmd = run_spmd_engine(sssp_program(), facts, config)
+        bsp = bsp_eval(sssp_program(), facts, config)
+        assert spmd["spath"] == bsp["spath"]
+        assert spmd["spath"] == run_spmd_engine(
+            sssp_program(), facts, EngineConfig(n_ranks=4, subbuckets={"edge": 2})
+        )["spath"]
+
+
+class TestRankPrivateStores:
+    """What makes the per-rank driver a reference for the BSP one: a rank
+    only ever holds shards it owns, at load and after every exchange."""
+
+    @pytest.mark.parametrize(
+        "wire", [WireConfig(), WireConfig.off()], ids=["wire-on", "wire-off"]
+    )
+    def test_every_shard_is_owned_by_its_rank(self, weighted_graph, wire):
+        facts = {"edge": weighted_graph.tuples(), "start": [(0,), (3,)]}
+        config = EngineConfig(n_ranks=6, subbuckets={"edge": 2}, wire=wire)
+        stores = spmd_rank_stores(sssp_program(), facts, config=config)
+        assert len(stores) == 6
+        n_shards = 0
+        for rank, store in enumerate(stores):
+            for rel in store:
+                for b, s in rel.shards:
+                    assert rel.dist.owner(b, s) == rank
+                    n_shards += 1
+        assert n_shards > 6
+        # ...and together they are the BSP engine's relation.
+        bsp = bsp_eval(sssp_program(), facts, config)
+        for name in ("edge", "start", "spath"):
+            assert sum(s[name].full_size() for s in stores) == len(bsp[name])
+
+    def test_ownership_survives_an_update(self):
+        edges = [(i, (i * 7 + 3) % 40, 1 + i % 5) for i in range(120)]
+        config = EngineConfig(n_ranks=4, subbuckets={"edge": 2})
+        stores = spmd_rank_stores(
+            sssp_program(),
+            {"edge": edges[:100], "start": [(0,)]},
+            [{"edge": edges[100:]}],
+            config,
+        )
+        for rank, store in enumerate(stores):
+            for rel in store:
+                assert all(rel.dist.owner(b, s) == rank for b, s in rel.shards)
+            # the update left no Δ behind on what it touched
+            assert store["edge"].delta_size() == store["spath"].delta_size() == 0
 
 
 class TestAgainstOracle:
