@@ -5,11 +5,16 @@ Runs queries and regenerates the paper's tables/figures from the shell::
     paralagg datasets
     paralagg run sssp --dataset twitter_like --ranks 64 --sources 0,1,2
     paralagg run cc --dataset flickr --ranks 256 --subbuckets 8
+    paralagg query examples/programs/sssp.dl --ranks 8
+    paralagg update sssp --dataset topcats --batch-frac 0.02 --batches 2
+    paralagg trace-report trace.json
     paralagg experiment fig3
     paralagg experiment table2 --full
 
 Every experiment prints the same rows/series the paper reports (see
-EXPERIMENTS.md for the side-by-side).
+EXPERIMENTS.md for the side-by-side).  Nothing here measures the repo
+against itself: that is ``bench/`` (``BENCHMARK.json``), run against the
+parent commit with ``python3 bench/compare.py --pairs N <parent> .``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from repro.runtime.config import EngineConfig
 
 
 def _add_wire_flags(parser: argparse.ArgumentParser) -> None:
-    """Wire-layer flags shared by ``run``, ``query`` and ``bench``."""
+    """Wire-layer flags shared by ``run``, ``query`` and ``update``."""
     parser.add_argument(
         "--no-wire", action="store_true",
         help="disable the wire-optimization layer entirely (legacy route "
@@ -370,71 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_wire_flags(query)
     _add_rebalance_flags(query)
 
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark the scalar vs columnar executors on the fixpoint "
-             "hot path and verify they agree bit-for-bit",
-    )
-    bench.add_argument("--dataset", default="twitter_like")
-    bench.add_argument("--ranks", type=int, default=64)
-    bench.add_argument("--scale-shift", type=int, default=0,
-                       help="halve the graph's linear scale this many times")
-    bench.add_argument("--seed", type=int, default=42)
-    bench.add_argument("--subbuckets", type=int, default=8)
-    bench.add_argument("--sources", default="0,1,2",
-                       help="comma-separated SSSP source vertices")
-    bench.add_argument("--queries", default="sssp,cc",
-                       help="comma-separated subset of sssp,cc")
-    bench.add_argument("--wire", action="store_true",
-                       help="benchmark the wire-optimization layer instead "
-                            "(modeled bytes and time, wire on vs off; "
-                            "default output BENCH_PR7.json)")
-    bench.add_argument("--rebalance", action="store_true",
-                       help="benchmark online adaptive rebalancing instead: "
-                            "a deliberately under-bucketed skewed run, "
-                            "static vs statically-tuned vs adaptive "
-                            "(default output BENCH_PR8.json)")
-    bench.add_argument("--recovery", action="store_true",
-                       help="benchmark degraded-mode recovery instead: "
-                            "replication overhead (replicas sweep) and the "
-                            "modeled cost of surviving a permanent rank "
-                            "loss, with a hard identity check against the "
-                            "fault-free run (default output BENCH_PR9.json)")
-    bench.add_argument("--incremental", action="store_true",
-                       help="benchmark incremental fixpoint maintenance "
-                            "instead: hold out a small edge batch, converge, "
-                            "apply it via FixpointHandle.update, and verify "
-                            "bit-identity (answers + full multisets) against "
-                            "a cold recompute on the union EDB, plus a chaos "
-                            "variant with drop/dup and a crash probed into "
-                            "the update window (default output "
-                            "BENCH_PR10.json)")
-    bench.add_argument("--batch-frac", type=float, default=0.01,
-                       metavar="FRAC",
-                       help="with --incremental: fraction of edges held out "
-                            "as the update batch (default: 0.01)")
-    bench.add_argument("--output", default=None, metavar="PATH",
-                       help="write the JSON report here ('-' to skip; "
-                            "default BENCH_PR2.json, BENCH_PR7.json with "
-                            "--wire, BENCH_PR8.json with --rebalance, "
-                            "BENCH_PR9.json with --recovery, "
-                            "BENCH_PR10.json with --incremental, or "
-                            "'-' with --compare)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the JSON report instead of the table")
-    bench.add_argument(
-        "--compare", metavar="BASELINE.json", default=None,
-        help="compare this run against a committed bench snapshot and exit "
-             "non-zero on regression (modeled-time drift beyond the "
-             "tolerance, or an iteration-count change)",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=5.0, metavar="PCT",
-        help="allowed modeled-seconds drift vs the baseline, in percent "
-             "(default: 5.0); host wall-time drift is advisory only",
-    )
-    _add_wire_flags(bench)
-
     tr = sub.add_parser(
         "trace-report",
         help="analyze a saved trace offline: validate it, then run the "
@@ -453,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument(
         "name",
         choices=["fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-                 "table1", "table2", "ablations", "recovery", "all"],
+                 "table1", "table2", "ablations", "all"],
     )
     exp.add_argument("--full", action="store_true",
                      help="run the paper's full sweep (slow)")
@@ -571,16 +511,67 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _finish_obs(args, fp, report)
 
 
+def _program_and_facts(query: str, graph, sources, edge_subbuckets):
+    """``(program, edge tuples, other EDB facts, answer relation)`` of ``update``."""
+    if query == "sssp":
+        from repro.queries.sssp import sssp_program
+
+        g = graph if graph.weighted else graph.with_unit_weights()
+        return (
+            sssp_program(edge_subbuckets),
+            [tuple(t) for t in g.tuples()],
+            {"start": [(int(s),) for s in sources]},
+            "spath",
+        )
+    from repro.queries.cc import cc_program
+
+    g = graph
+    if g.weighted:
+        from repro.graphs.types import Graph
+
+        g = Graph(g.edges[:, :2], g.n_nodes, name=g.name, category=g.category)
+    g = g.deduplicated().symmetrized()
+    return (
+        cc_program(edge_subbuckets),
+        [tuple(t) for t in g.edges.tolist()],
+        {},
+        "cc",
+    )
+
+
+def _split_edges(edges: list, frac: float, seed: int):
+    """Deterministically hold out ``frac`` of the edges as the update."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    n = len(edges)
+    k = max(1, int(n * frac))
+    held = set(rng.choice(n, size=k, replace=False).tolist())
+    base = [e for i, e in enumerate(edges) if i not in held]
+    batch = [e for i, e in enumerate(edges) if i in held]
+    return base, batch
+
+
+def _cold_run(program, edges, other_facts, config):
+    from repro.runtime.engine import Engine
+
+    engine = Engine(program, config)
+    engine.load("edge", edges)
+    for name, rows in other_facts.items():
+        engine.load(name, rows)
+    engine.run()
+    return engine
+
+
 def _cmd_update(args: argparse.Namespace) -> int:
     """Converge on a base EDB, replay held-out edges as update batches."""
     from repro.api import OptionsError, Session
-    from repro.experiments.incremental import (
-        _cold_run,
-        _program_and_facts,
-        _split_edges,
-    )
     from repro.runtime.incremental import IncrementalUnsupportedError
 
+    if not 0.0 < args.batch_frac < 1.0:
+        raise SystemExit(
+            f"--batch-frac must be in (0, 1), got {args.batch_frac}"
+        )
     graph = load_dataset(args.dataset, seed=args.seed, scale_shift=args.scale_shift)
     tracer = Tracer() if args.trace or _want_diagnostics(args) else None
     options = _options_from_args(args, tracer=tracer)
@@ -686,99 +677,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
     return rc
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments import hotpath, wirebench
-
-    # With --compare the default is read-only: don't clobber the baseline
-    # file we are comparing against unless --output says so explicitly.
-    if sum((args.wire, args.rebalance, args.recovery, args.incremental)) > 1:
-        raise SystemExit(
-            "--wire, --rebalance, --recovery and --incremental are "
-            "mutually exclusive"
-        )
-    output = args.output
-    if output is None:
-        if args.compare:
-            output = "-"
-        elif args.incremental:
-            output = "BENCH_PR10.json"
-        elif args.recovery:
-            output = "BENCH_PR9.json"
-        elif args.rebalance:
-            output = "BENCH_PR8.json"
-        else:
-            output = "BENCH_PR7.json" if args.wire else "BENCH_PR2.json"
-    baseline = None
-    if args.compare:
-        from repro.obs.analysis import validate_bench_snapshot
-
-        try:
-            with open(args.compare) as fh:
-                baseline = json.load(fh)
-            validate_bench_snapshot(baseline)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            raise SystemExit(f"bad baseline {args.compare}: {exc}")
-    if args.incremental:
-        import functools
-
-        from repro.experiments import incremental as incremental_bench
-
-        bench_mod = incremental_bench
-        runner = functools.partial(
-            incremental_bench.run_incremental_bench,
-            batch_frac=args.batch_frac,
-        )
-    elif args.recovery:
-        from repro.experiments import recovery as recovery_bench
-
-        bench_mod = recovery_bench
-        runner = recovery_bench.run_recovery_bench
-    elif args.rebalance:
-        from repro.experiments import rebalance as rebalance_bench
-
-        bench_mod = rebalance_bench
-        runner = rebalance_bench.run_rebalance_bench
-    else:
-        bench_mod = wirebench if args.wire else hotpath
-        runner = (
-            wirebench.run_wire_bench if args.wire else hotpath.run_hotpath_bench
-        )
-    report = runner(
-        dataset=args.dataset,
-        ranks=args.ranks,
-        seed=args.seed,
-        scale_shift=args.scale_shift,
-        sources=[int(s) for s in args.sources.split(",") if s],
-        edge_subbuckets=args.subbuckets,
-        queries=[q for q in args.queries.split(",") if q],
-        wire=_wire_config(args),
-    )
-    if output != "-":
-        with open(output, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(bench_mod.render(report))
-        if output != "-":
-            print(f"[report written to {output}]")
-    if not report["all_identical"]:
-        return 1
-    if baseline is not None:
-        from repro.obs.analysis import compare_bench_snapshots, render_bench_comparison
-
-        try:
-            comparison = compare_bench_snapshots(
-                baseline, report, tolerance_pct=args.tolerance
-            )
-        except ValueError as exc:
-            raise SystemExit(f"cannot compare against {args.compare}: {exc}")
-        print(render_bench_comparison(comparison))
-        return 0 if comparison["ok"] else 1
-    return 0
-
-
 def _cmd_trace_report(args: argparse.Namespace) -> int:
     from repro.metrics.obsreport import render_rank_utilization, render_span_summary
     from repro.obs.analysis import (
@@ -861,10 +759,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(table1.render(table1.run_table1(defaults)))
     elif args.name == "table2":
         print(table2.render(table2.run_table2(defaults)))
-    elif args.name == "recovery":
-        from repro.experiments import recovery
-
-        print(recovery.render(recovery.run_recovery(defaults)))
     elif args.name == "all":
         for sub in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
                     "table1", "table2", "ablations"):
@@ -975,8 +869,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_update(args)
     if args.command == "query":
         return _cmd_query(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "trace-report":
         return _cmd_trace_report(args)
     return _cmd_experiment(args)

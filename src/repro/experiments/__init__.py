@@ -1,9 +1,11 @@
 """Experiment harnesses — one module per paper table/figure (§V).
 
 Each module exposes ``run_*`` returning structured results and a
-``render`` producing the paper-style table/series as text.  Benchmarks in
-``benchmarks/`` and the CLI both call these, so every number in
-EXPERIMENTS.md is regenerable two ways.
+``render`` producing the paper-style table/series as text.  The scripts in
+``benchmarks/`` and ``paralagg experiment`` both call these, so every
+paper-side number in EXPERIMENTS.md is regenerable two ways.  They are the
+reproduction, not a ruler: the repo's own performance is measured by
+``bench/`` (``BENCHMARK.json``) and nowhere else.
 
 Scaling knobs (environment variables, read at call time):
 

@@ -17,6 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graphs.types import Graph
+from repro.util.hashing import HashSeed, hash_columns
 
 
 def _rng(seed: Optional[int]) -> np.random.Generator:
@@ -190,3 +191,54 @@ def complete(n: int, *, name: str = "complete", category: str = "dense") -> Grap
     edges = np.column_stack([src.ravel(), dst.ravel()]).astype(np.int64)
     edges = edges[edges[:, 0] != edges[:, 1]]
     return Graph(edges=edges, n_nodes=n, name=name, category=category)
+
+
+def skewed_hub_graph(
+    dataset: str,
+    *,
+    ranks: int,
+    seed: int,
+    scale_shift: int = 0,
+    hub_frac: float = 0.3,
+    max_weight: int = 4,
+) -> Graph:
+    """``dataset`` plus a hub cluster that lands in one hash bucket.
+
+    The paper's celebrity-vertex pathology, concentrated: a single vertex
+    cannot carry more than ``n_nodes`` distinct out-edges, so the hot
+    bucket is built from *every* vertex whose join key hashes to one
+    bucket under the engine's actual placement (the store derives its
+    :class:`~repro.util.hashing.HashSeed` from ``seed``, replicated here).
+    Each hub gets a run of distinct targets until the hub edges make up
+    ``hub_frac`` of the total — one bucket owning ~30% of the relation,
+    which a 1-sub-bucket placement pins to a single rank.
+    """
+    # datasets.py builds its stand-ins from this module's generators.
+    from repro.graphs.datasets import load_dataset
+
+    g = load_dataset(
+        dataset, seed=seed, scale_shift=scale_shift, max_weight=max_weight
+    )
+    hseed = HashSeed().derive(seed)
+    verts = np.arange(g.n_nodes, dtype=np.int64)[:, None]
+    buckets = hash_columns(verts, (0,), seed=hseed.bucket) % np.uint64(ranks)
+    hot = int(buckets[0])
+    hubs = np.flatnonzero(buckets == hot)
+    k_total = int(g.n_edges * hub_frac / (1.0 - hub_frac))
+    per_hub = min(g.n_nodes - 1, -(-k_total // max(len(hubs), 1)))
+    blocks = []
+    made = 0
+    for h in hubs:
+        if made >= k_total:
+            break
+        d = min(per_hub, k_total - made)
+        targets = (h + 1 + np.arange(d)) % g.n_nodes
+        weights = 1 + (h + targets) % max_weight
+        blocks.append(
+            np.stack([np.full(d, h), targets, weights], axis=1)
+        )
+        made += d
+    edges = np.vstack([g.edges] + [b.astype(np.int64) for b in blocks])
+    return Graph(
+        edges, g.n_nodes, name=f"{g.name}_hub", category="synthetic"
+    )

@@ -31,8 +31,7 @@ that produces all of it:
 :mod:`repro.obs.analysis`
     The diagnostics plane over all of the above: per-exchange rank×rank
     communication matrices, critical-path attribution on the modeled
-    timeline, the skew doctor, flamegraph/heatmap exports, and the
-    versioned bench-snapshot regression gate.
+    timeline, the skew doctor, and flamegraph/heatmap exports.
 
 Typical use::
 
@@ -54,11 +53,9 @@ from repro.obs.analysis import (
     Diagnosis,
     DiagnosticsReport,
     SkewReport,
-    compare_bench_snapshots,
     critical_path,
     diagnose,
     diagnose_skew,
-    validate_bench_snapshot,
 )
 from repro.obs.metrics import (
     Counter,
@@ -89,9 +86,7 @@ __all__ = [
     "SkewReport",
     "Span",
     "Tracer",
-    "compare_bench_snapshots",
     "critical_path",
     "diagnose",
     "diagnose_skew",
-    "validate_bench_snapshot",
 ]

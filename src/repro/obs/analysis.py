@@ -35,11 +35,9 @@ trace-report``): span loaders in :mod:`repro.obs.export` reconstruct the
 span stream, and comm matrices ride along as ``comm_matrix`` instant
 spans when diagnostics are enabled.
 
-The module also owns the **perf-regression contract**: versioned
-``BENCH_*.json`` snapshots (:func:`stamp_bench_snapshot`,
-:func:`validate_bench_snapshot`) and :func:`compare_bench_snapshots`,
-which gates on *modeled*-time drift — deterministic, machine-independent
-— while reporting host-wall drift as advisory only.
+Everything here *explains* one run; nothing here compares two.  Whether a
+change made the engine faster or slower on either clock is ``bench/``'s
+question (``bench/compare.py`` against the parent commit).
 """
 
 from __future__ import annotations
@@ -47,9 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-#: Bumped when the BENCH_*.json layout changes incompatibly.
-BENCH_SCHEMA_VERSION = 2
 
 #: Channel names inside a comm matrix.  ``data`` is first-transmission
 #: traffic; ``retransmit`` is fault-recovery traffic (tagged separately so
@@ -1012,217 +1007,3 @@ def diagnose(
         comm_profile=comm_profile,
         reconciliation=reconciliation,
     )
-
-
-# ===================================================== bench snapshots
-
-
-def git_sha(default: str = "unknown") -> str:
-    """Best-effort git SHA of the working tree (for snapshot stamping)."""
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return default
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else default
-
-
-def stamp_bench_snapshot(report: Dict[str, Any]) -> Dict[str, Any]:
-    """Add the provenance/versioning envelope to a bench report (in place).
-
-    Stamps ``schema_version``, git SHA, UTC timestamp, and the python /
-    numpy versions — everything needed to judge whether two snapshots are
-    comparable at all.
-    """
-    import datetime
-    import platform
-
-    import numpy
-
-    report["schema_version"] = BENCH_SCHEMA_VERSION
-    report["git_sha"] = git_sha()
-    report["timestamp"] = datetime.datetime.now(
-        datetime.timezone.utc
-    ).isoformat(timespec="seconds")
-    report["python_version"] = platform.python_version()
-    report["numpy_version"] = numpy.__version__
-    return report
-
-
-def validate_bench_snapshot(snapshot: Mapping[str, Any]) -> Dict[str, Any]:
-    """Check a BENCH_*.json snapshot; returns a summary or raises ValueError.
-
-    Rejects malformed snapshots (missing sections) and stale ones
-    (``schema_version`` absent or older than :data:`BENCH_SCHEMA_VERSION`)
-    with a diagnostic instead of a ``KeyError`` deep in comparison code.
-    """
-    if not isinstance(snapshot, Mapping):
-        raise ValueError(f"bench snapshot must be an object, got "
-                         f"{type(snapshot).__name__}")
-    version = snapshot.get("schema_version")
-    if version is None:
-        raise ValueError(
-            "stale bench snapshot: no 'schema_version' (predates schema v"
-            f"{BENCH_SCHEMA_VERSION}); regenerate with `paralagg bench`"
-        )
-    if version != BENCH_SCHEMA_VERSION:
-        raise ValueError(
-            f"bench snapshot schema v{version} is not the supported v"
-            f"{BENCH_SCHEMA_VERSION}; regenerate with `paralagg bench`"
-        )
-    for key in ("benchmark", "dataset", "ranks", "seed", "scale_shift",
-                "queries", "git_sha", "timestamp"):
-        if key not in snapshot:
-            raise ValueError(f"malformed bench snapshot: missing {key!r}")
-    queries = snapshot["queries"]
-    if not isinstance(queries, Mapping) or not queries:
-        raise ValueError("malformed bench snapshot: 'queries' empty")
-    for query, q in queries.items():
-        for key in ("scalar", "columnar", "speedup"):
-            if key not in q:
-                raise ValueError(
-                    f"malformed bench snapshot: queries[{query!r}] missing "
-                    f"{key!r}"
-                )
-        for executor in ("scalar", "columnar"):
-            e = q[executor]
-            for key in ("modeled_seconds", "wall_seconds", "iterations"):
-                if key not in e:
-                    raise ValueError(
-                        f"malformed bench snapshot: "
-                        f"queries[{query!r}][{executor!r}] missing {key!r}"
-                    )
-    return {
-        "schema_version": version,
-        "git_sha": snapshot["git_sha"],
-        "timestamp": snapshot["timestamp"],
-        "queries": sorted(queries),
-    }
-
-
-def compare_bench_snapshots(
-    baseline: Mapping[str, Any],
-    current: Mapping[str, Any],
-    *,
-    tolerance_pct: float = 5.0,
-    wall_tolerance_pct: float = 50.0,
-) -> Dict[str, Any]:
-    """Compare two bench snapshots; gate on modeled-time regressions.
-
-    Modeled seconds are produced by a deterministic simulation, so any
-    drift beyond ``tolerance_pct`` is a behavioral change in the engine —
-    a hard regression (``ok: False``).  Host wall seconds vary by
-    machine, so wall drift beyond ``wall_tolerance_pct`` is reported as a
-    warning only.  Both snapshots are validated first, and must describe
-    the same workload (dataset/ranks/seed/scale).
-    """
-    validate_bench_snapshot(baseline)
-    validate_bench_snapshot(current)
-    for key in ("dataset", "ranks", "seed", "scale_shift"):
-        if baseline[key] != current[key]:
-            raise ValueError(
-                f"snapshots are not comparable: {key} differs "
-                f"({baseline[key]!r} vs {current[key]!r})"
-            )
-    regressions: List[Dict[str, Any]] = []
-    warnings: List[Dict[str, Any]] = []
-    checks: List[Dict[str, Any]] = []
-    shared = sorted(set(baseline["queries"]) & set(current["queries"]))
-    if not shared:
-        raise ValueError("snapshots share no queries; nothing to compare")
-    for query in shared:
-        for executor in ("scalar", "columnar"):
-            b = baseline["queries"][query][executor]
-            c = current["queries"][query][executor]
-            b_mod, c_mod = b["modeled_seconds"], c["modeled_seconds"]
-            drift_pct = (
-                100.0 * (c_mod - b_mod) / b_mod if b_mod > 0 else 0.0
-            )
-            entry = {
-                "query": query,
-                "executor": executor,
-                "metric": "modeled_seconds",
-                "baseline": b_mod,
-                "current": c_mod,
-                "drift_pct": drift_pct,
-            }
-            checks.append(entry)
-            if drift_pct > tolerance_pct:
-                regressions.append(entry)
-            if b["iterations"] != c["iterations"]:
-                regressions.append({
-                    "query": query,
-                    "executor": executor,
-                    "metric": "iterations",
-                    "baseline": b["iterations"],
-                    "current": c["iterations"],
-                    "drift_pct": float("inf"),
-                })
-            b_wall, c_wall = b["wall_seconds"], c["wall_seconds"]
-            wall_drift = (
-                100.0 * (c_wall - b_wall) / b_wall if b_wall > 0 else 0.0
-            )
-            if wall_drift > wall_tolerance_pct:
-                warnings.append({
-                    "query": query,
-                    "executor": executor,
-                    "metric": "wall_seconds",
-                    "baseline": b_wall,
-                    "current": c_wall,
-                    "drift_pct": wall_drift,
-                })
-    return {
-        "ok": not regressions,
-        "tolerance_pct": tolerance_pct,
-        "wall_tolerance_pct": wall_tolerance_pct,
-        "queries": shared,
-        "checks": checks,
-        "regressions": regressions,
-        "warnings": warnings,
-        "baseline_sha": baseline.get("git_sha"),
-        "current_sha": current.get("git_sha"),
-    }
-
-
-def render_bench_comparison(comparison: Mapping[str, Any]) -> str:
-    """Human-readable table of a snapshot comparison."""
-    lines = [
-        f"bench compare vs baseline {comparison.get('baseline_sha', '?')} "
-        f"(modeled tolerance {comparison['tolerance_pct']:.1f}%)",
-        f"  {'query':8s} {'executor':9s} {'baseline s':>12s} "
-        f"{'current s':>12s} {'drift':>8s}",
-    ]
-    for check in comparison["checks"]:
-        flag = (
-            "  REGRESSION"
-            if check["drift_pct"] > comparison["tolerance_pct"]
-            else ""
-        )
-        lines.append(
-            f"  {check['query']:8s} {check['executor']:9s} "
-            f"{check['baseline']:12.6f} {check['current']:12.6f} "
-            f"{check['drift_pct']:+7.2f}%{flag}"
-        )
-    for warn in comparison["warnings"]:
-        lines.append(
-            f"  warning: {warn['query']}/{warn['executor']} wall time "
-            f"drifted {warn['drift_pct']:+.1f}% (advisory; machines differ)"
-        )
-    for reg in comparison["regressions"]:
-        if reg["metric"] == "iterations":
-            lines.append(
-                f"  REGRESSION: {reg['query']}/{reg['executor']} iteration "
-                f"count changed {reg['baseline']} -> {reg['current']}"
-            )
-    verdict = "PASS" if comparison["ok"] else "FAIL"
-    lines.append(
-        f"  verdict: {verdict} "
-        f"({len(comparison['regressions'])} regression(s), "
-        f"{len(comparison['warnings'])} warning(s))"
-    )
-    return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Diagnostics plane: comm matrices, critical path, skew doctor, bench gate.
+"""Diagnostics plane: comm matrices, critical path, skew doctor.
 
 The load-bearing invariants (ISSUE 6 acceptance criteria):
 
@@ -8,13 +8,10 @@ The load-bearing invariants (ISSUE 6 acceptance criteria):
   comm counters (data and retransmit channels separately);
 * critical-path phase attributions sum to the ledger's total modeled
   time within 1e-6 relative tolerance, online and offline;
-* `compare_bench_snapshots` flags a synthetic 10% modeled slowdown and
-  passes on an identical snapshot;
 * chaos runs traced with diagnostics pass both trace validators, contain
   recovery spans, and show retransmit bytes only in the fault channel.
 """
 
-import copy
 import json
 import math
 
@@ -25,21 +22,16 @@ from repro.comm.asyncmpi import run_spmd
 from repro.faults import FaultConfig
 from repro.obs import Tracer
 from repro.obs.analysis import (
-    BENCH_SCHEMA_VERSION,
     CommMatrix,
     CommMatrixRecorder,
     collapsed_stacks,
-    compare_bench_snapshots,
     comm_profile_from_spans,
     critical_path,
     diagnose,
     diagnose_skew,
     gini,
-    render_bench_comparison,
     render_comm_heatmap,
     render_compute_heatmap,
-    stamp_bench_snapshot,
-    validate_bench_snapshot,
     write_flamegraph,
 )
 from repro.obs.export import load_trace, validate_trace_file
@@ -489,131 +481,6 @@ class TestChaosTracing:
         spans, metrics, _ = load_trace(str(path))
         offline = diagnose(spans, metrics=metrics)
         assert offline.reconciliation["ok"]
-
-
-# ------------------------------------------------------------ bench snapshots
-
-
-def _fake_snapshot(modeled=1.0, iterations=10, **overrides):
-    snap = {
-        "benchmark": "hotpath_executor",
-        "dataset": "twitter_like",
-        "ranks": 64,
-        "seed": 42,
-        "scale_shift": 0,
-        "queries": {
-            "sssp": {
-                "scalar": {
-                    "modeled_seconds": modeled,
-                    "wall_seconds": 2.0,
-                    "iterations": iterations,
-                },
-                "columnar": {
-                    "modeled_seconds": modeled,
-                    "wall_seconds": 1.0,
-                    "iterations": iterations,
-                },
-                "speedup": 2.0,
-            },
-        },
-    }
-    snap.update(overrides)
-    return stamp_bench_snapshot(snap)
-
-
-class TestBenchSnapshots:
-    def test_stamp_fields(self):
-        snap = _fake_snapshot()
-        assert snap["schema_version"] == BENCH_SCHEMA_VERSION
-        assert snap["git_sha"]
-        assert snap["timestamp"].endswith("+00:00")
-        assert snap["python_version"].count(".") == 2
-        validate_bench_snapshot(snap)
-
-    def test_stale_snapshot_rejected(self):
-        snap = _fake_snapshot()
-        del snap["schema_version"]
-        with pytest.raises(ValueError, match="stale bench snapshot"):
-            validate_bench_snapshot(snap)
-
-    def test_old_schema_rejected(self):
-        snap = _fake_snapshot()
-        snap["schema_version"] = 1
-        with pytest.raises(ValueError, match="schema v1"):
-            validate_bench_snapshot(snap)
-
-    def test_malformed_rejected(self):
-        snap = _fake_snapshot()
-        del snap["queries"]["sssp"]["columnar"]["modeled_seconds"]
-        with pytest.raises(ValueError, match="missing 'modeled_seconds'"):
-            validate_bench_snapshot(snap)
-        with pytest.raises(ValueError, match="must be an object"):
-            validate_bench_snapshot([])
-
-    def test_identical_snapshot_passes(self):
-        snap = _fake_snapshot()
-        cmp = compare_bench_snapshots(snap, copy.deepcopy(snap))
-        assert cmp["ok"] and not cmp["regressions"]
-        assert "PASS" in render_bench_comparison(cmp)
-
-    def test_ten_percent_slowdown_flagged(self):
-        base = _fake_snapshot(modeled=1.0)
-        slow = copy.deepcopy(base)
-        for q in slow["queries"].values():
-            for ex in ("scalar", "columnar"):
-                q[ex]["modeled_seconds"] *= 1.10
-        cmp = compare_bench_snapshots(base, slow, tolerance_pct=5.0)
-        assert not cmp["ok"]
-        assert len(cmp["regressions"]) == 2
-        assert all(
-            r["drift_pct"] == pytest.approx(10.0) for r in cmp["regressions"]
-        )
-        assert "FAIL" in render_bench_comparison(cmp)
-        # A generous tolerance lets the same drift through.
-        assert compare_bench_snapshots(base, slow, tolerance_pct=15.0)["ok"]
-
-    def test_speedup_is_not_a_regression(self):
-        base = _fake_snapshot(modeled=1.0)
-        fast = copy.deepcopy(base)
-        for q in fast["queries"].values():
-            for ex in ("scalar", "columnar"):
-                q[ex]["modeled_seconds"] *= 0.5
-        assert compare_bench_snapshots(base, fast)["ok"]
-
-    def test_iteration_change_is_gating(self):
-        base = _fake_snapshot(iterations=10)
-        drifted = copy.deepcopy(base)
-        for q in drifted["queries"].values():
-            q["columnar"]["iterations"] = 11
-        cmp = compare_bench_snapshots(base, drifted)
-        assert not cmp["ok"]
-        assert any(r["metric"] == "iterations" for r in cmp["regressions"])
-
-    def test_wall_drift_is_advisory(self):
-        base = _fake_snapshot()
-        slow_host = copy.deepcopy(base)
-        for q in slow_host["queries"].values():
-            for ex in ("scalar", "columnar"):
-                q[ex]["wall_seconds"] *= 3.0
-        cmp = compare_bench_snapshots(base, slow_host)
-        assert cmp["ok"]  # wall time never gates
-        assert cmp["warnings"]
-
-    def test_incompatible_workloads_rejected(self):
-        base = _fake_snapshot()
-        other = _fake_snapshot(ranks=128)
-        with pytest.raises(ValueError, match="not comparable"):
-            compare_bench_snapshots(base, other)
-
-    def test_real_bench_report_validates(self, tmp_path):
-        from repro.experiments.hotpath import run_hotpath_bench
-
-        report = run_hotpath_bench(
-            ranks=8, scale_shift=5, queries=("sssp",), sources=(0,)
-        )
-        validate_bench_snapshot(report)
-        cmp = compare_bench_snapshots(report, copy.deepcopy(report))
-        assert cmp["ok"]
 
 
 # --------------------------------------------------------------------- sssp

@@ -218,16 +218,6 @@ class TestCliFlagRoundTrip:
         assert config.seed == EngineConfig().seed
         assert config.subbuckets == {}
 
-    def test_bench_flags_parse(self):
-        args = self.parse([
-            "bench", "--incremental", "--batch-frac", "0.02",
-            "--ranks", "8", "--seed", "3", "--queries", "sssp",
-        ])
-        assert args.incremental is True
-        assert args.batch_frac == pytest.approx(0.02)
-        assert args.ranks == 8 and args.seed == 3
-        assert args.queries == "sssp"
-
     def test_invalid_cli_combo_exits_with_flag_hint(self):
         args = self.parse([
             "run", "sssp", "--faults", "crash_perm=1@5",
