@@ -781,7 +781,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.planner.parser import parse_program
+    from repro.planner.parser import DatalogSyntaxError, parse_program
     from repro.runtime.engine import Engine
 
     if args.spmd:
@@ -795,8 +795,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"{'/'.join(refused)} require the BSP driver (drop --spmd)"
             )
-    source = pathlib.Path(args.file).read_text()
-    parsed = parse_program(source)
+    try:
+        parsed = parse_program(pathlib.Path(args.file).read_text())
+    except OSError as exc:
+        raise SystemExit(f"cannot read program {args.file}: {exc.strerror}")
+    except DatalogSyntaxError as exc:
+        raise SystemExit(f"{args.file}: {exc}")
     tracer = Tracer() if args.trace or _want_diagnostics(args) else None
     config = _engine_config(args, tracer=tracer)
     file_inputs = dict(parsed.inputs)
@@ -807,7 +811,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
         file_inputs[rel] = path
     all_facts = {name: list(rows) for name, rows in parsed.facts.items()}
     for rel, path in file_inputs.items():
-        rows = np.loadtxt(path, dtype=np.int64, ndmin=2)
+        try:
+            rows = np.loadtxt(path, dtype=np.int64, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"cannot read facts for {rel!r} from {path}: {exc}")
         all_facts.setdefault(rel, []).extend(
             tuple(int(v) for v in r) for r in rows
         )

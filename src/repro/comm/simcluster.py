@@ -18,6 +18,10 @@ Two properties make the simulation *honest*:
 
 Sparse representation: with 16,384 ranks almost all send matrices are
 sparse, so sends are ``dict[dst, payload]`` per source, not dense lists.
+
+The cluster offers the three collectives the engine calls (``allreduce``,
+``allgather``, ``alltoallv``); point-to-point sends, ``bcast`` and
+``barrier`` live on the per-rank substrate, :mod:`repro.comm.asyncmpi`.
 """
 
 from __future__ import annotations
@@ -48,10 +52,10 @@ class SimCluster:
         seconds — through it.  Defaults to the zero-overhead no-op.
     comm_recorder:
         Diagnostics hook (:class:`repro.obs.analysis.CommMatrixRecorder`).
-        When set, every :meth:`alltoallv` / :meth:`p2p_exchange` captures
-        its rank×rank traffic matrix (bytes + tuple counts, retransmits in
-        a separate channel).  Observation only — charges and results are
-        bit-identical with or without it.
+        When set, every :meth:`alltoallv` captures its rank×rank traffic
+        matrix (bytes + tuple counts, retransmits in a separate channel).
+        Observation only — charges and results are bit-identical with or
+        without it.
     """
 
     def __init__(
@@ -185,32 +189,6 @@ class SimCluster:
             )
         )
         return list(per_rank_values)
-
-    def bcast(self, value: Any, *, nbytes: int = BYTES_PER_WORD, phase: str = "comm") -> Any:
-        """Broadcast from a root; returns the value (identical on all ranks)."""
-        self._superstep("bcast")
-        self.ledger.add_comm(
-            CommEvent(
-                kind="bcast",
-                phase=phase,
-                nbytes=nbytes,
-                messages=self.n_ranks - 1,
-                seconds=self.cost.bcast(self.n_ranks, nbytes),
-            )
-        )
-        return value
-
-    def barrier(self, *, phase: str = "comm") -> None:
-        self._superstep("barrier")
-        self.ledger.add_comm(
-            CommEvent(
-                kind="barrier",
-                phase=phase,
-                nbytes=0,
-                messages=self.n_ranks,
-                seconds=self.cost.barrier(self.n_ranks),
-            )
-        )
 
     def alltoallv(
         self,
@@ -535,105 +513,3 @@ class SimCluster:
             )
             pending = still
         return n_delivered, n_dup_tuples
-
-    def p2p_exchange(
-        self,
-        messages: Iterable[Tuple[int, int, Any, int]],
-        *,
-        phase: str = "comm",
-    ) -> Dict[int, List[Any]]:
-        """Point-to-point batch (``MPI_Isend``/``Irecv`` pairs).
-
-        ``messages`` yields ``(src, dst, payload, nbytes)``.  Unlike
-        :meth:`alltoallv`, every message pays full per-message latency —
-        this is what makes the SociaLite-style per-tuple messaging baseline
-        expensive at scale.
-
-        Under an active fault plane each wire message is independently
-        dropped / duplicated / corrupted and recovered by checksum-guarded
-        bounded retransmission, exactly like :meth:`alltoallv`.
-        """
-        plane = self.faults
-        step = self._superstep("p2p")
-        matrix = (
-            self.comm_recorder.begin("p2p", phase)
-            if self.comm_recorder is not None
-            else None
-        )
-        faulty = plane is not None and plane.has_message_faults
-        recv: Dict[int, List[Any]] = {}
-        total_bytes = 0
-        count = 0
-        max_seconds = 0.0
-        retrans_bytes = 0
-        retrans_msgs = 0
-        #: Distinct fault draws for repeated (src, dst) pairs in one batch.
-        seq: Dict[Tuple[int, int], int] = {}
-        for src, dst, payload, nbytes in messages:
-            if not faulty or src == dst:
-                recv.setdefault(dst, []).append(payload)
-            else:
-                # Attempt ids are striped per (src, dst) sequence number so
-                # every message draws an independent fault stream.
-                base = seq.get((src, dst), 0)
-                seq[(src, dst)] = base + 1
-                policy = plane.config.retry_policy()
-                stride = policy.max_retries + 2
-                checksum = payload_checksum(payload)
-                delivered = 0
-                attempt = 0
-                while True:
-                    for copy_payload, intact in plane.deliveries(
-                        step, src, dst, payload, base * stride + attempt
-                    ):
-                        if (
-                            not intact
-                            and payload_checksum(copy_payload) != checksum
-                        ):
-                            plane.stats.detected_corruptions += 1
-                            continue
-                        recv.setdefault(dst, []).append(copy_payload)
-                        delivered += 1
-                    if delivered:
-                        break
-                    attempt += 1
-                    if policy.exhausted(attempt):
-                        raise classify_loss(plane, src, dst, attempt)
-                    plane.stats.retransmits += 1
-                    plane.stats.retransmitted_bytes += nbytes
-                    retrans_bytes += nbytes
-                    retrans_msgs += 1
-                    if matrix is not None:
-                        matrix.add(src, dst, nbytes, 1, retransmit=True)
-            if matrix is not None:
-                matrix.add(src, dst, 0 if src == dst else nbytes, 1)
-            if src != dst:
-                total_bytes += nbytes
-                count += 1
-                max_seconds = max(max_seconds, self.cost.p2p(nbytes))
-        # Messages between distinct pairs overlap; serialization at the
-        # busiest endpoint is approximated by the latency sum over messages
-        # divided by the rank count (uniform traffic assumption).
-        overlap_seconds = (count * self.cost.alpha) / max(1, self.n_ranks)
-        self.ledger.add_comm(
-            CommEvent(
-                kind="p2p",
-                phase=phase,
-                nbytes=total_bytes,
-                messages=count,
-                seconds=max(max_seconds, overlap_seconds)
-                + total_bytes / self.cost.beta / max(1, self.n_ranks),
-            )
-        )
-        if retrans_msgs:
-            self.ledger.add_comm(
-                CommEvent(
-                    kind="retransmit",
-                    phase=phase,
-                    nbytes=retrans_bytes,
-                    messages=retrans_msgs,
-                    seconds=retrans_msgs * self.cost.alpha
-                    + retrans_bytes / self.cost.beta,
-                )
-            )
-        return recv

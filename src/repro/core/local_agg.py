@@ -41,25 +41,9 @@ import numpy as np
 from repro.core.aggregators import RecursiveAggregator
 from repro.ds.btree import BTreeMap
 from repro.relational.schema import Schema
+from repro.util.getters import tuple_getter
 
 TupleT = Tuple[int, ...]
-
-
-def _tuple_getter(cols: Tuple[int, ...]):
-    """Compile a fast column extractor returning a tuple.
-
-    ``operator.itemgetter`` returns a bare value for one index, so the
-    single-column case is special-cased to keep keys uniformly tuples.
-    """
-    if not cols:
-        empty: TupleT = ()
-        return lambda t: empty
-    if len(cols) == 1:
-        c = cols[0]
-        return lambda t: (t[c],)
-    import operator
-
-    return operator.itemgetter(*cols)
 
 
 class AbsorbStats:
@@ -178,8 +162,8 @@ class _ShardBase:
         pure insertion, never aggregation.  Insertion in delivery order
         reproduces the nested ``jk → other`` iteration order.
         """
-        key_of = _tuple_getter(self.schema.join_cols)
-        other_of = _tuple_getter(self.schema.other_cols)
+        key_of = tuple_getter(self.schema.join_cols)
+        other_of = tuple_getter(self.schema.other_cols)
         full = self.full
         for t in map(tuple, full_rows.tolist()):
             jk = key_of(t)
@@ -211,8 +195,8 @@ class _ShardBase:
         delta: Dict[TupleT, Dict[TupleT, TupleT]] = {}
         n = 0
         if delta_rows.shape[0]:
-            key_of = _tuple_getter(self.schema.join_cols)
-            other_of = _tuple_getter(self.schema.other_cols)
+            key_of = tuple_getter(self.schema.join_cols)
+            other_of = tuple_getter(self.schema.other_cols)
             for t in map(tuple, delta_rows.tolist()):
                 jk = key_of(t)
                 group = delta.get(jk)
@@ -242,8 +226,8 @@ class PlainShard(_ShardBase):
         baseline engines that re-shuffle improvements).
         """
         schema = self.schema
-        key_of = _tuple_getter(schema.join_cols)
-        other_of = _tuple_getter(schema.other_cols)
+        key_of = tuple_getter(schema.join_cols)
+        other_of = tuple_getter(schema.other_cols)
         full = self.full
         next_delta = self._next_delta
         admitted = 0
@@ -305,8 +289,8 @@ class AggregateShard(_ShardBase):
         ``collect``, if given, receives the materialized improved tuples.
         """
         schema = self.schema
-        key_of = _tuple_getter(schema.join_cols)
-        other_of = _tuple_getter(schema.other_cols)
+        key_of = tuple_getter(schema.join_cols)
+        other_of = tuple_getter(schema.other_cols)
         n_indep = schema.n_indep
         agg = self.aggregator.partial_agg
         full = self.full

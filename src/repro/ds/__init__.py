@@ -4,12 +4,8 @@
     An in-memory B-tree map/set.  PARALAGG stores the *inner* relation of
     every join in "a nested BTree data structure" (paper §IV-D) to get
     ``O(log n)`` probes during local joins; this module is that substrate.
-:mod:`repro.ds.interner`
-    Symbol interning: maps external identifiers (strings, vertex labels) to
-    dense integer codes, as Datalog engines do before evaluation.
 """
 
 from repro.ds.btree import BTreeMap, BTreeSet
-from repro.ds.interner import Interner
 
-__all__ = ["BTreeMap", "BTreeSet", "Interner"]
+__all__ = ["BTreeMap", "BTreeSet"]

@@ -2,7 +2,7 @@
 
 ``repro.kernels`` is the vectorized twin of the engine's per-tuple
 pipeline: every phase consumes and produces ``numpy`` int64 row-blocks
-(:class:`~repro.kernels.block.TupleBlock`) instead of Python tuple lists.
+(C-contiguous ``(n, arity)`` arrays) instead of Python tuple lists.
 
 The layer is **behaviour-preserving by construction**: each kernel
 replays the scalar path's sequential semantics (arrival order inside a
@@ -12,7 +12,7 @@ properties are bit-for-bit identical across ``EngineConfig.executor``
 settings.  See DESIGN.md §8 for the layout and the fallback rules.
 """
 
-from repro.kernels.block import TupleBlock, concat_ranges, lex_group
+from repro.kernels.block import concat_ranges, lex_group
 from repro.kernels.absorb import (
     ColumnarAggregateShard,
     ColumnarPlainShard,
@@ -22,7 +22,6 @@ from repro.kernels.join import RankJoinIndex
 from repro.kernels.route import build_intra_sends, build_route_sends
 
 __all__ = [
-    "TupleBlock",
     "concat_ranges",
     "lex_group",
     "ColumnarPlainShard",

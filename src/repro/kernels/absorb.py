@@ -8,11 +8,12 @@ scalar path's *sequential* semantics exactly:
 * **admitted counts** — the scalar path admits every occurrence that
   improves the accumulator, so within-group arrival order matters
   (MIN absorbing 5,3,4 admits twice; 3,5,4 once).  The block kernel
-  groups rows by value (:func:`~repro.kernels.block.lex_group`, stable)
-  and folds occurrence *rounds* — each group's k-th arrival — with the
-  aggregator's vector kernel; groups with many duplicates switch to a
-  per-group ``ufunc.accumulate`` sequential fold.  Both reproduce the
-  per-occurrence improvement tests bit-for-bit.
+  groups rows by independent key (:func:`~repro.kernels.block.lex_group`,
+  stable, so a group's rows stay in arrival order) and runs one
+  :func:`~repro.kernels.block.segmented_scan` of the aggregator's
+  ``join``: the scan holds every group's accumulator after every
+  arrival, and the admitted count, each group's first improvement and
+  its final value are all read off that one array.
 * **Δ order** — the scalar Δ is a nested dict ordered by (first jk
   improvement, first group improvement).  The columnar shard records
   pending row ids in first-improvement order and reconstructs the
@@ -21,12 +22,16 @@ scalar path's *sequential* semantics exactly:
   first-admission, group admission); the columnar equivalent is a
   cached stable argsort over the append-ordered row store.
 
-Aggregators vectorize through a per-type registry
-(:func:`vector_combiner`): MIN/MAX/SUM/COUNT/ANY/UNION/MCOUNT.  Custom
-and product-lattice (:class:`~repro.core.aggregators.TupleAggregator`)
-aggregators have no vector kernel — ``make_shard`` then falls back to
-the scalar dict shard, whose ``absorb_block`` wrapper converts rows to
-tuples (exact, just slower).
+An aggregator vectorizes by supplying an associative ``join`` over
+arrays (:class:`VectorCombiner`, one per type in ``_COMBINERS``):
+MIN/MAX/SUM/COUNT/ANY/UNION/MCOUNT.  Custom and product-lattice
+(:class:`~repro.core.aggregators.TupleAggregator`) aggregators have
+none — ``make_shard`` then falls back to the scalar dict shard, whose
+``absorb_block`` wrapper converts rows to tuples (exact, just slower).
+
+The sender-side fold (:func:`combine_blocks`) is the module's other
+fold and deliberately not a scan: a sender needs only each group's
+total, so it halves and compacts instead of keeping every prefix.
 """
 
 from __future__ import annotations
@@ -50,10 +55,9 @@ from repro.kernels.block import (
     GrowBuf,
     GrowVec,
     as_rows,
-    concat_ranges,
     group_columns,
-    group_ids,
     lex_group,
+    segmented_scan,
 )
 from repro.relational.schema import Schema
 from repro.util.hashing import hash_columns
@@ -63,27 +67,17 @@ TupleT = Tuple[int, ...]
 #: Fixed salt for shard identity hashing (build and probe must agree).
 _IDENT_SEED = 0x1DE27C01
 
-#: Groups with more duplicates than this per batch leave the round loop
-#: and use a per-group sequential ``accumulate`` fold instead.
-_ROUNDS_LIMIT = 8
-
 
 class VectorCombiner:
-    """A lattice join lifted to arrays, plus its sequential fold.
+    """A lattice join lifted to arrays.
 
-    ``join(cur, new)`` combines two ``(g, n_dep)`` blocks elementwise;
-    ``accumulate(seq)`` returns the running fold of ``seq`` along axis 0
-    (``acc[i] = join(acc[i-1], seq[i])``, ``acc[0] = seq[0]``) — the
-    vectorized form of the scalar path's one-at-a-time absorption.
-
-    ``fold_rows``/``pad`` enable the *batched* duplicate-heavy fold: many
-    groups at once, one occurrence sequence per matrix row.  ``fold_rows``
-    accumulates a ``(groups, occurrences, n_dep)`` block along axis 1
-    with the same per-row semantics as ``accumulate``; ``pad`` is an
-    identity element (``join(x, pad) == x`` once an accumulator holds a
-    joined value), used to right-pad shorter sequences so the padding
-    can never register as an improvement.  Combiners without both fall
-    back to the per-group sequential fold.
+    ``join(cur, new)`` combines two ``(g, n_dep)`` blocks elementwise,
+    earlier arrivals on the left.  It must be associative — the one
+    property the receiver's segmented scan and the sender's halving fold
+    add to the scalar path's one-at-a-time absorption — and it is only
+    ever applied from a group's second value on, so a group's first
+    arrival is stored raw exactly as the scalar ``cur is None`` branch
+    stores it.
 
     ``combinable`` marks lattices where *sender-side* pre-folding of a
     send box commutes with receiver absorption: replacing a group's
@@ -96,25 +90,15 @@ class VectorCombiner:
     and hence which arrivals register as improvements.
     """
 
-    __slots__ = ("join", "accumulate", "fold_rows", "pad", "combinable")
+    __slots__ = ("join", "combinable")
 
     def __init__(
         self,
         join: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        accumulate: Callable[[np.ndarray], np.ndarray],
-        fold_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        pad: Optional[int] = None,
         combinable: bool = False,
     ):
         self.join = join
-        self.accumulate = accumulate
-        self.fold_rows = fold_rows
-        self.pad = pad
         self.combinable = combinable
-
-
-_I64_MAX = np.iinfo(np.int64).max
-_I64_MIN = np.iinfo(np.int64).min
 
 
 def _any_join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,67 +107,20 @@ def _any_join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a != 0) | (b != 0)).astype(np.int64)
 
 
-def _any_accumulate(seq: np.ndarray) -> np.ndarray:
-    acc = np.logical_or.accumulate(seq != 0, axis=0).astype(np.int64)
-    acc[0] = seq[0]  # first element is the raw init value, not normalized
-    return acc
-
-
-def _any_fold_rows(seq: np.ndarray) -> np.ndarray:
-    acc = np.logical_or.accumulate(seq != 0, axis=1).astype(np.int64)
-    acc[:, 0] = seq[:, 0]  # column 0 holds each group's raw init value
-    return acc
-
-
-def _mcount_combiner(agg: MCountAggregator) -> VectorCombiner:
+def _mcount_join(agg: MCountAggregator):
     bound = int(agg.lattice.bound)
-    return VectorCombiner(
-        join=lambda a, b: np.minimum(np.maximum(a, b), bound),
-        # min(max(c, v1..vk), B) — the clamp commutes with the running max.
-        accumulate=lambda s: np.minimum(np.maximum.accumulate(s, axis=0), bound),
-        fold_rows=lambda s: np.minimum(np.maximum.accumulate(s, axis=1), bound),
-        pad=_I64_MIN,
-        combinable=True,
-    )
+    return lambda a, b: np.minimum(np.maximum(a, b), bound)
 
 
 _COMBINERS: Dict[Type[RecursiveAggregator], Callable[[RecursiveAggregator], VectorCombiner]] = {
-    MinAggregator: lambda agg: VectorCombiner(
-        np.minimum, lambda s: np.minimum.accumulate(s, axis=0),
-        lambda s: np.minimum.accumulate(s, axis=1), _I64_MAX,
-        combinable=True,
-    ),
-    MaxAggregator: lambda agg: VectorCombiner(
-        np.maximum, lambda s: np.maximum.accumulate(s, axis=0),
-        lambda s: np.maximum.accumulate(s, axis=1), _I64_MIN,
-        combinable=True,
-    ),
-    SumAggregator: lambda agg: VectorCombiner(
-        np.add, lambda s: np.add.accumulate(s, axis=0),
-        lambda s: np.add.accumulate(s, axis=1), 0,
-    ),
-    CountAggregator: lambda agg: VectorCombiner(
-        np.add, lambda s: np.add.accumulate(s, axis=0),
-        lambda s: np.add.accumulate(s, axis=1), 0,
-    ),
-    AnyAggregator: lambda agg: VectorCombiner(
-        _any_join, _any_accumulate, _any_fold_rows, 0, combinable=True
-    ),
-    UnionAggregator: lambda agg: VectorCombiner(
-        np.bitwise_or, lambda s: np.bitwise_or.accumulate(s, axis=0),
-        lambda s: np.bitwise_or.accumulate(s, axis=1), 0,
-        combinable=True,
-    ),
-    MCountAggregator: _mcount_combiner,
+    MinAggregator: lambda agg: VectorCombiner(np.minimum, combinable=True),
+    MaxAggregator: lambda agg: VectorCombiner(np.maximum, combinable=True),
+    SumAggregator: lambda agg: VectorCombiner(np.add),
+    CountAggregator: lambda agg: VectorCombiner(np.add),
+    AnyAggregator: lambda agg: VectorCombiner(_any_join, combinable=True),
+    UnionAggregator: lambda agg: VectorCombiner(np.bitwise_or, combinable=True),
+    MCountAggregator: lambda agg: VectorCombiner(_mcount_join(agg), combinable=True),
 }
-
-
-def register_vector_combiner(
-    agg_type: Type[RecursiveAggregator],
-    factory: Callable[[RecursiveAggregator], VectorCombiner],
-) -> None:
-    """Register a vector kernel for a custom aggregator type."""
-    _COMBINERS[agg_type] = factory
 
 
 def vector_combiner(agg: RecursiveAggregator) -> Optional[VectorCombiner]:
@@ -213,6 +150,20 @@ def sender_fold_plan(schema: Schema) -> Tuple[Optional[VectorCombiner], bool]:
     if comb is not None and comb.combinable:
         return comb, True
     return None, False
+
+
+def _nested_perm(jkv: np.ndarray) -> np.ndarray:
+    """Stable permutation of rows into the scalar shards' nested dict order.
+
+    ``jkv`` holds each row's join-key columns.  A nested ``jk → other``
+    dict iterates jk groups by first occurrence and rows within a group
+    in arrival order, so a stable sort by each row's jk-first position
+    reproduces that iteration exactly.
+    """
+    order, starts, counts = lex_group(jkv)
+    key = np.empty(jkv.shape[0], dtype=np.int64)
+    key[order] = np.repeat(order[starts], counts)
+    return np.argsort(key, kind="stable")
 
 
 class _ColumnarShardBase:
@@ -268,10 +219,6 @@ class _ColumnarShardBase:
 
     # ------------------------------------------------------------- interface
 
-    @property
-    def n_full(self) -> int:
-        return self._data.n
-
     def full_size(self) -> int:
         return self._data.n
 
@@ -279,28 +226,19 @@ class _ColumnarShardBase:
         return int(self._delta_block.shape[0])
 
     def advance(self) -> int:
-        """Promote pending rows to Δ in the scalar path's nested order."""
+        """Promote pending rows to Δ in the scalar path's nested order.
+
+        ``_pending_ids`` is already in first-improvement order, which is
+        the arrival order :func:`_nested_perm` nests by.
+        """
         ids = self._pending_ids.view()
-        k = ids.shape[0]
-        if k == 0:
+        if ids.shape[0] == 0:
             self._delta_block = np.empty((0, self.schema.arity), dtype=np.int64)
             return 0
-        rows = self._data.view()[ids]  # materialized snapshot (copy)
-        jkv = rows[:, self._jk_cols]
-        order, starts, counts = lex_group(jkv)
-        # Outer dict order = first improvement of *any* group in the jk;
-        # inner order = first improvement of the group.  ids is already in
-        # first-improvement order, so a stable sort by each row's jk-first
-        # pending position reproduces the nested iteration exactly.
-        key = np.empty(k, dtype=np.int64)
-        key[order] = np.repeat(order[starts], counts)
-        self._delta_block = rows[np.argsort(key, kind="stable")]
+        k = self.install_delta(self._data.view()[ids])
         self._in_pending.view()[ids] = False
         self._pending_ids.clear()
         return k
-
-    def seed_delta_from_full(self) -> None:
-        self._delta_block = self.version_block("full").copy()
 
     def install_state(self, full_rows: np.ndarray, delta_rows: np.ndarray) -> None:
         """Install a redistributed fragment wholesale (rebalance exchange).
@@ -308,20 +246,12 @@ class _ColumnarShardBase:
         Only legal on a freshly created shard at an iteration boundary
         (no pending rows).  Appending ``full_rows`` in delivery order makes
         :meth:`_nested_order` reproduce the scalar shard's nested iteration
-        exactly; the Δ block is normalized into the same nested order a
-        dict shard gets for free from insertion order.
+        exactly; Δ goes through :meth:`install_delta`.
         """
         if full_rows.shape[0]:
             self._append_rows(np.ascontiguousarray(full_rows))
             self.full_gen += 1
-        k = delta_rows.shape[0]
-        if k:
-            rows = np.ascontiguousarray(delta_rows)
-            jkv = rows[:, self._jk_cols]
-            order, starts, counts = lex_group(jkv)
-            key = np.empty(k, dtype=np.int64)
-            key[order] = np.repeat(order[starts], counts)
-            self._delta_block = rows[np.argsort(key, kind="stable")]
+        self.install_delta(delta_rows)
 
     def install_delta(self, delta_rows: np.ndarray) -> int:
         """Replace Δ wholesale with the given rows (incremental seeding).
@@ -332,31 +262,19 @@ class _ColumnarShardBase:
         the installed Δ identically.  The full store and pending rows are
         untouched.
         """
-        k = int(delta_rows.shape[0])
-        if not k:
-            self._delta_block = np.empty((0, self.schema.arity), dtype=np.int64)
-            return 0
-        rows = np.ascontiguousarray(delta_rows, dtype=np.int64)
-        jkv = rows[:, self._jk_cols]
-        order, starts, counts = lex_group(jkv)
-        key = np.empty(k, dtype=np.int64)
-        key[order] = np.repeat(order[starts], counts)
-        self._delta_block = rows[np.argsort(key, kind="stable")]
-        return k
+        rows = as_rows(delta_rows, self.schema.arity)
+        if rows.shape[0]:
+            rows = rows[_nested_perm(rows[:, self._jk_cols])]
+        self._delta_block = rows
+        return int(rows.shape[0])
 
     # -------------------------------------------------------------- ordering
 
     def _nested_order(self) -> np.ndarray:
         """Stable permutation of the row store into nested (jk, group) order."""
-        if self._nested_gen == self.full_gen:
-            return self._nested_cache
-        n = self._data.n
-        jkv = self._data.view()[:, self._jk_cols]
-        order, starts, counts = lex_group(jkv)
-        key = np.empty(n, dtype=np.int64)
-        key[order] = np.repeat(order[starts], counts)
-        self._nested_cache = np.argsort(key, kind="stable")
-        self._nested_gen = self.full_gen
+        if self._nested_gen != self.full_gen:
+            self._nested_cache = _nested_perm(self._data.view()[:, self._jk_cols])
+            self._nested_gen = self.full_gen
         return self._nested_cache
 
     def version_block(self, version: str) -> np.ndarray:
@@ -379,25 +297,6 @@ class _ColumnarShardBase:
     def iter_delta(self) -> Iterator[TupleT]:
         for row in self._delta_block.tolist():
             yield tuple(row)
-
-    # ----------------------------------------------------------------- probes
-
-    def _rows_matching_jk(self, block: np.ndarray, jk: TupleT) -> Iterable[TupleT]:
-        if block.shape[0] == 0:
-            return ()
-        mask = np.ones(block.shape[0], dtype=bool)
-        for pos, c in enumerate(self._jk_cols):
-            mask &= block[:, c] == jk[pos]
-        return [tuple(r) for r in block[mask].tolist()]
-
-    def probe_full(self, jk: TupleT) -> Iterable[TupleT]:
-        return self._rows_matching_jk(self.version_block("full"), jk)
-
-    def probe_delta(self, jk: TupleT) -> Iterable[TupleT]:
-        return self._rows_matching_jk(self._delta_block, jk)
-
-    def count_full(self, jk: TupleT) -> int:
-        return len(list(self.probe_full(jk)))
 
     # ------------------------------------------------------------- absorption
 
@@ -528,14 +427,6 @@ class ColumnarAggregateShard(_ColumnarShardBase):
             )
         self._combiner = combiner
 
-    def lookup(self, indep: TupleT) -> Optional[TupleT]:
-        """Current accumulated dependent value for an independent key."""
-        q = np.asarray([indep], dtype=np.int64).reshape(1, self.n_indep)
-        rid = int(self._lookup(q)[0])
-        if rid < 0:
-            return None
-        return tuple(self._data.view()[rid, self.n_indep :].tolist())
-
     def absorb_block(
         self, rows: np.ndarray, stats: Optional[AbsorbStats] = None
     ) -> int:
@@ -544,157 +435,41 @@ class ColumnarAggregateShard(_ColumnarShardBase):
         if n == 0:
             return 0
         n_indep = self.n_indep
+        join = self._combiner.join
         indep = rows[:, :n_indep]
-        dep = rows[:, n_indep:]
         order, starts, counts = lex_group(indep)
-        g_count = starts.shape[0]
-        gid_sorted = group_ids(starts, counts)
         rep = order[starts]  # first-arrival row per group
         row_id = self._lookup(indep[rep])
         exists = row_id >= 0
-        new_mask = ~exists
 
-        # Running accumulator per group.  New groups initialize from their
-        # first arrival (always admitted, scalar's cur-is-None branch).
-        cur = np.empty((g_count, dep.shape[1]), dtype=np.int64)
-        if exists.any():
-            cur[exists] = self._data.view()[row_id[exists], n_indep:]
-        cur[new_mask] = dep[rep[new_mask]]
-        admitted = int(new_mask.sum())
-        improved = new_mask.copy()
-        first_imp = np.empty(g_count, dtype=np.int64)
-        first_imp[new_mask] = rep[new_mask]
-
-        join = self._combiner.join
-        max_occ = int(counts.max())
-        big = counts > _ROUNDS_LIMIT
-        small = ~big
-        # Round k: every (small) group's k-th occurrence, all at once.  A
-        # new group's occurrence 0 was consumed as the init value above.
-        for k in range(min(max_occ, _ROUNDS_LIMIT + 1)):
-            if k == 0:
-                sel_g = np.nonzero(exists & small)[0]
-            else:
-                sel_g = np.nonzero(small & (counts > k))[0]
-            if sel_g.shape[0] == 0:
-                continue
-            row_idx = order[starts[sel_g] + k]
-            joined = join(cur[sel_g], dep[row_idx])
-            imp = (joined != cur[sel_g]).any(axis=1)
-            if imp.any():
-                gi = sel_g[imp]
-                admitted += int(imp.sum())
-                newly = ~improved[gi]
-                if newly.any():
-                    first_imp[gi[newly]] = row_idx[imp][newly]
-                    improved[gi] = True
-                cur[gi] = joined[imp]
-        if big.any():
-            if self._combiner.fold_rows is not None:
-                admitted += self._fold_big_batched(
-                    np.nonzero(big)[0], cur, dep, order, starts, counts,
-                    exists, improved, first_imp,
-                )
-            else:
-                accumulate = self._combiner.accumulate
-                for g in np.nonzero(big)[0]:
-                    seg = order[starts[g] : starts[g] + counts[g]]
-                    vals = dep[seg]
-                    if exists[g]:
-                        seq = np.vstack([cur[g : g + 1], vals])
-                        occ_base = 0  # seq step i vs occurrence i-1
-                    else:
-                        seq = vals  # first occurrence is the init value
-                        occ_base = 1
-                    acc = accumulate(seq)
-                    diffs = (acc[1:] != acc[:-1]).any(axis=1)
-                    n_imp = int(diffs.sum())
-                    if n_imp:
-                        admitted += n_imp
-                        if not improved[g]:
-                            occ = int(np.argmax(diffs)) + occ_base
-                            first_imp[g] = order[starts[g] + occ]
-                            improved[g] = True
-                    cur[g] = acc[-1]
+        # acc[i]: the group's accumulator after the arrival at sorted
+        # position i; prev[i]: the accumulator that arrival met.  A stored
+        # group's first arrival joins the stored value; a new group's first
+        # arrival is the accumulator (scalar's cur-is-None branch) and is
+        # always admitted.
+        old_heads = starts[exists]
+        stored = self._data.view()[row_id[exists], n_indep:]
+        acc = rows[:, n_indep:][order]
+        acc[old_heads] = join(stored, acc[old_heads])
+        segmented_scan(acc, starts, counts, join)
+        prev = np.empty_like(acc)
+        prev[1:] = acc[:-1]
+        prev[old_heads] = stored
+        imp = (acc != prev).any(axis=1)
+        imp[starts[~exists]] = True
+        admitted = int(imp.sum())
+        improved = np.logical_or.reduceat(imp, starts)
+        # Sorted position of each group's first improvement (n if none).
+        first_imp = np.minimum.reduceat(
+            np.where(imp, np.arange(n, dtype=np.int64), n), starts
+        )
+        cur = acc[starts + counts - 1]
 
         # State updates.  New groups append in first-arrival order (the
         # scalar full-dict insert order); improved existing groups update
         # their dependent columns in place.
-        return self._finish_absorb(
-            rows, n, indep, dep, cur, row_id, rep, new_mask, exists,
-            improved, first_imp, admitted, stats,
-        )
-
-    def _fold_big_batched(
-        self,
-        bg: np.ndarray,
-        cur: np.ndarray,
-        dep: np.ndarray,
-        order: np.ndarray,
-        starts: np.ndarray,
-        counts: np.ndarray,
-        exists: np.ndarray,
-        improved: np.ndarray,
-        first_imp: np.ndarray,
-    ) -> int:
-        """Fold all duplicate-heavy groups at once via padded matrices.
-
-        Power-law hubs make batches with hundreds of big groups common
-        (SSSP on the twitter stand-in: ~100 per routed batch), so the
-        per-group sequential fold is the hot path's hot path.  Groups are
-        bucketed by occurrence-count size class (padding waste ≤ 2×) and
-        each class folds as one ``(groups, occurrences, n_dep)``
-        accumulate: column 0 is the running accumulator (or the first
-        arrival, for new groups), shorter sequences are right-padded with
-        the combiner's identity — padding can never look like an
-        improvement, so admitted counts replay the scalar order exactly.
-        """
-        fold_rows = self._combiner.fold_rows
-        pad = self._combiner.pad
-        d = dep.shape[1]
-        admitted = 0
-        off_all = np.where(exists[bg], 0, 1).astype(np.int64)
-        m_all = counts[bg] - off_all  # value entries beyond the init slot
-        cls = np.ceil(np.log2(m_all)).astype(np.int64)
-        for c in np.unique(cls):
-            sel = np.nonzero(cls == c)[0]
-            g = bg[sel]
-            off = off_all[sel]
-            m = m_all[sel]
-            G = g.shape[0]
-            W = int(m.max())
-            mat = np.full((G, W + 1, d), pad, dtype=np.int64)
-            mat[:, 0, :] = cur[g]
-            total = int(m.sum())
-            src = concat_ranges(starts[g] + off, m)
-            gi = np.repeat(np.arange(G, dtype=np.int64), m)
-            ci = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(m) - m, m
-            ) + 1
-            mat[gi, ci] = dep[order[src]]
-            acc = fold_rows(mat)
-            diffs = (acc[:, 1:] != acc[:, :-1]).any(axis=2)  # (G, W)
-            admitted += int(diffs.sum())
-            imp = diffs.any(axis=1)
-            if imp.any():
-                gg = g[imp]
-                newly = ~improved[gg]
-                if newly.any():
-                    first_j = np.argmax(diffs[imp][newly], axis=1)
-                    occ = first_j + off[imp][newly]
-                    sel_g = gg[newly]
-                    first_imp[sel_g] = order[starts[sel_g] + occ]
-                improved[gg] = True
-            cur[g] = acc[:, -1]
-        return admitted
-
-    def _finish_absorb(
-        self, rows, n, indep, dep, cur, row_id, rep, new_mask, exists,
-        improved, first_imp, admitted, stats,
-    ) -> int:
-        n_indep = self.n_indep
-        if new_mask.any():
-            ng = np.nonzero(new_mask)[0]
+        ng = np.nonzero(~exists)[0]
+        if ng.shape[0]:
             ng = ng[np.argsort(rep[ng], kind="stable")]
             block = np.empty((ng.shape[0], self.schema.arity), dtype=np.int64)
             block[:, :n_indep] = indep[rep[ng]]
@@ -704,15 +479,12 @@ class ColumnarAggregateShard(_ColumnarShardBase):
         upd = exists & improved
         if upd.any():
             self._data.view()[row_id[upd], n_indep:] = cur[upd]
-        imp_ids = np.nonzero(improved)[0]
-        if imp_ids.shape[0]:
-            rids = row_id[imp_ids]
-            fresh = ~self._in_pending.view()[rids]
-            if fresh.any():
-                sel = imp_ids[fresh]
-                # Δ insert order = each group's first improvement position.
-                sel = sel[np.argsort(first_imp[sel], kind="stable")]
-                self._push_pending(row_id[sel])
+        sel = np.nonzero(improved)[0]
+        sel = sel[~self._in_pending.view()[row_id[sel]]]
+        if sel.shape[0]:
+            # Δ insert order = each group's first improvement, in arrival order.
+            sel = sel[np.argsort(order[first_imp[sel]], kind="stable")]
+            self._push_pending(row_id[sel])
         if admitted:
             self.full_gen += 1
         if stats is not None:

@@ -1,17 +1,21 @@
-"""Columnar tuple batches and the array primitives the kernels share.
+"""The array primitives the columnar kernels share.
 
-A :class:`TupleBlock` is an immutable view over an ``(n, arity)`` int64
-array — one tuple per row.  Column gather and row selection are numpy
-indexing (zero-copy for single-column gathers), so pipeline phases can
-hand whole shard blocks around without materializing Python tuples.
+Tuples travel as C-contiguous ``(n, arity)`` int64 arrays, one tuple per
+row (:func:`as_rows` is the coercion every entry point applies), so
+pipeline phases hand whole shard blocks around without materializing
+Python tuples.  The primitives every kernel builds on:
 
-The module also hosts the two grouping primitives every kernel builds
-on:
-
-``lex_group``
+``group_columns`` / ``lex_group``
     Exact, stable row grouping by column *values* (never by hash), so
     two distinct keys can never merge — the property the bit-for-bit
-    equivalence with the scalar path rests on.
+    equivalence with the scalar path rests on.  Key columns are packed
+    into one int64 with exactly the bits each needs and sorted with a
+    single stable argsort (``np.lexsort`` only on negatives or > 63
+    bits).
+``segmented_scan``
+    Inclusive scan of an associative ``join`` inside each group — every
+    group's accumulator after every arrival, which is all the fused
+    dedup/aggregation needs.
 ``concat_ranges``
     Flatten ``[start, start+count)`` ranges into one index vector — the
     inner-side gather of the batch hash join.
@@ -19,11 +23,9 @@ on:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-
-TupleT = Tuple[int, ...]
 
 #: Canonical empty grouping result (order, starts, counts).
 _EMPTY_GROUPS = (
@@ -120,9 +122,37 @@ def lex_group(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return group_columns([mat[:, c] for c in range(ncols)])
 
 
-def group_ids(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-sorted-position group index (inverse of ``starts``/``counts``)."""
-    return np.repeat(np.arange(len(starts), dtype=np.int64), counts)
+def segmented_scan(
+    vals: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    join: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Inclusive scan of ``join`` inside each segment, in place.
+
+    Segment ``g`` is ``vals[starts[g] : starts[g] + counts[g]]`` and the
+    segments tile ``vals``.  On return ``vals[i]`` is the left fold of its
+    segment's rows up to and including ``i`` — what absorbing them one at
+    a time leaves in the accumulator — provided ``join`` is associative.
+    A segment's first row is never joined, so it keeps its raw value.
+
+    Doubling passes: pass ``d`` joins every row at within-segment position
+    ``>= d`` with the row ``d`` before it.  A row is finished once its
+    window reaches the segment start, so the selection only shrinks; there
+    are ``ceil(log2(max(counts)))`` passes, none when every segment is a
+    single row.
+    """
+    n = vals.shape[0]
+    if starts.shape[0] == n:
+        return vals
+    pos = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
+    idx = np.nonzero(pos)[0]
+    d = 1
+    while idx.shape[0]:
+        vals[idx] = join(vals[idx - d], vals[idx])
+        d *= 2
+        idx = idx[pos[idx] >= d]
+    return vals
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -138,66 +168,6 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)[:-1]]
     )
     return np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
-
-
-class TupleBlock:
-    """An immutable columnar batch of tuples (one int64 row per tuple)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: np.ndarray):
-        if rows.ndim != 2:
-            raise ValueError(f"TupleBlock expects a 2-D array, got {rows.shape}")
-        self.rows = rows
-
-    # ------------------------------------------------------------ construct
-
-    @classmethod
-    def from_tuples(cls, tuples: Iterable[TupleT], arity: int) -> "TupleBlock":
-        rows = list(tuples)
-        if not rows:
-            return cls(np.empty((0, arity), dtype=np.int64))
-        return cls(as_rows(np.asarray(rows, dtype=np.int64), arity))
-
-    @classmethod
-    def empty(cls, arity: int) -> "TupleBlock":
-        return cls(np.empty((0, arity), dtype=np.int64))
-
-    @classmethod
-    def concat(cls, blocks: Sequence["TupleBlock"]) -> "TupleBlock":
-        mats = [b.rows for b in blocks if len(b)]
-        if not mats:
-            raise ValueError("concat needs at least one block (use empty())")
-        if len(mats) == 1:
-            return cls(mats[0])
-        return cls(np.vstack(mats))
-
-    # -------------------------------------------------------------- queries
-
-    @property
-    def arity(self) -> int:
-        return int(self.rows.shape[1])
-
-    def __len__(self) -> int:
-        return int(self.rows.shape[0])
-
-    def gather(self, cols: Sequence[int]) -> np.ndarray:
-        """Project columns.  A single column returns a zero-copy view."""
-        if len(cols) == 1:
-            return self.rows[:, cols[0]]
-        return self.rows[:, list(cols)]
-
-    def select(self, mask: np.ndarray) -> "TupleBlock":
-        return TupleBlock(self.rows[mask])
-
-    def take(self, idx: np.ndarray) -> "TupleBlock":
-        return TupleBlock(self.rows[idx])
-
-    def to_tuples(self) -> List[TupleT]:
-        return [tuple(r) for r in self.rows.tolist()]
-
-    def __repr__(self) -> str:
-        return f"TupleBlock(n={len(self)}, arity={self.arity})"
 
 
 class GrowBuf:

@@ -23,6 +23,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.wire import decode_blocks, decode_rows, encode_blocks, encode_rows
+from repro.kernels.block import group_columns
 
 IntraBox = Tuple[np.ndarray, np.ndarray]  # (per-row buckets, rows)
 RouteBox = Tuple[int, int, np.ndarray]  # (bucket, sub, rows)
@@ -43,6 +44,26 @@ def _segment_bounds(sorted_vals: np.ndarray) -> np.ndarray:
             np.nonzero(sorted_vals[1:] != sorted_vals[:-1])[0].astype(np.int64) + 1,
         ]
     )
+
+
+def _shard_boxes(rows: np.ndarray, dist) -> Iterator[Tuple[int, int, int, np.ndarray]]:
+    """``(owner, bucket, sub, block)`` for each home shard of ``rows``.
+
+    One hash pass places every row; a stable grouping keeps each block's
+    rows in arrival order; blocks come in (bucket, sub) order.
+    """
+    b_arr, s_arr = dist.bucket_sub_of_rows(rows)
+    order, starts, counts = group_columns([b_arr, s_arr])
+    heads = order[starts]
+    b_heads, s_heads = b_arr[heads], s_arr[heads]
+    for s0, c, dst, b, s in zip(
+        starts.tolist(),
+        counts.tolist(),
+        dist.ranks_of_bucket_subs(b_heads, s_heads).tolist(),
+        b_heads.tolist(),
+        s_heads.tolist(),
+    ):
+        yield dst, b, s, rows[order[s0 : s0 + c]]
 
 
 def build_intra_sends(
@@ -120,29 +141,9 @@ def build_route_sends(
         n = rows.shape[0]
         if n == 0:
             continue
-        b_arr, s_arr = dist.bucket_sub_of_rows(rows)
-        dst_arr = dist.ranks_of_bucket_subs(b_arr, s_arr)
-        if s_arr.size and int(s_arr.max()) < 2**16 and int(b_arr.max()) < 2**47:
-            # (b << 16) | s is bijective here — one stable sort suffices.
-            order = np.argsort(
-                (b_arr << np.int64(16)) | s_arr, kind="stable"
-            )
-        else:
-            order = np.lexsort((s_arr, b_arr))
-        b_sorted = b_arr[order]
-        s_sorted = s_arr[order]
-        boundary = np.ones(n, dtype=bool)
-        boundary[1:] = (b_sorted[1:] != b_sorted[:-1]) | (
-            s_sorted[1:] != s_sorted[:-1]
-        )
-        starts = np.nonzero(boundary)[0].astype(np.int64)
-        ends = np.concatenate([starts[1:], np.asarray([n], dtype=np.int64)])
         row: Dict[int, List[RouteBox]] = {}
-        for s0, s1 in zip(starts.tolist(), ends.tolist()):
-            idx = order[s0:s1]
-            row.setdefault(int(dst_arr[idx[0]]), []).append(
-                (int(b_sorted[s0]), int(s_sorted[s0]), rows[idx])
-            )
+        for dst, b, s, block in _shard_boxes(rows, dist):
+            row.setdefault(dst, []).append((b, s, block))
         sends[src] = row
         n_comm += n
     return sends, n_comm
@@ -311,34 +312,16 @@ def build_reshard_sends(
         n = rows.shape[0]
         if n == 0:
             continue
-        b_arr, s_arr = new_dist.bucket_sub_of_rows(rows)
-        dst_arr = new_dist.ranks_of_bucket_subs(b_arr, s_arr)
-        order = np.lexsort((s_arr, b_arr))
-        b_sorted = b_arr[order]
-        s_sorted = s_arr[order]
-        boundary = np.ones(n, dtype=bool)
-        boundary[1:] = (b_sorted[1:] != b_sorted[:-1]) | (
-            s_sorted[1:] != s_sorted[:-1]
-        )
-        starts = np.nonzero(boundary)[0].astype(np.int64)
-        ends = np.concatenate([starts[1:], np.asarray([n], dtype=np.int64)])
         row_map = sends.setdefault(src, {})
-        for s0, s1 in zip(starts.tolist(), ends.tolist()):
-            idx = order[s0:s1]
-            dst = int(dst_arr[idx[0]])
+        for dst, b, s, block in _shard_boxes(rows, new_dist):
+            c = int(block.shape[0])
             row_map.setdefault(dst, []).append(
-                (
-                    int(b_sorted[s0]),
-                    int(s_sorted[s0]),
-                    kind,
-                    int(idx.shape[0]),
-                    encode_rows(rows[idx], codec),
-                    seq,
-                )
+                (b, s, kind, c, encode_rows(block, codec), seq)
             )
             seq += 1
+            if dst != src:
+                n_moved += c
         n_shipped += n
-        n_moved += int((dst_arr != src).sum())
     return sends, n_shipped, n_moved
 
 

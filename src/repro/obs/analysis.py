@@ -7,8 +7,7 @@ three questions the paper's own evaluation revolves around:
 1. **Which rank×rank edge carried the bytes?**
    :class:`CommMatrixRecorder` captures one sparse rank×rank matrix per
    exchange (bytes + tuple counts) inside
-   :meth:`~repro.comm.simcluster.SimCluster.alltoallv` /
-   :meth:`~repro.comm.simcluster.SimCluster.p2p_exchange` and the
+   :meth:`~repro.comm.simcluster.SimCluster.alltoallv` and the
    :mod:`repro.comm.asyncmpi` substrate.  Fault-driven retransmissions
    land in a separate channel so recovered traffic never masquerades as
    algorithmic traffic.  Capture is observation-only: ledgers and results

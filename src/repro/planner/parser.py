@@ -27,9 +27,13 @@ Grammar (EBNF-ish)::
     atom       := NAME "(" term ("," term)* ")"
     term       := expr | "$" NAME "(" expr ")"       -- aggregate in heads
     expr       := additive with "+" "-" over "*" "/" (integer division),
-                  parentheses, INT, NAME (variable), "_" (wildcard),
-                  and registered binary functions: min(a,b), max(a,b), ...
+                  unary "-" (so "-3" is a literal), parentheses, INT,
+                  NAME (variable), "_" (wildcard), and registered binary
+                  functions: min(a,b), max(a,b), ...
                   ("//" starts a comment, so division is spelled "/")
+
+``$count(expr)`` counts body substitutions — one per match, whatever
+``expr`` names — like the AST's ``COUNT()``; ``$sum(expr)`` adds ``expr``.
 
 Comments: ``//`` and ``#`` to end of line.  The parser is a hand-written
 recursive-descent over a regex tokenizer; errors carry line/column.
@@ -282,6 +286,9 @@ class _Parser:
             self._expect("punct", "(")
             expr = self._parse_expr()
             self._expect("punct", ")")
+            if func == "count":
+                # COUNT sums a 1 per body substitution, whatever it names.
+                expr = Const(1)
             return AggTerm(func, expr)
         return self._parse_expr()
 
@@ -315,6 +322,11 @@ class _Parser:
             return inner
         if self.cur.kind == "int":
             return Const(int(self._advance().text))
+        if self._accept("punct", "-"):
+            operand = self._parse_primary()
+            if isinstance(operand, Const):  # a negative literal, e.g. in a fact
+                return Const(-operand.value)
+            return BinOp("-", Const(0), operand)
         if self.cur.kind == "name":
             name = self._advance().text
             # function call: a registered binary function like min(a, b)

@@ -19,9 +19,8 @@ Placement rules (paper §III, §IV-A):
 
 from repro.relational.schema import Schema
 from repro.relational.distribution import Distribution
-from repro.relational import ra
 
-__all__ = ["Schema", "Distribution", "RelationStore", "VersionedRelation", "ra"]
+__all__ = ["Schema", "Distribution", "RelationStore", "VersionedRelation"]
 
 
 def __getattr__(name: str):

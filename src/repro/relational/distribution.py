@@ -16,7 +16,7 @@ what makes fused local aggregation communication-free (§III-A).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -154,10 +154,6 @@ class Distribution:
     def rank_of(self, t: Tuple[int, ...]) -> int:
         return self.owner(self.bucket_of(t), self.sub_of(t))
 
-    def bucket_ranks(self, bucket: int) -> List[int]:
-        """All ranks holding shards of ``bucket`` (intra-bucket comm targets)."""
-        return [self.owner(bucket, s) for s in range(self.schema.n_subbuckets)]
-
     # -------------------------------------------------------- vectorized path
 
     def bucket_sub_of_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -226,14 +222,3 @@ class Distribution:
         return (
             hash_columns(rows, key_cols, self.seed.bucket) % np.uint64(self.n_ranks)
         ).astype(np.int64)
-
-    # --------------------------------------------------------------- batching
-
-    def partition(
-        self, tuples: Iterable[Tuple[int, ...]]
-    ) -> Dict[int, List[Tuple[int, ...]]]:
-        """Group tuples by destination rank (the all-to-all send plan)."""
-        out: Dict[int, List[Tuple[int, ...]]] = {}
-        for t in tuples:
-            out.setdefault(self.rank_of(t), []).append(t)
-        return out

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.local_agg import AbsorbStats, make_shard, _ShardBase
-from repro.kernels.block import lex_group
+from repro.kernels.block import group_columns
 from repro.relational.distribution import Distribution
 from repro.relational.schema import Schema
 from repro.util.hashing import HashSeed
@@ -121,15 +121,12 @@ class VersionedRelation:
                 f"{self.schema.name}: expected rows of arity "
                 f"{self.schema.arity}, got array shape {arr.shape}"
             )
-        b_arr, s_arr = self.dist.bucket_sub_of_rows(arr)
         admitted = 0
         if self.layout == "columnar":
-            order, starts, counts = lex_group(np.column_stack([b_arr, s_arr]))
-            for g in range(starts.shape[0]):
-                idx = order[starts[g] : starts[g] + counts[g]]
-                b, s = int(b_arr[idx[0]]), int(s_arr[idx[0]])
-                admitted += self.shard(b, s).absorb_block(arr[idx], stats)
+            for b, s, block in self._blocks_by_shard(arr):
+                admitted += self.shard(b, s).absorb_block(block, stats)
         else:
+            b_arr, s_arr = self.dist.bucket_sub_of_rows(arr)
             buckets, subs = b_arr.tolist(), s_arr.tolist()
             by_shard: Dict[ShardKey, List[TupleT]] = {}
             for i, t in enumerate(arr.tolist()):
@@ -139,6 +136,20 @@ class VersionedRelation:
         if admitted:
             self.full_gen += 1
         return admitted
+
+    def _blocks_by_shard(self, arr: np.ndarray) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """``(bucket, sub, rows)`` per home shard of ``arr``: shards in
+        (bucket, sub) order, each block's rows in arrival order."""
+        b_arr, s_arr = self.dist.bucket_sub_of_rows(arr)
+        order, starts, counts = group_columns([b_arr, s_arr])
+        heads = order[starts]
+        for s0, c, b, s in zip(
+            starts.tolist(),
+            counts.tolist(),
+            b_arr[heads].tolist(),
+            s_arr[heads].tolist(),
+        ):
+            yield b, s, arr[order[s0 : s0 + c]]
 
     def absorb_block(
         self,
@@ -163,11 +174,6 @@ class VersionedRelation:
         self.delta_gen += 1
         return total
 
-    def seed_delta_from_full(self) -> None:
-        for shard in self.shards.values():
-            shard.seed_delta_from_full()
-        self.delta_gen += 1
-
     def install_delta(self, rows: Optional[np.ndarray] = None) -> int:
         """Replace every shard's Δ with the given change-set rows.
 
@@ -190,14 +196,8 @@ class VersionedRelation:
                         f"{self.schema.name}: expected rows of arity "
                         f"{self.schema.arity}, got array shape {arr.shape}"
                     )
-                b_arr, s_arr = self.dist.bucket_sub_of_rows(arr)
-                order, starts, counts = lex_group(
-                    np.column_stack([b_arr, s_arr])
-                )
-                for g in range(starts.shape[0]):
-                    idx = order[starts[g] : starts[g] + counts[g]]
-                    b, s = int(b_arr[idx[0]]), int(s_arr[idx[0]])
-                    total += self.shard(b, s).install_delta(arr[idx])
+                for b, s, block in self._blocks_by_shard(arr):
+                    total += self.shard(b, s).install_delta(block)
         self.delta_gen += 1
         return total
 

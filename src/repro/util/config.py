@@ -14,8 +14,3 @@ def check_fraction(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be within [0, 1], got {value!r}")
 
-
-def check_power_of_two(name: str, value: int) -> None:
-    """Raise ``ValueError`` unless ``value`` is a positive power of two."""
-    if value <= 0 or value & (value - 1):
-        raise ValueError(f"{name} must be a positive power of two, got {value!r}")

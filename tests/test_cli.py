@@ -64,6 +64,36 @@ class TestExperiment:
         assert rc == 0
 
 
+class TestQueryInputErrors:
+    """Bad outside input exits with one line, not a traceback."""
+
+    PROG = ".decl e(x, y) keys(x)\nr(x, y) :- e(x, y).\n"
+
+    def test_syntax_error_names_file_line_and_column(self, tmp_path):
+        src = tmp_path / "bad.dl"
+        src.write_text(".decl e(x, y) keys(x)\nr(x) :- e(x, @).\n")
+        with pytest.raises(
+            SystemExit, match=r"bad\.dl: line 2, column 14: unexpected character"
+        ):
+            main(["query", str(src)])
+
+    def test_missing_program_file(self, tmp_path):
+        with pytest.raises(SystemExit, match=r"cannot read program .*nope\.dl"):
+            main(["query", str(tmp_path / "nope.dl")])
+
+    @pytest.mark.parametrize("content", [None, "0\tzz\n"], ids=["missing", "garbled"])
+    def test_unreadable_facts_file(self, tmp_path, content):
+        src = tmp_path / "ok.dl"
+        src.write_text(self.PROG)
+        facts = tmp_path / "edges.tsv"
+        if content is not None:
+            facts.write_text(content)
+        with pytest.raises(
+            SystemExit, match=r"cannot read facts for 'e' from .*edges\.tsv"
+        ):
+            main(["query", str(src), "--facts", f"e={facts}"])
+
+
 class TestQuerySpmd:
     def test_spmd_flag_matches_bsp(self, capsys, tmp_path):
         from repro.cli import main

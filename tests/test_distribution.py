@@ -58,12 +58,6 @@ class TestScalarPlacement:
             for s in range(8):
                 assert 0 <= d.owner(b, s) < 16
 
-    def test_bucket_ranks_covers_all_subs(self):
-        d = dist(n_ranks=64, n_sub=4)
-        ranks = d.bucket_ranks(5)
-        assert len(ranks) == 4
-        assert ranks[0] == 5
-
     def test_rank_pure_function_of_independent_cols(self):
         # Aggregation correctness: the dependent column must not move a
         # tuple (the paper's "excluded from the indexing process").
@@ -148,11 +142,3 @@ class TestBalancing:
         d8 = dist(n_ranks=64, n_sub=8)
         ranks8 = set(d8.rank_of_rows(arr).tolist())
         assert 4 <= len(ranks8) <= 8
-
-    def test_partition_groups_by_rank(self):
-        d = dist(n_ranks=4)
-        groups = d.partition([(i, 0, 0) for i in range(100)])
-        assert sum(len(v) for v in groups.values()) == 100
-        for rank, tuples in groups.items():
-            for t in tuples:
-                assert d.rank_of(t) == rank

@@ -374,7 +374,7 @@ class TestSimClusterFaults:
     def test_crash_detected_at_collective(self):
         plane = FaultPlane(FaultConfig(crash_rank=1, crash_superstep=1), 4)
         cluster = SimCluster(4, fault_plane=plane)
-        cluster.barrier()  # superstep 0: before the crash
+        cluster.allgather([0, 0, 0, 0])  # superstep 0: before the crash
         with pytest.raises(RankFailure) as exc:
             cluster.allreduce([1, 1, 1, 1])
         assert exc.value.rank == 1
@@ -396,15 +396,3 @@ class TestSimClusterFaults:
         _exchange(planed)
         assert planed.ledger.comm.bytes_total == clean.ledger.comm.bytes_total
         assert planed.ledger.total_seconds() == clean.ledger.total_seconds()
-
-    def test_p2p_retransmits_under_drops(self):
-        plane = FaultPlane(FaultConfig(seed=4, drop=0.3, max_retries=8), 2)
-        cluster = SimCluster(2, fault_plane=plane)
-        clean = SimCluster(2)
-        msgs = [(0, 1, ("m", k), 16) for k in range(32)]
-        got_faulty = cluster.p2p_exchange(msgs)
-        got_clean = clean.p2p_exchange(msgs)
-        assert {d: sorted(v) for d, v in got_faulty.items()} == {
-            d: sorted(v) for d, v in got_clean.items()
-        }
-        assert plane.stats.drops > 0

@@ -12,19 +12,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.aggregators import (
+    AnyAggregator,
     CountAggregator,
     MaxAggregator,
+    MCountAggregator,
     MinAggregator,
     SumAggregator,
+    UnionAggregator,
 )
 from repro.core.local_agg import AbsorbStats, make_shard
-from repro.kernels.absorb import columnar_shard_for
-from repro.kernels.block import (
-    TupleBlock,
-    concat_ranges,
-    group_ids,
-    lex_group,
-)
+from repro.kernels.absorb import _COMBINERS, columnar_shard_for
+from repro.kernels.block import concat_ranges, lex_group, segmented_scan
 from repro.kernels.join import RankJoinIndex
 from repro.kernels.route import build_route_sends
 from repro.planner.ast import Atom, BinOp, Const, Var
@@ -75,14 +73,6 @@ class TestLexGroup:
             assert len(vals) == 1  # a group never mixes distinct keys
             assert idx.tolist() == sorted(idx.tolist())  # arrival order
 
-    def test_group_ids_inverse(self):
-        mat = np.array([[2], [1], [2], [1], [1]], dtype=np.int64)
-        order, starts, counts = lex_group(mat)
-        gids = group_ids(starts, counts)
-        # sorted position p belongs to group gids[p]
-        for p, g in enumerate(gids.tolist()):
-            assert starts[g] <= p < starts[g] + counts[g]
-
 
 class TestConcatRanges:
     def test_flattens_ranges_in_order(self):
@@ -107,22 +97,53 @@ class TestConcatRanges:
         assert concat_ranges(starts, counts).tolist() == expected
 
 
-class TestTupleBlock:
-    def test_roundtrip(self):
-        tuples = [(1, 2), (3, 4), (1, 2)]
-        b = TupleBlock.from_tuples(tuples, 2)
-        assert len(b) == 3 and b.arity == 2
-        assert b.to_tuples() == tuples
+def _scan(segments, join=np.add):
+    """segmented_scan over a list of per-segment value lists."""
+    counts = np.asarray([len(seg) for seg in segments], dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    vals = np.asarray(
+        [v for seg in segments for v in seg], dtype=np.int64
+    ).reshape(-1, 1)
+    return segmented_scan(vals, starts, counts, join)[:, 0].tolist()
 
-    def test_empty_roundtrip(self):
-        b = TupleBlock.empty(3)
-        assert len(b) == 0 and b.arity == 3 and b.to_tuples() == []
 
-    def test_gather_select_take(self):
-        b = TupleBlock.from_tuples([(1, 10), (2, 20), (3, 30)], 2)
-        assert b.gather([1]).tolist() == [10, 20, 30]
-        assert b.select(b.gather([0]) > 1).to_tuples() == [(2, 20), (3, 30)]
-        assert b.take(np.array([2, 0])).to_tuples() == [(3, 30), (1, 10)]
+class TestSegmentedScan:
+    def test_empty(self):
+        assert _scan([]) == []
+
+    def test_singletons_untouched(self):
+        """No segment has a second row: nothing is ever joined, so even a
+        join that rewrites its inputs leaves the raw values."""
+        assert _scan([[5], [7], [9]], join=lambda a, b: a * 0) == [5, 7, 9]
+
+    def test_one_segment(self):
+        assert _scan([[1, 2, 3, 4, 5]]) == [1, 3, 6, 10, 15]
+
+    def test_in_place(self):
+        vals = np.asarray([[3], [1], [2]], dtype=np.int64)
+        out = segmented_scan(
+            vals, np.asarray([0]), np.asarray([3]), np.minimum
+        )
+        assert out is vals and vals[:, 0].tolist() == [3, 1, 1]
+
+    @given(
+        st.lists(
+            st.lists(st.integers(-9, 9), min_size=1, max_size=70), max_size=8
+        ),
+        st.sampled_from([np.add, np.minimum, np.maximum, np.bitwise_or]),
+    )
+    def test_equals_left_fold_per_segment(self, segments, join):
+        """Ragged segments, past 64 rows: every position holds the Python
+        left fold of its segment's prefix, and no segment leaks into the
+        next."""
+        expected = []
+        for seg in segments:
+            acc = seg[0]
+            expected.append(acc)
+            for v in seg[1:]:
+                acc = int(join(acc, v))
+                expected.append(acc)
+        assert _scan(segments, join) == expected
 
 
 # ------------------------------------------------------------------ EmitSpec
@@ -209,6 +230,11 @@ SCHEMAS = {
     "max": lambda: agg_schema(MaxAggregator()),
     "sum": lambda: agg_schema(SumAggregator()),
     "count": lambda: agg_schema(CountAggregator()),
+    # ANY stores a group's first value raw and normalizes from the second
+    # on; MCOUNT's bound sits inside the 0..9 value range so the clamp fires.
+    "any": lambda: agg_schema(AnyAggregator()),
+    "union": lambda: agg_schema(UnionAggregator()),
+    "mcount": lambda: agg_schema(MCountAggregator(bound=6)),
 }
 
 batches_strategy = st.lists(
@@ -264,29 +290,16 @@ def test_columnar_absorb_equals_scalar(kind, batches):
 
 
 @pytest.mark.parametrize("kind", sorted(SCHEMAS))
-def test_columnar_seed_delta_from_full(kind):
+@given(batches=batches_strategy)
+def test_columnar_duplicate_heavy_batches(kind, batches):
+    """A two-key domain with every batch repeated eight times: nine rows
+    on one key already exceed 64 occurrences of it, on new groups (first
+    batch) and stored ones (every later batch) alike."""
     schema = SCHEMAS[kind]()
     scalar = make_shard(schema)
     columnar = columnar_shard_for(schema)
-    rows = _rows([(0, 1, 5), (2, 1, 3), (0, 0, 7), (0, 1, 2)], schema.arity)
-    scalar.absorb_block(rows)
-    columnar.absorb_block(rows)
-    scalar.seed_delta_from_full()
-    columnar.seed_delta_from_full()
-    assert list(columnar.iter_delta()) == list(scalar.iter_delta())
-    assert columnar.delta_size() == scalar.delta_size()
-
-
-@given(batches=batches_strategy)
-def test_columnar_duplicate_heavy_batches(batches):
-    """Per-group duplicate counts beyond the round limit exercise the
-    accumulate fallback; a tiny key domain forces that path often."""
-    schema = agg_schema(MinAggregator())
-    scalar = make_shard(schema)
-    columnar = columnar_shard_for(schema)
-    # Collapse keys to a single group so every batch is duplicate-heavy.
     for batch in batches:
-        squeezed = [(0, 0, d) for (_, _, d) in batch] * 3
+        squeezed = [(0, a & 1, d) for (a, _, d) in batch] * 8
         rows = _rows(squeezed, schema.arity)
         s_stats, c_stats = AbsorbStats(), AbsorbStats()
         scalar.absorb_block(rows, s_stats)
@@ -297,15 +310,18 @@ def test_columnar_duplicate_heavy_batches(batches):
         assert list(columnar.iter_delta()) == list(scalar.iter_delta())
 
 
-def test_probe_matches_scalar_interface():
-    """Columnar shards keep the scalar probe interface (per-tuple joins
-    against columnar storage must still work, e.g. under use_btree mix)."""
-    schema = agg_schema(MinAggregator())
-    shard = columnar_shard_for(schema)
-    shard.absorb_block(_rows([(0, 1, 5), (2, 1, 3), (0, 2, 7)], 3))
-    assert sorted(shard.probe_full((1,))) == [(0, 1, 5), (2, 1, 3)]
-    assert list(shard.probe_full((9,))) == []
-    assert shard.count_full((1,)) == 2
+_i64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@pytest.mark.parametrize("agg_type", sorted(_COMBINERS, key=lambda t: t.__name__))
+@given(a=_i64, b=_i64, c=_i64)
+def test_vector_join_is_associative(agg_type, a, b, c):
+    """The one precondition the segmented scan (and the sender's halving
+    fold) adds to the scalar path's sequential fold — over the full int64
+    range, wrap-around included."""
+    join = _COMBINERS[agg_type](agg_type()).join
+    a, b, c = (np.asarray([[v]], dtype=np.int64) for v in (a, b, c))
+    np.testing.assert_array_equal(join(join(a, b), c), join(a, join(b, c)))
 
 
 # ------------------------------------------------------------- RankJoinIndex

@@ -78,6 +78,20 @@ class TestParsing:
         agg = parsed.program.rules[0].head.terms[1]
         assert agg.expr.op == "min"
 
+    def test_negative_literals_and_unary_minus(self):
+        parsed = parse_program(
+            ".decl e(x, y) keys(x)\ne(5, -3).  e(-2, 7).\n"
+            "r(x, -y, y - -1) :- e(x, y).\n"
+        )
+        assert parsed.facts == {"e": [(5, -3), (-2, 7)]}
+        _, neg, sub = parsed.program.rules[0].head.terms
+        assert neg == BinOp("-", Const(0), Var("y"))
+        assert sub == BinOp("-", Var("y"), Const(-1))
+
+    def test_count_lowers_to_one_per_substitution(self):
+        parsed = parse_program(".decl e(x, w) keys(x)\nd(x, $count(w)) :- e(x, w).\n")
+        assert parsed.program.rules[0].head.terms[1] == AggTerm("count", Const(1))
+
     def test_input_directive(self):
         parsed = parse_program('.decl e(x, y) keys(x)\n.input e "edges.tsv"\nr(x) :- e(x, _).\n')
         assert parsed.inputs == {"e": "edges.tsv"}
@@ -131,6 +145,34 @@ class TestEndToEnd:
         for name, rows in parsed.facts.items():
             engine.load(name, rows)
         assert engine.run().query("spath") == oracle["spath"]
+
+    @pytest.mark.parametrize(
+        "src,expected",
+        [
+            # $count(w) used to sum w (14 and 0); the interpreter shared the
+            # wrong AggTerm, so the differential oracle agreed with it.
+            (
+                "e(1, 5).  e(1, 9).  e(4, 0).\ndeg(x, $count(w)) :- e(x, w).\n",
+                {"deg": {(1, 2), (4, 1)}},
+            ),
+            (
+                "e(5, -3).  e(5, 2).  e(-1, 0).\nlow(x, $min(w)) :- e(x, w).\n",
+                {"low": {(5, -3), (-1, 0)}},
+            ),
+        ],
+        ids=["count", "negative-literals"],
+    )
+    def test_count_and_negative_facts_run(self, src, expected):
+        parsed = parse_program(".decl e(x, w) keys(x)\n" + src)
+        oracle = interpret(parsed.program, parsed.facts)
+        assert {name: oracle[name] for name in expected} == expected
+        for executor in ("columnar", "scalar"):
+            engine = Engine(parsed.program, EngineConfig(n_ranks=3, executor=executor))
+            for name, rows in parsed.facts.items():
+                engine.load(name, rows)
+            result = engine.run()
+            for name, want in expected.items():
+                assert result.query(name) == want
 
     def test_cli_query_command(self, capsys, tmp_path):
         from repro.cli import main

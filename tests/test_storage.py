@@ -99,15 +99,6 @@ class TestVersionedRelation:
         again = rel.shards_at_rank_for_bucket(b, b)
         assert len(again) == 1
 
-    def test_seed_delta_from_full(self):
-        rel = VersionedRelation(edge_schema(), 4)
-        rel.load([(1, 2, 3), (4, 5, 6)])
-        rel.advance()
-        rel.advance()  # delta drained
-        assert rel.delta_size() == 0
-        rel.seed_delta_from_full()
-        assert rel.delta_size() == 2
-
     def test_repr(self):
         rel = VersionedRelation(edge_schema(), 4)
         assert "edge" in repr(rel)

@@ -1,4 +1,4 @@
-"""Tests for timers, interner, getters, and config validators."""
+"""Tests for timers, getters, and config validators."""
 
 import time
 
@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ds.interner import Interner
-from repro.util.config import check_fraction, check_positive, check_power_of_two
+from repro.util.config import check_fraction, check_positive
 from repro.util.getters import tuple_getter
 from repro.util.timing import PhaseTimer, Stopwatch
 
@@ -131,42 +130,6 @@ class TestPhaseTimer:
         )
 
 
-class TestInterner:
-    def test_intern_stable(self):
-        i = Interner()
-        assert i.intern("a") == 0
-        assert i.intern("b") == 1
-        assert i.intern("a") == 0
-        assert len(i) == 2
-
-    def test_lookup_inverse(self):
-        i = Interner()
-        for sym in ("x", "y", ("tuple", 1)):
-            assert i.lookup(i.intern(sym)) == sym
-
-    def test_lookup_errors(self):
-        i = Interner()
-        with pytest.raises(IndexError):
-            i.lookup(0)
-        i.intern("a")
-        with pytest.raises(IndexError):
-            i.lookup(-1)
-
-    def test_contains_iter(self):
-        i = Interner()
-        i.intern("a")
-        assert "a" in i and "b" not in i
-        assert list(i) == ["a"]
-
-    @given(st.lists(st.text(max_size=5)))
-    def test_codes_dense(self, symbols):
-        i = Interner()
-        for s in symbols:
-            i.intern(s)
-        assert len(i) == len(set(symbols))
-        assert sorted(i.intern(s) for s in set(symbols)) == list(range(len(i)))
-
-
 class TestTupleGetter:
     @given(st.tuples(st.integers(), st.integers(), st.integers()))
     def test_shapes(self, t):
@@ -186,9 +149,3 @@ class TestConfigValidators:
         check_fraction("f", 1.0)
         with pytest.raises(ValueError):
             check_fraction("f", 1.01)
-
-    def test_check_power_of_two(self):
-        check_power_of_two("p", 8)
-        for bad in (0, 3, -4):
-            with pytest.raises(ValueError):
-                check_power_of_two("p", bad)
