@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from typing import List, Optional
@@ -106,28 +107,37 @@ def _options_from_args(args: argparse.Namespace, *, tracer=None):
     so ``run``, ``query`` and ``update`` all share one lifting path and
     one set of cross-field rules (crash vs --checkpoint-every,
     crash_perm vs --replicas, rebalance factor) — the same
-    ``Options.validate`` the library runs.
+    ``Options.validate`` the library runs.  A bad value exits here with
+    one line naming its flag.
     """
     from repro.api import (
         DiagnosticsOptions,
         FaultOptions,
         Options,
+        OptionsError,
         RebalanceOptions,
         RecoveryOptions,
         WireOptions,
     )
+
+    from repro.faults.config import parse_fault_spec
 
     core = {}
     if hasattr(args, "subbuckets"):
         core["subbuckets"] = {"edge": args.subbuckets}
     if hasattr(args, "seed"):
         core["seed"] = args.seed
-    return Options(
+    spec = getattr(args, "faults", None)
+    try:
+        faults = parse_fault_spec(spec) if spec else None
+    except ValueError as exc:
+        raise SystemExit(f"bad --faults spec: {exc}")
+    options = Options(
         n_ranks=args.ranks,
         dynamic_join=not getattr(args, "no_dynamic_join", False),
         **core,
         wire=WireOptions.from_config(_wire_config(args)),
-        faults=FaultOptions(spec=getattr(args, "faults", None) or None),
+        faults=FaultOptions(config=faults),
         recovery=RecoveryOptions(
             checkpoint_every=getattr(args, "checkpoint_every", None),
             replicas=getattr(args, "replicas", 0),
@@ -142,19 +152,46 @@ def _options_from_args(args: argparse.Namespace, *, tracer=None):
             enabled=_want_diagnostics(args), tracer=tracer
         ),
     )
-
-
-def _engine_config(args: argparse.Namespace, *, tracer=None) -> EngineConfig:
-    """Validated EngineConfig from CLI flags (SystemExit on bad combos)."""
-    from repro.api import OptionsError
-
-    options = _options_from_args(args, tracer=tracer)
     try:
-        return options.to_engine_config()
+        options.to_engine_config()
     except OptionsError as exc:
         raise SystemExit(str(exc))
     except ValueError as exc:
-        raise SystemExit(f"bad --faults spec: {exc}")
+        # A range error opens with the EngineConfig field it is about
+        # ("n_ranks must be >= 1", "subbuckets['edge'] must be ..."); the
+        # flags carry the fields' names.
+        field = re.match(r"\w+", str(exc)).group()
+        flag = "--" + field.removeprefix("n_").replace("_", "-")
+        raise SystemExit(f"bad {flag}: {exc}")
+    return options
+
+
+def _engine_config(args: argparse.Namespace, *, tracer=None) -> EngineConfig:
+    """Validated EngineConfig from CLI flags (SystemExit on bad values)."""
+    return _options_from_args(args, tracer=tracer).to_engine_config()
+
+
+def _dataset_from_args(args: argparse.Namespace):
+    try:
+        return load_dataset(
+            args.dataset, seed=args.seed, scale_shift=args.scale_shift
+        )
+    except KeyError as exc:
+        raise SystemExit(f"bad --dataset: {exc.args[0]}")
+
+
+def _sources_from_args(args: argparse.Namespace) -> List[int]:
+    """SSSP start vertices of ``run`` / ``update`` (unused by ``cc``)."""
+    try:
+        sources = [int(s) for s in args.sources.split(",") if s.strip()]
+    except ValueError:
+        raise SystemExit(
+            f"bad --sources {args.sources!r}: expected comma-separated "
+            "vertex ids"
+        )
+    if not sources and args.query == "sssp":
+        raise SystemExit("bad --sources '': sssp needs at least one source")
+    return sources
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -412,12 +449,13 @@ def _want_diagnostics(args: argparse.Namespace) -> bool:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    graph = load_dataset(args.dataset, seed=args.seed, scale_shift=args.scale_shift)
     # Diagnostics need the span stream, so they imply a live tracer.
     tracer = Tracer() if args.trace or _want_diagnostics(args) else None
     # All cross-field validation (crash vs --checkpoint-every, crash_perm
     # vs --replicas, rebalance factor) lives in api.Options.validate().
     config = _engine_config(args, tracer=tracer)
+    sources = _sources_from_args(args)
+    graph = _dataset_from_args(args)
     quiet = args.json
     if not quiet:
         print(f"{graph} on {args.ranks} simulated ranks")
@@ -435,7 +473,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     t0 = time.time()
     summary: dict = {"query": args.query, "dataset": args.dataset}
     if args.query == "sssp":
-        sources = [int(s) for s in args.sources.split(",") if s]
         result = run_sssp(graph, sources, config)
         fp = result.fixpoint
         summary.update(n_paths=result.n_paths, sources=sources)
@@ -565,23 +602,17 @@ def _cold_run(program, edges, other_facts, config):
 
 def _cmd_update(args: argparse.Namespace) -> int:
     """Converge on a base EDB, replay held-out edges as update batches."""
-    from repro.api import OptionsError, Session
+    from repro.api import Session
     from repro.runtime.incremental import IncrementalUnsupportedError
 
     if not 0.0 < args.batch_frac < 1.0:
         raise SystemExit(
             f"--batch-frac must be in (0, 1), got {args.batch_frac}"
         )
-    graph = load_dataset(args.dataset, seed=args.seed, scale_shift=args.scale_shift)
     tracer = Tracer() if args.trace or _want_diagnostics(args) else None
-    options = _options_from_args(args, tracer=tracer)
-    try:
-        session = Session(options)
-    except OptionsError as exc:
-        raise SystemExit(str(exc))
-    except ValueError as exc:
-        raise SystemExit(f"bad --faults spec: {exc}")
-    sources = [int(s) for s in args.sources.split(",") if s]
+    session = Session(_options_from_args(args, tracer=tracer))
+    sources = _sources_from_args(args)
+    graph = _dataset_from_args(args)
     program, edges, other_facts, answer_rel = _program_and_facts(
         args.query, graph, sources, args.subbuckets
     )

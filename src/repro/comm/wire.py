@@ -60,10 +60,10 @@ class WireConfig:
     """
 
     enabled: bool = True
-    #: Fold duplicate independent keys per (destination, bucket, sub)
-    #: box before the exchange, using the receiver's own vector
-    #: combiners.  Only lattices where sender pre-folding provably
-    #: commutes with receiver absorption participate (see
+    #: Fold duplicate independent keys in each sender's emitted block
+    #: before it is routed, using the receiver's own vector combiners.
+    #: Only lattices where sender pre-folding provably commutes with
+    #: receiver absorption participate (see
     #: ``VectorCombiner.combinable``); others ship verbatim.
     sender_combine: bool = True
     codec: str = "delta"

@@ -17,10 +17,10 @@ scalar path's *sequential* semantics exactly:
 * **Δ order** — the scalar Δ is a nested dict ordered by (first jk
   improvement, first group improvement).  The columnar shard records
   pending row ids in first-improvement order and reconstructs the
-  nested order at ``advance()`` with one stable argsort.
+  nested order at ``advance()`` with one stable sort.
 * **full order** — scalar ``iter_full`` yields groups nested by (jk
   first-admission, group admission); the columnar equivalent is a
-  cached stable argsort over the append-ordered row store.
+  cached stable sort over the append-ordered row store.
 
 An aggregator vectorizes by supplying an associative ``join`` over
 arrays (:class:`VectorCombiner`, one per type in ``_COMBINERS``):
@@ -29,7 +29,7 @@ MIN/MAX/SUM/COUNT/ANY/UNION/MCOUNT.  Custom and product-lattice
 none — ``make_shard`` then falls back to the scalar dict shard, whose
 ``absorb_block`` wrapper converts rows to tuples (exact, just slower).
 
-The sender-side fold (:func:`combine_blocks`) is the module's other
+The sender-side fold (:func:`combine_block`) is the module's other
 fold and deliberately not a scan: a sender needs only each group's
 total, so it halves and compacts instead of keeping every prefix.
 """
@@ -133,10 +133,12 @@ def vector_combiner(agg: RecursiveAggregator) -> Optional[VectorCombiner]:
     return factory(agg) if factory is not None else None
 
 
-def sender_fold_plan(schema: Schema) -> Tuple[Optional[VectorCombiner], bool]:
-    """``(combiner, can_combine)``: how a sender may fold one head
-    relation's route boxes before the all-to-all (wire layer, every
-    driver).
+def sender_fold_plan(
+    schema: Schema,
+) -> Optional[Tuple[int, Optional[VectorCombiner]]]:
+    """How a sender may fold one head relation's emitted rows before the
+    all-to-all (wire layer, every driver): the ``(n_indep, combiner)``
+    arguments of :func:`combine_block`, or ``None`` to ship verbatim.
 
     Plain relations fold by deduplication (no combiner needed);
     aggregates fold only when their vector combiner exists and is marked
@@ -145,11 +147,11 @@ def sender_fold_plan(schema: Schema) -> Tuple[Optional[VectorCombiner], bool]:
     applies.
     """
     if not schema.is_aggregate:
-        return None, True
+        return schema.arity, None
     comb = vector_combiner(schema.aggregator)
     if comb is not None and comb.combinable:
-        return comb, True
-    return None, False
+        return schema.n_indep, comb
+    return None
 
 
 def _nested_perm(jkv: np.ndarray) -> np.ndarray:
@@ -163,7 +165,7 @@ def _nested_perm(jkv: np.ndarray) -> np.ndarray:
     order, starts, counts = lex_group(jkv)
     key = np.empty(jkv.shape[0], dtype=np.int64)
     key[order] = np.repeat(order[starts], counts)
-    return np.argsort(key, kind="stable")
+    return group_columns([key])[0]
 
 
 class _ColumnarShardBase:
@@ -330,6 +332,8 @@ class _ColumnarShardBase:
             return out
         if self._sorted_n != n:
             hashes = self._hashes.view()
+            # Full 64-bit hashes leave no room for the row index that
+            # group_columns' value sort packs beside the key.
             self._sort_order = np.argsort(hashes, kind="stable").astype(np.int64)
             self._sorted_hashes = hashes[self._sort_order]
             self._sorted_n = n
@@ -504,59 +508,52 @@ def columnar_shard_for(schema: Schema):
     return ColumnarAggregateShard(schema, combiner)
 
 
-def combine_blocks(
-    rows: np.ndarray,
-    starts: np.ndarray,
-    n_indep: int,
-    combiner: Optional[VectorCombiner],
+def combine_block(
+    rows: np.ndarray, n_indep: int, combiner: Optional[VectorCombiner]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sender-side fold of consecutive route boxes in one pass.
+    """Sender-side fold of one source rank's emitted block.
 
-    Box ``k`` is ``rows[starts[k]:starts[k + 1]]``; the result holds one
-    row per (box, independent key) with the same box-offset convention.
-    ``combiner is None`` means a plain (set-semantics) relation —
-    duplicates are dropped outright.  For aggregates the combiner's
-    ``join`` must be ``combinable`` (the caller gates on that); each
-    key's occurrence sequence collapses to its lattice fold via a
-    logarithmic halving pass, so duplicate-heavy boxes cost
-    O(n log max_dups) vector work instead of a Python-level group loop.
+    Returns one row per independent key, sorted by key, and each output
+    row's pre-fold row count.  ``combiner is None`` means a plain
+    (set-semantics) relation — duplicates are dropped outright.  For
+    aggregates the combiner's ``join`` must be ``combinable`` (the caller
+    gates on that); each key's occurrence sequence collapses to its
+    lattice fold via a logarithmic halving pass, so a duplicate-heavy
+    block costs O(n log max_dups) vector work instead of a Python-level
+    group loop.
 
-    Rows are grouped once on ``(box, independent key…)``: only those key
-    columns are sorted, and a lone box adds no box column and no copy.
-    Within each box the output is sorted by independent key with distinct
-    keys — the canonical form the delta codec exploits, and exactly what
-    folding that box on its own yields (halving positions are per group,
-    so neighbouring boxes never interact).  Receiver absorption of a
-    folded box leaves shard state and Δ membership exactly as the
-    unfolded box would (see ``VectorCombiner.combinable``).
+    The fold runs *before* the rows are placed.  A tuple's home shard is
+    a function of its independent columns alone, so every occurrence of a
+    key lands in one route box, and the stable boxing that follows keeps
+    the key order: each box leaves exactly as folding it on its own
+    would have left it (same occurrence sequence per key, same halving
+    tree, rows sorted by key with distinct keys — the canonical form the
+    delta codec exploits), while hashing, boxing and encoding touch only
+    the folded rows.  Receiver absorption of a folded box leaves shard
+    state and Δ membership exactly as the unfolded box would (see
+    ``VectorCombiner.combinable``).
     """
     n, arity = rows.shape
-    n_boxes = len(starts) - 1
-    if n == 0:
-        return rows, np.zeros(n_boxes + 1, dtype=np.int64)
+    if n <= 1:
+        return rows, np.ones(n, dtype=np.int64)
     if combiner is None:
         n_indep = arity
-    key_cols = [rows[:, c] for c in range(n_indep)]
-    if n_boxes > 1:
-        box = np.repeat(np.arange(n_boxes, dtype=np.int64), np.diff(starts))
-        key_cols.insert(0, box)
-    if key_cols:
-        order, g_starts, g_counts = group_columns(key_cols)
-    else:  # global aggregate, one box: every row shares the empty key
+    if n_indep:
+        order, starts, counts = group_columns([rows[:, c] for c in range(n_indep)])
+    else:  # global aggregate: every row shares the empty key
         order = np.arange(n, dtype=np.int64)
-        g_starts = np.zeros(1, dtype=np.int64)
-        g_counts = np.asarray([n], dtype=np.int64)
-    n_groups = g_starts.shape[0]
-    heads = order[g_starts]
+        starts = np.zeros(1, dtype=np.int64)
+        counts = np.asarray([n], dtype=np.int64)
+    n_groups = starts.shape[0]
     out = np.empty((n_groups, arity), dtype=np.int64)
-    out[:, :n_indep] = rows[heads, :n_indep]
+    out[:, :n_indep] = rows[order[starts], :n_indep]
     if n_indep < arity:
         vals = rows[:, n_indep:][order]
         if n_groups != n:
             join = combiner.join
             # Within-group positions; halving joins odd positions into their
             # even predecessors until one row per group remains.
-            pos = np.arange(n, dtype=np.int64) - np.repeat(g_starts, g_counts)
+            pos = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
             while vals.shape[0] > n_groups:
                 odd = (pos & 1) == 1
                 idx = np.nonzero(odd)[0]
@@ -565,19 +562,4 @@ def combine_blocks(
                 vals = vals[keep]
                 pos = pos[keep] >> 1
         out[:, n_indep:] = vals
-    if n_boxes == 1:
-        out_starts = np.asarray([0, n_groups], dtype=np.int64)
-    else:
-        out_starts = np.zeros(n_boxes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(box[heads], minlength=n_boxes), out=out_starts[1:])
-    return out, out_starts
-
-
-def combine_block(
-    rows: np.ndarray, n_indep: int, combiner: Optional[VectorCombiner]
-) -> np.ndarray:
-    """:func:`combine_blocks` for one box: one row per independent key."""
-    n = rows.shape[0]
-    if n <= 1:
-        return rows
-    return combine_blocks(rows, np.asarray([0, n]), n_indep, combiner)[0]
+    return out, counts

@@ -9,9 +9,9 @@ Python tuples.  The primitives every kernel builds on:
     Exact, stable row grouping by column *values* (never by hash), so
     two distinct keys can never merge — the property the bit-for-bit
     equivalence with the scalar path rests on.  Key columns are packed
-    into one int64 with exactly the bits each needs and sorted with a
-    single stable argsort (``np.lexsort`` only on negatives or > 63
-    bits).
+    into one int64 with exactly the bits each needs, the row index goes
+    in the low bits and the words are sorted as values (``np.lexsort``
+    only on negatives or > 63 bits).
 ``segmented_scan``
     Inclusive scan of an associative ``join`` inside each group — every
     group's accumulator after every arrival, which is all the fused
@@ -23,7 +23,7 @@ Python tuples.  The primitives every kernel builds on:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -45,30 +45,6 @@ def as_rows(rows: np.ndarray, arity: int) -> np.ndarray:
     return arr
 
 
-def _pack_columns(cols: Sequence[np.ndarray]) -> Optional[np.ndarray]:
-    """One int64 key whose order is the lexicographic order of ``cols``.
-
-    Each column gets exactly the bits its maximum needs, first column in
-    the high bits, so the packing is a bijection and a single stable
-    argsort replaces a k-key lexsort.  Returns ``None`` when a column
-    holds a negative value or the widths exceed 63 bits — the caller
-    falls back to ``np.lexsort``.  A lone column is its own key.
-    """
-    if len(cols) == 1:
-        return cols[0]
-    widths = []
-    for col in cols:
-        if col.min() < 0:
-            return None
-        widths.append(int(col.max()).bit_length())
-    if sum(widths) > 63:
-        return None
-    key = cols[0]
-    for col, width in zip(cols[1:], widths[1:]):
-        key = (key << np.int64(width)) | col
-    return key
-
-
 def group_columns(
     cols: Sequence[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,27 +52,46 @@ def group_columns(
 
     Taking columns rather than a matrix lets a caller prepend a segment
     id to some columns of a row block without stacking a key matrix.
+
+    Rows are sorted as *values*.  Each column gets exactly the bits its
+    maximum needs, first column in the high bits, so the packed key is a
+    bijection whose order is the columns' lexicographic order; the row
+    index goes in the low ``(n - 1).bit_length()`` bits and one in-place
+    ``sort()`` (numpy's SIMD sort, several times faster than any argsort)
+    orders the words.  They are distinct and ties on the key break by row
+    index, so the low bits read back exactly the stable permutation.
+    Keys that cannot share 63 bits with the index take ``np.lexsort``.
     """
     n = cols[0].shape[0]
     if n == 0:
         return _EMPTY_GROUPS
-    key = _pack_columns(cols)
-    if key is not None:
-        order = np.argsort(key, kind="stable")
-        key_sorted = key[order]
-        boundary = key_sorted[1:] != key_sorted[:-1]
+    cols = [col.astype(np.int64, copy=False) for col in cols]
+    # A negative value reads as 64 bits unsigned, so it fails the width
+    # test along with the keys that are too wide.
+    widths = [int(col.view(np.uint64).max()).bit_length() for col in cols]
+    idx_bits = (n - 1).bit_length()
+    if sum(widths) + idx_bits <= 63:
+        word = cols[0]
+        for col, width in zip(cols[1:], widths[1:]):
+            word = (word << width) | col
+        word = word << idx_bits  # a fresh array, never the caller's column
+        word |= np.arange(n, dtype=np.int64)
+        word.sort()
+        order = word & ((1 << idx_bits) - 1)
+        word >>= idx_bits
+        boundary = word[1:] != word[:-1]
     else:
         # np.lexsort is stable and sorts by the *last* key first.
-        order = np.lexsort(tuple(cols[::-1]))
+        order = np.lexsort(tuple(cols[::-1])).astype(np.int64, copy=False)
         boundary = np.zeros(n - 1, dtype=bool)
         for col in cols:
             col_sorted = col[order]
             boundary |= col_sorted[1:] != col_sorted[:-1]
-    starts = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.nonzero(boundary)[0].astype(np.int64) + 1]
-    )
-    counts = np.diff(np.concatenate([starts, np.asarray([n], dtype=np.int64)]))
-    return order.astype(np.int64, copy=False), starts, counts
+    cuts = np.nonzero(boundary)[0]
+    bounds = np.empty(cuts.shape[0] + 2, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, n
+    np.add(cuts, 1, out=bounds[1:-1])
+    return order, bounds[:-1], bounds[1:] - bounds[:-1]
 
 
 def lex_group(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -120,6 +120,7 @@ class RankJoinIndex:
             else np.empty((starts.shape[0], 0), dtype=np.int64)
         )
         key_hash = _keyed_hash(key_rows, jk_cols, key_buckets)
+        # Full 64-bit hashes: no bits left for group_columns' value sort.
         horder = np.argsort(key_hash, kind="stable")
         key_hash = key_hash[horder]
         key_starts = starts[horder]

@@ -8,9 +8,11 @@
     identical to the scalar path's per-tuple items.
 
 ``build_route_sends``
-    Home routing of emitted head tuples (phase 4): one hash pass
-    computes every tuple's (bucket, sub, owner); rows are stably grouped
-    per destination shard into ``(bucket, sub, row_block)`` boxes.
+    Home routing of emitted head tuples (phase 4): where the wire
+    layer's sender fold applies, each source's block is folded per
+    independent key first; one hash pass then computes every remaining
+    row's (bucket, sub, owner) and rows are stably grouped per
+    destination shard into ``(bucket, sub, row_block)`` boxes.
 
 Both preserve the scalar path's per-(src, dst) row sequences exactly —
 the ordering the receiving shards' absorb semantics depend on.
@@ -23,47 +25,45 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.wire import decode_blocks, decode_rows, encode_blocks, encode_rows
+from repro.kernels.absorb import VectorCombiner, combine_block
 from repro.kernels.block import group_columns
 
 IntraBox = Tuple[np.ndarray, np.ndarray]  # (per-row buckets, rows)
 RouteBox = Tuple[int, int, np.ndarray]  # (bucket, sub, rows)
+#: A route box bound for the wire layer also says how many emitted rows
+#: it stands for (its own row count unless the sender fold ran).
+PreBox = Tuple[int, int, np.ndarray, int]  # (bucket, sub, rows, pre_rows)
 #: A route box in wire form: payload encoded, pre-combine row count kept
 #: so the per-edge savings stay observable (CommMatrix "precombine"
 #: channel, trace-report bytes-saved column).
 WireBox = Tuple[int, int, int, int, bytes]  # (bucket, sub, n_rows, pre_rows, payload)
 
 
-def _segment_bounds(sorted_vals: np.ndarray) -> np.ndarray:
-    """Start offsets of equal-value runs in a sorted 1-D array."""
-    n = sorted_vals.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(
-        [
-            np.zeros(1, dtype=np.int64),
-            np.nonzero(sorted_vals[1:] != sorted_vals[:-1])[0].astype(np.int64) + 1,
-        ]
-    )
-
-
-def _shard_boxes(rows: np.ndarray, dist) -> Iterator[Tuple[int, int, int, np.ndarray]]:
-    """``(owner, bucket, sub, block)`` for each home shard of ``rows``.
+def _shard_boxes(
+    rows: np.ndarray, dist, weights: Optional[np.ndarray] = None
+) -> Iterator[Tuple[int, int, int, np.ndarray, int]]:
+    """``(owner, bucket, sub, block, pre_rows)`` for each home shard of
+    ``rows``.
 
     One hash pass places every row; a stable grouping keeps each block's
     rows in arrival order; blocks come in (bucket, sub) order.
+    ``pre_rows`` is the block's row count, or the sum of its rows'
+    ``weights`` (the pre-fold counts of folded rows).
     """
     b_arr, s_arr = dist.bucket_sub_of_rows(rows)
     order, starts, counts = group_columns([b_arr, s_arr])
     heads = order[starts]
     b_heads, s_heads = b_arr[heads], s_arr[heads]
-    for s0, c, dst, b, s in zip(
+    pre = counts if weights is None else np.add.reduceat(weights[order], starts)
+    for s0, c, p, dst, b, s in zip(
         starts.tolist(),
         counts.tolist(),
+        pre.tolist(),
         dist.ranks_of_bucket_subs(b_heads, s_heads).tolist(),
         b_heads.tolist(),
         s_heads.tolist(),
     ):
-        yield dst, b, s, rows[order[s0 : s0 + c]]
+        yield dst, b, s, rows[order[s0 : s0 + c]], p
 
 
 def build_intra_sends(
@@ -86,19 +86,9 @@ def build_intra_sends(
         if n == 0:
             continue
         buckets = dist.buckets_of_key_rows(rows, probe_cols)
-        row_map = sends.setdefault(owner, {})
         if n_sub == 1:
             dst = dist.owners_of_buckets(buckets, 0)
-            fanout_total = n
-            order = np.argsort(dst, kind="stable")
-            dst_sorted = dst[order]
-            bounds = _segment_bounds(dst_sorted)
-            ends = np.concatenate([bounds[1:], np.asarray([n], dtype=np.int64)])
-            for s0, s1 in zip(bounds.tolist(), ends.tolist()):
-                idx = order[s0:s1]
-                row_map.setdefault(int(dst_sorted[s0]), []).append(
-                    (buckets[idx], rows[idx])
-                )
+            src_row = None
         else:
             dst_mat = np.stack(
                 [dist.owners_of_buckets(buckets, s) for s in range(n_sub)]
@@ -109,48 +99,66 @@ def build_intra_sends(
             for s in range(1, n_sub):
                 for p in range(s):
                     keep[s] &= dst_mat[s] != dst_mat[p]
-            fanout_total = int(keep.sum())
-            row_idx = np.concatenate([np.nonzero(keep[s])[0] for s in range(n_sub)])
-            dst_cat = np.concatenate(
-                [dst_mat[s][keep[s]] for s in range(n_sub)]
-            )
-            # Per destination, rows in arrival order (scalar append order).
-            order = np.lexsort((row_idx, dst_cat))
-            dst_sorted = dst_cat[order]
-            bounds = _segment_bounds(dst_sorted)
-            ends = np.concatenate(
-                [bounds[1:], np.asarray([dst_sorted.shape[0]], dtype=np.int64)]
-            )
-            for s0, s1 in zip(bounds.tolist(), ends.tolist()):
-                idx = row_idx[order[s0:s1]]
-                row_map.setdefault(int(dst_sorted[s0]), []).append(
-                    (buckets[idx], rows[idx])
-                )
-        per_rank_ser[owner] += fanout_total
-        n_intra += fanout_total
+            # Row-major (row, sub) pairs: a stable grouping by destination
+            # then leaves each destination's rows in arrival order.
+            src_row = np.nonzero(keep.T)[0]
+            dst = dst_mat.T[keep.T]
+        # Per destination, rows in arrival order (scalar append order).
+        order, starts, counts = group_columns([dst])
+        dst_heads = dst[order[starts]]
+        if src_row is not None:
+            order = src_row[order]
+        row_map = sends.setdefault(owner, {})
+        for s0, c, d in zip(starts.tolist(), counts.tolist(), dst_heads.tolist()):
+            idx = order[s0 : s0 + c]
+            row_map.setdefault(d, []).append((buckets[idx], rows[idx]))
+        per_rank_ser[owner] += dst.shape[0]
+        n_intra += dst.shape[0]
     return sends, n_intra
 
 
 def build_route_sends(
-    emitted: Dict[int, np.ndarray], dist
-) -> Tuple[Dict[int, Dict[int, List[RouteBox]]], int]:
-    """Group each source's emitted rows into per-shard boxes by owner."""
-    sends: Dict[int, Dict[int, List[RouteBox]]] = {}
+    emitted: Dict[int, np.ndarray],
+    dist,
+    for_wire: bool = False,
+    fold: Optional[Tuple[int, Optional[VectorCombiner]]] = None,
+) -> Tuple[Dict[int, Dict[int, list]], int, Dict[int, int]]:
+    """Group each source's emitted rows into per-shard boxes by owner.
+
+    ``fold`` — a :func:`~repro.kernels.absorb.sender_fold_plan` — folds
+    each source's block per independent key *before* it is hashed and
+    boxed; ``for_wire`` makes every box a :data:`PreBox`, the form
+    :func:`encode_wire_sends` takes.  Returns the sends, the number of
+    emitted (pre-fold) rows and, per source rank, the number of rows
+    that went through a fold (the engine charges those at serialization
+    cost; a box standing for one row had nothing to fold).
+    """
+    sends: Dict[int, Dict[int, list]] = {}
+    folded: Dict[int, int] = {}
     n_comm = 0
     for src, rows in emitted.items():
         n = rows.shape[0]
         if n == 0:
             continue
-        row: Dict[int, List[RouteBox]] = {}
-        for dst, b, s, block in _shard_boxes(rows, dist):
-            row.setdefault(dst, []).append((b, s, block))
+        weights = None
+        if fold is not None:
+            rows, weights = combine_block(rows, *fold)
+        row: Dict[int, list] = {}
+        n_folded = 0
+        for dst, b, s, block, pre in _shard_boxes(rows, dist, weights):
+            row.setdefault(dst, []).append(
+                (b, s, block, pre) if for_wire else (b, s, block)
+            )
+            if weights is not None and pre > 1:
+                n_folded += pre
         sends[src] = row
+        folded[src] = n_folded
         n_comm += n
-    return sends, n_comm
+    return sends, n_comm, folded
 
 
-#: Row budget of one fold/codec pass.  Consecutive boxes are batched up
-#: to this many rows (an oversize box goes alone), so the pass's
+#: Row budget of one codec pass.  Consecutive boxes are batched up to
+#: this many rows (an oversize box goes alone), so the pass's
 #: temporaries stay a bounded multiple of it however large one rank's
 #: send block is.  The bound is for memory, not speed: budgets from 8k
 #: to 128k rows measured alike on every workload, while no bound raised
@@ -177,43 +185,27 @@ def _offsets(counts: Sequence[int]) -> np.ndarray:
     return starts
 
 
-def encode_boxes(
-    blocks: Sequence[np.ndarray],
-    codec: str,
-    *,
-    n_indep: int = 0,
-    combiner=None,
-    combine: bool = False,
-) -> Tuple[List[int], List[bytes]]:
-    """Fold (when ``combine``) and encode row blocks, one payload each.
+def encode_boxes(blocks: Sequence[np.ndarray], codec: str) -> List[bytes]:
+    """Encode row blocks, one payload each.
 
     Blocks are processed in row-bounded chunks: a chunk is concatenated
-    (a lone block is used as is), folded once by
-    :func:`~repro.kernels.absorb.combine_blocks` and encoded once by
-    :func:`~repro.comm.wire.encode_blocks`.  Returns each block's row
-    count after the fold and its payload — byte-identical to folding and
-    encoding the block on its own.
+    (a lone block is used as is) and encoded once by
+    :func:`~repro.comm.wire.encode_blocks` — byte-identical to encoding
+    each block on its own.
     """
-    from repro.kernels.absorb import combine_blocks
-
     counts = [int(block.shape[0]) for block in blocks]
-    n_rows: List[int] = []
     payloads: List[bytes] = []
     for lo, hi in _row_chunks(counts, _CHUNK_ROWS):
         rows = blocks[lo] if hi - lo == 1 else np.concatenate(blocks[lo:hi])
-        starts = _offsets(counts[lo:hi])
-        if combine:
-            rows, starts = combine_blocks(rows, starts, n_indep, combiner)
-        payloads += encode_blocks(rows, starts, codec)
-        n_rows += np.diff(starts).tolist()
-    return n_rows, payloads
+        payloads += encode_blocks(rows, _offsets(counts[lo:hi]), codec)
+    return payloads
 
 
 def decode_boxes(
     payloads: Sequence[bytes], n_rows: Sequence[int], arity: int, codec: str
 ) -> List[np.ndarray]:
-    """Inverse of :func:`encode_boxes`' encoding, in the same row-bounded
-    chunks; the returned blocks are writable views of each chunk's rows."""
+    """Inverse of :func:`encode_boxes`, in the same row-bounded chunks;
+    the returned blocks are writable views of each chunk's rows."""
     out: List[np.ndarray] = []
     for lo, hi in _row_chunks(n_rows, _CHUNK_ROWS):
         starts = _offsets(n_rows[lo:hi])
@@ -224,44 +216,25 @@ def decode_boxes(
 
 
 def encode_wire_sends(
-    sends: Dict[int, Dict[int, List[RouteBox]]],
-    *,
-    n_indep: int,
-    combiner,
-    combine: bool,
-    codec: str,
-) -> Tuple[Dict[int, Dict[int, List[WireBox]]], Dict[int, int]]:
-    """Turn route boxes into wire boxes: optional sender-side fold, then
-    codec encoding — one :func:`encode_boxes` batch per source rank.
+    sends: Dict[int, Dict[int, List[PreBox]]], *, codec: str
+) -> Dict[int, Dict[int, List[WireBox]]]:
+    """Turn ``for_wire`` route boxes into wire boxes: codec encoding, one
+    :func:`encode_boxes` batch per source rank.
 
-    Returns the encoded sends plus, per source rank, the number of rows
-    that went through a fold (the engine charges those at serialization
-    cost; a box of one row has nothing to fold).  Shared by both
-    executors — the scalar path converts its tuple batches to row blocks
-    and reuses this, which is what keeps the two ledgers bit-identical
-    with the wire layer on.
+    Shared by both executors — the scalar path converts its tuple
+    batches to row blocks and reuses :func:`build_route_sends` and this,
+    which is what keeps the two ledgers bit-identical with the wire
+    layer on.
     """
     out: Dict[int, Dict[int, List[WireBox]]] = {}
-    folded: Dict[int, int] = {}
     for src, per_dst in sends.items():
         flat = [(dst, box) for dst, boxes in per_dst.items() for box in boxes]
-        n_rows, payloads = encode_boxes(
-            [box[2] for _dst, box in flat],
-            codec,
-            n_indep=n_indep,
-            combiner=combiner,
-            combine=combine,
-        )
+        payloads = encode_boxes([box[2] for _dst, box in flat], codec)
         row: Dict[int, List[WireBox]] = {dst: [] for dst in per_dst}
-        n_folded = 0
-        for (dst, (b, s, rows)), n, payload in zip(flat, n_rows, payloads):
-            pre = int(rows.shape[0])
-            if combine and pre > 1:
-                n_folded += pre
-            row[dst].append((b, s, n, pre, payload))
+        for (dst, (b, s, rows, pre)), payload in zip(flat, payloads):
+            row[dst].append((b, s, int(rows.shape[0]), pre, payload))
         out[src] = row
-        folded[src] = n_folded
-    return out, folded
+    return out
 
 
 def decode_wire_boxes(
@@ -313,8 +286,7 @@ def build_reshard_sends(
         if n == 0:
             continue
         row_map = sends.setdefault(src, {})
-        for dst, b, s, block in _shard_boxes(rows, new_dist):
-            c = int(block.shape[0])
+        for dst, b, s, block, c in _shard_boxes(rows, new_dist):
             row_map.setdefault(dst, []).append(
                 (b, s, kind, c, encode_rows(block, codec), seq)
             )

@@ -147,6 +147,7 @@ class Engine:
         self._wire_plans = {
             name: sender_fold_plan(schema)
             for name, schema in self.compiled.schemas.items()
+            if self.wire.enabled and self.wire.sender_combine
         }
         #: Online adaptive spatial rebalancing (PR 8): periodically grows
         #: skewed relations' sub-bucket counts mid-fixpoint.  None when
@@ -690,29 +691,22 @@ class Engine:
 
     # ------------------------------------------------ routing and absorption
 
-    def _wire_exchange(self, head, head_name: str, sends):
+    def _wire_exchange(self, head, sends, folded: Dict[int, int]):
         """The route all-to-all, through the wire layer (PR 7) when on.
 
-        Enabled, it folds each box per independent key where the lattice
-        allows, encodes payloads with the configured codec, charges the
-        fold at serialization cost and the exchange at *encoded* bytes,
-        lets the collective autotuner pick direct vs Bruck, and decodes
-        on the receive side; disabled, boxes travel as built at their raw
-        tuple size.
+        Enabled, it encodes the boxes' payloads with the configured
+        codec, charges the route step's sender fold (``folded`` rows per
+        source) at serialization cost and the exchange at *encoded*
+        bytes, lets the collective autotuner pick direct vs Bruck, and
+        decodes on the receive side; disabled, boxes travel as built at
+        their raw tuple size.
         """
         wire = self.wire
         cluster = self.cluster
         arity = head.schema.arity
         sizing = _RAW_BOX
         if wire.enabled:
-            combiner, can_combine = self._wire_plans[head_name]
-            sends, folded = encode_wire_sends(
-                sends,
-                n_indep=head.schema.n_indep,
-                combiner=combiner,
-                combine=wire.sender_combine and can_combine,
-                codec=wire.codec,
-            )
+            sends = encode_wire_sends(sends, codec=wire.codec)
             if any(folded.values()):
                 cost = cluster.cost
                 per_tuple = cost.tuple_serialize * cost.compute_scale
@@ -753,8 +747,11 @@ class Engine:
 
         # ---- phase: all-to-all of materialized tuples ----
         with self.timer.phase(P_COMM):
-            sends, n_comm = ex.route_sends(emitted, head.dist, self.wire.enabled)
-            recv = self._wire_exchange(head, head_name, sends)
+            sends, n_comm, folded = ex.route_sends(
+                emitted, head.dist, self.wire.enabled,
+                self._wire_plans.get(head_name),
+            )
+            recv = self._wire_exchange(head, sends, folded)
         stats.comm_tuples += n_comm
         self.counters["alltoall_tuples"] += n_comm
 

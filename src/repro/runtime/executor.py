@@ -20,7 +20,8 @@ the vote chose to transmit:
   every sub-bucket owner of the matching inner bucket;
 * ``local_join`` — probe each rank's inner shards with what it received;
 * ``route_sends`` — group emitted tuples into ``(bucket, sub, batch)``
-  boxes per home rank;
+  boxes per home rank, after the wire layer's sender fold where the
+  engine hands one in;
 * ``absorb`` — fuse one rank's received boxes into the head's shards.
 """
 
@@ -137,8 +138,8 @@ class ColumnarExecutor:
                 emitted[r] = cr.emit_spec.eval_block(inner_gather, outer_gather)
         return emitted
 
-    def route_sends(self, emitted, dist, for_wire):
-        return build_route_sends(emitted, dist)
+    def route_sends(self, emitted, dist, for_wire, fold):
+        return build_route_sends(emitted, dist, for_wire, fold)
 
     def absorb(self, head, boxes, absorb_stats) -> None:
         # Concatenate each shard's boxes in delivery order, so per-shard
@@ -274,12 +275,23 @@ class ScalarExecutor:
             per_rank_emit[r] += len(out)
         return emitted
 
-    def route_sends(self, emitted, dist, for_wire):
+    def route_sends(self, emitted, dist, for_wire, fold):
+        if for_wire:
+            # The wire layer folds and encodes row blocks, so each source's
+            # tuples become one and take the shared builder (``absorb``
+            # turns the decoded blocks back).
+            return build_route_sends(
+                {
+                    src: np.asarray(tuples, dtype=np.int64)
+                    for src, tuples in emitted.items()
+                    if tuples
+                },
+                dist, True, fold,
+            )
         # One hash pass per source computes each tuple's home shard
         # (bucket, sub) *and* its owner rank; payloads travel as
         # shard-tagged batches ("boxes") so the receiver absorbs without
-        # regrouping.  ``for_wire``: the wire layer folds and encodes row
-        # blocks, so batches leave as arrays (``absorb`` turns them back).
+        # regrouping.
         sends: Dict[int, Dict[int, list]] = {}
         n_comm = 0
         for src, tuples in emitted.items():
@@ -302,14 +314,12 @@ class ScalarExecutor:
                 lst.append(t)
             row: Dict[int, list] = {}
             for key, batch in by_shard.items():
-                if for_wire:
-                    batch = np.asarray(batch, dtype=np.int64)
                 row.setdefault(shard_dst[key], []).append(
                     (key[0], key[1], batch)
                 )
             sends[src] = row
             n_comm += len(tuples)
-        return sends, n_comm
+        return sends, n_comm, {}
 
     def absorb(self, head, boxes, absorb_stats) -> None:
         for b, s, batch in boxes:

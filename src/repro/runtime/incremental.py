@@ -374,8 +374,7 @@ class FixpointHandle:
                 ]
                 sizing = {"count_of": len}
                 if wire.enabled:
-                    _n, payloads = encode_boxes(boxes, wire.codec)
-                    boxes = list(zip(boxes, payloads))
+                    boxes = list(zip(boxes, encode_boxes(boxes, wire.codec)))
                     sizing = {
                         "count_of": lambda box: box[0].shape[0],
                         "nbytes_of": lambda box: encoded_nbytes(box[1]),

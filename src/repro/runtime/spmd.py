@@ -144,22 +144,23 @@ async def _route_and_absorb(
 ) -> None:
     head = state.store[head_name]
     wire = state.config.wire
-    sends, _n = state.ex.route_sends(emitted, head.dist, wire.enabled)
-    if not wire.enabled:
-        state.ex.absorb(head, await _exchange(comm, sends), None)
-        return
     # Wire layer, exactly the BSP engine's: fold duplicates per
     # independent key where the aggregate lattice allows, ship compact
     # encoded payloads, and let the modeled collective autotune.
-    combiner, can_combine = sender_fold_plan(head.schema)
-    sends, _folded = encode_wire_sends(
-        sends,
-        n_indep=head.schema.n_indep,
-        combiner=combiner,
-        combine=wire.sender_combine and can_combine,
-        codec=wire.codec,
+    fold = (
+        sender_fold_plan(head.schema)
+        if wire.enabled and wire.sender_combine
+        else None
     )
-    boxes = await _exchange(comm, sends, wire.alltoallv)
+    sends, _n, _folded = state.ex.route_sends(
+        emitted, head.dist, wire.enabled, fold
+    )
+    if not wire.enabled:
+        state.ex.absorb(head, await _exchange(comm, sends), None)
+        return
+    boxes = await _exchange(
+        comm, encode_wire_sends(sends, codec=wire.codec), wire.alltoallv
+    )
     state.ex.absorb(
         head, decode_wire_boxes(boxes, head.schema.arity, wire.codec), None
     )

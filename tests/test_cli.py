@@ -39,12 +39,65 @@ class TestRun:
         assert rc == 0
 
     def test_unknown_dataset_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit, match="bad --dataset: unknown dataset 'missing'"):
             main(["run", "sssp", "--dataset", "missing"])
 
     def test_unknown_query_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "pagerank"])
+
+
+class TestOptionErrorsNameTheirFlag:
+    """A bad option value exits with one line naming *its* flag, on every
+    subcommand that takes it; only a fault-spec error says ``--faults``."""
+
+    SMALL = ["--dataset", "topcats", "--scale-shift", "4"]
+
+    @pytest.mark.parametrize("command", ["run", "update"])
+    @pytest.mark.parametrize(
+        "flags,flag",
+        [
+            (["--ranks", "0"], "--ranks"),
+            (["--ranks", "4", "--subbuckets", "0"], "--subbuckets"),
+            (["--ranks", "4", "--checkpoint-every", "0"], "--checkpoint-every"),
+            (["--ranks", "4", "--replicas", "-1"], "--replicas"),
+            (["--ranks", "4", "--rebalance-every", "0"], "--rebalance-every"),
+            (["--ranks", "4", "--rebalance-threshold", "2"], "--rebalance-threshold"),
+            (["--ranks", "4", "--sources", "abc"], "--sources"),
+            (["--ranks", "4", "--sources", ""], "--sources"),
+            (["--ranks", "4", "--sources", " , "], "--sources"),
+            (["--ranks", "4", "--dataset", "nope"], "--dataset"),
+        ],
+    )
+    def test_run_and_update(self, command, flags, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "sssp", *self.SMALL, *flags])
+        message = str(exc.value)
+        assert message.startswith(f"bad {flag}") and "\n" not in message
+        assert "--faults" not in message
+
+    @pytest.mark.parametrize(
+        "flags,flag",
+        [
+            (["--ranks", "0"], "--ranks"),
+            (["--rebalance-threshold", "-1"], "--rebalance-threshold"),
+        ],
+    )
+    def test_query(self, tmp_path, flags, flag):
+        program = tmp_path / "p.dl"
+        program.write_text("p(X, Y) :- e(X, Y).\n")
+        with pytest.raises(SystemExit, match=f"^bad {flag}: ") as exc:
+            main(["query", str(program), *flags])
+        assert "--faults" not in str(exc.value)
+
+    @pytest.mark.parametrize("command", ["run", "update"])
+    @pytest.mark.parametrize("spec", ["bogus", "drop=1.5", "crash=x@y"])
+    def test_only_a_fault_spec_error_says_faults(self, command, spec):
+        with pytest.raises(SystemExit, match="^bad --faults spec: "):
+            main([command, "sssp", *self.SMALL, "--ranks", "4", "--faults", spec])
+
+    def test_cc_ignores_sources(self, capsys):
+        assert main(["run", "cc", *self.SMALL, "--ranks", "4", "--sources", ""]) == 0
 
 
 class TestExperiment:

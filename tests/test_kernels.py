@@ -6,9 +6,11 @@ batch sequences and assert every observable — stats, iteration *order*,
 Δ lifecycle, version blocks — matches exactly.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregators import (
@@ -22,7 +24,12 @@ from repro.core.aggregators import (
 )
 from repro.core.local_agg import AbsorbStats, make_shard
 from repro.kernels.absorb import _COMBINERS, columnar_shard_for
-from repro.kernels.block import concat_ranges, lex_group, segmented_scan
+from repro.kernels.block import (
+    concat_ranges,
+    group_columns,
+    lex_group,
+    segmented_scan,
+)
 from repro.kernels.join import RankJoinIndex
 from repro.kernels.route import build_route_sends
 from repro.planner.ast import Atom, BinOp, Const, Var
@@ -72,6 +79,120 @@ class TestLexGroup:
             vals = {tuple(mat[i]) for i in idx.tolist()}
             assert len(vals) == 1  # a group never mixes distinct keys
             assert idx.tolist() == sorted(idx.tolist())  # arrival order
+
+
+def _lexsort_groups(cols):
+    """``np.lexsort``'s stable ``(order, starts, counts)`` — the reference."""
+    order = np.lexsort(tuple(cols[::-1]))
+    n = order.shape[0]
+    boundary = np.zeros(n - 1, dtype=bool)
+    for col in cols:
+        boundary |= col[order][1:] != col[order][:-1]
+    starts = np.concatenate([[0], np.nonzero(boundary)[0] + 1])
+    return order, starts, np.diff(np.append(starts, n))
+
+
+def _group_and_tier(cols):
+    """``group_columns(cols)`` and the tier that produced it."""
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
+        got = group_columns(cols)
+    return got, "lexsort" if spy.called else "value"
+
+
+def _expected_tier(cols):
+    """The 63-bit rule: packed key bits + row-index bits share one int64."""
+    if any(int(col.min()) < 0 for col in cols):
+        return "lexsort"
+    bits = sum(int(col.max()).bit_length() for col in cols)
+    bits += (cols[0].shape[0] - 1).bit_length()
+    return "value" if bits <= 63 else "lexsort"
+
+
+def _assert_groups_like_lexsort(cols, tier=None):
+    want = _lexsort_groups(cols)
+    got, ran = _group_and_tier(cols)
+    assert ran == (tier or _expected_tier(cols))
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and np.array_equal(g, w)
+
+
+_SIZES = sorted({1, 2} | {(1 << k) + d for k in range(1, 8) for d in (0, 1)})
+
+#: (value strategy, dtype) per key column: all-zero, duplicate-heavy,
+#: narrow dtypes (the packing shifts must happen in int64), wide and
+#: negative values.
+_COLUMN_KINDS = st.sampled_from(
+    [
+        (st.just(0), np.int64),
+        (st.integers(0, 3), np.int64),
+        (st.booleans(), np.bool_),
+        (st.integers(0, 2**31 - 1), np.int32),
+        (st.integers(-(2**31), 2**31 - 1), np.int32),
+        (st.integers(0, 2**20), np.int64),
+        (st.integers(0, 2**62), np.int64),
+        (st.integers(-4, 4), np.int64),
+        (st.integers(-(2**63), 2**63 - 1), np.int64),
+    ]
+)
+
+
+@st.composite
+def _key_columns(draw):
+    n = draw(st.sampled_from(_SIZES))
+    kinds = draw(st.lists(_COLUMN_KINDS, min_size=1, max_size=4))
+    return [
+        np.asarray(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+        for values, dtype in kinds
+    ]
+
+
+class TestGroupColumns:
+    """The packed (key, row index) value sort and the lexsort tier are one
+    function: exactly ``np.lexsort``'s stable permutation and groups."""
+
+    @given(_key_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_lexsort(self, cols):
+        _assert_groups_like_lexsort(cols)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 65])
+    def test_negative_lone_column_takes_lexsort(self, n):
+        col = np.arange(n, dtype=np.int64)[::-1] % 3 - 1
+        _assert_groups_like_lexsort([col], tier="lexsort")
+
+    def test_all_zero_columns_are_one_group(self):
+        cols = [np.zeros(9, dtype=np.int64)] * 3
+        (order, starts, counts), tier = _group_and_tier(cols)
+        assert tier == "value"
+        assert order.tolist() == list(range(9))
+        assert (starts.tolist(), counts.tolist()) == ([0], [9])
+
+    @pytest.mark.parametrize(
+        "total,tier", [(62, "value"), (63, "value"), (64, "lexsort")]
+    )
+    @pytest.mark.parametrize("n", [2, 5, 64, 65])
+    @pytest.mark.parametrize("n_cols", [1, 2, 3])
+    def test_tier_boundary(self, total, tier, n, n_cols):
+        """Key bits + index bits at 62, 63 and 64: the widest keys that
+        still share a word with the row index, and the first that do not
+        (every one of them packs into 63 bits on its own)."""
+        key_bits = total - (n - 1).bit_length()
+        widths = [key_bits // n_cols] * n_cols
+        widths[0] += key_bits - sum(widths)
+        rng = np.random.default_rng(total * n + n_cols)
+        cols = []
+        for w in widths:
+            col = rng.integers(0, 1 << w, size=n, dtype=np.int64)
+            col[rng.integers(n)] = (1 << w) - 1  # the width is exact
+            cols.append(col)
+        cols[-1][[0, n - 1]] = (1 << widths[-1]) - 1  # and one duplicate
+        _assert_groups_like_lexsort(cols, tier=tier)
+
+    def test_narrow_dtypes_shift_in_int64(self):
+        big = np.asarray([2**28, 1, 2**28, 0, 1], dtype=np.int32)
+        flag = np.asarray([True, False, True, True, False])
+        for cols in ([big], [big, big], [flag, big, flag]):
+            _assert_groups_like_lexsort(cols, tier="value")
 
 
 class TestConcatRanges:
@@ -378,8 +499,8 @@ def test_build_route_sends_partitions_all_rows():
     rel = VersionedRelation(schema, 4, layout="columnar")
     rng = np.random.default_rng(7)
     rows = rng.integers(0, 50, size=(200, 2), dtype=np.int64)
-    sends, n_comm = build_route_sends({0: rows, 2: rows[:17]}, rel.dist)
-    assert n_comm == 217
+    sends, n_comm, folded = build_route_sends({0: rows, 2: rows[:17]}, rel.dist)
+    assert n_comm == 217 and folded == {0: 0, 2: 0}
     for src, expect in ((0, rows), (2, rows[:17])):
         boxes = [box for row in sends[src].values() for box in row]
         got = np.vstack([b[2] for b in boxes])

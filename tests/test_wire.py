@@ -18,13 +18,17 @@ from repro.comm.wire import (
     encode_rows,
     encoded_nbytes,
 )
-from repro.core.aggregators import make_aggregator
+from repro.core.aggregators import TupleAggregator, make_aggregator
 from repro.kernels import route
-from repro.kernels.absorb import combine_block, vector_combiner
+from repro.kernels.absorb import combine_block, sender_fold_plan, vector_combiner
 from repro.kernels.block import group_columns, lex_group
 from repro.queries.cc import run_cc
 from repro.queries.sssp import run_sssp
+from repro.relational.distribution import Distribution
+from repro.relational.schema import Schema
+from repro.runtime import executor as executor_mod
 from repro.runtime.config import EngineConfig
+from repro.util.hashing import HashSeed
 
 EXECUTORS = ("scalar", "columnar")
 
@@ -120,8 +124,9 @@ class TestCombineBlock:
         rows = np.array(
             [[3, 1], [1, 2], [3, 1], [1, 2], [0, 9]], dtype=np.int64
         )
-        out = combine_block(rows, 2, None)
+        out, counts = combine_block(rows, 2, None)
         assert np.array_equal(out, np.unique(rows, axis=0))
+        assert counts.tolist() == [1, 2, 2]
 
     @given(
         keys=st.lists(st.integers(0, 5), min_size=1, max_size=60),
@@ -135,7 +140,8 @@ class TestCombineBlock:
         vals = rng.integers(-1000, 1000, size=len(keys))
         rows = np.column_stack([np.asarray(keys), vals]).astype(np.int64)
         comb = vector_combiner(make_aggregator("min"))
-        out = combine_block(rows, 1, comb)
+        out, counts = combine_block(rows, 1, comb)
+        assert counts.tolist() == [keys.count(k) for k in sorted(set(keys))]
         expect = {}
         for k, v in zip(keys, vals):
             expect[k] = min(expect.get(k, v), v)
@@ -262,8 +268,8 @@ def _wire_boxes(draw):
 
 
 class TestBatchedKernels:
-    """The segmented fold + codec pass must equal the per-box reference
-    byte for byte, whatever the chunking."""
+    """The one-block fold and the chunked codec pass must equal the
+    per-box reference byte for byte, whatever the chunking."""
 
     @pytest.mark.parametrize("codec", WIRE_CODECS)
     @pytest.mark.parametrize("agg", (None, "min", "max", "sum"))
@@ -272,31 +278,26 @@ class TestBatchedKernels:
     def test_encode_matches_reference_and_round_trips(self, codec, agg, case, data):
         arity, boxes = case
         n_indep = data.draw(st.integers(0, arity))
-        combine = data.draw(st.booleans())
         # Budgets from 1 row up: boxes straddle a chunk, exceed one, or
         # all share one.
         budget = data.draw(st.sampled_from([1, 3, 7, 20, 1 << 16]))
         combiner = None if agg is None else vector_combiner(make_aggregator(agg))
-        expect_rows = [
-            _ref_combine_block(b.copy(), n_indep, combiner)
-            if combine and b.shape[0] > 1 else b
-            for b in boxes
-        ]
+        expect_rows = [_ref_combine_block(b.copy(), n_indep, combiner) for b in boxes]
         expect = [_ref_encode_rows(r, codec) for r in expect_rows]
+        folded = [combine_block(b, n_indep, combiner) for b in boxes]
+        for b, (got, counts), want in zip(boxes, folded, expect_rows):
+            assert np.array_equal(got, want)
+            assert counts.shape[0] == want.shape[0] and counts.sum() == b.shape[0]
         with mock.patch.object(route, "_CHUNK_ROWS", budget):
-            n_rows, payloads = route.encode_boxes(
-                boxes, codec, n_indep=n_indep, combiner=combiner, combine=combine
-            )
+            payloads = route.encode_boxes([rows for rows, _counts in folded], codec)
+            n_rows = [r.shape[0] for r in expect_rows]
             decoded = route.decode_boxes(payloads, n_rows, arity, codec)
         assert payloads == expect
-        assert n_rows == [r.shape[0] for r in expect_rows]
         for got, want in zip(decoded, expect_rows):
             assert got.dtype == np.int64 and np.array_equal(got, want)
             got[:] = 0  # decoded blocks must be writable
-        # The single-box entry points are the same kernels, batch of one.
-        for b, want_rows, want in zip(boxes, expect_rows, expect):
-            if combine and b.shape[0] > 1:
-                assert np.array_equal(combine_block(b, n_indep, combiner), want_rows)
+        # The single-box entry point is the same kernel, batch of one.
+        for want_rows, want in zip(expect_rows, expect):
             assert encode_rows(want_rows, codec) == want
 
     @pytest.mark.parametrize("codec", WIRE_CODECS)
@@ -360,6 +361,117 @@ class TestBatchedKernels:
         ):
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+
+
+def _ref_wire_boxes(rows, dist, plan, codec):
+    """One source's ``(dst, bucket, sub, n_rows, pre_rows, payload)``
+    tuples and fold count the way PR 7 produced them: box first, then
+    fold and encode each box on its own."""
+    b_arr, s_arr = dist.bucket_sub_of_rows(rows)
+    by_shard = {}
+    for i, shard in enumerate(zip(b_arr.tolist(), s_arr.tolist())):
+        by_shard.setdefault(shard, []).append(i)
+    per_dst, n_folded = {}, 0
+    for b, s in sorted(by_shard):
+        block = rows[by_shard[b, s]]
+        pre = block.shape[0]
+        if plan is not None and pre > 1:
+            block = _ref_combine_block(block.copy(), *plan)
+            n_folded += pre
+        per_dst.setdefault(dist.owner(b, s), []).append(
+            (b, s, block.shape[0], pre, _ref_encode_rows(block, codec))
+        )
+    return [(dst, *box) for dst, boxes in per_dst.items() for box in boxes], n_folded
+
+
+@st.composite
+def _emitted_heads(draw):
+    """(emitted blocks per source, head placement, sender fold plan)."""
+    arity = draw(st.integers(1, 4))
+    agg = draw(st.sampled_from([None, "min", "max", "any", "mcount", "sum", "count"]))
+    # A plain head's key is the whole row.
+    n_indep = arity if agg is None else draw(st.integers(0, arity))
+    n_dep = arity - n_indep
+    aggregator = None
+    if n_dep:
+        aggregator = make_aggregator(agg)
+        if n_dep > 1:  # the vector joins are elementwise over any width
+            aggregator = TupleAggregator([aggregator] * n_dep)
+    join_cols = draw(st.lists(st.integers(0, max(n_indep - 1, 0)), unique=True,
+                              max_size=n_indep))
+    schema = Schema(
+        "head", arity, tuple(join_cols), n_dep, aggregator,
+        n_subbuckets=draw(st.sampled_from([1, 3, 8])),
+    )
+    n_ranks = draw(st.integers(1, 6))
+    dead = draw(st.sets(st.integers(0, n_ranks - 1), max_size=n_ranks - 1))
+    dist = Distribution(schema, n_ranks, HashSeed().derive(draw(st.integers(0, 9))), dead)
+    plan = None
+    if agg is None:
+        plan = sender_fold_plan(schema)
+    elif vector_combiner(make_aggregator(agg)).combinable:
+        plan = (n_indep, vector_combiner(make_aggregator(agg)))
+    row = st.lists(_wire_values, min_size=arity, max_size=arity)
+    emitted = {
+        src: np.asarray(block, dtype=np.int64).reshape(len(block), arity)
+        for src, block in draw(
+            st.dictionaries(st.integers(0, n_ranks - 1), st.lists(row, max_size=30))
+        ).items()
+    }
+    return emitted, dist, plan
+
+
+def _flat_wire(sends):
+    return {
+        src: [(dst, *box) for dst, boxes in per_dst.items() for box in boxes]
+        for src, per_dst in sends.items()
+    }
+
+
+class TestFoldBeforeRoute:
+    """Folding a source's block per independent key *before* it is hashed
+    and boxed leaves every wire box byte-identical to boxing first and
+    folding each box on its own — a key belongs to exactly one box."""
+
+    @pytest.mark.parametrize("codec", WIRE_CODECS)
+    @given(case=_emitted_heads(), budget=st.sampled_from([1, 5, 1 << 16]))
+    @settings(max_examples=120, deadline=None)
+    def test_wire_boxes_identical_to_per_box_fold(self, codec, case, budget):
+        emitted, dist, plan = case
+        want = {
+            src: _ref_wire_boxes(rows, dist, plan, codec)
+            for src, rows in emitted.items()
+            if rows.shape[0]
+        }
+        as_tuples = {
+            src: [tuple(t) for t in rows.tolist()] for src, rows in emitted.items()
+        }
+        for ex, blocks in (
+            (executor_mod.ColumnarExecutor(), emitted),
+            (executor_mod.ScalarExecutor(), as_tuples),
+        ):
+            with mock.patch.object(route, "_CHUNK_ROWS", budget):
+                sends, n_comm, folded = ex.route_sends(blocks, dist, True, plan)
+                got = _flat_wire(route.encode_wire_sends(sends, codec=codec))
+            assert n_comm == sum(rows.shape[0] for rows in emitted.values())
+            assert got == {src: boxes for src, (boxes, _n) in want.items()}
+            assert folded == {src: n for src, (_boxes, n) in want.items()}
+
+    def test_non_combinable_heads_have_no_plan(self):
+        for name in ("sum", "count"):
+            schema = Schema("h", 2, (0,), 1, make_aggregator(name))
+            assert sender_fold_plan(schema) is None
+
+    @pytest.mark.parametrize(
+        "wire", [WireConfig.off(), WireConfig(sender_combine=False)]
+    )
+    def test_no_fold_reaches_the_route_step(self, wire, medium_weighted_graph):
+        with mock.patch.object(
+            executor_mod, "build_route_sends", wraps=route.build_route_sends
+        ) as spy:
+            run_sssp(medium_weighted_graph, [0, 5], _cfg(wire=wire))
+        assert spy.call_count
+        assert all(call.args[3] is None for call in spy.call_args_list)
 
 
 class TestWireInvariance:
