@@ -404,8 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--explain", action="store_true")
     query.add_argument("--spmd", action="store_true",
-                       help="evaluate with the literal per-rank SPMD engine "
-                            "instead of the fast BSP driver")
+                       help="evaluate with the per-rank driver (one engine "
+                            "per rank, in lockstep) instead of the BSP driver")
     query.add_argument("--limit", type=int, default=20,
                        help="max tuples to print per output relation")
     _add_obs_flags(query)
@@ -815,16 +815,19 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.planner.parser import DatalogSyntaxError, parse_program
     from repro.runtime.engine import Engine
 
+    tracer = Tracer() if args.trace or _want_diagnostics(args) else None
+    config = _engine_config(args, tracer=tracer)
     if args.spmd:
-        # Everything the per-rank driver cannot honour, refused at once.
-        refused = [
-            f"--{name}"
-            for name in ("trace", "json", "diagnostics", "flamegraph", "rebalance")
-            if getattr(args, name)
+        from repro.runtime.spmd import spmd_refusals
+
+        # One message: the config fields the per-rank driver refuses, plus
+        # the output flags that read a BSP FixpointResult.
+        refused = spmd_refusals(config) + [
+            f"--{name}" for name in ("json", "flamegraph") if getattr(args, name)
         ]
         if refused:
             raise SystemExit(
-                f"{'/'.join(refused)} require the BSP driver (drop --spmd)"
+                f"{', '.join(refused)} require the BSP driver (drop --spmd)"
             )
     try:
         parsed = parse_program(pathlib.Path(args.file).read_text())
@@ -832,8 +835,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         raise SystemExit(f"cannot read program {args.file}: {exc.strerror}")
     except DatalogSyntaxError as exc:
         raise SystemExit(f"{args.file}: {exc}")
-    tracer = Tracer() if args.trace or _want_diagnostics(args) else None
-    config = _engine_config(args, tracer=tracer)
     file_inputs = dict(parsed.inputs)
     for spec in args.facts:
         rel, _, path = spec.partition("=")
@@ -856,21 +857,26 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if args.explain:
             print(engine.explain())
     if args.spmd:
-        from repro.runtime.spmd import run_spmd_engine
+        from repro.runtime.spmd import run_slices
 
         t0 = time.time()
-        relations = run_spmd_engine(parsed.program, all_facts, config)
-        lookup = relations.__getitem__
-        footer = f"[SPMD engine, wall {time.time() - t0:.2f}s]"
+        _engines, results = run_slices(parsed.program, all_facts, config=config)
+        result = results[0]
+
+        def lookup(name):
+            return set().union(*(r.query(name) for r in results))
+
+        driver = "SPMD engine, "
     else:
         for name, rows in all_facts.items():
             engine.load(name, rows)
         t0 = time.time()
         result = engine.run()
         lookup = result.query
-        footer = (f"[{result.iterations} iterations, "
-                  f"modeled {result.modeled_seconds():.6f}s, "
-                  f"wall {time.time() - t0:.2f}s]")
+        driver = ""
+    footer = (f"[{driver}{result.iterations} iterations, "
+              f"modeled {result.modeled_seconds():.6f}s, "
+              f"wall {time.time() - t0:.2f}s]")
     outputs = parsed.outputs or tuple(
         r.head.relation for r in parsed.program.rules
     )
@@ -887,11 +893,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(f"  {name}{t}")
         if len(tuples) > len(shown):
             print(f"  ... {len(tuples) - len(shown)} more")
-    if args.spmd:
-        print(footer)
-        return 0
     if not quiet:
         print(footer)
+    if args.spmd:  # --json and the trace outputs are refused above
+        return 0
     report = _base_report(result, ranks=args.ranks)
     report.update(program=args.file, outputs=output_sizes)
     return _finish_obs(args, result, report)

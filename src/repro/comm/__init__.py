@@ -10,13 +10,15 @@ substitution in DESIGN.md §2) this package provides:
     figures, since wall-clock of a single-process simulation cannot.
 :mod:`repro.comm.simcluster`
     :class:`SimCluster` — a bulk-synchronous simulated cluster of logical
-    ranks.  Its collectives (``allreduce``, ``allgather``, ``alltoallv``
-    — the three the engine uses) move *real* payloads between per-rank
-    mailboxes and charge the cost model with actual serialized sizes, so
-    communication volume is measured, never assumed.
+    ranks, under both engine drivers.  Its collectives (``allreduce``,
+    ``allgather``, ``alltoallv`` — the three the engine uses) move *real*
+    payloads between per-rank mailboxes and charge the cost model with
+    actual serialized sizes, so communication volume is measured, never
+    assumed.
 :mod:`repro.comm.asyncmpi`
-    An mpi4py-flavoured SPMD API (``run_spmd`` + ``AsyncComm``) for writing
-    rank programs in the familiar MPI style; used by examples and tests.
+    An mpi4py-flavoured SPMD API (``run_spmd`` + ``AsyncComm``) for
+    hand-written rank programs in the familiar MPI style (examples and
+    tests); not the engine's substrate.
 :mod:`repro.comm.ledger`
     Per-phase accounting of compute (per-rank, max-combined per superstep)
     and communication (global) modeled time.

@@ -1,10 +1,12 @@
-"""An mpi4py-flavoured SPMD interface over asyncio.
+"""An mpi4py-flavoured SPMD interface over asyncio, for hand-written rank
+programs.
 
-The BSP :class:`~repro.comm.simcluster.SimCluster` is what the PARALAGG
-runtime uses internally, but a downstream user of this library expects to
-write *rank programs* in the familiar MPI style (see the mpi4py tutorial's
-idioms, which this API mirrors: lowercase methods communicate pickled
-Python objects):
+It is not the engine's substrate: both engine drivers, BSP and per-rank
+(:mod:`repro.runtime.spmd`), run on
+:class:`~repro.comm.simcluster.SimCluster`.  This is for a user who wants
+to write *rank programs* in the familiar MPI style (see the mpi4py
+tutorial's idioms, which this API mirrors: lowercase methods communicate
+pickled Python objects):
 
 .. code-block:: python
 
@@ -491,17 +493,8 @@ class AsyncComm:
         result = await self.allreduce(value, op)
         return result if self._rank == root else None
 
-    async def alltoall(
-        self, objs: List[Any], collective: str = "direct"
-    ) -> List[Any]:
-        """Each rank supplies one object per destination; receives one per source.
-
-        ``collective`` selects the modeled algorithm: ``"direct"`` (the
-        pairwise default), ``"bruck"`` (log-round store-and-forward), or
-        ``"auto"`` (whichever the α–β model prices cheaper for the
-        observed busiest-rank traffic).  Payload routing is identical in
-        all cases — only the charged seconds differ.
-        """
+    async def alltoall(self, objs: List[Any]) -> List[Any]:
+        """Each rank supplies one object per destination; receives one per source."""
         world = self._world
         if len(objs) != world.size:
             raise ValueError(f"alltoall needs {world.size} entries, got {len(objs)}")
@@ -517,13 +510,8 @@ class AsyncComm:
                 (sum(_obj_nbytes(v) for v in row) for row in per_rank.values()),
                 default=0,
             )
-            seconds = world.cost.alltoallv(world.size, busiest, world.size - 1)
-            if collective != "direct" and world.size > 1:
-                bruck = world.cost.alltoallv_bruck(world.size, busiest)
-                if collective == "bruck" or bruck < seconds:
-                    seconds = bruck
             world.charge("alltoallv", nbytes, world.size * (world.size - 1),
-                         seconds)
+                         world.cost.alltoallv(world.size, busiest, world.size - 1))
             return per_rank
 
         result = await coll.arrive(self._rank, objs, finish)

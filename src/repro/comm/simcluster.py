@@ -20,8 +20,9 @@ Sparse representation: with 16,384 ranks almost all send matrices are
 sparse, so sends are ``dict[dst, payload]`` per source, not dense lists.
 
 The cluster offers the three collectives the engine calls (``allreduce``,
-``allgather``, ``alltoallv``); point-to-point sends, ``bcast`` and
-``barrier`` live on the per-rank substrate, :mod:`repro.comm.asyncmpi`.
+``allgather``, ``alltoallv``) plus the uncharged ``agree``, under both
+engine drivers: the BSP engine owns all its ranks, the per-rank driver
+(:mod:`repro.runtime.spmd`) runs one engine per rank over one cluster.
 """
 
 from __future__ import annotations
@@ -100,6 +101,20 @@ class SimCluster:
         self.collective_counts: Dict[str, int] = {"direct": 0, "bruck": 0}
         self.collective_saved_seconds = 0.0
 
+    @classmethod
+    def from_config(cls, config, *, tracer=None, comm_recorder=None) -> "SimCluster":
+        """The cluster an ``EngineConfig`` describes (cost model, fault
+        plane with its stragglers, delivery reordering), for both drivers."""
+        faults = config.faults
+        return cls(
+            config.n_ranks,
+            config.cost_model,
+            reorder_seed=config.reorder_messages_seed,
+            tracer=tracer,
+            fault_plane=None if faults is None else FaultPlane(faults, config.n_ranks),
+            comm_recorder=comm_recorder,
+        )
+
     # --------------------------------------------------------------- faults
 
     def _superstep(self, kind: str) -> int:
@@ -130,6 +145,12 @@ class SimCluster:
         return step
 
     # ------------------------------------------------------------ collectives
+
+    def agree(self, per_rank_values: List[Any]) -> List[Any]:
+        """Every rank's value, seen by every rank, uncharged: the identity
+        here, composed from each rank's owner on a per-rank driver's slice.
+        Each call site is a collective a real system would pay for."""
+        return list(per_rank_values)
 
     def allreduce(
         self,

@@ -68,7 +68,13 @@ def vote_outer_relation(
             f"{len(left_sizes)}/{len(right_sizes)}"
         )
     if abstain_empty:
-        pairs = [(l, r) for l, r in zip(left_sizes, right_sizes) if l or r]
+        # Who abstains, and so the threshold, is read off every rank's
+        # sizes (``agree``: free here, a collective on a real machine).
+        pairs = [
+            (l, r)
+            for l, r in cluster.agree(list(zip(left_sizes, right_sizes)))
+            if l or r
+        ]
         if not pairs:
             return JoinSide.LEFT_OUTER
         votes = [1 if l >= r else 0 for l, r in pairs]

@@ -70,21 +70,18 @@ PHASES = (P_VOTE, P_INTRA, P_JOIN, P_COMM, P_DEDUP, P_OTHER, P_SEED)
 
 
 class Engine:
-    """Evaluates one compiled program on a simulated cluster."""
+    """Evaluates one compiled program on a simulated cluster — its own
+    :class:`SimCluster`, owning every rank, unless :mod:`repro.runtime.spmd`
+    passes ``cluster``: one rank's slice of a cluster shared per rank."""
 
-    def __init__(self, program: Program, config: Optional[EngineConfig] = None):
+    def __init__(self, program: Program, config: Optional[EngineConfig] = None,
+                 *, cluster=None):
         self.config = config or EngineConfig()
         self.tracer = self.config.tracer if self.config.tracer is not None else NULL_TRACER
         self.compiled: CompiledProgram = compile_program(
             program,
             subbuckets=self.config.subbuckets,
             default_subbuckets=self.config.default_subbuckets,
-        )
-        #: Deterministic fault injector (None = perfect network).
-        self.fault_plane: Optional[FaultPlane] = (
-            FaultPlane(self.config.faults, self.config.n_ranks)
-            if self.config.faults is not None
-            else None
         )
         #: Diagnostics plane: rank×rank traffic capture (observation only;
         #: results and ledger charges are bit-identical either way).
@@ -93,14 +90,12 @@ class Engine:
             from repro.obs.analysis import CommMatrixRecorder
 
             self.comm_recorder = CommMatrixRecorder(self.config.n_ranks)
-        self.cluster = SimCluster(
-            self.config.n_ranks,
-            self.config.cost_model,
-            reorder_seed=self.config.reorder_messages_seed,
-            tracer=self.tracer,
-            fault_plane=self.fault_plane,
-            comm_recorder=self.comm_recorder,
+        self._slice = cluster
+        self.cluster = cluster if cluster is not None else SimCluster.from_config(
+            self.config, tracer=self.tracer, comm_recorder=self.comm_recorder
         )
+        #: Deterministic fault injector (None = perfect network).
+        self.fault_plane: Optional[FaultPlane] = self.cluster.faults
         #: Checkpoint/rollback plane (:mod:`repro.runtime.recovery`); None
         #: without a fault plane or ``checkpoint_every``, so a plain run
         #: executes none of it.
@@ -180,10 +175,20 @@ class Engine:
         rel = self.store[name]
         stats = AbsorbStats()
         with self.timer.phase("load"):
-            admitted = rel.load(tuples, stats=stats)
+            admitted = rel.load(self._owned_rows(rel, tuples), stats=stats)
             rel.advance()
         self.counters["loaded"] += admitted
         return admitted
+
+    def _owned_rows(self, rel: VersionedRelation, rows):
+        """``rows`` as this engine stores them: all of them, or on one
+        slice of a per-rank run only those its comm says it owns."""
+        if self._slice is None:
+            return rows
+        arr = np.asarray(
+            rows if isinstance(rows, np.ndarray) else list(rows), dtype=np.int64
+        ).reshape(-1, rel.schema.arity)
+        return arr[self._slice.owns(rel.dist.rank_of_rows(arr))]
 
     # --------------------------------------------------------------- balance
 
@@ -341,9 +346,6 @@ class Engine:
                         metrics.gauge(f"faults/{key}/{sub}").set(float(v))
                 else:
                     metrics.gauge(f"faults/{key}").set(float(value))
-
-    def relation(self, name: str) -> VersionedRelation:
-        return self.store[name]
 
     def explain(self) -> str:
         """Human-readable evaluation plan: strata, schemas, join kernels.
@@ -537,16 +539,20 @@ class Engine:
         for name in sorted(stratum.relations):
             rel = self.store[name]
             cols = tuple(range(rel.schema.arity))
-            acc = np.uint64(0)
-            count = 0
-            for _owner, block in rel.version_blocks("delta"):
-                acc ^= np.bitwise_xor.reduce(
-                    hash_columns(block, cols, seed=self._FP_SEED)
+            parts = [(0, 0)] * self.config.n_ranks  # (xor, rows) per rank
+            for owner, block in rel.version_blocks("delta"):
+                acc, count = parts[owner]
+                parts[owner] = (
+                    acc ^ int(np.bitwise_xor.reduce(
+                        hash_columns(block, cols, seed=self._FP_SEED)
+                    )),
+                    count + block.shape[0],
                 )
-                count += block.shape[0]
-            out[name] = int(
-                (int(acc) + count * 0x9E37_79B1) & 0xFFFF_FFFF_FFFF_FFFF
-            )
+            acc = count = 0
+            for part_acc, part_count in self.cluster.agree(parts):
+                acc ^= part_acc
+                count += part_count
+            out[name] = (acc + count * 0x9E37_79B1) & 0xFFFF_FFFF_FFFF_FFFF
         return out
 
     def _record_iteration(self, stratum: Stratum, iteration: int, st: "_IterStats") -> None:
@@ -707,7 +713,9 @@ class Engine:
         sizing = _RAW_BOX
         if wire.enabled:
             sends = encode_wire_sends(sends, codec=wire.codec)
-            if any(folded.values()):
+            if any(cluster.agree(
+                [folded.get(r, 0) for r in range(self.config.n_ranks)]
+            )):
                 cost = cluster.cost
                 per_tuple = cost.tuple_serialize * cost.compute_scale
                 charge = np.zeros(self.config.n_ranks)

@@ -181,7 +181,7 @@ def improved_group(
 ) -> Optional[str]:
     """Why the update must abort, if the Δ of any of ``names`` improves a
     group that existed before it (``baselines``); else None.  Local to
-    the shards in ``store``, so a rank program can run it on its own."""
+    the shards in ``store``."""
     for name in sorted(names):
         rel = store[name]
         keys = baselines[name]
@@ -415,7 +415,7 @@ class FixpointHandle:
                 # Owners absorb the routed rows; the loader's placement is
                 # the same hash the exchange routed by, and absorption
                 # dedups, so duplicate deliveries can never double-apply.
-                rel.load(arr)
+                rel.load(engine._owned_rows(rel, arr))
                 rel.advance()
                 per_rank_adm = rel.delta_sizes_by_rank()
                 cluster.ledger.add_compute_step(
@@ -424,10 +424,23 @@ class FixpointHandle:
                     * (cost.tuple_agg * cost.compute_scale)
                     + per_rank_adm * (cost.tuple_insert * cost.compute_scale),
                 )
-            n = rel.delta_size()
+            n = self._agreed_sizes({name: per_rank_adm}).get(name, 0)
             engine.counters["update_seed_tuples"] += n
             out[name] = n
         return out
+
+    def _agreed_sizes(self, by_rank: Dict[str, np.ndarray]) -> Dict[str, int]:
+        """Global Δ size of each relation in ``by_rank`` (its per-rank Δ
+        sizes) that has one — every rank reads them uncharged (``agree``)
+        to decide what is pending next."""
+        engine = self.engine
+        names = sorted(by_rank)
+        rows = engine.cluster.agree([
+            tuple(int(by_rank[name][r]) for name in names)
+            for r in range(engine.config.n_ranks)
+        ])
+        totals = [sum(col) for col in zip(*rows)]
+        return {name: n for name, n in zip(names, totals) if n}
 
     def _resume_stratum(self, stratum: Stratum, pending: Set[str]) -> Dict[str, int]:
         """Resume one stratum from converged state after new Δs.
@@ -461,31 +474,28 @@ class FixpointHandle:
         ]
         if not update_pass:
             return {}
-        out: Dict[str, int] = {}
         if not stratum.recursive:
             engine._stratum_loop(stratum, update_pass)
-            for name in sorted({cr.head_name for cr, _ in update_pass}):
-                n = engine.store[name].delta_size()
-                if n:
-                    out[name] = n
-            return out
+            return self._agreed_sizes({
+                name: engine.store[name].delta_sizes_by_rank()
+                for name in {cr.head_name for cr, _ in update_pass}
+            })
         names = sorted(stratum.relations)
         with engine.timer.phase(P_SEED):
             before = {name: engine.store[name].as_set() for name in names}
         engine._stratum_loop(stratum, update_pass)
-        per_rank = np.zeros(engine.config.n_ranks, dtype=np.int64)
+        by_rank: Dict[str, np.ndarray] = {}
         with engine.timer.phase(P_SEED):
             for name in names:
                 rel = engine.store[name]
                 diff = rel.as_set() - before[name]
-                if diff:
-                    out[name] = rel.install_delta(
-                        np.asarray(sorted(diff), dtype=np.int64)
-                    )
-                    per_rank += rel.delta_sizes_by_rank()
-                else:
-                    rel.install_delta(None)
+                rel.install_delta(
+                    np.asarray(sorted(diff), dtype=np.int64) if diff else None
+                )
+                by_rank[name] = rel.delta_sizes_by_rank()
+        out = self._agreed_sizes(by_rank)
         if out:
+            per_rank = sum(by_rank.values())
             cost = engine.cluster.cost
             engine.cluster.ledger.add_compute_step(
                 P_SEED, per_rank * (cost.tuple_insert * cost.compute_scale)
@@ -495,7 +505,13 @@ class FixpointHandle:
     def _check_improvements(
         self, names: Set[str], baselines: Dict[str, Set[TupleT]]
     ) -> None:
-        """Abort if an update improved an existing watched aggregate group."""
-        reason = improved_group(self.engine.store, names, baselines)
-        if reason is not None:
-            raise IncrementalUnsupportedError(reason)  # update() poisons
+        """Abort if an update improved an existing watched aggregate group.
+
+        The check is local to each rank's shards; the verdict is every
+        rank's (``agree``), so all of them abort together.
+        """
+        engine = self.engine
+        found = improved_group(engine.store, names, baselines)
+        for reason in engine.cluster.agree([found] * engine.config.n_ranks):
+            if reason is not None:
+                raise IncrementalUnsupportedError(reason)  # update() poisons

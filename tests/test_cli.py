@@ -1,5 +1,7 @@
 """CLI tests (argument parsing and end-to-end command paths)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -169,6 +171,9 @@ class TestQuerySpmd:
         spmd_tuples = [l for l in spmd_out.splitlines() if l.startswith("  spath")]
         assert bsp_tuples == spmd_tuples
         assert "SPMD engine" in spmd_out
+        # Same iterations and modeled seconds: one engine under both drivers.
+        cost = re.compile(r"(\d+) iterations, modeled ([\d.]+)s")
+        assert cost.search(spmd_out).groups() == cost.search(bsp_out).groups()
 
 class TestDiagnosticsFlags:
     def test_run_diagnostics_text_report(self, capsys):
@@ -229,24 +234,29 @@ class TestDiagnosticsFlags:
             ".decl e(x, y) keys(x)\ne(0, 1).\n"
             "tc(x, y) :- e(x, y).\n.output tc\n"
         )
-        for flags in (
-            ["--rebalance"],
-            ["--json"],
-            ["--trace", str(tmp_path / "t.json")],
-            ["--flamegraph", str(tmp_path / "fg.collapsed")],
+        # The driver's refused config fields, then the output flags that
+        # read a BSP result — one message, nothing refused twice.
+        for flags, named in (
+            (["--rebalance"], "rebalance"),
+            (["--json"], "--json"),
+            (["--trace", str(tmp_path / "t.json")], "tracer"),
+            (["--diagnostics"], "tracer, diagnostics"),
+            (["--flamegraph", str(tmp_path / "fg.collapsed")],
+             "tracer, diagnostics, --flamegraph"),
         ):
             with pytest.raises(SystemExit, match="require the BSP driver") as exc:
                 main(["query", str(src), "--spmd", *flags])
-            assert flags[0] in str(exc.value)
+            assert str(exc.value).startswith(f"{named} require")
         with pytest.raises(SystemExit) as exc:
             main(["query", str(src), "--spmd", "--rebalance", "--json"])
-        assert str(exc.value).startswith("--json/--rebalance require")
+        assert str(exc.value).startswith("rebalance, --json require")
 
     def test_spmd_builds_no_bsp_engine(self, capsys, tmp_path, monkeypatch):
-        """--spmd runs only the per-rank driver, on the validated config
-        (wire flags included); --explain plans on an unloaded engine."""
+        """Every engine --spmd runs is a slice of the per-rank driver, on
+        the validated config (wire flags included); --explain plans on
+        one more engine that is never loaded or run."""
         import repro.runtime.engine as engine_mod
-        import repro.runtime.spmd as spmd_mod
+        from repro.runtime.spmd import SliceComm
 
         src = tmp_path / "prog.dl"
         src.write_text(
@@ -254,28 +264,40 @@ class TestDiagnosticsFlags:
             "tc(x, y) :- e(x, y).\ntc(x, z) :- tc(x, y), e(y, z).\n"
             ".output tc\n"
         )
-        loads, configs = [], []
-        real_load, real_spmd = engine_mod.Engine.load, spmd_mod.run_spmd_engine
+        built, loaded, ran = [], [], []
+        real = {n: getattr(engine_mod.Engine, n) for n in ("__init__", "load", "run")}
+
+        def init(self, program, config=None, **kw):
+            real["__init__"](self, program, config, **kw)
+            built.append(self)
+
+        monkeypatch.setattr(engine_mod.Engine, "__init__", init)
         monkeypatch.setattr(
             engine_mod.Engine, "load",
-            lambda self, *a, **k: loads.append(a) or real_load(self, *a, **k),
-        )
-        monkeypatch.setattr(
-            spmd_mod, "run_spmd_engine",
-            lambda p, f, c: configs.append(c) or real_spmd(p, f, c),
+            lambda self, *a: loaded.append(self) or real["load"](self, *a),
         )
         monkeypatch.setattr(
             engine_mod.Engine, "run",
-            lambda self: pytest.fail("BSP engine ran under --spmd"),
+            lambda self: ran.append(self) or real["run"](self),
         )
         argv = ["query", str(src), "--ranks", "3", "--spmd", "--wire-codec", "dict"]
         assert main(argv) == 0
+        assert len(built) == 3
+        assert all(isinstance(e.cluster, SliceComm) for e in built)
+        assert [e.cluster.rank for e in built] == [0, 1, 2]
+        assert all(
+            e.config.n_ranks == 3 and e.config.wire.codec == "dict"
+            and not e.config.rebalance
+            for e in built
+        )
+        assert set(map(id, loaded)) == set(map(id, ran)) == set(map(id, built))
+        built.clear()
         assert main(argv + ["--explain"]) == 0
+        planner = [e for e in built if not isinstance(e.cluster, SliceComm)]
+        assert len(built) == 4 and len(planner) == 1
+        assert planner[0] not in loaded and planner[0] not in ran
         out = capsys.readouterr().out
         assert "plan for 2 rule(s)" in out and out.count("tc: 3 tuple(s)") == 2
-        assert loads == []
-        assert [c.n_ranks for c in configs] == [3, 3]
-        assert all(c.wire.codec == "dict" and not c.rebalance for c in configs)
 
 
 class TestTraceReport:

@@ -1,23 +1,34 @@
-"""Cross-validation: SPMD rank-program engine ≡ BSP engine ≡ oracle.
+"""Cross-validation: per-rank driver ≡ BSP engine ≡ oracle.
 
 The BSP :class:`~repro.runtime.engine.Engine` is a simulation shortcut
 (one driver loop executes every rank's phases).  These tests justify it:
-the literal message-passing formulation in :mod:`repro.runtime.spmd` —
-each rank an asyncio task seeing only its own shards — produces identical
-results on the same programs and placements.
+:mod:`repro.runtime.spmd` runs the same engine once per rank, each seeing
+only its own shards, in lockstep over one cluster — and produces the
+same answers *and* the same ledger, charge for charge.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import Engine, EngineConfig, MIN, Program, Rel, vars_
 from repro.comm.wire import WireConfig
+from repro.faults.config import FaultConfig
 from repro.graphs.generators import chain, rmat, star
+from repro.obs.tracer import Tracer
 from repro.planner.interpreter import interpret
 from repro.queries.cc import cc_program
 from repro.queries.reachability import tc_program
 from repro.queries.sssp import sssp_program
-from repro.runtime.spmd import run_spmd_engine, spmd_rank_stores
+from repro.runtime.incremental import FixpointHandle
+from repro.runtime.spmd import (
+    LockstepError,
+    run_slices,
+    run_spmd_engine,
+    spmd_rank_stores,
+)
 
 x, y, z = vars_("x y z")
 
@@ -174,3 +185,249 @@ class TestValidation:
     def test_unknown_relation(self):
         with pytest.raises(KeyError, match="unknown relation"):
             run_spmd_engine(sssp_program(), {"nope": [(1,)]}, EngineConfig(n_ranks=2))
+
+
+# ------------------------------------------------------------ ledger identity
+
+#: Counters each slice tallies for its own rank: they sum to the BSP run's.
+SUMMED = ("emitted", "admitted", "suppressed", "intra_bucket_tuples",
+          "alltoall_tuples", "loaded")
+
+
+def _query_facts(query):
+    if query == "sssp":
+        g = rmat(5, 3, seed=3).with_weights(np.random.default_rng(2), 9)
+        return sssp_program(), {"edge": g.tuples(), "start": [(0,), (3,)]}
+    if query == "cc":
+        return cc_program(), {"edge": rmat(5, 2, seed=9).symmetrized().tuples()}
+    return tc_program(), {"edge": rmat(4, 2, seed=5).tuples()}
+
+
+def _bsp(program, facts, updates, config):
+    if updates:
+        handle = FixpointHandle.converge(program, facts, config)
+        for batch in updates:
+            handle.update(batch)
+        return handle.result()
+    engine = Engine(program, config)
+    for name, rows in facts.items():
+        engine.load(name, rows)
+    return engine.run()
+
+
+def assert_ledger_identity(program, facts, config, updates=()):
+    """The per-rank run equals the BSP run bit for bit: answers, every
+    ledger charge and event, per-iteration snapshots and Δ fingerprints,
+    summed tuple counters, and the global counters on every slice."""
+    bsp = _bsp(program, facts, updates, config)
+    _engines, slices = run_slices(program, facts, updates, config)
+    assert len(slices) == config.n_ranks
+    for name in bsp.relations:
+        assert set().union(*(s.query(name) for s in slices)) == bsp.query(name)
+    ledger, expected = slices[0].ledger, bsp.ledger
+    assert ledger.phase_seconds == expected.phase_seconds
+    assert ledger.rank_compute.tolist() == expected.rank_compute.tolist()
+    assert ledger.comm.events == expected.comm.events
+    assert ledger.iterations == expected.iterations
+    for key in SUMMED:
+        assert sum(s.counters.get(key, 0) for s in slices) == bsp.counters.get(key, 0), key
+    for key in set(bsp.counters) - set(SUMMED):
+        assert all(s.counters.get(key, 0) == bsp.counters[key] for s in slices), key
+    for s in slices:
+        assert s.iterations == bsp.iterations
+        assert [t.phase_seconds for t in s.trace] == [t.phase_seconds for t in bsp.trace]
+        assert [t.outer_choices for t in s.trace] == [t.outer_choices for t in bsp.trace]
+        assert [t.delta_fingerprints for t in s.trace] == [
+            t.delta_fingerprints for t in bsp.trace
+        ]
+    return bsp, slices
+
+
+def _cfg(**kw):
+    return EngineConfig(delta_fingerprints=True, **kw)
+
+
+class TestLedgerIdentity:
+    @pytest.mark.parametrize("wire", [True, False], ids=["wire-on", "wire-off"])
+    @pytest.mark.parametrize("executor", ["columnar", "scalar"])
+    @pytest.mark.parametrize("n_ranks", [1, 3, 6, 8])
+    @pytest.mark.parametrize("query", ["sssp", "cc", "tc"])
+    def test_cold(self, query, n_ranks, executor, wire):
+        program, facts = _query_facts(query)
+        config = _cfg(
+            n_ranks=n_ranks, executor=executor,
+            wire=WireConfig() if wire else WireConfig.off(),
+        )
+        assert_ledger_identity(program, facts, config)
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            {"vote_abstain_empty": False},
+            {"dynamic_join": False, "static_outer": "right"},
+            {"subbuckets": {"edge": 4}},
+            {"use_btree": True},
+            {"wire": WireConfig(codec="dict", alltoallv="bruck")},
+        ],
+        ids=["strict-vote", "static-outer", "subbuckets-4", "btree", "dict-bruck"],
+    )
+    @pytest.mark.parametrize("query", ["sssp", "cc"])
+    def test_variants(self, query, variant):
+        program, facts = _query_facts(query)
+        assert_ledger_identity(program, facts, _cfg(n_ranks=6, **variant))
+
+    @pytest.mark.parametrize("wire", [True, False], ids=["wire-on", "wire-off"])
+    @pytest.mark.parametrize("executor", ["columnar", "scalar"])
+    @pytest.mark.parametrize("query", ["sssp", "cc", "tc"])
+    def test_two_batch_update(self, query, executor, wire):
+        program, facts = _query_facts(query)
+        edges = sorted(facts["edge"])
+        base = {**facts, "edge": edges[:-12]}
+        updates = [{"edge": edges[-12:-5]}, {"edge": edges[-5:]}]
+        config = _cfg(
+            n_ranks=4, executor=executor,
+            wire=WireConfig() if wire else WireConfig.off(),
+        )
+        bsp, slices = assert_ledger_identity(program, base, config, updates)
+        assert all(s.counters["updates"] == 2 for s in slices)
+
+
+class TestConfigHonouredOrRefused:
+    """Every EngineConfig field is either honoured by the per-rank driver
+    (and then bit-identical to BSP) or refused — never silently dropped."""
+
+    def test_columnar_executor_runs_columnar(self):
+        program, facts = _query_facts("sssp")
+        _bsp_result, slices = assert_ledger_identity(
+            program, facts, _cfg(n_ranks=4, executor="columnar")
+        )
+        assert {s.executor for s in slices} == {"columnar"}
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            FaultConfig(drop=0.3, max_retries=12, seed=5),
+            FaultConfig(dup=0.3, seed=6),
+            FaultConfig(corrupt=0.3, max_retries=12, seed=7),
+        ],
+        ids=["drop", "dup", "corrupt"],
+    )
+    def test_message_faults(self, faults):
+        program, facts = _query_facts("sssp")
+        bsp, slices = assert_ledger_identity(
+            program, facts, _cfg(n_ranks=4, faults=faults)
+        )
+        injected = bsp.recovery.injected
+        assert injected.drops + injected.dups + injected.corruptions > 0
+        assert all(s.recovery.injected == injected for s in slices)
+
+    def test_stragglers(self):
+        program, facts = _query_facts("cc")
+        faults = FaultConfig(stragglers={1: 3.0})
+        bsp, _slices = assert_ledger_identity(
+            program, facts, _cfg(n_ranks=4, faults=faults)
+        )
+        plain = _bsp(program, facts, (), _cfg(n_ranks=4))
+        assert bsp.modeled_seconds() > plain.modeled_seconds()
+
+    def test_reordered_delivery(self):
+        program, facts = _query_facts("sssp")
+        assert_ledger_identity(
+            program, facts, _cfg(n_ranks=6, reorder_messages_seed=11)
+        )
+
+    @pytest.mark.parametrize(
+        "field, config",
+        [
+            ("faults.crash", EngineConfig(
+                n_ranks=4, faults=FaultConfig(crash_rank=1, crash_superstep=3))),
+            ("faults.crash_perm", EngineConfig(
+                n_ranks=4, faults=FaultConfig(crash_perm_rank=1, crash_perm_superstep=3))),
+            ("checkpoint_every", EngineConfig(n_ranks=4, checkpoint_every=2)),
+            ("replicas", EngineConfig(n_ranks=4, replicas=1)),
+            ("rebalance", EngineConfig(n_ranks=4, rebalance=True)),
+            ("auto_balance", EngineConfig(n_ranks=4, auto_balance=1.5)),
+            ("tracer", EngineConfig(n_ranks=4, tracer=Tracer())),
+            ("diagnostics", EngineConfig(n_ranks=4, diagnostics=True)),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_refused(self, field, config):
+        program, facts = _query_facts("sssp")
+        with pytest.raises(ValueError, match=f"does not run {field}"):
+            run_spmd_engine(program, facts, config)
+
+    def test_one_check_names_every_refused_field(self):
+        config = EngineConfig(
+            n_ranks=4, checkpoint_every=2, rebalance=True, diagnostics=True,
+            faults=FaultConfig(crash_rank=1, crash_superstep=3),
+        )
+        program, facts = _query_facts("sssp")
+        with pytest.raises(ValueError) as exc:
+            run_spmd_engine(program, facts, config)
+        assert "faults.crash, checkpoint_every, rebalance, diagnostics" in str(exc.value)
+
+
+def _within(seconds, fn, *args):
+    """``fn(*args)`` on a helper thread that must finish within
+    ``seconds``; returns its result or re-raises its exception."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = fn(*args)
+        except BaseException as exc:  # handed back to the caller
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"per-rank run still waiting after {seconds}s"
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+class TestLockstep:
+    def test_asymmetric_slice_raises_naming_both_calls(self, monkeypatch):
+        real = Engine._advance_and_count
+
+        def skewed(self, stratum):
+            if self.cluster.rank == 1:
+                self.cluster.allgather([0] * self.config.n_ranks, phase="other")
+            return real(self, stratum)
+
+        monkeypatch.setattr(Engine, "_advance_and_count", skewed)
+        program, facts = _query_facts("sssp")
+        with pytest.raises(LockstepError) as exc:
+            _within(5, run_spmd_engine, program, facts, EngineConfig(n_ranks=3))
+        msg = str(exc.value)
+        assert "rank 0 called allreduce(" in msg
+        assert "rank 1 called allgather(" in msg
+
+    def test_exception_in_one_slice_is_reraised(self, monkeypatch):
+        real = Engine.load
+
+        def load(self, name, rows):
+            if self.cluster.rank == 2:
+                raise RuntimeError("rank 2 lost its input")
+            return real(self, name, rows)
+
+        monkeypatch.setattr(Engine, "load", load)
+        program, facts = _query_facts("sssp")
+        with pytest.raises(RuntimeError, match="rank 2 lost its input"):
+            _within(5, run_spmd_engine, program, facts, EngineConfig(n_ranks=4))
+
+    def test_ledger_identity_under_rapid_thread_switching(self):
+        """More slices than cores, switching every microsecond: a lost
+        or reordered compute step would move the ledger."""
+        program, facts = _query_facts("cc")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _within(
+                30, assert_ledger_identity, program, facts,
+                _cfg(n_ranks=8, executor="scalar"),
+            )
+        finally:
+            sys.setswitchinterval(interval)
