@@ -54,18 +54,15 @@ from repro.core.local_agg import AbsorbStats
 from repro.kernels.block import (
     GrowBuf,
     GrowVec,
+    KeyIndex,
     as_rows,
     group_columns,
     lex_group,
     segmented_scan,
 )
 from repro.relational.schema import Schema
-from repro.util.hashing import hash_columns
 
 TupleT = Tuple[int, ...]
-
-#: Fixed salt for shard identity hashing (build and probe must agree).
-_IDENT_SEED = 0x1DE27C01
 
 
 class VectorCombiner:
@@ -173,23 +170,19 @@ class _ColumnarShardBase:
 
     Storage is a single append-only ``(n, arity)`` row store — one row
     per aggregation group, appended at admission, dependent columns
-    updated in place on improvement.  A hash index over the identity
-    columns (all independent columns) serves O(1) amortized group
-    lookup; hash hits are verified against the actual column values and
-    collision runs resolve by exact scan, so lookups can never confuse
-    distinct groups.
+    updated in place on improvement.  An exact
+    :class:`~repro.kernels.block.KeyIndex` over the identity columns (all
+    independent columns) maps a group's key to its row id; it compares
+    exact column values, so lookups can never confuse distinct groups.
+    It is rebuilt when a lookup finds rows appended since.
     """
 
     __slots__ = (
         "schema",
         "n_indep",
-        "_id_cols",
         "_jk_cols",
         "_data",
-        "_hashes",
-        "_sort_order",
-        "_sorted_hashes",
-        "_sorted_n",
+        "_index",
         "_pending_ids",
         "_in_pending",
         "_delta_block",
@@ -203,13 +196,9 @@ class _ColumnarShardBase:
     def __init__(self, schema: Schema):
         self.schema = schema
         self.n_indep = schema.n_indep
-        self._id_cols = tuple(range(self.n_indep))
         self._jk_cols = list(schema.join_cols)
         self._data = GrowBuf(schema.arity)
-        self._hashes = GrowVec(np.uint64)
-        self._sort_order = np.empty(0, dtype=np.int64)
-        self._sorted_hashes = np.empty(0, dtype=np.uint64)
-        self._sorted_n = 0
+        self._index = KeyIndex(np.empty((0, self.n_indep), dtype=np.int64))
         self._pending_ids = GrowVec(np.int64)
         self._in_pending = GrowVec(bool, fill=False)
         self._delta_block = np.empty((0, schema.arity), dtype=np.int64)
@@ -325,47 +314,14 @@ class _ColumnarShardBase:
 
     def _lookup(self, queries: np.ndarray) -> np.ndarray:
         """Row id per query identity (rows over identity columns); -1 = miss."""
-        m = queries.shape[0]
-        out = np.full(m, -1, dtype=np.int64)
-        n = self._data.n
-        if n == 0 or m == 0:
-            return out
-        if self._sorted_n != n:
-            hashes = self._hashes.view()
-            # Full 64-bit hashes leave no room for the row index that
-            # group_columns' value sort packs beside the key.
-            self._sort_order = np.argsort(hashes, kind="stable").astype(np.int64)
-            self._sorted_hashes = hashes[self._sort_order]
-            self._sorted_n = n
-        qh = hash_columns(queries, self._id_cols, _IDENT_SEED)
-        lo = np.searchsorted(self._sorted_hashes, qh, side="left")
-        hi = np.searchsorted(self._sorted_hashes, qh, side="right")
-        run = hi - lo
-        data = self._data.view()
-        one = run == 1
-        if one.any():
-            cand = self._sort_order[lo[one]]
-            ok = (data[cand][:, : self.n_indep] == queries[one]).all(axis=1)
-            sel = np.nonzero(one)[0]
-            out[sel[ok]] = cand[ok]
-        multi = run > 1
-        if multi.any():
-            # Distinct stored identities colliding on one 64-bit hash —
-            # astronomically rare; resolve those few queries exactly.
-            for i in np.nonzero(multi)[0]:
-                qrow = queries[i]
-                for pos in range(lo[i], hi[i]):
-                    rid = self._sort_order[pos]
-                    if (data[rid, : self.n_indep] == qrow).all():
-                        out[i] = rid
-                        break
-        return out
+        if self._index.n != self._data.n:
+            self._index = KeyIndex(self._data.view()[:, : self.n_indep])
+        return self._index.find(queries)
 
     def _append_rows(self, rows: np.ndarray) -> int:
         """Append admitted group rows; returns the base row id."""
         base = self._data.n
         self._data.append(rows)
-        self._hashes.append(hash_columns(rows, self._id_cols, _IDENT_SEED))
         self._in_pending.extend_filled(rows.shape[0])
         return base
 

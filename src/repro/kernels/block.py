@@ -12,18 +12,24 @@ Python tuples.  The primitives every kernel builds on:
     into one int64 with exactly the bits each needs, the row index goes
     in the low bits and the words are sorted as values (``np.lexsort``
     only on negatives or > 63 bits).
+``KeyIndex``
+    Exact map from distinct stored keys to their slots, on the same
+    packing: sorted ``key << slot_bits | slot`` words and one
+    ``searchsorted`` per lookup (``group_columns`` over stored keys and
+    queries together on negatives or > 63 bits).  The columnar join index
+    and the columnar shards' group lookup are both this.
 ``segmented_scan``
     Inclusive scan of an associative ``join`` inside each group — every
     group's accumulator after every arrival, which is all the fused
     dedup/aggregation needs.
 ``concat_ranges``
     Flatten ``[start, start+count)`` ranges into one index vector — the
-    inner-side gather of the batch hash join.
+    inner-side gather of the batch join.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +49,26 @@ def as_rows(rows: np.ndarray, arity: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != arity:
         raise ValueError(f"expected rows of arity {arity}, got shape {arr.shape}")
     return arr
+
+
+def _widths(cols: Sequence[np.ndarray]) -> List[int]:
+    """Bits each non-empty int64 column's values need.
+
+    A negative value reads as 64 bits unsigned, so it fails every width
+    test along with the keys that are too wide.
+    """
+    return [int(col.view(np.uint64).max()).bit_length() for col in cols]
+
+
+def _pack(cols: Sequence[np.ndarray], widths: Sequence[int]) -> np.ndarray:
+    """One int64 word per row, ``widths[i]`` bits for column ``i``, the
+    first column in the high bits: for values that fit their widths in 63
+    bits in all, a bijection whose order is the columns' lexicographic
+    order.  A lone column comes back as the caller's own array."""
+    word = cols[0]
+    for col, width in zip(cols[1:], widths[1:]):
+        word = (word << width) | col
+    return word
 
 
 def group_columns(
@@ -66,15 +92,11 @@ def group_columns(
     if n == 0:
         return _EMPTY_GROUPS
     cols = [col.astype(np.int64, copy=False) for col in cols]
-    # A negative value reads as 64 bits unsigned, so it fails the width
-    # test along with the keys that are too wide.
-    widths = [int(col.view(np.uint64).max()).bit_length() for col in cols]
+    widths = _widths(cols)
     idx_bits = (n - 1).bit_length()
     if sum(widths) + idx_bits <= 63:
-        word = cols[0]
-        for col, width in zip(cols[1:], widths[1:]):
-            word = (word << width) | col
-        word = word << idx_bits  # a fresh array, never the caller's column
+        # A fresh array, never the caller's column.
+        word = _pack(cols, widths) << idx_bits
         word |= np.arange(n, dtype=np.int64)
         word.sort()
         order = word & ((1 << idx_bits) - 1)
@@ -115,6 +137,84 @@ def lex_group(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         order = np.arange(n, dtype=np.int64)
         return order, np.zeros(1, dtype=np.int64), np.asarray([n], dtype=np.int64)
     return group_columns([mat[:, c] for c in range(ncols)])
+
+
+def _key_cols(keys: np.ndarray) -> List[np.ndarray]:
+    """A key matrix's int64 columns; zero key columns read as one all-zero
+    column (every row shares the empty key)."""
+    keys = keys.astype(np.int64, copy=False)
+    if keys.shape[1] == 0:
+        return [np.zeros(keys.shape[0], dtype=np.int64)]
+    return [keys[:, c] for c in range(keys.shape[1])]
+
+
+class KeyIndex:
+    """Exact map from distinct stored keys to their slots.
+
+    Built over the rows of an ``(n, k)`` int64 matrix of *distinct* keys
+    (row ``i`` is slot ``i``); :meth:`find` returns, per query row, the
+    slot of the equal stored row or -1.  There is no hash, so no two keys
+    can be confused.
+
+    The tier rule is :func:`group_columns`': each stored column gets the
+    bits its maximum needs, first column high, and the slot takes the low
+    ``(n - 1).bit_length()`` bits.  When key bits + slot bits fit in 63,
+    the words are sorted as values and a query is one ``searchsorted``;
+    a query value that is negative or wider than its column's stored
+    width is a miss, whatever its packed word would alias.  Otherwise (a
+    negative stored value or wider keys) each :meth:`find` groups the
+    stored keys and the queries together with :func:`group_columns` and
+    a query takes its group's first member when that member is stored.
+    """
+
+    __slots__ = ("n", "_keys", "_widths", "_slot_bits", "_words")
+
+    def __init__(self, keys: np.ndarray):
+        self.n = keys.shape[0]
+        cols = _key_cols(keys)
+        self._slot_bits = max(self.n - 1, 0).bit_length()
+        self._widths = _widths(cols) if self.n else []
+        self._keys = self._words = None
+        if sum(self._widths) + self._slot_bits <= 63:
+            words = _pack(cols, self._widths) << self._slot_bits
+            words |= np.arange(self.n, dtype=np.int64)
+            words.sort()
+            self._words = words
+        else:  # the wide tier, the only one that reads the columns back
+            self._keys = cols
+
+    def find(self, queries: np.ndarray) -> np.ndarray:
+        """Slot of each query row's stored key; -1 = miss."""
+        m = queries.shape[0]
+        if self.n == 0 or m == 0:
+            return np.full(m, -1, dtype=np.int64)
+        qcols = _key_cols(queries)
+        if self._words is None:
+            return self._find_wide(qcols)
+        # A negative or over-wide value packs onto some other key's word
+        # ((0, 4) at widths (2, 2) is (1, 0)'s): a miss, decided here.
+        valid = np.ones(m, dtype=bool)
+        for col, width in zip(qcols, self._widths):
+            valid &= (col.view(np.uint64) >> np.uint64(width)) == 0
+        key = _pack(qcols, self._widths)
+        pos = np.searchsorted(self._words, key << self._slot_bits)
+        np.minimum(pos, self.n - 1, out=pos)
+        hit = self._words[pos]
+        found = valid & ((hit >> self._slot_bits) == key)
+        return np.where(found, hit & ((1 << self._slot_bits) - 1), -1)
+
+    def _find_wide(self, qcols: List[np.ndarray]) -> np.ndarray:
+        n = self.n
+        order, starts, counts = group_columns(
+            [np.concatenate([k, q]) for k, q in zip(self._keys, qcols)]
+        )
+        # group_columns is stable, so a group holding a stored key (keys
+        # are distinct: at most one) lists it first.
+        first = np.empty(order.shape[0], dtype=np.int64)
+        first[order] = np.repeat(order[starts], counts)
+        out = first[n:]
+        out[out >= n] = -1
+        return out
 
 
 def segmented_scan(
@@ -201,7 +301,7 @@ class GrowBuf:
 
 
 class GrowVec:
-    """An append-only 1-D buffer (row ids, hashes, flags)."""
+    """An append-only 1-D buffer (row ids, flags)."""
 
     __slots__ = ("_data", "n", "fill")
 

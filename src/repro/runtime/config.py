@@ -52,10 +52,13 @@ class EngineConfig:
         row-block kernels (:mod:`repro.kernels`) — vectorized join, route
         and fused dedup/aggregation.  Results, Δ contents and modeled
         ledger charges are bit-for-bit identical to ``"scalar"``, which
-        keeps the original tuple-at-a-time loops.  The engine silently
-        falls back to scalar when a program needs features the kernels
-        don't cover (``use_btree``, custom emit operators, aggregators
-        without a vector combiner).
+        keeps the original tuple-at-a-time loops.  When a program needs
+        features the kernels don't cover (``use_btree``, custom emit
+        operators) the engine runs scalar and reports it: the effective
+        executor and the reason are on ``Engine.executor`` /
+        ``Engine.executor_reason`` and the result.  Aggregators without a
+        vector combiner fall back to a scalar shard per relation, not
+        per engine.
     cost_model:
         Interconnect + compute cost model for modeled time.
     max_iterations:

@@ -23,8 +23,10 @@ from repro.core.aggregators import (
     UnionAggregator,
 )
 from repro.core.local_agg import AbsorbStats, make_shard
+from repro.kernels import block
 from repro.kernels.absorb import _COMBINERS, columnar_shard_for
 from repro.kernels.block import (
+    KeyIndex,
     concat_ranges,
     group_columns,
     lex_group,
@@ -195,6 +197,103 @@ class TestGroupColumns:
             _assert_groups_like_lexsort(cols, tier="value")
 
 
+_KEY_VALUES = st.one_of(
+    st.integers(0, 5),
+    st.sampled_from([-1, -(2**63), 2**62, 2**63 - 1]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+
+
+@st.composite
+def _stored_and_queries(draw):
+    """Distinct stored keys of 0-3 columns and queries that mix stored
+    keys with arbitrary ones."""
+    k = draw(st.integers(0, 3))
+    key = st.tuples(*[_KEY_VALUES] * k)
+    stored = draw(st.lists(key, unique=True, max_size=20))
+    query = st.one_of(st.sampled_from(stored), key) if stored else key
+    return k, stored, draw(st.lists(query, max_size=20))
+
+
+def _find_and_tier(stored, queries, k):
+    """``KeyIndex(stored).find(queries)`` and the tier that answered, in
+    :func:`_expected_tier`'s names ("value" packed, "lexsort" wide)."""
+    index = KeyIndex(np.asarray(stored, dtype=np.int64).reshape(len(stored), k))
+    q = np.asarray(queries, dtype=np.int64).reshape(len(queries), k)
+    with mock.patch.object(block, "group_columns", wraps=group_columns) as spy:
+        got = index.find(q)
+    assert got.dtype == np.int64 and got.shape == (len(queries),)
+    return got.tolist(), "lexsort" if spy.called else "value"
+
+
+def _assert_finds_like_dict(stored, queries, k, tier=None):
+    oracle = {key: slot for slot, key in enumerate(stored)}
+    got, ran = _find_and_tier(stored, queries, k)
+    assert got == [oracle.get(tuple(q), -1) for q in queries]
+    if tier is not None:
+        assert ran == tier
+
+
+class TestKeyIndex:
+    """The exact key → slot map, in both tiers, against a dict."""
+
+    @given(_stored_and_queries())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dict(self, case):
+        k, stored, queries = case
+        tier = None
+        if stored and queries and k:
+            cols = [np.asarray([s[c] for s in stored]) for c in range(k)]
+            tier = _expected_tier(cols)
+        _assert_finds_like_dict(stored, queries, k, tier)
+
+    @pytest.mark.parametrize(
+        "total,tier", [(62, "value"), (63, "value"), (64, "lexsort")]
+    )
+    @pytest.mark.parametrize("n", [2, 5, 64, 65])
+    @pytest.mark.parametrize("n_cols", [1, 2, 3])
+    def test_tier_boundary(self, total, tier, n, n_cols):
+        """Key bits + slot bits at 62, 63 and 64, as for group_columns."""
+        key_bits = total - (n - 1).bit_length()
+        widths = [key_bits // n_cols] * n_cols
+        widths[0] += key_bits - sum(widths)
+        rng = np.random.default_rng(total * n + n_cols)
+        stored = set()
+        while len(stored) < n:
+            row = [int(rng.integers(0, 1 << w, dtype=np.int64)) for w in widths]
+            if not stored:
+                row[0] = (1 << widths[0]) - 1  # the widths are exact
+                row[-1] = (1 << widths[-1]) - 1
+            stored.add(tuple(row))
+        stored = sorted(stored, key=lambda _: rng.random())
+        misses = [row[:-1] + (row[-1] ^ 1,) for row in stored]
+        if widths[-1] < 63:  # one bit wider than the column stores
+            misses += [row[:-1] + (1 << widths[-1],) for row in stored[:3]]
+        _assert_finds_like_dict(stored, stored + misses, n_cols, tier)
+
+    def test_empty_stored_keys(self):
+        _assert_finds_like_dict([], [(0, 0), (-1, 5)], 2)
+
+    def test_empty_queries(self):
+        assert _find_and_tier([(1, 2)], [], 2)[0] == []
+        assert _find_and_tier([(-1, 2)], [], 2)[0] == []
+
+    def test_zero_key_columns_share_one_key(self):
+        _assert_finds_like_dict([()], [(), ()], 0, "value")
+
+    def test_queries_outside_a_column_width_miss(self):
+        stored = [(0, 0), (1, 3), (3, 2)]
+        queries = [(4, 0), (0, 4), (1, 7), (-1, 3), (1, -1), (2**63 - 1, 0)]
+        _assert_finds_like_dict(stored, queries, 2, "value")
+
+    def test_planted_alias_misses(self):
+        """(0, 4) packed unmasked at widths (2, 2) is 0 << 2 | 4, the
+        word of the stored key (1, 0)."""
+        stored = [(1, 0), (3, 3)]
+        assert (0 << 2) | 4 == (1 << 2) | 0
+        _assert_finds_like_dict(stored, [(0, 4), (1, 0)], 2, "value")
+
+
 class TestConcatRanges:
     def test_flattens_ranges_in_order(self):
         starts = np.array([5, 0, 7], dtype=np.int64)
@@ -358,9 +457,15 @@ SCHEMAS = {
     "mcount": lambda: agg_schema(MCountAggregator(bound=6)),
 }
 
+#: Key-column values: a small domain (packed index tier) plus negative
+#: values and values near +/-2**62 (the wide tier).
+_WIDE_KEY = st.one_of(
+    st.integers(0, 3), st.sampled_from([-1, -(2**62) - 1, 2**62 - 1, 2**62])
+)
+
 batches_strategy = st.lists(
     st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 9)),
+        st.tuples(_WIDE_KEY, _WIDE_KEY, st.integers(0, 9)),
         max_size=25,
     ),
     min_size=1,
@@ -462,7 +567,11 @@ def _brute_probe(rel, version, rank, jk):
 
 @given(
     rows=st.lists(
-        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 9)),
+        st.tuples(
+            st.integers(0, 6) | st.sampled_from([-3, -(2**62), 2**62 - 1, 2**62]),
+            st.integers(0, 6),
+            st.integers(1, 9),
+        ),
         min_size=1,
         max_size=60,
     ),
