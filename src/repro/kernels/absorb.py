@@ -465,33 +465,44 @@ def columnar_shard_for(schema: Schema):
 
 
 def combine_block(
-    rows: np.ndarray, n_indep: int, combiner: Optional[VectorCombiner]
+    rows: np.ndarray,
+    n_indep: int,
+    combiner: Optional[VectorCombiner],
+    weights: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sender-side fold of one source rank's emitted block.
 
     Returns one row per independent key, sorted by key, and each output
-    row's pre-fold row count.  ``combiner is None`` means a plain
-    (set-semantics) relation — duplicates are dropped outright.  For
-    aggregates the combiner's ``join`` must be ``combinable`` (the caller
-    gates on that); each key's occurrence sequence collapses to its
-    lattice fold via a logarithmic halving pass, so a duplicate-heavy
-    block costs O(n log max_dups) vector work instead of a Python-level
-    group loop.
+    row's pre-fold row count: how many input rows it folds, or the sum
+    of their ``weights`` when the input rows are themselves folds.
+    ``combiner is None`` means a plain (set-semantics) relation —
+    duplicates are dropped outright.  For aggregates the combiner's
+    ``join`` must be ``combinable`` (the caller gates on that); each
+    key's occurrence sequence collapses to its lattice fold via a
+    logarithmic halving pass, so a duplicate-heavy block costs
+    O(n log max_dups) vector work instead of a Python-level group loop.
 
     The fold runs *before* the rows are placed.  A tuple's home shard is
     a function of its independent columns alone, so every occurrence of a
     key lands in one route box, and the stable boxing that follows keeps
     the key order: each box leaves exactly as folding it on its own
-    would have left it (same occurrence sequence per key, same halving
-    tree, rows sorted by key with distinct keys — the canonical form the
-    delta codec exploits), while hashing, boxing and encoding touch only
-    the folded rows.  Receiver absorption of a folded box leaves shard
-    state and Δ membership exactly as the unfolded box would (see
+    would have left it (the same value per key, rows sorted by key with
+    distinct keys — the canonical form the delta codec exploits), while
+    hashing, boxing and encoding touch only the folded rows.  Receiver
+    absorption of a folded box leaves shard state and Δ membership
+    exactly as the unfolded box would (see
     ``VectorCombiner.combinable``).
+
+    Every combinable join is associative and commutative, so any
+    grouping of a key's occurrences into a join tree gives the same
+    value: folding a block in chunks and merging the chunk folds here,
+    their counts passed as ``weights``, returns exactly what one fold of
+    the whole block returns — the property that lets the local join
+    fold as it emits (``ColumnarExecutor.local_join``).
     """
     n, arity = rows.shape
     if n <= 1:
-        return rows, np.ones(n, dtype=np.int64)
+        return rows, np.ones(n, dtype=np.int64) if weights is None else weights
     if combiner is None:
         n_indep = arity
     if n_indep:
@@ -507,15 +518,22 @@ def combine_block(
         vals = rows[:, n_indep:][order]
         if n_groups != n:
             join = combiner.join
-            # Within-group positions; halving joins odd positions into their
-            # even predecessors until one row per group remains.
+            # Halving, in place: pass d = 1, 2, 4, … joins every row whose
+            # within-group position has lowest set bit d into the row d
+            # before it, which is still live (its lowest bit is higher).
+            # Rows pair up as halving a group log2 times would pair them,
+            # earlier arrivals on the left, without compacting between
+            # passes; each group's head ends holding the group's fold.
             pos = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
-            while vals.shape[0] > n_groups:
-                odd = (pos & 1) == 1
-                idx = np.nonzero(odd)[0]
-                vals[idx - 1] = join(vals[idx - 1], vals[idx])
-                keep = ~odd
-                vals = vals[keep]
-                pos = pos[keep] >> 1
+            low = pos & -pos
+            top = int(counts.max())
+            d = 1
+            while d < top:
+                idx = np.nonzero(low == d)[0]
+                vals[idx - d] = join(vals[idx - d], vals[idx])
+                d <<= 1
+            vals = vals[starts]
         out[:, n_indep:] = vals
+    if weights is not None:
+        counts = np.add.reduceat(weights[order], starts)
     return out, counts

@@ -1,4 +1,4 @@
-"""Batch join kernel: per-rank (bucket, jk) → row-range index.
+"""Batch join kernel: per-rank join key → row-range index.
 
 The scalar join probes each received tuple against per-bucket shard
 dicts.  The columnar kernel builds, per (relation, version, rank), one
@@ -6,13 +6,18 @@ contiguous index over *all* shards the rank owns:
 
 * rows are concatenated shard-by-shard (sorted shard-key order, each
   shard in its nested iteration order — exactly the sequence the scalar
-  probe would walk), then stably grouped by (bucket, join-key values);
-* each distinct (bucket, jk) becomes one ``[start, start+count)`` row
-  range, addressed through an exact :class:`~repro.kernels.block.KeyIndex`
-  over the (bucket, jk) values;
+  probe would walk), then stably grouped by join-key values;
+* each distinct join key becomes one ``[start, start+count)`` row range,
+  addressed through an exact :class:`~repro.kernels.block.KeyIndex`
+  over the join-key values;
 * probing looks every received row up at once and returns per-probe
   ranges whose concatenation reproduces the scalar emission order
   tuple-for-tuple.
+
+A row's bucket is a hash of its join-key values, so the key alone
+already names the bucket the scalar path probes: every inner row with
+the probe's key lives in the probe's bucket, and the index neither
+stores buckets nor needs them from the probe side.
 
 The engine caches indexes keyed by the relation's version generation,
 so static relations (EDB inners) build once per run.
@@ -28,7 +33,7 @@ from repro.kernels.block import KeyIndex, lex_group
 
 
 class RankJoinIndex:
-    """All inner rows one rank holds, grouped by (bucket, join key)."""
+    """All inner rows one rank holds, grouped by join key."""
 
     __slots__ = ("rows", "_keys", "_key_starts", "_key_counts")
 
@@ -54,9 +59,8 @@ class RankJoinIndex:
         ``match_block``, if given, pre-filters inner rows (the scalar path
         applies the same predicate per probe hit — same surviving rows).
         """
-        jk_cols = tuple(rel.schema.join_cols)
+        jk_cols = list(rel.schema.join_cols)
         blocks = []
-        buckets = []
         for key in sorted(rel.shards):
             if rel.owner_of(key) != rank:
                 continue
@@ -65,29 +69,24 @@ class RankJoinIndex:
                 block = block[match_block.mask(block)]
             if block.shape[0]:
                 blocks.append(block)
-                buckets.append(np.full(block.shape[0], key[0], dtype=np.int64))
         if not blocks:
             blocks.append(np.empty((0, rel.schema.arity), dtype=np.int64))
-            buckets.append(np.empty(0, dtype=np.int64))
         rows = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-        bucket_arr = buckets[0] if len(buckets) == 1 else np.concatenate(buckets)
-        # Stable grouping by (bucket, jk values): within one key the rows
-        # keep (shard order, nested order) — the scalar probe walk.
-        keymat = np.column_stack([bucket_arr] + [rows[:, c] for c in jk_cols])
+        # Stable grouping by jk values: within one key the rows keep
+        # (shard order, nested order) — the scalar probe walk.
+        keymat = rows[:, jk_cols]
         order, starts, counts = lex_group(keymat)
         return cls(rows[order], KeyIndex(keymat[order[starts]]), starts, counts)
 
     # --------------------------------------------------------------- probing
 
     def probe(
-        self, rows: np.ndarray, buckets: np.ndarray, probe_cols: Sequence[int]
+        self, rows: np.ndarray, probe_cols: Sequence[int]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Match every probe row at once; returns per-row (start, count).
 
         ``probe_cols`` address the probe rows' columns holding the join
         key values in the index's key order.
         """
-        slot = self._keys.find(
-            np.column_stack([buckets] + [rows[:, c] for c in probe_cols])
-        )
+        slot = self._keys.find(rows[:, list(probe_cols)])
         return self._key_starts[slot], self._key_counts[slot]

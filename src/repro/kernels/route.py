@@ -3,9 +3,10 @@
 ``build_intra_sends``
     Intra-bucket replication (pipeline phase 2): every outer tuple goes
     to each sub-bucket owner of its inner-side bucket.  Payload boxes
-    are ``(bucket_array, row_block)`` pairs, so the all-to-all's ledger
-    accounting (per src→dst tuple counts, message counts, bytes) is
-    identical to the scalar path's per-tuple items.
+    are plain row blocks — a row's bucket is a hash of its join-key
+    values, which the receiver probes by anyway — so the all-to-all's
+    ledger accounting (per src→dst tuple counts, message counts, bytes)
+    is identical to the scalar path's per-tuple items.
 
 ``build_route_sends``
     Home routing of emitted head tuples (phase 4): where the wire
@@ -20,7 +21,7 @@ the ordering the receiving shards' absorb semantics depend on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,8 +29,10 @@ from repro.comm.wire import decode_blocks, decode_rows, encode_blocks, encode_ro
 from repro.kernels.absorb import VectorCombiner, combine_block
 from repro.kernels.block import group_columns
 
-IntraBox = Tuple[np.ndarray, np.ndarray]  # (per-row buckets, rows)
 RouteBox = Tuple[int, int, np.ndarray]  # (bucket, sub, rows)
+#: One source's emitted rows: a row block, or a block the local join
+#: already folded in chunks with each row's pre-fold count.
+Emitted = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]
 #: A route box bound for the wire layer also says how many emitted rows
 #: it stands for (its own row count unless the sender fold ran).
 PreBox = Tuple[int, int, np.ndarray, int]  # (bucket, sub, rows, pre_rows)
@@ -72,14 +75,14 @@ def build_intra_sends(
     n_sub: int,
     probe_cols: Sequence[int],
     per_rank_ser: np.ndarray,
-) -> Tuple[Dict[int, Dict[int, List[IntraBox]]], int]:
+) -> Tuple[Dict[int, Dict[int, List[np.ndarray]]], int]:
     """Replicate outer blocks to the sub-bucket owners of their buckets.
 
     ``owner_blocks`` are (owner rank, matched rows) pairs in shard order;
     ``per_rank_ser`` accumulates each owner's serialization fanout
     (deduplicated destinations per tuple, as the scalar path counts).
     """
-    sends: Dict[int, Dict[int, List[IntraBox]]] = {}
+    sends: Dict[int, Dict[int, List[np.ndarray]]] = {}
     n_intra = 0
     for owner, rows in owner_blocks:
         n = rows.shape[0]
@@ -110,15 +113,14 @@ def build_intra_sends(
             order = src_row[order]
         row_map = sends.setdefault(owner, {})
         for s0, c, d in zip(starts.tolist(), counts.tolist(), dst_heads.tolist()):
-            idx = order[s0 : s0 + c]
-            row_map.setdefault(d, []).append((buckets[idx], rows[idx]))
+            row_map.setdefault(d, []).append(rows[order[s0 : s0 + c]])
         per_rank_ser[owner] += dst.shape[0]
         n_intra += dst.shape[0]
     return sends, n_intra
 
 
 def build_route_sends(
-    emitted: Dict[int, np.ndarray],
+    emitted: Dict[int, Emitted],
     dist,
     for_wire: bool = False,
     fold: Optional[Tuple[int, Optional[VectorCombiner]]] = None,
@@ -127,7 +129,9 @@ def build_route_sends(
 
     ``fold`` — a :func:`~repro.kernels.absorb.sender_fold_plan` — folds
     each source's block per independent key *before* it is hashed and
-    boxed; ``for_wire`` makes every box a :data:`PreBox`, the form
+    boxed; a source whose block the local join already folded in chunks
+    hands ``(rows, pre_fold_counts)`` instead, and the same fold merges
+    the chunks.  ``for_wire`` makes every box a :data:`PreBox`, the form
     :func:`encode_wire_sends` takes.  Returns the sends, the number of
     emitted (pre-fold) rows and, per source rank, the number of rows
     that went through a fold (the engine charges those at serialization
@@ -137,12 +141,16 @@ def build_route_sends(
     folded: Dict[int, int] = {}
     n_comm = 0
     for src, rows in emitted.items():
-        n = rows.shape[0]
+        weights = None
+        if isinstance(rows, tuple):
+            rows, weights = rows
+            n = int(weights.sum())
+        else:
+            n = rows.shape[0]
         if n == 0:
             continue
-        weights = None
         if fold is not None:
-            rows, weights = combine_block(rows, *fold)
+            rows, weights = combine_block(rows, *fold, weights)
         row: Dict[int, list] = {}
         n_folded = 0
         for dst, b, s, block, pre in _shard_boxes(rows, dist, weights):

@@ -682,7 +682,7 @@ class Engine:
         with self.timer.phase(P_JOIN):
             emitted = ex.local_join(
                 cr, outer_pos, recv, inner_rel, inner_ver, probe_cols,
-                per_rank_probe, per_rank_emit,
+                per_rank_probe, per_rank_emit, self._wire_plans.get(cr.head_name),
             )
             cluster.ledger.add_compute_step(
                 P_JOIN,

@@ -19,6 +19,8 @@ the vote chose to transmit:
 * ``intra_sends`` — scan and match the outer side and replicate it to
   every sub-bucket owner of the matching inner bucket;
 * ``local_join`` — probe each rank's inner shards with what it received;
+  where the engine hands in the head's sender fold, the columnar plane
+  folds a large probe's pairs as it emits them instead of keeping them;
 * ``route_sends`` — group emitted tuples into ``(bucket, sub, batch)``
   boxes per home rank, after the wire layer's sender fold where the
   engine hands one in;
@@ -32,11 +34,54 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
+from repro.kernels.absorb import combine_block
 from repro.kernels.block import concat_ranges
 from repro.kernels.join import RankJoinIndex
-from repro.kernels.route import build_intra_sends, build_route_sends
+from repro.kernels.route import Emitted, build_intra_sends, build_route_sends
 
 TupleT = Tuple[int, ...]
+
+#: Join pairs one rank's probe materializes at once when the head has a
+#: sender fold.  A probe with more pairs emits and folds them in runs of
+#: this many, so the unfolded block — 9.3M rows on the 4-rank dense
+#: workload, 6x what the fold keeps — is never allocated.  The value is
+#: for memory: see the budget sweep in EXPERIMENTS.md.
+_PAIR_BUDGET = 1 << 18
+
+
+def _emit_pairs(cr, outer_pos, probe, inner_rows, lo, starts, counts):
+    """Head rows of the join pairs of probe rows ``lo, lo + 1, …``, row
+    ``lo + i`` paired with inner rows ``[starts[i], starts[i] + counts[i])``."""
+    outer = probe[
+        np.repeat(np.arange(lo, lo + counts.shape[0], dtype=np.int64), counts)
+    ]
+    inner = inner_rows[concat_ranges(starts, counts)]
+    if outer_pos == 0:
+        return cr.emit_spec.eval_block(outer, inner)
+    return cr.emit_spec.eval_block(inner, outer)
+
+
+def _pair_chunks(starts, counts, budget):
+    """Cut a probe's join pairs, in emission order, into runs of ``budget``.
+
+    Yields ``(lo, starts, counts)`` per run for :func:`_emit_pairs`: the
+    run's first probe row and the inner range of each probe row from
+    there, the first and last trimmed to the run — so a probe row with
+    more than ``budget`` matches spans several runs.
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    for p0 in range(0, total, budget):
+        p1 = min(p0 + budget, total)
+        # Probe rows holding the run's first and last pair.
+        lo, last = np.searchsorted(ends, [p0, p1 - 1], side="right").tolist()
+        run_starts = starts[lo : last + 1].copy()
+        run_counts = counts[lo : last + 1].copy()
+        skip = p0 - int(ends[lo] - counts[lo])
+        run_starts[0] += skip
+        run_counts[0] -= skip
+        run_counts[-1] -= int(ends[last]) - p1
+        yield lo, run_starts, run_counts
 
 
 class ColumnarExecutor:
@@ -54,7 +99,7 @@ class ColumnarExecutor:
 
     @staticmethod
     def intra_count_of(box) -> int:
-        return box[1].shape[0]
+        return box.shape[0]
 
     def scan_emit(self, cr, rel, version, per_rank_scan):
         match_block = cr.matches_block[0]
@@ -107,35 +152,40 @@ class ColumnarExecutor:
 
     def local_join(
         self, cr, outer_pos, recv, inner_rel, inner_ver, probe_cols,
-        per_rank_probe, per_rank_emit,
+        per_rank_probe, per_rank_emit, fold=None,
     ):
         inner_pos = 1 - outer_pos
         inner_mb = cr.matches_block[inner_pos]
         match_token = None if inner_mb is None else (id(cr), inner_pos)
-        emitted: Dict[int, np.ndarray] = {}
+        emitted: Dict[int, Emitted] = {}
         for r, boxes in recv.items():
-            if len(boxes) == 1:
-                bucket_cat, rows_cat = boxes[0]
-            else:
-                bucket_cat = np.concatenate([b for b, _ in boxes])
-                rows_cat = np.vstack([rows for _, rows in boxes])
-            per_rank_probe[r] += rows_cat.shape[0]
+            probe = boxes[0] if len(boxes) == 1 else np.vstack(boxes)
+            per_rank_probe[r] += probe.shape[0]
             index = self._rank_index(
                 inner_rel, inner_ver, r, match_token, inner_mb
             )
-            starts, counts = index.probe(rows_cat, bucket_cat, probe_cols)
+            starts, counts = index.probe(probe, probe_cols)
             n_pairs = int(counts.sum())
             per_rank_emit[r] += n_pairs
             if not n_pairs:
                 continue
-            outer_gather = rows_cat[
-                np.repeat(np.arange(rows_cat.shape[0], dtype=np.int64), counts)
+            if fold is None or n_pairs <= _PAIR_BUDGET:
+                emitted[r] = _emit_pairs(
+                    cr, outer_pos, probe, index.rows, 0, starts, counts
+                )
+                continue
+            # Fold as we emit: only each chunk's fold is kept, with its
+            # pre-fold counts; the route step's fold merges the chunks.
+            parts = [
+                combine_block(
+                    _emit_pairs(cr, outer_pos, probe, index.rows, lo, s, c), *fold
+                )
+                for lo, s, c in _pair_chunks(starts, counts, _PAIR_BUDGET)
             ]
-            inner_gather = index.rows[concat_ranges(starts, counts)]
-            if outer_pos == 0:
-                emitted[r] = cr.emit_spec.eval_block(outer_gather, inner_gather)
-            else:
-                emitted[r] = cr.emit_spec.eval_block(inner_gather, outer_gather)
+            emitted[r] = (
+                np.concatenate([rows for rows, _ in parts]),
+                np.concatenate([pre for _, pre in parts]),
+            )
         return emitted
 
     def route_sends(self, emitted, dist, for_wire, fold):
@@ -230,8 +280,9 @@ class ScalarExecutor:
 
     def local_join(
         self, cr, outer_pos, recv, inner_rel, inner_ver, probe_cols,
-        per_rank_probe, per_rank_emit,
+        per_rank_probe, per_rank_emit, fold=None,
     ):
+        # ``fold`` is ignored: the oracle emits every pair.
         outer_is_left = outer_pos == 0
         probe_get = cr.probe_get_left if outer_is_left else cr.probe_get_right
         inner_match = cr.matches[1 - outer_pos]

@@ -9,11 +9,14 @@ rank counts that exercise single-rank, tiny, odd, and paper-scale
 configurations.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.graphs.generators import rmat
 from repro.queries import run_cc, run_pagerank, run_sssp
+from repro.runtime import executor as executor_mod
 from repro.runtime.config import EngineConfig
 from repro.runtime.engine import Engine
 
@@ -69,6 +72,27 @@ def test_cc_identical_across_executors(graph, ranks):
     assert res["columnar"].labels == res["scalar"].labels
     assert res["columnar"].n_components == res["scalar"].n_components
     _assert_summaries_equal(res["scalar"].fixpoint, res["columnar"].fixpoint)
+
+
+@pytest.mark.parametrize("query", ["sssp", "cc"])
+def test_folding_join_identical_across_executors(graph, query, monkeypatch):
+    """A pair budget of a few pairs sends every columnar probe down the
+    fold-as-you-emit path; the scalar oracle still emits every pair."""
+    monkeypatch.setattr(executor_mod, "_PAIR_BUDGET", 3)
+    cfgs = _configs(7)
+    with mock.patch.object(
+        executor_mod, "_pair_chunks", wraps=executor_mod._pair_chunks
+    ) as chunks:
+        if query == "sssp":
+            res = {ex: run_sssp(graph, [0, 1, 2], cfg) for ex, cfg in cfgs.items()}
+        else:
+            res = {ex: run_cc(graph, cfg) for ex, cfg in cfgs.items()}
+    assert chunks.call_count
+    _assert_summaries_equal(res["scalar"].fixpoint, res["columnar"].fixpoint)
+    assert all(
+        res["columnar"].fixpoint.query(name) == res["scalar"].fixpoint.query(name)
+        for name in res["scalar"].fixpoint.relations
+    )
 
 
 @pytest.mark.parametrize("ranks", [1, 7, 64])

@@ -586,19 +586,18 @@ def test_rank_join_index_probe_matches_brute_force(rows, n_ranks):
         index = RankJoinIndex.build(rel, "full", rank)
         keys = sorted({r[0] for r in rows})
         probe = np.asarray([(k, 0, 0) for k in keys], dtype=np.int64)
-        buckets = rel.dist.buckets_of_key_rows(probe, probe_cols)
-        starts, counts = index.probe(probe, buckets, probe_cols)
+        starts, counts = index.probe(probe, probe_cols)
         for i, k in enumerate(keys):
             got = [
                 tuple(r)
                 for r in index.rows[starts[i] : starts[i] + counts[i]].tolist()
             ]
-            # Probes only make sense against the probing bucket's rows.
-            expected = [
-                t for t in _brute_probe(rel, "full", rank, (k,))
-                if rel.dist.bucket_of_key((k,)) == buckets[i]
-            ]
-            assert got == expected
+            # The key fixes the bucket: every rank-local row with key k
+            # is in k's bucket, the one the scalar path probes.
+            assert got == _brute_probe(rel, "full", rank, (k,))
+            assert all(
+                rel.dist.bucket_of(t) == rel.dist.bucket_of_key((k,)) for t in got
+            )
 
 
 # ----------------------------------------------------------------- route

@@ -9,6 +9,7 @@ same answers *and* the same ledger, charge for charge.
 
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.planner.interpreter import interpret
 from repro.queries.cc import cc_program
 from repro.queries.reachability import tc_program
 from repro.queries.sssp import sssp_program
+from repro.runtime import executor as executor_mod
 from repro.runtime.incremental import FixpointHandle
 from repro.runtime.spmd import (
     LockstepError,
@@ -290,6 +292,18 @@ class TestLedgerIdentity:
         )
         bsp, slices = assert_ledger_identity(program, base, config, updates)
         assert all(s.counters["updates"] == 2 for s in slices)
+
+    @pytest.mark.parametrize("query", ["sssp", "tc"])
+    def test_folding_join(self, query, monkeypatch):
+        """With a pair budget of a few pairs every columnar probe folds as
+        it emits, on the BSP engine and on each slice alike."""
+        monkeypatch.setattr(executor_mod, "_PAIR_BUDGET", 3)
+        program, facts = _query_facts(query)
+        with mock.patch.object(
+            executor_mod, "_pair_chunks", wraps=executor_mod._pair_chunks
+        ) as chunks:
+            assert_ledger_identity(program, facts, _cfg(n_ranks=3))
+        assert chunks.call_count
 
 
 class TestConfigHonouredOrRefused:

@@ -4,13 +4,15 @@ layer changes modeled bytes/seconds but never results, Δ trajectories,
 iteration counts, or executor agreement."""
 
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import Engine
 from repro.comm.wire import (
     WIRE_CODECS,
     WireConfig,
@@ -21,9 +23,9 @@ from repro.comm.wire import (
 from repro.core.aggregators import TupleAggregator, make_aggregator
 from repro.kernels import route
 from repro.kernels.absorb import combine_block, sender_fold_plan, vector_combiner
-from repro.kernels.block import group_columns, lex_group
+from repro.kernels.block import concat_ranges, group_columns, lex_group
 from repro.queries.cc import run_cc
-from repro.queries.sssp import run_sssp
+from repro.queries.sssp import run_sssp, sssp_program
 from repro.relational.distribution import Distribution
 from repro.relational.schema import Schema
 from repro.runtime import executor as executor_mod
@@ -300,6 +302,32 @@ class TestBatchedKernels:
         for want_rows, want in zip(expect_rows, expect):
             assert encode_rows(want_rows, codec) == want
 
+    @pytest.mark.parametrize("agg", (None, "min", "max", "any", "union", "mcount"))
+    @given(case=_wire_boxes(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_fold_of_chunk_folds_is_the_fold(self, agg, case, data):
+        """Folding a block in arbitrary chunks (the drawn boxes, empty ones
+        included) and merging the chunk folds with their counts carried
+        returns exactly one fold of the whole block — what lets the local
+        join fold as it emits."""
+        arity, chunks = case
+        n_indep = data.draw(st.integers(0, arity))
+        combiner = None if agg is None else vector_combiner(make_aggregator(agg))
+        whole = np.concatenate(chunks)
+        want_rows, want_counts = combine_block(whole, n_indep, combiner)
+        assert np.array_equal(
+            want_rows, _ref_combine_block(whole.copy(), n_indep, combiner)
+        )
+        parts = [combine_block(chunk, n_indep, combiner) for chunk in chunks]
+        got_rows, got_counts = combine_block(
+            np.concatenate([rows for rows, _ in parts]),
+            n_indep,
+            combiner,
+            np.concatenate([counts for _, counts in parts]),
+        )
+        assert np.array_equal(got_rows, want_rows)
+        assert np.array_equal(got_counts, want_counts)
+
     @pytest.mark.parametrize("codec", WIRE_CODECS)
     @given(case=_wire_boxes(), dup=st.integers(0, 7), budget=st.sampled_from([1, 5, 1 << 16]))
     @settings(max_examples=25, deadline=None)
@@ -421,6 +449,19 @@ def _emitted_heads(draw):
     return emitted, dist, plan
 
 
+def _fold_in_runs(rows, plan, budget):
+    """What the folding local join hands on: ``rows`` folded in runs of
+    ``budget`` rows, the runs' folds and pre-fold counts concatenated."""
+    parts = [
+        combine_block(rows[lo : lo + budget], *plan)
+        for lo in range(0, max(rows.shape[0], 1), budget)
+    ]
+    return (
+        np.concatenate([run for run, _ in parts]),
+        np.concatenate([counts for _, counts in parts]),
+    )
+
+
 def _flat_wire(sends):
     return {
         src: [(dst, *box) for dst, boxes in per_dst.items() for box in boxes]
@@ -434,9 +475,17 @@ class TestFoldBeforeRoute:
     folding each box on its own — a key belongs to exactly one box."""
 
     @pytest.mark.parametrize("codec", WIRE_CODECS)
-    @given(case=_emitted_heads(), budget=st.sampled_from([1, 5, 1 << 16]))
+    @given(
+        case=_emitted_heads(),
+        budget=st.sampled_from([1, 5, 1 << 16]),
+        pair_budget=st.sampled_from([1, 2, 7, 1 << 18]),
+    )
     @settings(max_examples=120, deadline=None)
-    def test_wire_boxes_identical_to_per_box_fold(self, codec, case, budget):
+    def test_wire_boxes_identical_to_per_box_fold(
+        self, codec, case, budget, pair_budget
+    ):
+        """…and so does handing the route step a block the local join
+        folded in runs of ``pair_budget`` pairs, with its pre-fold counts."""
         emitted, dist, plan = case
         want = {
             src: _ref_wire_boxes(rows, dist, plan, codec)
@@ -446,10 +495,14 @@ class TestFoldBeforeRoute:
         as_tuples = {
             src: [tuple(t) for t in rows.tolist()] for src, rows in emitted.items()
         }
-        for ex, blocks in (
-            (executor_mod.ColumnarExecutor(), emitted),
-            (executor_mod.ScalarExecutor(), as_tuples),
-        ):
+        runs = [(executor_mod.ColumnarExecutor(), emitted),
+                (executor_mod.ScalarExecutor(), as_tuples)]
+        if plan is not None:
+            runs.append((executor_mod.ColumnarExecutor(), {
+                src: _fold_in_runs(rows, plan, pair_budget)
+                for src, rows in emitted.items()
+            }))
+        for ex, blocks in runs:
             with mock.patch.object(route, "_CHUNK_ROWS", budget):
                 sends, n_comm, folded = ex.route_sends(blocks, dist, True, plan)
                 got = _flat_wire(route.encode_wire_sends(sends, codec=codec))
@@ -472,6 +525,70 @@ class TestFoldBeforeRoute:
             run_sssp(medium_weighted_graph, [0, 5], _cfg(wire=wire))
         assert spy.call_count
         assert all(call.args[3] is None for call in spy.call_args_list)
+
+    @given(
+        counts=st.lists(st.integers(0, 9), min_size=1, max_size=30),
+        budget=st.integers(1, 12),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pair_chunks_cover_every_pair_once(self, counts, budget, data):
+        """The folding join's runs split a probe's pairs in emission order
+        — a probe row with more matches than the budget across several
+        runs — each run ``budget`` pairs but the last."""
+        counts = np.asarray(counts, dtype=np.int64)
+        assume(counts.sum() > 0)
+        starts = np.asarray(
+            data.draw(st.lists(st.integers(0, 50), min_size=len(counts),
+                               max_size=len(counts))),
+            dtype=np.int64,
+        )
+        outer, inner, sizes = [], [], []
+        for lo, run_starts, run_counts in executor_mod._pair_chunks(
+            starts, counts, budget
+        ):
+            assert (run_counts >= 0).all()
+            outer.append(np.repeat(np.arange(lo, lo + run_counts.shape[0]), run_counts))
+            inner.append(concat_ranges(run_starts, run_counts))
+            sizes.append(int(run_counts.sum()))
+        assert np.array_equal(
+            np.concatenate(outer), np.repeat(np.arange(counts.shape[0]), counts)
+        )
+        assert np.array_equal(np.concatenate(inner), concat_ranges(starts, counts))
+        assert sizes[:-1] == [budget] * (len(sizes) - 1)
+        assert 0 < sizes[-1] <= budget
+
+    def test_folding_join_peak_memory_is_bounded_by_the_pair_budget(self):
+        """A 2M-pair probe onto a MIN head never holds its emitted block:
+        the join's traced peak stays a small multiple of one run's rows."""
+        engine = Engine(sssp_program(), EngineConfig(n_ranks=1))
+        # One hub with 2,000 out-edges (500 targets x 4 weights), probed by
+        # 1,000 paths from 4 sources: 2M pairs onto 2,000 (source, target)
+        # keys, each reached 1,000 times.
+        engine.load("edge", [(0, t, w) for t in range(500) for w in range(1, 5)])
+        cr = next(cr for cr in engine.compiled.compiled.values() if cr.is_join)
+        assert cr.body_names == ("spath", "edge")
+        probe = np.asarray([(s % 4, 0, s) for s in range(1000)], dtype=np.int64)
+        plan = engine._wire_plans["spath"]
+        per_rank_emit = np.zeros(1, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            emitted = executor_mod.ColumnarExecutor().local_join(
+                cr, 0, {0: [probe]}, engine.store["edge"], "full",
+                cr.probe_from_left, np.zeros(1, dtype=np.int64), per_rank_emit,
+                plan,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert per_rank_emit.tolist() == [2_000_000]
+        # The unfolded path peaks at ~24x this; the folding one at ~3.4x.
+        assert peak < 6 * executor_mod._PAIR_BUDGET * 3 * 8
+        run_folds, run_counts = emitted[0]
+        rows, counts = combine_block(run_folds, *plan, run_counts)
+        # Source k's shortest path reads k; the lightest hub edge weighs 1.
+        assert rows.tolist() == [[k, t, k + 1] for k in range(4) for t in range(500)]
+        assert counts.tolist() == [1000] * 2000
 
 
 class TestWireInvariance:
