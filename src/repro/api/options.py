@@ -13,6 +13,9 @@ Per-field range checks stay where the value lives
 (``EngineConfig.__post_init__`` and friends); this module owns only the
 rules that couple *different* fields:
 
+* every rank a fault schedule names must exist at ``n_ranks``
+  (:meth:`~repro.faults.FaultConfig.check_ranks`, also run by the fault
+  plane itself);
 * a transient crash schedule requires checkpoints to recover from;
 * a permanent rank loss additionally requires checkpoint replication;
 * checkpoint replication without checkpoints is a silent no-op — rejected;
@@ -185,6 +188,10 @@ class Options:
         """
         faults = self.faults.resolve()
         if faults is not None:
+            try:
+                faults.check_ranks(self.n_ranks)
+            except ValueError as exc:
+                raise OptionsError(f"bad --faults spec: {exc}") from None
             # Mutual exclusivity is structural in FaultConfig — a config
             # carrying both schedules cannot be constructed.  Assert the
             # invariant here so the rule is visible at the API layer too.

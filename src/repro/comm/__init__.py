@@ -10,15 +10,15 @@ substitution in DESIGN.md §2) this package provides:
     figures, since wall-clock of a single-process simulation cannot.
 :mod:`repro.comm.simcluster`
     :class:`SimCluster` — a bulk-synchronous simulated cluster of logical
-    ranks, under both engine drivers.  Its collectives (``allreduce``,
-    ``allgather``, ``alltoallv`` — the three the engine uses) move *real*
-    payloads between per-rank mailboxes and charge the cost model with
-    actual serialized sizes, so communication volume is measured, never
-    assumed.
-:mod:`repro.comm.asyncmpi`
-    An mpi4py-flavoured SPMD API (``run_spmd`` + ``AsyncComm``) for
-    hand-written rank programs in the familiar MPI style (examples and
-    tests); not the engine's substrate.
+    ranks, the one comm substrate: under both engine drivers and under
+    hand-written rank programs (:func:`repro.runtime.spmd.run_ranks`).
+    Its collectives (``allreduce``, ``allgather``, ``alltoallv``) move
+    *real* payloads between per-rank mailboxes and charge the cost model
+    with actual serialized sizes, so communication volume is measured,
+    never assumed.
+:mod:`repro.comm.wire`
+    The route exchange's wire layer: :class:`~repro.comm.wire.WireConfig`
+    (sender fold, codec, direct-vs-Bruck pick) and the row-block codecs.
 :mod:`repro.comm.ledger`
     Per-phase accounting of compute (per-rank, max-combined per superstep)
     and communication (global) modeled time.
@@ -27,13 +27,10 @@ substitution in DESIGN.md §2) this package provides:
 from repro.comm.costmodel import CostModel, CommEvent
 from repro.comm.ledger import PhaseLedger
 from repro.comm.simcluster import SimCluster
-from repro.comm.asyncmpi import AsyncComm, run_spmd
 
 __all__ = [
     "CostModel",
     "CommEvent",
     "PhaseLedger",
     "SimCluster",
-    "AsyncComm",
-    "run_spmd",
 ]

@@ -6,7 +6,7 @@ is determined by (a) per-rank work, (b) message counts and sizes, and
 (c) the latency/bandwidth characteristics of the interconnect.  We model:
 
 * point-to-point message: ``alpha + nbytes / beta``
-* allreduce / bcast / barrier (tree-based): ``ceil(log2 P) * (alpha + nbytes/beta)``
+* allreduce / barrier (tree-based): ``ceil(log2 P) * (alpha + nbytes/beta)``
 * allgather (recursive doubling): ``log2(P)`` rounds, doubling payload
 * alltoallv (pairwise exchange): ``(P - 1)`` lightweight rounds of latency
   plus the *maximum per-rank* traffic over the bisection
@@ -101,9 +101,6 @@ class CostModel:
         """Tree allreduce of a small payload (Algorithm 1's vote)."""
         rounds = max(1, math.ceil(math.log2(max(2, n_ranks))))
         return rounds * (self.alpha + nbytes / self.beta)
-
-    def bcast(self, n_ranks: int, nbytes: int) -> float:
-        return self.allreduce(n_ranks, nbytes)
 
     def barrier(self, n_ranks: int) -> float:
         return self.allreduce(n_ranks, BYTES_PER_WORD)

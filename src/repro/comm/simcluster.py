@@ -494,11 +494,10 @@ class SimCluster:
         :class:`~repro.faults.plane.PermanentRankFailure` when the peer is
         permanently dead (the failure detector's classification).
         """
-        policy = plane.config.retry_policy()
         attempt = 0
         while pending:
             attempt += 1
-            if policy.exhausted(attempt):
+            if attempt > plane.config.max_retries:
                 src, dst = pending[0][1], pending[0][2]
                 raise classify_loss(plane, src, dst, attempt)
             round_bytes = 0

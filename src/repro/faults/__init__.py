@@ -1,14 +1,14 @@
 """Fault injection and recovery for the simulated cluster.
 
-The package splits into five planes:
+The package splits into four planes:
 
 * :mod:`repro.faults.config` — :class:`FaultConfig`, the declarative
-  fault schedule, and :func:`parse_fault_spec` for the CLI;
-* :mod:`repro.faults.retry` — :class:`RetryPolicy`, the capped/jittered
-  retransmission policy shared by both comm substrates;
+  fault schedule (with its one retransmission budget, ``max_retries``,
+  and its one rank-range check, :meth:`FaultConfig.check_ranks`), and
+  :func:`parse_fault_spec` for the CLI;
 * :mod:`repro.faults.plane` — :class:`FaultPlane`, the deterministic
-  injector threaded under both comm substrates, plus the error taxonomy
-  (:class:`RankFailure`, :class:`PermanentRankFailure`,
+  injector under :class:`~repro.comm.simcluster.SimCluster`, plus the
+  error taxonomy (:class:`RankFailure`, :class:`PermanentRankFailure`,
   :class:`UnrecoverableRankLoss`, :class:`MessageLossError`,
   :class:`CorruptionError`) and per-message checksums;
 * :mod:`repro.faults.invariants` — tuple-conservation and lattice
@@ -38,7 +38,6 @@ from repro.faults.plane import (
     corrupt_payload,
     payload_checksum,
 )
-from repro.faults.retry import RetryPolicy
 
 __all__ = [
     "ConservationError",
@@ -51,7 +50,6 @@ __all__ = [
     "MessageLossError",
     "PermanentRankFailure",
     "RankFailure",
-    "RetryPolicy",
     "StratumCheckpoint",
     "RecoveryStats",
     "UnrecoverableRankLoss",

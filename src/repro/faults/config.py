@@ -12,14 +12,16 @@ faulty schedule replays bit-for-bit.
 a config, e.g.::
 
     crash=1@12,drop=0.01,dup=0.02,corrupt=0.005,straggle=2:4,seed=7
+
+A config does not know the world it will run in, so the ranks it names
+are checked against one in one place, :meth:`FaultConfig.check_ranks`,
+called by the fault plane and by ``Options.validate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Set, Tuple
-
-from repro.faults.retry import RetryPolicy
 
 #: (drop, duplicate, corrupt) probabilities for one directed rank edge.
 EdgeRates = Tuple[float, float, float]
@@ -55,15 +57,10 @@ class FaultConfig:
         are scaled by the factor, stretching every superstep it is the
         max of (modeled time only; results are unaffected).
     max_retries:
-        Bounded retransmission attempts for a message whose every copy
-        was dropped or failed its checksum.  Exhaustion raises
-        :class:`repro.faults.plane.MessageLossError`.
-    recv_timeout, recv_backoff, recv_timeout_cap, recv_jitter:
-        Point-to-point receive patience under :mod:`repro.comm.asyncmpi`:
-        initial wall-clock timeout per attempt, the multiplier applied
-        after each retransmission round, the hard cap the backed-off
-        timeout never exceeds, and the deterministic jitter fraction.
-        Bundled for both substrates by :meth:`retry_policy`.
+        The one retry budget: retransmission rounds allowed for a message
+        whose every copy was dropped or failed its checksum (exhaustion
+        raises :class:`repro.faults.plane.MessageLossError`), and replays
+        of an update's seed exchange after a transient crash.
     audit_monotonicity:
         Run the lattice monotonicity audit after every absorb (defense in
         depth against corruption that slips past the checksum).
@@ -80,10 +77,6 @@ class FaultConfig:
     crash_perm_superstep: Optional[int] = None
     stragglers: Mapping[int, float] = field(default_factory=dict)
     max_retries: int = 3
-    recv_timeout: float = 0.02
-    recv_backoff: float = 2.0
-    recv_timeout_cap: float = 0.5
-    recv_jitter: float = 0.1
     audit_monotonicity: bool = True
 
     def __post_init__(self) -> None:
@@ -122,19 +115,26 @@ class FaultConfig:
                 )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.recv_timeout <= 0:
-            raise ValueError(f"recv_timeout must be > 0, got {self.recv_timeout}")
-        if self.recv_backoff < 1.0:
-            raise ValueError(f"recv_backoff must be >= 1.0, got {self.recv_backoff}")
-        if self.recv_timeout_cap < self.recv_timeout:
-            raise ValueError(
-                f"recv_timeout_cap {self.recv_timeout_cap} must be >= "
-                f"recv_timeout {self.recv_timeout}"
-            )
-        if not 0.0 <= self.recv_jitter < 1.0:
-            raise ValueError(
-                f"recv_jitter must be in [0, 1), got {self.recv_jitter}"
-            )
+
+    def check_ranks(self, n_ranks: int) -> None:
+        """Raise :class:`ValueError` unless every rank the schedule names
+        (``crash``, ``crash_perm``, ``straggle``, both ends of an
+        ``edge``) is one of ``n_ranks``, and no ``edge`` is a self-edge —
+        self-sends never touch the wire, so its rates could never fire."""
+        named = [("crash", self.crash_rank), ("crash_perm", self.crash_perm_rank)]
+        named += [("straggle", rank) for rank in self.stragglers]
+        named += [("edge", rank) for edge in self.per_edge for rank in edge]
+        for key, rank in named:
+            if rank is not None and not 0 <= rank < n_ranks:
+                raise ValueError(
+                    f"{key} rank {rank} out of range for {n_ranks} ranks"
+                )
+        for src, dst in self.per_edge:
+            if src == dst:
+                raise ValueError(
+                    f"edge {src}>{dst} is a self-edge; self-sends never "
+                    "touch the wire, so it could never fire"
+                )
 
     # -------------------------------------------------------------- queries
 
@@ -145,17 +145,6 @@ class FaultConfig:
     @property
     def has_permanent_crash(self) -> bool:
         return self.crash_perm_rank is not None
-
-    def retry_policy(self) -> RetryPolicy:
-        """The shared retransmission policy for both comm substrates."""
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            base_timeout=self.recv_timeout,
-            backoff=self.recv_backoff,
-            max_timeout=self.recv_timeout_cap,
-            jitter=self.recv_jitter,
-            seed=self.seed,
-        )
 
     @property
     def has_message_faults(self) -> bool:

@@ -1,8 +1,7 @@
 """The deterministic fault-injection plane.
 
-One :class:`FaultPlane` instance sits under a comm substrate
-(:class:`repro.comm.simcluster.SimCluster` or
-:mod:`repro.comm.asyncmpi`) and answers two questions:
+One :class:`FaultPlane` instance sits under the comm substrate
+(:class:`repro.comm.simcluster.SimCluster`) and answers two questions:
 
 * *Is anyone dead?* — the plane counts collective **supersteps**; when
   the configured crash superstep is reached, the victim rank enters
@@ -123,8 +122,7 @@ def classify_loss(plane: "FaultPlane", src: int, dst: int, attempt: int) -> Faul
     :class:`MessageLossError`; exhaustion toward a *permanently dead*
     endpoint is how survivors detect the loss without a membership
     service — escalate to :class:`PermanentRankFailure` so recovery
-    re-owns the dead rank instead of waiting for a spare.  Shared by both
-    comm substrates.
+    re-owns the dead rank instead of waiting for a spare.
     """
     for rank in (dst, src):
         if plane.is_permanent(rank):
@@ -238,20 +236,7 @@ class FaultPlane:
     """Deterministic, seeded fault injector for one simulated run."""
 
     def __init__(self, config: FaultConfig, n_ranks: int):
-        if config.crash_rank is not None and config.crash_rank >= n_ranks:
-            raise ValueError(
-                f"crash_rank {config.crash_rank} out of range for {n_ranks} ranks"
-            )
-        if config.crash_perm_rank is not None and config.crash_perm_rank >= n_ranks:
-            raise ValueError(
-                f"crash_perm_rank {config.crash_perm_rank} out of range "
-                f"for {n_ranks} ranks"
-            )
-        for rank in config.stragglers:
-            if rank >= n_ranks:
-                raise ValueError(
-                    f"straggler rank {rank} out of range for {n_ranks} ranks"
-                )
+        config.check_ranks(n_ranks)
         self.config = config
         self.n_ranks = n_ranks
         self.superstep = 0

@@ -7,10 +7,9 @@ three questions the paper's own evaluation revolves around:
 1. **Which rank×rank edge carried the bytes?**
    :class:`CommMatrixRecorder` captures one sparse rank×rank matrix per
    exchange (bytes + tuple counts) inside
-   :meth:`~repro.comm.simcluster.SimCluster.alltoallv` and the
-   :mod:`repro.comm.asyncmpi` substrate.  Fault-driven retransmissions
-   land in a separate channel so recovered traffic never masquerades as
-   algorithmic traffic.  Capture is observation-only: ledgers and results
+   :meth:`~repro.comm.simcluster.SimCluster.alltoallv`, the one place
+   wire messages move.  Fault-driven retransmissions land in a separate
+   channel so recovered traffic never masquerades as algorithmic traffic.  Capture is observation-only: ledgers and results
    are bit-identical with it on or off, and :meth:`CommMatrixRecorder.
    reconcile` proves the matrices sum to the ledger's comm counters.
 
@@ -181,10 +180,10 @@ class CommMatrix:
 class CommMatrixRecorder:
     """Collects one :class:`CommMatrix` per exchange for a whole run.
 
-    Attached to a :class:`~repro.comm.simcluster.SimCluster` (or passed to
-    :func:`repro.comm.asyncmpi.run_spmd`) it observes every wire message;
-    it never charges anything, so enabling it cannot perturb modeled time
-    or results.  Exposed on ``FixpointResult.comm_profile``.
+    Attached to a :class:`~repro.comm.simcluster.SimCluster` it observes
+    every wire message; it never charges anything, so enabling it cannot
+    perturb modeled time or results.  Exposed on
+    ``FixpointResult.comm_profile``.
     """
 
     def __init__(self, n_ranks: int):
@@ -206,10 +205,7 @@ class CommMatrixRecorder:
         *, retransmit: bool = False,
     ) -> None:
         """Record one wire message into the currently open exchange."""
-        m = self._open
-        if m is None:
-            m = self.begin("p2p", "comm")
-        m.add(src, dst, nbytes, tuples, retransmit=retransmit)
+        self._open.add(src, dst, nbytes, tuples, retransmit=retransmit)
 
     # --------------------------------------------------------------- queries
 

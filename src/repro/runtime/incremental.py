@@ -406,9 +406,7 @@ class FixpointHandle:
                         # budget (then escalate).
                         attempts += 1
                         faults = engine.config.faults
-                        if faults is None or faults.retry_policy().exhausted(
-                            attempts
-                        ):
+                        if faults is None or attempts > faults.max_retries:
                             raise
                         engine.fault_plane.mark_restarted(failure.rank)
                         engine.counters["update_seed_retries"] += 1

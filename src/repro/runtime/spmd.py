@@ -19,12 +19,21 @@ so answers and ledger equal the BSP run's bit for bit.  Slices that meet
 with different calls raise :class:`LockstepError`; a slice that raises
 breaks the barrier, so no thread waits for it.  Planes that read or
 charge state around the comm are refused up front (:func:`spmd_refusals`).
+
+The threads, the barrier and the error propagation are
+:func:`run_ranks`, which runs any function once per rank on its
+:class:`SliceComm`: :func:`run_slices` is ``run_ranks`` with an
+engine-building rank function, and a hand-written rank program
+(``examples/spmd_style.py``) is another, with the cluster's CRC envelope,
+retransmission, fault plane and ledger under every collective it calls.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, TypeVar,
+)
 
 import numpy as np
 
@@ -37,11 +46,12 @@ from repro.runtime.incremental import FixpointHandle
 from repro.runtime.result import FixpointResult
 
 TupleT = Tuple[int, ...]
+T = TypeVar("T")
 
 
 class LockstepError(RuntimeError):
-    """Slices met at one rendezvous with different calls (the lockstep
-    counterpart of ``asyncmpi.DeadlockError``)."""
+    """Slices met at one rendezvous with different calls: a rank program
+    that is not SPMD."""
 
 
 def spmd_refusals(config: EngineConfig) -> List[str]:
@@ -173,6 +183,49 @@ class _SliceLedger:
     add_comm = add_compute_scalar
 
 
+def run_ranks(
+    config: EngineConfig, fn: Callable[..., T], *args
+) -> Tuple[List[T], SimCluster]:
+    """Call ``fn(comm, *args)`` once per rank of ``config``, one thread
+    each, in lockstep over one :class:`SimCluster` built from ``config``
+    (cost model, fault plane, reordering); each rank's return value in
+    rank order, and the shared cluster.
+
+    ``comm`` is the rank's :class:`SliceComm`: a collective takes the
+    rank's own row of the send matrix (``alltoallv({comm.rank: boxes},
+    arity=…)``) or its own entry (``allreduce({comm.rank: value})``).
+    An exception in any rank is re-raised here once every thread is done.
+    """
+    rendezvous = _Rendezvous(SimCluster.from_config(config))
+    n = config.n_ranks
+    results: List[T] = [None] * n  # type: ignore[list-item]
+    errors: List[Tuple[int, BaseException]] = []
+
+    def rank_program(rank: int) -> None:
+        comm = SliceComm(rendezvous, rank)
+        try:
+            results[rank] = fn(comm, *args)
+            comm._meet("finish")
+        except BaseException as exc:
+            errors.append((rank, exc))
+            # An error a rendezvous raised reaches every slice by itself
+            # (breaking the barrier would race the slices still waking from
+            # it); any other must break it, so no slice waits for this one.
+            if exc is not rendezvous.outcome[1]:
+                rendezvous.barrier.abort()
+
+    threads = [threading.Thread(target=rank_program, args=(r,)) for r in range(n)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:  # the lowest rank's own error, not a broken barrier it saw
+        raise min(errors, key=lambda e: (
+            isinstance(e[1], threading.BrokenBarrierError), e[0]
+        ))[1]
+    return results, rendezvous.cluster
+
+
 def run_slices(
     program: Program,
     facts: Mapping[str, Iterable[TupleT]],
@@ -192,40 +245,21 @@ def run_slices(
     # Every slice reads every row, and keeps the ones it owns.
     facts = {name: list(rows) for name, rows in facts.items()}
     updates = [{n: list(rows) for n, rows in b.items()} for b in updates]
-    rendezvous = _Rendezvous(SimCluster.from_config(config))
-    n = config.n_ranks
-    engines: List[Engine] = [None] * n  # type: ignore[list-item]
-    results: List[FixpointResult] = [None] * n  # type: ignore[list-item]
-    errors: List[Tuple[int, BaseException]] = []
 
-    def slice_program(rank: int) -> None:
-        comm = SliceComm(rendezvous, rank)
-        try:
-            engine = engines[rank] = Engine(program, config, cluster=comm)
-            for name, rows in facts.items():
-                engine.load(name, rows)
-            if updates:
-                handle = FixpointHandle(engine)
-                for batch in updates:
-                    handle.update(batch)
-                results[rank] = handle.result()
-            else:
-                results[rank] = engine.run()
-            comm._meet("finish")
-        except BaseException as exc:
-            errors.append((rank, exc))
-            rendezvous.barrier.abort()
+    def slice_program(comm: SliceComm) -> Tuple[Engine, FixpointResult]:
+        engine = Engine(program, config, cluster=comm)
+        for name, rows in facts.items():
+            engine.load(name, rows)
+        if not updates:
+            return engine, engine.run()
+        handle = FixpointHandle(engine)
+        for batch in updates:
+            handle.update(batch)
+        return engine, handle.result()
 
-    threads = [threading.Thread(target=slice_program, args=(r,)) for r in range(n)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:  # the lowest rank's own error, not a broken barrier it saw
-        raise min(errors, key=lambda e: (
-            isinstance(e[1], threading.BrokenBarrierError), e[0]
-        ))[1]
-    return engines, results
+    pairs, _cluster = run_ranks(config, slice_program)
+    engines, results = zip(*pairs)
+    return list(engines), list(results)
 
 
 def run_spmd_engine(

@@ -18,12 +18,10 @@ import math
 import pytest
 
 from repro import Engine, EngineConfig
-from repro.comm.asyncmpi import run_spmd
 from repro.faults import FaultConfig
 from repro.obs import Tracer
 from repro.obs.analysis import (
     CommMatrix,
-    CommMatrixRecorder,
     collapsed_stacks,
     comm_profile_from_spans,
     critical_path,
@@ -143,54 +141,6 @@ class TestDiagnosticsAreObservationOnly:
     def test_off_by_default(self):
         fp = _run_tc()
         assert fp.comm_profile is None
-
-
-class TestAsyncMpiCapture:
-    def test_p2p_and_retransmit_channels(self):
-        recorder = CommMatrixRecorder(2)
-
-        async def program(comm):
-            if comm.Get_rank() == 0:
-                await comm.send({"payload": list(range(50))}, dest=1)
-                return 0
-            return await comm.recv(source=0)
-
-        _results, ledger = run_spmd(
-            2,
-            program,
-            return_ledger=True,
-            fault_plane=None,
-            comm_recorder=recorder,
-        )
-        report = recorder.reconcile(ledger.comm)
-        assert report["ok"]
-        assert recorder.bytes_total() == ledger.comm.by_kind["p2p"]
-        assert recorder.bytes_total("retransmit") == 0
-
-    def test_faulty_p2p_reconciles(self):
-        from repro.faults.plane import FaultPlane
-
-        recorder = CommMatrixRecorder(2)
-        plane = FaultPlane(FaultConfig(seed=11, drop=0.4), 2)
-
-        async def program(comm):
-            if comm.Get_rank() == 0:
-                for i in range(8):
-                    await comm.send(("msg", i), dest=1, tag=i)
-                return 0
-            return [await comm.recv(source=0, tag=i) for i in range(8)]
-
-        _results, ledger = run_spmd(
-            2,
-            program,
-            return_ledger=True,
-            fault_plane=plane,
-            comm_recorder=recorder,
-        )
-        assert recorder.reconcile(ledger.comm)["ok"]
-        assert recorder.bytes_total("retransmit") == ledger.comm.by_kind.get(
-            "retransmit", 0
-        )
 
 
 # ------------------------------------------------------------- critical path

@@ -98,6 +98,25 @@ class TestOptionErrorsNameTheirFlag:
         with pytest.raises(SystemExit, match="^bad --faults spec: "):
             main([command, "sssp", *self.SMALL, "--ranks", "4", "--faults", spec])
 
+    @pytest.mark.parametrize("command", ["run", "update"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "crash=9@3",
+            "crash_perm=4@3",
+            "straggle=9:2",
+            "edge=9>1:0.5:0:0",
+            "edge=-1>1:0.5:0:0",
+            "edge=1>1:0.5:0:0",
+        ],
+    )
+    def test_fault_ranks_checked_against_ranks(self, command, spec):
+        """A rank the schedule names must exist, and an edge must be able
+        to fire: one line, before anything runs."""
+        with pytest.raises(SystemExit, match="^bad --faults spec: ") as exc:
+            main([command, "sssp", *self.SMALL, "--ranks", "4", "--faults", spec])
+        assert "\n" not in str(exc.value)
+
     def test_cc_ignores_sources(self, capsys):
         assert main(["run", "cc", *self.SMALL, "--ranks", "4", "--sources", ""]) == 0
 

@@ -15,7 +15,6 @@ from repro.faults import (
     MessageLossError,
     PermanentRankFailure,
     RankFailure,
-    RetryPolicy,
     check_conservation,
     corrupt_payload,
     parse_fault_spec,
@@ -111,61 +110,22 @@ class TestParseFaultSpec:
             parse_fault_spec("straggle=2:3.0/2:4.0")
 
 
-class TestRetryPolicy:
+class TestRetryBudget:
     def test_exhausted_respects_budget(self):
-        policy = RetryPolicy(max_retries=2)
-        assert not policy.exhausted(0)
-        assert not policy.exhausted(2)
-        assert policy.exhausted(3)
-
-    def test_backoff_capped(self):
-        policy = RetryPolicy(
-            base_timeout=0.02, backoff=2.0, max_timeout=0.1, jitter=0.0
-        )
-        timeouts = [policy.timeout_for(n) for n in range(10)]
-        assert timeouts[0] == pytest.approx(0.02)
-        assert timeouts[1] == pytest.approx(0.04)
-        # Unbounded exponential would reach 10.24s by n=9; the cap wins.
-        assert all(t <= 0.1 for t in timeouts)
-        assert timeouts[-1] == pytest.approx(0.1)
-
-    def test_jitter_bounded_and_deterministic(self):
-        policy = RetryPolicy(
-            base_timeout=0.02, backoff=2.0, max_timeout=0.5,
-            jitter=0.25, seed=7,
-        )
-        for n in range(8):
-            for key in range(4):
-                base = min(0.02 * 2.0 ** n, 0.5)
-                t = policy.timeout_for(n, key=key)
-                assert base <= t <= base * 1.25
-                # Pure hash, no live RNG: replays are bit-identical.
-                assert t == policy.timeout_for(n, key=key)
-
-    def test_jitter_decorrelates_receivers(self):
-        policy = RetryPolicy(jitter=0.5, seed=1)
-        values = {policy.timeout_for(3, key=k) for k in range(16)}
-        assert len(values) > 1
+        """``retries=N`` allows exactly N retransmission rounds."""
+        for retries in (0, 2, 5):
+            fc = parse_fault_spec(f"edge=0>1:0.999999:0:0,retries={retries}")
+            assert fc.max_retries == retries
+            plane = FaultPlane(fc, 2)
+            cluster = SimCluster(2, fault_plane=plane)
+            with pytest.raises(MessageLossError) as exc:
+                cluster.alltoallv({0: {1: [(1,)]}}, arity=1)
+            assert exc.value.attempts == retries + 1
+            assert plane.stats.retransmits == retries
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_timeout=0.2, max_timeout=0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-
-    def test_config_bundles_policy_for_both_substrates(self):
-        fc = FaultConfig(
-            max_retries=5, recv_timeout=0.01, recv_backoff=3.0,
-            recv_timeout_cap=0.2, recv_jitter=0.05, seed=9,
-        )
-        policy = fc.retry_policy()
-        assert policy.max_retries == 5
-        assert policy.timeout_for(0) <= 0.01 * 1.05
-        assert policy.timeout_for(99) <= 0.2 * 1.05
+        with pytest.raises(ValueError, match="max_retries"):
+            FaultConfig(max_retries=-1)
 
 
 class TestFailureDetector:
@@ -298,6 +258,21 @@ class TestFaultPlaneDeterminism:
             FaultPlane(FaultConfig(crash_rank=9, crash_superstep=1), 4)
         with pytest.raises(ValueError):
             FaultPlane(FaultConfig(stragglers={9: 2.0}), 4)
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ((9, 1), "edge rank 9 out of range for 4 ranks"),
+            ((1, 4), "edge rank 4 out of range for 4 ranks"),
+            ((-1, 1), "edge rank -1 out of range for 4 ranks"),
+            ((1, 1), "edge 1>1 is a self-edge"),
+        ],
+        ids=["src-too-high", "dst-too-high", "negative", "self-edge"],
+    )
+    def test_edge_ranks_checked(self, edge, message):
+        """An edge override that can never fire is refused, not ignored."""
+        with pytest.raises(ValueError, match=message):
+            FaultPlane(FaultConfig(per_edge={edge: (0.5, 0.0, 0.0)}), 4)
 
 
 class TestConservation:

@@ -17,6 +17,7 @@ import pytest
 from repro import Engine, EngineConfig, MIN, Program, Rel, vars_
 from repro.comm.wire import WireConfig
 from repro.faults.config import FaultConfig
+from repro.faults.plane import RankFailure
 from repro.graphs.generators import chain, rmat, star
 from repro.obs.tracer import Tracer
 from repro.planner.interpreter import interpret
@@ -27,6 +28,7 @@ from repro.runtime import executor as executor_mod
 from repro.runtime.incremental import FixpointHandle
 from repro.runtime.spmd import (
     LockstepError,
+    run_ranks,
     run_slices,
     run_spmd_engine,
     spmd_rank_stores,
@@ -445,3 +447,57 @@ class TestLockstep:
             )
         finally:
             sys.setswitchinterval(interval)
+
+
+ROWS = [(i * i % 97, i) for i in range(200)]
+
+
+def route_and_sum(comm, rows):
+    """A hand-written rank program: ship this rank's stripe of ``rows`` to
+    the owners of their first column, then sum the second columns."""
+    rank, size = comm.rank, comm.n_ranks
+    boxes = {}
+    for row in rows[rank::size]:
+        boxes.setdefault(row[0] % size, []).append(row)
+    # A duplicated message is delivered twice; the set keeps each row once.
+    mine = sorted(set(comm.alltoallv({rank: boxes}, arity=2).get(rank, [])))
+    return mine, comm.allreduce({rank: sum(b for _a, b in mine)})
+
+
+class TestRankPrograms:
+    """``run_ranks`` runs any rank function on the slice comm, with the
+    cluster's fault plane under every collective it calls."""
+
+    def test_message_faults_return_the_fault_free_answer(self):
+        clean, _cluster = run_ranks(EngineConfig(n_ranks=4), route_and_sum, ROWS)
+        for rank, (mine, total) in enumerate(clean):
+            assert mine == sorted(row for row in ROWS if row[0] % 4 == rank)
+            assert total == sum(b for _a, b in ROWS)
+        faults = FaultConfig(drop=0.3, dup=0.1, corrupt=0.1, max_retries=12, seed=1)
+        faulty, cluster = _within(
+            30, run_ranks, EngineConfig(n_ranks=4, faults=faults), route_and_sum, ROWS
+        )
+        assert faulty == clean
+        stats = cluster.faults.stats
+        assert stats.drops and stats.dups and stats.corruptions
+        assert stats.retransmits > 0
+
+    def test_crash_raises_rank_failure_in_every_slice(self):
+        raised = {}
+
+        def program(comm, rows):
+            try:
+                return route_and_sum(comm, rows)
+            except BaseException as exc:
+                raised[comm.rank] = exc
+                raise
+
+        # Superstep 0 is the all-to-all, 1 the allreduce.
+        config = EngineConfig(
+            n_ranks=4, faults=FaultConfig(crash_rank=2, crash_superstep=1)
+        )
+        with pytest.raises(RankFailure) as exc:
+            _within(5, run_ranks, config, program, ROWS)
+        assert exc.value.rank == 2 and exc.value.where == "allreduce"
+        assert sorted(raised) == [0, 1, 2, 3]
+        assert all(isinstance(e, RankFailure) for e in raised.values())
