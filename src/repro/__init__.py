@@ -57,7 +57,7 @@ from repro.runtime.engine import Engine
 from repro.runtime.incremental import FixpointHandle, IncrementalUnsupportedError
 from repro.runtime.result import FixpointResult
 from repro.comm.costmodel import CostModel
-from repro.obs import MetricsRegistry, NullTracer, Span, Tracer
+from repro.obs import NullTracer, Span, Tracer
 from repro.api import Options, Session
 
 __version__ = "1.0.0"
@@ -75,7 +75,6 @@ __all__ = [
     "MAX",
     "MCOUNT",
     "MIN",
-    "MetricsRegistry",
     "NullTracer",
     "Options",
     "Program",

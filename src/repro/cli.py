@@ -198,15 +198,10 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     """Observability flags shared by the ``run`` and ``query`` commands."""
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
-        help="record a span trace of the run and write it to PATH "
-             "(phases, iterations, per-rank compute/comm lanes)",
-    )
-    parser.add_argument(
-        "--trace-format", choices=["chrome", "jsonl"], default="chrome",
-        help="trace file format: 'chrome' = Chrome trace-event JSON "
-             "(open in chrome://tracing or https://ui.perfetto.dev, one "
-             "lane per rank), 'jsonl' = one JSON record per line for "
-             "jq/pandas (default: chrome)",
+        help="record a span trace of the run and write it to PATH as "
+             "Chrome trace-event JSON (phases, iterations, per-rank "
+             "compute/comm lanes; open in chrome://tracing or "
+             "https://ui.perfetto.dev)",
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -232,14 +227,11 @@ def _finish_obs(args: argparse.Namespace, fp, report: dict) -> int:
     if args.trace:
         try:
             n = fp.write_trace(
-                args.trace, args.trace_format,
-                meta={"command": " ".join(sys.argv[1:])},
+                args.trace, meta={"command": " ".join(sys.argv[1:])}
             )
         except OSError as exc:
             raise SystemExit(f"cannot write trace to {args.trace}: {exc}")
-        report["trace"] = {
-            "path": args.trace, "format": args.trace_format, "records": n,
-        }
+        report["trace"] = {"path": args.trace, "format": "chrome", "records": n}
     diagnostics = None
     if args.diagnostics or args.flamegraph:
         diagnostics = fp.diagnose()
@@ -259,9 +251,8 @@ def _finish_obs(args: argparse.Namespace, fp, report: dict) -> int:
         from repro.metrics.obsreport import render_rank_utilization, render_span_summary
 
         print(f"trace: {report['trace']['records']} records -> {args.trace} "
-              f"[{args.trace_format}]")
-        if args.trace_format == "chrome":
-            print("  open in https://ui.perfetto.dev (one lane per rank)")
+              "[chrome]")
+        print("  open in https://ui.perfetto.dev (one lane per rank)")
         print(render_span_summary(fp.spans))
         print(render_rank_utilization(fp.spans))
     if diagnostics is not None:
@@ -294,7 +285,7 @@ def _base_report(fp, *, ranks: int) -> dict:
             "bytes_by_kind": dict(comm.by_kind),
         },
     }
-    if fp.metrics:
+    if fp.spans:
         report["metrics"] = fp.metrics_dict()
     if fp.rebalance is not None:
         report["rebalance"] = fp.rebalance
@@ -418,9 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "span summary, rank utilization, and performance diagnostics "
              "without re-running the query",
     )
-    tr.add_argument("trace_file", help="a chrome/jsonl trace written by --trace")
-    tr.add_argument("--format", choices=["chrome", "jsonl"], default=None,
-                    help="trace format (default: sniff from the file)")
+    tr.add_argument("trace_file", help="a Chrome trace written by --trace")
     tr.add_argument("--json", action="store_true",
                     help="print the full report as JSON")
     tr.add_argument("--flamegraph", metavar="PATH", default=None,
@@ -719,17 +708,15 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
     from repro.obs.export import load_trace, validate_trace_file
 
     try:
-        validation = validate_trace_file(args.trace_file, fmt=args.format)
+        validation = validate_trace_file(args.trace_file)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         raise SystemExit(f"invalid trace {args.trace_file}: {exc}")
-    spans, metrics, meta = load_trace(args.trace_file, fmt=args.format)
+    spans, meta = load_trace(args.trace_file)
     lane_spans = [sp for sp in spans if sp.rank is not None]
     # Offline ground truth for the critical-path check: the span stream
     # tiles the modeled timeline, so its right edge is the ledger total.
     expected_total = max((sp.modeled_end for sp in lane_spans), default=0.0)
-    diagnostics = diagnose(
-        spans, metrics=metrics, expected_total=expected_total or None
-    )
+    diagnostics = diagnose(spans, expected_total=expected_total or None)
     report = {
         "trace": args.trace_file,
         "validation": {

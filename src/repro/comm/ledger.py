@@ -16,28 +16,29 @@ The ledger therefore accepts:
   replication instead of silently drifting toward 1;
 * ``add_comm(phase, event)`` — charges the event's modeled seconds.
 
-It also keeps a per-iteration trace (``snapshot()``), driving Fig. 7 —
-via the same :class:`repro.obs.phases.IterationDeltas` bookkeeping that
-:class:`repro.util.timing.PhaseTimer` uses for wall time.
+``snapshot()`` returns the per-phase increase since the previous call —
+one iteration's modeled breakdown (Fig. 7).  The ledger keeps only the
+last totals to difference against; the history is the engine's
+``FixpointResult.trace``, which a rollback rewinds.
 
 When a real :class:`repro.obs.tracer.Tracer` is attached, every charge
 also advances the tracer's modeled clock and emits per-rank spans: one
 ``compute`` span per rank per superstep (duration = that rank's own
 seconds, so lanes show idle gaps where imbalance lives) and one ``comm``
-span per rank per collective.  The ledger is thus the *single* writer of
-the modeled timeline; the numbers in ``phase_seconds`` and the span
-stream are definitionally consistent.
+span per rank per collective, carrying its ``nbytes`` and ``messages``.
+The ledger is thus the *single* writer of the modeled timeline; the
+numbers in ``phase_seconds`` and the span stream are definitionally
+consistent, and every per-charge distribution is read off the spans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.comm.costmodel import CommEvent, CommStats
-from repro.obs.phases import IterationDeltas
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -48,7 +49,6 @@ class PhaseLedger:
     n_ranks: int
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     comm: CommStats = field(default_factory=CommStats)
-    deltas: IterationDeltas = field(default_factory=IterationDeltas)
     #: Sum over supersteps of per-rank compute seconds (imbalance analysis).
     rank_compute: np.ndarray = field(default=None)  # type: ignore[assignment]
     tracer: object = NULL_TRACER
@@ -56,15 +56,12 @@ class PhaseLedger:
     #: rank's charge is scaled before the max-per-superstep is taken, so a
     #: slow rank stretches exactly the supersteps it gates.  None = off.
     rank_scale: Optional[np.ndarray] = None
+    #: ``phase_seconds`` at the last ``snapshot()``.
+    _last: Dict[str, float] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rank_compute is None:
             self.rank_compute = np.zeros(self.n_ranks)
-
-    @property
-    def iterations(self) -> List[Dict[str, float]]:
-        """Per-iteration phase deltas (one dict per ``snapshot()`` call)."""
-        return self.deltas.iterations
 
     # ----------------------------------------------------------------- charge
 
@@ -130,9 +127,6 @@ class PhaseLedger:
                         modeled_start=start,
                         modeled_end=start + seconds,
                     )
-            tracer.metrics.histogram(f"compute_seconds/{phase}").observe_many(
-                durations
-            )
 
     def add_comm(self, event: CommEvent) -> None:
         self.comm.record(event)
@@ -156,11 +150,6 @@ class PhaseLedger:
                     modeled_end=end,
                     attrs=attrs,
                 )
-            tracer.metrics.histogram(f"comm_bytes/{event.kind}").observe(
-                float(event.nbytes)
-            )
-            tracer.metrics.counter("comm_messages").inc(event.messages)
-            tracer.metrics.counter("comm_bytes").inc(event.nbytes)
 
     # ---------------------------------------------------------------- queries
 
@@ -172,7 +161,10 @@ class PhaseLedger:
 
     def snapshot(self) -> Dict[str, float]:
         """Close out the current iteration; return its per-phase deltas."""
-        return self.deltas.snapshot(dict(self.phase_seconds))
+        totals = dict(self.phase_seconds)
+        delta = {name: v - self._last.get(name, 0.0) for name, v in totals.items()}
+        self._last = totals
+        return delta
 
     def imbalance_ratio(self) -> float:
         """max/mean of per-rank cumulative compute (1.0 = perfectly even)."""
@@ -180,8 +172,3 @@ class PhaseLedger:
         if mean <= 0:
             return 1.0
         return float(self.rank_compute.max()) / mean
-
-    def report(self) -> Dict[str, float]:
-        out = dict(self.phase_seconds)
-        out["total"] = self.total_seconds()
-        return out

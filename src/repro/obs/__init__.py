@@ -1,9 +1,12 @@
-"""Observability: span tracing, metrics, and trace export.
+"""Observability: span tracing, trace export, and diagnostics.
 
 The paper's evaluation (Figs. 2–7) is built entirely on per-phase,
 per-rank, per-iteration visibility — phase breakdowns, tuple-count CDFs,
-imbalance ratios, vote decisions.  This package is the single substrate
-that produces all of it:
+imbalance ratios, vote decisions.  Each of those numbers has one writer:
+the ledger and timer totals, the engine's counters and per-iteration
+``FixpointResult.trace``, and the span stream below.  Every other surface
+(``FixpointResult.metrics_dict()``, the trace file, ``trace-report``) is
+computed from them on demand.
 
 :mod:`repro.obs.tracer`
     Span-based tracing with nesting.  Every span carries *two* clocks:
@@ -12,21 +15,10 @@ that produces all of it:
     A zero-overhead :class:`~repro.obs.tracer.NullTracer` is the default,
     so benchmarks are unaffected when tracing is off.
 
-:mod:`repro.obs.metrics`
-    A registry of named counters, gauges, and histograms — tuple counts,
-    bytes moved, Δ sizes, and per-rank compute seconds as real
-    distributions instead of just max/mean.
-
 :mod:`repro.obs.export`
-    Sinks: JSONL event streams and Chrome trace-event JSON
-    (``chrome://tracing`` / Perfetto compatible, one "process" lane per
-    logical rank).
-
-:mod:`repro.obs.phases`
-    The shared per-iteration delta bookkeeping used by both
-    :class:`~repro.util.timing.PhaseTimer` (wall time) and
-    :class:`~repro.comm.ledger.PhaseLedger` (modeled time), so the two
-    views can never drift apart.
+    The one trace format: Chrome trace-event JSON (``chrome://tracing`` /
+    Perfetto compatible, one "process" lane per logical rank), its
+    loader and its validator.
 
 :mod:`repro.obs.analysis`
     The diagnostics plane over all of the above: per-exchange rank×rank
@@ -37,13 +29,13 @@ Typical use::
 
     from repro import Engine, EngineConfig
     from repro.obs import Tracer
-    from repro.obs.export import write_chrome_trace
 
     tracer = Tracer()
     engine = Engine(program, EngineConfig(n_ranks=8, tracer=tracer))
     ...
     result = engine.run()
-    write_chrome_trace("out.json", result.spans)   # open in Perfetto
+    result.write_trace("out.json")   # open in Perfetto
+    result.metrics_dict()            # counters / gauges / per-rank histograms
 """
 
 from repro.obs.analysis import (
@@ -57,31 +49,15 @@ from repro.obs.analysis import (
     diagnose,
     diagnose_skew,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetricsRegistry,
-)
-from repro.obs.phases import IterationDeltas
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "CommMatrix",
     "CommMatrixRecorder",
-    "Counter",
     "CriticalPathReport",
     "Diagnosis",
     "DiagnosticsReport",
-    "Gauge",
-    "Histogram",
-    "IterationDeltas",
-    "MetricsRegistry",
-    "NULL_METRICS",
     "NULL_TRACER",
-    "NullMetricsRegistry",
     "NullTracer",
     "SkewReport",
     "Span",

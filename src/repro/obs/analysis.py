@@ -11,7 +11,7 @@ three questions the paper's own evaluation revolves around:
    wire messages move.  Fault-driven retransmissions land in a separate
    channel so recovered traffic never masquerades as algorithmic traffic.  Capture is observation-only: ledgers and results
    are bit-identical with it on or off, and :meth:`CommMatrixRecorder.
-   reconcile` proves the matrices sum to the ledger's comm counters.
+   reconcile` proves the matrices sum to the bytes the ledger charged.
 
 2. **Which phase on which rank bounds the superstep?**
    :func:`critical_path` replays the per-rank span lanes charge by
@@ -30,8 +30,9 @@ three questions the paper's own evaluation revolves around:
 
 The same functions run *offline* on a saved trace (``paralagg
 trace-report``): span loaders in :mod:`repro.obs.export` reconstruct the
-span stream, and comm matrices ride along as ``comm_matrix`` instant
-spans when diagnostics are enabled.
+span stream, comm matrices ride along as ``comm_matrix`` instant spans
+when diagnostics are enabled, and the reconciliation checks them against
+the ``nbytes`` of rank 0's comm spans (:func:`comm_bytes_from_spans`).
 
 Everything here *explains* one run; nothing here compares two.  Whether a
 change made the engine faster or slower on either clock is ``bench/``'s
@@ -256,13 +257,17 @@ class CommMatrixRecorder:
 
     # ----------------------------------------------------- reconciliation
 
-    def reconcile(self, comm_stats: Any, *, strict: bool = True) -> Dict[str, Any]:
-        """Check matrix totals against the ledger's comm counters.
+    def reconcile(
+        self, ledger_by_kind: Mapping[str, int], *, strict: bool = True
+    ) -> Dict[str, Any]:
+        """Check matrix totals against the bytes the ledger charged.
 
-        For every captured kind, the primary-channel byte total must
-        equal the ledger's ``by_kind`` byte total, and the retransmit
-        channel must equal the ledger's ``retransmit`` entry.  Returns
-        the comparison; raises ``ValueError`` on mismatch when ``strict``.
+        ``ledger_by_kind`` is charged bytes per collective kind: the
+        ledger's ``comm.by_kind`` online, :func:`comm_bytes_from_spans`
+        offline.  For every captured kind, the primary-channel byte total
+        must equal that kind's entry, and the retransmit channel the
+        ``retransmit`` entry.  Returns the comparison; raises
+        ``ValueError`` on mismatch when ``strict``.
         """
         # Non-fixpoint exchanges record their charged traffic in a kind-
         # specific channel (see KIND_CHANNEL), every other exchange in
@@ -271,7 +276,6 @@ class CommMatrixRecorder:
         for m in self.matrices:
             chan = KIND_CHANNEL.get(m.kind, "data")
             by_kind[m.kind] = by_kind.get(m.kind, 0) + m.bytes_total(chan)
-        ledger_by_kind = dict(comm_stats.by_kind)
         mismatches = {}
         for kind, nbytes in sorted(by_kind.items()):
             expected = ledger_by_kind.get(kind, 0)
@@ -294,26 +298,6 @@ class CommMatrixRecorder:
             raise ValueError(f"comm matrices do not reconcile: {mismatches}")
         return report
 
-    def reconcile_with_metrics(
-        self, metrics: Mapping[str, Any], *, strict: bool = True
-    ) -> Dict[str, Any]:
-        """Offline reconciliation against an exported metrics dict.
-
-        The exporter writes one ``comm_bytes/<kind>`` histogram per
-        collective kind whose ``sum`` is that kind's ledger byte total —
-        enough to replay :meth:`reconcile` from a trace file alone.
-        """
-        hists = metrics.get("histograms", {})
-
-        class _Stats:
-            by_kind = {
-                name.split("/", 1)[1]: int(summary.get("sum", 0))
-                for name, summary in hists.items()
-                if name.startswith("comm_bytes/") and summary
-            }
-
-        return self.reconcile(_Stats(), strict=strict)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "n_ranks": self.n_ranks,
@@ -327,6 +311,20 @@ class CommMatrixRecorder:
             "bytes_by_kind": self.bytes_by_kind("data"),
             "matrices": [m.to_dict() for m in self.matrices],
         }
+
+
+def comm_bytes_from_spans(spans: Sequence[Any]) -> Dict[str, int]:
+    """Charged bytes per collective kind, rebuilt from the span stream.
+
+    The ledger emits one ``comm`` span per rank per collective, each
+    carrying the charge's ``nbytes``; summing rank 0's lane counts every
+    charge once, which is the ledger's ``comm.by_kind``.
+    """
+    out: Dict[str, int] = {}
+    for sp in spans:
+        if sp.cat == "comm" and sp.rank == 0:
+            out[sp.name] = out.get(sp.name, 0) + int(sp.attrs["nbytes"])
+    return out
 
 
 def comm_profile_from_spans(spans: Sequence[Any]) -> Optional[CommMatrixRecorder]:
@@ -923,20 +921,26 @@ class DiagnosticsReport:
     def render(self) -> str:
         cp = self.critical_path
         lines = ["critical path (modeled):"]
-        lines.append(
-            f"  {'phase':14s} {'seconds':>12s} {'share':>7s} "
-            f"{'bounding rank':>14s}"
-        )
-        for phase in sorted(
-            cp.phase_seconds, key=lambda p: -cp.phase_seconds[p]
-        ):
-            rank = cp.bounding_rank_of(phase)
-            rank_s = "-" if rank is None else str(rank)
+        if not cp.steps:
             lines.append(
-                f"  {phase:14s} {cp.phase_seconds[phase]:12.6f} "
-                f"{cp.phase_shares.get(phase, 0.0):6.1%} {rank_s:>14s}"
+                "  needs a tracer: it is read off the per-rank span lanes "
+                "(--trace, or EngineConfig.tracer)"
             )
-        lines.append(f"  {'total':14s} {cp.total_seconds:12.6f} {1:6.1%}")
+        else:
+            lines.append(
+                f"  {'phase':14s} {'seconds':>12s} {'share':>7s} "
+                f"{'bounding rank':>14s}"
+            )
+            for phase in sorted(
+                cp.phase_seconds, key=lambda p: -cp.phase_seconds[p]
+            ):
+                rank = cp.bounding_rank_of(phase)
+                rank_s = "-" if rank is None else str(rank)
+                lines.append(
+                    f"  {phase:14s} {cp.phase_seconds[phase]:12.6f} "
+                    f"{cp.phase_shares.get(phase, 0.0):6.1%} {rank_s:>14s}"
+                )
+            lines.append(f"  {'total':14s} {cp.total_seconds:12.6f} {1:6.1%}")
         if self.comm_profile is not None:
             p = self.comm_profile
             lines.append(
@@ -966,21 +970,23 @@ def diagnose(
     n_ranks: Optional[int] = None,
     relations: Optional[Mapping[str, Any]] = None,
     comm_profile: Optional[CommMatrixRecorder] = None,
-    comm_stats: Optional[Any] = None,
-    metrics: Optional[Mapping[str, Any]] = None,
+    comm_bytes_by_kind: Optional[Mapping[str, int]] = None,
     expected_total: Optional[float] = None,
     rel_tol: float = 1e-6,
 ) -> DiagnosticsReport:
     """One-call diagnostics: critical path + skew doctor + reconciliation.
 
-    Online callers pass ``relations``/``comm_stats`` from the
-    ``FixpointResult``; offline callers (trace-report) pass only what the
-    trace carries — spans, embedded comm matrices, exported metrics.
+    Online callers pass ``relations`` and the ledger's
+    ``comm_bytes_by_kind`` from the ``FixpointResult``; offline callers
+    (trace-report) pass only the spans, and the matrices and charged
+    bytes are rebuilt from them.  The critical path, and its check
+    against ``expected_total``, needs the per-rank span lanes of a traced
+    run; the skew doctor and the reconciliation do not.
     """
     if comm_profile is None:
         comm_profile = comm_profile_from_spans(spans)
     cp = critical_path(spans, n_ranks=n_ranks)
-    if expected_total is not None:
+    if expected_total is not None and cp.steps:
         cp.validate(expected_total, rel_tol=rel_tol)
     skew = diagnose_skew(
         spans,
@@ -990,12 +996,9 @@ def diagnose(
     )
     reconciliation = None
     if comm_profile is not None:
-        if comm_stats is not None:
-            reconciliation = comm_profile.reconcile(comm_stats, strict=False)
-        elif metrics:
-            reconciliation = comm_profile.reconcile_with_metrics(
-                metrics, strict=False
-            )
+        if comm_bytes_by_kind is None:
+            comm_bytes_by_kind = comm_bytes_from_spans(spans)
+        reconciliation = comm_profile.reconcile(comm_bytes_by_kind, strict=False)
     return DiagnosticsReport(
         critical_path=cp,
         skew=skew,

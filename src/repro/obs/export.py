@@ -1,15 +1,8 @@
-"""Trace sinks: JSONL event streams and Chrome trace-event JSON.
+"""The trace format: Chrome trace-event JSON.
 
-Two formats, one span model (:class:`repro.obs.tracer.Span`):
-
-**JSONL** (``--trace-format jsonl``) — one JSON object per line.  Line 1 is
-a ``meta`` record; then one ``span`` record per span (see
-:meth:`Span.to_dict`); a final ``metrics`` record carries the metrics
-registry.  Made for ``jq``/pandas post-processing.
-
-**Chrome trace events** (``--trace-format chrome``) — a JSON object with a
-``traceEvents`` array loadable in ``chrome://tracing`` or Perfetto
-(https://ui.perfetto.dev).  Lane layout:
+One span model (:class:`repro.obs.tracer.Span`), one file format: a JSON
+object with a ``traceEvents`` array loadable in ``chrome://tracing`` or
+Perfetto (https://ui.perfetto.dev).  Lane layout:
 
 * ``pid 0`` — the **driver**, on the *host wall clock*: the engine's
   pipeline phases (vote / intra_bucket / local_join / comm / dedup_agg)
@@ -24,17 +17,19 @@ The two clock domains share the one trace: timestamps are microseconds on
 each lane's own clock.  Compare *within* a lane group, not across the
 driver/rank boundary (every event also carries the other clock in its
 ``args``).
+
+The file carries the spans and the caller's ``meta`` (``otherData``),
+nothing derived: offline tools (``paralagg trace-report``) recompute what
+they need from the spans — the comm-matrix reconciliation reads the
+``nbytes`` of rank 0's comm spans, the same bytes the ledger charged.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.tracer import Span
-
-#: Bumped when the JSONL record layout changes incompatibly.
-JSONL_SCHEMA_VERSION = 1
 
 _US = 1e6  # seconds -> microseconds (the trace-event time unit)
 
@@ -47,63 +42,12 @@ def _span_sort_key(sp: Span) -> Tuple[int, float, float]:
     return (1, sp.modeled_start, -(sp.modeled_seconds))
 
 
-# --------------------------------------------------------------------- JSONL
-
-
-def jsonl_records(
-    spans: Sequence[Span],
-    metrics: Optional[Any] = None,
-    meta: Optional[Mapping[str, Any]] = None,
-) -> Iterable[Dict[str, Any]]:
-    """Yield the JSONL record stream (meta, spans, metrics)."""
-    head: Dict[str, Any] = {
-        "type": "meta",
-        "format": "repro-trace-jsonl",
-        "version": JSONL_SCHEMA_VERSION,
-        "n_spans": len(spans),
-    }
-    if meta:
-        head.update(meta)
-    yield head
-    for sp in sorted(spans, key=_span_sort_key):
-        yield sp.to_dict()
-    if metrics is not None:
-        yield {"type": "metrics", "data": metrics.as_dict()}
-
-
-def write_jsonl(
-    path: str,
-    spans: Sequence[Span],
-    metrics: Optional[Any] = None,
-    meta: Optional[Mapping[str, Any]] = None,
-) -> int:
-    """Write the JSONL stream; returns the number of records written."""
-    n = 0
-    with open(path, "w") as fh:
-        for record in jsonl_records(spans, metrics, meta):
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
-            n += 1
-    return n
-
-
-def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Parse a JSONL trace back into its records (for tests/tools)."""
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
-# -------------------------------------------------------------- Chrome trace
-
-
 def _pid_of(span: Span) -> int:
     return 0 if span.rank is None else span.rank + 1
 
 
 def chrome_trace(
-    spans: Sequence[Span],
-    metrics: Optional[Any] = None,
-    meta: Optional[Mapping[str, Any]] = None,
+    spans: Sequence[Span], meta: Optional[Mapping[str, Any]] = None
 ) -> Dict[str, Any]:
     """Build the Chrome trace-event JSON object (Perfetto compatible)."""
     events: List[Dict[str, Any]] = []
@@ -150,47 +94,21 @@ def chrome_trace(
             event["ph"] = "X"
             event["dur"] = max(0.0, round((start + max(0.0, dur)) * _US, 3) - ts)
         events.append(event)
-    out: Dict[str, Any] = {
+    return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {"format": "repro-trace-chrome", **(dict(meta) if meta else {})},
     }
-    if metrics is not None:
-        out["otherData"]["metrics"] = metrics.as_dict()
-    return out
-
-
-def write_chrome_trace(
-    path: str,
-    spans: Sequence[Span],
-    metrics: Optional[Any] = None,
-    meta: Optional[Mapping[str, Any]] = None,
-) -> int:
-    """Write a Chrome trace file; returns the number of trace events."""
-    obj = chrome_trace(spans, metrics, meta)
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-    return len(obj["traceEvents"])
-
-
-# ------------------------------------------------------------------- dispatch
-
-TRACE_FORMATS = ("chrome", "jsonl")
 
 
 def write_trace(
-    path: str,
-    spans: Sequence[Span],
-    fmt: str = "chrome",
-    metrics: Optional[Any] = None,
-    meta: Optional[Mapping[str, Any]] = None,
+    path: str, spans: Sequence[Span], meta: Optional[Mapping[str, Any]] = None
 ) -> int:
-    """Write ``spans`` to ``path`` in the given format; returns records written."""
-    if fmt == "chrome":
-        return write_chrome_trace(path, spans, metrics, meta)
-    if fmt == "jsonl":
-        return write_jsonl(path, spans, metrics, meta)
-    raise ValueError(f"unknown trace format {fmt!r}; expected one of {TRACE_FORMATS}")
+    """Write a Chrome trace file; returns the number of trace events."""
+    obj = chrome_trace(spans, meta)
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    return len(obj["traceEvents"])
 
 
 # ------------------------------------------------------------------- loaders
@@ -200,29 +118,6 @@ def write_trace(
 _CHROME_SYNTH_ARGS = (
     "wall_seconds", "modeled_seconds", "modeled_start", "iteration", "stratum",
 )
-
-
-def spans_from_jsonl(records: Sequence[Mapping[str, Any]]) -> List[Span]:
-    """Rebuild :class:`Span` objects from a JSONL record stream."""
-    spans: List[Span] = []
-    for rec in records:
-        if rec.get("type") != "span":
-            continue
-        spans.append(Span(
-            name=str(rec["name"]),
-            cat=str(rec["cat"]),
-            rank=rec.get("rank"),
-            iteration=rec.get("iteration"),
-            stratum=rec.get("stratum"),
-            wall_start=float(rec["wall_start"]),
-            wall_end=float(rec["wall_end"]),
-            modeled_start=float(rec["modeled_start"]),
-            modeled_end=float(rec["modeled_end"]),
-            attrs=dict(rec.get("attrs", {})),
-            span_id=int(rec.get("id", 0)),
-            parent_id=rec.get("parent"),
-        ))
-    return spans
 
 
 def spans_from_chrome(obj: Mapping[str, Any]) -> List[Span]:
@@ -264,38 +159,12 @@ def spans_from_chrome(obj: Mapping[str, Any]) -> List[Span]:
     return spans
 
 
-def load_trace(
-    path: str, fmt: Optional[str] = None
-) -> Tuple[List[Span], Dict[str, Any], Dict[str, Any]]:
-    """Load a saved trace: ``(spans, metrics_dict, meta)``.
-
-    Accepts both formats (sniffed like :func:`validate_trace_file` when
-    ``fmt`` is None).  ``metrics_dict`` is the exported registry view (or
-    empty when the trace carried none); ``meta`` is the trace's own
-    metadata record.
-    """
-    fmt = fmt or _sniff_format(path)
-    if fmt == "chrome":
-        with open(path) as fh:
-            obj = json.load(fh)
-        other = obj.get("otherData", {}) if isinstance(obj, dict) else {}
-        metrics = other.get("metrics", {}) or {}
-        meta = {k: v for k, v in other.items() if k != "metrics"}
-        return spans_from_chrome(obj), metrics, meta
-    if fmt == "jsonl":
-        records = read_jsonl(path)
-        metrics = {}
-        meta = {}
-        for rec in records:
-            if rec.get("type") == "metrics":
-                metrics = rec.get("data", {}) or {}
-            elif rec.get("type") == "meta":
-                meta = {
-                    k: v for k, v in rec.items()
-                    if k not in ("type", "format", "version", "n_spans")
-                }
-        return spans_from_jsonl(records), metrics, meta
-    raise ValueError(f"unknown trace format {fmt!r}")
+def load_trace(path: str) -> Tuple[List[Span], Dict[str, Any]]:
+    """Load a saved trace: ``(spans, meta)``, ``meta`` being the trace's
+    own ``otherData`` record."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    return spans_from_chrome(obj), dict(obj.get("otherData", {}))
 
 
 # ----------------------------------------------------------------- validation
@@ -304,10 +173,11 @@ def load_trace(
 def validate_chrome_trace(obj: Any) -> Dict[str, Any]:
     """Check a Chrome trace object; returns summary stats or raises ValueError.
 
-    Verifies the invariants Perfetto relies on: a ``traceEvents`` array,
-    complete events with non-negative ``ts``/``dur``, and — per lane —
-    properly nested spans (an event begins only after every sibling that
-    started earlier has either ended or encloses it).
+    Verifies the invariants Perfetto relies on: a ``traceEvents`` array
+    holding at least one complete (``"X"``) event, complete events with
+    non-negative ``ts``/``dur``, and — per lane — properly nested spans
+    (an event begins only after every sibling that started earlier has
+    either ended or encloses it).
     """
     if not isinstance(obj, dict) or not isinstance(obj.get("traceEvents"), list):
         raise ValueError("not a Chrome trace: missing 'traceEvents' array")
@@ -330,6 +200,8 @@ def validate_chrome_trace(obj: Any) -> Dict[str, Any]:
         lanes.setdefault((ev["pid"], ev["tid"]), []).append(
             (float(ev["ts"]), float(ev["dur"]), str(ev["name"]))
         )
+    if not lanes:
+        raise ValueError("no complete ('X') event: the trace holds no spans")
     eps = 2e-3  # endpoint rounding is 1e-3 us; allow one ulp on each side
     for lane, evs in lanes.items():
         evs.sort(key=lambda e: (e[0], -e[1]))
@@ -351,71 +223,7 @@ def validate_chrome_trace(obj: Any) -> Dict[str, Any]:
     }
 
 
-def validate_jsonl_trace(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Check a JSONL record stream; returns summary stats or raises ValueError."""
-    if not records:
-        raise ValueError("empty trace")
-    head = records[0]
-    if head.get("type") != "meta" or head.get("format") != "repro-trace-jsonl":
-        raise ValueError(f"bad meta record: {head!r}")
-    if head.get("version") != JSONL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version: {head.get('version')!r}")
-    ids = set()
-    names = set()
-    ranks = set()
-    n_spans = 0
-    for rec in records[1:]:
-        kind = rec.get("type")
-        if kind == "metrics":
-            if not isinstance(rec.get("data"), dict):
-                raise ValueError("metrics record missing 'data'")
-            continue
-        if kind != "span":
-            raise ValueError(f"unexpected record type {kind!r}")
-        n_spans += 1
-        for key in ("id", "name", "cat", "wall_start", "wall_end",
-                    "modeled_start", "modeled_end"):
-            if key not in rec:
-                raise ValueError(f"span record missing {key!r}: {rec!r}")
-        if rec["wall_end"] < rec["wall_start"]:
-            raise ValueError(f"span {rec['id']}: wall clock runs backwards")
-        if rec["modeled_end"] < rec["modeled_start"]:
-            raise ValueError(f"span {rec['id']}: modeled clock runs backwards")
-        if rec["id"] in ids:
-            raise ValueError(f"duplicate span id {rec['id']}")
-        ids.add(rec["id"])
-        names.add(rec["name"])
-        if "rank" in rec:
-            ranks.add(rec["rank"])
-    if n_spans != head.get("n_spans"):
-        raise ValueError(
-            f"meta claims {head.get('n_spans')} spans, stream has {n_spans}"
-        )
-    return {"spans": n_spans, "ranks": sorted(ranks), "names": names}
-
-
-def _sniff_format(path: str) -> str:
-    """Guess a trace file's format from its extension and first bytes."""
-    fmt = "jsonl" if path.endswith(".jsonl") else "chrome"
+def validate_trace_file(path: str) -> Dict[str, Any]:
+    """Validate a Chrome trace file on disk (see :func:`validate_chrome_trace`)."""
     with open(path) as fh:
-        first = fh.read(1)
-    if first == "{":
-        with open(path) as fh:
-            try:
-                json.load(fh)
-                fmt = "chrome"
-            except json.JSONDecodeError:
-                fmt = "jsonl"
-    return fmt
-
-
-def validate_trace_file(path: str, fmt: Optional[str] = None) -> Dict[str, Any]:
-    """Validate a trace file on disk, sniffing the format if not given."""
-    if fmt is None:
-        fmt = _sniff_format(path)
-    if fmt == "chrome":
-        with open(path) as fh:
-            return validate_chrome_trace(json.load(fh))
-    if fmt == "jsonl":
-        return validate_jsonl_trace(read_jsonl(path))
-    raise ValueError(f"unknown trace format {fmt!r}")
+        return validate_chrome_trace(json.load(fh))

@@ -21,6 +21,11 @@ marks per-rank lanes (one Chrome-trace "process" each, see
 :data:`NULL_TRACER` is a shared zero-overhead no-op with the same
 interface; it is the default everywhere so an untraced run pays one
 attribute check (``tracer.enabled``) per charge and nothing else.
+
+The spans are the only per-charge record a run keeps: the per-rank
+compute-seconds and per-collective byte distributions of
+:meth:`FixpointResult.metrics_dict <repro.runtime.result.FixpointResult.
+metrics_dict>` are read from them, not from a second copy.
 """
 
 from __future__ import annotations
@@ -61,33 +66,9 @@ class Span:
     def modeled_seconds(self) -> float:
         return self.modeled_end - self.modeled_start
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data record (the JSONL exporter's wire format)."""
-        out: Dict[str, Any] = {
-            "type": "span",
-            "id": self.span_id,
-            "name": self.name,
-            "cat": self.cat,
-            "wall_start": self.wall_start,
-            "wall_end": self.wall_end,
-            "modeled_start": self.modeled_start,
-            "modeled_end": self.modeled_end,
-        }
-        if self.parent_id is not None:
-            out["parent"] = self.parent_id
-        if self.rank is not None:
-            out["rank"] = self.rank
-        if self.iteration is not None:
-            out["iteration"] = self.iteration
-        if self.stratum is not None:
-            out["stratum"] = self.stratum
-        if self.attrs:
-            out["attrs"] = self.attrs
-        return out
-
 
 class Tracer:
-    """Collects spans and metrics for one run.
+    """Collects the spans of one run.
 
     Not thread-safe; the simulator is single-threaded by construction.
     Spans are appended on *close*, so a nested child precedes its parent in
@@ -97,11 +78,8 @@ class Tracer:
     enabled = True
 
     def __init__(self) -> None:
-        from repro.obs.metrics import MetricsRegistry
-
         self._epoch = time.perf_counter()
         self.spans: List[Span] = []
-        self.metrics = MetricsRegistry()
         self.modeled_now = 0.0
         self._stack: List[Span] = []
         self._next_id = 1
@@ -250,10 +228,7 @@ class NullTracer:
     enabled = False
 
     def __init__(self) -> None:
-        from repro.obs.metrics import NULL_METRICS
-
         self.spans: List[Span] = []
-        self.metrics = NULL_METRICS
         self.modeled_now = 0.0
 
     def now(self) -> float:

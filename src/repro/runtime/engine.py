@@ -133,9 +133,8 @@ class Engine:
         self.trace: List[IterationTrace] = []
         self._iterations = 0
         # Re-entrant result building (incremental updates rebuild the
-        # result after every batch): last-folded counter values and the
-        # count of comm matrices already embedded in the trace stream.
-        self._metric_counter_base: Dict[str, int] = {}
+        # result after every batch): the count of comm matrices already
+        # embedded in the trace stream.
         self._embedded_matrices = 0
         #: Wire layer (PR 7) and each relation's sender-fold plan.
         self.wire = self.config.wire
@@ -262,13 +261,12 @@ class Engine:
 
         Called at the end of :meth:`run` and again after every
         incremental update (:mod:`repro.runtime.incremental`), so it must
-        be safe to invoke repeatedly — metric counters are folded
-        incrementally and gauges overwritten.
+        be safe to invoke repeatedly — only matrices not yet embedded in
+        the span stream are embedded.
         """
         recovery = self.recovery
         if recovery is not None and self.fault_plane is not None:
             recovery.stats.injected = self.fault_plane.stats
-        self._finalize_metrics()
         if self.comm_recorder is not None and self.tracer.enabled:
             # Embed the matrices in the span stream so trace-report can
             # rebuild the comm profile offline from the trace file alone.
@@ -285,7 +283,6 @@ class Engine:
             trace=self.trace,
             counters=dict(self.counters),
             spans=self.tracer.spans,
-            metrics=self.tracer.metrics,
             recovery=recovery.stats if recovery is not None else None,
             degraded=recovery.degraded if recovery is not None else None,
             comm_profile=self.comm_recorder,
@@ -298,54 +295,6 @@ class Engine:
             executor_requested=self.config.executor,
             executor_reason=self.executor_reason,
         )
-
-    def _finalize_metrics(self) -> None:
-        """Fold run-level aggregates into the metrics registry.
-
-        Re-entrant: tuple counters fold only their growth since the last
-        call (updates re-finalize after each batch); gauges overwrite and
-        histograms take a fresh snapshot sample per call.
-        """
-        if not self.tracer.enabled:
-            return
-        metrics = self.tracer.metrics
-        for name, value in self.counters.items():
-            if name.startswith("wire_"):
-                metrics.gauge(name).set(value)
-            else:
-                grown = value - self._metric_counter_base.get(name, 0)
-                if grown > 0:
-                    metrics.counter(f"tuples/{name}").inc(grown)
-                self._metric_counter_base[name] = value
-        metrics.gauge("iterations").set(self._iterations)
-        if self.wire.enabled:
-            saved = (
-                self.counters["wire_precombine_bytes"]
-                - self.counters["wire_on_wire_bytes"]
-            )
-            metrics.gauge("wire_bytes_saved").set(saved)
-            metrics.gauge("wire_collective_saved_seconds").set(
-                self.cluster.collective_saved_seconds
-            )
-        ledger = self.cluster.ledger
-        metrics.gauge("imbalance_ratio").set(ledger.imbalance_ratio())
-        metrics.gauge("modeled_seconds").set(ledger.total_seconds())
-        metrics.gauge("wall_seconds").set(self.timer.total())
-        metrics.histogram("rank_compute_seconds").observe_many(
-            ledger.rank_compute.tolist()
-        )
-        for name, rel in self.store.relations.items():
-            metrics.histogram("relation_tuples_by_rank").observe_many(
-                float(v) for v in rel.full_sizes_by_rank()
-            )
-            metrics.gauge(f"relation_tuples/{name}").set(rel.full_size())
-        if self.recovery is not None:
-            for key, value in self.recovery.stats.as_dict().items():
-                if isinstance(value, dict):
-                    for sub, v in value.items():
-                        metrics.gauge(f"faults/{key}/{sub}").set(float(v))
-                else:
-                    metrics.gauge(f"faults/{key}").set(float(value))
 
     def explain(self) -> str:
         """Human-readable evaluation plan: strata, schemas, join kernels.
@@ -558,9 +507,9 @@ class Engine:
     def _record_iteration(self, stratum: Stratum, iteration: int, st: "_IterStats") -> None:
         if not self.config.track_trace:
             return
-        # One snapshot of each clock; the span stream's iteration_summary
-        # carries both, so the ledger, the timer, and the trace can never
-        # report different per-iteration deltas.
+        # One snapshot of each clock, kept once: in self.trace, which a
+        # rollback rewinds.  The iteration_summary instant repeats them
+        # for offline traces, which have no result to read.
         phase_delta = self.cluster.ledger.snapshot()
         wall_delta = self.timer.snapshot()
         fingerprints = (
@@ -583,12 +532,6 @@ class Engine:
                     "alltoall_tuples": st.comm_tuples,
                     "outer_choices": st.outer_choices,
                 },
-            )
-            metrics = self.tracer.metrics
-            metrics.histogram("admitted_per_iteration").observe(st.admitted)
-            metrics.histogram("suppressed_per_iteration").observe(st.suppressed)
-            metrics.histogram("alltoall_tuples_per_iteration").observe(
-                st.comm_tuples
             )
         self.trace.append(
             IterationTrace(

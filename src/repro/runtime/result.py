@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.comm.ledger import PhaseLedger
 from repro.faults.checkpoint import DegradedStats, RecoveryStats
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import Span
 from repro.relational.storage import VersionedRelation
 from repro.util.timing import PhaseTimer
@@ -55,8 +55,6 @@ class FixpointResult:
     counters: Dict[str, int]
     #: Closed spans from the run's tracer (empty when tracing is off).
     spans: List[Span] = field(default_factory=list)
-    #: The run's metrics registry (the no-op registry when tracing is off).
-    metrics: MetricsRegistry = field(default_factory=lambda: NULL_METRICS)
     #: Fault-injection / checkpoint / recovery accounting; None when the
     #: run had neither a fault plane nor checkpoints.
     recovery: Optional[RecoveryStats] = None
@@ -224,17 +222,97 @@ class FixpointResult:
             key=lambda sp: sp.modeled_start,
         )
 
-    def metrics_dict(self) -> Dict[str, object]:
-        """Plain-data view of the metrics registry (JSON-serializable)."""
-        return self.metrics.as_dict()
+    def metrics_dict(self) -> Dict[str, Dict[str, object]]:
+        """Counters, gauges and distribution summaries of a traced run.
+
+        A view computed on each call from the one record of each number —
+        ``counters``, ``ledger``, ``timer``, ``relations``, ``recovery``,
+        ``trace`` and the span stream (DESIGN §6 maps every key to its
+        source) — so it cannot drift from them.  All three sections are
+        empty when the run was not traced.
+        """
+        out: Dict[str, Dict[str, object]] = {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
+        if not self.spans:
+            return out
+        counters, gauges = out["counters"], out["gauges"]
+        for name, value in self.counters.items():
+            if name.startswith("wire_"):
+                gauges[name] = float(value)
+            elif value > 0:
+                counters[f"tuples/{name}"] = value
+        comm = self.ledger.comm
+        if comm.events:
+            counters["comm_messages"] = comm.messages
+            counters["comm_bytes"] = comm.bytes_total
+        gauges["iterations"] = float(self.iterations)
+        if "wire_precombine_bytes" in self.counters:  # the wire layer ran
+            gauges["wire_bytes_saved"] = float(
+                self.counters["wire_precombine_bytes"]
+                - self.counters.get("wire_on_wire_bytes", 0)
+            )
+            gauges["wire_collective_saved_seconds"] = float(sum(
+                sp.attrs["saved_seconds"]
+                for sp in self.spans if sp.name == "collective_choice"
+            ))
+        gauges["imbalance_ratio"] = self.ledger.imbalance_ratio()
+        gauges["modeled_seconds"] = self.ledger.total_seconds()
+        gauges["wall_seconds"] = self.timer.total()
+        for name, rel in self.relations.items():
+            gauges[f"relation_tuples/{name}"] = float(rel.full_size())
+        if self.recovery is not None:
+            for key, value in self.recovery.as_dict().items():
+                if isinstance(value, dict):
+                    for sub, v in value.items():
+                        gauges[f"faults/{key}/{sub}"] = float(v)
+                else:
+                    gauges[f"faults/{key}"] = float(value)
+
+        samples: Dict[str, List[float]] = {}
+        steps: Dict[Tuple[float, str], List[float]] = {}
+        n_ranks = self.ledger.n_ranks
+        for sp in self.spans:
+            if sp.cat == "compute" and sp.rank is not None:
+                # One compute charge = one modeled_start; a rank with no
+                # span in it did no work there.
+                key = (sp.modeled_start, sp.name)
+                steps.setdefault(key, [0.0] * n_ranks)[sp.rank] = sp.modeled_seconds
+            elif sp.cat == "comm" and sp.rank == 0:
+                # Every rank carries a span per collective; rank 0's lane
+                # counts each charge once.
+                samples.setdefault(f"comm_bytes/{sp.name}", []).append(
+                    float(sp.attrs["nbytes"])
+                )
+        for (_start, phase), row in steps.items():
+            samples.setdefault(f"compute_seconds/{phase}", []).extend(row)
+        samples["rank_compute_seconds"] = self.ledger.rank_compute.tolist()
+        if self.relations:
+            samples["relation_tuples_by_rank"] = [
+                float(v)
+                for rel in self.relations.values()
+                for v in rel.full_sizes_by_rank()
+            ]
+        if self.trace:
+            for name, attr in (
+                ("admitted_per_iteration", "admitted"),
+                ("suppressed_per_iteration", "suppressed"),
+                ("alltoall_tuples_per_iteration", "alltoall_tuples"),
+            ):
+                samples[name] = [float(getattr(t, attr)) for t in self.trace]
+        out["histograms"] = {
+            name: _summary(values) for name, values in samples.items()
+        }
+        return out
 
     def diagnose(self, rel_tol: float = 1e-6):
         """Run the diagnostics plane on this result.
 
         Returns a :class:`repro.obs.analysis.DiagnosticsReport` — critical
         path, skew doctor, and (when ``EngineConfig.diagnostics`` captured
-        comm matrices) ledger reconciliation.  Requires a traced run; the
-        critical path is attributed over the per-rank span lanes.
+        comm matrices) ledger reconciliation.  The critical path is
+        attributed over the per-rank span lanes, so it needs a traced run;
+        the rest does not.
         """
         from repro.obs.analysis import diagnose
 
@@ -243,15 +321,37 @@ class FixpointResult:
             n_ranks=self.ledger.n_ranks,
             relations=self.relations,
             comm_profile=self.comm_profile,
-            comm_stats=self.ledger.comm,
+            comm_bytes_by_kind=self.ledger.comm.by_kind,
             expected_total=self.ledger.total_seconds(),
             rel_tol=rel_tol,
         )
 
     def write_trace(
-        self, path: str, fmt: str = "chrome", meta: Optional[Dict[str, object]] = None
+        self, path: str, meta: Optional[Dict[str, object]] = None
     ) -> int:
         """Export the span stream (see :func:`repro.obs.export.write_trace`)."""
         from repro.obs.export import write_trace
 
-        return write_trace(path, self.spans, fmt, metrics=self.metrics, meta=meta)
+        return write_trace(path, self.spans, meta=meta)
+
+
+def _summary(values: Sequence[float]) -> Dict[str, float]:
+    """count / sum / min / max / mean and nearest-rank p50 / p90 / p99 of
+    a non-empty sample."""
+    ordered = sorted(values)
+    n = len(ordered)
+    total = sum(values)
+
+    def percentile(q: float) -> float:
+        return ordered[max(1, math.ceil(q / 100.0 * n)) - 1]
+
+    return {
+        "count": n,
+        "sum": total,
+        "min": ordered[0],
+        "max": ordered[-1],
+        "mean": total / n,
+        "p50": percentile(50),
+        "p90": percentile(90),
+        "p99": percentile(99),
+    }

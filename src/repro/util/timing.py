@@ -7,11 +7,12 @@ wall-clock time per named phase and supports nesting, so the runtime can
 report exactly those series.
 
 :class:`PhaseTimer` is the *wall-clock* view of the run; its modeled-time
-sibling is :class:`repro.comm.ledger.PhaseLedger`.  Both delegate their
-per-iteration delta bookkeeping to the shared
-:class:`repro.obs.phases.IterationDeltas`, and both mirror their phases
-into an attached :class:`repro.obs.tracer.Tracer` (a no-op by default), so
-the span stream, the timer, and the ledger can never disagree.
+sibling is :class:`repro.comm.ledger.PhaseLedger`.  Each keeps its
+running totals and the totals at its last ``snapshot()``, nothing more:
+the engine takes one snapshot of each per iteration into
+``FixpointResult.trace``, the one per-iteration history.  Every
+``phase(...)`` block also opens a span in an attached
+:class:`repro.obs.tracer.Tracer` (a no-op by default).
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
 
-from repro.obs.phases import IterationDeltas
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -71,20 +71,16 @@ class Stopwatch:
 class PhaseTimer:
     """Accumulates wall time per named phase, with per-iteration snapshots.
 
-    ``snapshot()`` closes out the current iteration and records the phase
-    totals since the previous snapshot — this drives the per-iteration trace
-    in Fig. 7.  When a real tracer is attached, every ``phase(...)`` block
+    ``snapshot()`` closes out the current iteration and returns the phase
+    totals since the previous snapshot — one iteration of Fig. 7's trace.
+    When a real tracer is attached, every ``phase(...)`` block
     additionally opens a wall-clock span in the trace stream.
     """
 
     phases: Dict[str, Stopwatch] = field(default_factory=dict)
-    deltas: IterationDeltas = field(default_factory=IterationDeltas)
     tracer: object = NULL_TRACER
-
-    @property
-    def iterations(self) -> List[Dict[str, float]]:
-        """Per-iteration phase deltas (one dict per ``snapshot()`` call)."""
-        return self.deltas.iterations
+    #: ``totals()`` at the last ``snapshot()``.
+    _last: Dict[str, float] = field(default_factory=dict, init=False, repr=False)
 
     @contextmanager
     def phase(self, name: str) -> Iterator[Stopwatch]:
@@ -97,12 +93,6 @@ class PhaseTimer:
             with sw:
                 yield sw
 
-    def add(self, name: str, seconds: float) -> None:
-        """Charge time to a phase without running a block (modeled costs)."""
-        sw = self.phases.setdefault(name, Stopwatch())
-        sw.elapsed += seconds
-        sw.count += 1
-
     def totals(self) -> Dict[str, float]:
         return {name: sw.elapsed for name, sw in self.phases.items()}
 
@@ -110,11 +100,8 @@ class PhaseTimer:
         return sum(sw.elapsed for sw in self.phases.values())
 
     def snapshot(self) -> Dict[str, float]:
-        """Record and return the per-phase deltas since the last snapshot."""
-        return self.deltas.snapshot(self.totals())
-
-    def merge(self, other: "PhaseTimer") -> None:
-        for name, sw in other.phases.items():
-            mine = self.phases.setdefault(name, Stopwatch())
-            mine.elapsed += sw.elapsed
-            mine.count += sw.count
+        """Return the per-phase deltas since the last snapshot."""
+        totals = self.totals()
+        delta = {name: v - self._last.get(name, 0.0) for name, v in totals.items()}
+        self._last = totals
+        return delta

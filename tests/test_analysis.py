@@ -8,7 +8,7 @@ The load-bearing invariants (ISSUE 6 acceptance criteria):
   comm counters (data and retransmit channels separately);
 * critical-path phase attributions sum to the ledger's total modeled
   time within 1e-6 relative tolerance, online and offline;
-* chaos runs traced with diagnostics pass both trace validators, contain
+* chaos runs traced with diagnostics pass the trace validator, contain
   recovery spans, and show retransmit bytes only in the fault channel.
 """
 
@@ -23,6 +23,7 @@ from repro.obs import Tracer
 from repro.obs.analysis import (
     CommMatrix,
     collapsed_stacks,
+    comm_bytes_from_spans,
     comm_profile_from_spans,
     critical_path,
     diagnose,
@@ -97,7 +98,7 @@ class TestRecorderReconciliation:
     def test_reconciles_with_ledger_both_executors(self):
         for executor in ("scalar", "columnar"):
             fp = _run_tc(diagnostics=True, executor=executor)
-            report = fp.comm_profile.reconcile(fp.ledger.comm)
+            report = fp.comm_profile.reconcile(fp.ledger.comm.by_kind)
             assert report["ok"], (executor, report)
             # Every wire byte the ledger charged appears in some matrix.
             assert (
@@ -111,14 +112,14 @@ class TestRecorderReconciliation:
         fp = _run_tc(diagnostics=True)
         fp.comm_profile.matrices[0].add(0, 1, 1, 1)  # corrupt one cell
         with pytest.raises(ValueError, match="do not reconcile"):
-            fp.comm_profile.reconcile(fp.ledger.comm)
+            fp.comm_profile.reconcile(fp.ledger.comm.by_kind)
 
     def test_self_sends_carry_tuples_but_no_bytes(self):
         fp = _run_tc(diagnostics=True, n_ranks=1)
         prof = fp.comm_profile
         assert prof.bytes_total() == 0  # single rank: nothing on the wire
         assert prof.tuples_total() > 0  # but tuples still moved locally
-        assert prof.reconcile(fp.ledger.comm)["ok"]
+        assert prof.reconcile(fp.ledger.comm.by_kind)["ok"]
 
     def test_rank_superstep_grid_shape(self):
         fp = _run_tc(diagnostics=True)
@@ -340,15 +341,14 @@ class TestAsciiHeatmap:
 
 
 class TestOfflineDiagnostics:
-    @pytest.mark.parametrize("fmt", ["chrome", "jsonl"])
-    def test_offline_matches_online(self, tmp_path, fmt):
+    def test_offline_matches_online(self, tmp_path):
         fp = _run_tc(diagnostics=True, tracer=Tracer())
         online = fp.diagnose()
-        path = tmp_path / f"trace.{fmt}"
-        fp.write_trace(str(path), fmt=fmt)
+        path = tmp_path / "trace.json"
+        fp.write_trace(str(path))
         validate_trace_file(str(path))
-        spans, metrics, _meta = load_trace(str(path))
-        offline = diagnose(spans, metrics=metrics)
+        spans, _meta = load_trace(str(path))
+        offline = diagnose(spans)
         assert offline.comm_profile is not None
         assert (
             offline.comm_profile.bytes_total()
@@ -361,13 +361,31 @@ class TestOfflineDiagnostics:
         )
         assert offline.reconciliation is not None
         assert offline.reconciliation["ok"]
+        assert offline.reconciliation == online.reconciliation
+
+    def test_comm_spans_carry_the_ledger_bytes(self):
+        fp = _run_tc(tracer=Tracer(), faults=FaultConfig(seed=7, drop=0.08))
+        assert comm_bytes_from_spans(fp.spans) == fp.ledger.comm.by_kind
+        assert fp.ledger.comm.by_kind["retransmit"] > 0
 
     def test_untraced_matrices_absent(self, tmp_path):
         fp = _run_tc(tracer=Tracer())  # tracing without diagnostics
-        path = tmp_path / "t.jsonl"
-        fp.write_trace(str(path), fmt="jsonl")
-        spans, _metrics, _meta = load_trace(str(path))
+        path = tmp_path / "t.json"
+        fp.write_trace(str(path))
+        spans, _meta = load_trace(str(path))
         assert comm_profile_from_spans(spans) is None
+
+    def test_untraced_run_diagnoses_without_critical_path(self):
+        """The skew doctor and the reconciliation need no spans; only the
+        critical path does, and the report says so instead of raising."""
+        engine = Engine(sssp_program(), EngineConfig(n_ranks=4, diagnostics=True))
+        engine.load("edge", [(i, (i + 1) % 12, 1) for i in range(12)])
+        engine.load("start", [(0,)])
+        report = engine.run().diagnose()
+        assert report.critical_path.steps == []
+        assert report.reconciliation["ok"]
+        assert report.skew.relation_skew
+        assert "needs a tracer" in report.render()
 
 
 class TestChaosTracing:
@@ -382,14 +400,13 @@ class TestChaosTracing:
             n_ranks=4,
         )
 
-    @pytest.mark.parametrize("fmt", ["chrome", "jsonl"])
-    def test_drop_corrupt_trace_validates(self, tmp_path, fmt):
+    def test_drop_corrupt_trace_validates(self, tmp_path):
         fp = self._chaos_run(drop=0.05, corrupt=0.03)
         clean = _run_tc()
         assert fp.query("path") == clean.query("path")
-        path = tmp_path / f"chaos.{fmt}"
-        fp.write_trace(str(path), fmt=fmt)
-        validate_trace_file(str(path))  # both validators, via dispatch
+        path = tmp_path / "chaos.json"
+        fp.write_trace(str(path))
+        validate_trace_file(str(path))
 
     def test_retransmits_only_in_fault_channel(self):
         fp = self._chaos_run(drop=0.08, corrupt=0.04)
@@ -399,7 +416,7 @@ class TestChaosTracing:
         # The fault channel reconciles against the ledger's retransmit
         # counter; the data channel matches the algorithmic traffic of a
         # fault-free run exactly (fault recovery never leaks into it).
-        report = prof.reconcile(fp.ledger.comm)
+        report = prof.reconcile(fp.ledger.comm.by_kind)
         assert report["ok"]
         clean = _run_tc(diagnostics=True)
         assert prof.bytes_total("data") == clean.comm_profile.bytes_total(
@@ -417,7 +434,7 @@ class TestChaosTracing:
         assert any(sp.name == "recovery" for sp in recovery_spans)
         assert any(sp.name == "checkpoint" for sp in recovery_spans)
         path = tmp_path / "crash.json"
-        fp.write_trace(str(path), fmt="chrome")
+        fp.write_trace(str(path))
         stats = validate_trace_file(str(path))
         assert "recovery" in stats["names"]
         # Critical path still tiles the (now longer) modeled timeline.
@@ -425,11 +442,11 @@ class TestChaosTracing:
 
     def test_straggler_trace_validates(self, tmp_path):
         fp = self._chaos_run(stragglers={3: 10.0})
-        path = tmp_path / "straggle.jsonl"
-        fp.write_trace(str(path), fmt="jsonl")
+        path = tmp_path / "straggle.json"
+        fp.write_trace(str(path))
         validate_trace_file(str(path))
-        spans, metrics, _ = load_trace(str(path))
-        offline = diagnose(spans, metrics=metrics)
+        spans, _meta = load_trace(str(path))
+        offline = diagnose(spans)
         assert offline.reconciliation["ok"]
 
 
@@ -447,5 +464,5 @@ class TestSsspDiagnostics:
         )
         engine.load("start", [(0,)])
         fp = engine.run()
-        assert fp.comm_profile.reconcile(fp.ledger.comm)["ok"]
+        assert fp.comm_profile.reconcile(fp.ledger.comm.by_kind)["ok"]
         fp.diagnose()  # validates critical path against ledger total

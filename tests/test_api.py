@@ -291,14 +291,14 @@ class TestSession:
         assert len(seed) == 1
         assert seed[0].tuples_total("update") == len(EDGES[3:])
         assert seed[0].tuples_total("data") == 0
-        report = profile.reconcile(result.ledger.comm)
+        report = profile.reconcile(result.ledger.comm.by_kind)
         assert report["ok"] and "incremental_seed" in report["kinds"]
         assert report["bytes_by_kind"]["incremental_seed"] == (
             profile.bytes_total("update")
         )
         offline = comm_profile_from_spans(result.spans)
         assert offline.bytes_total("update") == profile.bytes_total("update")
-        assert offline.reconcile(result.ledger.comm)["ok"]
+        assert offline.reconcile(result.ledger.comm.by_kind)["ok"]
 
 
 class TestResultSchema:

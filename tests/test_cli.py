@@ -320,12 +320,11 @@ class TestDiagnosticsFlags:
 
 
 class TestTraceReport:
-    def _trace(self, tmp_path, fmt="chrome", diagnostics=True):
-        path = tmp_path / f"trace.{fmt}"
+    def _trace(self, tmp_path, diagnostics=True):
+        path = tmp_path / "trace.json"
         argv = [
             "run", "cc", "--dataset", "flickr", "--ranks", "4",
             "--scale-shift", "5", "--trace", str(path),
-            "--trace-format", fmt,
         ]
         if diagnostics:
             argv.append("--diagnostics")
@@ -341,15 +340,35 @@ class TestTraceReport:
         assert "critical path" in out
         assert "bytes sent" in out  # matrices travelled inside the trace
 
-    def test_jsonl_format_and_json_output(self, capsys, tmp_path):
+    def test_json_output(self, capsys, tmp_path):
         import json
 
-        path = self._trace(tmp_path, fmt="jsonl")
+        path = self._trace(tmp_path)
         capsys.readouterr()
         assert main(["trace-report", str(path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["diagnostics"]["critical_path"]["phase_shares"]
         assert report["diagnostics"]["reconciliation"]["ok"]
+
+    def test_reconciles_against_the_comm_spans(self, capsys, tmp_path):
+        """Offline reconciliation reads the bytes rank 0's comm spans
+        carry: raising one of them is a mismatch."""
+        import json
+
+        path = self._trace(tmp_path)
+        trace = json.loads(path.read_text())
+        event = next(
+            ev for ev in trace["traceEvents"]
+            if ev.get("pid") == 1 and ev.get("cat") == "comm"
+            and ev["name"] == "alltoallv" and ev["args"]["nbytes"] > 0
+        )
+        event["args"]["nbytes"] += 1
+        path.write_text(json.dumps(trace))
+        capsys.readouterr()
+        assert main(["trace-report", str(path), "--json"]) == 0
+        rec = json.loads(capsys.readouterr().out)["diagnostics"]["reconciliation"]
+        assert rec["ok"] is False
+        assert set(rec["mismatches"]) == {"alltoallv"}
 
     def test_trace_without_matrices_still_reports(self, capsys, tmp_path):
         path = self._trace(tmp_path, diagnostics=False)
@@ -369,6 +388,12 @@ class TestTraceReport:
         bad.write_text("{not json")
         with pytest.raises(SystemExit, match="invalid trace"):
             main(["trace-report", str(bad)])
+
+    def test_empty_trace_rejected(self, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"traceEvents": []}')
+        with pytest.raises(SystemExit, match="invalid trace .*no complete"):
+            main(["trace-report", str(empty)])
 
 
 class TestUpdate:

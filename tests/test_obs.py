@@ -1,4 +1,4 @@
-"""Observability tests: tracer, metrics, ledger spans, exporters, CLI."""
+"""Observability tests: tracer, metrics view, ledger spans, export, CLI."""
 
 import json
 
@@ -8,18 +8,11 @@ import pytest
 from repro import Engine, EngineConfig, Tracer
 from repro.comm.costmodel import CommEvent
 from repro.comm.ledger import PhaseLedger
-from repro.obs import NULL_TRACER, MetricsRegistry, NullTracer
-from repro.obs.export import (
-    chrome_trace,
-    read_jsonl,
-    validate_chrome_trace,
-    validate_jsonl_trace,
-    validate_trace_file,
-    write_jsonl,
-    write_trace,
-)
-from repro.obs.metrics import Histogram
+from repro.api import DiagnosticsOptions, Options, Session
+from repro.obs import NULL_TRACER, NullTracer
+from repro.obs.export import chrome_trace, validate_chrome_trace, validate_trace_file
 from repro.queries.sssp import sssp_program
+from repro.runtime.result import _summary
 
 EDGES = [(0, 1, 4), (0, 2, 9), (1, 2, 1), (2, 3, 2), (3, 1, 1), (3, 4, 3)]
 PIPELINE_PHASES = ("vote", "intra_bucket", "local_join", "comm", "dedup_agg")
@@ -106,14 +99,6 @@ class TestNullTracer:
         assert tr.record("x") is None
         assert tr.advance_modeled(5.0) == (0.0, 0.0)
 
-    def test_null_metrics_discard_writes(self):
-        tr = NullTracer()
-        tr.metrics.counter("c").inc(5)
-        tr.metrics.histogram("h").observe_many([1.0, 2.0])
-        assert tr.metrics.as_dict() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
-
     def test_shared_singleton_never_accumulates(self):
         engine = Engine(sssp_program(), EngineConfig(n_ranks=2))
         engine.load("edge", EDGES)
@@ -124,41 +109,78 @@ class TestNullTracer:
         assert NULL_TRACER.spans == []
 
 
-class TestMetricsRegistry:
-    def test_get_or_create(self):
-        m = MetricsRegistry()
-        assert m.counter("a") is m.counter("a")
-        m.counter("a").inc()
-        m.counter("a").inc(2)
-        assert m.counter("a").value == 3
-        m.gauge("g").set(1.5)
-        assert m.gauge("g").value == 1.5
+class TestMetricsView:
+    def test_summary_nearest_rank(self):
+        s = _summary([4.0, 1.0, 3.0, 2.0])
+        assert s == {
+            "count": 4, "sum": 10.0, "min": 1.0, "max": 4.0, "mean": 2.5,
+            "p50": 2.0, "p90": 4.0, "p99": 4.0,
+        }
 
-    def test_histogram_stats(self):
-        h = Histogram("h")
-        h.observe_many([4, 1, 3, 2])
-        assert h.count == 4
-        assert h.total == 10.0
-        assert h.mean == 2.5
-        assert h.percentile(0) == 1.0
-        assert h.percentile(50) == 2.0
-        assert h.percentile(100) == 4.0
-        s = h.summary()
-        assert s["min"] == 1.0 and s["max"] == 4.0 and s["count"] == 4
+    def test_untraced_run_has_empty_sections(self):
+        engine = Engine(sssp_program(), EngineConfig(n_ranks=2))
+        engine.load("edge", EDGES)
+        engine.load("start", [(0,)])
+        assert engine.run().metrics_dict() == {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
 
-    def test_histogram_empty_and_bad_percentile(self):
-        h = Histogram("h")
-        assert h.summary()["count"] == 0
-        assert h.percentile(50) == 0.0
-        with pytest.raises(ValueError):
-            h.percentile(101)
+    def test_view_is_json_serializable(self, traced):
+        result, _ = traced
+        json.dumps(result.metrics_dict())
 
-    def test_as_dict_is_json_serializable(self):
-        m = MetricsRegistry()
-        m.counter("c").inc()
-        m.gauge("g").set(2.0)
-        m.histogram("h").observe(1.0)
-        json.dumps(m.as_dict())
+    def test_sources(self, traced):
+        """Each section reads the one record of its number."""
+        result, _ = traced
+        md = result.metrics_dict()
+        counters, gauges, hists = md["counters"], md["gauges"], md["histograms"]
+        assert counters["comm_bytes"] == result.ledger.comm.bytes_total
+        assert counters["comm_messages"] == result.ledger.comm.messages
+        for kind, nbytes in result.ledger.comm.by_kind.items():
+            assert hists[f"comm_bytes/{kind}"]["sum"] == nbytes
+        assert gauges["modeled_seconds"] == result.ledger.total_seconds()
+        assert gauges["wall_seconds"] == result.timer.total()
+        assert gauges["wire_bytes_saved"] == (
+            result.counters["wire_precombine_bytes"]
+            - result.counters["wire_on_wire_bytes"]
+        )
+        choices = result.spans_named("collective_choice")
+        assert choices
+        assert gauges["wire_collective_saved_seconds"] == sum(
+            sp.attrs["saved_seconds"] for sp in choices
+        )
+        # compute_seconds: every rank, every step — zeros included — and
+        # over all phases the spans add up to the ledger's per-rank vector.
+        n_steps = len({
+            sp.modeled_start for sp in result.spans
+            if sp.cat == "compute" and sp.name == "local_join"
+        })
+        assert hists["compute_seconds/local_join"]["count"] == 4 * n_steps
+        assert sum(
+            h["sum"] for name, h in hists.items()
+            if name.startswith("compute_seconds/")
+        ) == pytest.approx(float(result.ledger.rank_compute.sum()), rel=1e-9)
+        assert hists["rank_compute_seconds"]["count"] == 4
+        assert hists["admitted_per_iteration"]["sum"] == sum(
+            t.admitted for t in result.trace
+        )
+
+    def test_no_drift_across_session_updates(self):
+        """Two updates rebuild the result twice: the view still holds one
+        sample per rank and one per stored tuple (a registry that folded
+        every rebuild held three of each)."""
+        session = Session(Options(
+            n_ranks=4, diagnostics=DiagnosticsOptions(tracer=Tracer())
+        ))
+        edges = [(i, (i + 1) % 9, 1 + i % 3) for i in range(9)]
+        session.query(sssp_program(), {"edge": edges[:5], "start": [(0,)]})
+        session.update({"edge": edges[5:7]})
+        result = session.update({"edge": edges[7:]})
+        hists = result.metrics_dict()["histograms"]
+        assert hists["rank_compute_seconds"]["count"] == 4
+        assert hists["relation_tuples_by_rank"]["sum"] == sum(
+            rel.full_size() for rel in result.relations.values()
+        )
 
 
 class TestLedgerSpans:
@@ -184,7 +206,6 @@ class TestLedgerSpans:
         assert all(s.name == "alltoallv" for s in spans)
         assert all(s.attrs["nbytes"] == 640 for s in spans)
         assert all((s.modeled_start, s.modeled_end) == (0.0, 0.25) for s in spans)
-        assert tr.metrics.counter("comm_bytes").value == 640
 
     def test_modeled_clock_matches_ledger_total(self):
         tr = Tracer()
@@ -236,19 +257,22 @@ class TestEngineIntegration:
         assert {s.cat for s in result.spans} >= {"run", "stratum", "iteration"}
 
     def test_span_stream_matches_ledger_and_timer_deltas(self, traced):
-        """Acceptance: PhaseLedger and PhaseTimer report identical
-        per-iteration deltas to the span stream (single source of truth)."""
+        """Acceptance: the span stream's per-iteration deltas are the
+        trace's (the one history), and the trace's deltas add up to the
+        ledger's and the timer's totals."""
         result, _ = traced
         summaries = [s for s in result.spans if s.name == "iteration_summary"]
         assert summaries
-        assert [s.attrs["modeled_phase_seconds"] for s in summaries] == (
-            result.ledger.iterations
-        )
-        assert [s.attrs["wall_phase_seconds"] for s in summaries] == (
-            result.timer.iterations
-        )
-        assert [t.phase_seconds for t in result.trace] == result.ledger.iterations
-        assert [t.wall_phase_seconds for t in result.trace] == result.timer.iterations
+        assert [s.attrs["modeled_phase_seconds"] for s in summaries] == [
+            t.phase_seconds for t in result.trace
+        ]
+        assert [s.attrs["wall_phase_seconds"] for s in summaries] == [
+            t.wall_phase_seconds for t in result.trace
+        ]
+        for phase, seconds in result.ledger.phase_seconds.items():
+            assert sum(
+                t.phase_seconds.get(phase, 0.0) for t in result.trace
+            ) == pytest.approx(seconds, rel=1e-9), phase
 
     def test_modeled_clock_equals_modeled_seconds(self, traced):
         result, tracer = traced
@@ -278,7 +302,7 @@ class TestChromeExport:
     def test_valid_and_loadable(self, traced, tmp_path):
         result, _ = traced
         path = str(tmp_path / "trace.json")
-        n = result.write_trace(path, "chrome")
+        n = result.write_trace(path)
         with open(path) as fh:
             obj = json.load(fh)
         stats = validate_chrome_trace(obj)
@@ -323,60 +347,6 @@ class TestChromeExport:
             validate_chrome_trace({"traceEvents": events})
 
 
-class TestJsonlExport:
-    def test_round_trip(self, traced, tmp_path):
-        result, _ = traced
-        path = str(tmp_path / "trace.jsonl")
-        n = write_jsonl(path, result.spans, result.metrics, meta={"k": "v"})
-        records = read_jsonl(path)
-        assert len(records) == n
-        assert records[0]["type"] == "meta" and records[0]["k"] == "v"
-        stats = validate_jsonl_trace(records)
-        assert stats["spans"] == len(result.spans)
-        assert stats["ranks"] == [0, 1, 2, 3]
-        for phase in PIPELINE_PHASES:
-            assert phase in stats["names"]
-
-    def test_validator_rejects_backwards_clocks(self, traced, tmp_path):
-        result, _ = traced
-        records = [json.loads(json.dumps(r)) for r in
-                   read_jsonl_path(tmp_path, result)]
-        for rec in records:
-            if rec.get("type") == "span":
-                rec["modeled_end"] = rec["modeled_start"] - 1.0
-                break
-        with pytest.raises(ValueError, match="backwards"):
-            validate_jsonl_trace(records)
-
-    def test_validator_rejects_span_count_mismatch(self, traced, tmp_path):
-        result, _ = traced
-        records = read_jsonl_path(tmp_path, result)
-        with pytest.raises(ValueError, match="spans"):
-            validate_jsonl_trace(records[:-2])
-
-
-def read_jsonl_path(tmp_path, result):
-    path = str(tmp_path / "rt.jsonl")
-    write_jsonl(path, result.spans)
-    return read_jsonl(path)
-
-
-class TestWriteTraceDispatch:
-    def test_unknown_format_rejected(self, traced, tmp_path):
-        result, _ = traced
-        with pytest.raises(ValueError, match="unknown trace format"):
-            write_trace(str(tmp_path / "x"), result.spans, "protobuf")
-
-    def test_validate_trace_file_sniffs_format(self, traced, tmp_path):
-        result, _ = traced
-        chrome = str(tmp_path / "a.json")
-        jsonl = str(tmp_path / "b.out")
-        result.write_trace(chrome, "chrome")
-        result.write_trace(jsonl, "jsonl")
-        assert validate_trace_file(chrome)["rank_lanes"] == [0, 1, 2, 3]
-        assert validate_trace_file(jsonl)["ranks"] == [0, 1, 2, 3]
-
-
 class TestCli:
     def test_run_with_trace_and_json(self, tmp_path, capsys):
         from repro.cli import main
@@ -392,20 +362,6 @@ class TestCli:
         assert set(PIPELINE_PHASES) <= set(report["phase_seconds"])
         assert report["trace"]["format"] == "chrome"
         assert validate_trace_file(path)["rank_lanes"] == [0, 1, 2, 3]
-
-    def test_query_with_jsonl_trace(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = str(tmp_path / "trace.jsonl")
-        rc = main([
-            "query", "examples/programs/sssp.dl", "--ranks", "4",
-            "--trace", path, "--trace-format", "jsonl",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "trace:" in out and "rank" in out
-        stats = validate_trace_file(path)
-        assert stats["ranks"] == [0, 1, 2, 3]
 
     def test_query_json_report(self, capsys):
         from repro.cli import main

@@ -268,7 +268,7 @@ class TestReshardProperty:
         total = sum(m.bytes_total("rebalance") for m in matrices)
         assert total == info["wire_bytes"] > 0
         assert all(m.bytes_total("data") == 0 for m in matrices)
-        recorder.reconcile(cluster.ledger.comm)  # raises on mismatch
+        recorder.reconcile(cluster.ledger.comm.by_kind)  # raises on mismatch
 
     def test_wire_codec_shrinks_exchange_bytes(self):
         full = [(i % 4, i, 7) for i in range(400)]
@@ -446,7 +446,7 @@ class TestEngineForcedRebalance:
         )
         profile = on.fixpoint.comm_profile
         assert any(m.kind == "rebalance" for m in profile.matrices)
-        report = profile.reconcile(on.fixpoint.ledger.comm)
+        report = profile.reconcile(on.fixpoint.ledger.comm.by_kind)
         assert report["ok"]
 
     def test_quiescent_trigger_never_fires(self, graph):

@@ -165,11 +165,3 @@ class TestLedger:
         ledger.add_compute_step("a", np.array([0.5, 0.0]))
         second = ledger.snapshot()
         assert second["a"] == pytest.approx(0.5)
-        assert len(ledger.iterations) == 2
-
-    def test_total_and_report(self):
-        ledger = PhaseLedger(n_ranks=2)
-        ledger.add_compute_scalar("a", 1.5)
-        ledger.add_compute_scalar("b", 0.5)
-        assert ledger.total_seconds() == 2.0
-        assert ledger.report()["total"] == 2.0

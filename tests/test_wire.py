@@ -741,7 +741,7 @@ class TestDiagnosticsBytesSaved:
         )
         # Reconciliation against the ledger ignores the counterfactual
         # channel: the recorder must still tie out exactly.
-        comparison = rec.reconcile(fp.ledger.comm)
+        comparison = rec.reconcile(fp.ledger.comm.by_kind)
         assert comparison["ok"]
 
     def test_bytes_saved_visible_in_render(self, medium_weighted_graph):
@@ -764,9 +764,9 @@ class TestDiagnosticsBytesSaved:
             medium_weighted_graph, [0, 5],
             _cfg(diagnostics=True, tracer=Tracer()),
         ).fixpoint
-        path = tmp_path / "trace.jsonl"
-        fp.write_trace(str(path), "jsonl")
-        spans, _metrics, _meta = load_trace(str(path))
+        path = tmp_path / "trace.json"
+        fp.write_trace(str(path))
+        spans, _meta = load_trace(str(path))
         rec = comm_profile_from_spans(spans)
         assert rec is not None
         assert rec.bytes_saved() == fp.comm_profile.bytes_saved()
