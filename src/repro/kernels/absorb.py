@@ -31,7 +31,14 @@ none — ``make_shard`` then falls back to the scalar dict shard, whose
 
 The sender-side fold (:func:`combine_block`) is the module's other
 fold and deliberately not a scan: a sender needs only each group's
-total, so it halves and compacts instead of keeping every prefix.
+total.  It has two tiers behind one rule.  A set fold or a MIN/MAX/UNION
+join over a narrow packed key (``1 << bits <= 4 n``, the width rule
+:func:`~repro.kernels.block.group_columns` and ``KeyIndex`` share)
+scatters into a key-indexed accumulator with the join's ``ufunc.at``,
+counts from one ``np.bincount``; every other fold sorts to group and
+halves each group.  The outputs are identical, byte for byte: occupied
+slots read in packed-key order are the keys in lexicographic order, and
+those joins are idempotent, associative and commutative.
 """
 
 from __future__ import annotations
@@ -55,6 +62,8 @@ from repro.kernels.block import (
     GrowBuf,
     GrowVec,
     KeyIndex,
+    _pack,
+    _widths,
     as_rows,
     group_columns,
     lex_group,
@@ -464,6 +473,22 @@ def columnar_shard_for(schema: Schema):
     return ColumnarAggregateShard(schema, combiner)
 
 
+#: Density bound of the direct-addressed fold: it runs when the packed
+#: key's domain (``1 << bits`` slots) is at most this many times the
+#: block's rows, which caps its two slot-indexed temporaries at 8 int64
+#: per row.  Measured (EXPERIMENTS "PR 27"): at 4 it takes 63 of the
+#: dense SSSP run's 96 folds, 98.7% of their rows; at the bound it
+#: loses 1.4-2x to sorting on blocks of 32k+ rows; a slack of 16 moved
+#: the mesh and skew runs by at most 0.05 s, in either direction
+#: across measurements.
+_DIRECT_SLACK = 4
+
+#: Joins the direct tier can apply with ``ufunc.at``: idempotent numpy
+#: ufuncs (MIN, MAX, UNION), so writing any occurrence into a slot and
+#: then joining every occurrence into it leaves the group's fold.
+_DIRECT_JOINS = (np.minimum, np.maximum, np.bitwise_or)
+
+
 def combine_block(
     rows: np.ndarray,
     n_indep: int,
@@ -474,13 +499,27 @@ def combine_block(
 
     Returns one row per independent key, sorted by key, and each output
     row's pre-fold row count: how many input rows it folds, or the sum
-    of their ``weights`` when the input rows are themselves folds.
-    ``combiner is None`` means a plain (set-semantics) relation —
-    duplicates are dropped outright.  For aggregates the combiner's
-    ``join`` must be ``combinable`` (the caller gates on that); each
-    key's occurrence sequence collapses to its lattice fold via a
-    logarithmic halving pass, so a duplicate-heavy block costs
-    O(n log max_dups) vector work instead of a Python-level group loop.
+    of their ``weights`` (positive pre-fold counts) when the input rows
+    are themselves folds.  ``combiner is None`` means a plain
+    (set-semantics) relation — duplicates are dropped outright.  For
+    aggregates the combiner's ``join`` must be ``combinable`` (the caller
+    gates on that).
+
+    Two tiers, one rule.  When the join is a plain set fold or one of
+    ``_DIRECT_JOINS`` (MIN, MAX, UNION), there is at least one key
+    column, and the packed key (``group_columns``' width rule: each
+    column the bits its maximum needs) has ``bits <= 62`` with
+    ``1 << bits <= _DIRECT_SLACK * n``, the block folds *direct-addressed*
+    (:func:`_fold_direct`): one ``np.bincount`` over the packed keys, one
+    ``join.at`` scatter per dependent column, no sort.  Everything else —
+    ANY and MCOUNT, whose joins are not ufuncs, negative keys (they read
+    as 64 bits wide), wide or sparse keys, the global aggregate — groups
+    by sorting and folds each group by halving (:func:`_fold_sorted`).
+    The outputs are identical: the occupied slots, read in ascending
+    packed-key order, are the distinct keys in lexicographic order — the
+    sort path's order — and every tier-eligible join is associative,
+    commutative and idempotent, so each key's fold, its count and the
+    row order do not depend on how the occurrences were combined.
 
     The fold runs *before* the rows are placed.  A tuple's home shard is
     a function of its independent columns alone, so every occurrence of a
@@ -505,6 +544,61 @@ def combine_block(
         return rows, np.ones(n, dtype=np.int64) if weights is None else weights
     if combiner is None:
         n_indep = arity
+    if n_indep and (combiner is None or combiner.join in _DIRECT_JOINS):
+        cols = [rows[:, c] for c in range(n_indep)]
+        widths = _widths(cols)
+        bits = sum(widths)
+        if bits <= 62 and 1 << bits <= _DIRECT_SLACK * n:
+            return _fold_direct(rows, cols, widths, combiner, weights)
+    return _fold_sorted(rows, n_indep, combiner, weights)
+
+
+def _fold_direct(
+    rows: np.ndarray,
+    cols: List[np.ndarray],
+    widths: List[int],
+    combiner: Optional[VectorCombiner],
+    weights: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`combine_block`'s key-indexed tier: slot = packed key."""
+    n_indep, arity = len(cols), rows.shape[1]
+    size = 1 << sum(widths)
+    key = _pack(cols, widths)
+    cnt = np.bincount(key, weights, minlength=size)
+    if weights is not None:  # float64 sums of counts far below 2**53
+        cnt = cnt.astype(np.int64)
+    present = np.flatnonzero(cnt)
+    out = np.empty((present.shape[0], arity), dtype=np.int64)
+    shift = 0
+    for c in range(n_indep - 1, -1, -1):
+        out[:, c] = (present >> shift) & ((1 << widths[c]) - 1)
+        shift += widths[c]
+    if n_indep < arity:
+        join = combiner.join
+        # A 1-D accumulator: ufunc.at on a (size, 1) block is ≈ 4x slower.
+        acc = np.empty(size, dtype=np.int64)
+        for c in range(n_indep, arity):
+            # ufunc.at takes numpy's slow path (≈ 20x) on values whose
+            # dtype is not the canonical int64 instance (an unpickled
+            # block carries its own, and so does its .copy()): astype
+            # always returns the canonical one.
+            vals = rows[:, c].astype(np.int64)
+            acc[key] = vals
+            join.at(acc, key, vals)
+            out[:, c] = acc[present]
+    return out, cnt[present]
+
+
+def _fold_sorted(
+    rows: np.ndarray,
+    n_indep: int,
+    combiner: Optional[VectorCombiner],
+    weights: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`combine_block`'s general tier: group by sorting, then fold
+    each group by logarithmic halving — O(n log max_dups) vector work,
+    no Python-level group loop."""
+    n, arity = rows.shape
     if n_indep:
         order, starts, counts = group_columns([rows[:, c] for c in range(n_indep)])
     else:  # global aggregate: every row shares the empty key

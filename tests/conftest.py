@@ -15,6 +15,15 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# The kernel-identity CI job's profile (``--hypothesis-profile=deep``):
+# ten times tier-1's examples for every property that does not pin its
+# own count — the fold, codec and key-index identities, cheap per example.
+settings.register_profile(
+    "deep",
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("repro")
 
 

@@ -3,6 +3,7 @@ combining, collective autotuning, and the end-to-end invariant that the
 layer changes modeled bytes/seconds but never results, Δ trajectories,
 iteration counts, or executor agreement."""
 
+import pickle
 import struct
 import tracemalloc
 from unittest import mock
@@ -21,7 +22,7 @@ from repro.comm.wire import (
     encoded_nbytes,
 )
 from repro.core.aggregators import TupleAggregator, make_aggregator
-from repro.kernels import route
+from repro.kernels import absorb, route
 from repro.kernels.absorb import combine_block, sender_fold_plan, vector_combiner
 from repro.kernels.block import concat_ranges, group_columns, lex_group
 from repro.queries.cc import run_cc
@@ -269,6 +270,65 @@ def _wire_boxes(draw):
     ]
 
 
+#: The heads a sender folds: a plain relation (None) and every combinable
+#: aggregate; the first four take the direct-addressed tier.
+_FOLD_AGGS = (None, "min", "max", "union", "any", "mcount")
+_DIRECT_AGGS = (None, "min", "max", "union")
+
+
+def _ref_counts(rows, n_indep, weights):
+    """Pre-fold count per distinct key: rows, or the sum of their weights."""
+    order, starts, counts = _ref_group(rows[:, :n_indep])
+    return counts if weights is None else np.add.reduceat(weights[order], starts)
+
+
+def _takes_direct_tier(rows, n_indep, agg):
+    """The direct fold's stated rule, restated on Python ints: a set fold
+    or MIN/MAX/UNION, at least one key column, and a non-negative packed
+    key of ``bits <= 62`` with ``1 << bits <= 4 n``."""
+    keys = rows[:, :n_indep]
+    if agg not in _DIRECT_AGGS or n_indep == 0 or (keys < 0).any():
+        return False
+    bits = sum(int(keys[:, c].max()).bit_length() for c in range(n_indep))
+    return bits <= 62 and 1 << bits <= 4 * rows.shape[0]
+
+
+@st.composite
+def _fold_blocks(draw):
+    """(rows, n_indep, weights): one block around the direct fold's density
+    bound — a key column over [0, k) for k at n/4, n, 4n, 4n + 1 or 64n,
+    its largest value present — behind an optional leading key column
+    that is all zeros (0 bits), a small source id, negative, or over 62
+    bits; then 1–3 dependent columns, extremes included."""
+    n = draw(st.one_of(st.integers(2, 2000), st.sampled_from([2, 4, 64, 512, 1024])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.sampled_from([max(n // 4, 1), n, 4 * n, 4 * n + 1, 64 * n]))
+    key = rng.integers(0, k, n)
+    key[rng.integers(n)] = k - 1
+    cols = [key]
+    lead = draw(st.sampled_from([None, "zero", "source", "negative", "wide"]))
+    if lead == "zero":
+        cols.insert(0, np.zeros(n, dtype=np.int64))
+    elif lead == "source":
+        cols.insert(0, rng.integers(0, 4, n))
+    elif lead == "negative":
+        cols.insert(0, rng.integers(-2, 2, n))
+        cols[0][rng.integers(n)] = -1
+    elif lead == "wide":
+        cols.insert(0, rng.integers(0, 2, n) << 62)
+        cols[0][rng.integers(n)] = 1 << 62
+    n_dep = draw(st.integers(1, 3))
+    extremes = np.asarray([I64.min, I64.max, -1, 0, 2**62], dtype=np.int64)
+    vals = np.where(
+        rng.random((n, n_dep)) < 0.1,
+        rng.choice(extremes, (n, n_dep)),
+        rng.integers(-1000, 1000, (n, n_dep)),
+    )
+    rows = np.column_stack(cols + [vals]).astype(np.int64)
+    weights = rng.integers(1, 1000, n) if draw(st.booleans()) else None
+    return rows, len(cols), weights
+
+
 class TestBatchedKernels:
     """The one-block fold and the chunked codec pass must equal the
     per-box reference byte for byte, whatever the chunking."""
@@ -276,7 +336,6 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("codec", WIRE_CODECS)
     @pytest.mark.parametrize("agg", (None, "min", "max", "sum"))
     @given(case=_wire_boxes(), data=st.data())
-    @settings(max_examples=40, deadline=None)
     def test_encode_matches_reference_and_round_trips(self, codec, agg, case, data):
         arity, boxes = case
         n_indep = data.draw(st.integers(0, arity))
@@ -304,7 +363,6 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("agg", (None, "min", "max", "any", "union", "mcount"))
     @given(case=_wire_boxes(), data=st.data())
-    @settings(max_examples=40, deadline=None)
     def test_fold_of_chunk_folds_is_the_fold(self, agg, case, data):
         """Folding a block in arbitrary chunks (the drawn boxes, empty ones
         included) and merging the chunk folds with their counts carried
@@ -327,6 +385,63 @@ class TestBatchedKernels:
         )
         assert np.array_equal(got_rows, want_rows)
         assert np.array_equal(got_counts, want_counts)
+
+    @pytest.mark.parametrize("agg", _FOLD_AGGS)
+    @given(case=_fold_blocks())
+    def test_direct_fold_equals_the_sort_path(self, agg, case):
+        """The direct-addressed tier runs exactly where its rule says (the
+        sort path's helper is called otherwise) and returns the reference
+        fold's rows, counts and dtypes; a block that went through pickle
+        folds to the same bytes."""
+        rows, n_indep, weights = case
+        combiner = None
+        if agg is None:  # a plain relation's key is the whole row
+            rows = np.ascontiguousarray(rows[:, :n_indep])
+        else:
+            combiner = vector_combiner(make_aggregator(agg))
+        with mock.patch.object(
+            absorb, "_fold_sorted", wraps=absorb._fold_sorted
+        ) as sort_path:
+            got_rows, got_counts = combine_block(rows, n_indep, combiner, weights)
+        assert sort_path.called != _takes_direct_tier(rows, n_indep, agg)
+        assert got_rows.dtype == np.int64 and got_counts.dtype == np.int64
+        assert np.array_equal(
+            got_rows, _ref_combine_block(rows.copy(), n_indep, combiner)
+        )
+        assert np.array_equal(got_counts, _ref_counts(rows, n_indep, weights))
+        again_rows, again_counts = combine_block(
+            pickle.loads(pickle.dumps(rows)), n_indep, combiner, weights
+        )
+        assert np.array_equal(again_rows, got_rows)
+        assert np.array_equal(again_counts, got_counts)
+
+    @pytest.mark.parametrize(
+        "agg, keys, direct",
+        [
+            ("min", range(256), True),  # 8 bits, 256 slots <= 4 x 256 rows
+            ("min", [1023] * 256, True),  # 10 bits: 1,024 slots, at the bound
+            ("max", [1024] * 256, False),  # 11 bits: 2,048 slots, over it
+            ("union", [0] * 256, True),  # a 0-bit key: one slot
+            (None, range(256), True),
+            ("any", range(256), False),  # not a ufunc join
+            ("mcount", range(256), False),
+            ("min", [-1] * 256, False),  # a negative key reads as 64 bits
+            ("min", [1 << 62] * 256, False),  # 63 bits
+        ],
+    )
+    def test_direct_tier_boundary(self, agg, keys, direct):
+        keys = np.asarray(keys, dtype=np.int64)[:, None]
+        combiner = None
+        if agg is not None:
+            combiner = vector_combiner(make_aggregator(agg))
+            keys = np.column_stack([keys, np.arange(256)[::-1]])
+        with mock.patch.object(
+            absorb, "_fold_sorted", wraps=absorb._fold_sorted
+        ) as sort_path:
+            got_rows, got_counts = combine_block(keys, 1, combiner)
+        assert sort_path.called != direct
+        assert np.array_equal(got_rows, _ref_combine_block(keys.copy(), 1, combiner))
+        assert np.array_equal(got_counts, _ref_counts(keys, 1, None))
 
     @pytest.mark.parametrize("codec", WIRE_CODECS)
     @given(case=_wire_boxes(), dup=st.integers(0, 7), budget=st.sampled_from([1, 5, 1 << 16]))
@@ -416,7 +531,9 @@ def _ref_wire_boxes(rows, dist, plan, codec):
 def _emitted_heads(draw):
     """(emitted blocks per source, head placement, sender fold plan)."""
     arity = draw(st.integers(1, 4))
-    agg = draw(st.sampled_from([None, "min", "max", "any", "mcount", "sum", "count"]))
+    agg = draw(st.sampled_from(
+        [None, "min", "max", "any", "union", "mcount", "sum", "count"]
+    ))
     # A plain head's key is the whole row.
     n_indep = arity if agg is None else draw(st.integers(0, arity))
     n_dep = arity - n_indep
@@ -446,6 +563,14 @@ def _emitted_heads(draw):
             st.dictionaries(st.integers(0, n_ranks - 1), st.lists(row, max_size=30))
         ).items()
     }
+    if draw(st.booleans()):
+        # A long block over a narrow key domain (keys in [0, 8)), so the
+        # sender fold crosses into its direct-addressed tier.
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(32, 300))
+        block = rng.integers(-1000, 1000, (n, arity))
+        block[:, :n_indep] = rng.integers(0, 8, (n, n_indep))
+        emitted[draw(st.integers(0, n_ranks - 1))] = block
     return emitted, dist, plan
 
 
