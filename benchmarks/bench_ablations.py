@@ -38,13 +38,3 @@ def test_ablation_aggregation_placement(once, defaults):
     # the global-hashmap strategy always moves strictly more bytes: every
     # improvement crosses the wire twice
     assert global_.comm_bytes > fused.comm_bytes
-
-
-def test_ablation_storage_backend(once, defaults):
-    rows = once(ablations.run_storage_backend_ablation, defaults)
-    print()
-    print(ablations.render(rows, "Ablation — shard index backend"))
-    hashmap, btree = rows
-    # identical algorithm, identical communication
-    assert hashmap.comm_bytes == btree.comm_bytes
-    assert abs(hashmap.modeled_seconds - btree.modeled_seconds) < 1e-9

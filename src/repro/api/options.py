@@ -152,14 +152,13 @@ class DiagnosticsOptions:
 class Options:
     """Everything a :class:`~repro.api.Session` needs, grouped and checked.
 
-    Top-level fields are the engine's core shape (ranks, executor,
-    placement, join planning); each subsystem hangs off its own group.
+    Top-level fields are the engine's core shape (ranks, placement,
+    join planning); each subsystem hangs off its own group.
     :meth:`validate` centralizes the cross-field rules and runs
     automatically inside :meth:`to_engine_config`.
     """
 
     n_ranks: int = 4
-    executor: Literal["columnar", "scalar"] = "columnar"
     seed: int = 0xC0FFEE
     max_iterations: int = 1_000_000
     dynamic_join: bool = True
@@ -168,7 +167,6 @@ class Options:
     subbuckets: Dict[str, int] = field(default_factory=dict)
     default_subbuckets: int = 1
     auto_balance: Optional[float] = None
-    use_btree: bool = False
     cost_model: Optional[CostModel] = None
     reorder_messages_seed: Optional[int] = None
     wire: WireOptions = field(default_factory=WireOptions)
@@ -246,8 +244,6 @@ class Options:
             static_outer=self.static_outer,
             subbuckets=dict(self.subbuckets),
             default_subbuckets=self.default_subbuckets,
-            use_btree=self.use_btree,
-            executor=self.executor,
             auto_balance=self.auto_balance,
             cost_model=self.cost_model,
             max_iterations=self.max_iterations,
@@ -274,7 +270,6 @@ class Options:
         """Lift a flat :class:`EngineConfig` into grouped options."""
         return cls(
             n_ranks=config.n_ranks,
-            executor=config.executor,
             seed=config.seed,
             max_iterations=config.max_iterations,
             dynamic_join=config.dynamic_join,
@@ -283,7 +278,6 @@ class Options:
             subbuckets=dict(config.subbuckets),
             default_subbuckets=config.default_subbuckets,
             auto_balance=config.auto_balance,
-            use_btree=config.use_btree,
             cost_model=config.cost_model,
             reorder_messages_seed=config.reorder_messages_seed,
             wire=WireOptions.from_config(config.wire),

@@ -25,21 +25,21 @@ model adds Spark scheduling latency and a driver serial fraction.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.baselines.serial import SerialFractionLedger
 from repro.comm.costmodel import CostModel
-from repro.core.local_agg import AbsorbStats
+from repro.kernels.absorb import AbsorbStats
+from repro.kernels.block import group_columns
 from repro.planner.ast import Program
 from repro.relational.schema import Schema
 from repro.relational.storage import VersionedRelation
 from repro.runtime.config import EngineConfig
 from repro.runtime.engine import Engine, P_COMM, P_DEDUP
+from repro.runtime.executor import ColumnarExecutor
 from repro.util.hashing import HashSeed
-
-TupleT = Tuple[int, ...]
 
 
 def rasql_cost_model(compute_scale: float = 1.0) -> CostModel:
@@ -62,6 +62,29 @@ def rasql_cost_model(compute_scale: float = 1.0) -> CostModel:
     )
 
 
+class _UnfoldedJoin(ColumnarExecutor):
+    """The local join without its sender fold: the global hashmap's
+    shuffle carries every join candidate, suppressed ones included."""
+
+    def local_join(
+        self, cr, outer_pos, recv, inner_rel, inner_ver, probe_cols,
+        per_rank_probe, per_rank_emit, fold=None,
+    ):
+        return super().local_join(
+            cr, outer_pos, recv, inner_rel, inner_ver, probe_cols,
+            per_rank_probe, per_rank_emit,
+        )
+
+
+def _groups(keys: np.ndarray):
+    """``(first, rows)`` per distinct value of ``keys``, in order of first
+    appearance; ``rows`` are the value's row indices in arrival order."""
+    order, starts, counts = group_columns([keys])
+    for s0 in np.argsort(order[starts], kind="stable").tolist():
+        lo, n = int(starts[s0]), int(counts[s0])
+        yield int(keys[order[lo]]), order[lo : lo + n]
+
+
 class RaSQLLikeEngine(Engine):
     """Engine variant modeling RaSQL/BigDatalog's aggregation strategy."""
 
@@ -81,11 +104,11 @@ class RaSQLLikeEngine(Engine):
             static_outer="left",
             subbuckets={},                # no spatial load balancing
             default_subbuckets=1,
-            executor="scalar",            # models per-tuple JVM processing
         )
         if config.cost_model is None:
             config = replace(config, cost_model=rasql_cost_model())
         super().__init__(program, config)
+        self._exec = _UnfoldedJoin()
         # serial_fraction=0 isolates the *algorithmic* communication
         # difference from Spark's driver constants (ablation use).
         frac = self.SERIAL_FRACTION if serial_fraction is None else serial_fraction
@@ -116,7 +139,7 @@ class RaSQLLikeEngine(Engine):
     def _route_and_absorb(
         self,
         head_name: str,
-        emitted: Dict[int, List[TupleT]],
+        emitted: Dict[int, np.ndarray],
         stats,
     ) -> None:
         head = self.store[head_name]
@@ -128,45 +151,41 @@ class RaSQLLikeEngine(Engine):
         cost = self.cluster.cost
 
         # ---- all-to-all #1: candidates → global aggregation hashmap ----
-        sends: Dict[int, Dict[int, List[TupleT]]] = {}
+        sends: Dict[int, Dict[int, List[np.ndarray]]] = {}
         n_comm = 0
         with self.timer.phase(P_COMM):
-            for src, tuples in emitted.items():
-                if not tuples:
+            for src, rows in emitted.items():
+                if not rows.shape[0]:
                     continue
-                rows = np.asarray(tuples, dtype=np.int64)
-                ranks = agg_rel.dist.rank_of_rows(rows).tolist()
-                row: Dict[int, List[TupleT]] = {}
-                for t, dst in zip(tuples, ranks):
-                    row.setdefault(dst, []).append(t)
-                sends[src] = row
-                n_comm += len(tuples)
+                ranks = agg_rel.dist.rank_of_rows(rows)
+                sends[src] = {dst: [rows[idx]] for dst, idx in _groups(ranks)}
+                n_comm += rows.shape[0]
             recv = self.cluster.alltoallv(
-                sends, arity=head.schema.arity, phase=P_COMM
+                sends, arity=head.schema.arity, phase=P_COMM, count_of=len
             )
         stats.comm_tuples += n_comm
         self.counters["alltoall_tuples"] += n_comm
 
         # ---- merge into the global hashmap; harvest improvements ----
-        improved: Dict[int, List[TupleT]] = {}
+        # Each rank's arrivals, shard by shard in order of first arrival:
+        # every admitted arrival's row, in arrival order.
+        improved: Dict[int, np.ndarray] = {}
         per_rank_recv = np.zeros(cfg.n_ranks)
         per_rank_adm = np.zeros(cfg.n_ranks)
         with self.timer.phase(P_DEDUP):
-            for r, tuples in recv.items():
-                if not tuples:
+            for r, blocks in recv.items():
+                if not blocks:
                     continue
-                rows = np.asarray(tuples, dtype=np.int64)
+                rows = np.concatenate(blocks)
                 b_arr, s_arr = agg_rel.dist.bucket_sub_of_rows(rows)
-                buckets, subs = b_arr.tolist(), s_arr.tolist()
-                by_shard: Dict[Tuple[int, int], List[TupleT]] = {}
-                for i, t in enumerate(tuples):
-                    by_shard.setdefault((buckets[i], subs[i]), []).append(t)
+                n_sub = agg_rel.schema.n_subbuckets
                 absorb_stats = AbsorbStats()
-                out: List[TupleT] = []
-                for key, batch in by_shard.items():
-                    agg_rel.shard(*key).absorb(batch, absorb_stats, collect=out)
-                if out:
-                    improved[r] = out
+                out: List[np.ndarray] = []
+                for key, idx in _groups(b_arr * n_sub + s_arr):
+                    agg_rel.shard(*divmod(key, n_sub)).absorb_block(
+                        rows[idx], absorb_stats, collect=out
+                    )
+                improved[r] = np.concatenate(out)
                 per_rank_recv[r] = absorb_stats.received
                 per_rank_adm[r] = absorb_stats.admitted
                 stats.suppressed += absorb_stats.suppressed

@@ -58,7 +58,6 @@ class SociaLiteLikeEngine(Engine):
             static_outer="left",
             subbuckets={},
             default_subbuckets=1,
-            executor="scalar",  # models per-tuple message handling
         )
         if config.cost_model is None:
             config = replace(config, cost_model=socialite_cost_model())

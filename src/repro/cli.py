@@ -272,7 +272,6 @@ def _base_report(fp, *, ranks: int) -> dict:
     comm = fp.ledger.comm
     report = {
         "ranks": ranks,
-        "executor": fp.executor_report(),
         "iterations": fp.iterations,
         "modeled_seconds": fp.modeled_seconds(),
         "wall_seconds": fp.wall_seconds(),

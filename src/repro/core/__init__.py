@@ -4,10 +4,9 @@
     The ``RecursiveAggregator`` API of paper Listing 1 — dependent-column
     extraction, partial order, partial aggregation — plus the built-in
     aggregates (``$MIN``, ``$MAX``, ``$MCOUNT``, ``$ANY``, ``$UNION``).
-:mod:`repro.core.local_agg`
-    Fused deduplication + local aggregation (§III-A): the accumulator
-    store whose ``absorb`` generalizes Datalog's dedup to lattice joins and
-    suppresses non-improving tuples before they can cost communication.
+    Fused deduplication + local aggregation (§III-A), the shards whose
+    absorb generalizes Datalog's dedup to lattice joins, is
+    :mod:`repro.kernels.absorb`.
 :mod:`repro.core.join_planner`
     Dynamic join planning (§IV-D, Algorithm 1): the per-iteration
     outer/inner vote via a one-word allreduce.
@@ -26,7 +25,6 @@ from repro.core.aggregators import (
     AGGREGATORS,
     make_aggregator,
 )
-from repro.core.local_agg import AggregateShard, PlainShard, make_shard
 from repro.core.join_planner import JoinSide, vote_outer_relation
 from repro.core.balancer import ImbalanceReport, measure_imbalance, recommend_subbuckets
 
@@ -39,9 +37,6 @@ __all__ = [
     "UnionAggregator",
     "AGGREGATORS",
     "make_aggregator",
-    "AggregateShard",
-    "PlainShard",
-    "make_shard",
     "JoinSide",
     "vote_outer_relation",
     "ImbalanceReport",

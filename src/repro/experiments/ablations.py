@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.baselines.rasql_like import RaSQLLikeEngine
-from repro.comm.costmodel import CostModel
 from repro.experiments.common import (
     ExperimentDefaults,
     defaults_from_env,
@@ -153,44 +152,6 @@ def run_aggregation_placement_ablation(
             ),
         )
     )
-    return rows
-
-
-def run_storage_backend_ablation(
-    defaults: Optional[ExperimentDefaults] = None,
-) -> List[AblationRow]:
-    """Hash-map vs B-tree shard index (the paper's C++ engine uses nested
-    B-trees; §V-D reports B-tree insertion dominating at low core counts).
-
-    Results must be identical; only the host-side simulation cost differs
-    (modeled time is charged identically — the B-tree's log factor lives in
-    CostModel.insert_cost either way)."""
-    d = defaults or defaults_from_env()
-    graph = load_dataset(
-        "twitter_like", seed=d.seed, scale_shift=d.scale_shift, max_weight=4
-    )
-    rows: List[AblationRow] = []
-    reference = None
-    for use_btree in (False, True):
-        config = EngineConfig(
-            n_ranks=64,
-            subbuckets={"edge": 8},
-            use_btree=use_btree,
-            cost_model=scaling_cost_model(),
-        )
-        r = run_sssp(graph, list(range(N_SOURCES)), config)
-        if reference is None:
-            reference = r.distances
-        else:
-            assert r.distances == reference, "storage backend changed results"
-        rows.append(
-            AblationRow(
-                name="B-tree shards" if use_btree else "hash-map shards",
-                modeled_seconds=r.fixpoint.modeled_seconds(),
-                comm_bytes=r.fixpoint.ledger.comm.bytes_total,
-                detail=f"host wall: {r.fixpoint.wall_seconds():.2f}s",
-            )
-        )
     return rows
 
 

@@ -117,22 +117,20 @@ def capture(
 def restore(store, ckpt: StratumCheckpoint) -> None:
     """Roll the named relations back to the checkpoint's shard state.
 
-    Deep-copies out of the snapshot (the checkpoint stays reusable) and
-    invalidates each relation's probe cache — the restored shard objects
-    are new, and the cache's shard-count token alone cannot detect that.
+    Deep-copies out of the snapshot (the checkpoint stays reusable);
+    the caller drops the executor's join-index cache, since the restored
+    shard objects are new.
     """
     for name, snap in ckpt.relations.items():
         rel = store[name]
         if snap.schema is not None and snap.schema is not rel.schema:
             # Rebalance happened after this checkpoint: revert the
             # placement to the captured sub-bucket map (rebuilds the
-            # Distribution and clears the probe caches).
+            # Distribution).
             rel.set_schema(snap.schema)
         rel.shards = copy.deepcopy(snap.shards)
         rel.full_gen = snap.full_gen
         rel.delta_gen = snap.delta_gen
-        rel._probe_cache.clear()
-        rel._probe_cache_token = -1
 
 
 def replica_buddies(rank: int, live_ranks, replicas: int) -> List[int]:

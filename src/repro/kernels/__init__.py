@@ -1,15 +1,10 @@
-"""Columnar batch kernels for the fixpoint hot path.
+"""Columnar batch kernels: the engine's one data plane.
 
-``repro.kernels`` is the vectorized twin of the engine's per-tuple
-pipeline: every phase consumes and produces ``numpy`` int64 row-blocks
-(C-contiguous ``(n, arity)`` arrays) instead of Python tuple lists.
-
-The layer is **behaviour-preserving by construction**: each kernel
-replays the scalar path's sequential semantics (arrival order inside a
-shard, nested Δ ordering, per-occurrence admitted counts) with array
-operations, so ledger charges, Δ contents, and all rank-invariance
-properties are bit-for-bit identical across ``EngineConfig.executor``
-settings.  See DESIGN.md §8 for the layout and the fallback rules.
+Every pipeline phase consumes and produces ``numpy`` int64 row-blocks
+(C-contiguous ``(n, arity)`` arrays).  The shards replay sequential
+absorption semantics (arrival order inside a shard, nested Δ ordering,
+per-occurrence admitted counts) with array operations; see DESIGN.md §8
+for the layout.
 """
 
 from repro.kernels.block import concat_ranges, lex_group

@@ -1,33 +1,40 @@
-"""Vectorized fused dedup / local aggregation — columnar shards.
+"""Fused dedup / local aggregation (paper §III-A, §IV-A) — the shards.
 
-The scalar shards (:mod:`repro.core.local_agg`) absorb one tuple at a
-time into nested dicts.  The columnar shards below hold the same state
-as growing int64 arrays and absorb whole row-blocks, while replaying the
-scalar path's *sequential* semantics exactly:
+BPRA's last join stage is *deduplication*: newly generated tuples arrive
+at their home rank and are checked against local storage; only new ones
+enter Δ.  Monotonic aggregation generalizes that step: the rank joins
+each arrival's dependent value into the stored accumulator with the
+aggregator's ``partial_agg``, and only an *improvement* enters Δ.  A
+tuple's independent columns fully determine its rank, so this costs no
+communication beyond the all-to-all plain Datalog already pays.
 
-* **admitted counts** — the scalar path admits every occurrence that
-  improves the accumulator, so within-group arrival order matters
-  (MIN absorbing 5,3,4 admits twice; 3,5,4 once).  The block kernel
-  groups rows by independent key (:func:`~repro.kernels.block.lex_group`,
+A shard holds one (bucket, sub-bucket) fragment of one relation on one
+rank as a growing int64 row store, one row per aggregation group, and
+absorbs whole row-blocks.  Its semantics are those of absorbing the
+block's rows one at a time, in arrival order, into a nested index
+``join key → other key → tuple`` (the paper's nested B-tree):
+
+* **admitted counts** — every arrival that improves its group's
+  accumulator is admitted, so within-group arrival order matters (MIN
+  absorbing 5,3,4 admits twice; 3,5,4 once).  The block kernel groups
+  rows by independent key (:func:`~repro.kernels.block.lex_group`,
   stable, so a group's rows stay in arrival order) and runs one
   :func:`~repro.kernels.block.segmented_scan` of the aggregator's
   ``join``: the scan holds every group's accumulator after every
   arrival, and the admitted count, each group's first improvement and
   its final value are all read off that one array.
-* **Δ order** — the scalar Δ is a nested dict ordered by (first jk
-  improvement, first group improvement).  The columnar shard records
-  pending row ids in first-improvement order and reconstructs the
-  nested order at ``advance()`` with one stable sort.
-* **full order** — scalar ``iter_full`` yields groups nested by (jk
-  first-admission, group admission); the columnar equivalent is a
+* **Δ order** — nested by (first jk improvement, first group
+  improvement).  The shard records pending row ids in first-improvement
+  order and reconstructs the nested order at ``advance()`` with one
+  stable sort.
+* **full order** — nested by (jk first admission, group admission): a
   cached stable sort over the append-ordered row store.
 
-An aggregator vectorizes by supplying an associative ``join`` over
-arrays (:class:`VectorCombiner`, one per type in ``_COMBINERS``):
-MIN/MAX/SUM/COUNT/ANY/UNION/MCOUNT.  Custom and product-lattice
-(:class:`~repro.core.aggregators.TupleAggregator`) aggregators have
-none — ``make_shard`` then falls back to the scalar dict shard, whose
-``absorb_block`` wrapper converts rows to tuples (exact, just slower).
+Every aggregator has an associative ``join`` over arrays
+(:class:`VectorCombiner`): MIN/MAX/SUM/COUNT/ANY/UNION/MCOUNT have a
+numpy one in ``_COMBINERS``; any other aggregator — a custom lattice,
+or a :class:`~repro.core.aggregators.TupleAggregator` — gets its own
+``partial_agg`` applied row by row (exact, just slower).
 
 The sender-side fold (:func:`combine_block`) is the module's other
 fold and deliberately not a scan: a sender needs only each group's
@@ -43,7 +50,7 @@ those joins are idempotent, associative and commutative.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -57,7 +64,6 @@ from repro.core.aggregators import (
     SumAggregator,
     UnionAggregator,
 )
-from repro.core.local_agg import AbsorbStats
 from repro.kernels.block import (
     GrowBuf,
     GrowVec,
@@ -71,7 +77,22 @@ from repro.kernels.block import (
 )
 from repro.relational.schema import Schema
 
-TupleT = Tuple[int, ...]
+
+class AbsorbStats:
+    """Counts from one absorb batch (drives compute-cost charging)."""
+
+    __slots__ = ("received", "admitted", "suppressed")
+
+    def __init__(self) -> None:
+        self.received = 0
+        self.admitted = 0
+        self.suppressed = 0
+
+    def __repr__(self) -> str:
+        return (
+            f"AbsorbStats(received={self.received}, admitted={self.admitted}, "
+            f"suppressed={self.suppressed})"
+        )
 
 
 class VectorCombiner:
@@ -80,10 +101,8 @@ class VectorCombiner:
     ``join(cur, new)`` combines two ``(g, n_dep)`` blocks elementwise,
     earlier arrivals on the left.  It must be associative — the one
     property the receiver's segmented scan and the sender's halving fold
-    add to the scalar path's one-at-a-time absorption — and it is only
-    ever applied from a group's second value on, so a group's first
-    arrival is stored raw exactly as the scalar ``cur is None`` branch
-    stores it.
+    add to one-at-a-time absorption — and it is only ever applied from a
+    group's second value on, so a group's first arrival is stored raw.
 
     ``combinable`` marks lattices where *sender-side* pre-folding of a
     send box commutes with receiver absorption: replacing a group's
@@ -108,7 +127,7 @@ class VectorCombiner:
 
 
 def _any_join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Scalar ANY normalizes to {0, 1}; a stored raw value (first arrival)
+    # ANY normalizes to {0, 1}; a stored raw value (first arrival)
     # that re-joins must therefore still compare unequal — keep int64.
     return ((a != 0) | (b != 0)).astype(np.int64)
 
@@ -129,14 +148,32 @@ _COMBINERS: Dict[Type[RecursiveAggregator], Callable[[RecursiveAggregator], Vect
 }
 
 
-def vector_combiner(agg: RecursiveAggregator) -> Optional[VectorCombiner]:
-    """The vector kernel for an aggregator, or None (scalar fallback).
+def _row_join(agg: RecursiveAggregator):
+    """``agg.partial_agg`` over two ``(g, n_dep)`` blocks, row by row."""
+    partial_agg = agg.partial_agg
+
+    def join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        joined = [
+            partial_agg(tuple(x), tuple(y)) for x, y in zip(a.tolist(), b.tolist())
+        ]
+        return np.asarray(joined, dtype=np.int64).reshape(a.shape)
+
+    return join
+
+
+def vector_combiner(agg: RecursiveAggregator) -> VectorCombiner:
+    """The array ``join`` of an aggregator.
 
     Keyed by *exact* type: a subclass overriding ``partial_agg`` must not
-    inherit its parent's kernel.
+    inherit its parent's kernel.  An aggregator with no numpy kernel
+    joins with its own ``partial_agg``, one row at a time; such a join
+    is not ``combinable`` (nothing vouches for it), so its heads ship
+    unfolded.
     """
     factory = _COMBINERS.get(type(agg))
-    return factory(agg) if factory is not None else None
+    if factory is None:
+        return VectorCombiner(_row_join(agg))
+    return factory(agg)
 
 
 def sender_fold_plan(
@@ -147,26 +184,24 @@ def sender_fold_plan(
     arguments of :func:`combine_block`, or ``None`` to ship verbatim.
 
     Plain relations fold by deduplication (no combiner needed);
-    aggregates fold only when their vector combiner exists and is marked
-    ``combinable`` (sender folding provably commutes with receiver
-    absorption).  Everything else ships verbatim — the codec still
-    applies.
+    aggregates fold only when their combiner is marked ``combinable``
+    (sender folding provably commutes with receiver absorption).
+    Everything else ships verbatim — the codec still applies.
     """
     if not schema.is_aggregate:
         return schema.arity, None
     comb = vector_combiner(schema.aggregator)
-    if comb is not None and comb.combinable:
+    if comb.combinable:
         return schema.n_indep, comb
     return None
 
 
 def _nested_perm(jkv: np.ndarray) -> np.ndarray:
-    """Stable permutation of rows into the scalar shards' nested dict order.
+    """Stable permutation of rows into nested ``jk → other`` order.
 
-    ``jkv`` holds each row's join-key columns.  A nested ``jk → other``
-    dict iterates jk groups by first occurrence and rows within a group
-    in arrival order, so a stable sort by each row's jk-first position
-    reproduces that iteration exactly.
+    ``jkv`` holds each row's join-key columns.  Nested order lists jk
+    groups by first occurrence and rows within a group in arrival order,
+    so a stable sort by each row's jk-first position is that order.
     """
     order, starts, counts = lex_group(jkv)
     key = np.empty(jkv.shape[0], dtype=np.int64)
@@ -175,7 +210,7 @@ def _nested_perm(jkv: np.ndarray) -> np.ndarray:
 
 
 class _ColumnarShardBase:
-    """Shared state and machinery of the columnar shard flavours.
+    """Shared state and machinery of the two shard flavours.
 
     Storage is a single append-only ``(n, arity)`` row store — one row
     per aggregation group, appended at admission, dependent columns
@@ -226,7 +261,7 @@ class _ColumnarShardBase:
         return int(self._delta_block.shape[0])
 
     def advance(self) -> int:
-        """Promote pending rows to Δ in the scalar path's nested order.
+        """Promote pending rows to Δ in nested order.
 
         ``_pending_ids`` is already in first-improvement order, which is
         the arrival order :func:`_nested_perm` nests by.
@@ -244,9 +279,9 @@ class _ColumnarShardBase:
         """Install a redistributed fragment wholesale (rebalance exchange).
 
         Only legal on a freshly created shard at an iteration boundary
-        (no pending rows).  Appending ``full_rows`` in delivery order makes
-        :meth:`_nested_order` reproduce the scalar shard's nested iteration
-        exactly; Δ goes through :meth:`install_delta`.
+        (no pending rows).  The rows arrive in the source shards' nested
+        order, and appending them in delivery order keeps that order in
+        :meth:`_nested_order`; Δ goes through :meth:`install_delta`.
         """
         if full_rows.shape[0]:
             self._append_rows(np.ascontiguousarray(full_rows))
@@ -256,11 +291,9 @@ class _ColumnarShardBase:
     def install_delta(self, delta_rows: np.ndarray) -> int:
         """Replace Δ wholesale with the given rows (incremental seeding).
 
-        Columnar twin of the dict shard's ``install_delta``: the block is
-        normalized into the nested (jk-first-occurrence, row) order a dict
-        shard gets for free from insertion order, so both layouts iterate
-        the installed Δ identically.  The full store and pending rows are
-        untouched.
+        The block is normalized into nested (jk-first-occurrence, row)
+        order, the order Δ is always read in.  The full store and pending
+        rows are untouched.
         """
         rows = as_rows(delta_rows, self.schema.arity)
         if rows.shape[0]:
@@ -278,7 +311,7 @@ class _ColumnarShardBase:
         return self._nested_cache
 
     def version_block(self, version: str) -> np.ndarray:
-        """One version's rows in the scalar path's iteration order."""
+        """One version's rows in nested order."""
         if version == "delta":
             return self._delta_block
         if version != "full":
@@ -288,35 +321,20 @@ class _ColumnarShardBase:
             self._full_block_gen = self.full_gen
         return self._full_block
 
-    # ------------------------------------------------------------- iterators
-
-    def iter_full(self) -> Iterator[TupleT]:
-        for row in self.version_block("full").tolist():
-            yield tuple(row)
-
-    def iter_delta(self) -> Iterator[TupleT]:
-        for row in self._delta_block.tolist():
-            yield tuple(row)
-
     # ------------------------------------------------------------- absorption
 
-    def absorb(
-        self,
-        tuples: Iterable[TupleT],
-        stats: Optional[AbsorbStats] = None,
-        collect: Optional[List[TupleT]] = None,
-    ) -> int:
-        """Tuple-API compatibility wrapper over :meth:`absorb_block`."""
-        if collect is not None:
-            raise NotImplementedError(
-                "columnar shards do not support collect= (use scalar shards)"
-            )
-        rows = np.asarray(list(tuples), dtype=np.int64).reshape(-1, self.schema.arity)
-        return self.absorb_block(rows, stats)
-
     def absorb_block(
-        self, rows: np.ndarray, stats: Optional[AbsorbStats] = None
+        self,
+        rows: np.ndarray,
+        stats: Optional[AbsorbStats] = None,
+        collect: Optional[List[np.ndarray]] = None,
     ) -> int:
+        """Absorb a row block; return how many arrivals were admitted.
+
+        ``collect``, if given, receives one block: each admitted
+        arrival's row as stored after it, in arrival order (the baseline
+        engines that re-shuffle improvements read it).
+        """
         raise NotImplementedError
 
     # --------------------------------------------------------------- lookups
@@ -346,13 +364,11 @@ class _ColumnarShardBase:
 
 
 class ColumnarPlainShard(_ColumnarShardBase):
-    """Set-semantics shard over a columnar row store."""
+    """Set-semantics shard: fused dedup is plain membership-insert."""
 
     __slots__ = ()
 
-    def absorb_block(
-        self, rows: np.ndarray, stats: Optional[AbsorbStats] = None
-    ) -> int:
+    def absorb_block(self, rows, stats=None, collect=None) -> int:
         rows = as_rows(rows, self.schema.arity)
         n = rows.shape[0]
         admitted = 0
@@ -361,11 +377,13 @@ class ColumnarPlainShard(_ColumnarShardBase):
             rep = order[starts]  # first arrival per distinct tuple (stable)
             fresh = self._lookup(rows[rep]) < 0
             if fresh.any():
-                # Admission order = first-arrival order, exactly the scalar
-                # insert order — and (trivially) the Δ insert order too.
+                # Admission order = first-arrival order, which is the Δ
+                # insert order too.
                 new_rep = np.sort(rep[fresh])
                 admitted = int(new_rep.shape[0])
                 base = self._append_rows(rows[new_rep])
+                if collect is not None:
+                    collect.append(rows[new_rep])
                 self._push_pending(np.arange(base, base + admitted, dtype=np.int64))
                 self.full_gen += 1
         if stats is not None:
@@ -376,29 +394,25 @@ class ColumnarPlainShard(_ColumnarShardBase):
 
 
 class ColumnarAggregateShard(_ColumnarShardBase):
-    """Lattice-semantics shard: batch absorb with exact scalar replay."""
+    """Lattice-semantics shard: fused dedup *is* the local aggregation.
+
+    The store keeps one row per aggregation group — the "collapse" that
+    gives recursive aggregation its asymptotic edge over stratified
+    aggregation (§II-C); a non-improving arrival is dropped on the spot.
+    """
 
     __slots__ = ("aggregator", "_combiner")
 
-    def __init__(self, schema: Schema, combiner: Optional[VectorCombiner] = None):
+    def __init__(self, schema: Schema):
         if schema.aggregator is None:
             raise ValueError(
                 f"{schema.name}: ColumnarAggregateShard requires an aggregator"
             )
         super().__init__(schema)
         self.aggregator: RecursiveAggregator = schema.aggregator
-        if combiner is None:
-            combiner = vector_combiner(schema.aggregator)
-        if combiner is None:
-            raise ValueError(
-                f"{schema.name}: no vector kernel for aggregator "
-                f"{schema.aggregator.name!r} (use the scalar shard)"
-            )
-        self._combiner = combiner
+        self._combiner = vector_combiner(schema.aggregator)
 
-    def absorb_block(
-        self, rows: np.ndarray, stats: Optional[AbsorbStats] = None
-    ) -> int:
+    def absorb_block(self, rows, stats=None, collect=None) -> int:
         rows = as_rows(rows, self.schema.arity)
         n = rows.shape[0]
         if n == 0:
@@ -414,8 +428,7 @@ class ColumnarAggregateShard(_ColumnarShardBase):
         # acc[i]: the group's accumulator after the arrival at sorted
         # position i; prev[i]: the accumulator that arrival met.  A stored
         # group's first arrival joins the stored value; a new group's first
-        # arrival is the accumulator (scalar's cur-is-None branch) and is
-        # always admitted.
+        # arrival is stored raw as the accumulator and is always admitted.
         old_heads = starts[exists]
         stored = self._data.view()[row_id[exists], n_indep:]
         acc = rows[:, n_indep:][order]
@@ -435,8 +448,8 @@ class ColumnarAggregateShard(_ColumnarShardBase):
         cur = acc[starts + counts - 1]
 
         # State updates.  New groups append in first-arrival order (the
-        # scalar full-dict insert order); improved existing groups update
-        # their dependent columns in place.
+        # nested full insert order); improved existing groups update their
+        # dependent columns in place.
         ng = np.nonzero(~exists)[0]
         if ng.shape[0]:
             ng = ng[np.argsort(rep[ng], kind="stable")]
@@ -456,6 +469,15 @@ class ColumnarAggregateShard(_ColumnarShardBase):
             self._push_pending(row_id[sel])
         if admitted:
             self.full_gen += 1
+        if collect is not None:
+            # Admitted arrivals in arrival order, each with its group's
+            # accumulator right after it.
+            pos = np.nonzero(imp)[0]
+            pos = pos[np.argsort(order[pos], kind="stable")]
+            block = np.empty((pos.shape[0], self.schema.arity), dtype=np.int64)
+            block[:, :n_indep] = indep[order[pos]]
+            block[:, n_indep:] = acc[pos]
+            collect.append(block)
         if stats is not None:
             stats.received += n
             stats.admitted += admitted
@@ -463,14 +485,11 @@ class ColumnarAggregateShard(_ColumnarShardBase):
         return admitted
 
 
-def columnar_shard_for(schema: Schema):
-    """A columnar shard for ``schema``, or None if it cannot vectorize."""
-    if not schema.is_aggregate:
-        return ColumnarPlainShard(schema)
-    combiner = vector_combiner(schema.aggregator)
-    if combiner is None:
-        return None
-    return ColumnarAggregateShard(schema, combiner)
+def make_shard(schema: Schema) -> _ColumnarShardBase:
+    """The shard flavour ``schema`` needs: aggregate or plain."""
+    if schema.is_aggregate:
+        return ColumnarAggregateShard(schema)
+    return ColumnarPlainShard(schema)
 
 
 #: Density bound of the direct-addressed fold: it runs when the packed

@@ -7,8 +7,8 @@ Python tuples.  The primitives every kernel builds on:
 
 ``group_columns`` / ``lex_group``
     Exact, stable row grouping by column *values* (never by hash), so
-    two distinct keys can never merge — the property the bit-for-bit
-    equivalence with the scalar path rests on.  Key columns are packed
+    two distinct keys can never merge — the property the shards'
+    sequential absorb semantics rest on.  Key columns are packed
     into one int64 with exactly the bits each needs, the row index goes
     in the low bits and the words are sorted as values (``np.lexsort``
     only on negatives or > 63 bits).

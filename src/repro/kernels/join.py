@@ -1,23 +1,21 @@
 """Batch join kernel: per-rank join key → row-range index.
 
-The scalar join probes each received tuple against per-bucket shard
-dicts.  The columnar kernel builds, per (relation, version, rank), one
-contiguous index over *all* shards the rank owns:
+The kernel builds, per (relation, version, rank), one contiguous index
+over *all* shards the rank owns:
 
 * rows are concatenated shard-by-shard (sorted shard-key order, each
-  shard in its nested iteration order — exactly the sequence the scalar
-  probe would walk), then stably grouped by join-key values;
+  shard in its nested order), then stably grouped by join-key values;
 * each distinct join key becomes one ``[start, start+count)`` row range,
   addressed through an exact :class:`~repro.kernels.block.KeyIndex`
   over the join-key values;
 * probing looks every received row up at once and returns per-probe
-  ranges whose concatenation reproduces the scalar emission order
-  tuple-for-tuple.
+  ranges whose concatenation is the emission order: probes in arrival
+  order, each probe's matches in (shard, nested) order.
 
 A row's bucket is a hash of its join-key values, so the key alone
-already names the bucket the scalar path probes: every inner row with
-the probe's key lives in the probe's bucket, and the index neither
-stores buckets nor needs them from the probe side.
+already names the probe's bucket: every inner row with the probe's key
+lives in the probe's bucket, and the index neither stores buckets nor
+needs them from the probe side.
 
 The engine caches indexes keyed by the relation's version generation,
 so static relations (EDB inners) build once per run.
@@ -56,8 +54,8 @@ class RankJoinIndex:
     def build(cls, rel, version: str, rank: int, match_block=None) -> "RankJoinIndex":
         """Index every shard of ``rel`` owned by ``rank`` for one version.
 
-        ``match_block``, if given, pre-filters inner rows (the scalar path
-        applies the same predicate per probe hit — same surviving rows).
+        ``match_block``, if given, pre-filters inner rows (the atom's
+        constant and repeated-variable checks).
         """
         jk_cols = list(rel.schema.join_cols)
         blocks = []
@@ -73,7 +71,7 @@ class RankJoinIndex:
             blocks.append(np.empty((0, rel.schema.arity), dtype=np.int64))
         rows = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
         # Stable grouping by jk values: within one key the rows keep
-        # (shard order, nested order) — the scalar probe walk.
+        # (shard order, nested order).
         keymat = rows[:, jk_cols]
         order, starts, counts = lex_group(keymat)
         return cls(rows[order], KeyIndex(keymat[order[starts]]), starts, counts)

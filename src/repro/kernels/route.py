@@ -4,9 +4,8 @@
     Intra-bucket replication (pipeline phase 2): every outer tuple goes
     to each sub-bucket owner of its inner-side bucket.  Payload boxes
     are plain row blocks — a row's bucket is a hash of its join-key
-    values, which the receiver probes by anyway — so the all-to-all's
-    ledger accounting (per src→dst tuple counts, message counts, bytes)
-    is identical to the scalar path's per-tuple items.
+    values, which the receiver probes by anyway — and the all-to-all
+    charges them per tuple.
 
 ``build_route_sends``
     Home routing of emitted head tuples (phase 4): where the wire
@@ -15,8 +14,8 @@
     row's (bucket, sub, owner) and rows are stably grouped per
     destination shard into ``(bucket, sub, row_block)`` boxes.
 
-Both preserve the scalar path's per-(src, dst) row sequences exactly —
-the ordering the receiving shards' absorb semantics depend on.
+Both keep each (src, dst) pair's rows in arrival order — the ordering
+the receiving shards' absorb semantics depend on.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ def build_intra_sends(
 
     ``owner_blocks`` are (owner rank, matched rows) pairs in shard order;
     ``per_rank_ser`` accumulates each owner's serialization fanout
-    (deduplicated destinations per tuple, as the scalar path counts).
+    (deduplicated destinations per tuple).
     """
     sends: Dict[int, Dict[int, List[np.ndarray]]] = {}
     n_intra = 0
@@ -106,7 +105,7 @@ def build_intra_sends(
             # then leaves each destination's rows in arrival order.
             src_row = np.nonzero(keep.T)[0]
             dst = dst_mat.T[keep.T]
-        # Per destination, rows in arrival order (scalar append order).
+        # Per destination, rows in arrival order.
         order, starts, counts = group_columns([dst])
         dst_heads = dst[order[starts]]
         if src_row is not None:
@@ -227,13 +226,7 @@ def encode_wire_sends(
     sends: Dict[int, Dict[int, List[PreBox]]], *, codec: str
 ) -> Dict[int, Dict[int, List[WireBox]]]:
     """Turn ``for_wire`` route boxes into wire boxes: codec encoding, one
-    :func:`encode_boxes` batch per source rank.
-
-    Shared by both executors — the scalar path converts its tuple
-    batches to row blocks and reuses :func:`build_route_sends` and this,
-    which is what keeps the two ledgers bit-identical with the wire
-    layer on.
-    """
+    :func:`encode_boxes` batch per source rank."""
     out: Dict[int, Dict[int, List[WireBox]]] = {}
     for src, per_dst in sends.items():
         flat = [(dst, box) for dst, boxes in per_dst.items() for box in boxes]

@@ -87,9 +87,13 @@ _BINOPS: Dict[str, Callable[[int, int], int]] = {
     "max": max,
 }
 
-#: Operators rendered as infix Python source by the emit compiler; every
-#: other registered name is rendered as a function call.
+#: Operators rendered as infix by the pretty-printer; every other name
+#: is rendered as a function call.
 _INFIX_OPS = ("+", "-", "*", "//")
+
+#: The built-in operators, which ``register_function`` may not replace:
+#: the engine evaluates them with their own numpy ufuncs.
+_BUILTIN_OPS = frozenset(_BINOPS)
 
 
 def register_function(name: str, fn: Callable[[int, int], int]) -> None:
@@ -98,9 +102,13 @@ def register_function(name: str, fn: Callable[[int, int], int]) -> None:
     The name must be a Python identifier; after registration,
     ``BinOp(name, a, b)`` may appear in rule heads (e.g. a ``gcd`` used
     inside a custom recursive aggregate — see examples/custom_aggregate.py).
+    A built-in operator's name (``+ - * // min max``) is refused;
+    registering a custom name again replaces its function.
     """
     if not name.isidentifier():
         raise ValueError(f"function name must be an identifier, got {name!r}")
+    if name in _BUILTIN_OPS:
+        raise ValueError(f"{name!r} is a built-in operator and cannot be replaced")
     _BINOPS[name] = fn
 
 

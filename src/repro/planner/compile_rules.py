@@ -3,12 +3,13 @@
 This is the "query optimizer front half" of the reproduction.  For every
 rule it precomputes everything the runtime's hot loops need:
 
-* per-atom **match predicates** (constants and repeated variables),
-* the **shared variables** of a join and both **probe-key extractors**
+* per-atom **match predicates** (constants and repeated variables) over
+  row blocks,
+* the **shared variables** of a join and both **probe-key columns**
   (outer may be either side under dynamic join planning, so both
   directions are compiled),
-* a **head emitter** closure evaluating head terms (including aggregate
-  expressions like ``MIN(l + n)``) from the matched body tuples.
+* a **head emitter** evaluating head terms (including aggregate
+  expressions like ``MIN(l + n)``) over the matched body row blocks.
 
 It also infers each IDB relation's :class:`~repro.relational.schema.Schema`
 (arity, dependent columns, aggregator, canonical join columns) and enforces
@@ -36,13 +37,10 @@ from repro.planner.ast import (
     Rule,
     Var,
     _BINOPS,
-    _INFIX_OPS,
 )
 from repro.planner.stratify import Stratum, stratify
 from repro.relational.schema import Schema
-from repro.util.getters import tuple_getter
 
-TupleT = Tuple[int, ...]
 WILDCARD = "_"
 
 
@@ -82,26 +80,9 @@ def _match_checks(atom: Atom) -> Tuple[List[Tuple[int, int]], List[Tuple[int, in
     return const_checks, eq_checks
 
 
-def _compile_match(atom: Atom) -> Optional[Callable[[TupleT], bool]]:
-    """Constant filters + repeated-variable equality for one body atom."""
-    const_checks, eq_checks = _match_checks(atom)
-    if not const_checks and not eq_checks:
-        return None
-
-    def match(t: TupleT) -> bool:
-        for i, v in const_checks:
-            if t[i] != v:
-                return False
-        for i, j in eq_checks:
-            if t[i] != t[j]:
-                return False
-        return True
-
-    return match
-
-
 class BlockMatch:
-    """The vectorized twin of a scalar match predicate: rows → bool mask."""
+    """One body atom's constant filters and repeated-variable equalities,
+    as a predicate over a row block: rows → bool mask."""
 
     __slots__ = ("const_checks", "eq_checks")
 
@@ -132,50 +113,10 @@ def _compile_match_block(atom: Atom) -> Optional[BlockMatch]:
 Binding = Dict[str, Tuple[int, int]]  # var name -> (side, column); side 0=left
 
 
-def _expr_source(expr: Expr, binding: Binding) -> str:
-    """Render an expression as Python source over ``lt``/``rt``.
-
-    Head emitters fire once per join match — the hottest call site of the
-    whole engine — so instead of a tree of nested closures we generate one
-    flat lambda (the Python analogue of Soufflé's emitted C++ kernels).
-    Only integer literals, tuple indexing, and whitelisted operators appear
-    in the generated source.
-    """
-    if isinstance(expr, Const):
-        return repr(int(expr.value))
-    if isinstance(expr, Var):
-        if _is_wild(expr):
-            raise ValueError("wildcard '_' cannot appear in a rule head")
-        try:
-            side, col = binding[expr.name]
-        except KeyError:
-            raise ValueError(f"head variable {expr.name!r} unbound in body") from None
-        return f"lt[{col}]" if side == 0 else f"rt[{col}]"
-    if isinstance(expr, BinOp):
-        left = _expr_source(expr.left, binding)
-        right = _expr_source(expr.right, binding)
-        if expr.op in _INFIX_OPS:
-            return f"({left} {expr.op} {right})"
-        # Named functions (min/max built in; others via register_function).
-        return f"{expr.op}({left}, {right})"
-    raise TypeError(f"cannot compile expression {expr!r}")
-
-
-def _compile_emit(head: Atom, binding: Binding) -> Callable[[TupleT, TupleT], TupleT]:
-    parts = []
-    for t in head.terms:
-        expr = t.expr if isinstance(t, AggTerm) else t
-        parts.append(_expr_source(expr, binding))
-    source = f"lambda lt, rt: ({', '.join(parts)},)"
-    env = {name: fn for name, fn in _BINOPS.items() if name.isidentifier()}
-    env["__builtins__"] = {}
-    return eval(source, env)  # noqa: S307 — source built from whitelisted parts
-
-
-# Binary operators with a known vectorized equivalent.  ``//`` is handled
-# separately (numpy yields 0 on zero divisors where Python raises); custom
-# operators added via ``register_function`` have no array form, so rules
-# using them force the engine onto the scalar executor.
+# Binary operators with a numpy ufunc.  ``//`` is handled separately
+# (numpy yields 0 on zero divisors where Python raises); every operator
+# added with ``register_function`` runs its own function over the two
+# columns through ``np.frompyfunc`` — one Python call per row, exact.
 _VECTOR_OPS: Dict[str, Callable[..., np.ndarray]] = {
     "+": np.add,
     "-": np.subtract,
@@ -194,18 +135,23 @@ def _block_floordiv(a, b):
     return a // b
 
 
-def _compile_term_block(
-    expr: Expr, binding: Binding
-) -> Tuple[Optional[Callable], bool]:
+def _custom_op(fn: Callable[[int, int], int]) -> Callable:
+    """A registered function's array form: ``fn`` over the two columns,
+    one Python call per row, cast back to int64 (the call returns an
+    object array, or a Python int when both sides are constant)."""
+    ufunc = np.frompyfunc(fn, 2, 1)
+    return lambda a, b: np.asarray(ufunc(a, b), dtype=np.int64)
+
+
+def _compile_term_block(expr: Expr, binding: Binding) -> Callable:
     """Compile one head expression to a block evaluator over (lt, rt).
 
     The evaluator returns either an int64 column or a Python int (a
-    constant subtree, broadcast at assignment).  Returns ``(None, False)``
-    when the expression uses an operator with no vector form.
+    constant subtree, broadcast at assignment).
     """
     if isinstance(expr, Const):
         v = int(expr.value)
-        return (lambda lt, rt: v), True
+        return lambda lt, rt: v
     if isinstance(expr, Var):
         if _is_wild(expr):
             raise ValueError("wildcard '_' cannot appear in a rule head")
@@ -214,49 +160,36 @@ def _compile_term_block(
         except KeyError:
             raise ValueError(f"head variable {expr.name!r} unbound in body") from None
         if side == 0:
-            return (lambda lt, rt: lt[:, col]), True
-        return (lambda lt, rt: rt[:, col]), True
+            return lambda lt, rt: lt[:, col]
+        return lambda lt, rt: rt[:, col]
     if isinstance(expr, BinOp):
-        lf, lok = _compile_term_block(expr.left, binding)
-        rf, rok = _compile_term_block(expr.right, binding)
-        if not (lok and rok):
-            return None, False
+        lf = _compile_term_block(expr.left, binding)
+        rf = _compile_term_block(expr.right, binding)
         if expr.op == "//":
-            return (lambda lt, rt: _block_floordiv(lf(lt, rt), rf(lt, rt))), True
-        op = _VECTOR_OPS.get(expr.op)
-        if op is None:
-            return None, False
-        return (lambda lt, rt: op(lf(lt, rt), rf(lt, rt))), True
+            return lambda lt, rt: _block_floordiv(lf(lt, rt), rf(lt, rt))
+        op = _VECTOR_OPS.get(expr.op) or _custom_op(_BINOPS[expr.op])
+        return lambda lt, rt: op(lf(lt, rt), rf(lt, rt))
     raise TypeError(f"cannot compile expression {expr!r}")
 
 
 class EmitSpec:
-    """Columnar head emitter: evaluate every head term over row-blocks.
+    """Head emitter: evaluate every head term over row-blocks.
 
     ``eval_block(lt, rt)`` computes the ``(n, arity)`` head block for
     ``n`` matched pairs; ``lt``/``rt`` are the gathered left/right body
-    blocks (``rt`` may be None for copy rules).  ``vectorizable`` is
-    False when any head term uses an operator without an array form —
-    the engine then falls back to the scalar executor wholesale.
+    blocks (``rt`` may be None for copy rules).
     """
 
-    __slots__ = ("_fns", "arity", "vectorizable")
+    __slots__ = ("_fns", "arity")
 
     def __init__(self, head: Atom, binding: Binding):
-        fns = []
-        ok = True
-        for t in head.terms:
-            expr = t.expr if isinstance(t, AggTerm) else t
-            fn, fn_ok = _compile_term_block(expr, binding)
-            ok = ok and fn_ok
-            fns.append(fn)
-        self._fns = tuple(fns)
-        self.arity = len(fns)
-        self.vectorizable = ok
+        self._fns = tuple(
+            _compile_term_block(t.expr if isinstance(t, AggTerm) else t, binding)
+            for t in head.terms
+        )
+        self.arity = len(self._fns)
 
     def eval_block(self, lt: Optional[np.ndarray], rt: Optional[np.ndarray]) -> np.ndarray:
-        if not self.vectorizable:
-            raise RuntimeError("EmitSpec is not vectorizable")
         n = lt.shape[0] if lt is not None else rt.shape[0]
         out = np.empty((n, self.arity), dtype=np.int64)
         for i, fn in enumerate(self._fns):
@@ -273,11 +206,6 @@ class CompiledRule:
     is_join: bool
     #: Per body atom: relation name.
     body_names: Tuple[str, ...]
-    #: Per body atom: optional selection predicate.
-    matches: Tuple[Optional[Callable[[TupleT], bool]], ...]
-    #: Head emitter.  For copy rules the right tuple argument is unused
-    #: (pass ``()``).
-    emit: Callable[[TupleT, TupleT], TupleT] = field(repr=False, default=None)  # type: ignore[assignment]
     #: Join-only fields -------------------------------------------------
     #: Key columns in each atom (ascending) — these become the relations'
     #: canonical join columns.
@@ -287,12 +215,7 @@ class CompiledRule:
     #: these positions (ordered to match right_key_cols), and vice versa.
     probe_from_left: Tuple[int, ...] = ()
     probe_from_right: Tuple[int, ...] = ()
-    #: Compiled extractors for the two probe directions (hot path).
-    probe_get_left: Callable[[TupleT], TupleT] = field(repr=False, default=None)  # type: ignore[assignment]
-    probe_get_right: Callable[[TupleT], TupleT] = field(repr=False, default=None)  # type: ignore[assignment]
-    #: Columnar twins (see repro.kernels): per-atom block predicates and
-    #: the batch head emitter.  ``emit_spec.vectorizable`` False forces
-    #: the engine onto the scalar executor for the whole program.
+    #: Per body atom: optional selection predicate; and the head emitter.
     matches_block: Tuple[Optional[BlockMatch], ...] = field(repr=False, default=())
     emit_spec: Optional[EmitSpec] = field(repr=False, default=None)
 
@@ -312,8 +235,6 @@ def _compile_rule(rule: Rule) -> CompiledRule:
             head_name=head.relation,
             is_join=False,
             body_names=(atom.relation,),
-            matches=(_compile_match(atom),),
-            emit=_compile_emit(head, binding),
             matches_block=(_compile_match_block(atom),),
             emit_spec=EmitSpec(head, binding),
         )
@@ -343,16 +264,12 @@ def _compile_rule(rule: Rule) -> CompiledRule:
         head_name=head.relation,
         is_join=True,
         body_names=(left.relation, right.relation),
-        matches=(_compile_match(left), _compile_match(right)),
-        emit=_compile_emit(head, binding),
         matches_block=(_compile_match_block(left), _compile_match_block(right)),
         emit_spec=EmitSpec(head, binding),
         left_key_cols=left_key_cols,
         right_key_cols=right_key_cols,
         probe_from_left=probe_from_left,
         probe_from_right=probe_from_right,
-        probe_get_left=tuple_getter(probe_from_left),
-        probe_get_right=tuple_getter(probe_from_right),
     )
 
 

@@ -13,11 +13,11 @@ shards only, keeping very-high-rank simulations tractable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.core.local_agg import AbsorbStats, make_shard, _ShardBase
+from repro.kernels.absorb import AbsorbStats, _ColumnarShardBase, make_shard
 from repro.kernels.block import group_columns
 from repro.relational.distribution import Distribution
 from repro.relational.schema import Schema
@@ -36,18 +36,11 @@ class VersionedRelation:
         n_ranks: int,
         *,
         seed: Optional[HashSeed] = None,
-        use_btree: bool = False,
-        layout: str = "scalar",
     ):
         self.schema = schema
         self.n_ranks = n_ranks
         self.dist = Distribution(schema, n_ranks, seed)
-        self.use_btree = use_btree
-        self.layout = layout
-        self.shards: Dict[ShardKey, _ShardBase] = {}
-        # (bucket, rank) → probe shard list, invalidated when shards appear.
-        self._probe_cache: Dict[Tuple[int, int], List[_ShardBase]] = {}
-        self._probe_cache_token = 0
+        self.shards: Dict[ShardKey, _ColumnarShardBase] = {}
         #: Version generations for join-index caching: ``full_gen`` bumps
         #: whenever any shard's full version changes, ``delta_gen`` whenever
         #: Δ is replaced.  An index built at generation g stays valid while
@@ -57,38 +50,15 @@ class VersionedRelation:
 
     # ---------------------------------------------------------------- shards
 
-    def shard(self, bucket: int, sub: int, *, create: bool = True) -> Optional[_ShardBase]:
+    def shard(
+        self, bucket: int, sub: int, *, create: bool = True
+    ) -> Optional[_ColumnarShardBase]:
         key = (bucket, sub)
         s = self.shards.get(key)
         if s is None and create:
-            s = make_shard(
-                self.schema, self.use_btree, columnar=self.layout == "columnar"
-            )
+            s = make_shard(self.schema)
             self.shards[key] = s
         return s
-
-    def shards_at_rank_for_bucket(self, bucket: int, rank: int) -> List[_ShardBase]:
-        """Existing shards of ``bucket`` owned by ``rank`` (join probe set).
-
-        Memoized: the mapping only changes when a new shard materializes,
-        so the cache is invalidated by shard count — this keeps the local
-        join's per-bucket setup O(1) at 16k-rank scale.
-        """
-        token = len(self.shards)
-        if token != self._probe_cache_token:
-            self._probe_cache.clear()
-            self._probe_cache_token = token
-        key = (bucket, rank)
-        hit = self._probe_cache.get(key)
-        if hit is None:
-            hit = []
-            for s in range(self.schema.n_subbuckets):
-                if self.dist.owner(bucket, s) == rank:
-                    shard = self.shards.get((bucket, s))
-                    if shard is not None:
-                        hit.append(shard)
-            self._probe_cache[key] = hit
-        return hit
 
     def owner_of(self, key: ShardKey) -> int:
         return self.dist.owner(*key)
@@ -122,17 +92,8 @@ class VersionedRelation:
                 f"{self.schema.arity}, got array shape {arr.shape}"
             )
         admitted = 0
-        if self.layout == "columnar":
-            for b, s, block in self._blocks_by_shard(arr):
-                admitted += self.shard(b, s).absorb_block(block, stats)
-        else:
-            b_arr, s_arr = self.dist.bucket_sub_of_rows(arr)
-            buckets, subs = b_arr.tolist(), s_arr.tolist()
-            by_shard: Dict[ShardKey, List[TupleT]] = {}
-            for i, t in enumerate(arr.tolist()):
-                by_shard.setdefault((buckets[i], subs[i]), []).append(tuple(t))
-            for key, batch in by_shard.items():
-                admitted += self.shard(*key).absorb(batch, stats)
+        for b, s, block in self._blocks_by_shard(arr):
+            admitted += self.shard(b, s).absorb_block(block, stats)
         if admitted:
             self.full_gen += 1
         return admitted
@@ -158,7 +119,7 @@ class VersionedRelation:
         rows: np.ndarray,
         stats: Optional[AbsorbStats] = None,
     ) -> int:
-        """Absorb a routed row-block into one shard (columnar dedup phase)."""
+        """Absorb a routed row-block into one shard (dedup phase)."""
         admitted = self.shard(bucket, sub).absorb_block(rows, stats)
         if admitted:
             self.full_gen += 1
@@ -225,35 +186,17 @@ class VersionedRelation:
 
     def iter_full(self) -> Iterator[TupleT]:
         """All materialized tuples (deterministic shard order)."""
-        for key in sorted(self.shards):
-            yield from self.shards[key].iter_full()
+        for _owner, block in self.version_blocks("full"):
+            yield from map(tuple, block.tolist())
 
     def iter_delta(self) -> Iterator[TupleT]:
-        for key in sorted(self.shards):
-            yield from self.shards[key].iter_delta()
-
-    def version_batches(self, version: str) -> Iterator[Tuple[int, List[TupleT]]]:
-        """Per-shard tuple batches of one version, tagged with owner rank.
-
-        The engine's vectorized send path consumes whole batches (owner is
-        constant within a shard), avoiding a per-tuple owner lookup.
-        """
-        if version not in ("full", "delta"):
-            raise ValueError(f"unknown version {version!r}")
-        for key in sorted(self.shards):
-            shard = self.shards[key]
-            batch = list(
-                shard.iter_delta() if version == "delta" else shard.iter_full()
-            )
-            if batch:
-                yield self.owner_of(key), batch
+        for _owner, block in self.version_blocks("delta"):
+            yield from map(tuple, block.tolist())
 
     def version_blocks(self, version: str) -> Iterator[Tuple[int, np.ndarray]]:
-        """Per-shard row-blocks of one version, tagged with owner rank.
-
-        The columnar twin of :meth:`version_batches`: same shard order,
-        same within-shard row order, as ``(n, arity)`` int64 arrays.
-        """
+        """Per-shard row-blocks of one version, tagged with owner rank:
+        shards in (bucket, sub) order, each in nested order, as
+        ``(n, arity)`` int64 arrays."""
         if version not in ("full", "delta"):
             raise ValueError(f"unknown version {version!r}")
         for key in sorted(self.shards):
@@ -269,27 +212,21 @@ class VersionedRelation:
         Used by the online rebalancer and by checkpoint restore: the
         placement is a pure function of (schema, n_ranks, seed, dead set),
         so swapping the schema re-derives it exactly — the degraded-mode
-        overlay, when installed, survives the swap.  Probe caches are
-        invalidated — sub-bucket fan-out just changed under them.
+        overlay, when installed, survives the swap.
         """
         self.schema = new_schema
         self.dist = Distribution(
             new_schema, self.n_ranks, self.dist.seed, self.dist.dead_ranks
         )
-        self._probe_cache.clear()
-        self._probe_cache_token = -1
 
     def exclude_ranks(self, dead: Iterable[int]) -> None:
         """Install the degraded-mode overlay: reroute dead ranks' shards.
 
         Shards physically stay where they are (the simulation holds all
         of them in one process); only the owner function changes, exactly
-        as survivors of a real cluster would recompute placement.  Probe
-        caches are invalidated — ownership just changed under them.
+        as survivors of a real cluster would recompute placement.
         """
         self.dist = self.dist.exclude_ranks(dead)
-        self._probe_cache.clear()
-        self._probe_cache_token = -1
 
     def install_reshard(
         self,
@@ -312,12 +249,10 @@ class VersionedRelation:
                 f"install_reshard: incompatible schema {new_schema.name!r} "
                 f"for relation {self.schema.name!r}"
             )
-        new_shards: Dict[ShardKey, _ShardBase] = {}
+        new_shards: Dict[ShardKey, _ColumnarShardBase] = {}
         for key in sorted(shard_states):
             full_rows, delta_rows = shard_states[key]
-            shard = make_shard(
-                new_schema, self.use_btree, columnar=self.layout == "columnar"
-            )
+            shard = make_shard(new_schema)
             shard.install_state(full_rows, delta_rows)
             new_shards[key] = shard
         self.set_schema(new_schema)
@@ -339,12 +274,9 @@ class VersionedRelation:
 class RelationStore:
     """Registry of all relations in one engine instance."""
 
-    def __init__(self, n_ranks: int, *, seed: Optional[HashSeed] = None,
-                 use_btree: bool = False, layout: str = "scalar"):
+    def __init__(self, n_ranks: int, *, seed: Optional[HashSeed] = None):
         self.n_ranks = n_ranks
         self.seed = seed or HashSeed()
-        self.use_btree = use_btree
-        self.layout = layout
         self.relations: Dict[str, VersionedRelation] = {}
 
     def declare(self, schema: Schema) -> VersionedRelation:
@@ -353,13 +285,7 @@ class RelationStore:
         # All relations share one HashSeed: the bucket of a join key must be
         # computed identically on both sides of every join, or matching
         # tuples would never colocate.
-        rel = VersionedRelation(
-            schema,
-            self.n_ranks,
-            seed=self.seed,
-            use_btree=self.use_btree,
-            layout=self.layout,
-        )
+        rel = VersionedRelation(schema, self.n_ranks, seed=self.seed)
         self.relations[schema.name] = rel
         return rel
 

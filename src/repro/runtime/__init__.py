@@ -8,8 +8,8 @@ cluster through the paper's iteration pipeline (Fig. 1):
 
 :mod:`repro.runtime.config` holds :class:`EngineConfig` (rank count,
 optimization toggles — the Fig. 2 baseline/optimized pair differ only in
-config), :mod:`repro.runtime.executor` the columnar and scalar data
-planes the engine's one pipeline runs over, and
+config), :mod:`repro.runtime.executor` the row-block data plane the
+engine's one pipeline runs over, and
 :mod:`repro.runtime.result` the :class:`FixpointResult` returned to
 callers.
 """

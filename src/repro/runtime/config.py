@@ -44,21 +44,6 @@ class EngineConfig:
         Per-relation spatial load-balancing factor (§IV-C); the paper's
         default for input relations is 8.  Unlisted relations use
         ``default_subbuckets``.
-    use_btree:
-        Store shard outer indices in B-trees (the C++ layout) instead of
-        hash maps.  Semantics identical; ordered scans become available.
-    executor:
-        ``"columnar"`` (default) runs the fixpoint hot path on numpy
-        row-block kernels (:mod:`repro.kernels`) — vectorized join, route
-        and fused dedup/aggregation.  Results, Δ contents and modeled
-        ledger charges are bit-for-bit identical to ``"scalar"``, which
-        keeps the original tuple-at-a-time loops.  When a program needs
-        features the kernels don't cover (``use_btree``, custom emit
-        operators) the engine runs scalar and reports it: the effective
-        executor and the reason are on ``Engine.executor`` /
-        ``Engine.executor_reason`` and the result.  Aggregators without a
-        vector combiner fall back to a scalar shard per relation, not
-        per engine.
     cost_model:
         Interconnect + compute cost model for modeled time.
     max_iterations:
@@ -81,8 +66,6 @@ class EngineConfig:
     static_outer: Literal["left", "right"] = "left"
     subbuckets: Dict[str, int] = field(default_factory=dict)
     default_subbuckets: int = 1
-    use_btree: bool = False
-    executor: Literal["columnar", "scalar"] = "columnar"
     #: When set, run() adaptively sub-buckets every loaded EDB relation
     #: until its projected max/mean imbalance is at or below this value
     #: (the paper §IV-C's "if ... still imbalanced" rule); None disables.
@@ -151,7 +134,7 @@ class EngineConfig:
     #: Record an order-independent per-relation Δ fingerprint in every
     #: IterationTrace (xor of row hashes) — the test plane's evidence
     #: that Δ *trajectories*, not just final results, are identical
-    #: across executors and rebalance on/off.  Off by default: it costs
+    #: with rebalance on and off.  Off by default: it costs
     #: one hash pass over Δ per iteration.
     delta_fingerprints: bool = False
 
@@ -161,10 +144,6 @@ class EngineConfig:
         if self.max_iterations < 1:
             raise ValueError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        if self.executor not in ("columnar", "scalar"):
-            raise ValueError(
-                f"executor must be 'columnar' or 'scalar', got {self.executor!r}"
             )
         if self.static_outer not in ("left", "right"):
             raise ValueError(

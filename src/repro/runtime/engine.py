@@ -35,10 +35,9 @@ from repro.comm.simcluster import SimCluster
 from repro.comm.wire import encoded_nbytes
 from repro.core.balancer import recommend_subbuckets
 from repro.core.join_planner import JoinSide, vote_outer_relation
-from repro.core.local_agg import AbsorbStats
 from repro.faults.invariants import accumulator_map, monotonicity_audit
 from repro.faults.plane import FaultPlane, RankFailure
-from repro.kernels.absorb import sender_fold_plan
+from repro.kernels.absorb import AbsorbStats, sender_fold_plan
 from repro.kernels.route import decode_wire_boxes, encode_wire_sends
 from repro.obs.tracer import NULL_TRACER
 from repro.planner.ast import Program
@@ -46,7 +45,7 @@ from repro.planner.compile_rules import CompiledProgram, CompiledRule, compile_p
 from repro.planner.stratify import Stratum
 from repro.relational.storage import RelationStore, VersionedRelation
 from repro.runtime.config import EngineConfig
-from repro.runtime.executor import EXECUTORS
+from repro.runtime.executor import ColumnarExecutor
 from repro.runtime.rebalance import RebalanceManager, reshard_relation
 from repro.runtime.recovery import RecoveryManager
 from repro.runtime.result import FixpointResult, IterationTrace
@@ -112,19 +111,10 @@ class Engine:
             and self.config.faults.audit_monotonicity
             and self.config.faults.has_message_faults
         )
-        #: Effective executor and why: the columnar kernels opt out when
-        #: the program needs features they don't cover (B-tree shards,
-        #: head operators with no array form) — reported on the result,
-        #: never silent.  Aggregators without a vector combiner fall back
-        #: per shard, not per engine.
-        self.executor, self.executor_reason = self._resolve_executor()
-        #: The tuple representation's data plane (chosen once, here).
-        self._exec = EXECUTORS[self.executor]()
+        #: The data plane: how tuples are held while they cross the pipeline.
+        self._exec = ColumnarExecutor()
         self.store = RelationStore(
-            self.config.n_ranks,
-            seed=HashSeed().derive(self.config.seed),
-            use_btree=self.config.use_btree,
-            layout=self.executor,
+            self.config.n_ranks, seed=HashSeed().derive(self.config.seed)
         )
         for schema in self.compiled.schemas.values():
             self.store.declare(schema)
@@ -149,18 +139,6 @@ class Engine:
         self.rebalancer: Optional[RebalanceManager] = (
             RebalanceManager(self.config) if self.config.rebalance else None
         )
-
-    def _resolve_executor(self) -> Tuple[str, str]:
-        """(executor name, reason): ``"requested"``, ``"use_btree"``, or
-        the first rule whose head has no array form."""
-        if self.config.executor == "scalar":
-            return "scalar", "requested"
-        if self.config.use_btree:
-            return "scalar", "use_btree"
-        for cr in self.compiled.compiled.values():
-            if cr.emit_spec is None or not cr.emit_spec.vectorizable:
-                return "scalar", f"rule {cr.rule!r} has no vectorizable emit"
-        return "columnar", "requested"
 
     # ------------------------------------------------------------------ load
 
@@ -234,13 +212,7 @@ class Engine:
     def run(self) -> FixpointResult:
         """Evaluate all strata to fixpoint and return the result."""
         with self.tracer.span(
-            "run",
-            cat="run",
-            attrs={
-                "n_ranks": self.config.n_ranks,
-                "executor": self.executor,
-                "executor_reason": self.executor_reason,
-            },
+            "run", cat="run", attrs={"n_ranks": self.config.n_ranks}
         ):
             if self.config.auto_balance is not None:
                 for decl in self.compiled.program.edb:
@@ -291,9 +263,6 @@ class Engine:
                 if self.rebalancer is not None
                 else None
             ),
-            executor=self.executor,
-            executor_requested=self.config.executor,
-            executor_reason=self.executor_reason,
         )
 
     def explain(self) -> str:
@@ -481,8 +450,8 @@ class Engine:
 
         XOR-reduces a whole-row hash over the Δ blocks, then mixes in the
         row count (xor alone cannot see duplicate pairs).  Invariant to
-        shard layout, delivery order and executor — the test plane's
-        witness that rebalancing never bends the Δ *trajectory*.
+        shard layout and delivery order — the test plane's witness that
+        rebalancing never bends the Δ *trajectory*.
         """
         out: Dict[str, int] = {}
         for name in sorted(stratum.relations):
@@ -556,8 +525,8 @@ class Engine:
         """Evaluate one rule with body atom ``delta_atom`` reading Δ.
 
         ``delta_atom=None`` is the naive seed pass (all atoms read full).
-        The pipeline is written once here; only the tuple representation
-        lives in :attr:`_exec` (:mod:`repro.runtime.executor`).
+        The pipeline is written once here; the tuple representation lives
+        in :attr:`_exec` (:mod:`repro.runtime.executor`).
         """
         cfg = self.config
         cluster = self.cluster
@@ -614,7 +583,7 @@ class Engine:
                 sends,
                 arity=outer_rel.schema.arity,
                 phase=P_INTRA,
-                count_of=ex.intra_count_of,
+                count_of=len,
             )
         stats.intra_tuples += n_intra
         self.counters["intra_bucket_tuples"] += n_intra
@@ -689,8 +658,8 @@ class Engine:
     def _route_and_absorb(self, head_name: str, emitted, stats: "_IterStats") -> None:
         """All-to-all emitted tuples to their home shards and absorb them.
 
-        ``emitted`` is in the executor's representation: tuple lists per
-        rank (scalar) or one row block per rank (columnar).
+        ``emitted`` holds one row block per rank, or a ``(rows,
+        pre_fold_counts)`` pair where the local join already folded.
         """
         head = self.store[head_name]
         cost = self.cluster.cost
@@ -734,7 +703,7 @@ class Engine:
 
 
 #: How ``SimCluster.alltoallv`` sizes a route box as built —
-#: ``(bucket, sub, batch)``, a tuple list or a row block …
+#: ``(bucket, sub, rows)`` …
 _RAW_BOX = {"count_of": lambda box: len(box[2])}
 #: … and in wire form, ``(bucket, sub, n_rows, pre_rows, payload)``:
 #: charged at encoded bytes, pre-combine rows kept observable.

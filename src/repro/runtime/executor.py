@@ -1,16 +1,12 @@
-"""The representation-specific data plane behind the engine's one pipeline.
+"""The data plane behind the engine's one pipeline.
 
 :class:`~repro.runtime.engine.Engine` writes Fig. 1's pipeline once: the
 vote, the outer/inner orientation, every ledger charge and counter, the
-exchanges and the monotonicity audit.  What differs between executors is
-only how tuples are *held* while they cross it — int64 row blocks
-(:class:`ColumnarExecutor`, the :mod:`repro.kernels` calls) or Python
-tuples (:class:`ScalarExecutor`, the tuple-at-a-time loops kept as the
-test oracle and the only path for B-tree shards and head operators with
-no array form).  Both build the same per-(src, dst) row sequences, so the
-shared skeleton charges both identically.
+exchanges and the monotonicity audit.  How tuples are *held* while they
+cross it — int64 row blocks, moved by the :mod:`repro.kernels` calls —
+is :class:`ColumnarExecutor`'s business.
 
-An executor owns five steps.  ``emitted`` maps a rank to the head tuples
+The executor owns five steps.  ``emitted`` maps a rank to the head tuples
 it produced, ``per_rank_*`` are int64 work tallies the engine turns into
 compute charges, and ``outer_pos`` (0 = left, 1 = right) is the body atom
 the vote chose to transmit:
@@ -19,8 +15,8 @@ the vote chose to transmit:
 * ``intra_sends`` — scan and match the outer side and replicate it to
   every sub-bucket owner of the matching inner bucket;
 * ``local_join`` — probe each rank's inner shards with what it received;
-  where the engine hands in the head's sender fold, the columnar plane
-  folds a large probe's pairs as it emits them instead of keeping them;
+  where the engine hands in the head's sender fold, a large probe's
+  pairs are folded as they are emitted instead of kept;
 * ``route_sends`` — group emitted tuples into ``(bucket, sub, batch)``
   boxes per home rank, after the wire layer's sender fold where the
   engine hands one in;
@@ -30,7 +26,7 @@ the vote chose to transmit:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -38,8 +34,6 @@ from repro.kernels.absorb import combine_block
 from repro.kernels.block import concat_ranges
 from repro.kernels.join import RankJoinIndex
 from repro.kernels.route import Emitted, build_intra_sends, build_route_sends
-
-TupleT = Tuple[int, ...]
 
 #: Join pairs one rank's probe materializes at once when the head has a
 #: sender fold.  A probe with more pairs emits and folds them in runs of
@@ -87,8 +81,6 @@ def _pair_chunks(starts, counts, budget):
 class ColumnarExecutor:
     """Row-block data plane: the :mod:`repro.kernels` batch kernels."""
 
-    name = "columnar"
-
     def __init__(self) -> None:
         #: (relation, version, rank, match token) → (generation, index).
         self._index_cache: Dict[Tuple, Tuple[int, RankJoinIndex]] = {}
@@ -96,10 +88,6 @@ class ColumnarExecutor:
     def invalidate(self) -> None:
         """Drop cached join indexes (placement changed under them)."""
         self._index_cache.clear()
-
-    @staticmethod
-    def intra_count_of(box) -> int:
-        return box.shape[0]
 
     def scan_emit(self, cr, rel, version, per_rank_scan):
         match_block = cr.matches_block[0]
@@ -192,191 +180,11 @@ class ColumnarExecutor:
         return build_route_sends(emitted, dist, for_wire, fold)
 
     def absorb(self, head, boxes, absorb_stats) -> None:
-        # Concatenate each shard's boxes in delivery order, so per-shard
-        # tuple sequences — and therefore admitted counts — match the
-        # scalar data plane exactly.
+        # Concatenate each shard's boxes in delivery order: a shard
+        # absorbs its tuples in the order they were sent.
         by_shard: Dict[Tuple[int, int], List[np.ndarray]] = {}
         for b, s, rows in boxes:
             by_shard.setdefault((b, s), []).append(rows)
         for (b, s), blocks in by_shard.items():
             block = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
             head.absorb_block(b, s, block, absorb_stats)
-
-
-class ScalarExecutor:
-    """Tuple-at-a-time data plane: the reference the kernels are tested
-    against, and what B-tree shards and non-vectorizable emits run."""
-
-    name = "scalar"
-    #: Intra-bucket payload items are single ``(bucket, tuple)`` pairs.
-    intra_count_of = None
-
-    def invalidate(self) -> None:
-        """Nothing cached: shards' own indexes are probed directly."""
-
-    def scan_emit(self, cr, rel, version, per_rank_scan):
-        match = cr.matches[0]
-        emit = cr.emit
-        empty: TupleT = ()
-        emitted: Dict[int, List[TupleT]] = defaultdict(list)
-        for owner, batch in rel.version_batches(version):
-            per_rank_scan[owner] += len(batch)
-            out = emitted[owner]
-            if match is None:
-                out.extend(emit(t, empty) for t in batch)
-            else:
-                out.extend(emit(t, empty) for t in batch if match(t))
-        return emitted
-
-    def intra_sends(
-        self, cr, outer_pos, outer_rel, outer_ver, inner_rel, probe_cols,
-        per_rank_ser,
-    ):
-        # One hash pass computes every outer tuple's inner bucket; each
-        # tuple is replicated to every sub-bucket rank of that bucket.
-        # Payload entries are (bucket, tuple) so receivers don't re-hash
-        # (the real system knows the bucket from message layout).
-        outer_match = cr.matches[outer_pos]
-        inner_dist = inner_rel.dist
-        n_sub_inner = inner_rel.schema.n_subbuckets
-        sends: Dict[int, Dict[int, List[Tuple[int, TupleT]]]] = {}
-        n_intra = 0
-        outer_tuples: List[TupleT] = []
-        owner_spans: List[Tuple[int, int, int]] = []  # (owner, start, end)
-        for owner, batch in outer_rel.version_batches(outer_ver):
-            if outer_match is not None:
-                batch = [t for t in batch if outer_match(t)]
-            if not batch:
-                continue
-            start = len(outer_tuples)
-            outer_tuples.extend(batch)
-            owner_spans.append((owner, start, len(outer_tuples)))
-        if outer_tuples:
-            rows = np.asarray(outer_tuples, dtype=np.int64)
-            buckets = inner_dist.buckets_of_key_rows(rows, probe_cols)
-            dst_by_sub = [
-                inner_dist.owners_of_buckets(buckets, s).tolist()
-                for s in range(n_sub_inner)
-            ]
-            bucket_list = buckets.tolist()
-            for owner, start, end in owner_spans:
-                row = sends.setdefault(owner, {})
-                for i in range(start, end):
-                    item = (bucket_list[i], outer_tuples[i])
-                    if n_sub_inner == 1:
-                        dsts: Iterable[int] = (dst_by_sub[0][i],)
-                        fanout = 1
-                    else:
-                        dsts = {dst_by_sub[s][i] for s in range(n_sub_inner)}
-                        fanout = len(dsts)
-                    for dst in dsts:
-                        lst = row.get(dst)
-                        if lst is None:
-                            lst = row[dst] = []
-                        lst.append(item)
-                    per_rank_ser[owner] += fanout
-                    n_intra += fanout
-        return sends, n_intra
-
-    def local_join(
-        self, cr, outer_pos, recv, inner_rel, inner_ver, probe_cols,
-        per_rank_probe, per_rank_emit, fold=None,
-    ):
-        # ``fold`` is ignored: the oracle emits every pair.
-        outer_is_left = outer_pos == 0
-        probe_get = cr.probe_get_left if outer_is_left else cr.probe_get_right
-        inner_match = cr.matches[1 - outer_pos]
-        emit = cr.emit
-        emitted: Dict[int, List[TupleT]] = {}
-        for r, items in recv.items():
-            out: List[TupleT] = []
-            # Inner indexes of this rank's shards for each seen bucket.
-            index_cache: Dict[int, list] = {}
-            for b, t in items:
-                indexes = index_cache.get(b)
-                if indexes is None:
-                    indexes = [
-                        getattr(shard, inner_ver)
-                        for shard in inner_rel.shards_at_rank_for_bucket(b, r)
-                    ]
-                    index_cache[b] = indexes
-                if not indexes:
-                    continue
-                jk = probe_get(t)
-                for index in indexes:
-                    group = index.get(jk)
-                    if not group:
-                        continue
-                    if inner_match is None:
-                        if outer_is_left:
-                            out.extend(emit(t, it_) for it_ in group.values())
-                        else:
-                            out.extend(emit(it_, t) for it_ in group.values())
-                    else:
-                        for it_ in group.values():
-                            if inner_match(it_):
-                                out.append(
-                                    emit(t, it_)
-                                    if outer_is_left
-                                    else emit(it_, t)
-                                )
-            if out:
-                emitted[r] = out
-            per_rank_probe[r] += len(items)
-            per_rank_emit[r] += len(out)
-        return emitted
-
-    def route_sends(self, emitted, dist, for_wire, fold):
-        if for_wire:
-            # The wire layer folds and encodes row blocks, so each source's
-            # tuples become one and take the shared builder (``absorb``
-            # turns the decoded blocks back).
-            return build_route_sends(
-                {
-                    src: np.asarray(tuples, dtype=np.int64)
-                    for src, tuples in emitted.items()
-                    if tuples
-                },
-                dist, True, fold,
-            )
-        # One hash pass per source computes each tuple's home shard
-        # (bucket, sub) *and* its owner rank; payloads travel as
-        # shard-tagged batches ("boxes") so the receiver absorbs without
-        # regrouping.
-        sends: Dict[int, Dict[int, list]] = {}
-        n_comm = 0
-        for src, tuples in emitted.items():
-            if not tuples:
-                continue
-            rows = np.asarray(tuples, dtype=np.int64)
-            b_arr, s_arr = dist.bucket_sub_of_rows(rows)
-            dst_arr = dist.ranks_of_bucket_subs(b_arr, s_arr)
-            buckets = b_arr.tolist()
-            subs = s_arr.tolist()
-            dsts = dst_arr.tolist()
-            by_shard: Dict[Tuple[int, int], List[TupleT]] = {}
-            shard_dst: Dict[Tuple[int, int], int] = {}
-            for i, t in enumerate(tuples):
-                key = (buckets[i], subs[i])
-                lst = by_shard.get(key)
-                if lst is None:
-                    lst = by_shard[key] = []
-                    shard_dst[key] = dsts[i]
-                lst.append(t)
-            row: Dict[int, list] = {}
-            for key, batch in by_shard.items():
-                row.setdefault(shard_dst[key], []).append(
-                    (key[0], key[1], batch)
-                )
-            sends[src] = row
-            n_comm += len(tuples)
-        return sends, n_comm, {}
-
-    def absorb(self, head, boxes, absorb_stats) -> None:
-        for b, s, batch in boxes:
-            if isinstance(batch, np.ndarray):
-                batch = [tuple(t) for t in batch.tolist()]
-            head.shard(b, s).absorb(batch, absorb_stats)
-
-
-EXECUTORS = {"columnar": ColumnarExecutor, "scalar": ScalarExecutor}

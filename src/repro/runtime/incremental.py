@@ -9,7 +9,7 @@ state converges to exactly the cold-recompute fixpoint — bit-identical
 answers and full-relation multisets.  A :class:`FixpointHandle` retains
 the distributed state an :class:`~repro.runtime.engine.Engine` built
 (storage shards, placement including sub-bucket maps and any
-``exclude_ranks`` degraded overlay, probe caches, checkpointed counters)
+``exclude_ranks`` degraded overlay, join-index caches, checkpointed counters)
 and accepts update batches via :meth:`FixpointHandle.update`.
 
 Each update:
@@ -204,7 +204,7 @@ class FixpointHandle:
     Wraps an :class:`~repro.runtime.engine.Engine` *after* convergence
     (constructing a handle on an un-run engine runs it first) and keeps
     every piece of distributed state live: shards, sub-bucket placement,
-    degraded-mode overlays, probe caches, and the checkpointed counters —
+    degraded-mode overlays, join-index caches, and the checkpointed counters —
     so each :meth:`update` resumes exactly where the last fixpoint
     stopped.
 

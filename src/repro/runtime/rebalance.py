@@ -86,9 +86,7 @@ class RebalanceEvent:
 def measure_bucket_skew(rel) -> Optional[SkewMeasure]:
     """Bucket-occupancy skew of one relation (the skew doctor's math).
 
-    Sums full sizes per bucket over the live shards; order-independent,
-    so scalar and columnar stores (whose shard dicts grow in different
-    orders) measure identically.
+    Sums full sizes per bucket over the live shards; order-independent.
     """
     by_bucket: Dict[int, int] = {}
     for (bucket, _sub), shard in rel.shards.items():
@@ -117,8 +115,8 @@ def reshard_relation(
 
     Standalone (no Engine needed — the property tests drive it directly):
 
-    1. export every old shard's full and Δ version blocks (identical
-       across executors: both produce the nested scalar iteration order);
+    1. export every old shard's full and Δ version blocks, each in
+       nested order;
     2. re-hash each row under the new placement and build per-(bucket,
        new sub-bucket) boxes, codec-encoded (:mod:`repro.comm.wire`);
     3. one alltoallv charged at encoded bytes, ``kind="rebalance"``,

@@ -37,9 +37,8 @@ class IterationTrace:
     wall_phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Order-independent multiset digest of each stratum relation's Δ at
     #: the end of this iteration (``EngineConfig.delta_fingerprints``);
-    #: empty when fingerprinting is off.  Placement- and executor-
-    #: invariant, so trajectories can be compared across rebalance
-    #: on/off and scalar/columnar runs.
+    #: empty when fingerprinting is off.  Placement-invariant, so
+    #: trajectories can be compared across rebalance on/off runs.
     delta_fingerprints: Dict[str, int] = field(default_factory=dict)
 
 
@@ -75,14 +74,6 @@ class FixpointResult:
     #: Δ fingerprints and iteration counts stay fault-free-identical; the
     #: per-rank layout legitimately differs on a degraded world).
     degraded: Optional[DegradedStats] = None
-    #: The executor that ran, the one ``EngineConfig.executor`` asked
-    #: for, and why they differ when they do: ``"requested"``,
-    #: ``"use_btree"``, or the first rule with no vectorizable emit.
-    #: Deliberately not part of :meth:`summary`, which is what the two
-    #: executors are compared by.
-    executor: str = "columnar"
-    executor_requested: str = "columnar"
-    executor_reason: str = "requested"
 
     def query(self, name: str) -> Set[TupleT]:
         """Materialize a relation's final contents as a set of tuples."""
@@ -102,9 +93,10 @@ class FixpointResult:
     def summary(self) -> Dict[str, object]:
         """Deterministic digest of the run's semantics and modeled costs.
 
-        Everything here must be invariant under executor choice (scalar vs
-        columnar) — the executor-equivalence tests assert two summaries are
-        equal.  Host wall times are deliberately excluded.
+        Everything here must be invariant under options that only change
+        how the work is done, not what it is (the pair budget, tracing,
+        diagnostics) — tests assert two such summaries are equal.  Host
+        wall times are deliberately excluded.
         """
         return {
             "iterations": self.iterations,
@@ -124,18 +116,10 @@ class FixpointResult:
             "comm_messages": self.ledger.comm.messages,
         }
 
-    def executor_report(self) -> Dict[str, str]:
-        """Which executor ran and why — never a silent fallback."""
-        return {
-            "used": self.executor,
-            "requested": self.executor_requested,
-            "reason": self.executor_reason,
-        }
-
     def to_dict(self) -> Dict[str, object]:
         """One stable, JSON-serializable schema for the whole result.
 
-        Unlike :meth:`summary` (the executor-equivalence digest), this
+        Unlike :meth:`summary` (the equivalence digest), this
         is the reporting surface: **every key is always present** with a
         zeroed default, so downstream tooling never branches on which
         subsystems a run happened to enable.  ``recovery`` and
@@ -148,8 +132,7 @@ class FixpointResult:
         recovery = (self.recovery or RecoveryStats()).as_dict()
         degraded = (self.degraded or DegradedStats()).as_dict()
         return {
-            "schema_version": 1,
-            "executor": self.executor_report(),
+            "schema_version": 2,
             "iterations": self.iterations,
             "modeled_seconds": self.ledger.total_seconds(),
             "wall_seconds": self.timer.total(),

@@ -3,7 +3,7 @@
 The load-bearing invariants (ISSUE 6 acceptance criteria):
 
 * diagnostics capture is *observation only* — results and ledgers are
-  bit-identical with the flag on or off, under both executors;
+  bit-identical with the flag on or off;
 * per-run comm-matrix byte totals reconcile exactly with the ledger's
   comm counters (data and retransmit channels separately);
 * critical-path phase attributions sum to the ledger's total modeled
@@ -40,14 +40,11 @@ from repro.queries.sssp import sssp_program
 RING = [(i, (i + 1) % 24) for i in range(24)] + [(0, 7), (3, 15), (9, 2)]
 
 
-def _run_tc(
-    *, diagnostics=False, executor="columnar", tracer=None, n_ranks=4, **kw
-):
+def _run_tc(*, diagnostics=False, tracer=None, n_ranks=4, **kw):
     engine = Engine(
         tc_program(),
         EngineConfig(
             n_ranks=n_ranks,
-            executor=executor,
             diagnostics=diagnostics,
             tracer=tracer,
             **kw,
@@ -95,18 +92,17 @@ class TestCommMatrix:
 
 
 class TestRecorderReconciliation:
-    def test_reconciles_with_ledger_both_executors(self):
-        for executor in ("scalar", "columnar"):
-            fp = _run_tc(diagnostics=True, executor=executor)
-            report = fp.comm_profile.reconcile(fp.ledger.comm.by_kind)
-            assert report["ok"], (executor, report)
-            # Every wire byte the ledger charged appears in some matrix.
-            assert (
-                report["bytes_by_kind"]["alltoallv"]
-                == fp.ledger.comm.by_kind["alltoallv"][1]
-                if isinstance(fp.ledger.comm.by_kind["alltoallv"], tuple)
-                else True
-            )
+    def test_reconciles_with_ledger(self):
+        fp = _run_tc(diagnostics=True)
+        report = fp.comm_profile.reconcile(fp.ledger.comm.by_kind)
+        assert report["ok"], report
+        # Every wire byte the ledger charged appears in some matrix.
+        assert (
+            report["bytes_by_kind"]["alltoallv"]
+            == fp.ledger.comm.by_kind["alltoallv"][1]
+            if isinstance(fp.ledger.comm.by_kind["alltoallv"], tuple)
+            else True
+        )
 
     def test_mismatch_detected(self):
         fp = _run_tc(diagnostics=True)
@@ -130,14 +126,10 @@ class TestRecorderReconciliation:
 
 class TestDiagnosticsAreObservationOnly:
     def test_results_and_ledger_bit_identical(self):
-        base = {ex: _run_tc(executor=ex) for ex in ("scalar", "columnar")}
-        for executor in ("scalar", "columnar"):
-            diag = _run_tc(
-                diagnostics=True, executor=executor, tracer=Tracer()
-            )
-            assert diag.summary() == base[executor].summary()
-            assert diag.query("path") == base[executor].query("path")
-        assert base["scalar"].summary() == base["columnar"].summary()
+        base = _run_tc()
+        diag = _run_tc(diagnostics=True, tracer=Tracer())
+        assert diag.summary() == base.summary()
+        assert diag.query("path") == base.query("path")
 
     def test_off_by_default(self):
         fp = _run_tc()

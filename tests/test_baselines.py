@@ -118,6 +118,42 @@ class TestSociaLiteLike:
         assert soc.modeled_seconds() > para.modeled_seconds()
 
 
+class TestModeledNumbersPinned:
+    """Golden modeled numbers of both comparator engines on the module's
+    fixed graph: total modeled seconds, bytes, global-hashmap and
+    all-to-all tuple counts.  Table I compares these engines by exactly
+    these numbers, so a change to how the engines hold or move tuples
+    must leave every one of them where it is."""
+
+    GOLDEN = {
+        (RaSQLLikeEngine, "sssp"): (0.00267732455, 8797, 298, 376),
+        (RaSQLLikeEngine, "cc"): (0.0023320210500000003, 12312, 654, 848),
+        (SociaLiteLikeEngine, "sssp"): (0.00024594025, 5059, None, 298),
+        (SociaLiteLikeEngine, "cc"): (0.000273501125, 5848, None, 705),
+    }
+
+    @pytest.mark.parametrize(
+        "engine_cls, query",
+        list(GOLDEN),
+        ids=[f"{cls.__name__}-{q}" for cls, q in GOLDEN],
+    )
+    def test_golden(self, graph, engine_cls, query):
+        if query == "sssp":
+            eng = engine_cls(sssp_program(), EngineConfig(n_ranks=8))
+            eng.load("edge", graph.tuples())
+            eng.load("start", [(0,)])
+        else:
+            eng = engine_cls(cc_program(), EngineConfig(n_ranks=8))
+            eng.load("edge", [(a, b) for a, b, _ in graph.tuples()])
+        res = eng.run()
+        assert (
+            res.ledger.total_seconds(),
+            res.ledger.comm.bytes_total,
+            res.counters.get("globalagg_tuples"),
+            res.counters.get("alltoall_tuples"),
+        ) == self.GOLDEN[engine_cls, query]
+
+
 class TestSerialFractionLedger:
     def test_serial_tax_added(self):
         ledger = SerialFractionLedger(n_ranks=4, serial_fraction=0.5)

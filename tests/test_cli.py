@@ -417,7 +417,7 @@ class TestUpdate:
         ])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["incremental"]["updates"] == 1
         assert report["identical_answers"] is True
         assert report["identical_multisets"] is True

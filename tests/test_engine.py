@@ -136,13 +136,6 @@ class TestInvariance:
         result = run_sssp_engine(edges, [0, 5], config)
         assert result.query("spath") == expected
 
-    def test_btree_backend_invariant(self, reference):
-        edges, expected = reference
-        result = run_sssp_engine(
-            edges, [0, 5], EngineConfig(n_ranks=8, use_btree=True)
-        )
-        assert result.query("spath") == expected
-
     def test_seed_changes_placement_not_result(self, reference):
         edges, expected = reference
         for seed in (1, 2, 3):

@@ -1,9 +1,10 @@
-"""Tests for the columnar batch kernels (PR 2).
+"""Tests for the columnar batch kernels.
 
-The kernels promise bit-for-bit equivalence with the scalar path: the
-property tests here drive scalar and columnar shards with identical
-batch sequences and assert every observable — stats, iteration *order*,
-Δ lifecycle, version blocks — matches exactly.
+The shards promise the semantics of absorbing one tuple at a time: the
+property tests here drive them and a sequential reference model (nested
+dicts, written below) with identical batch sequences and assert every
+observable — admitted counts, iteration *order*, Δ lifecycle, version
+blocks — matches exactly.
 """
 
 from unittest import mock
@@ -22,9 +23,8 @@ from repro.core.aggregators import (
     SumAggregator,
     UnionAggregator,
 )
-from repro.core.local_agg import AbsorbStats, make_shard
 from repro.kernels import block
-from repro.kernels.absorb import _COMBINERS, columnar_shard_for
+from repro.kernels.absorb import _COMBINERS, AbsorbStats, make_shard
 from repro.kernels.block import (
     KeyIndex,
     concat_ranges,
@@ -378,7 +378,6 @@ class TestEmitSpec:
         # h(X, L + W) with X, L from left and W from right.
         binding = {"x": (0, 0), "l": (0, 2), "w": (1, 2)}
         spec = _emit_spec([Var("x"), BinOp("+", Var("l"), Var("w"))], binding)
-        assert spec.vectorizable
         lt = np.array([[1, 5, 10], [2, 6, 20]], dtype=np.int64)
         rt = np.array([[5, 9, 3], [6, 8, 4]], dtype=np.int64)
         assert spec.eval_block(lt, rt).tolist() == [[1, 13], [2, 24]]
@@ -403,7 +402,6 @@ class TestEmitSpec:
         (numpy would silently yield 0)."""
         binding = {"a": (0, 0), "b": (0, 1)}
         spec = _emit_spec([BinOp("//", Var("a"), Var("b"))], binding)
-        assert spec.vectorizable
         ok = np.array([[10, 2], [9, 3]], dtype=np.int64)
         assert spec.eval_block(ok, None).tolist() == [[5], [3]]
         bad = np.array([[10, 2], [9, 0]], dtype=np.int64)
@@ -417,23 +415,93 @@ class TestEmitSpec:
         with pytest.raises(ZeroDivisionError):
             spec.eval_block(np.array([[10]], dtype=np.int64), None)
 
-    def test_custom_op_not_vectorizable(self):
-        """Operators registered via register_function have no array form —
-        the engine must fall back to the scalar executor."""
+    def test_custom_op_array_form(self):
+        """An operator registered via register_function runs its own
+        function row by row, nested and beside constants, into int64."""
         import math
 
         from repro.planner.ast import register_function
 
         register_function("gcd", math.gcd)
+        binding = {"a": (0, 0), "b": (0, 1)}
         spec = _emit_spec(
-            [BinOp("gcd", Var("a"), Var("b"))], {"a": (0, 0), "b": (0, 1)}
+            [
+                BinOp("gcd", Var("a"), Var("b")),
+                BinOp("+", BinOp("gcd", Var("a"), Const(4)), Var("b")),
+                BinOp("gcd", Const(12), Const(18)),
+            ],
+            binding,
         )
-        assert not spec.vectorizable
-        with pytest.raises(RuntimeError):
-            spec.eval_block(np.array([[6, 4]], dtype=np.int64), None)
+        out = spec.eval_block(np.array([[6, 4], [9, 6], [7, 0]], dtype=np.int64), None)
+        assert out.dtype == np.int64
+        assert out.tolist() == [[2, 6, 6], [3, 7, 6], [7, 1, 6]]
+        empty = spec.eval_block(np.empty((0, 2), dtype=np.int64), None)
+        assert empty.shape == (0, 3) and empty.dtype == np.int64
+
+    def test_custom_op_term_is_int64(self):
+        """A term's evaluator returns an int64 column, also for a custom
+        operator, whose function returns Python objects: arithmetic
+        around it then stays in int64 arrays."""
+        import math
+
+        from repro.planner.ast import register_function
+        from repro.planner.compile_rules import _compile_term_block
+
+        register_function("gcd", math.gcd)
+        term = _compile_term_block(
+            BinOp("gcd", Var("a"), Var("b")), {"a": (0, 0), "b": (0, 1)}
+        )
+        col = term(np.array([[6, 4], [9, 6]], dtype=np.int64), None)
+        assert col.dtype == np.int64 and col.tolist() == [2, 3]
 
 
-# --------------------------------------- columnar shard ≡ scalar shard (ISSUE)
+# ----------------------------------- shard ≡ sequential reference (nested dicts)
+
+
+class _SequentialShard:
+    """The reference: absorb one tuple at a time into nested dicts
+    ``jk → other → tuple``.  A group's first arrival is stored raw, later
+    ones are joined in with the aggregator's ``partial_agg``; an arrival
+    that changes its group is admitted and (re)written into pending Δ."""
+
+    def __init__(self, schema):
+        self.schema = schema
+        self.full, self.pending, self.delta = {}, {}, {}
+
+    def absorb(self, rows):
+        schema, n = self.schema, self.schema.n_indep
+        admitted = 0
+        for t in map(tuple, rows.tolist()):
+            jk, other = schema.key_of(t), schema.other_of(t)
+            group = self.full.setdefault(jk, {})
+            cur = group.get(other)
+            if cur is not None:
+                if not schema.is_aggregate:
+                    continue
+                joined = tuple(schema.aggregator.partial_agg(cur[n:], t[n:]))
+                if joined == cur[n:]:
+                    continue
+                t = cur[:n] + joined
+            group[other] = t
+            self.pending.setdefault(jk, {})[other] = t
+            admitted += 1
+        return admitted
+
+    def advance(self):
+        self.delta, self.pending = self.pending, {}
+        return sum(len(group) for group in self.delta.values())
+
+    def block(self, version):
+        nested = self.full if version == "full" else self.delta
+        rows = [t for group in nested.values() for t in group.values()]
+        return np.asarray(rows, dtype=np.int64).reshape(-1, self.schema.arity)
+
+
+def _assert_same_state(shard, model):
+    for version in ("full", "delta"):
+        got, want = shard.version_block(version), model.block(version)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def plain_schema():
@@ -482,37 +550,25 @@ def _rows(batch, arity):
 @pytest.mark.parametrize("kind", sorted(SCHEMAS))
 @given(batches=batches_strategy)
 def test_columnar_absorb_equals_scalar(kind, batches):
-    """The ISSUE's property: columnar absorb ≡ scalar absorb, including
+    """Block absorb ≡ the sequential reference, including
     arrival-order-sensitive admitted counts, iteration ORDER (not just
     set equality), and the Δ lifecycle across multiple advances."""
     schema = SCHEMAS[kind]()
-    scalar = make_shard(schema)
-    columnar = columnar_shard_for(schema)
-    assert columnar is not None, f"{kind}: expected a columnar shard"
-
+    model = _SequentialShard(schema)
+    shard = make_shard(schema)
     for batch in batches:
         rows = _rows(batch, schema.arity)
-        s_stats, c_stats = AbsorbStats(), AbsorbStats()
-        s_adm = scalar.absorb_block(rows, s_stats)
-        c_adm = columnar.absorb_block(rows, c_stats)
-        assert c_adm == s_adm
-        assert (c_stats.received, c_stats.admitted, c_stats.suppressed) == (
-            s_stats.received, s_stats.admitted, s_stats.suppressed
+        stats = AbsorbStats()
+        admitted = model.absorb(rows)
+        assert shard.absorb_block(rows, stats) == admitted
+        assert (stats.received, stats.admitted, stats.suppressed) == (
+            len(rows), admitted, len(rows) - admitted
         )
-        # Scalar iter_full order is nested-dict insertion order; columnar
-        # must reproduce it exactly, not merely as a set.
-        assert list(columnar.iter_full()) == list(scalar.iter_full())
-        assert columnar.full_size() == scalar.full_size()
-
-        assert columnar.advance() == scalar.advance()
-        assert list(columnar.iter_delta()) == list(scalar.iter_delta())
-        assert columnar.delta_size() == scalar.delta_size()
-        np.testing.assert_array_equal(
-            columnar.version_block("full"), scalar.version_block("full")
-        )
-        np.testing.assert_array_equal(
-            columnar.version_block("delta"), scalar.version_block("delta")
-        )
+        assert shard.full_size() == len(model.block("full"))
+        _assert_same_state(shard, model)
+        assert shard.advance() == model.advance()
+        assert shard.delta_size() == len(model.block("delta"))
+        _assert_same_state(shard, model)
 
 
 @pytest.mark.parametrize("kind", sorted(SCHEMAS))
@@ -522,18 +578,15 @@ def test_columnar_duplicate_heavy_batches(kind, batches):
     on one key already exceed 64 occurrences of it, on new groups (first
     batch) and stored ones (every later batch) alike."""
     schema = SCHEMAS[kind]()
-    scalar = make_shard(schema)
-    columnar = columnar_shard_for(schema)
+    model = _SequentialShard(schema)
+    shard = make_shard(schema)
     for batch in batches:
         squeezed = [(0, a & 1, d) for (a, _, d) in batch] * 8
         rows = _rows(squeezed, schema.arity)
-        s_stats, c_stats = AbsorbStats(), AbsorbStats()
-        scalar.absorb_block(rows, s_stats)
-        columnar.absorb_block(rows, c_stats)
-        assert c_stats.admitted == s_stats.admitted
-        assert list(columnar.iter_full()) == list(scalar.iter_full())
-        assert columnar.advance() == scalar.advance()
-        assert list(columnar.iter_delta()) == list(scalar.iter_delta())
+        assert shard.absorb_block(rows) == model.absorb(rows)
+        _assert_same_state(shard, model)
+        assert shard.advance() == model.advance()
+        _assert_same_state(shard, model)
 
 
 _i64 = st.integers(-(2**63), 2**63 - 1)
@@ -543,8 +596,8 @@ _i64 = st.integers(-(2**63), 2**63 - 1)
 @given(a=_i64, b=_i64, c=_i64)
 def test_vector_join_is_associative(agg_type, a, b, c):
     """The one precondition the segmented scan (and the sender's halving
-    fold) adds to the scalar path's sequential fold — over the full int64
-    range, wrap-around included."""
+    fold) adds to a sequential fold — over the full int64 range,
+    wrap-around included."""
     join = _COMBINERS[agg_type](agg_type()).join
     a, b, c = (np.asarray([[v]], dtype=np.int64) for v in (a, b, c))
     np.testing.assert_array_equal(join(join(a, b), c), join(a, join(b, c)))
@@ -579,7 +632,7 @@ def _brute_probe(rel, version, rank, jk):
 )
 def test_rank_join_index_probe_matches_brute_force(rows, n_ranks):
     schema = Schema(name="edge", arity=3, join_cols=(0,))
-    rel = VersionedRelation(schema, n_ranks, layout="columnar")
+    rel = VersionedRelation(schema, n_ranks)
     rel.load([tuple(r) for r in rows])
     probe_cols = (0,)
     for rank in range(n_ranks):
@@ -593,7 +646,7 @@ def test_rank_join_index_probe_matches_brute_force(rows, n_ranks):
                 for r in index.rows[starts[i] : starts[i] + counts[i]].tolist()
             ]
             # The key fixes the bucket: every rank-local row with key k
-            # is in k's bucket, the one the scalar path probes.
+            # is in k's bucket.
             assert got == _brute_probe(rel, "full", rank, (k,))
             assert all(
                 rel.dist.bucket_of(t) == rel.dist.bucket_of_key((k,)) for t in got
@@ -604,7 +657,7 @@ def test_rank_join_index_probe_matches_brute_force(rows, n_ranks):
 
 def test_build_route_sends_partitions_all_rows():
     schema = Schema(name="p", arity=2, join_cols=(0,))
-    rel = VersionedRelation(schema, 4, layout="columnar")
+    rel = VersionedRelation(schema, 4)
     rng = np.random.default_rng(7)
     rows = rng.integers(0, 50, size=(200, 2), dtype=np.int64)
     sends, n_comm, folded = build_route_sends({0: rows, 2: rows[:17]}, rel.dist)

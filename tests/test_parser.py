@@ -166,13 +166,12 @@ class TestEndToEnd:
         parsed = parse_program(".decl e(x, w) keys(x)\n" + src)
         oracle = interpret(parsed.program, parsed.facts)
         assert {name: oracle[name] for name in expected} == expected
-        for executor in ("columnar", "scalar"):
-            engine = Engine(parsed.program, EngineConfig(n_ranks=3, executor=executor))
-            for name, rows in parsed.facts.items():
-                engine.load(name, rows)
-            result = engine.run()
-            for name, want in expected.items():
-                assert result.query(name) == want
+        engine = Engine(parsed.program, EngineConfig(n_ranks=3))
+        for name, rows in parsed.facts.items():
+            engine.load(name, rows)
+        result = engine.run()
+        for name, want in expected.items():
+            assert result.query(name) == want
 
     def test_cli_query_command(self, capsys, tmp_path):
         from repro.cli import main

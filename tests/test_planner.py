@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.planner.ast import (
@@ -22,7 +23,10 @@ from repro.planner.ast import (
     vars_,
 )
 from repro.planner.compile_rules import compile_program
+from repro.planner.interpreter import interpret
 from repro.planner.stratify import stratify
+from repro.runtime.config import EngineConfig
+from repro.runtime.engine import Engine
 
 x, y, z, w, n = vars_("x y z w n")
 wild = Var("_")
@@ -91,6 +95,33 @@ class TestDSL:
     def test_register_function_validates_name(self):
         with pytest.raises(ValueError):
             register_function("not valid", min)
+
+    def test_register_function_refuses_builtin_names(self):
+        """Regression: registering ``max`` as ``a + b`` was accepted, and
+        the engine kept evaluating numpy's maximum while the interpreter
+        called the new function — two answers to one program."""
+        for name in ("min", "max"):
+            with pytest.raises(ValueError, match="built-in"):
+                register_function(name, lambda a, b: a + b)
+        o, e = Rel("o"), Rel("e")
+        a, b = vars_("a b")
+        prog = Program(
+            rules=[o(a, BinOp("max", a, b)) <= e(a, b)], edb={"e": (2, (0,))}
+        )
+        facts = {"e": [(1, 5), (7, 2)]}
+        engine = Engine(prog, EngineConfig(n_ranks=2))
+        engine.load("e", facts["e"])
+        assert engine.run().query("o") == interpret(prog, facts)["o"] == {(1, 5), (7, 7)}
+
+    def test_register_function_replaces_custom_name(self):
+        register_function("pick_test", lambda a, b: a)
+        register_function("pick_test", lambda a, b: b)
+        e = Rel("e")
+        prog = Program(
+            rules=[Rel("h")(x, BinOp("pick_test", x, y)) <= e(x, y)],
+            edb={"e": (2, (0,))},
+        )
+        assert interpret(prog, {"e": [(1, 2)]})["h"] == {(1, 2)}
 
 
 class TestRuleValidation:
@@ -205,12 +236,13 @@ class TestCompile:
         cp = compile_program(sssp_program())
         join_rule = next(cr for cr in cp.compiled.values() if cr.is_join)
         # spath(f,t,MIN(l+w)) from lt=spath(f,m,l), rt=edge(m,t,w)
-        assert join_rule.emit((0, 5, 10), (5, 7, 3)) == (0, 7, 13)
+        lt, rt = np.array([[0, 5, 10]]), np.array([[5, 7, 3]])
+        assert join_rule.emit_spec.eval_block(lt, rt).tolist() == [[0, 7, 13]]
 
     def test_emit_copy_with_constant(self):
         cp = compile_program(sssp_program())
         base = next(cr for cr in cp.compiled.values() if not cr.is_join)
-        assert base.emit((4,), ()) == (4, 4, 0)
+        assert base.emit_spec.eval_block(np.array([[4]]), None).tolist() == [[4, 4, 0]]
 
     def test_probe_maps_swapped_variable_order(self):
         """L(a,b) ⋈ R(b,a): probe keys must reorder values per side."""
@@ -306,15 +338,15 @@ class TestCompile:
         prog = Program(rules=[Rel("h")(x) <= e(7, x)], edb={"e": (2, (0,))})
         cp = compile_program(prog)
         cr = next(iter(cp.compiled.values()))
-        match = cr.matches[0]
-        assert match((7, 1)) and not match((8, 1))
+        match = cr.matches_block[0]
+        assert match.mask(np.array([[7, 1], [8, 1]])).tolist() == [True, False]
 
     def test_match_repeated_vars(self):
         e = Rel("e")
         prog = Program(rules=[Rel("h")(x) <= e(x, x)], edb={"e": (2, (0,))})
         cp = compile_program(prog)
-        match = next(iter(cp.compiled.values())).matches[0]
-        assert match((3, 3)) and not match((3, 4))
+        match = next(iter(cp.compiled.values())).matches_block[0]
+        assert match.mask(np.array([[3, 3], [3, 4]])).tolist() == [True, False]
 
     def test_wildcards_unconstrained(self):
         e = Rel("e")
@@ -322,7 +354,7 @@ class TestCompile:
                        edb={"e": (3, (0,))})
         cp = compile_program(prog)
         cr = next(iter(cp.compiled.values()))
-        assert cr.matches[0] is None  # wildcards impose nothing
+        assert cr.matches_block[0] is None  # wildcards impose nothing
 
     def test_wildcard_in_head_rejected(self):
         e = Rel("e")
@@ -340,7 +372,8 @@ class TestCompile:
         )
         cp = compile_program(prog)
         cr = next(iter(cp.compiled.values()))
-        assert cr.emit((1, 12, 18), ()) == (1, 6)
+        out = cr.emit_spec.eval_block(np.array([[1, 12, 18]]), None)
+        assert out.tolist() == [[1, 6]]
 
     def test_rules_of_stratum(self):
         cp = compile_program(sssp_program())

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.aggregators import MinAggregator
-from repro.core.local_agg import AbsorbStats
+from repro.kernels.absorb import AbsorbStats
 from repro.relational.schema import Schema
 from repro.relational.storage import RelationStore, VersionedRelation
+from repro.runtime.executor import ColumnarExecutor
 from repro.util.hashing import HashSeed
 
 
@@ -47,7 +48,7 @@ class TestVersionedRelation:
         tuples = [(i, i + 1, 1) for i in range(200)]
         rel.load(tuples)
         for (b, s), shard in rel.shards.items():
-            for t in shard.iter_full():
+            for t in map(tuple, shard.version_block("full").tolist()):
                 assert rel.dist.bucket_of(t) == b
                 assert rel.dist.sub_of(t) == s
 
@@ -72,32 +73,36 @@ class TestVersionedRelation:
         rel.load(tuples)
         assert list(rel.iter_full()) == list(rel.iter_full())
 
-    def test_version_batches_tag_owner(self):
+    def test_version_blocks_tag_owner(self):
         rel = VersionedRelation(edge_schema(n_sub=2), 8)
         rel.load([(i, i, 0) for i in range(60)])
         total = 0
-        for owner, batch in rel.version_batches("full"):
-            total += len(batch)
-            for t in batch:
+        for owner, block in rel.version_blocks("full"):
+            total += len(block)
+            for t in map(tuple, block.tolist()):
                 assert rel.dist.rank_of(t) == owner
         assert total == 60
 
-    def test_version_batches_bad_version(self):
+    def test_version_blocks_bad_version(self):
         rel = VersionedRelation(edge_schema(), 4)
         with pytest.raises(ValueError):
-            list(rel.version_batches("nope"))
+            list(rel.version_blocks("nope"))
 
     def test_probe_cache_invalidation(self):
+        """The executor's cached join index of a rank is rebuilt once a
+        load changes the relation's full version under it."""
         rel = VersionedRelation(edge_schema(), 4)
         rel.load([(0, 1, 1)])
-        b = rel.dist.bucket_of((0, 1, 1))
-        before = rel.shards_at_rank_for_bucket(b, b)
-        assert len(before) == 1
-        # a new shard appears: cache must refresh
-        other = next(k for k in range(100) if rel.dist.bucket_of((k, 0, 0)) != b)
+        rank = rel.dist.rank_of((0, 1, 1))
+        ex = ColumnarExecutor()
+        before = ex._rank_index(rel, "full", rank, None, None)
+        assert before is ex._rank_index(rel, "full", rank, None, None)
+        assert before.rows.tolist() == [[0, 1, 1]]
+        # a new row lands on the same rank: the cache must refresh
+        other = next(k for k in range(1, 1000) if rel.dist.rank_of((k, 0, 0)) == rank)
         rel.load([(other, 0, 0)])
-        again = rel.shards_at_rank_for_bucket(b, b)
-        assert len(again) == 1
+        again = ex._rank_index(rel, "full", rank, None, None)
+        assert sorted(again.rows.tolist()) == sorted([[0, 1, 1], [other, 0, 0]])
 
     def test_repr(self):
         rel = VersionedRelation(edge_schema(), 4)

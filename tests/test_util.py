@@ -1,13 +1,10 @@
-"""Tests for timers, getters, and config validators."""
+"""Tests for timers and config validators."""
 
 import time
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.util.config import check_fraction, check_positive
-from repro.util.getters import tuple_getter
 from repro.util.timing import PhaseTimer, Stopwatch
 
 
@@ -108,14 +105,6 @@ def _charge(timer: PhaseTimer, name: str, seconds: float) -> None:
     sw = timer.phases.setdefault(name, Stopwatch())
     sw.elapsed += seconds
     sw.count += 1
-
-
-class TestTupleGetter:
-    @given(st.tuples(st.integers(), st.integers(), st.integers()))
-    def test_shapes(self, t):
-        assert tuple_getter(())(t) == ()
-        assert tuple_getter((1,))(t) == (t[1],)
-        assert tuple_getter((2, 0))(t) == (t[2], t[0])
 
 
 class TestConfigValidators:

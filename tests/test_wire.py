@@ -1,7 +1,7 @@
 """Tests for the wire-optimization layer (PR 7): codecs, sender-side
 combining, collective autotuning, and the end-to-end invariant that the
-layer changes modeled bytes/seconds but never results, Δ trajectories,
-iteration counts, or executor agreement."""
+layer changes modeled bytes/seconds but never results, Δ trajectories
+or iteration counts."""
 
 import pickle
 import struct
@@ -33,15 +33,12 @@ from repro.runtime import executor as executor_mod
 from repro.runtime.config import EngineConfig
 from repro.util.hashing import HashSeed
 
-EXECUTORS = ("scalar", "columnar")
-
 I64 = np.iinfo(np.int64)
 
 
-def _cfg(executor="columnar", wire=None, n_ranks=4, **kw):
+def _cfg(wire=None, n_ranks=4, **kw):
     return EngineConfig(
         n_ranks=n_ranks,
-        executor=executor,
         wire=wire if wire is not None else WireConfig(),
         **kw,
     )
@@ -617,17 +614,14 @@ class TestFoldBeforeRoute:
             for src, rows in emitted.items()
             if rows.shape[0]
         }
-        as_tuples = {
-            src: [tuple(t) for t in rows.tolist()] for src, rows in emitted.items()
-        }
-        runs = [(executor_mod.ColumnarExecutor(), emitted),
-                (executor_mod.ScalarExecutor(), as_tuples)]
+        runs = [emitted]
         if plan is not None:
-            runs.append((executor_mod.ColumnarExecutor(), {
+            runs.append({
                 src: _fold_in_runs(rows, plan, pair_budget)
                 for src, rows in emitted.items()
-            }))
-        for ex, blocks in runs:
+            })
+        ex = executor_mod.ColumnarExecutor()
+        for blocks in runs:
             with mock.patch.object(route, "_CHUNK_ROWS", budget):
                 sends, n_comm, folded = ex.route_sends(blocks, dist, True, plan)
                 got = _flat_wire(route.encode_wire_sends(sends, codec=codec))
@@ -718,8 +712,8 @@ class TestFoldBeforeRoute:
 
 class TestWireInvariance:
     """The tentpole acceptance: wire on vs off and every codec/collective
-    must agree on all results and iteration counts, under both executors;
-    only modeled bytes/seconds move."""
+    must agree on all results and iteration counts; only modeled
+    bytes/seconds move."""
 
     def _sssp(self, graph, **kw):
         return run_sssp(graph, [0, 5], _cfg(**kw))
@@ -727,22 +721,14 @@ class TestWireInvariance:
     def test_on_off_identical_results(self, medium_weighted_graph):
         g = medium_weighted_graph
         off = self._sssp(g, wire=WireConfig.off())
-        for executor in EXECUTORS:
-            on = self._sssp(g, executor=executor)
-            assert on.distances == off.distances
-            assert on.iterations == off.iterations
+        on = self._sssp(g)
+        assert on.distances == off.distances
+        assert on.iterations == off.iterations
 
     def test_wire_off_has_no_wire_tallies(self, medium_weighted_graph):
         off = self._sssp(medium_weighted_graph, wire=WireConfig.off()).fixpoint
         assert "wire_precombine_bytes" not in off.counters
         assert "wire_on_wire_bytes" not in off.counters
-
-    def test_executors_share_a_ledger_wire_on(self, medium_weighted_graph):
-        g = medium_weighted_graph
-        summaries = [
-            self._sssp(g, executor=e).fixpoint.summary() for e in EXECUTORS
-        ]
-        assert summaries[0] == summaries[1]
 
     @pytest.mark.parametrize("codec", WIRE_CODECS)
     def test_codec_choice_invisible_to_semantics(
@@ -801,9 +787,8 @@ class TestWireInvariance:
 
     def test_cc_union_labels_identical(self, medium_graph):
         off = run_cc(medium_graph, _cfg(wire=WireConfig.off()))
-        for executor in EXECUTORS:
-            on = run_cc(medium_graph, _cfg(executor=executor))
-            assert on.labels == off.labels
+        on = run_cc(medium_graph, _cfg())
+        assert on.labels == off.labels
 
 
 class TestCollectiveAutotune:
