@@ -59,10 +59,9 @@ class RankJoinIndex:
         """
         jk_cols = list(rel.schema.join_cols)
         blocks = []
-        for key in sorted(rel.shards):
-            if rel.owner_of(key) != rank:
-                continue
-            block = rel.shards[key].version_block(version)
+        keys, owners = rel.owned_shards()
+        for i in np.flatnonzero(owners == rank).tolist():
+            block = rel.shards[keys[i]].version_block(version)
             if match_block is not None and block.shape[0]:
                 block = block[match_block.mask(block)]
             if block.shape[0]:

@@ -14,6 +14,14 @@
     row's (bucket, sub, owner) and rows are stably grouped per
     destination shard into ``(bucket, sub, row_block)`` boxes.
 
+Both work on consecutive source ranks at once, up to :data:`_CHUNK_ROWS`
+rows (a larger source alone): one hash pass, one owner-table gather
+(:attr:`~repro.relational.distribution.Distribution.owner_table`) and
+one stable grouping keyed by source rank first serve the whole batch.
+The codec is batched the same way: :func:`encode_wire_sends` encodes
+every source's boxes, and :func:`decode_wire_boxes` decodes every
+receiver's inbox laid end to end, in :data:`_CHUNK_ROWS`-row chunks.
+
 Both keep each (src, dst) pair's rows in arrival order — the ordering
 the receiving shards' absorb semantics depend on.
 """
@@ -79,41 +87,43 @@ def build_intra_sends(
 
     ``owner_blocks`` are (owner rank, matched rows) pairs in shard order;
     ``per_rank_ser`` accumulates each owner's serialization fanout
-    (deduplicated destinations per tuple).
+    (deduplicated destinations per tuple).  Consecutive blocks are
+    replicated together, :data:`_CHUNK_ROWS` rows at a time, so each
+    ``(owner, dst)`` list holds one block per batch: the rows the owner
+    sends ``dst``, in shard order and within a shard in arrival order.
     """
     sends: Dict[int, Dict[int, List[np.ndarray]]] = {}
     n_intra = 0
-    for owner, rows in owner_blocks:
-        n = rows.shape[0]
-        if n == 0:
-            continue
+    blocks = [(owner, rows) for owner, rows in owner_blocks if rows.shape[0]]
+    sizes = [rows.shape[0] for _owner, rows in blocks]
+    for lo, hi in _row_chunks(sizes, _CHUNK_ROWS):
+        rows = _concat([rows for _owner, rows in blocks[lo:hi]])
+        owner = np.repeat(
+            np.asarray([o for o, _rows in blocks[lo:hi]], dtype=np.int64),
+            sizes[lo:hi],
+        )
         buckets = dist.buckets_of_key_rows(rows, probe_cols)
         if n_sub == 1:
-            dst = dist.owners_of_buckets(buckets, 0)
             src_row = None
+            dst = dist.owner_table[buckets, 0]
         else:
-            dst_mat = np.stack(
-                [dist.owners_of_buckets(buckets, s) for s in range(n_sub)]
-            )
-            # A tuple goes to each *distinct* destination once; mask out a
-            # sub-bucket whose owner repeats an earlier sub's owner.
-            keep = np.ones(dst_mat.shape, dtype=bool)
-            for s in range(1, n_sub):
-                for p in range(s):
-                    keep[s] &= dst_mat[s] != dst_mat[p]
-            # Row-major (row, sub) pairs: a stable grouping by destination
-            # then leaves each destination's rows in arrival order.
-            src_row = np.nonzero(keep.T)[0]
-            dst = dst_mat.T[keep.T]
-        # Per destination, rows in arrival order.
-        order, starts, counts = group_columns([dst])
-        dst_heads = dst[order[starts]]
-        if src_row is not None:
-            order = src_row[order]
-        row_map = sends.setdefault(owner, {})
-        for s0, c, d in zip(starts.tolist(), counts.tolist(), dst_heads.tolist()):
-            row_map.setdefault(d, []).append(rows[order[s0 : s0 + c]])
-        per_rank_ser[owner] += dst.shape[0]
+            # Row-major (row, sub) pairs, one per *distinct* destination
+            # of the row's bucket: a stable grouping by (owner,
+            # destination) then leaves each pair's rows in arrival order.
+            src_row, sub = np.nonzero(dist.distinct_owners[buckets])
+            owner = owner[src_row]
+            dst = dist.owner_table[buckets[src_row], sub]
+        order, starts, counts = group_columns([owner, dst])
+        heads = order[starts]
+        grouped = rows[order if src_row is None else src_row[order]]
+        for s0, c, o, d in zip(
+            starts.tolist(),
+            counts.tolist(),
+            owner[heads].tolist(),
+            dst[heads].tolist(),
+        ):
+            sends.setdefault(o, {}).setdefault(d, []).append(grouped[s0 : s0 + c])
+        per_rank_ser += np.bincount(owner, minlength=per_rank_ser.shape[0])
         n_intra += dst.shape[0]
     return sends, n_intra
 
@@ -135,10 +145,16 @@ def build_route_sends(
     emitted (pre-fold) rows and, per source rank, the number of rows
     that went through a fold (the engine charges those at serialization
     cost; a box standing for one row had nothing to fold).
+
+    Consecutive sources are routed together, :data:`_CHUNK_ROWS` rows at
+    a time (a larger source alone): one fold, one hash pass and one
+    stable grouping by ``(source, bucket, sub)`` per batch.  Each
+    source's boxes come out exactly as routing it alone leaves them.
     """
     sends: Dict[int, Dict[int, list]] = {}
     folded: Dict[int, int] = {}
     n_comm = 0
+    batch: List[Tuple[int, np.ndarray, Optional[np.ndarray]]] = []
     for src, rows in emitted.items():
         weights = None
         if isinstance(rows, tuple):
@@ -146,35 +162,81 @@ def build_route_sends(
             n = int(weights.sum())
         else:
             n = rows.shape[0]
-        if n == 0:
-            continue
-        if fold is not None:
-            rows, weights = combine_block(rows, *fold, weights)
-        row: Dict[int, list] = {}
-        n_folded = 0
-        for dst, b, s, block, pre in _shard_boxes(rows, dist, weights):
-            row.setdefault(dst, []).append(
-                (b, s, block, pre) if for_wire else (b, s, block)
-            )
-            if weights is not None and pre > 1:
-                n_folded += pre
-        sends[src] = row
-        folded[src] = n_folded
-        n_comm += n
+        if n:
+            batch.append((src, rows, weights))
+            n_comm += n
+    sizes = [rows.shape[0] for _src, rows, _weights in batch]
+    for lo, hi in _row_chunks(sizes, _CHUNK_ROWS):
+        _route_batch(batch[lo:hi], dist, for_wire, fold, sends, folded)
     return sends, n_comm, folded
 
 
-#: Row budget of one codec pass.  Consecutive boxes are batched up to
-#: this many rows (an oversize box goes alone), so the pass's
-#: temporaries stay a bounded multiple of it however large one rank's
-#: send block is.  The bound is for memory, not speed: budgets from 8k
-#: to 128k rows measured alike on every workload, while no bound raised
-#: peak RSS ~10% on the 4-rank dense workload (EXPERIMENTS, PR 12).
-_CHUNK_ROWS = 1 << 16
+def _route_batch(batch, dist, for_wire, fold, sends, folded) -> None:
+    """:func:`build_route_sends` for consecutive sources ``batch``."""
+    srcs = [src for src, _rows, _weights in batch]
+    sizes = [rows.shape[0] for _src, rows, _weights in batch]
+    rows = _concat([rows for _src, rows, _weights in batch])
+    weights = None
+    if any(w is not None for _src, _rows, w in batch):
+        weights = _concat([
+            np.ones(n, dtype=np.int64) if w is None else w
+            for n, (_src, _rows, w) in zip(sizes, batch)
+        ])
+    seg = np.repeat(np.arange(len(batch), dtype=np.int64), sizes)
+    if fold is not None:
+        n_indep, combiner = fold
+        if len(batch) == 1:
+            rows, weights = combine_block(rows, n_indep, combiner, weights)
+            seg = np.zeros(rows.shape[0], dtype=np.int64)
+        else:
+            # The batch position leads the key: both fold tiers return
+            # keys in lexicographic order, so each source's folded rows
+            # come out contiguous and as folding it alone returns them.
+            keyed, weights = combine_block(
+                np.column_stack([seg, rows]), n_indep + 1, combiner, weights
+            )
+            seg, rows = keyed[:, 0], keyed[:, 1:]
+    b_arr, s_arr = dist.bucket_sub_of_rows(rows)
+    order, starts, counts = group_columns([seg, b_arr, s_arr])
+    heads = order[starts]
+    b_heads, s_heads, seg_heads = b_arr[heads], s_arr[heads], seg[heads]
+    pre = counts if weights is None else np.add.reduceat(weights[order], starts)
+    grouped = rows[order]
+    for s0, c, p, g, dst, b, s in zip(
+        starts.tolist(),
+        counts.tolist(),
+        pre.tolist(),
+        seg_heads.tolist(),
+        dist.owner_table[b_heads, s_heads].tolist(),
+        b_heads.tolist(),
+        s_heads.tolist(),
+    ):
+        block = grouped[s0 : s0 + c]
+        sends.setdefault(srcs[g], {}).setdefault(dst, []).append(
+            (b, s, block, p) if for_wire else (b, s, block)
+        )
+    # A box standing for one row had nothing to fold.
+    n_folded = (
+        np.zeros(len(batch), dtype=np.int64)
+        if weights is None
+        else np.bincount(seg_heads, np.where(pre > 1, pre, 0), minlength=len(batch))
+    )
+    for src, n in zip(srcs, n_folded.tolist()):
+        folded[src] = int(n)
+
+
+#: Row budget of one batch: the exchange builders take consecutive
+#: source blocks, and the codec consecutive boxes, up to this many rows
+#: at once (a larger block or box goes alone), so every temporary stays a
+#: bounded multiple of it however many ranks a batch spans.  The bound is
+#: for memory: see the budget sweeps in EXPERIMENTS.md ("Batched wire
+#: layer" and "Batched exchanges").
+_CHUNK_ROWS = 1 << 14
 
 
 def _row_chunks(counts: Sequence[int], budget: int) -> Iterator[Tuple[int, int]]:
-    """Index ranges ``[lo, hi)`` of consecutive boxes within ``budget`` rows."""
+    """Index ranges ``[lo, hi)`` of consecutive items within ``budget``
+    rows in all; an item over the budget is a range of its own."""
     lo = 0
     acc = 0
     for i, c in enumerate(counts):
@@ -184,6 +246,11 @@ def _row_chunks(counts: Sequence[int], budget: int) -> Iterator[Tuple[int, int]]
         acc += c
     if lo < len(counts):
         yield lo, len(counts)
+
+
+def _concat(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """One block of ``blocks``' rows (a lone block as is)."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _offsets(counts: Sequence[int]) -> np.ndarray:
@@ -203,8 +270,9 @@ def encode_boxes(blocks: Sequence[np.ndarray], codec: str) -> List[bytes]:
     counts = [int(block.shape[0]) for block in blocks]
     payloads: List[bytes] = []
     for lo, hi in _row_chunks(counts, _CHUNK_ROWS):
-        rows = blocks[lo] if hi - lo == 1 else np.concatenate(blocks[lo:hi])
-        payloads += encode_blocks(rows, _offsets(counts[lo:hi]), codec)
+        payloads += encode_blocks(
+            _concat(blocks[lo:hi]), _offsets(counts[lo:hi]), codec
+        )
     return payloads
 
 
@@ -226,22 +294,27 @@ def encode_wire_sends(
     sends: Dict[int, Dict[int, List[PreBox]]], *, codec: str
 ) -> Dict[int, Dict[int, List[WireBox]]]:
     """Turn ``for_wire`` route boxes into wire boxes: codec encoding, one
-    :func:`encode_boxes` batch per source rank."""
-    out: Dict[int, Dict[int, List[WireBox]]] = {}
-    for src, per_dst in sends.items():
-        flat = [(dst, box) for dst, boxes in per_dst.items() for box in boxes]
-        payloads = encode_boxes([box[2] for _dst, box in flat], codec)
-        row: Dict[int, List[WireBox]] = {dst: [] for dst in per_dst}
-        for (dst, (b, s, rows, pre)), payload in zip(flat, payloads):
-            row[dst].append((b, s, int(rows.shape[0]), pre, payload))
-        out[src] = row
+    :func:`encode_boxes` pass over every source's boxes."""
+    flat = [
+        (src, dst, box)
+        for src, per_dst in sends.items()
+        for dst, boxes in per_dst.items()
+        for box in boxes
+    ]
+    payloads = encode_boxes([box[2] for _src, _dst, box in flat], codec)
+    out: Dict[int, Dict[int, List[WireBox]]] = {
+        src: {dst: [] for dst in per_dst} for src, per_dst in sends.items()
+    }
+    for (src, dst, (b, s, rows, pre)), payload in zip(flat, payloads):
+        out[src][dst].append((b, s, int(rows.shape[0]), pre, payload))
     return out
 
 
 def decode_wire_boxes(
     boxes: Sequence[WireBox], arity: int, codec: str
 ) -> List[RouteBox]:
-    """Decode one receiving rank's inbox (inverse of :func:`encode_wire_sends`)."""
+    """Decode wire boxes (inverse of :func:`encode_wire_sends`): one
+    receiving rank's inbox, or every inbox of an exchange laid end to end."""
     blocks = decode_boxes(
         [box[4] for box in boxes], [box[2] for box in boxes], arity, codec
     )

@@ -16,12 +16,19 @@ what makes fused local aggregation communication-free (§III-A).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import FrozenSet, Iterable, Sequence, Tuple
 
 import numpy as np
 
 from repro.relational.schema import Schema
-from repro.util.hashing import HashSeed, hash_columns, hash_tuple, splitmix64
+from repro.util.hashing import (
+    HashSeed,
+    hash_columns,
+    hash_tuple,
+    splitmix64,
+    splitmix64_array,
+)
 
 
 class Distribution:
@@ -104,28 +111,6 @@ class Distribution:
         ) % len(self._live)
         return int(self._live[idx])
 
-    def _apply_overlay(
-        self, owners: np.ndarray, buckets: np.ndarray, subs: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized overlay over parallel (owner, bucket, sub) arrays."""
-        if self._live is None or owners.size == 0:
-            return owners
-        from repro.util.hashing import splitmix64_array
-
-        dead = np.isin(owners, self._dead_arr)
-        if not dead.any():
-            return owners
-        key = (
-            buckets.astype(np.uint64) * np.uint64(0x1_0000)
-        ) + subs.astype(np.uint64)
-        idx = (
-            splitmix64_array(np.uint64(self._reroute_salt) ^ key)
-            % np.uint64(len(self._live))
-        ).astype(np.int64)
-        out = owners.copy()
-        out[dead] = self._live[idx[dead]]
-        return out
-
     # ------------------------------------------------------------ scalar path
 
     def bucket_of_key(self, jk: Tuple[int, ...]) -> int:
@@ -175,39 +160,51 @@ class Distribution:
 
     def rank_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`rank_of` over an ``(n, arity)`` array."""
-        buckets, subs = self.bucket_sub_of_rows(rows)
-        if buckets.size == 0 or not subs.any():
-            return self._apply_overlay(buckets, buckets, subs)
-        # Vectorized owner(): replicate the scalar offset computation.
-        mixed = self._vector_offsets(buckets, subs)
-        owners = np.where(subs == 0, buckets, (buckets + mixed) % self.n_ranks)
-        return self._apply_overlay(owners, buckets, subs)
-
-    def _vector_offsets(self, buckets: np.ndarray, subs: np.ndarray) -> np.ndarray:
-        from repro.util.hashing import splitmix64_array
-
-        key = (buckets.astype(np.uint64) * np.uint64(0x1_0000)) + subs.astype(np.uint64)
-        return (
-            splitmix64_array(np.uint64(self._sub_salt) ^ key) % np.uint64(self.n_ranks)
-        ).astype(np.int64)
+        return self.ranks_of_bucket_subs(*self.bucket_sub_of_rows(rows))
 
     def ranks_of_bucket_subs(self, buckets: np.ndarray, subs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`owner` over parallel (bucket, sub) arrays."""
-        if buckets.size == 0:
-            return buckets
-        if not subs.any():
-            return self._apply_overlay(buckets, buckets, subs)
-        mixed = self._vector_offsets(buckets, subs)
-        owners = np.where(subs == 0, buckets, (buckets + mixed) % self.n_ranks)
-        return self._apply_overlay(owners, buckets, subs)
+        return self.owner_table[buckets, subs]
 
-    def owners_of_buckets(self, buckets: np.ndarray, sub: int) -> np.ndarray:
-        """Vectorized :meth:`owner` for one sub-bucket index across buckets."""
-        subs = np.full_like(buckets, sub)
-        if sub == 0:
-            return self._apply_overlay(buckets, buckets, subs)
-        owners = (buckets + self._vector_offsets(buckets, subs)) % self.n_ranks
-        return self._apply_overlay(owners, buckets, subs)
+    @cached_property
+    def owner_table(self) -> np.ndarray:
+        """``(n_ranks, n_subbuckets)`` int64 table: cell ``[b, s]`` is
+        :meth:`owner` ``(b, s)``, the degraded overlay applied.
+
+        Buckets are ``hash % n_ranks`` and a placement never changes (every
+        resize or overlay is a new ``Distribution``), so one table, built
+        on first use, answers every owner lookup by indexing.
+        """
+        n_sub = self.schema.n_subbuckets
+        buckets = np.repeat(np.arange(self.n_ranks, dtype=np.int64), n_sub)
+        subs = np.tile(np.arange(n_sub, dtype=np.int64), self.n_ranks)
+        key = (buckets.astype(np.uint64) * np.uint64(0x1_0000)) + subs.astype(np.uint64)
+        offsets = (
+            splitmix64_array(np.uint64(self._sub_salt) ^ key) % np.uint64(self.n_ranks)
+        ).astype(np.int64)
+        owners = np.where(subs == 0, buckets, (buckets + offsets) % self.n_ranks)
+        if self._live is not None:
+            dead = np.isin(owners, self._dead_arr)
+            idx = (
+                splitmix64_array(np.uint64(self._reroute_salt) ^ key)
+                % np.uint64(len(self._live))
+            ).astype(np.int64)
+            owners[dead] = self._live[idx[dead]]
+        owners.setflags(write=False)
+        return owners.reshape(self.n_ranks, n_sub)
+
+    @cached_property
+    def distinct_owners(self) -> np.ndarray:
+        """``(n_ranks, n_subbuckets)`` bool mask: ``[b, s]`` is set when
+        sub-bucket ``s``'s owner differs from every lower sub-bucket's of
+        bucket ``b`` — the destinations intra-bucket replication sends a
+        tuple of bucket ``b`` to, each once."""
+        table = self.owner_table
+        keep = np.ones(table.shape, dtype=bool)
+        for s in range(1, table.shape[1]):
+            keep[:, s] = (table[:, s, None] != table[:, :s]).all(axis=1)
+        keep.setflags(write=False)
+        return keep
 
     def buckets_of_key_rows(self, rows: np.ndarray, key_cols: Sequence[int]) -> np.ndarray:
         """Vectorized bucket of the key values at ``key_cols`` of each row.

@@ -13,7 +13,7 @@ shards only, keeping very-high-rank simulations tractable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,7 +61,15 @@ class VersionedRelation:
         return s
 
     def owner_of(self, key: ShardKey) -> int:
-        return self.dist.owner(*key)
+        return int(self.dist.owner_table[key])
+
+    def owned_shards(self) -> Tuple[List[ShardKey], np.ndarray]:
+        """Every shard key in (bucket, sub) order, and each one's owner."""
+        keys = sorted(self.shards)
+        if not keys:
+            return keys, np.zeros(0, dtype=np.int64)
+        buckets, subs = np.asarray(keys, dtype=np.int64).T
+        return keys, self.dist.owner_table[buckets, subs]
 
     # ----------------------------------------------------------------- load
 
@@ -171,15 +179,16 @@ class VersionedRelation:
         return sum(s.delta_size() for s in self.shards.values())
 
     def full_sizes_by_rank(self) -> np.ndarray:
-        out = np.zeros(self.n_ranks, dtype=np.int64)
-        for key, shard in self.shards.items():
-            out[self.owner_of(key)] += shard.full_size()
-        return out
+        return self._sizes_by_rank("full")
 
     def delta_sizes_by_rank(self) -> np.ndarray:
+        return self._sizes_by_rank("delta")
+
+    def _sizes_by_rank(self, version: str) -> np.ndarray:
+        keys, owners = self.owned_shards()
+        size = "full_size" if version == "full" else "delta_size"
         out = np.zeros(self.n_ranks, dtype=np.int64)
-        for key, shard in self.shards.items():
-            out[self.owner_of(key)] += shard.delta_size()
+        np.add.at(out, owners, [getattr(self.shards[key], size)() for key in keys])
         return out
 
     # ------------------------------------------------------------- iterators
@@ -199,10 +208,11 @@ class VersionedRelation:
         ``(n, arity)`` int64 arrays."""
         if version not in ("full", "delta"):
             raise ValueError(f"unknown version {version!r}")
-        for key in sorted(self.shards):
+        keys, owners = self.owned_shards()
+        for key, owner in zip(keys, owners.tolist()):
             block = self.shards[key].version_block(version)
             if block.shape[0]:
-                yield self.owner_of(key), block
+                yield owner, block
 
     # ------------------------------------------------------------- rebalance
 

@@ -650,10 +650,15 @@ class Engine:
         self.counters["wire_on_wire_bytes"] += cluster.route_wire_bytes - wire0
         for choice, n in cluster.collective_counts.items():
             self.counters[f"wire_collective_{choice}"] += n - coll0.get(choice, 0)
-        return {
-            r: decode_wire_boxes(boxes, arity, wire.codec)
-            for r, boxes in recv.items()
-        }
+        # Every inbox in one decode pass, then cut back per receiver.
+        routed = decode_wire_boxes(
+            [box for boxes in recv.values() for box in boxes], arity, wire.codec
+        )
+        out, lo = {}, 0
+        for r, boxes in recv.items():
+            out[r] = routed[lo : lo + len(boxes)]
+            lo += len(boxes)
+        return out
 
     def _route_and_absorb(self, head_name: str, emitted, stats: "_IterStats") -> None:
         """All-to-all emitted tuples to their home shards and absorb them.

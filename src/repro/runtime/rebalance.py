@@ -139,7 +139,7 @@ def reshard_relation(
     blocks: List[Tuple[int, int, np.ndarray]] = []
     for key in sorted(rel.shards):
         shard = rel.shards[key]
-        src = rel.dist.owner(*key)
+        src = rel.owner_of(key)
         for kind, version in ((0, "full"), (1, "delta")):
             rows = shard.version_block(version)
             if rows.shape[0]:

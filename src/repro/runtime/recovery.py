@@ -307,13 +307,12 @@ class RecoveryManager:
         )
         moves: List[Tuple[int, int, int]] = []
         for _name, rel in sorted(store.relations.items()):
-            old_dist = rel.dist
-            keys = [k for k in rel.shards if old_dist.owner(*k) == rank]
+            keys = [k for k in rel.shards if rel.owner_of(k) == rank]
             rel.exclude_ranks({rank})
             for key in keys:
                 tuples = rel.shards[key].full_size()
                 moves.append((
-                    rel.dist.owner(*key),
+                    rel.owner_of(key),
                     tuples * rel.schema.arity * BYTES_PER_WORD,
                     tuples,
                 ))

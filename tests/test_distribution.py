@@ -103,13 +103,25 @@ class TestVectorizedEquivalence:
         for b, s, r in zip(buckets, subs, ranks):
             assert d.owner(int(b), int(s)) == int(r)
 
-    def test_owners_of_buckets_matches_scalar(self):
+    @pytest.mark.parametrize("variant", ["plain", "degraded", "resized"])
+    def test_owner_table_matches_scalar(self, variant):
+        """Every (bucket, sub) cell of the owner table is the scalar
+        :meth:`~Distribution.owner`, and the distinct-owner mask marks
+        each sub-bucket whose owner no lower sub-bucket shares."""
         d = dist(n_ranks=29, n_sub=6)
-        buckets = np.arange(29, dtype=np.int64)
-        for s in range(6):
-            vec = d.owners_of_buckets(buckets, s)
-            for b, r in zip(buckets, vec):
-                assert d.owner(int(b), s) == int(r)
+        if variant == "degraded":
+            d = d.exclude_ranks([0, 3, 17])
+        elif variant == "resized":
+            d = d.exclude_ranks([5]).with_subbuckets(9)
+        n_sub = d.schema.n_subbuckets
+        assert d.owner_table.shape == (29, n_sub)
+        for b in range(29):
+            owners = [d.owner(b, s) for s in range(n_sub)]
+            assert d.owner_table[b].tolist() == owners
+            assert d.distinct_owners[b].tolist() == [
+                owners[s] not in owners[:s] for s in range(n_sub)
+            ]
+        assert not set(d.owner_table.ravel().tolist()) & d.dead_ranks
 
     def test_empty_rows(self):
         d = dist()

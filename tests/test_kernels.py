@@ -23,7 +23,7 @@ from repro.core.aggregators import (
     SumAggregator,
     UnionAggregator,
 )
-from repro.kernels import block
+from repro.kernels import block, route
 from repro.kernels.absorb import _COMBINERS, AbsorbStats, make_shard
 from repro.kernels.block import (
     KeyIndex,
@@ -33,11 +33,13 @@ from repro.kernels.block import (
     segmented_scan,
 )
 from repro.kernels.join import RankJoinIndex
-from repro.kernels.route import build_route_sends
+from repro.kernels.route import build_intra_sends, build_route_sends
 from repro.planner.ast import Atom, BinOp, Const, Var
 from repro.planner.compile_rules import EmitSpec
+from repro.relational.distribution import Distribution
 from repro.relational.schema import Schema
 from repro.relational.storage import VersionedRelation
+from repro.util.hashing import HashSeed
 
 
 # ----------------------------------------------------------- block primitives
@@ -654,6 +656,85 @@ def test_rank_join_index_probe_matches_brute_force(rows, n_ranks):
 
 
 # ----------------------------------------------------------------- route
+
+def _ref_intra_sends(owner_blocks, dist, n_sub, probe_cols, per_rank_ser):
+    """Intra-bucket replication one owner block at a time, with every
+    owner read off the scalar ``Distribution.owner``."""
+    sends = {}
+    n_intra = 0
+    for owner, rows in owner_blocks:
+        n = rows.shape[0]
+        if n == 0:
+            continue
+        buckets = dist.buckets_of_key_rows(rows, probe_cols).tolist()
+        dst_mat = np.asarray(
+            [[dist.owner(b, s) for b in buckets] for s in range(n_sub)],
+            dtype=np.int64,
+        ).reshape(n_sub, n)
+        keep = np.ones(dst_mat.shape, dtype=bool)
+        for s in range(1, n_sub):
+            for p in range(s):
+                keep[s] &= dst_mat[s] != dst_mat[p]
+        src_row = np.nonzero(keep.T)[0]
+        dst = dst_mat.T[keep.T]
+        order, starts, counts = group_columns([dst])
+        dst_heads = dst[order[starts]]
+        order = src_row[order]
+        row_map = sends.setdefault(owner, {})
+        for s0, c, d in zip(starts.tolist(), counts.tolist(), dst_heads.tolist()):
+            row_map.setdefault(d, []).append(rows[order[s0 : s0 + c]])
+        per_rank_ser[owner] += dst.shape[0]
+        n_intra += dst.shape[0]
+    return sends, n_intra
+
+
+@given(
+    n_ranks=st.integers(1, 7),
+    n_sub=st.sampled_from([1, 3, 8]),
+    data=st.data(),
+    budget=st.sampled_from([1, 5, route._CHUNK_ROWS]),
+)
+def test_batched_intra_sends_match_per_owner_model(n_ranks, n_sub, data, budget):
+    """Replicating consecutive owners' blocks in one batch sends every
+    ``(owner, dst)`` pair the same rows in the same order, with the same
+    fan-out tallies, as replicating each block alone — batches split
+    anywhere, under a dead-rank overlay too."""
+    dead = data.draw(st.sets(st.integers(0, n_ranks - 1), max_size=n_ranks - 1))
+    schema = Schema(name="inner", arity=3, join_cols=(0,), n_subbuckets=n_sub)
+    dist = Distribution(
+        schema, n_ranks, HashSeed().derive(data.draw(st.integers(0, 9))), dead
+    )
+    probe_cols = data.draw(st.sampled_from([(0,), (2,)]))
+    owner_blocks = [
+        (owner, np.asarray(rows, dtype=np.int64).reshape(len(rows), 3))
+        for owner, rows in data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, n_ranks - 1),
+                    st.lists(st.lists(st.integers(-5, 40), min_size=3, max_size=3),
+                             max_size=12),
+                ),
+                max_size=8,
+            )
+        )
+    ]
+    want_ser = np.zeros(n_ranks, dtype=np.int64)
+    want, want_n = _ref_intra_sends(owner_blocks, dist, n_sub, probe_cols, want_ser)
+    got_ser = np.zeros(n_ranks, dtype=np.int64)
+    with mock.patch.object(route, "_CHUNK_ROWS", budget):
+        got, got_n = build_intra_sends(owner_blocks, dist, n_sub, probe_cols, got_ser)
+
+    def flat(sends):
+        return {
+            (owner, dst): np.concatenate(blocks).tolist()
+            for owner, per_dst in sends.items()
+            for dst, blocks in per_dst.items()
+        }
+
+    assert flat(got) == flat(want)
+    assert got_n == want_n
+    assert got_ser.tolist() == want_ser.tolist()
+
 
 def test_build_route_sends_partitions_all_rows():
     schema = Schema(name="p", arity=2, join_cols=(0,))

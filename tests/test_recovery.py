@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultConfig, RankFailure, UnrecoverableRankLoss
+from repro.faults import (
+    FaultConfig,
+    RankFailure,
+    UnrecoverableRankLoss,
+    parse_fault_spec,
+)
 from repro.queries.cc import run_cc
 from repro.queries.pagerank import run_pagerank
 from repro.queries.sssp import run_sssp
@@ -253,6 +258,40 @@ class TestIdempotence:
         ).fixpoint
         assert faulty.query("spath") == base.query("spath")
         assert faulty.counters["admitted"] == base.counters["admitted"]
+
+
+#: What the fault plane did to SSSP (sources 0-9) and CC on the medium
+#: graphs at 16 ranks, four sub-buckets a relation, under
+#: ``drop=0.05,dup=0.05,corrupt=0.05,seed=7``: the injected drops, dups
+#: and corruptions, the retransmissions they cost, and the modeled
+#: seconds and comm bytes of the run.  The draws depend on every
+#: message's content (the corruption mutator picks a leaf among all of a
+#: payload's values), so these pin how the exchanges cut messages.
+FAULT_GOLDEN = {
+    "sssp": ((56, 50, 64, 115, 7901), 0.00042350989999999995, 104782),
+    "cc": ((41, 57, 57, 94, 4642), 0.000272247, 43507),
+}
+
+
+@pytest.mark.parametrize("query", sorted(FAULT_GOLDEN))
+def test_fault_plane_outcomes_are_pinned(query, medium_graph, medium_weighted_graph):
+    config = EngineConfig(
+        n_ranks=16,
+        default_subbuckets=4,
+        faults=parse_fault_spec("drop=0.05,dup=0.05,corrupt=0.05,seed=7"),
+    )
+    if query == "sssp":
+        fp = run_sssp(medium_weighted_graph, list(range(10)), config).fixpoint
+    else:
+        fp = run_cc(medium_graph, config).fixpoint
+    inj = fp.recovery.injected
+    injected, modeled, comm_bytes = FAULT_GOLDEN[query]
+    assert (
+        inj.drops, inj.dups, inj.corruptions, inj.retransmits,
+        inj.retransmitted_bytes,
+    ) == injected
+    assert fp.modeled_seconds() == pytest.approx(modeled, rel=1e-12)
+    assert fp.ledger.comm.bytes_total == comm_bytes
 
 
 class TestFaultFreeInvariance:

@@ -545,7 +545,7 @@ def _emitted_heads(draw):
         "head", arity, tuple(join_cols), n_dep, aggregator,
         n_subbuckets=draw(st.sampled_from([1, 3, 8])),
     )
-    n_ranks = draw(st.integers(1, 6))
+    n_ranks = draw(st.integers(1, 8))
     dead = draw(st.sets(st.integers(0, n_ranks - 1), max_size=n_ranks - 1))
     dist = Distribution(schema, n_ranks, HashSeed().derive(draw(st.integers(0, 9))), dead)
     plan = None
@@ -599,7 +599,7 @@ class TestFoldBeforeRoute:
     @pytest.mark.parametrize("codec", WIRE_CODECS)
     @given(
         case=_emitted_heads(),
-        budget=st.sampled_from([1, 5, 1 << 16]),
+        budget=st.sampled_from([1, 5, route._CHUNK_ROWS]),
         pair_budget=st.sampled_from([1, 2, 7, 1 << 18]),
     )
     @settings(max_examples=120, deadline=None)
@@ -607,7 +607,10 @@ class TestFoldBeforeRoute:
         self, codec, case, budget, pair_budget
     ):
         """…and so does handing the route step a block the local join
-        folded in runs of ``pair_budget`` pairs, with its pre-fold counts."""
+        folded in runs of ``pair_budget`` pairs, with its pre-fold counts
+        — for every source, or for every other one.  The row budget makes
+        the route step fold and box up to 8 sources at once, a source
+        over it alone."""
         emitted, dist, plan = case
         want = {
             src: _ref_wire_boxes(rows, dist, plan, codec)
@@ -616,10 +619,12 @@ class TestFoldBeforeRoute:
         }
         runs = [emitted]
         if plan is not None:
-            runs.append({
-                src: _fold_in_runs(rows, plan, pair_budget)
-                for src, rows in emitted.items()
-            })
+            for every in (1, 2):
+                runs.append({
+                    src: _fold_in_runs(rows, plan, pair_budget)
+                    if i % every == 0 else rows
+                    for i, (src, rows) in enumerate(emitted.items())
+                })
         ex = executor_mod.ColumnarExecutor()
         for blocks in runs:
             with mock.patch.object(route, "_CHUNK_ROWS", budget):
