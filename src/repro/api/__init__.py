@@ -5,9 +5,9 @@ checkpoint replication, adaptive rebalancing, diagnostics, incremental
 maintenance), and :class:`~repro.runtime.config.EngineConfig` grew a flat
 kwarg per knob.  This package is the curated surface on top:
 
-* :class:`Options` — typed option groups (:class:`WireOptions`,
-  :class:`FaultOptions`, :class:`RecoveryOptions`,
-  :class:`RebalanceOptions`, :class:`DiagnosticsOptions`) with **all**
+* :class:`Options` — typed option groups (:class:`FaultOptions`,
+  :class:`RecoveryOptions`, :class:`RebalanceOptions`,
+  :class:`DiagnosticsOptions`) and one ``wire`` switch, with **all**
   cross-field validation centralized in :meth:`Options.validate`, so a
   bad combination fails in one place with a message naming the Options
   field (and the CLI flag) instead of surfacing mid-run;
@@ -31,7 +31,6 @@ from repro.api.options import (
     OptionsError,
     RebalanceOptions,
     RecoveryOptions,
-    WireOptions,
 )
 from repro.api.session import Session
 
@@ -43,5 +42,4 @@ __all__ = [
     "RebalanceOptions",
     "RecoveryOptions",
     "Session",
-    "WireOptions",
 ]

@@ -2,9 +2,9 @@
 
 :class:`Options` is the structured twin of the flat
 :class:`~repro.runtime.config.EngineConfig`: related knobs live together
-in small dataclasses (:class:`WireOptions`, :class:`FaultOptions`,
-:class:`RecoveryOptions`, :class:`RebalanceOptions`,
-:class:`DiagnosticsOptions`), and every *cross-field* rule — the kind
+in small dataclasses (:class:`FaultOptions`, :class:`RecoveryOptions`,
+:class:`RebalanceOptions`, :class:`DiagnosticsOptions`) beside the
+top-level ``wire`` switch, and every *cross-field* rule — the kind
 that used to be scattered across CLI handlers and mid-run failures — is
 enforced in one place, :meth:`Options.validate`, with error messages
 that name the Options field (and the CLI flag that sets it).
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Literal, Optional
 
 from repro.comm.costmodel import CostModel
-from repro.comm.wire import WireConfig
 from repro.faults.config import FaultConfig
 from repro.obs.tracer import Tracer
 from repro.runtime.config import EngineConfig
@@ -44,40 +43,6 @@ from repro.runtime.config import EngineConfig
 
 class OptionsError(ValueError):
     """A cross-field Options combination that cannot run correctly."""
-
-
-@dataclass
-class WireOptions:
-    """Wire-optimization layer under the route exchange.
-
-    Mirrors :class:`~repro.comm.wire.WireConfig` field-for-field; see it
-    for semantics.  ``WireOptions(enabled=False)`` reproduces the
-    pre-wire engine bit-for-bit.
-    """
-
-    enabled: bool = True
-    sender_combine: bool = True
-    codec: str = "delta"
-    alltoallv: str = "auto"
-
-    def to_config(self) -> WireConfig:
-        if not self.enabled:
-            return WireConfig.off()
-        return WireConfig(
-            enabled=True,
-            sender_combine=self.sender_combine,
-            codec=self.codec,
-            alltoallv=self.alltoallv,
-        )
-
-    @classmethod
-    def from_config(cls, config: WireConfig) -> "WireOptions":
-        return cls(
-            enabled=config.enabled,
-            sender_combine=config.sender_combine,
-            codec=config.codec,
-            alltoallv=config.alltoallv,
-        )
 
 
 @dataclass
@@ -140,8 +105,6 @@ class DiagnosticsOptions:
     #: Capture rank×rank comm matrices and enable the skew doctor /
     #: critical-path attribution on the result.
     enabled: bool = False
-    #: Record per-iteration phase breakdowns and vote decisions.
-    track_trace: bool = True
     #: Span/metrics sink; None = the zero-overhead no-op tracer.
     tracer: Optional[Tracer] = None
     #: Order-independent per-iteration Δ fingerprints (test plane).
@@ -169,7 +132,9 @@ class Options:
     auto_balance: Optional[float] = None
     cost_model: Optional[CostModel] = None
     reorder_messages_seed: Optional[int] = None
-    wire: WireOptions = field(default_factory=WireOptions)
+    #: The wire layer (sender fold, ``delta`` codec, collective
+    #: autotune); see :attr:`EngineConfig.wire`.
+    wire: bool = True
     faults: FaultOptions = field(default_factory=FaultOptions)
     recovery: RecoveryOptions = field(default_factory=RecoveryOptions)
     rebalance: RebalanceOptions = field(default_factory=RebalanceOptions)
@@ -248,14 +213,13 @@ class Options:
             cost_model=self.cost_model,
             max_iterations=self.max_iterations,
             seed=self.seed,
-            track_trace=self.diagnostics.track_trace,
             reorder_messages_seed=self.reorder_messages_seed,
             tracer=self.diagnostics.tracer,
             diagnostics=self.diagnostics.enabled,
             faults=self.faults.resolve(),
             checkpoint_every=self.recovery.checkpoint_every,
             replicas=self.recovery.replicas,
-            wire=self.wire.to_config(),
+            wire=self.wire,
             rebalance=self.rebalance.enabled,
             rebalance_every=self.rebalance.every,
             rebalance_threshold=self.rebalance.threshold,
@@ -280,7 +244,7 @@ class Options:
             auto_balance=config.auto_balance,
             cost_model=config.cost_model,
             reorder_messages_seed=config.reorder_messages_seed,
-            wire=WireOptions.from_config(config.wire),
+            wire=config.wire,
             faults=FaultOptions(config=config.faults),
             recovery=RecoveryOptions(
                 checkpoint_every=config.checkpoint_every,
@@ -296,7 +260,6 @@ class Options:
             ),
             diagnostics=DiagnosticsOptions(
                 enabled=config.diagnostics,
-                track_trace=config.track_trace,
                 tracer=config.tracer,
                 delta_fingerprints=config.delta_fingerprints,
             ),

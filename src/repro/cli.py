@@ -26,7 +26,6 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.comm.wire import WIRE_CODECS, WIRE_COLLECTIVES, WireConfig
 from repro.experiments import ablations, fig2, fig3, fig4, fig5, fig6, fig7, table1, table2
 from repro.experiments.common import ExperimentDefaults, defaults_from_env
 from repro.graphs.datasets import DATASETS, load_dataset
@@ -37,39 +36,12 @@ from repro.runtime.config import EngineConfig
 
 
 def _add_wire_flags(parser: argparse.ArgumentParser) -> None:
-    """Wire-layer flags shared by ``run``, ``query`` and ``update``."""
+    """The wire-layer switch shared by ``run``, ``query`` and ``update``."""
     parser.add_argument(
         "--no-wire", action="store_true",
-        help="disable the wire-optimization layer entirely (legacy route "
-             "framing; results are identical, only modeled bytes/seconds "
-             "change)",
-    )
-    parser.add_argument(
-        "--no-sender-combine", action="store_true",
-        help="keep the wire layer but skip sender-side duplicate folding "
-             "before the route exchange",
-    )
-    parser.add_argument(
-        "--wire-codec", choices=list(WIRE_CODECS), default="delta",
-        help="route payload encoding: raw 8-byte words, sorted-key "
-             "delta+varint, or dictionary (default: delta)",
-    )
-    parser.add_argument(
-        "--alltoallv", choices=list(WIRE_COLLECTIVES), default="auto",
-        help="modeled alltoallv algorithm: pairwise 'direct', log-round "
-             "'bruck', or per-superstep 'auto' from the α–β model "
-             "(default: auto)",
-    )
-
-
-def _wire_config(args: argparse.Namespace) -> WireConfig:
-    if args.no_wire:
-        return WireConfig.off()
-    return WireConfig(
-        enabled=True,
-        sender_combine=not args.no_sender_combine,
-        codec=args.wire_codec,
-        alltoallv=args.alltoallv,
+        help="disable the wire-optimization layer (sender fold, delta "
+             "codec, collective autotune); results are identical, only "
+             "modeled bytes/seconds change",
     )
 
 
@@ -117,7 +89,6 @@ def _options_from_args(args: argparse.Namespace, *, tracer=None):
         OptionsError,
         RebalanceOptions,
         RecoveryOptions,
-        WireOptions,
     )
 
     from repro.faults.config import parse_fault_spec
@@ -136,7 +107,7 @@ def _options_from_args(args: argparse.Namespace, *, tracer=None):
         n_ranks=args.ranks,
         dynamic_join=not getattr(args, "no_dynamic_join", False),
         **core,
-        wire=WireOptions.from_config(_wire_config(args)),
+        wire=not args.no_wire,
         faults=FaultOptions(config=faults),
         recovery=RecoveryOptions(
             checkpoint_every=getattr(args, "checkpoint_every", None),

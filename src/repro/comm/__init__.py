@@ -17,8 +17,9 @@ substitution in DESIGN.md §2) this package provides:
     with actual serialized sizes, so communication volume is measured,
     never assumed.
 :mod:`repro.comm.wire`
-    The route exchange's wire layer: :class:`~repro.comm.wire.WireConfig`
-    (sender fold, codec, direct-vs-Bruck pick) and the row-block codecs.
+    The row-block codecs of the route exchange's wire layer (sender
+    fold, ``delta`` codec and direct-vs-Bruck pick, switched together by
+    ``EngineConfig.wire``).
 :mod:`repro.comm.ledger`
     Per-phase accounting of compute (per-rank, max-combined per superstep)
     and communication (global) modeled time.

@@ -93,13 +93,12 @@ class SimCluster:
         #: exchange *would* have shipped un-combined and un-encoded
         #: (``pre_count_of`` × raw tuple size) vs bytes it actually put
         #: on the wire, plus collective-autotune outcomes.  Monotone for
-        #: the cluster's lifetime — unlike engine counters these survive
-        #: checkpoint rollback, so an A/B of the wire layer reads them
-        #: directly.
+        #: the cluster's lifetime; ``Engine._wire_exchange`` reads them
+        #: as per-exchange deltas into its own counters, which rollback
+        #: rewinds.
         self.route_precombine_bytes = 0
         self.route_wire_bytes = 0
         self.collective_counts: Dict[str, int] = {"direct": 0, "bruck": 0}
-        self.collective_saved_seconds = 0.0
 
     @classmethod
     def from_config(cls, config, *, tracer=None, comm_recorder=None) -> "SimCluster":
@@ -220,7 +219,7 @@ class SimCluster:
         count_of: Optional[Callable[[Any], int]] = None,
         nbytes_of: Optional[Callable[[Any], int]] = None,
         pre_count_of: Optional[Callable[[Any], int]] = None,
-        collective: str = "direct",
+        autotune: bool = False,
         kind: str = "alltoallv",
         channel: str = "data",
     ) -> Dict[int, List[Any]]:
@@ -247,15 +246,15 @@ class SimCluster:
             the recorder's ``precombine`` channel and the cluster's
             ``route_precombine_bytes`` — so combining/codec savings stay
             measurable per edge and in total.
-        collective:
-            ``"direct"`` (the production pairwise algorithm, the
-            historical behavior), ``"bruck"``, or ``"auto"`` — pick the
-            cheaper of the two under the α–β model from this exchange's
-            observed message sizes.  The payload routing is identical
-            either way (the simulation moves data once); only the charged
-            seconds change, and each autotuned decision is recorded in
-            ``collective_counts`` / ``collective_saved_seconds`` and as a
-            ``collective_choice`` instant span.
+        autotune:
+            Off, charge the pairwise ``direct`` algorithm (the historical
+            behavior).  On, charge the cheaper of ``direct`` and Bruck
+            under the α–β model from this exchange's observed message
+            sizes.  The payload routing is identical either way (the
+            simulation moves data once); only the charged seconds change,
+            and each autotuned decision is recorded in
+            ``collective_counts`` and as a ``collective_choice`` instant
+            span.
         kind:
             Ledger/recorder tag for this exchange (the CommEvent kind and
             the CommMatrix kind).  The rebalancer's redistribution passes
@@ -389,29 +388,25 @@ class SimCluster:
             busiest = max(busiest, sent_bytes.get(r, 0) + recv_bytes.get(r, 0))
         max_peers = max(peers.values(), default=0)
         seconds = self.cost.alltoallv(self.n_ranks, busiest, max_peers)
-        if collective != "direct" and self.n_ranks > 1:
+        if autotune and self.n_ranks > 1:
             # Collective autotune: same observed message sizes, two
-            # algorithm costs; "auto" takes the cheaper, "bruck" is
-            # forced.  Data movement is identical either way.
+            # algorithm costs, charge the cheaper.  Data movement is
+            # identical either way.
+            direct_seconds = seconds
             bruck_seconds = self.cost.alltoallv_bruck(self.n_ranks, busiest)
-            chosen = "bruck" if (
-                collective == "bruck" or bruck_seconds < seconds
-            ) else "direct"
-            saved = max(0.0, seconds - bruck_seconds) if chosen == "bruck" else 0.0
+            chosen = "bruck" if bruck_seconds < direct_seconds else "direct"
+            saved = 0.0
             if chosen == "bruck":
+                saved = direct_seconds - bruck_seconds
                 seconds = bruck_seconds
             self.collective_counts[chosen] += 1
-            self.collective_saved_seconds += saved
             self.tracer.instant(
                 "collective_choice",
                 cat="wire",
                 attrs={
                     "phase": phase,
-                    "requested": collective,
                     "chosen": chosen,
-                    "direct_seconds": self.cost.alltoallv(
-                        self.n_ranks, busiest, max_peers
-                    ),
+                    "direct_seconds": direct_seconds,
                     "bruck_seconds": bruck_seconds,
                     "saved_seconds": saved,
                     "max_rank_bytes": busiest,

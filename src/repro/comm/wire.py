@@ -1,19 +1,17 @@
 """Wire codecs for the route exchange (PR 7).
 
 The route exchange ships blocks of int64 tuples between ranks.  This
-module owns the *representation* of those blocks on the simulated wire:
+module owns the *representation* of those blocks on the simulated wire.
+The layer has one switch, ``EngineConfig.wire`` (on by default): on,
+the engine folds each sender's duplicate keys, ships ``delta`` payloads
+and lets the α–β model pick the collective per exchange; off, it
+reproduces the pre-wire engine bit-for-bit (no folding, no encoding,
+direct ``alltoallv``, raw byte charging).
 
-* :class:`WireConfig` — the knobs for the wire-optimization layer
-  (sender-side combining, payload codec, collective algorithm choice).
-  The layer is **on by default**; ``WireConfig.off()`` reproduces the
-  pre-wire behavior bit-for-bit (no combining, no encoding, direct
-  ``alltoallv``, legacy byte charging).
-
-* Row-block codecs — ``raw`` (native int64 bytes), ``delta``
-  (per-column delta + zigzag varint; small when rows arrive sorted by
-  independent key, which sender-side combining guarantees) and ``dict``
-  (global value dictionary + fixed-width indices; small when the value
-  universe is tiny, e.g. CC labels late in the fixpoint).
+Row-block codecs: ``delta`` (per-column delta + zigzag varint; small
+when rows arrive sorted by independent key, which sender-side combining
+guarantees) and ``raw`` (native int64 bytes, which the reshard exchange
+ships with the layer off).
 
 Codec payloads are Python ``bytes`` on purpose: the fault plane's
 bit-flip mutator only targets integer/ndarray leaves, so a corrupted
@@ -30,65 +28,24 @@ sender-side fold is charged separately by the engine (see DESIGN §11).
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-#: Available payload codecs, in documentation order.
-WIRE_CODECS: Tuple[str, ...] = ("raw", "delta", "dict")
+#: The payload codecs, one per setting of the wire layer.
+_CODECS: Tuple[str, ...] = ("raw", "delta")
 
-#: Available collective algorithm choices for the route ``alltoallv``.
-WIRE_COLLECTIVES: Tuple[str, ...] = ("auto", "direct", "bruck")
+
+def payload_codec(wire: bool) -> str:
+    """The codec boxes ship under: ``delta`` with the wire layer on,
+    ``raw`` (charged as plain int64 words) with it off."""
+    return "delta" if wire else "raw"
+
 
 #: Integer words of per-box metadata (bucket, sub, n_rows, pre_rows)
 #: that travel alongside the encoded payload and are charged as wire
 #: bytes with it.
 WIRE_HEADER_WORDS = 4
-
-
-@dataclass(frozen=True)
-class WireConfig:
-    """Configuration of the wire-optimization layer under the route exchange.
-
-    ``enabled=False`` (via :meth:`off`) bypasses the layer entirely: route
-    payloads, byte charges and collective costs are bit-identical to the
-    pre-wire engine.  With the layer on, fixpoint results and iteration
-    counts are unchanged — only modeled bytes/seconds (and the dedup work
-    the receiver no longer does) move.
-    """
-
-    enabled: bool = True
-    #: Fold duplicate independent keys in each sender's emitted block
-    #: before it is routed, using the receiver's own vector combiners.
-    #: Only lattices where sender pre-folding provably commutes with
-    #: receiver absorption participate (see
-    #: ``VectorCombiner.combinable``); others ship verbatim.
-    sender_combine: bool = True
-    codec: str = "delta"
-    #: Route collective: "direct" (flat alltoallv), "bruck"
-    #: (log-round), or "auto" (α–β model picks per superstep from the
-    #: observed message sizes).
-    alltoallv: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.codec not in WIRE_CODECS:
-            raise ValueError(
-                f"wire codec must be one of {WIRE_CODECS}, got {self.codec!r}"
-            )
-        if self.alltoallv not in WIRE_COLLECTIVES:
-            raise ValueError(
-                f"alltoallv choice must be one of {WIRE_COLLECTIVES}, "
-                f"got {self.alltoallv!r}"
-            )
-
-    @classmethod
-    def off(cls) -> "WireConfig":
-        """The pre-wire engine, bit-for-bit (baseline for A/B runs)."""
-        return cls(
-            enabled=False, sender_combine=False, codec="raw", alltoallv="direct"
-        )
 
 
 # --------------------------------------------------------------- varint
@@ -234,41 +191,7 @@ def _delta_decode(
     return total[1:][_box_major_index(starts, arity).T]
 
 
-_DICT_HEADER = struct.Struct("<QBQ")  # n_dict, index width, dict byte length
-
-
-def _index_dtype(n_dict: int) -> np.dtype:
-    if n_dict <= 1 << 8:
-        return np.dtype("<u1")
-    if n_dict <= 1 << 16:
-        return np.dtype("<u2")
-    if n_dict <= 1 << 32:
-        return np.dtype("<u4")
-    return np.dtype("<u8")
-
-
 _ONE_BOX = np.asarray([0, 1], np.int64)
-
-
-def _dict_encode(rows: np.ndarray) -> bytes:
-    uniq, inv = np.unique(rows.ravel(), return_inverse=True)
-    (dict_bytes,) = _delta_encode(uniq[:, None], _ONE_BOX * uniq.shape[0])
-    dtype = _index_dtype(uniq.shape[0])
-    header = _DICT_HEADER.pack(uniq.shape[0], dtype.itemsize, len(dict_bytes))
-    return header + dict_bytes + inv.astype(dtype).tobytes()
-
-
-def _dict_decode(data: bytes, n_rows: int, arity: int) -> np.ndarray:
-    n_dict, width, dict_len = _DICT_HEADER.unpack_from(data, 0)
-    off = _DICT_HEADER.size
-    uniq = _delta_decode([data[off:off + dict_len]], _ONE_BOX * n_dict, 1).ravel()
-    dtype = np.dtype(f"<u{width}")
-    inv = np.frombuffer(data, dtype, offset=off + dict_len).astype(np.int64)
-    if inv.shape[0] != n_rows * arity:
-        raise ValueError(
-            f"dict stream has {inv.shape[0]} indices, expected {n_rows * arity}"
-        )
-    return uniq[inv].reshape(n_rows, arity)
 
 
 def encode_blocks(rows: np.ndarray, starts: np.ndarray, codec: str) -> List[bytes]:
@@ -276,21 +199,20 @@ def encode_blocks(rows: np.ndarray, starts: np.ndarray, codec: str) -> List[byte
 
     One payload per box (``b""`` for an empty one).  ``delta`` runs a
     single difference/zigzag/varint pass over the whole block; ``raw``
-    cuts the block's bytes; ``dict`` keeps a dictionary and an index
-    width per box, so its boxes are encoded one at a time.
+    cuts the block's bytes.
     """
-    if codec not in WIRE_CODECS:
+    if codec not in _CODECS:
         raise ValueError(f"unknown wire codec {codec!r}")
     if rows.shape[0] == 0:
         return [b""] * (len(starts) - 1)
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     if codec == "delta":
         return _delta_encode(rows, starts)
-    bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
-    if codec == "raw":
-        rows = rows.astype("<i8", copy=False)
-        return [rows[a:b].tobytes() for a, b in bounds]
-    return [_dict_encode(rows[a:b]) if a < b else b"" for a, b in bounds]
+    rows = rows.astype("<i8", copy=False)
+    return [
+        rows[a:b].tobytes()
+        for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())
+    ]
 
 
 def decode_blocks(
@@ -299,23 +221,17 @@ def decode_blocks(
     """Exact inverse of :func:`encode_blocks`: the boxes' rows as one
     writable ``(starts[-1], arity)`` block, box ``k`` at
     ``[starts[k], starts[k + 1])``."""
-    if codec not in WIRE_CODECS:
+    if codec not in _CODECS:
         raise ValueError(f"unknown wire codec {codec!r}")
     n = int(starts[-1])
     if n == 0:
         return np.zeros((0, arity), np.int64)
     if codec == "delta":
         return _delta_decode(payloads, starts, arity)
-    if codec == "raw":
-        if (np.diff(starts) * (arity * 8) != [len(p) for p in payloads]).any():
-            raise ValueError("raw payload sizes do not match the box row counts")
-        data = payloads[0] if len(payloads) == 1 else b"".join(payloads)
-        return np.frombuffer(data, "<i8").astype(np.int64).reshape(n, arity)
-    out = np.empty((n, arity), np.int64)
-    for payload, a, b in zip(payloads, starts[:-1].tolist(), starts[1:].tolist()):
-        if a < b:
-            out[a:b] = _dict_decode(payload, b - a, arity)
-    return out
+    if (np.diff(starts) * (arity * 8) != [len(p) for p in payloads]).any():
+        raise ValueError("raw payload sizes do not match the box row counts")
+    data = payloads[0] if len(payloads) == 1 else b"".join(payloads)
+    return np.frombuffer(data, "<i8").astype(np.int64).reshape(n, arity)
 
 
 def encode_rows(rows: np.ndarray, codec: str) -> bytes:

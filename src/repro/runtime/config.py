@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Literal, Optional
 
 from repro.comm.costmodel import CostModel
-from repro.comm.wire import WireConfig
 from repro.faults.config import FaultConfig
 from repro.obs.tracer import Tracer
 
@@ -50,8 +49,6 @@ class EngineConfig:
         Safety bound on fixpoint length.
     seed:
         Seed for all hashing/placement; fixed seed = bit-reproducible runs.
-    track_trace:
-        Record per-iteration phase breakdowns (Fig. 7) and vote decisions.
     tracer:
         Observability sink (:class:`repro.obs.tracer.Tracer`).  When set,
         the engine emits nested spans for every pipeline phase, iteration
@@ -73,7 +70,6 @@ class EngineConfig:
     cost_model: Optional[CostModel] = None
     max_iterations: int = 1_000_000
     seed: int = 0xC0FFEE
-    track_trace: bool = True
     #: Failure injection: shuffle every collective's delivery buffer with
     #: this seed (models nondeterministic network arrival order; results
     #: must be unchanged).  None = deterministic delivery.
@@ -102,13 +98,13 @@ class EngineConfig:
     #: 0 = no replication — a permanent loss then fails loudly with
     #: :class:`repro.faults.UnrecoverableRankLoss`.
     replicas: int = 0
-    #: Wire-optimization layer under the route exchange (PR 7):
-    #: sender-side combining, payload codec, collective autotuning.  On
-    #: by default; ``WireConfig.off()`` reproduces the pre-wire engine
-    #: bit-for-bit (results AND ledger).  With the layer on, fixpoint
-    #: results, Δ contents and iteration counts are unchanged — only
-    #: modeled bytes/seconds move (that is the optimization).
-    wire: WireConfig = field(default_factory=WireConfig)
+    #: Wire-optimization layer under the route exchange: the sender
+    #: fold, the ``delta`` codec and the α–β collective autotune,
+    #: together.  ``False`` reproduces the pre-wire engine bit-for-bit
+    #: (results AND ledger).  With the layer on, fixpoint results, Δ
+    #: contents and iteration counts are unchanged — only modeled
+    #: bytes/seconds move (that is the optimization).
+    wire: bool = True
     #: Online adaptive spatial rebalancing (PR 8): every
     #: ``rebalance_every`` iterations of a recursive stratum, consult the
     #: skew doctor's bucket-skew measurement per relation and, past the
@@ -169,10 +165,8 @@ class EngineConfig:
                 f"replicas must be in [0, n_ranks), got {self.replicas} "
                 f"for {self.n_ranks} ranks"
             )
-        if not isinstance(self.wire, WireConfig):
-            raise ValueError(
-                f"wire must be a WireConfig, got {type(self.wire).__name__}"
-            )
+        if not isinstance(self.wire, bool):
+            raise ValueError(f"wire must be a bool, got {type(self.wire).__name__}")
         if self.rebalance_every < 1:
             raise ValueError(
                 f"rebalance_every must be >= 1, got {self.rebalance_every}"

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.comm.simcluster import SimCluster
-from repro.comm.wire import encoded_nbytes
+from repro.comm.wire import encoded_nbytes, payload_codec
 from repro.core.balancer import recommend_subbuckets
 from repro.core.join_planner import JoinSide, vote_outer_relation
 from repro.faults.invariants import accumulator_map, monotonicity_audit
@@ -131,7 +131,7 @@ class Engine:
         self._wire_plans = {
             name: sender_fold_plan(schema)
             for name, schema in self.compiled.schemas.items()
-            if self.wire.enabled and self.wire.sender_combine
+            if self.wire
         }
         #: Online adaptive spatial rebalancing (PR 8): periodically grows
         #: skewed relations' sub-bucket counts mid-fixpoint.  None when
@@ -474,8 +474,6 @@ class Engine:
         return out
 
     def _record_iteration(self, stratum: Stratum, iteration: int, st: "_IterStats") -> None:
-        if not self.config.track_trace:
-            return
         # One snapshot of each clock, kept once: in self.trace, which a
         # rollback rewinds.  The iteration_summary instant repeats them
         # for offline traces, which have no result to read.
@@ -612,19 +610,19 @@ class Engine:
     def _wire_exchange(self, head, sends, folded: Dict[int, int]):
         """The route all-to-all, through the wire layer (PR 7) when on.
 
-        Enabled, it encodes the boxes' payloads with the configured
-        codec, charges the route step's sender fold (``folded`` rows per
-        source) at serialization cost and the exchange at *encoded*
-        bytes, lets the collective autotuner pick direct vs Bruck, and
-        decodes on the receive side; disabled, boxes travel as built at
-        their raw tuple size.
+        Enabled, it ``delta``-encodes the boxes' payloads, charges the
+        route step's sender fold (``folded`` rows per source) at
+        serialization cost and the exchange at *encoded* bytes, lets the
+        collective autotuner pick direct vs Bruck, and decodes on the
+        receive side; disabled, boxes travel as built at their raw tuple
+        size.
         """
         wire = self.wire
         cluster = self.cluster
         arity = head.schema.arity
         sizing = _RAW_BOX
-        if wire.enabled:
-            sends = encode_wire_sends(sends, codec=wire.codec)
+        if wire:
+            sends = encode_wire_sends(sends, codec=payload_codec(wire))
             if any(cluster.agree(
                 [folded.get(r, 0) for r in range(self.config.n_ranks)]
             )):
@@ -634,12 +632,12 @@ class Engine:
                 for src, n_folded in folded.items():
                     charge[src] = n_folded * per_tuple
                 cluster.ledger.add_compute_step(P_COMM, charge)
-            sizing = dict(_WIRE_BOX, collective=wire.alltoallv)
+            sizing = _WIRE_BOX
             pre0 = cluster.route_precombine_bytes
             wire0 = cluster.route_wire_bytes
             coll0 = dict(cluster.collective_counts)
         recv = cluster.alltoallv(sends, arity=arity, phase=P_COMM, **sizing)
-        if not wire.enabled:
+        if not wire:
             return recv
         # Tally per exchange into the engine counters (not read off the
         # cluster at the end) so checkpoint rollback rewinds them and a
@@ -652,7 +650,8 @@ class Engine:
             self.counters[f"wire_collective_{choice}"] += n - coll0.get(choice, 0)
         # Every inbox in one decode pass, then cut back per receiver.
         routed = decode_wire_boxes(
-            [box for boxes in recv.values() for box in boxes], arity, wire.codec
+            [box for boxes in recv.values() for box in boxes], arity,
+            payload_codec(wire),
         )
         out, lo = {}, 0
         for r, boxes in recv.items():
@@ -673,7 +672,7 @@ class Engine:
         # ---- phase: all-to-all of materialized tuples ----
         with self.timer.phase(P_COMM):
             sends, n_comm, folded = ex.route_sends(
-                emitted, head.dist, self.wire.enabled,
+                emitted, head.dist, self.wire,
                 self._wire_plans.get(head_name),
             )
             recv = self._wire_exchange(head, sends, folded)
@@ -711,11 +710,13 @@ class Engine:
 #: ``(bucket, sub, rows)`` …
 _RAW_BOX = {"count_of": lambda box: len(box[2])}
 #: … and in wire form, ``(bucket, sub, n_rows, pre_rows, payload)``:
-#: charged at encoded bytes, pre-combine rows kept observable.
+#: charged at encoded bytes, pre-combine rows kept observable, under
+#: the collective autotune.
 _WIRE_BOX = {
     "count_of": lambda box: box[2],
     "nbytes_of": lambda box: encoded_nbytes(box[4]),
     "pre_count_of": lambda box: box[3],
+    "autotune": True,
 }
 
 

@@ -51,7 +51,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.comm.wire import encoded_nbytes
+from repro.comm.wire import encoded_nbytes, payload_codec
 from repro.faults.plane import PermanentRankFailure, RankFailure
 from repro.kernels.block import lex_group
 from repro.kernels.route import encode_boxes
@@ -373,12 +373,12 @@ class FixpointHandle:
                     routed[a:b] for a, b in zip(bounds[:-1], bounds[1:])
                 ]
                 sizing = {"count_of": len}
-                if wire.enabled:
-                    boxes = list(zip(boxes, encode_boxes(boxes, wire.codec)))
+                if wire:
+                    boxes = list(zip(boxes, encode_boxes(boxes, payload_codec(wire))))
                     sizing = {
                         "count_of": lambda box: box[0].shape[0],
                         "nbytes_of": lambda box: encoded_nbytes(box[1]),
-                        "collective": wire.alltoallv,
+                        "autotune": True,
                     }
                 sends: Dict[int, Dict[int, List[object]]] = {}
                 heads = order[starts]

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.comm.wire import WireConfig, encoded_nbytes
+from repro.comm.wire import encoded_nbytes, payload_codec
 from repro.core.balancer import recommend_subbuckets
 from repro.kernels.route import build_reshard_sends, decode_reshard_box
 from repro.obs.analysis import gini
@@ -108,7 +108,7 @@ def reshard_relation(
     n_subbuckets: int,
     cluster,
     *,
-    wire: Optional[WireConfig] = None,
+    wire: bool = False,
     phase: str = REBALANCE_PHASE,
 ) -> Dict[str, int]:
     """Resize ``rel`` to ``n_subbuckets`` via the redistribution exchange.
@@ -118,8 +118,10 @@ def reshard_relation(
     1. export every old shard's full and Δ version blocks, each in
        nested order;
     2. re-hash each row under the new placement and build per-(bucket,
-       new sub-bucket) boxes, codec-encoded (:mod:`repro.comm.wire`);
-    3. one alltoallv charged at encoded bytes, ``kind="rebalance"``,
+       new sub-bucket) boxes, ``delta``-encoded when ``wire`` is on and
+       ``raw`` otherwise (:mod:`repro.comm.wire`);
+    3. one alltoallv charged at encoded bytes (collective autotuned
+       when ``wire`` is on), ``kind="rebalance"``,
        into the CommMatrix ``rebalance`` channel;
     4. install the received fragments into a fresh shard map in
        deterministic source-rank order.
@@ -132,10 +134,7 @@ def reshard_relation(
         return {"shipped": 0, "moved": 0, "wire_bytes": 0}
     new_schema = dataclasses.replace(rel.schema, n_subbuckets=n_subbuckets)
     new_dist = rel.dist.with_subbuckets(n_subbuckets)
-    codec = wire.codec if (wire is not None and wire.enabled) else "raw"
-    collective = (
-        wire.alltoallv if (wire is not None and wire.enabled) else "direct"
-    )
+    codec = payload_codec(wire)
     blocks: List[Tuple[int, int, np.ndarray]] = []
     for key in sorted(rel.shards):
         shard = rel.shards[key]
@@ -160,7 +159,7 @@ def reshard_relation(
         channel="rebalance",
         count_of=lambda box: box[3],
         nbytes_of=lambda box: encoded_nbytes(box[4]),
-        collective=collective,
+        autotune=wire,
     )
     arity = new_schema.arity
     parts: Dict[Tuple[int, int], Tuple[list, list]] = {}

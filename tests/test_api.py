@@ -18,10 +18,8 @@ from repro.api import (
     RebalanceOptions,
     RecoveryOptions,
     Session,
-    WireOptions,
 )
 from repro.cli import _build_parser, _options_from_args
-from repro.comm.wire import WireConfig
 from repro.faults.config import FaultConfig
 
 #: The one data plane.  The axis has a single value: it keeps the
@@ -61,14 +59,13 @@ class TestOptionsRoundTrip:
             default_subbuckets=2,
             auto_balance=1.5,
             reorder_messages_seed=3,
-            wire=WireOptions(sender_combine=False, codec="dict",
-                             alltoallv="bruck"),
+            wire=False,
             faults=FaultOptions(config=FaultConfig(seed=9, drop=0.01)),
             recovery=RecoveryOptions(checkpoint_every=3, replicas=1),
             rebalance=RebalanceOptions(enabled=True, every=2, threshold=0.1,
                                        factor=1.5, max_subbuckets=32,
                                        min_tuples=8),
-            diagnostics=DiagnosticsOptions(enabled=True, track_trace=False,
+            diagnostics=DiagnosticsOptions(enabled=True,
                                            delta_fingerprints=True),
         )
         lifted = Options.from_engine_config(options.to_engine_config())
@@ -76,10 +73,10 @@ class TestOptionsRoundTrip:
         assert lifted.to_engine_config() == options.to_engine_config()
 
     def test_wire_disabled_round_trip(self):
-        options = Options(wire=WireOptions(enabled=False))
+        options = Options(wire=False)
         config = options.to_engine_config()
-        assert not config.wire.enabled
-        assert not Options.from_engine_config(config).wire.enabled
+        assert config.wire is False
+        assert Options.from_engine_config(config).wire is False
 
     def test_fault_spec_parses(self):
         options = Options(
@@ -172,8 +169,7 @@ class TestCliFlagRoundTrip:
             "--faults", "crash=1@12,seed=7", "--checkpoint-every", "3",
             "--replicas", "1", "--rebalance", "--rebalance-every", "2",
             "--rebalance-threshold", "0.5", "--rebalance-factor", "1.5",
-            "--no-sender-combine", "--wire-codec", "dict",
-            "--alltoallv", "bruck", "--diagnostics",
+            "--no-wire", "--diagnostics",
         ])
         config = _options_from_args(args).to_engine_config()
         assert config.n_ranks == 32
@@ -188,21 +184,19 @@ class TestCliFlagRoundTrip:
         assert config.rebalance_every == 2
         assert config.rebalance_threshold == pytest.approx(0.5)
         assert config.rebalance_factor == pytest.approx(1.5)
-        assert config.wire.sender_combine is False
-        assert config.wire.codec == "dict"
-        assert config.wire.alltoallv == "bruck"
+        assert config.wire is False
         assert config.diagnostics is True
 
     def test_run_no_wire(self):
         args = self.parse(["run", "cc", "--no-wire"])
         config = _options_from_args(args).to_engine_config()
-        assert config.wire.enabled is False
+        assert config.wire is False
 
     def test_update_flags(self):
         args = self.parse([
             "update", "sssp", "--ranks", "12", "--subbuckets", "2",
             "--seed", "9", "--batch-frac", "0.05", "--batches", "3",
-            "--wire-codec", "raw",
+            "--no-wire",
         ])
         assert args.batch_frac == pytest.approx(0.05)
         assert args.batches == 3
@@ -210,7 +204,7 @@ class TestCliFlagRoundTrip:
         assert config.n_ranks == 12
         assert config.subbuckets == {"edge": 2}
         assert config.seed == 9
-        assert config.wire.codec == "raw"
+        assert config.wire is False
 
     def test_query_flags_use_defaults_for_missing(self):
         args = self.parse(["query", "prog.dl", "--ranks", "6"])

@@ -48,6 +48,23 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "pagerank"])
 
+    @pytest.mark.parametrize("command", ["run", "update", "query"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--wire-codec", "delta"], ["--alltoallv", "auto"], ["--no-sender-combine"]],
+        ids=["wire-codec", "alltoallv", "no-sender-combine"],
+    )
+    def test_removed_wire_flags_are_usage_errors(self, capsys, command, flags):
+        """The wire layer has one switch, ``--no-wire``: a script still
+        passing a removed knob fails loudly instead of running another
+        configuration."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "sssp", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+
 
 class TestOptionErrorsNameTheirFlag:
     """A bad option value exits with one line naming *its* flag, on every
@@ -299,13 +316,13 @@ class TestDiagnosticsFlags:
             engine_mod.Engine, "run",
             lambda self: ran.append(self) or real["run"](self),
         )
-        argv = ["query", str(src), "--ranks", "3", "--spmd", "--wire-codec", "dict"]
+        argv = ["query", str(src), "--ranks", "3", "--spmd", "--no-wire"]
         assert main(argv) == 0
         assert len(built) == 3
         assert all(isinstance(e.cluster, SliceComm) for e in built)
         assert [e.cluster.rank for e in built] == [0, 1, 2]
         assert all(
-            e.config.n_ranks == 3 and e.config.wire.codec == "dict"
+            e.config.n_ranks == 3 and e.config.wire is False
             and not e.config.rebalance
             for e in built
         )

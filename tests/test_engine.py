@@ -202,12 +202,6 @@ class TestInstrumentation:
         # the recursive rule logged an outer choice each delta iteration
         assert any(t.outer_choices for t in result.trace)
 
-    def test_trace_disabled(self):
-        result = run_sssp_engine(
-            EDGES, [0], EngineConfig(n_ranks=4, track_trace=False)
-        )
-        assert result.trace == []
-
     def test_modeled_and_wall_times_positive(self):
         result = run_sssp_engine(EDGES, [0], EngineConfig(n_ranks=4))
         assert result.modeled_seconds() > 0

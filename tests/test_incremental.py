@@ -21,7 +21,6 @@ from repro import (
     SUM,
     vars_,
 )
-from repro.comm.wire import WireConfig
 from repro.faults.config import FaultConfig
 from repro.queries.sssp import sssp_program
 from repro.runtime.incremental import (
@@ -195,12 +194,7 @@ class TestComposition:
     def test_wire_codecs(self):
         edges = random_edges(50, 220, seed=7)
         base, batch = split(edges, 11)
-        for wire in (
-            WireConfig.off(),
-            WireConfig(codec="raw", sender_combine=False),
-            WireConfig(codec="delta", alltoallv="bruck"),
-            WireConfig(codec="dict"),
-        ):
+        for wire in (False, True):
             config = EngineConfig(n_ranks=6, wire=wire)
             handle = FixpointHandle.converge(
                 sssp_program(), {"edge": base, "start": [(0,)]}, config
@@ -208,6 +202,26 @@ class TestComposition:
             handle.update({"edge": batch})
             cold = cold_sssp(edges, [0], config)
             assert_bit_identical(handle.engine, cold)
+
+    @pytest.mark.parametrize("wire", [True, False], ids=["wire-on", "wire-off"])
+    def test_seed_exchange_follows_the_wire(self, wire):
+        """The update seed exchange is encoded and autotuned exactly when
+        the wire layer is on, like the route exchange."""
+        from repro.obs.tracer import Tracer
+
+        edges = random_edges(50, 220, seed=7)
+        base, batch = split(edges, 11)
+        config = EngineConfig(n_ranks=6, wire=wire, tracer=Tracer())
+        handle = FixpointHandle.converge(
+            sssp_program(), {"edge": base, "start": [(0,)]}, config
+        )
+        result = handle.update({"edge": batch})
+        seed_choices = [
+            sp for sp in result.spans
+            if sp.name == "collective_choice"
+            and sp.attrs["phase"] == "incremental_seed"
+        ]
+        assert len(seed_choices) == (1 if wire else 0)
 
     def test_rebalance(self):
         edges = random_edges(60, 400, seed=8)
@@ -480,7 +494,7 @@ class TestSpmd:
 
         edges = random_edges(25, 90, seed=15)
         base, batch = split(edges, 9)
-        config = EngineConfig(n_ranks=4, wire=WireConfig(codec="delta"))
+        config = EngineConfig(n_ranks=4, wire=True)
         warm = run_spmd_incremental(
             sssp_program(),
             {"edge": base, "start": [(0,)]},

@@ -26,7 +26,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.wire import WireConfig
 from repro.core.aggregators import AGGREGATORS, RecursiveAggregator
 from repro.graphs.generators import erdos_renyi, rmat
 from repro.lattice.semilattice import Semilattice
@@ -193,9 +192,7 @@ def assert_equals_interpreter(result, expected):
 def test_engine_equals_interpreter(kind, graph, n_ranks, wire, small_budget):
     program, facts = PROGRAMS[kind](*graph)
     expected = interpret(program, facts)
-    config = EngineConfig(
-        n_ranks=n_ranks, wire=WireConfig() if wire else WireConfig.off()
-    )
+    config = EngineConfig(n_ranks=n_ranks, wire=wire)
     result = _run(program, facts, config)
     assert_equals_interpreter(result, expected)
     if small_budget:

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm.simcluster import SimCluster
-from repro.comm.wire import WireConfig
 from repro.core.aggregators import make_aggregator
 from repro.core.balancer import recommend_subbuckets, subbucket_growth
 from repro.faults import checkpoint as ckpt_mod
@@ -248,12 +247,8 @@ class TestReshardProperty:
         full = [(i % 4, i, 7) for i in range(400)]
         raw = _relation(_plain_schema(), 4, full=full)
         enc = _relation(_plain_schema(), 4, full=full)
-        raw_info = reshard_relation(
-            raw, 4, SimCluster(4), wire=WireConfig.off()
-        )
-        enc_info = reshard_relation(
-            enc, 4, SimCluster(4), wire=WireConfig()
-        )
+        raw_info = reshard_relation(raw, 4, SimCluster(4), wire=False)
+        enc_info = reshard_relation(enc, 4, SimCluster(4), wire=True)
         assert enc_info["wire_bytes"] < raw_info["wire_bytes"]
         assert _rows_of(enc, "full") == _rows_of(raw, "full")
 

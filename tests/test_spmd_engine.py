@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import Engine, EngineConfig, MIN, Program, Rel, vars_
-from repro.comm.wire import WireConfig
+from repro.comm.costmodel import CostModel
 from repro.faults.config import FaultConfig
 from repro.faults.plane import RankFailure
 from repro.graphs.generators import chain, rmat, star
@@ -106,9 +106,7 @@ class TestRankPrivateStores:
     """What makes the per-rank driver a reference for the BSP one: a rank
     only ever holds shards it owns, at load and after every exchange."""
 
-    @pytest.mark.parametrize(
-        "wire", [WireConfig(), WireConfig.off()], ids=["wire-on", "wire-off"]
-    )
+    @pytest.mark.parametrize("wire", [True, False], ids=["wire-on", "wire-off"])
     def test_every_shard_is_owned_by_its_rank(self, weighted_graph, wire):
         facts = {"edge": weighted_graph.tuples(), "start": [(0,), (3,)]}
         config = EngineConfig(n_ranks=6, subbuckets={"edge": 2}, wire=wire)
@@ -240,10 +238,7 @@ class TestLedgerIdentity:
     @pytest.mark.parametrize("query", ["sssp", "cc", "tc"])
     def test_cold(self, plane, query, n_ranks, wire):
         program, facts = _query_facts(query)
-        config = _cfg(
-            n_ranks=n_ranks,
-            wire=WireConfig() if wire else WireConfig.off(),
-        )
+        config = _cfg(n_ranks=n_ranks, wire=wire)
         assert_ledger_identity(program, facts, config)
 
     @pytest.mark.parametrize(
@@ -252,9 +247,11 @@ class TestLedgerIdentity:
             {"vote_abstain_empty": False},
             {"dynamic_join": False, "static_outer": "right"},
             {"subbuckets": {"edge": 4}},
-            {"wire": WireConfig(codec="dict", alltoallv="bruck")},
+            # A slow interconnect: the autotune charges direct for the
+            # bandwidth-bound exchanges and Bruck for the rest.
+            {"cost_model": CostModel(beta=1e7)},
         ],
-        ids=["strict-vote", "static-outer", "subbuckets-4", "dict-bruck"],
+        ids=["strict-vote", "static-outer", "subbuckets-4", "slow-net"],
     )
     @pytest.mark.parametrize("query", ["sssp", "cc"])
     def test_variants(self, query, variant):
@@ -269,10 +266,7 @@ class TestLedgerIdentity:
         edges = sorted(facts["edge"])
         base = {**facts, "edge": edges[:-12]}
         updates = [{"edge": edges[-12:-5]}, {"edge": edges[-5:]}]
-        config = _cfg(
-            n_ranks=4,
-            wire=WireConfig() if wire else WireConfig.off(),
-        )
+        config = _cfg(n_ranks=4, wire=wire)
         bsp, slices = assert_ledger_identity(program, base, config, updates)
         assert all(s.counters["updates"] == 2 for s in slices)
 

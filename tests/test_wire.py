@@ -4,7 +4,6 @@ layer changes modeled bytes/seconds but never results, Δ trajectories
 or iteration counts."""
 
 import pickle
-import struct
 import tracemalloc
 from unittest import mock
 
@@ -14,13 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import Engine
-from repro.comm.wire import (
-    WIRE_CODECS,
-    WireConfig,
-    decode_rows,
-    encode_rows,
-    encoded_nbytes,
-)
+from repro.comm.wire import decode_rows, encode_rows, encoded_nbytes
 from repro.core.aggregators import TupleAggregator, make_aggregator
 from repro.kernels import absorb, route
 from repro.kernels.absorb import combine_block, sender_fold_plan, vector_combiner
@@ -36,12 +29,13 @@ from repro.util.hashing import HashSeed
 I64 = np.iinfo(np.int64)
 
 
-def _cfg(wire=None, n_ranks=4, **kw):
-    return EngineConfig(
-        n_ranks=n_ranks,
-        wire=wire if wire is not None else WireConfig(),
-        **kw,
-    )
+#: The two payload encodings: ``delta`` (wire on) and ``raw`` (the
+#: reshard exchange with the wire off).
+CODECS = ("raw", "delta")
+
+
+def _cfg(wire=True, n_ranks=4, **kw):
+    return EngineConfig(n_ranks=n_ranks, wire=wire, **kw)
 
 
 rows_strategy = st.lists(
@@ -53,26 +47,34 @@ rows_strategy = st.lists(
 
 class TestWireConfig:
     def test_defaults_on(self):
-        w = WireConfig()
-        assert w.enabled and w.sender_combine
-        assert w.codec == "delta" and w.alltoallv == "auto"
+        assert EngineConfig().wire is True
 
-    def test_off_is_legacy(self):
-        w = WireConfig.off()
-        assert not w.enabled and not w.sender_combine
-        assert w.codec == "raw" and w.alltoallv == "direct"
+    def test_off_is_legacy(self, medium_weighted_graph):
+        """Wire off: no fold plans and no encoding — every box travels as
+        built, charged at its raw tuple size, and no wire tally is kept."""
+        from repro.comm.simcluster import SimCluster
+
+        with mock.patch.object(
+            SimCluster, "alltoallv", autospec=True, side_effect=SimCluster.alltoallv
+        ) as spy:
+            result = run_sssp(medium_weighted_graph, [0, 5], _cfg(wire=False))
+        assert spy.called
+        for call in spy.call_args_list:
+            assert "nbytes_of" not in call.kwargs
+            assert "pre_count_of" not in call.kwargs
+        assert not any(k.startswith("wire_") for k in result.fixpoint.counters)
+        engine = Engine(sssp_program(), _cfg(wire=False))
+        assert engine._wire_plans == {}
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WireConfig(codec="zstd")
-        with pytest.raises(ValueError):
-            WireConfig(alltoallv="ring")
-        with pytest.raises(ValueError):
             EngineConfig(wire="delta")
+        with pytest.raises(ValueError):
+            EngineConfig(wire=1)
 
 
 class TestCodecs:
-    @pytest.mark.parametrize("codec", WIRE_CODECS)
+    @pytest.mark.parametrize("codec", CODECS)
     @given(data=rows_strategy)
     @settings(max_examples=30)
     def test_round_trip_exact(self, codec, data):
@@ -84,7 +86,7 @@ class TestCodecs:
         assert np.array_equal(out, rows)
         out[:] = 0  # decoded blocks must be writable (frombuffer is not)
 
-    @pytest.mark.parametrize("codec", WIRE_CODECS)
+    @pytest.mark.parametrize("codec", CODECS)
     def test_empty_and_single(self, codec):
         empty = np.empty((0, 2), dtype=np.int64)
         assert encode_rows(empty, codec) == b""
@@ -101,17 +103,13 @@ class TestCodecs:
         raw = encode_rows(rows, "raw")
         assert len(delta) < len(raw) / 4
 
-    def test_dict_compresses_low_cardinality(self):
-        rng = np.random.default_rng(0)
-        rows = rng.integers(0, 16, size=(5_000, 2)).astype(np.int64)
-        assert len(encode_rows(rows, "dict")) < len(encode_rows(rows, "raw")) / 2
-
     def test_unknown_codec_rejected(self):
         rows = np.zeros((1, 1), dtype=np.int64)
-        with pytest.raises(ValueError):
-            encode_rows(rows, "gzip")
-        with pytest.raises(ValueError):
-            decode_rows(b"\x00" * 8, 1, 1, "gzip")
+        for codec in ("gzip", "dict"):
+            with pytest.raises(ValueError):
+                encode_rows(rows, codec)
+            with pytest.raises(ValueError):
+                decode_rows(b"\x00" * 8, 1, 1, codec)
 
     def test_encoded_nbytes_includes_header(self):
         rows = np.zeros((4, 2), dtype=np.int64)
@@ -236,16 +234,7 @@ def _ref_encode_rows(rows, codec):
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     if codec == "raw":
         return rows.astype("<i8", copy=False).tobytes()
-    if codec == "delta":
-        return _ref_delta(rows)
-    uniq, inv = np.unique(rows.ravel(), return_inverse=True)
-    dict_bytes = _ref_delta(uniq.reshape(-1, 1))
-    width = 1 if len(uniq) <= 1 << 8 else 2 if len(uniq) <= 1 << 16 else 4
-    return (
-        struct.pack("<QBQ", len(uniq), width, len(dict_bytes))
-        + dict_bytes
-        + inv.astype(f"<u{width}").tobytes()
-    )
+    return _ref_delta(rows)
 
 
 _wire_values = st.one_of(
@@ -330,7 +319,7 @@ class TestBatchedKernels:
     """The one-block fold and the chunked codec pass must equal the
     per-box reference byte for byte, whatever the chunking."""
 
-    @pytest.mark.parametrize("codec", WIRE_CODECS)
+    @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("agg", (None, "min", "max", "sum"))
     @given(case=_wire_boxes(), data=st.data())
     def test_encode_matches_reference_and_round_trips(self, codec, agg, case, data):
@@ -440,7 +429,7 @@ class TestBatchedKernels:
         assert np.array_equal(got_rows, _ref_combine_block(keys.copy(), 1, combiner))
         assert np.array_equal(got_counts, _ref_counts(keys, 1, None))
 
-    @pytest.mark.parametrize("codec", WIRE_CODECS)
+    @pytest.mark.parametrize("codec", CODECS)
     @given(case=_wire_boxes(), dup=st.integers(0, 7), budget=st.sampled_from([1, 5, 1 << 16]))
     @settings(max_examples=25, deadline=None)
     def test_inbox_with_duplicated_box(self, codec, case, dup, budget):
@@ -596,7 +585,7 @@ class TestFoldBeforeRoute:
     and boxed leaves every wire box byte-identical to boxing first and
     folding each box on its own — a key belongs to exactly one box."""
 
-    @pytest.mark.parametrize("codec", WIRE_CODECS)
+    @pytest.mark.parametrize("codec", CODECS)
     @given(
         case=_emitted_heads(),
         budget=st.sampled_from([1, 5, route._CHUNK_ROWS]),
@@ -639,9 +628,9 @@ class TestFoldBeforeRoute:
             schema = Schema("h", 2, (0,), 1, make_aggregator(name))
             assert sender_fold_plan(schema) is None
 
-    @pytest.mark.parametrize(
-        "wire", [WireConfig.off(), WireConfig(sender_combine=False)]
-    )
+    # One value left on this axis (the fold is on whenever the wire is);
+    # the id is the one the two-value axis gave it.
+    @pytest.mark.parametrize("wire", [False], ids=["wire0"])
     def test_no_fold_reaches_the_route_step(self, wire, medium_weighted_graph):
         with mock.patch.object(
             executor_mod, "build_route_sends", wraps=route.build_route_sends
@@ -716,65 +705,77 @@ class TestFoldBeforeRoute:
 
 
 class TestWireInvariance:
-    """The tentpole acceptance: wire on vs off and every codec/collective
-    must agree on all results and iteration counts; only modeled
-    bytes/seconds move."""
+    """The tentpole acceptance: wire on vs off must agree on all results
+    and iteration counts; only modeled bytes/seconds move."""
 
     def _sssp(self, graph, **kw):
         return run_sssp(graph, [0, 5], _cfg(**kw))
 
     def test_on_off_identical_results(self, medium_weighted_graph):
         g = medium_weighted_graph
-        off = self._sssp(g, wire=WireConfig.off())
+        off = self._sssp(g, wire=False)
         on = self._sssp(g)
         assert on.distances == off.distances
         assert on.iterations == off.iterations
 
     def test_wire_off_has_no_wire_tallies(self, medium_weighted_graph):
-        off = self._sssp(medium_weighted_graph, wire=WireConfig.off()).fixpoint
+        off = self._sssp(medium_weighted_graph, wire=False).fixpoint
         assert "wire_precombine_bytes" not in off.counters
         assert "wire_on_wire_bytes" not in off.counters
 
-    @pytest.mark.parametrize("codec", WIRE_CODECS)
+    @pytest.mark.parametrize("codec", CODECS)
     def test_codec_choice_invisible_to_semantics(
         self, medium_weighted_graph, codec
     ):
+        """``raw`` is the wire-off form of the payloads, ``delta`` the
+        wire-on form: identical tuples travel either way."""
         g = medium_weighted_graph
-        base = self._sssp(g)
-        run = self._sssp(g, wire=WireConfig(codec=codec))
+        base = self._sssp(g, wire=False)
+        run = self._sssp(g, wire=codec == "delta")
         assert run.distances == base.distances
-        fp = run.fixpoint
-        # Identical tuples travel whatever the codec; only bytes differ.
+        assert run.iterations == base.iterations
         assert (
-            fp.counters["wire_precombine_bytes"]
-            == base.fixpoint.counters["wire_precombine_bytes"]
+            run.fixpoint.counters["alltoall_tuples"]
+            == base.fixpoint.counters["alltoall_tuples"]
         )
+
+    def _shipped_boxes(self, graph):
+        """Every wire box a wire-on run ships, and the run's counters."""
+        from repro.runtime import engine as engine_mod
+
+        shipped = []
+
+        def spy(sends, *, codec):
+            out = route.encode_wire_sends(sends, codec=codec)
+            shipped.extend(
+                (codec, box) for per_dst in out.values()
+                for boxes in per_dst.values() for box in boxes
+            )
+            return out
+
+        with mock.patch.object(engine_mod, "encode_wire_sends", spy):
+            fp = self._sssp(graph).fixpoint
+        assert shipped
+        return shipped, fp
 
     def test_delta_ships_fewer_bytes_than_raw(self, medium_weighted_graph):
-        g = medium_weighted_graph
-        raw = self._sssp(g, wire=WireConfig(codec="raw")).fixpoint
-        delta = self._sssp(g, wire=WireConfig(codec="delta")).fixpoint
-        assert (
-            delta.counters["wire_on_wire_bytes"]
-            < raw.counters["wire_on_wire_bytes"]
-        )
+        """The same boxes re-encoded ``raw`` are larger than as shipped."""
+        shipped, _fp = self._shipped_boxes(medium_weighted_graph)
+        assert {codec for codec, _box in shipped} == {"delta"}
+        delta = raw = 0
+        for _codec, (_b, _s, n_rows, _pre, payload) in shipped:
+            rows = decode_rows(payload, n_rows, 3, "delta")
+            delta += len(payload)
+            raw += len(encode_rows(rows, "raw"))
+        assert delta < raw
 
     def test_sender_combine_saves_bytes(self, medium_weighted_graph):
-        g = medium_weighted_graph
-        combined = self._sssp(g).fixpoint
-        uncombined = self._sssp(
-            g, wire=WireConfig(sender_combine=False)
-        ).fixpoint
-        assert (
-            combined.counters["wire_on_wire_bytes"]
-            < uncombined.counters["wire_on_wire_bytes"]
+        shipped, combined = self._shipped_boxes(medium_weighted_graph)
+        # The fold ships fewer rows than the join handed it …
+        assert sum(box[2] for _c, box in shipped) < sum(
+            box[3] for _c, box in shipped
         )
-        # The counterfactual (pre-combine raw traffic) is workload-
-        # determined, so it is identical across wire settings.
-        assert (
-            combined.counters["wire_precombine_bytes"]
-            == uncombined.counters["wire_precombine_bytes"]
-        )
+        # … so fewer bytes than the counterfactual pre-combine traffic.
         assert (
             combined.counters["wire_on_wire_bytes"]
             < combined.counters["wire_precombine_bytes"]
@@ -785,13 +786,13 @@ class TestWireInvariance:
         wire layer folds — identical wire on or off."""
         g = medium_weighted_graph
         on = self._sssp(g).fixpoint
-        off = self._sssp(g, wire=WireConfig.off()).fixpoint
+        off = self._sssp(g, wire=False).fixpoint
         assert (
             on.counters["alltoall_tuples"] == off.counters["alltoall_tuples"]
         )
 
     def test_cc_union_labels_identical(self, medium_graph):
-        off = run_cc(medium_graph, _cfg(wire=WireConfig.off()))
+        off = run_cc(medium_graph, _cfg(wire=False))
         on = run_cc(medium_graph, _cfg())
         assert on.labels == off.labels
 
@@ -809,20 +810,50 @@ class TestCollectiveAutotune:
         assert total > 0
 
     def test_auto_never_slower_than_either(self, medium_weighted_graph):
-        g = medium_weighted_graph
-        auto = self._run(g, wire=WireConfig(alltoallv="auto"))
-        direct = self._run(g, wire=WireConfig(alltoallv="direct"))
-        bruck = self._run(g, wire=WireConfig(alltoallv="bruck"))
-        assert auto.query("spath") == direct.query("spath") == bruck.query(
-            "spath"
+        """Every autotuned exchange charges the cheaper algorithm.  A slow
+        interconnect (β = 10 MB/s) at 8 ranks makes the mid-fixpoint
+        exchanges bandwidth-bound, so direct wins those and Bruck the
+        latency-bound rest: both charge paths run."""
+        from repro.comm.costmodel import CostModel
+        from repro.obs.tracer import Tracer
+
+        fp = self._run(
+            medium_weighted_graph, tracer=Tracer(), cost_model=CostModel(beta=1e7)
         )
-        eps = 1e-12
-        assert auto.modeled_seconds() <= direct.modeled_seconds() + eps
-        assert auto.modeled_seconds() <= bruck.modeled_seconds() + eps
+        choices = [sp.attrs for sp in fp.spans if sp.name == "collective_choice"]
+        assert {a["chosen"] for a in choices} == {"direct", "bruck"}
+        for a in choices:
+            cheaper = (
+                "bruck" if a["bruck_seconds"] < a["direct_seconds"] else "direct"
+            )
+            assert a["chosen"] == cheaper
+            assert a["saved_seconds"] == (
+                a["direct_seconds"] - a["bruck_seconds"] if cheaper == "bruck" else 0.0
+            )
+        for choice in ("direct", "bruck"):
+            assert fp.counters[f"wire_collective_{choice}"] == sum(
+                a["chosen"] == choice for a in choices
+            )
 
     def test_forced_direct_records_no_bruck(self, medium_weighted_graph):
-        fp = self._run(medium_weighted_graph, wire=WireConfig(alltoallv="direct"))
-        assert fp.counters["wire_collective_bruck"] == 0
+        """With the wire off every exchange is charged as direct, even on
+        the slow interconnect where the autotune picks Bruck for some."""
+        from repro.comm.costmodel import CostModel
+        from repro.comm.simcluster import SimCluster
+        from repro.obs.tracer import Tracer
+
+        with mock.patch.object(
+            SimCluster, "alltoallv", autospec=True, side_effect=SimCluster.alltoallv
+        ) as spy:
+            fp = self._run(
+                medium_weighted_graph, wire=False, tracer=Tracer(),
+                cost_model=CostModel(beta=1e7),
+            )
+        assert spy.called
+        assert not any(call.kwargs.get("autotune") for call in spy.call_args_list)
+        assert fp.spans
+        assert not any(sp.name == "collective_choice" for sp in fp.spans)
+        assert "wire_collective_bruck" not in fp.counters
 
     def test_choice_spans_emitted(self, medium_weighted_graph):
         from repro.obs.tracer import Tracer
@@ -909,8 +940,7 @@ class TestSpmdWire:
         for name, rows in facts.items():
             engine.load(name, rows)
         bsp = engine.run()
-        for wire in (WireConfig(), WireConfig.off(),
-                     WireConfig(codec="dict", alltoallv="bruck")):
+        for wire in (True, False):
             spmd = run_spmd_engine(
                 parsed.program, facts,
                 EngineConfig(n_ranks=3, wire=wire),
@@ -940,11 +970,6 @@ class TestSpmdWire:
             label: run_spmd_engine(
                 parsed.program, facts, EngineConfig(n_ranks=3, wire=wire)
             )
-            for label, wire in (
-                ("on", WireConfig()),
-                ("off", WireConfig.off()),
-                ("raw", WireConfig(codec="raw")),
-            )
+            for label, wire in (("on", True), ("off", False))
         }
         assert results["on"]["dist"] == results["off"]["dist"]
-        assert results["on"]["dist"] == results["raw"]["dist"]
