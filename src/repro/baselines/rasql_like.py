@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.baselines.serial import SerialFractionLedger
 from repro.comm.costmodel import CostModel
-from repro.kernels.absorb import AbsorbStats
 from repro.kernels.block import group_columns
 from repro.planner.ast import Program
 from repro.relational.schema import Schema
@@ -147,7 +146,6 @@ class RaSQLLikeEngine(Engine):
             super()._route_and_absorb(head_name, emitted, stats)
             return
         agg_rel = self._agg_stores[head_name]
-        cfg = self.config
         cost = self.cluster.cost
 
         # ---- all-to-all #1: candidates → global aggregation hashmap ----
@@ -168,33 +166,37 @@ class RaSQLLikeEngine(Engine):
 
         # ---- merge into the global hashmap; harvest improvements ----
         # Each rank's arrivals, shard by shard in order of first arrival:
-        # every admitted arrival's row, in arrival order.
+        # every admitted arrival's row, in arrival order.  One absorb
+        # takes every rank's, rank after rank, so the collected rows
+        # come out rank after rank too.
         improved: Dict[int, np.ndarray] = {}
-        per_rank_recv = np.zeros(cfg.n_ranks)
-        per_rank_adm = np.zeros(cfg.n_ranks)
         with self.timer.phase(P_DEDUP):
+            receivers, boxes = [], []
+            n_sub = agg_rel.schema.n_subbuckets
             for r, blocks in recv.items():
                 if not blocks:
                     continue
                 rows = np.concatenate(blocks)
                 b_arr, s_arr = agg_rel.dist.bucket_sub_of_rows(rows)
-                n_sub = agg_rel.schema.n_subbuckets
-                absorb_stats = AbsorbStats()
-                out: List[np.ndarray] = []
-                for key, idx in _groups(b_arr * n_sub + s_arr):
-                    agg_rel.shard(*divmod(key, n_sub)).absorb_block(
-                        rows[idx], absorb_stats, collect=out
-                    )
-                improved[r] = np.concatenate(out)
-                per_rank_recv[r] = absorb_stats.received
-                per_rank_adm[r] = absorb_stats.admitted
-                stats.suppressed += absorb_stats.suppressed
+                receivers.append(r)
+                boxes += [
+                    (*divmod(key, n_sub), rows[idx])
+                    for key, idx in _groups(b_arr * n_sub + s_arr)
+                ]
+            out: List[np.ndarray] = []
+            absorbed = agg_rel.absorb(boxes, collect=out)
+            if out:
+                rows = np.concatenate(out)
+                ends = np.cumsum(absorbed.admitted[receivers]).tolist()
+                for r, lo, hi in zip(receivers, [0, *ends[:-1]], ends):
+                    improved[r] = rows[lo:hi]
+            stats.suppressed += int(absorbed.suppressed.sum())
             self.cluster.ledger.add_compute_step(
                 P_DEDUP,
-                per_rank_recv * (cost.tuple_agg * cost.compute_scale)
-                + per_rank_adm * (cost.tuple_insert * cost.compute_scale),
+                absorbed.received * (cost.tuple_agg * cost.compute_scale)
+                + absorbed.admitted * (cost.tuple_insert * cost.compute_scale),
             )
-        self.counters["globalagg_tuples"] += int(per_rank_recv.sum())
+        self.counters["globalagg_tuples"] += int(absorbed.received.sum())
 
         # ---- all-to-all #2: improvements → join-layout relation ----
         # (PARALAGG avoids this round entirely: its group home rank IS the

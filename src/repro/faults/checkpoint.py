@@ -1,7 +1,7 @@
 """Iteration-boundary checkpoints and recovery bookkeeping.
 
 A :class:`StratumCheckpoint` is a coordinated snapshot of everything a
-stratum's fixpoint loop mutates: the shards of every relation in the
+stratum's fixpoint loop mutates: the row table of every relation in the
 stratum (deep-copied, so later iterations cannot alias into it), the
 engine's tuple counters, and the loop's position.  Because the simulated
 cluster is one process, "each rank writes its shard partition to stable
@@ -28,7 +28,7 @@ TupleT = Tuple[int, ...]
 
 @dataclass
 class RelationSnapshot:
-    """Frozen shard state of one relation (plus version generations).
+    """Frozen row table of one relation (plus version generations).
 
     ``schema`` pins the relation's sub-bucket map at capture time: with
     the online rebalancer active, ``n_subbuckets`` is mutable engine
@@ -37,7 +37,7 @@ class RelationSnapshot:
     restored shards were never hashed by.
     """
 
-    shards: dict
+    table: object
     full_gen: int
     delta_gen: int
     tuples: int
@@ -104,7 +104,7 @@ def capture(
         rel = store[name]
         tuples = rel.full_size()
         ckpt.relations[name] = RelationSnapshot(
-            shards=copy.deepcopy(rel.shards),
+            table=copy.deepcopy(rel.table),
             full_gen=rel.full_gen,
             delta_gen=rel.delta_gen,
             tuples=tuples,
@@ -115,11 +115,11 @@ def capture(
 
 
 def restore(store, ckpt: StratumCheckpoint) -> None:
-    """Roll the named relations back to the checkpoint's shard state.
+    """Roll the named relations back to the checkpoint's row tables.
 
     Deep-copies out of the snapshot (the checkpoint stays reusable);
     the caller drops the executor's join-index cache, since the restored
-    shard objects are new.
+    tables are new objects.
     """
     for name, snap in ckpt.relations.items():
         rel = store[name]
@@ -128,7 +128,7 @@ def restore(store, ckpt: StratumCheckpoint) -> None:
             # placement to the captured sub-bucket map (rebuilds the
             # Distribution).
             rel.set_schema(snap.schema)
-        rel.shards = copy.deepcopy(snap.shards)
+        rel.table = copy.deepcopy(snap.table)
         rel.full_gen = snap.full_gen
         rel.delta_gen = snap.delta_gen
 

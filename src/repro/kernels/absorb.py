@@ -1,4 +1,4 @@
-"""Fused dedup / local aggregation (paper §III-A, §IV-A) — the shards.
+"""Fused dedup / local aggregation (paper §III-A, §IV-A) — the row store.
 
 BPRA's last join stage is *deduplication*: newly generated tuples arrive
 at their home rank and are checked against local storage; only new ones
@@ -8,27 +8,30 @@ aggregator's ``partial_agg``, and only an *improvement* enters Δ.  A
 tuple's independent columns fully determine its rank, so this costs no
 communication beyond the all-to-all plain Datalog already pays.
 
-A shard holds one (bucket, sub-bucket) fragment of one relation on one
-rank as a growing int64 row store, one row per aggregation group, and
-absorbs whole row-blocks.  Its semantics are those of absorbing the
-block's rows one at a time, in arrival order, into a nested index
-``join key → other key → tuple`` (the paper's nested B-tree):
+One store holds a whole relation as a growing int64 row store, one row
+per aggregation group, each row tagged with its *segment*: the (bucket,
+sub-bucket) shard it lives in.  A shard is the store restricted to one
+segment.  The store absorbs whole row-blocks spanning any number of
+segments, and each segment's semantics are those of absorbing its rows
+one at a time, in arrival order, into a nested index ``join key → other
+key → tuple`` (the paper's nested B-tree):
 
 * **admitted counts** — every arrival that improves its group's
   accumulator is admitted, so within-group arrival order matters (MIN
   absorbing 5,3,4 admits twice; 3,5,4 once).  The block kernel groups
-  rows by independent key (:func:`~repro.kernels.block.lex_group`,
-  stable, so a group's rows stay in arrival order) and runs one
+  rows by (segment, independent key)
+  (:func:`~repro.kernels.block.group_columns`, stable, so a group's rows
+  stay in arrival order) and runs one
   :func:`~repro.kernels.block.segmented_scan` of the aggregator's
   ``join``: the scan holds every group's accumulator after every
   arrival, and the admitted count, each group's first improvement and
   its final value are all read off that one array.
-* **Δ order** — nested by (first jk improvement, first group
-  improvement).  The shard records pending row ids in first-improvement
-  order and reconstructs the nested order at ``advance()`` with one
-  stable sort.
-* **full order** — nested by (jk first admission, group admission): a
-  cached stable sort over the append-ordered row store.
+* **Δ order** — per segment, nested by (first jk improvement, first
+  group improvement).  The store records pending row ids in
+  first-improvement order and reconstructs the nested order at
+  ``advance()`` with one stable sort keyed by segment first.
+* **full order** — per segment, nested by (jk first admission, group
+  admission): a cached stable sort over the append-ordered row store.
 
 Every aggregator has an associative ``join`` over arrays
 (:class:`VectorCombiner`): MIN/MAX/SUM/COUNT/ANY/UNION/MCOUNT have a
@@ -66,27 +69,44 @@ from repro.core.aggregators import (
 )
 from repro.kernels.block import (
     GrowBuf,
-    GrowVec,
     KeyIndex,
     _pack,
     _widths,
     as_rows,
     group_columns,
-    lex_group,
     segmented_scan,
 )
 from repro.relational.schema import Schema
 
 
 class AbsorbStats:
-    """Counts from one absorb batch (drives compute-cost charging)."""
+    """Counts from absorb calls (drive compute-cost charging): totals,
+    or, given ``rank_of`` (each segment's owner rank), ``n_ranks``-long
+    arrays counting the arrivals at each rank's segments."""
 
-    __slots__ = ("received", "admitted", "suppressed")
+    __slots__ = ("received", "admitted", "_rank_of", "_n_ranks")
 
-    def __init__(self) -> None:
-        self.received = 0
-        self.admitted = 0
-        self.suppressed = 0
+    def __init__(self, rank_of: Optional[np.ndarray] = None, n_ranks: int = 0):
+        self._rank_of, self._n_ranks = rank_of, n_ranks
+        self.received = self.admitted = (
+            0 if rank_of is None else np.zeros(n_ranks, dtype=np.int64)
+        )
+
+    @property
+    def suppressed(self):
+        return self.received - self.admitted
+
+    def tally(self, segs: np.ndarray, admitted_at: np.ndarray) -> None:
+        """Count one block: arrival ``i`` went to segment ``segs[i]``,
+        and ``admitted_at`` lists the admitted arrivals."""
+        if self._rank_of is None:
+            self.received += segs.shape[0]
+            self.admitted += admitted_at.shape[0]
+            return
+        owner = self._rank_of[segs]
+        n = self._n_ranks
+        self.received = self.received + np.bincount(owner, minlength=n)
+        self.admitted = self.admitted + np.bincount(owner[admitted_at], minlength=n)
 
     def __repr__(self) -> str:
         return (
@@ -196,29 +216,41 @@ def sender_fold_plan(
     return None
 
 
-def _nested_perm(jkv: np.ndarray) -> np.ndarray:
-    """Stable permutation of rows into nested ``jk → other`` order.
+def _nested_perm(seg: np.ndarray, jk_cols: List[np.ndarray]) -> np.ndarray:
+    """Stable permutation of rows into nested ``segment → jk → other``
+    order.
 
-    ``jkv`` holds each row's join-key columns.  Nested order lists jk
-    groups by first occurrence and rows within a group in arrival order,
-    so a stable sort by each row's jk-first position is that order.
+    ``seg`` holds each row's segment and ``jk_cols`` its join-key
+    columns.  Within a segment, nested order lists jk groups by first
+    occurrence and rows within a group in arrival order, so a stable
+    sort by (segment, position of the row's first (segment, jk) match)
+    is that order, one segment after another.
     """
-    order, starts, counts = lex_group(jkv)
-    key = np.empty(jkv.shape[0], dtype=np.int64)
+    order, starts, counts = group_columns([seg, *jk_cols])
+    key = np.empty(seg.shape[0], dtype=np.int64)
     key[order] = np.repeat(order[starts], counts)
-    return group_columns([key])[0]
+    return group_columns([seg, key])[0]
 
 
-class _ColumnarShardBase:
-    """Shared state and machinery of the two shard flavours.
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
-    Storage is a single append-only ``(n, arity)`` row store — one row
-    per aggregation group, appended at admission, dependent columns
-    updated in place on improvement.  An exact
-    :class:`~repro.kernels.block.KeyIndex` over the identity columns (all
-    independent columns) maps a group's key to its row id; it compares
-    exact column values, so lookups can never confuse distinct groups.
-    It is rebuilt when a lookup finds rows appended since.
+
+class _RowStore:
+    """Shared state and machinery of the store's two flavours.
+
+    One append-only ``(n, arity)`` row store per relation — one row per
+    aggregation group, appended at admission, dependent columns updated
+    in place on improvement — and each row's *segment*: the (bucket,
+    sub-bucket) shard it belongs to, one int64 id whose order is the
+    shards' order.  Every grouping, lookup and ordering is keyed by
+    segment first, so restricted to one segment the store admits, holds
+    and orders exactly what a store of that segment alone would; a store
+    whose rows all sit in segment 0 (the default) is one shard.
+
+    An exact :class:`~repro.kernels.block.KeyIndex` over (segment,
+    identity columns) maps a group to its row id; it compares exact
+    column values, so lookups can never confuse distinct groups.  It is
+    rebuilt when a lookup finds rows appended since.
     """
 
     __slots__ = (
@@ -226,15 +258,15 @@ class _ColumnarShardBase:
         "n_indep",
         "_jk_cols",
         "_data",
+        "_seg",
         "_index",
         "_pending_ids",
         "_in_pending",
-        "_delta_block",
+        "_delta",
+        "_delta_nested",
         "full_gen",
-        "_nested_gen",
-        "_nested_cache",
-        "_full_block_gen",
-        "_full_block",
+        "_full_gen",
+        "_full",
     )
 
     def __init__(self, schema: Schema):
@@ -242,15 +274,16 @@ class _ColumnarShardBase:
         self.n_indep = schema.n_indep
         self._jk_cols = list(schema.join_cols)
         self._data = GrowBuf(schema.arity)
-        self._index = KeyIndex(np.empty((0, self.n_indep), dtype=np.int64))
-        self._pending_ids = GrowVec(np.int64)
-        self._in_pending = GrowVec(bool, fill=False)
-        self._delta_block = np.empty((0, schema.arity), dtype=np.int64)
+        self._seg = GrowBuf()
+        self._index = KeyIndex([_NO_ROWS])
+        self._pending_ids = GrowBuf()
+        self._in_pending = GrowBuf(dtype=bool, fill=False)
+        #: Each version as (rows, segments); Δ nested once it is read.
+        self._delta = (np.empty((0, schema.arity), dtype=np.int64), _NO_ROWS)
+        self._delta_nested = True
         self.full_gen = 0
-        self._nested_gen = -1
-        self._nested_cache = np.empty(0, dtype=np.int64)
-        self._full_block_gen = -1
-        self._full_block = self._delta_block
+        self._full_gen = -1
+        self._full = self._delta
 
     # ------------------------------------------------------------- interface
 
@@ -258,7 +291,15 @@ class _ColumnarShardBase:
         return self._data.n
 
     def delta_size(self) -> int:
-        return int(self._delta_block.shape[0])
+        return int(self._delta[1].shape[0])
+
+    def stored(self, version: str = "full") -> Tuple[np.ndarray, np.ndarray]:
+        """One version's rows and their segments in no promised order —
+        what sizes, counts and digests read: the full version in append
+        order."""
+        if version == "delta":
+            return self._delta
+        return self._data.view(), self._seg.view()
 
     def advance(self) -> int:
         """Promote pending rows to Δ in nested order.
@@ -267,88 +308,85 @@ class _ColumnarShardBase:
         the arrival order :func:`_nested_perm` nests by.
         """
         ids = self._pending_ids.view()
-        if ids.shape[0] == 0:
-            self._delta_block = np.empty((0, self.schema.arity), dtype=np.int64)
-            return 0
-        k = self.install_delta(self._data.view()[ids])
+        k = self.install_delta(self._data.view()[ids], self._seg.view()[ids])
         self._in_pending.view()[ids] = False
         self._pending_ids.clear()
         return k
 
-    def install_state(self, full_rows: np.ndarray, delta_rows: np.ndarray) -> None:
-        """Install a redistributed fragment wholesale (rebalance exchange).
+    def install_state(self, full_rows, delta_rows, full_segs=None, delta_segs=None):
+        """Install redistributed fragments wholesale (rebalance exchange).
 
-        Only legal on a freshly created shard at an iteration boundary
-        (no pending rows).  The rows arrive in the source shards' nested
-        order, and appending them in delivery order keeps that order in
-        :meth:`_nested_order`; Δ goes through :meth:`install_delta`.
+        Only legal on a fresh store.  Each segment's full rows arrive in
+        their source shards' nested order, and appending them in delivery
+        order keeps that order; Δ goes through :meth:`install_delta`.
         """
-        if full_rows.shape[0]:
-            self._append_rows(np.ascontiguousarray(full_rows))
-            self.full_gen += 1
-        self.install_delta(delta_rows)
+        full_rows = as_rows(full_rows, self.schema.arity)
+        self._append_rows(full_rows, _segments(full_segs, full_rows.shape[0]))
+        self.full_gen += 1
+        self.install_delta(delta_rows, delta_segs)
 
-    def install_delta(self, delta_rows: np.ndarray) -> int:
+    def install_delta(
+        self, delta_rows: np.ndarray, segs: Optional[np.ndarray] = None
+    ) -> int:
         """Replace Δ wholesale with the given rows (incremental seeding).
 
-        The block is normalized into nested (jk-first-occurrence, row)
-        order, the order Δ is always read in.  The full store and pending
-        rows are untouched.
+        Δ is read in nested (segment, jk-first-occurrence, row) order, and
+        the block is sorted into it on its first read: the Δ a load leaves
+        on a relation no rule reads Δ of is never sorted.  The full store
+        and pending rows are untouched.
         """
         rows = as_rows(delta_rows, self.schema.arity)
-        if rows.shape[0]:
-            rows = rows[_nested_perm(rows[:, self._jk_cols])]
-        self._delta_block = rows
+        self._delta = (rows, _segments(segs, rows.shape[0]))
+        self._delta_nested = False
         return int(rows.shape[0])
 
     # -------------------------------------------------------------- ordering
 
-    def _nested_order(self) -> np.ndarray:
-        """Stable permutation of the row store into nested (jk, group) order."""
-        if self._nested_gen != self.full_gen:
-            self._nested_cache = _nested_perm(self._data.view()[:, self._jk_cols])
-            self._nested_gen = self.full_gen
-        return self._nested_cache
+    def version(self, version: str) -> Tuple[np.ndarray, np.ndarray]:
+        """One version's rows and their segments in nested order, segment
+        after segment."""
+        if version == "delta":
+            if not self._delta_nested:
+                self._delta = self._nested(*self._delta)
+                self._delta_nested = True
+            return self._delta
+        if version != "full":
+            raise ValueError(f"unknown version {version!r}")
+        if self._full_gen != self.full_gen:
+            self._full = self._nested(*self.stored())
+            self._full_gen = self.full_gen
+        return self._full
+
+    def _nested(self, rows: np.ndarray, segs: np.ndarray):
+        """``(rows, segs)`` in nested order (:func:`_nested_perm`)."""
+        if not rows.shape[0]:
+            return rows, segs
+        perm = _nested_perm(segs, [rows[:, c] for c in self._jk_cols])
+        return rows[perm], segs[perm]
 
     def version_block(self, version: str) -> np.ndarray:
         """One version's rows in nested order."""
-        if version == "delta":
-            return self._delta_block
-        if version != "full":
-            raise ValueError(f"unknown version {version!r}")
-        if self._full_block_gen != self.full_gen:
-            self._full_block = self._data.view()[self._nested_order()]
-            self._full_block_gen = self.full_gen
-        return self._full_block
-
-    # ------------------------------------------------------------- absorption
-
-    def absorb_block(
-        self,
-        rows: np.ndarray,
-        stats: Optional[AbsorbStats] = None,
-        collect: Optional[List[np.ndarray]] = None,
-    ) -> int:
-        """Absorb a row block; return how many arrivals were admitted.
-
-        ``collect``, if given, receives one block: each admitted
-        arrival's row as stored after it, in arrival order (the baseline
-        engines that re-shuffle improvements read it).
-        """
-        raise NotImplementedError
+        return self.version(version)[0]
 
     # --------------------------------------------------------------- lookups
 
-    def _lookup(self, queries: np.ndarray) -> np.ndarray:
-        """Row id per query identity (rows over identity columns); -1 = miss."""
-        if self._index.n != self._data.n:
-            self._index = KeyIndex(self._data.view()[:, : self.n_indep])
-        return self._index.find(queries)
+    def _lookup(
+        self, queries: np.ndarray, segs: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Row id per (segment, query identity); -1 = miss.  ``queries``
+        are rows over the identity columns, in segment 0 by default."""
+        data, seg = self.stored()
+        if self._index.n != data.shape[0]:
+            self._index = KeyIndex(_key_columns(seg, data, self.n_indep))
+        return self._index.find(
+            _key_columns(_segments(segs, queries.shape[0]), queries, self.n_indep)
+        )
 
-    def _append_rows(self, rows: np.ndarray) -> int:
+    def _append_rows(self, rows: np.ndarray, segs: np.ndarray) -> int:
         """Append admitted group rows; returns the base row id."""
         base = self._data.n
         self._data.append(rows)
+        self._seg.append(segs)
         self._in_pending.extend_filled(rows.shape[0])
         return base
 
@@ -363,38 +401,57 @@ class _ColumnarShardBase:
         )
 
 
-class ColumnarPlainShard(_ColumnarShardBase):
-    """Set-semantics shard: fused dedup is plain membership-insert."""
+def _segments(segs: Optional[np.ndarray], n: int) -> np.ndarray:
+    """Each of ``n`` rows' segment: ``segs`` as int64, or all 0."""
+    if segs is None:
+        return np.zeros(n, dtype=np.int64)
+    return np.asarray(segs, dtype=np.int64)
+
+
+def _key_columns(segs: np.ndarray, rows: np.ndarray, n: int) -> List[np.ndarray]:
+    """A group's lookup key: its segment, then the rows' first ``n`` columns."""
+    return [segs, *(rows[:, c] for c in range(n))]
+
+
+class ColumnarPlainShard(_RowStore):
+    """Set-semantics store: fused dedup is plain membership-insert."""
 
     __slots__ = ()
 
-    def absorb_block(self, rows, stats=None, collect=None) -> int:
+    def absorb_block(self, rows, stats=None, collect=None, segs=None) -> int:
+        """Absorb a row block; return how many arrivals were admitted.
+
+        ``segs`` gives each row's segment (all 0 when omitted); each
+        segment absorbs its rows in arrival order.  ``collect``, if
+        given, receives one block: each admitted arrival's row as stored
+        after it, in arrival order (the baseline engines that re-shuffle
+        improvements read it).
+        """
         rows = as_rows(rows, self.schema.arity)
-        n = rows.shape[0]
-        admitted = 0
-        if n:
-            order, starts, _counts = lex_group(rows)
-            rep = order[starts]  # first arrival per distinct tuple (stable)
-            fresh = self._lookup(rows[rep]) < 0
-            if fresh.any():
-                # Admission order = first-arrival order, which is the Δ
-                # insert order too.
-                new_rep = np.sort(rep[fresh])
-                admitted = int(new_rep.shape[0])
-                base = self._append_rows(rows[new_rep])
-                if collect is not None:
-                    collect.append(rows[new_rep])
-                self._push_pending(np.arange(base, base + admitted, dtype=np.int64))
-                self.full_gen += 1
+        segs = _segments(segs, rows.shape[0])
+        order, starts, _counts = group_columns(
+            _key_columns(segs, rows, self.schema.arity)
+        )
+        rep = order[starts]  # first arrival per distinct tuple (stable)
+        fresh = self._lookup(rows[rep], segs[rep]) < 0
+        # Admission order = first-arrival order, which is the Δ insert
+        # order too.
+        new_rep = np.sort(rep[fresh])
+        if new_rep.shape[0]:
+            base = self._append_rows(rows[new_rep], segs[new_rep])
+            self._push_pending(
+                np.arange(base, base + new_rep.shape[0], dtype=np.int64)
+            )
+            self.full_gen += 1
+        if collect is not None:
+            collect.append(rows[new_rep])
         if stats is not None:
-            stats.received += n
-            stats.admitted += admitted
-            stats.suppressed += n - admitted
-        return admitted
+            stats.tally(segs, new_rep)
+        return int(new_rep.shape[0])
 
 
-class ColumnarAggregateShard(_ColumnarShardBase):
-    """Lattice-semantics shard: fused dedup *is* the local aggregation.
+class ColumnarAggregateShard(_RowStore):
+    """Lattice-semantics store: fused dedup *is* the local aggregation.
 
     The store keeps one row per aggregation group — the "collapse" that
     gives recursive aggregation its asymptotic edge over stratified
@@ -412,17 +469,20 @@ class ColumnarAggregateShard(_ColumnarShardBase):
         self.aggregator: RecursiveAggregator = schema.aggregator
         self._combiner = vector_combiner(schema.aggregator)
 
-    def absorb_block(self, rows, stats=None, collect=None) -> int:
+    def absorb_block(self, rows, stats=None, collect=None, segs=None) -> int:
+        """:meth:`ColumnarPlainShard.absorb_block`, folding each group's
+        arrivals into its accumulator."""
         rows = as_rows(rows, self.schema.arity)
         n = rows.shape[0]
         if n == 0:
             return 0
+        segs = _segments(segs, n)
         n_indep = self.n_indep
         join = self._combiner.join
         indep = rows[:, :n_indep]
-        order, starts, counts = lex_group(indep)
+        order, starts, counts = group_columns(_key_columns(segs, rows, n_indep))
         rep = order[starts]  # first-arrival row per group
-        row_id = self._lookup(indep[rep])
+        row_id = self._lookup(indep[rep], segs[rep])
         exists = row_id >= 0
 
         # acc[i]: the group's accumulator after the arrival at sorted
@@ -439,7 +499,8 @@ class ColumnarAggregateShard(_ColumnarShardBase):
         prev[old_heads] = stored
         imp = (acc != prev).any(axis=1)
         imp[starts[~exists]] = True
-        admitted = int(imp.sum())
+        imp_pos = np.flatnonzero(imp)
+        admitted = int(imp_pos.shape[0])
         improved = np.logical_or.reduceat(imp, starts)
         # Sorted position of each group's first improvement (n if none).
         first_imp = np.minimum.reduceat(
@@ -456,7 +517,7 @@ class ColumnarAggregateShard(_ColumnarShardBase):
             block = np.empty((ng.shape[0], self.schema.arity), dtype=np.int64)
             block[:, :n_indep] = indep[rep[ng]]
             block[:, n_indep:] = cur[ng]
-            base = self._append_rows(block)
+            base = self._append_rows(block, segs[rep[ng]])
             row_id[ng] = base + np.arange(ng.shape[0], dtype=np.int64)
         upd = exists & improved
         if upd.any():
@@ -472,21 +533,18 @@ class ColumnarAggregateShard(_ColumnarShardBase):
         if collect is not None:
             # Admitted arrivals in arrival order, each with its group's
             # accumulator right after it.
-            pos = np.nonzero(imp)[0]
-            pos = pos[np.argsort(order[pos], kind="stable")]
+            pos = imp_pos[np.argsort(order[imp_pos], kind="stable")]
             block = np.empty((pos.shape[0], self.schema.arity), dtype=np.int64)
             block[:, :n_indep] = indep[order[pos]]
             block[:, n_indep:] = acc[pos]
             collect.append(block)
         if stats is not None:
-            stats.received += n
-            stats.admitted += admitted
-            stats.suppressed += n - admitted
+            stats.tally(segs, order[imp_pos])
         return admitted
 
 
-def make_shard(schema: Schema) -> _ColumnarShardBase:
-    """The shard flavour ``schema`` needs: aggregate or plain."""
+def make_shard(schema: Schema) -> _RowStore:
+    """The store flavour ``schema`` needs: aggregate or plain."""
     if schema.is_aggregate:
         return ColumnarAggregateShard(schema)
     return ColumnarPlainShard(schema)

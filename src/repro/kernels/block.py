@@ -139,9 +139,12 @@ def lex_group(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return group_columns([mat[:, c] for c in range(ncols)])
 
 
-def _key_cols(keys: np.ndarray) -> List[np.ndarray]:
-    """A key matrix's int64 columns; zero key columns read as one all-zero
-    column (every row shares the empty key)."""
+def _key_cols(keys) -> List[np.ndarray]:
+    """A key matrix's int64 columns, or a list of 1-D key columns as
+    int64; zero key columns read as one all-zero column (every row shares
+    the empty key)."""
+    if not isinstance(keys, np.ndarray):
+        return [col.astype(np.int64, copy=False) for col in keys]
     keys = keys.astype(np.int64, copy=False)
     if keys.shape[1] == 0:
         return [np.zeros(keys.shape[0], dtype=np.int64)]
@@ -151,10 +154,11 @@ def _key_cols(keys: np.ndarray) -> List[np.ndarray]:
 class KeyIndex:
     """Exact map from distinct stored keys to their slots.
 
-    Built over the rows of an ``(n, k)`` int64 matrix of *distinct* keys
-    (row ``i`` is slot ``i``); :meth:`find` returns, per query row, the
-    slot of the equal stored row or -1.  There is no hash, so no two keys
-    can be confused.
+    Built over the rows of an ``(n, k)`` int64 matrix of *distinct* keys,
+    or over a list of ``k`` equal-length key columns (row ``i`` is slot
+    ``i``); :meth:`find` returns, per query row (queries take the same
+    two forms), the slot of the equal stored row or -1.  There is no
+    hash, so no two keys can be confused.
 
     The tier rule is :func:`group_columns`': each stored column gets the
     bits its maximum needs, first column high, and the slot takes the low
@@ -169,9 +173,9 @@ class KeyIndex:
 
     __slots__ = ("n", "_keys", "_widths", "_slot_bits", "_words")
 
-    def __init__(self, keys: np.ndarray):
-        self.n = keys.shape[0]
+    def __init__(self, keys):
         cols = _key_cols(keys)
+        self.n = cols[0].shape[0]
         self._slot_bits = max(self.n - 1, 0).bit_length()
         self._widths = _widths(cols) if self.n else []
         self._keys = self._words = None
@@ -180,15 +184,16 @@ class KeyIndex:
             words |= np.arange(self.n, dtype=np.int64)
             words.sort()
             self._words = words
-        else:  # the wide tier, the only one that reads the columns back
-            self._keys = cols
+        else:  # the wide tier, the only one that reads the columns back:
+            # its own copy, so the caller may mutate the rows it indexed
+            self._keys = [col.copy() for col in cols]
 
-    def find(self, queries: np.ndarray) -> np.ndarray:
+    def find(self, queries) -> np.ndarray:
         """Slot of each query row's stored key; -1 = miss."""
-        m = queries.shape[0]
+        qcols = _key_cols(queries)
+        m = qcols[0].shape[0]
         if self.n == 0 or m == 0:
             return np.full(m, -1, dtype=np.int64)
-        qcols = _key_cols(queries)
         if self._words is None:
             return self._find_wide(qcols)
         # A negative or over-wide value packs onto some other key's word
@@ -266,47 +271,14 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class GrowBuf:
-    """An append-only 2-D int64 buffer with amortized-O(1) block appends."""
-
-    __slots__ = ("_data", "n")
-
-    def __init__(self, ncols: int, capacity: int = 16):
-        self._data = np.empty((capacity, ncols), dtype=np.int64)
-        self.n = 0
-
-    def _reserve(self, extra: int) -> None:
-        need = self.n + extra
-        cap = self._data.shape[0]
-        if need <= cap:
-            return
-        while cap < need:
-            cap *= 2
-        grown = np.empty((cap, self._data.shape[1]), dtype=np.int64)
-        grown[: self.n] = self._data[: self.n]
-        self._data = grown
-
-    def append(self, rows: np.ndarray) -> None:
-        k = rows.shape[0]
-        if not k:
-            return
-        self._reserve(k)
-        self._data[self.n : self.n + k] = rows
-        self.n += k
-
-    def view(self) -> np.ndarray:
-        return self._data[: self.n]
-
-    def clear(self) -> None:
-        self.n = 0
-
-
-class GrowVec:
-    """An append-only 1-D buffer (row ids, flags)."""
+    """An append-only buffer with amortized-O(1) appends: of ``ncols``-
+    column rows, or of single values when ``ncols`` is None."""
 
     __slots__ = ("_data", "n", "fill")
 
-    def __init__(self, dtype, capacity: int = 16, fill=None):
-        self._data = np.empty(capacity, dtype=dtype)
+    def __init__(self, ncols=None, dtype=np.int64, fill=None, capacity: int = 16):
+        shape = (capacity,) if ncols is None else (capacity, ncols)
+        self._data = np.empty(shape, dtype=dtype)
         self.n = 0
         self.fill = fill
 
@@ -317,16 +289,16 @@ class GrowVec:
             return
         while cap < need:
             cap *= 2
-        grown = np.empty(cap, dtype=self._data.dtype)
+        grown = np.empty((cap, *self._data.shape[1:]), dtype=self._data.dtype)
         grown[: self.n] = self._data[: self.n]
         self._data = grown
 
-    def append(self, vals: np.ndarray) -> None:
-        k = vals.shape[0]
+    def append(self, rows: np.ndarray) -> None:
+        k = rows.shape[0]
         if not k:
             return
         self._reserve(k)
-        self._data[self.n : self.n + k] = vals
+        self._data[self.n : self.n + k] = rows
         self.n += k
 
     def extend_filled(self, k: int) -> None:

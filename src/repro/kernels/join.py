@@ -3,8 +3,9 @@
 The kernel builds, per (relation, version, rank), one contiguous index
 over *all* shards the rank owns:
 
-* rows are concatenated shard-by-shard (sorted shard-key order, each
-  shard in its nested order), then stably grouped by join-key values;
+* the rank's rows (:meth:`~repro.relational.storage.VersionedRelation.rank_block`:
+  shards in (bucket, sub) order, each in its nested order) are stably
+  grouped by join-key values;
 * each distinct join key becomes one ``[start, start+count)`` row range,
   addressed through an exact :class:`~repro.kernels.block.KeyIndex`
   over the join-key values;
@@ -58,17 +59,9 @@ class RankJoinIndex:
         constant and repeated-variable checks).
         """
         jk_cols = list(rel.schema.join_cols)
-        blocks = []
-        keys, owners = rel.owned_shards()
-        for i in np.flatnonzero(owners == rank).tolist():
-            block = rel.shards[keys[i]].version_block(version)
-            if match_block is not None and block.shape[0]:
-                block = block[match_block.mask(block)]
-            if block.shape[0]:
-                blocks.append(block)
-        if not blocks:
-            blocks.append(np.empty((0, rel.schema.arity), dtype=np.int64))
-        rows = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+        rows = rel.rank_block(version, rank)
+        if match_block is not None and rows.shape[0]:
+            rows = rows[match_block.mask(rows)]
         # Stable grouping by jk values: within one key the rows keep
         # (shard order, nested order).
         keymat = rows[:, jk_cols]

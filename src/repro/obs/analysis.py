@@ -702,35 +702,32 @@ def diagnose_skew(
     # ---- relation placement skew ----------------------------------------
     relation_skew: Dict[str, Dict[str, Any]] = {}
     if relations:
+        from repro.runtime.rebalance import measure_bucket_skew
+
         for name in sorted(relations):
             rel = relations[name]
-            by_bucket: Dict[int, int] = {}
-            for (bucket, _sub), shard in rel.shards.items():
-                by_bucket[bucket] = by_bucket.get(bucket, 0) + shard.full_size()
-            total = sum(by_bucket.values())
-            if total <= 0:
+            skew = measure_bucket_skew(rel)
+            if skew is None:
                 continue
-            sizes = list(by_bucket.values())
-            top_share = max(sizes) / total
-            by_rank = rel.full_sizes_by_rank()
+            by_rank = rel.sizes_by_rank()
             mean_rank = float(by_rank.mean())
             rank_imb = float(by_rank.max()) / mean_rank if mean_rank > 0 else 1.0
             stats = {
-                "tuples": total,
-                "buckets": len(sizes),
-                "gini_buckets": gini(sizes),
-                "top_bucket_share": top_share,
+                "tuples": skew.total,
+                "buckets": skew.n_buckets,
+                "gini_buckets": skew.gini,
+                "top_bucket_share": skew.top_share,
                 "rank_imbalance": rank_imb,
                 "subbuckets": rel.schema.n_subbuckets,
             }
             relation_skew[name] = stats
-            if top_share >= top_bucket_threshold and len(sizes) > 1:
+            if skew.top_share >= top_bucket_threshold and skew.n_buckets > 1:
                 diagnoses.append(Diagnosis(
                     code="bucket-skew",
                     severity="warn",
                     message=(
                         f"sub-bucket relation {name!r}: top bucket holds "
-                        f"{top_share:.0%} of {total} tuples "
+                        f"{skew.top_share:.0%} of {skew.total} tuples "
                         f"(Gini {stats['gini_buckets']:.2f})"
                     ),
                     recommendation=(

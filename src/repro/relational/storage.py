@@ -1,30 +1,44 @@
-"""Cluster-wide relation storage: shards keyed by (bucket, sub-bucket).
+"""Cluster-wide relation storage: one row store per relation.
 
-A :class:`VersionedRelation` is the global view of one relation's shards
-across the simulated cluster.  The simulation owns all shards in one
-process, but the engine only ever touches a shard through its owner rank's
-phase — data enters a shard either at load time or out of a collective's
-receive buffer, mirroring the physical constraint of the real system.
+A :class:`VersionedRelation` is the global view of one relation across
+the simulated cluster.  Its rows live in one store
+(:mod:`repro.kernels.absorb`) that tags every row with its *segment*,
+``bucket * n_subbuckets + sub``, so segment order is shard order.  A
+shard is the store restricted to one segment, and its rank is read from
+:attr:`~repro.relational.distribution.Distribution.owner_table`.
 
-Shards are created lazily (most of a 16,384-rank cluster's shard space is
-empty for any real relation), and per-rank size queries iterate non-empty
-shards only, keeping very-high-rank simulations tractable.
+Data still enters a shard only at load time or out of a collective's
+receive buffer, as on the real system, but each step runs once for every
+shard: one absorb per exchange (in bounded runs) or load, one
+``advance``, one Δ install, and per-rank sizes as one ``np.bincount``
+over the rows' owners.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.absorb import AbsorbStats, _ColumnarShardBase, make_shard
-from repro.kernels.block import group_columns
+from repro.kernels.absorb import AbsorbStats, make_shard
+from repro.kernels.block import concat_ranges
+from repro.kernels.route import _concat, _row_chunks
 from repro.relational.distribution import Distribution
 from repro.relational.schema import Schema
 from repro.util.hashing import HashSeed
 
 TupleT = Tuple[int, ...]
 ShardKey = Tuple[int, int]
+#: One routed box: (bucket, sub, rows).
+Box = Tuple[int, int, np.ndarray]
+
+#: Row budget of one table absorb of an exchange's boxes, the budget the
+#: exchange builders batch by: the kernel's row-sized temporaries stay
+#: bounded however many shards an exchange feeds.  Measured (EXPERIMENTS,
+#: "One row store per relation"): one absorb of a whole exchange raised
+#: the skew run's peak RSS by 19%.  A load goes in one call: it runs before the fixpoint's
+#: working set exists, and runs would refresh the table's index per run.
+_ABSORB_ROWS = 1 << 14
 
 
 class VersionedRelation:
@@ -40,38 +54,45 @@ class VersionedRelation:
         self.schema = schema
         self.n_ranks = n_ranks
         self.dist = Distribution(schema, n_ranks, seed)
-        self.shards: Dict[ShardKey, _ColumnarShardBase] = {}
+        #: Every shard's rows, each tagged with its segment.
+        self.table = make_shard(schema)
         #: Version generations for join-index caching: ``full_gen`` bumps
-        #: whenever any shard's full version changes, ``delta_gen`` whenever
-        #: Δ is replaced.  An index built at generation g stays valid while
+        #: whenever the full version changes, ``delta_gen`` whenever Δ is
+        #: replaced.  An index built at generation g stays valid while
         #: the generation holds.
         self.full_gen = 0
         self.delta_gen = 0
+        #: version → (state it was built for, row order by owner, rank bounds).
+        self._rank_layouts: Dict[str, tuple] = {}
 
     # ---------------------------------------------------------------- shards
 
-    def shard(
-        self, bucket: int, sub: int, *, create: bool = True
-    ) -> Optional[_ColumnarShardBase]:
-        key = (bucket, sub)
-        s = self.shards.get(key)
-        if s is None and create:
-            s = make_shard(self.schema)
-            self.shards[key] = s
-        return s
+    def segments_of_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The segment (home shard) of every row under today's placement."""
+        buckets, subs = self.dist.bucket_sub_of_rows(rows)
+        return buckets * self.schema.n_subbuckets + subs
 
-    def owner_of(self, key: ShardKey) -> int:
-        return int(self.dist.owner_table[key])
-
-    def owned_shards(self) -> Tuple[List[ShardKey], np.ndarray]:
-        """Every shard key in (bucket, sub) order, and each one's owner."""
-        keys = sorted(self.shards)
-        if not keys:
-            return keys, np.zeros(0, dtype=np.int64)
-        buckets, subs = np.asarray(keys, dtype=np.int64).T
-        return keys, self.dist.owner_table[buckets, subs]
+    def rank_of_segment(self) -> np.ndarray:
+        """Owner rank of every segment id."""
+        return self.dist.owner_table.reshape(-1)
 
     # ----------------------------------------------------------------- load
+
+    def rows_of(self, tuples: Iterable[TupleT]) -> np.ndarray:
+        """``tuples`` as an ``(n, arity)`` int64 array; rows of any other
+        arity raise :class:`ValueError`."""
+        arr = np.asarray(
+            tuples if isinstance(tuples, np.ndarray) else list(tuples),
+            dtype=np.int64,
+        )
+        if arr.size == 0:
+            return arr.reshape(0, self.schema.arity)
+        if arr.ndim != 2 or arr.shape[1] != self.schema.arity:
+            raise ValueError(
+                f"{self.schema.name}: expected rows of arity "
+                f"{self.schema.arity}, got array shape {arr.shape}"
+            )
+        return np.ascontiguousarray(arr)
 
     def load(
         self,
@@ -85,134 +106,141 @@ class VersionedRelation:
         respects aggregate semantics, so loading duplicate-keyed aggregate
         facts folds them immediately.  Returns admitted tuple count.
         """
-        if isinstance(tuples, np.ndarray):
-            arr = np.ascontiguousarray(tuples, dtype=np.int64)
-        else:
-            rows = list(tuples)
-            if not rows:
-                return 0
-            arr = np.asarray(rows, dtype=np.int64)
-        if arr.size == 0:
+        arr = self.rows_of(tuples)
+        if not arr.shape[0]:
             return 0
-        if arr.ndim != 2 or arr.shape[1] != self.schema.arity:
-            raise ValueError(
-                f"{self.schema.name}: expected rows of arity "
-                f"{self.schema.arity}, got array shape {arr.shape}"
+        admitted = self.table.absorb_block(
+            arr, stats, segs=self.segments_of_rows(arr)
+        )
+        if admitted:
+            self.full_gen += 1
+        return admitted
+
+    def absorb(
+        self, boxes: Sequence[Box], collect: Optional[List[np.ndarray]] = None
+    ) -> AbsorbStats:
+        """Absorb routed ``(bucket, sub, rows)`` boxes (dedup phase).
+
+        Each shard takes its boxes' rows in box order.  Consecutive boxes
+        go to the table together, :data:`_ABSORB_ROWS` rows at a time (a
+        larger box alone): absorption is sequential, so the table ends
+        exactly as one absorb of every box would leave it.  Returns the
+        counts per rank, each box charged to its shard's owner.
+        """
+        stats = AbsorbStats(self.rank_of_segment(), self.n_ranks)
+        n_sub = self.schema.n_subbuckets
+        sizes = [rows.shape[0] for _b, _s, rows in boxes]
+        segs = np.repeat(
+            np.asarray([b * n_sub + s for b, s, _rows in boxes], dtype=np.int64),
+            sizes,
+        )
+        admitted = base = 0
+        for lo, hi in _row_chunks(sizes, _ABSORB_ROWS):
+            rows = _concat([rows for _b, _s, rows in boxes[lo:hi]])
+            n = rows.shape[0]
+            admitted += self.table.absorb_block(
+                rows, stats, collect, segs[base : base + n]
             )
-        admitted = 0
-        for b, s, block in self._blocks_by_shard(arr):
-            admitted += self.shard(b, s).absorb_block(block, stats)
+            base += n
         if admitted:
             self.full_gen += 1
-        return admitted
-
-    def _blocks_by_shard(self, arr: np.ndarray) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """``(bucket, sub, rows)`` per home shard of ``arr``: shards in
-        (bucket, sub) order, each block's rows in arrival order."""
-        b_arr, s_arr = self.dist.bucket_sub_of_rows(arr)
-        order, starts, counts = group_columns([b_arr, s_arr])
-        heads = order[starts]
-        for s0, c, b, s in zip(
-            starts.tolist(),
-            counts.tolist(),
-            b_arr[heads].tolist(),
-            s_arr[heads].tolist(),
-        ):
-            yield b, s, arr[order[s0 : s0 + c]]
-
-    def absorb_block(
-        self,
-        bucket: int,
-        sub: int,
-        rows: np.ndarray,
-        stats: Optional[AbsorbStats] = None,
-    ) -> int:
-        """Absorb a routed row-block into one shard (dedup phase)."""
-        admitted = self.shard(bucket, sub).absorb_block(rows, stats)
-        if admitted:
-            self.full_gen += 1
-        return admitted
+        return stats
 
     # ------------------------------------------------------------ iteration
 
     def advance(self) -> int:
         """Promote freshly absorbed tuples to Δ on every shard; return |Δ|."""
-        total = 0
-        for shard in self.shards.values():
-            total += shard.advance()
+        total = self.table.advance()
         self.delta_gen += 1
         return total
 
     def install_delta(self, rows: Optional[np.ndarray] = None) -> int:
-        """Replace every shard's Δ with the given change-set rows.
+        """Replace Δ with the given change-set rows.
 
-        The incremental-maintenance seeding primitive: rows are routed
-        through the normal bucket/sub-bucket placement to their home
-        shards; shards that receive nothing get an empty Δ (``rows=None``
-        clears Δ everywhere).  Rows must already exist in the full version
-        — this installs a *view* of what changed, it never inserts.
-        Bumps ``delta_gen`` so cached Δ join indexes rebuild.
+        The incremental-maintenance seeding primitive: rows are placed
+        by the normal bucket/sub-bucket hash, and shards that receive
+        nothing get an empty Δ (``rows=None`` clears Δ everywhere).
+        Rows must already exist in the full version — this installs a
+        *view* of what changed, it never inserts.  Bumps ``delta_gen`` so
+        cached Δ join indexes rebuild.
         """
-        empty = np.empty((0, self.schema.arity), dtype=np.int64)
-        for shard in self.shards.values():
-            shard.install_delta(empty)
-        total = 0
-        if rows is not None:
-            arr = np.ascontiguousarray(rows, dtype=np.int64)
-            if arr.size:
-                if arr.ndim != 2 or arr.shape[1] != self.schema.arity:
-                    raise ValueError(
-                        f"{self.schema.name}: expected rows of arity "
-                        f"{self.schema.arity}, got array shape {arr.shape}"
-                    )
-                for b, s, block in self._blocks_by_shard(arr):
-                    total += self.shard(b, s).install_delta(block)
+        arr = self.rows_of(() if rows is None else rows)
+        segs = self.segments_of_rows(arr) if arr.shape[0] else None
+        total = self.table.install_delta(arr, segs)
         self.delta_gen += 1
         return total
 
     # ----------------------------------------------------------------- sizes
 
     def full_size(self) -> int:
-        return sum(s.full_size() for s in self.shards.values())
+        return self.table.full_size()
 
     def delta_size(self) -> int:
-        return sum(s.delta_size() for s in self.shards.values())
+        return self.table.delta_size()
 
-    def full_sizes_by_rank(self) -> np.ndarray:
-        return self._sizes_by_rank("full")
-
-    def delta_sizes_by_rank(self) -> np.ndarray:
-        return self._sizes_by_rank("delta")
-
-    def _sizes_by_rank(self, version: str) -> np.ndarray:
-        keys, owners = self.owned_shards()
-        size = "full_size" if version == "full" else "delta_size"
-        out = np.zeros(self.n_ranks, dtype=np.int64)
-        np.add.at(out, owners, [getattr(self.shards[key], size)() for key in keys])
-        return out
+    def sizes_by_rank(self, version: str = "full") -> np.ndarray:
+        """Rows of one version on each rank."""
+        return np.diff(self._rank_layout(version)[1])
 
     # ------------------------------------------------------------- iterators
 
     def iter_full(self) -> Iterator[TupleT]:
         """All materialized tuples (deterministic shard order)."""
-        for _owner, block in self.version_blocks("full"):
-            yield from map(tuple, block.tolist())
+        return map(tuple, self.table.version_block("full").tolist())
 
     def iter_delta(self) -> Iterator[TupleT]:
-        for _owner, block in self.version_blocks("delta"):
-            yield from map(tuple, block.tolist())
+        return map(tuple, self.table.version_block("delta").tolist())
 
-    def version_blocks(self, version: str) -> Iterator[Tuple[int, np.ndarray]]:
-        """Per-shard row-blocks of one version, tagged with owner rank:
-        shards in (bucket, sub) order, each in nested order, as
-        ``(n, arity)`` int64 arrays."""
-        if version not in ("full", "delta"):
-            raise ValueError(f"unknown version {version!r}")
-        keys, owners = self.owned_shards()
-        for key, owner in zip(keys, owners.tolist()):
-            block = self.shards[key].version_block(version)
-            if block.shape[0]:
-                yield owner, block
+    def shard_blocks(
+        self, version: str
+    ) -> Iterator[Tuple[ShardKey, int, np.ndarray]]:
+        """Per-shard row-blocks of one version, as ``((bucket, sub),
+        owner rank, rows)``: non-empty shards in (bucket, sub) order, each
+        in nested order, as ``(n, arity)`` int64 views."""
+        rows, segs = self.table.version(version)
+        n = segs.shape[0]
+        if not n:
+            return
+        bounds = [0, *(np.flatnonzero(segs[1:] != segs[:-1]) + 1).tolist(), n]
+        heads = segs[bounds[:-1]]
+        n_sub = self.schema.n_subbuckets
+        for lo, hi, seg, owner in zip(
+            bounds[:-1],
+            bounds[1:],
+            heads.tolist(),
+            self.rank_of_segment()[heads].tolist(),
+        ):
+            yield divmod(seg, n_sub), owner, rows[lo:hi]
+
+    def rank_block(self, version: str, rank: int) -> np.ndarray:
+        """Every row of one version that ``rank`` owns: its shards in
+        (bucket, sub) order, each in nested order."""
+        order, bounds = self._rank_layout(version)
+        return self.table.version(version)[0][order[bounds[rank] : bounds[rank + 1]]]
+
+    def _rank_layout(self, version: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The version's rows stably ordered by owner, and each rank's
+        bounds in that order; built once per state of the version.
+
+        The version is in segment order, so the order is every segment's
+        row range, the segments stably sorted by owner.  Segment sizes do
+        not depend on row order, so they are counted without sorting the
+        version into nested order.
+        """
+        gen = self.full_gen if version == "full" else self.delta_gen
+        state = (self.table, gen, self.dist)
+        hit = self._rank_layouts.get(version)
+        if hit is None or hit[0] != state:  # tables and placements by identity
+            owner = self.rank_of_segment()
+            segs = self.table.stored(version)[1]
+            counts = np.bincount(segs, minlength=owner.shape[0])
+            by_owner = np.argsort(owner, kind="stable")
+            starts = np.cumsum(counts) - counts
+            order = concat_ranges(starts[by_owner], counts[by_owner])
+            bounds = np.zeros(self.n_ranks + 1, dtype=np.int64)
+            np.cumsum(np.bincount(owner, counts, self.n_ranks), out=bounds[1:])
+            hit = self._rank_layouts[version] = (state, order, bounds)
+        return hit[1], hit[2]
 
     # ------------------------------------------------------------- rebalance
 
@@ -222,7 +250,8 @@ class VersionedRelation:
         Used by the online rebalancer and by checkpoint restore: the
         placement is a pure function of (schema, n_ranks, seed, dead set),
         so swapping the schema re-derives it exactly — the degraded-mode
-        overlay, when installed, survives the swap.
+        overlay, when installed, survives the swap.  Segment ids number
+        shards under the sub-bucket count: the caller swaps the table too.
         """
         self.schema = new_schema
         self.dist = Distribution(
@@ -241,15 +270,16 @@ class VersionedRelation:
     def install_reshard(
         self,
         new_schema: Schema,
-        shard_states: Dict[ShardKey, Tuple[np.ndarray, np.ndarray]],
+        parts: Sequence[Tuple[int, int, int, np.ndarray]],
     ) -> None:
-        """Atomically swap in a resized sub-bucket map and its shards.
+        """Atomically swap in a resized sub-bucket map and its rows.
 
-        ``shard_states`` maps each new (bucket, sub-bucket) to its
-        (full, Δ) row-blocks in the redistribution exchange's
-        deterministic delivery order.  The old shard map is discarded
-        wholesale; both generations bump so every cached join index is
-        rebuilt against the new placement.
+        ``parts`` are ``(bucket, new sub-bucket, kind, rows)`` fragments
+        (kind 0 = full, 1 = Δ) in the redistribution exchange's
+        deterministic delivery order; each shard appends its fragments
+        in that order.  The old table is discarded wholesale; both
+        generations bump so every cached join index is rebuilt against
+        the new placement.
         """
         if (
             new_schema.name != self.schema.name
@@ -259,14 +289,25 @@ class VersionedRelation:
                 f"install_reshard: incompatible schema {new_schema.name!r} "
                 f"for relation {self.schema.name!r}"
             )
-        new_shards: Dict[ShardKey, _ColumnarShardBase] = {}
-        for key in sorted(shard_states):
-            full_rows, delta_rows = shard_states[key]
-            shard = make_shard(new_schema)
-            shard.install_state(full_rows, delta_rows)
-            new_shards[key] = shard
+        n_sub = new_schema.n_subbuckets
+        versions = []
+        for kind in (0, 1):
+            blocks = [(b * n_sub + s, rows) for b, s, k, rows in parts if k == kind]
+            versions.append((
+                np.concatenate(
+                    [rows for _seg, rows in blocks]
+                    or [np.empty((0, new_schema.arity), dtype=np.int64)]
+                ),
+                np.repeat(
+                    np.asarray([seg for seg, _rows in blocks], dtype=np.int64),
+                    [rows.shape[0] for _seg, rows in blocks],
+                ),
+            ))
+        table = make_shard(new_schema)
+        (full, full_segs), (delta, delta_segs) = versions
+        table.install_state(full, delta, full_segs, delta_segs)
         self.set_schema(new_schema)
-        self.shards = new_shards
+        self.table = table
         self.full_gen += 1
         self.delta_gen += 1
 
@@ -277,7 +318,8 @@ class VersionedRelation:
     def __repr__(self) -> str:
         return (
             f"VersionedRelation({self.schema.name!r}, full={self.full_size()}, "
-            f"delta={self.delta_size()}, shards={len(self.shards)})"
+            f"delta={self.delta_size()}, "
+            f"shards={np.unique(self.table.stored()[1]).shape[0]})"
         )
 
 

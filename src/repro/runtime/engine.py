@@ -37,7 +37,7 @@ from repro.core.balancer import recommend_subbuckets
 from repro.core.join_planner import JoinSide, vote_outer_relation
 from repro.faults.invariants import accumulator_map, monotonicity_audit
 from repro.faults.plane import FaultPlane, RankFailure
-from repro.kernels.absorb import AbsorbStats, sender_fold_plan
+from repro.kernels.absorb import sender_fold_plan
 from repro.kernels.route import decode_wire_boxes, encode_wire_sends
 from repro.obs.tracer import NULL_TRACER
 from repro.planner.ast import Program
@@ -150,9 +150,8 @@ class Engine:
                 f"{sorted(self.compiled.schemas)}"
             )
         rel = self.store[name]
-        stats = AbsorbStats()
         with self.timer.phase("load"):
-            admitted = rel.load(self._owned_rows(rel, tuples), stats=stats)
+            admitted = rel.load(self._owned_rows(rel, tuples))
             rel.advance()
         self.counters["loaded"] += admitted
         return admitted
@@ -162,9 +161,7 @@ class Engine:
         slice of a per-rank run only those its comm says it owns."""
         if self._slice is None:
             return rows
-        arr = np.asarray(
-            rows if isinstance(rows, np.ndarray) else list(rows), dtype=np.int64
-        ).reshape(-1, rel.schema.arity)
+        arr = rel.rows_of(rows)
         return arr[self._slice.owns(rel.dist.rank_of_rows(arr))]
 
     # --------------------------------------------------------------- balance
@@ -435,7 +432,7 @@ class Engine:
             for name in stratum.relations:
                 rel = self.store[name]
                 rel.advance()
-                per_rank += rel.delta_sizes_by_rank()
+                per_rank += rel.sizes_by_rank("delta")
             total = self.cluster.allreduce(
                 [int(v) for v in per_rank], sum, nbytes=8, phase=P_OTHER
             )
@@ -454,18 +451,19 @@ class Engine:
         rebalancing never bends the Δ *trajectory*.
         """
         out: Dict[str, int] = {}
+        n_ranks = self.config.n_ranks
         for name in sorted(stratum.relations):
             rel = self.store[name]
-            cols = tuple(range(rel.schema.arity))
-            parts = [(0, 0)] * self.config.n_ranks  # (xor, rows) per rank
-            for owner, block in rel.version_blocks("delta"):
-                acc, count = parts[owner]
-                parts[owner] = (
-                    acc ^ int(np.bitwise_xor.reduce(
-                        hash_columns(block, cols, seed=self._FP_SEED)
-                    )),
-                    count + block.shape[0],
-                )
+            rows, segs = rel.table.stored("delta")
+            owner = rel.rank_of_segment()[segs]
+            # (xor, rows) per rank
+            xors = np.zeros(n_ranks, dtype=np.uint64)
+            np.bitwise_xor.at(xors, owner, hash_columns(
+                rows, tuple(range(rel.schema.arity)), seed=self._FP_SEED
+            ))
+            parts = list(zip(
+                map(int, xors), np.bincount(owner, minlength=n_ranks).tolist()
+            ))
             acc = count = 0
             for part_acc, part_count in self.cluster.agree(parts):
                 acc ^= part_acc
@@ -550,8 +548,8 @@ class Engine:
             if cfg.dynamic_join:
                 side = vote_outer_relation(
                     cluster,
-                    _sizes_by_rank(rels[0], vers[0]),
-                    _sizes_by_rank(rels[1], vers[1]),
+                    rels[0].sizes_by_rank(vers[0]).tolist(),
+                    rels[1].sizes_by_rank(vers[1]).tolist(),
                     phase=P_VOTE,
                     abstain_empty=cfg.vote_abstain_empty,
                 )
@@ -608,7 +606,9 @@ class Engine:
     # ------------------------------------------------ routing and absorption
 
     def _wire_exchange(self, head, sends, folded: Dict[int, int]):
-        """The route all-to-all, through the wire layer (PR 7) when on.
+        """The route all-to-all, through the wire layer when it is on:
+        every received ``(bucket, sub, rows)`` box, inboxes in delivery
+        order.
 
         Enabled, it ``delta``-encodes the boxes' payloads, charges the
         route step's sender fold (``folded`` rows per source) at
@@ -637,8 +637,10 @@ class Engine:
             wire0 = cluster.route_wire_bytes
             coll0 = dict(cluster.collective_counts)
         recv = cluster.alltoallv(sends, arity=arity, phase=P_COMM, **sizing)
+        # Every inbox laid end to end, in delivery order.
+        boxes = [box for inbox in recv.values() for box in inbox]
         if not wire:
-            return recv
+            return boxes
         # Tally per exchange into the engine counters (not read off the
         # cluster at the end) so checkpoint rollback rewinds them and a
         # recovered run's books match a fault-free run's.
@@ -648,16 +650,7 @@ class Engine:
         self.counters["wire_on_wire_bytes"] += cluster.route_wire_bytes - wire0
         for choice, n in cluster.collective_counts.items():
             self.counters[f"wire_collective_{choice}"] += n - coll0.get(choice, 0)
-        # Every inbox in one decode pass, then cut back per receiver.
-        routed = decode_wire_boxes(
-            [box for boxes in recv.values() for box in boxes], arity,
-            payload_codec(wire),
-        )
-        out, lo = {}, 0
-        for r, boxes in recv.items():
-            out[r] = routed[lo : lo + len(boxes)]
-            lo += len(boxes)
-        return out
+        return decode_wire_boxes(boxes, arity, payload_codec(wire))
 
     def _route_and_absorb(self, head_name: str, emitted, stats: "_IterStats") -> None:
         """All-to-all emitted tuples to their home shards and absorb them.
@@ -675,7 +668,7 @@ class Engine:
                 emitted, head.dist, self.wire,
                 self._wire_plans.get(head_name),
             )
-            recv = self._wire_exchange(head, sends, folded)
+            routed = self._wire_exchange(head, sends, folded)
         stats.comm_tuples += n_comm
         self.counters["alltoall_tuples"] += n_comm
 
@@ -685,25 +678,21 @@ class Engine:
             if self._audit and head.schema.is_aggregate
             else None
         )
-        per_rank_recv = np.zeros(self.config.n_ranks, dtype=np.int64)
-        per_rank_adm = np.zeros(self.config.n_ranks, dtype=np.int64)
         with self.timer.phase(P_DEDUP):
-            for r, boxes in recv.items():
-                absorb_stats = AbsorbStats()
-                ex.absorb(head, boxes, absorb_stats)
-                per_rank_recv[r] = absorb_stats.received
-                per_rank_adm[r] = absorb_stats.admitted
-                stats.admitted += absorb_stats.admitted
-                stats.suppressed += absorb_stats.suppressed
+            absorbed = head.absorb(routed)
             self.cluster.ledger.add_compute_step(
                 P_DEDUP,
-                per_rank_recv * (cost.tuple_agg * cost.compute_scale)
-                + per_rank_adm * (cost.tuple_insert * cost.compute_scale),
+                absorbed.received * (cost.tuple_agg * cost.compute_scale)
+                + absorbed.admitted * (cost.tuple_insert * cost.compute_scale),
             )
         if before is not None:
             monotonicity_audit(before, head)
-        self.counters["admitted"] += int(per_rank_adm.sum())
-        self.counters["suppressed"] += int(per_rank_recv.sum() - per_rank_adm.sum())
+        admitted = int(absorbed.admitted.sum())
+        suppressed = int(absorbed.received.sum()) - admitted
+        stats.admitted += admitted
+        stats.suppressed += suppressed
+        self.counters["admitted"] += admitted
+        self.counters["suppressed"] += suppressed
 
 
 #: How ``SimCluster.alltoallv`` sizes a route box as built —
@@ -733,10 +722,3 @@ class _IterStats:
         self.intra_tuples = 0
         self.comm_tuples = 0
         self.outer_choices: Dict[str, str] = {}
-
-
-def _sizes_by_rank(rel: VersionedRelation, version: str) -> List[int]:
-    arr = (
-        rel.delta_sizes_by_rank() if version == "delta" else rel.full_sizes_by_rank()
-    )
-    return [int(v) for v in arr]

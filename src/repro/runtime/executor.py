@@ -6,10 +6,12 @@ exchanges and the monotonicity audit.  How tuples are *held* while they
 cross it — int64 row blocks, moved by the :mod:`repro.kernels` calls —
 is :class:`ColumnarExecutor`'s business.
 
-The executor owns five steps.  ``emitted`` maps a rank to the head tuples
-it produced, ``per_rank_*`` are int64 work tallies the engine turns into
-compute charges, and ``outer_pos`` (0 = left, 1 = right) is the body atom
-the vote chose to transmit:
+The executor owns four steps (absorption is the head relation's own,
+:meth:`~repro.relational.storage.VersionedRelation.absorb`).
+``emitted`` maps a rank to the head tuples it produced, ``per_rank_*``
+are int64 work tallies the engine turns into compute charges, and
+``outer_pos`` (0 = left, 1 = right) is the body atom the vote chose to
+transmit:
 
 * ``scan_emit`` — copy rules: scan one relation version, match, emit;
 * ``intra_sends`` — scan and match the outer side and replicate it to
@@ -19,13 +21,11 @@ the vote chose to transmit:
   pairs are folded as they are emitted instead of kept;
 * ``route_sends`` — group emitted tuples into ``(bucket, sub, batch)``
   boxes per home rank, after the wire layer's sender fold where the
-  engine hands one in;
-* ``absorb`` — fuse one rank's received boxes into the head's shards.
+  engine hands one in.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -91,17 +91,15 @@ class ColumnarExecutor:
 
     def scan_emit(self, cr, rel, version, per_rank_scan):
         match_block = cr.matches_block[0]
-        by_owner: Dict[int, List[np.ndarray]] = defaultdict(list)
-        for owner, block in rel.version_blocks(version):
+        emitted: Dict[int, np.ndarray] = {}
+        for owner in range(rel.n_ranks):
+            block = rel.rank_block(version, owner)
             per_rank_scan[owner] += block.shape[0]
             if match_block is not None:
                 block = block[match_block.mask(block)]
             if block.shape[0]:
-                by_owner[owner].append(cr.emit_spec.eval_block(block, None))
-        return {
-            owner: (blocks[0] if len(blocks) == 1 else np.vstack(blocks))
-            for owner, blocks in by_owner.items()
-        }
+                emitted[owner] = cr.emit_spec.eval_block(block, None)
+        return emitted
 
     def intra_sends(
         self, cr, outer_pos, outer_rel, outer_ver, inner_rel, probe_cols,
@@ -109,7 +107,7 @@ class ColumnarExecutor:
     ):
         outer_mb = cr.matches_block[outer_pos]
         owner_blocks: List[Tuple[int, np.ndarray]] = []
-        for owner, block in outer_rel.version_blocks(outer_ver):
+        for _key, owner, block in outer_rel.shard_blocks(outer_ver):
             if outer_mb is not None and block.shape[0]:
                 block = block[outer_mb.mask(block)]
             if block.shape[0]:
@@ -178,13 +176,3 @@ class ColumnarExecutor:
 
     def route_sends(self, emitted, dist, for_wire, fold):
         return build_route_sends(emitted, dist, for_wire, fold)
-
-    def absorb(self, head, boxes, absorb_stats) -> None:
-        # Concatenate each shard's boxes in delivery order: a shard
-        # absorbs its tuples in the order they were sent.
-        by_shard: Dict[Tuple[int, int], List[np.ndarray]] = {}
-        for b, s, rows in boxes:
-            by_shard.setdefault((b, s), []).append(rows)
-        for (b, s), blocks in by_shard.items():
-            block = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-            head.absorb_block(b, s, block, absorb_stats)

@@ -8,7 +8,7 @@ inflationary, so resuming chaotic semi-naïve iteration from the retained
 state converges to exactly the cold-recompute fixpoint — bit-identical
 answers and full-relation multisets.  A :class:`FixpointHandle` retains
 the distributed state an :class:`~repro.runtime.engine.Engine` built
-(storage shards, placement including sub-bucket maps and any
+(row stores, placement including sub-bucket maps and any
 ``exclude_ranks`` degraded overlay, join-index caches, checkpointed counters)
 and accepts update batches via :meth:`FixpointHandle.update`.
 
@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.comm.wire import encoded_nbytes, payload_codec
 from repro.faults.plane import PermanentRankFailure, RankFailure
-from repro.kernels.block import lex_group
+from repro.kernels.block import KeyIndex, lex_group
 from repro.kernels.route import encode_boxes
 from repro.planner.compile_rules import CompiledProgram
 from repro.planner.stratify import Stratum
@@ -166,36 +166,11 @@ def check_batch_supported(
             }
 
 
-def watch_baselines(store, watch: Iterable[str]) -> Dict[str, Set[TupleT]]:
-    """Pre-update group keys of every watched aggregate relation."""
-    out: Dict[str, Set[TupleT]] = {}
-    for name in sorted(watch):
-        rel = store[name]
-        n = rel.schema.n_indep
-        out[name] = {t[:n] for t in rel.iter_full()}
-    return out
-
-
-def improved_group(
-    store, names: Iterable[str], baselines: Mapping[str, Set[TupleT]]
-) -> Optional[str]:
-    """Why the update must abort, if the Δ of any of ``names`` improves a
-    group that existed before it (``baselines``); else None.  Local to
-    the shards in ``store``."""
-    for name in sorted(names):
-        rel = store[name]
-        keys = baselines[name]
-        n = rel.schema.n_indep
-        for t in rel.iter_delta():
-            if t[:n] in keys:
-                return (
-                    f"update improved existing group {t[:n]} of "
-                    f"aggregate relation {name!r}, which is read "
-                    "outside its own stratum — downstream tuples "
-                    "derived from the old value cannot be retracted "
-                    "by insertion-only maintenance"
-                )
-    return None
+def full_index(rel, n_cols: int) -> KeyIndex:
+    """An exact index over the first ``n_cols`` columns of every row of
+    ``rel``'s full version: the pre-update snapshot an update's membership
+    tests read (group keys, or whole rows)."""
+    return KeyIndex(rel.table.stored()[0][:, :n_cols])
 
 
 class FixpointHandle:
@@ -287,10 +262,7 @@ class FixpointHandle:
             )
         check_batch_supported(engine.compiled, edb_deltas.keys())
         batch = {
-            name: np.asarray(
-                [tuple(t) for t in rows],
-                dtype=np.int64,
-            ).reshape(-1, engine.store[name].schema.arity)
+            name: engine.store[name].rows_of(rows)
             for name, rows in edb_deltas.items()
         }
         n_rows = sum(a.shape[0] for a in batch.values())
@@ -303,7 +275,11 @@ class FixpointHandle:
                 "tuples": n_rows,
             },
         ):
-            baselines = watch_baselines(engine.store, self._watch)
+            # Pre-update group keys of every watched aggregate relation.
+            baselines = {
+                name: full_index(engine.store[name], engine.store[name].schema.n_indep)
+                for name in self._watch
+            }
             try:
                 seeded = self._seed_update(batch)
                 touched = set(batch)
@@ -355,12 +331,12 @@ class FixpointHandle:
         out: Dict[str, int] = {}
         for name in sorted(edb_deltas):
             rel = engine.store[name]
-            batch = sorted(set(map(tuple, edb_deltas[name].tolist())))
+            arr = edb_deltas[name]
             rel.install_delta(None)  # flush the stale Δ left by load()
-            if not batch:
+            if not arr.shape[0]:
                 out[name] = 0
                 continue
-            arr = np.asarray(batch, dtype=np.int64)
+            arr = np.unique(arr, axis=0)  # distinct rows, lexicographic
             with engine.timer.phase(P_SEED):
                 dst_arr = rel.dist.rank_of_rows(arr)
                 src_arr = np.arange(arr.shape[0], dtype=np.int64) % n_ranks
@@ -415,7 +391,7 @@ class FixpointHandle:
                 # dedups, so duplicate deliveries can never double-apply.
                 rel.load(engine._owned_rows(rel, arr))
                 rel.advance()
-                per_rank_adm = rel.delta_sizes_by_rank()
+                per_rank_adm = rel.sizes_by_rank("delta")
                 cluster.ledger.add_compute_step(
                     P_SEED,
                     np.bincount(dst_arr, minlength=n_ranks)
@@ -456,10 +432,12 @@ class FixpointHandle:
         Afterwards the stratum's *change set* — the set difference of
         each relation's full version against its pre-update contents, not
         the intermediate Δs (transient aggregate improvements must never
-        leak downstream) — is installed as Δ for later strata.  The diff
-        snapshot is host-side bookkeeping standing in for the touched-
-        group tracking a real rank keeps during absorption, so only the
-        installed change rows are charged (``incremental_seed`` phase).
+        leak downstream) — is installed as Δ for later strata, in
+        lexicographic order: the full rows an exact index over the
+        pre-update rows misses.  The index is host-side bookkeeping
+        standing in for the touched-group tracking a real rank keeps
+        during absorption, so only the installed change rows are charged
+        (``incremental_seed`` phase).
         A stratum no pending Δ reaches is skipped for free.  Returns
         ``{relation: installed Δ size}`` for relations that changed.
         """
@@ -475,22 +453,24 @@ class FixpointHandle:
         if not stratum.recursive:
             engine._stratum_loop(stratum, update_pass)
             return self._agreed_sizes({
-                name: engine.store[name].delta_sizes_by_rank()
+                name: engine.store[name].sizes_by_rank("delta")
                 for name in {cr.head_name for cr, _ in update_pass}
             })
         names = sorted(stratum.relations)
         with engine.timer.phase(P_SEED):
-            before = {name: engine.store[name].as_set() for name in names}
+            before = {
+                name: full_index(engine.store[name], engine.store[name].schema.arity)
+                for name in names
+            }
         engine._stratum_loop(stratum, update_pass)
         by_rank: Dict[str, np.ndarray] = {}
         with engine.timer.phase(P_SEED):
             for name in names:
                 rel = engine.store[name]
-                diff = rel.as_set() - before[name]
-                rel.install_delta(
-                    np.asarray(sorted(diff), dtype=np.int64) if diff else None
-                )
-                by_rank[name] = rel.delta_sizes_by_rank()
+                full = rel.table.stored()[0]
+                diff = full[before[name].find(full) < 0]
+                rel.install_delta(np.unique(diff, axis=0) if diff.shape[0] else None)
+                by_rank[name] = rel.sizes_by_rank("delta")
         out = self._agreed_sizes(by_rank)
         if out:
             per_rank = sum(by_rank.values())
@@ -501,15 +481,29 @@ class FixpointHandle:
         return out
 
     def _check_improvements(
-        self, names: Set[str], baselines: Dict[str, Set[TupleT]]
+        self, names: Set[str], baselines: Dict[str, KeyIndex]
     ) -> None:
-        """Abort if an update improved an existing watched aggregate group.
+        """Abort if the Δ of any of ``names`` improves a group that
+        existed before the update (``baselines``).
 
         The check is local to each rank's shards; the verdict is every
         rank's (``agree``), so all of them abort together.
         """
         engine = self.engine
-        found = improved_group(engine.store, names, baselines)
+        found = None
+        for name in sorted(names):
+            rel = engine.store[name]
+            keys = rel.table.version_block("delta")[:, : rel.schema.n_indep]
+            hit = np.flatnonzero(baselines[name].find(keys) >= 0)
+            if hit.shape[0]:
+                found = (
+                    f"update improved existing group "
+                    f"{tuple(keys[hit[0]].tolist())} of aggregate relation "
+                    f"{name!r}, which is read outside its own stratum — "
+                    "downstream tuples derived from the old value cannot "
+                    "be retracted by insertion-only maintenance"
+                )
+                break
         for reason in engine.cluster.agree([found] * engine.config.n_ranks):
             if reason is not None:
                 raise IncrementalUnsupportedError(reason)  # update() poisons

@@ -86,12 +86,10 @@ class RebalanceEvent:
 def measure_bucket_skew(rel) -> Optional[SkewMeasure]:
     """Bucket-occupancy skew of one relation (the skew doctor's math).
 
-    Sums full sizes per bucket over the live shards; order-independent.
+    Full sizes per bucket over the non-empty buckets; order-independent.
     """
-    by_bucket: Dict[int, int] = {}
-    for (bucket, _sub), shard in rel.shards.items():
-        by_bucket[bucket] = by_bucket.get(bucket, 0) + shard.full_size()
-    sizes = [v for v in by_bucket.values() if v > 0]
+    by_bucket = np.bincount(rel.table.stored()[1] // rel.schema.n_subbuckets)
+    sizes = by_bucket[by_bucket > 0].tolist()
     total = sum(sizes)
     if total <= 0:
         return None
@@ -116,14 +114,14 @@ def reshard_relation(
     Standalone (no Engine needed — the property tests drive it directly):
 
     1. export every old shard's full and Δ version blocks, each in
-       nested order;
+       nested order (:meth:`~repro.relational.storage.VersionedRelation.shard_blocks`);
     2. re-hash each row under the new placement and build per-(bucket,
        new sub-bucket) boxes, ``delta``-encoded when ``wire`` is on and
        ``raw`` otherwise (:mod:`repro.comm.wire`);
     3. one alltoallv charged at encoded bytes (collective autotuned
        when ``wire`` is on), ``kind="rebalance"``,
        into the CommMatrix ``rebalance`` channel;
-    4. install the received fragments into a fresh shard map in
+    4. install the received fragments into a fresh row table in
        deterministic source-rank order.
 
     Nothing is mutated before the collective returns, so a rank crash
@@ -135,14 +133,12 @@ def reshard_relation(
     new_schema = dataclasses.replace(rel.schema, n_subbuckets=n_subbuckets)
     new_dist = rel.dist.with_subbuckets(n_subbuckets)
     codec = payload_codec(wire)
+    deltas = {key: rows for key, _src, rows in rel.shard_blocks("delta")}
     blocks: List[Tuple[int, int, np.ndarray]] = []
-    for key in sorted(rel.shards):
-        shard = rel.shards[key]
-        src = rel.owner_of(key)
-        for kind, version in ((0, "full"), (1, "delta")):
-            rows = shard.version_block(version)
-            if rows.shape[0]:
-                blocks.append((src, kind, rows))
+    for key, src, rows in rel.shard_blocks("full"):
+        blocks.append((src, 0, rows))
+        if key in deltas:
+            blocks.append((src, 1, deltas[key]))
     sends, n_shipped, n_moved = build_reshard_sends(blocks, new_dist, codec)
     wire_bytes = sum(
         encoded_nbytes(box[4])
@@ -162,7 +158,7 @@ def reshard_relation(
         autotune=wire,
     )
     arity = new_schema.arity
-    parts: Dict[Tuple[int, int], Tuple[list, list]] = {}
+    parts = []
     # The fault plane models at-least-once delivery; absorb-style
     # exchanges shrug off duplicates via set semantics, but this install
     # replaces shard state wholesale, so drop re-deliveries by the box's
@@ -173,18 +169,8 @@ def reshard_relation(
             if box[5] in seen:
                 continue
             seen.add(box[5])
-            b, s, kind, rows = decode_reshard_box(box, arity, codec)
-            entry = parts.setdefault((b, s), ([], []))
-            entry[kind].append(rows)
-    empty = np.empty((0, arity), dtype=np.int64)
-    shard_states = {
-        key: (
-            np.vstack(full_list) if full_list else empty,
-            np.vstack(delta_list) if delta_list else empty,
-        )
-        for key, (full_list, delta_list) in parts.items()
-    }
-    rel.install_reshard(new_schema, shard_states)
+            parts.append(decode_reshard_box(box, arity, codec))
+    rel.install_reshard(new_schema, parts)
     return {"shipped": n_shipped, "moved": n_moved, "wire_bytes": wire_bytes}
 
 

@@ -56,7 +56,7 @@ def _state_bytes(store, names, n_ranks: int) -> np.ndarray:
     per_rank = np.zeros(n_ranks, dtype=np.int64)
     for name in names:
         rel = store[name]
-        per_rank += rel.full_sizes_by_rank() * (rel.schema.arity * BYTES_PER_WORD)
+        per_rank += rel.sizes_by_rank() * (rel.schema.arity * BYTES_PER_WORD)
     return per_rank
 
 
@@ -174,7 +174,7 @@ class RecoveryManager:
         if engine.comm_recorder is not None:
             per_rank_tuples = np.zeros(cfg.n_ranks, dtype=np.int64)
             for name in names:
-                per_rank_tuples += engine.store[name].full_sizes_by_rank()
+                per_rank_tuples += engine.store[name].sizes_by_rank()
             m = engine.comm_recorder.begin("replica", "checkpoint")
             for rank in live:
                 for buddy in replica_buddies(rank, live, cfg.replicas):
@@ -303,19 +303,19 @@ class RecoveryManager:
             _state_bytes(store, ckpt.relations, self.config.n_ranks)[rank]
         )
         restored_tuples = sum(
-            int(store[name].full_sizes_by_rank()[rank]) for name in ckpt.relations
+            int(store[name].sizes_by_rank()[rank]) for name in ckpt.relations
         )
         moves: List[Tuple[int, int, int]] = []
         for _name, rel in sorted(store.relations.items()):
-            keys = [k for k in rel.shards if rel.owner_of(k) == rank]
+            segs, sizes = np.unique(rel.table.stored()[1], return_counts=True)
+            lost = rel.rank_of_segment()[segs] == rank
             rel.exclude_ranks({rank})
-            for key in keys:
-                tuples = rel.shards[key].full_size()
-                moves.append((
-                    rel.owner_of(key),
-                    tuples * rel.schema.arity * BYTES_PER_WORD,
-                    tuples,
-                ))
+            for owner, tuples in zip(
+                rel.rank_of_segment()[segs[lost]].tolist(), sizes[lost].tolist()
+            ):
+                moves.append(
+                    (owner, tuples * rel.schema.arity * BYTES_PER_WORD, tuples)
+                )
         return restored_bytes, restored_tuples, moves
 
     def _book_reown(

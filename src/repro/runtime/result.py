@@ -106,7 +106,7 @@ class FixpointResult:
                 for name, rel in sorted(self.relations.items())
             },
             "relation_sizes_by_rank": {
-                name: rel.full_sizes_by_rank().tolist()
+                name: rel.sizes_by_rank().tolist()
                 for name, rel in sorted(self.relations.items())
             },
             "phase_seconds": dict(sorted(self.ledger.phase_seconds.items())),
@@ -274,7 +274,7 @@ class FixpointResult:
             samples["relation_tuples_by_rank"] = [
                 float(v)
                 for rel in self.relations.values()
-                for v in rel.full_sizes_by_rank()
+                for v in rel.sizes_by_rank()
             ]
         if self.trace:
             for name, attr in (

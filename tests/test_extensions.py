@@ -203,12 +203,12 @@ class TestAutoBalance:
         for name, rel in auto_eng.store.relations.items():
             other = static_eng.store[name]
             assert rel.schema.n_subbuckets == other.schema.n_subbuckets
-            assert set(rel.shards) == set(other.shards)
-            for key, shard in rel.shards.items():
-                assert sorted(shard.version_block("full").tolist()) == sorted(
-                    other.shards[key].version_block("full").tolist()
-                )
+            mine = {key: b for key, _o, b in rel.shard_blocks("full")}
+            theirs = {key: b for key, _o, b in other.shard_blocks("full")}
+            assert set(mine) == set(theirs)
+            for key, block in mine.items():
+                assert sorted(block.tolist()) == sorted(theirs[key].tolist())
             assert (
-                rel.full_sizes_by_rank().tolist()
-                == other.full_sizes_by_rank().tolist()
+                rel.sizes_by_rank().tolist()
+                == other.sizes_by_rank().tolist()
             )

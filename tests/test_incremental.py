@@ -155,6 +155,69 @@ class TestIdentity:
         assert_bit_identical(handle.engine, cold)
 
 
+    def test_wrong_arity_batch_raises_before_mutation(self):
+        """Rows of the wrong arity are refused, not reshaped: three
+        arity-2 rows must not become the arity-3 edges (2, 3, 3) and
+        (4, 4, 5).  Nothing is mutated and the handle stays usable."""
+        from repro.api import Options, Session
+
+        edges = random_edges(40, 160, seed=13)
+        base, batch = split(edges, 8)
+        session = Session(Options(n_ranks=4))
+        session.query(sssp_program(), {"edge": base, "start": [(0,)]})
+        before = session.relation("spath")
+        with pytest.raises(ValueError, match="edge: expected rows of arity 3"):
+            session.update({"edge": [(2, 3), (3, 4), (4, 5)]})
+        assert session.relation("spath") == before
+        assert sorted(session.engine.store["edge"].iter_full()) == sorted(base)
+        session.update({"edge": batch})
+        cold = cold_sssp(edges, [0], EngineConfig(n_ranks=4))
+        assert_bit_identical(session.engine, cold)
+
+    def test_seed_routes_distinct_rows_in_lexicographic_order(self):
+        """However a batch arrives — shuffled, with repeats, with negative
+        ids — the seed exchange ships its distinct rows in lexicographic
+        order, so the update is the one its sorted set makes, to the
+        ledger byte."""
+        edges = random_edges(50, 220, seed=14)
+        base, batch = split(edges, 15)
+        batch = batch + [(-3, 1, 2), (-1, -3, 4)]
+        order = np.random.default_rng(3).permutation(len(batch))
+        messy = [batch[i] for i in order] + batch[:4]
+
+        def update(rows):
+            handle = FixpointHandle.converge(
+                sssp_program(), {"edge": base, "start": [(0,)]},
+                EngineConfig(n_ranks=6, wire=False),
+            )
+            cluster, sent = handle.engine.cluster, []
+            exchange = cluster.alltoallv
+
+            def spy(sends, **kw):
+                if kw.get("kind") == "incremental_seed":
+                    sent.extend(
+                        box for per_dst in sends.values()
+                        for boxes in per_dst.values() for box in boxes
+                    )
+                return exchange(sends, **kw)
+
+            cluster.alltoallv = spy
+            return handle.update({"edge": rows}), sent
+
+        messy_result, boxes = update(messy)
+        for box in boxes:
+            rows = list(map(tuple, box.tolist()))
+            assert rows == sorted(set(rows))
+        assert sorted(t for box in boxes for t in map(tuple, box.tolist())) == (
+            sorted(set(batch))
+        )
+        clean_result, _ = update(sorted(set(batch)))
+        assert messy_result.modeled_seconds() == clean_result.modeled_seconds()
+        assert messy_result.ledger.comm.bytes_total == (
+            clean_result.ledger.comm.bytes_total
+        )
+        assert messy_result.query("spath") == clean_result.query("spath")
+
     @ON_PLANE
     def test_update_hitting_max_iterations_raises(self, plane):
         """The resumed loop honours max_iterations, and says it was an update."""
@@ -373,6 +436,23 @@ class TestGuards:
         engine.run()
         assert_bit_identical(handle.engine, engine)
 
+    def test_improvement_guard_reads_negative_keys(self):
+        """Negative vertex ids put the watched group keys in the key
+        index's wide tier: the guard still names the improved group, and
+        a pure extension still passes."""
+        config = EngineConfig(n_ranks=4)
+        facts = {"edge": [(-7, -1, 9), (-1, 2, 9)], "start": [(-7,)]}
+        handle = FixpointHandle.converge(lsp_watch_program(), facts, config)
+        with pytest.raises(IncrementalUnsupportedError, match=r"group \(-7, 2\)"):
+            handle.update({"edge": [(-7, 2, 1)]})
+        handle = FixpointHandle.converge(lsp_watch_program(), facts, config)
+        handle.update({"edge": [(2, -3, 1)]})
+        engine = Engine(lsp_watch_program(), config)
+        engine.load("edge", facts["edge"] + [(2, -3, 1)])
+        engine.load("start", facts["start"])
+        engine.run()
+        assert_bit_identical(handle.engine, engine)
+
     def test_improvement_watch_contents(self):
         compiled = Engine(lsp_watch_program(), EngineConfig(n_ranks=2)).compiled
         assert "spath" in improvable_watch(compiled)
@@ -441,6 +521,103 @@ class TestGuards:
         cold.load("e1", [(0, 1, 2), (0, 2, 1)])
         cold.load("e2", [(1, 2, 3), (2, 3, 4)])
         cold.run()
+        assert_bit_identical(handle.engine, cold)
+
+
+def check_change_sets(handle):
+    """Check, after every stratum an update resumes, that each of its
+    relations' installed Δ is exactly its full version minus the full
+    version before the update; returns the relations checked."""
+    engine, checked = handle.engine, []
+    resume = handle._resume_stratum
+
+    def checking_resume(stratum, pending):
+        ran = any(
+            name in pending
+            for cr in engine.compiled.rules_of(stratum)
+            for name in cr.body_names
+        )
+        before = {name: engine.store[name].as_set() for name in stratum.relations}
+        out = resume(stratum, pending)
+        for name in sorted(stratum.relations) if ran else ():
+            rel = engine.store[name]
+            assert set(rel.iter_delta()) == rel.as_set() - before[name]
+            checked.append(name)
+        return out
+
+    handle._resume_stratum = checking_resume
+    return checked
+
+
+def random_batches(edges, seed, late_extra=()):
+    """A random base, and the rest plus ``late_extra`` split at random
+    into 1-4 batches."""
+    rng = np.random.default_rng(seed)
+    base, late = split(edges, int(rng.integers(8, len(edges) // 4)))
+    late = late + list(late_extra)
+    cuts = np.sort(rng.choice(np.arange(1, len(late)), int(rng.integers(0, 4)), False))
+    parts = np.split(np.arange(len(late)), cuts)
+    return base, [[late[i] for i in part] for part in parts]
+
+
+class TestChangeSet:
+    """The change set a stratum installs for the strata after it equals
+    the set difference of its full versions across the update."""
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_random_splits_with_rebalance(self, seed):
+        """A hub's edges arrive late, so the update that brings them
+        reshards ``edge`` before its first pass."""
+        edges = random_edges(60, 400, seed=seed)
+        hub = [(0, v, 1 + v % 5) for v in range(1, 60)]
+        base, batches = random_batches(edges, seed, hub)
+        config = EngineConfig(
+            n_ranks=8,
+            rebalance=True,
+            rebalance_every=2,
+            rebalance_threshold=0.05,
+            subbuckets={"edge": 1},
+        )
+        handle = FixpointHandle.converge(
+            sssp_program(), {"edge": base, "start": [(0,)]}, config
+        )
+        assert not handle.result().rebalance
+        checked = check_change_sets(handle)
+        for batch in batches:
+            handle.update({"edge": batch})
+        assert checked.count("spath") == len(batches)
+        assert handle.result().rebalance
+        cold = cold_sssp(sorted(set(edges) | set(hub)), [0], EngineConfig(n_ranks=8))
+        assert handle.query("spath") == cold.store["spath"].as_set()
+
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_random_splits_with_a_crash_inside_an_update(self, seed):
+        edges = random_edges(60, 300, seed=seed)
+        base, batches = random_batches(edges, seed)
+        facts = {"edge": base, "start": [(0,)]}
+        # Probe the superstep clock with an inert fault plane to find
+        # the last batch's window, then crash a rank in its middle.
+        probe_cfg = EngineConfig(
+            n_ranks=6, faults=FaultConfig(seed=1), checkpoint_every=2
+        )
+        probe = FixpointHandle.converge(sssp_program(), facts, probe_cfg)
+        for batch in batches[:-1]:
+            probe.update({"edge": batch})
+        start = probe.engine.fault_plane.superstep
+        probe.update({"edge": batches[-1]})
+        crash_at = (start + probe.engine.fault_plane.superstep) // 2
+        chaos = EngineConfig(
+            n_ranks=6,
+            faults=FaultConfig(seed=1, crash_rank=2, crash_superstep=crash_at),
+            checkpoint_every=2,
+        )
+        handle = FixpointHandle.converge(sssp_program(), facts, chaos)
+        checked = check_change_sets(handle)
+        for batch in batches:
+            handle.update({"edge": batch})
+        assert handle.result().recovery.recoveries == 1
+        assert checked.count("spath") == len(batches)
+        cold = cold_sssp(edges, [0], EngineConfig(n_ranks=6))
         assert_bit_identical(handle.engine, cold)
 
 

@@ -610,10 +610,9 @@ def test_vector_join_is_associative(agg_type, a, b, c):
 
 def _brute_probe(rel, version, rank, jk):
     out = []
-    for key in sorted(rel.shards):
-        if rel.owner_of(key) != rank:
+    for _key, owner, block in rel.shard_blocks(version):
+        if owner != rank:
             continue
-        block = rel.shards[key].version_block(version)
         for row in block.tolist():
             if tuple(row[c] for c in rel.schema.join_cols) == jk:
                 out.append(tuple(row))

@@ -68,7 +68,7 @@ def _relation(schema, n_ranks, full=(), delta=()):
 
 
 def _rows_of(rel, version):
-    blocks = [b for _o, b in rel.version_blocks(version)]
+    blocks = [b for _k, _o, b in rel.shard_blocks(version)]
     if not blocks:
         return []
     return sorted(map(tuple, np.vstack(blocks).tolist()))
@@ -190,9 +190,8 @@ class TestReshardProperty:
         assert rel.schema.n_subbuckets == target
         assert _rows_of(rel, "full") == before_full
         assert _rows_of(rel, "delta") == before_delta
-        for (bucket, sub), shard in rel.shards.items():
+        for (bucket, sub), _owner, rows in rel.shard_blocks("full"):
             assert 0 <= sub < target
-            rows = shard.version_block("full")
             if rows.shape[0]:
                 b_arr, s_arr = rel.dist.bucket_sub_of_rows(rows)
                 assert (b_arr == bucket).all() and (s_arr == sub).all()
@@ -212,10 +211,10 @@ class TestReshardProperty:
 
     def test_noop_resize_is_free(self):
         rel = _relation(_plain_schema(2), 4, full=[(1, 2, 3)])
-        shards = dict(rel.shards)
+        table = rel.table
         info = reshard_relation(rel, 2, SimCluster(4))
         assert info == {"shipped": 0, "moved": 0, "wire_bytes": 0}
-        assert rel.shards == shards
+        assert rel.table is table
 
     def test_aggregate_relation_keeps_values(self):
         full = [(k, k + 1, v) for k, v in ((0, 5), (1, 9), (2, 3))]

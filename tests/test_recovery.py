@@ -66,7 +66,7 @@ def _fingerprint(fp, rel):
         fp.query(rel),
         dict(sorted(fp.counters.items())),
         {
-            name: r.full_sizes_by_rank().tolist()
+            name: r.sizes_by_rank().tolist()
             for name, r in sorted(fp.relations.items())
         },
         fp.iterations,
@@ -138,10 +138,10 @@ class TestChaosWireMatrix:
         assert faulty_on.query("spath") == clean_off.query("spath")
         assert faulty_on.iterations == clean_off.iterations
         assert {
-            name: r.full_sizes_by_rank().tolist()
+            name: r.sizes_by_rank().tolist()
             for name, r in sorted(faulty_on.relations.items())
         } == {
-            name: r.full_sizes_by_rank().tolist()
+            name: r.sizes_by_rank().tolist()
             for name, r in sorted(clean_off.relations.items())
         }
         inj = faulty_on.recovery.injected
@@ -439,7 +439,7 @@ class TestPermanentLoss:
         assert dead == 1 and buddy not in (1,)
         # The dead rank owns nothing after re-owning.
         for _name, rel in sorted(faulty.relations.items()):
-            assert rel.full_sizes_by_rank()[1] == 0
+            assert rel.sizes_by_rank()[1] == 0
         # Restore + re-owning are charged to the modeled ledger.
         assert faulty.ledger.comm.by_kind.get("replica", 0) > 0
         assert faulty.ledger.comm.by_kind.get("reown", 0) > 0

@@ -115,7 +115,7 @@ class TestRankPrivateStores:
         n_shards = 0
         for rank, store in enumerate(stores):
             for rel in store:
-                for b, s in rel.shards:
+                for (b, s), _owner, _rows in rel.shard_blocks("full"):
                     assert rel.dist.owner(b, s) == rank
                     n_shards += 1
         assert n_shards > 6
@@ -135,7 +135,10 @@ class TestRankPrivateStores:
         )
         for rank, store in enumerate(stores):
             for rel in store:
-                assert all(rel.dist.owner(b, s) == rank for b, s in rel.shards)
+                assert all(
+                    rel.dist.owner(b, s) == rank
+                    for (b, s), _owner, _rows in rel.shard_blocks("full")
+                )
             # the update left no Δ behind on what it touched
             assert store["edge"].delta_size() == store["spath"].delta_size() == 0
 

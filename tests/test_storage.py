@@ -47,15 +47,15 @@ class TestVersionedRelation:
         rel = VersionedRelation(edge_schema(n_sub=4), 16)
         tuples = [(i, i + 1, 1) for i in range(200)]
         rel.load(tuples)
-        for (b, s), shard in rel.shards.items():
-            for t in map(tuple, shard.version_block("full").tolist()):
+        for (b, s), _owner, block in rel.shard_blocks("full"):
+            for t in map(tuple, block.tolist()):
                 assert rel.dist.bucket_of(t) == b
                 assert rel.dist.sub_of(t) == s
 
     def test_sizes_by_rank_sum(self):
         rel = VersionedRelation(edge_schema(), 8)
         rel.load([(i, 0, 0) for i in range(100)])
-        by_rank = rel.full_sizes_by_rank()
+        by_rank = rel.sizes_by_rank()
         assert by_rank.sum() == 100
         assert len(by_rank) == 8
 
@@ -77,7 +77,7 @@ class TestVersionedRelation:
         rel = VersionedRelation(edge_schema(n_sub=2), 8)
         rel.load([(i, i, 0) for i in range(60)])
         total = 0
-        for owner, block in rel.version_blocks("full"):
+        for _key, owner, block in rel.shard_blocks("full"):
             total += len(block)
             for t in map(tuple, block.tolist()):
                 assert rel.dist.rank_of(t) == owner
@@ -86,7 +86,7 @@ class TestVersionedRelation:
     def test_version_blocks_bad_version(self):
         rel = VersionedRelation(edge_schema(), 4)
         with pytest.raises(ValueError):
-            list(rel.version_blocks("nope"))
+            list(rel.shard_blocks("nope"))
 
     def test_probe_cache_invalidation(self):
         """The executor's cached join index of a rank is rebuilt once a
