@@ -30,6 +30,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.baselines.serial import SerialFractionLedger
+from repro.comm.boxes import BoxTable
 from repro.comm.costmodel import CostModel
 from repro.kernels.block import group_columns
 from repro.planner.ast import Program
@@ -66,11 +67,11 @@ class _UnfoldedJoin(ColumnarExecutor):
     shuffle carries every join candidate, suppressed ones included."""
 
     def local_join(
-        self, cr, outer_pos, recv, inner_rel, inner_ver, probe_cols,
+        self, cr, outer_pos, received, inner_rel, inner_ver, probe_cols,
         per_rank_probe, per_rank_emit, fold=None,
     ):
         return super().local_join(
-            cr, outer_pos, recv, inner_rel, inner_ver, probe_cols,
+            cr, outer_pos, received, inner_rel, inner_ver, probe_cols,
             per_rank_probe, per_rank_emit,
         )
 
@@ -159,7 +160,9 @@ class RaSQLLikeEngine(Engine):
                 sends[src] = {dst: [rows[idx]] for dst, idx in _groups(ranks)}
                 n_comm += rows.shape[0]
             recv = self.cluster.alltoallv(
-                sends, arity=head.schema.arity, phase=P_COMM, count_of=len
+                BoxTable.from_sends(sends, count_of=len),
+                arity=head.schema.arity,
+                phase=P_COMM,
             )
         stats.comm_tuples += n_comm
         self.counters["alltoall_tuples"] += n_comm
@@ -171,20 +174,18 @@ class RaSQLLikeEngine(Engine):
         # come out rank after rank too.
         improved: Dict[int, np.ndarray] = {}
         with self.timer.phase(P_DEDUP):
-            receivers, boxes = [], []
-            n_sub = agg_rel.schema.n_subbuckets
+            receivers, parts, segs = [], [], []
             for r, blocks in recv.items():
                 if not blocks:
                     continue
-                rows = np.concatenate(blocks)
-                b_arr, s_arr = agg_rel.dist.bucket_sub_of_rows(rows)
                 receivers.append(r)
-                boxes += [
-                    (*divmod(key, n_sub), rows[idx])
-                    for key, idx in _groups(b_arr * n_sub + s_arr)
-                ]
+                rows = np.concatenate(blocks)
+                for seg, idx in _groups(agg_rel.segments_of_rows(rows)):
+                    parts.append(rows[idx])
+                    segs.append(np.full(idx.shape[0], seg, dtype=np.int64))
+            runs = [(np.concatenate(parts), np.concatenate(segs))] if parts else []
             out: List[np.ndarray] = []
-            absorbed = agg_rel.absorb(boxes, collect=out)
+            absorbed = agg_rel.absorb(runs, collect=out)
             if out:
                 rows = np.concatenate(out)
                 ends = np.cumsum(absorbed.admitted[receivers]).tolist()

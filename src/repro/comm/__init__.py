@@ -16,6 +16,10 @@ substitution in DESIGN.md §2) this package provides:
     *real* payloads between per-rank mailboxes and charge the cost model
     with actual serialized sizes, so communication volume is measured,
     never assumed.
+:mod:`repro.comm.boxes`
+    What an ``alltoallv`` moves and returns: one table of boxes per
+    exchange (int64 columns over one row block and one payload buffer)
+    and its delivery.
 :mod:`repro.comm.wire`
     The row-block codecs of the route exchange's wire layer (sender
     fold, ``delta`` codec and direct-vs-Bruck pick, switched together by

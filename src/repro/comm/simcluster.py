@@ -6,9 +6,9 @@ into per-rank structures and uses the cluster's collectives to move it.
 
 Two properties make the simulation *honest*:
 
-1.  **Payloads are real.**  ``alltoallv`` receives per-destination lists of
-    tuples and physically routes them; nothing reaches a rank except through
-    a collective.  Communication volume is measured from actual payload
+1.  **Payloads are real.**  ``alltoallv`` receives a table of boxes and
+    physically routes them; nothing reaches a rank except through a
+    collective.  Communication volume is measured from actual payload
     sizes.
 2.  **Costs are charged where the paper pays them.**  Every collective
     charges the :class:`~repro.comm.costmodel.CostModel` and the
@@ -17,7 +17,15 @@ Two properties make the simulation *honest*:
     per join per iteration).
 
 Sparse representation: with 16,384 ranks almost all send matrices are
-sparse, so sends are ``dict[dst, payload]`` per source, not dense lists.
+sparse, so an exchange is a :class:`~repro.comm.boxes.BoxTable` — one
+entry per box, with its source and destination rank as columns — not a
+dense rank × rank matrix.  Sizing it (each rank's bytes and peers, one
+message per distinct remote ``(src, dst)``) is a handful of
+``np.bincount`` and grouping passes over those columns, and the delivery
+is box indices, not copies.  Per-message Python objects exist only under
+message faults: each wire message's boxes are materialized
+(:meth:`~repro.comm.boxes.BoxTable.item`) for the fault plane's CRC
+envelope and mutator, exactly as the exchanges always shipped them.
 
 The cluster offers the three collectives the engine calls (``allreduce``,
 ``allgather``, ``alltoallv``) plus the uncharged ``agree``, under both
@@ -30,11 +38,19 @@ from __future__ import annotations
 import random as _random
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
+import numpy as np
+
+from repro.comm.boxes import BoxTable, Delivery
 from repro.comm.costmodel import BYTES_PER_WORD, CommEvent, CostModel
 from repro.comm.ledger import PhaseLedger
 from repro.faults.invariants import check_conservation
 from repro.faults.plane import FaultPlane, classify_loss, payload_checksum
+from repro.kernels.block import concat_ranges, group_columns
 from repro.obs.tracer import NULL_TRACER
+
+#: One wire message under message faults: (seq, src, dst, payload,
+#: checksum, n_tuples, nbytes, box indices).
+_Message = Tuple[int, int, int, List[Any], int, int, int, np.ndarray]
 
 
 class SimCluster:
@@ -91,7 +107,7 @@ class SimCluster:
         self.comm_recorder = comm_recorder
         #: Wire-layer accounting for route exchanges (PR 7): bytes the
         #: exchange *would* have shipped un-combined and un-encoded
-        #: (``pre_count_of`` × raw tuple size) vs bytes it actually put
+        #: (``BoxTable.pre_rows`` × raw tuple size) vs bytes it actually put
         #: on the wire, plus collective-autotune outcomes.  Monotone for
         #: the cluster's lifetime; ``Engine._wire_exchange`` reads them
         #: as per-exchange deltas into its own counters, which rollback
@@ -212,40 +228,26 @@ class SimCluster:
 
     def alltoallv(
         self,
-        sends: Mapping[int, Mapping[int, List[Any]]],
+        sends: "BoxTable | Mapping[int, Mapping[int, List[Any]]]",
         *,
         arity: int,
         phase: str = "comm",
-        count_of: Optional[Callable[[Any], int]] = None,
-        nbytes_of: Optional[Callable[[Any], int]] = None,
-        pre_count_of: Optional[Callable[[Any], int]] = None,
         autotune: bool = False,
         kind: str = "alltoallv",
         channel: str = "data",
-    ) -> Dict[int, List[Any]]:
-        """Sparse all-to-all of tuple payloads.
+    ) -> Delivery:
+        """Sparse all-to-all of a :class:`~repro.comm.boxes.BoxTable`.
 
         Parameters
         ----------
         sends:
-            ``sends[src][dst]`` is the list of tuples rank ``src`` sends to
-            rank ``dst``.  Sparse: absent entries send nothing.
+            The exchange's boxes; a hand-written ``sends[src][dst]`` list
+            of tuples is read as one box per tuple
+            (:meth:`BoxTable.from_sends`, which also takes per-item tuple
+            counts and wire sizes).  Every ``(src, dst)`` pair with a box
+            is one message.
         arity:
-            Tuple width, for serialized-size accounting.
-        count_of:
-            When payload items are *batches* rather than single tuples,
-            maps an item to its tuple count (size accounting stays exact).
-        nbytes_of:
-            Per-item wire size override.  Default charges the raw tuple
-            size (``count × arity × 8``); the wire layer passes the
-            *encoded* size of each box instead, so codecs are charged for
-            the bytes they actually ship.
-        pre_count_of:
-            Per-item *pre-combine* tuple count.  When given, the exchange
-            also accounts the counterfactual un-optimized traffic — into
-            the recorder's ``precombine`` channel and the cluster's
-            ``route_precombine_bytes`` — so combining/codec savings stay
-            measurable per edge and in total.
+            Tuple width, for the raw size of boxes without ``nbytes``.
         autotune:
             Off, charge the pairwise ``direct`` algorithm (the historical
             behavior).  On, charge the cheaper of ``direct`` and Bruck
@@ -265,16 +267,26 @@ class SimCluster:
             (default ``"data"``; the rebalance exchange uses its own
             ``"rebalance"`` channel).
 
+        A box is charged its ``nbytes`` (the wire layer's encoded size),
+        else ``n_rows × arity`` words.  A table with ``pre_rows`` also
+        accounts the counterfactual un-combined traffic — into the
+        recorder's ``precombine`` channel and ``route_precombine_bytes``
+        — so combining/codec savings stay measurable per edge and in
+        total.
+
         Returns
         -------
-        ``recv[dst]`` — concatenation of all payloads addressed to ``dst``,
-        ordered by source rank (deterministic).
+        A :class:`~repro.comm.boxes.Delivery`: per receiving rank, the
+        boxes addressed to it ordered by source rank, each message's
+        boxes in table order (deterministic); receivers in the order a
+        source-major sweep of the messages first reaches them.
 
         Local "sends" (``src == dst``) are delivered but cost nothing on the
         wire, as in MPI implementations that shortcut self-messages.
 
         Under an active fault plane every wire message carries a CRC-32
-        envelope: dropped or corrupted copies are detected by the receiver
+        envelope over its boxes as Python objects (:meth:`BoxTable.item`):
+        dropped or corrupted copies are detected by the receiver
         and retransmitted (bounded by ``FaultConfig.max_retries``, extra
         traffic charged to the ledger); duplicated copies are delivered
         twice.  Each delivery keeps its send-loop sequence number, so after
@@ -284,6 +296,7 @@ class SimCluster:
         check — everything sent must arrive, plus exactly the counted
         duplicates.
         """
+        table = sends if isinstance(sends, BoxTable) else BoxTable.from_sends(sends)
         plane = self.faults
         step = self._superstep("alltoallv")
         matrix = (
@@ -291,109 +304,69 @@ class SimCluster:
             if self.comm_recorder is not None
             else None
         )
-        recv: Dict[int, List[Any]] = {}
-        sent_bytes: Dict[int, int] = {}
-        recv_bytes: Dict[int, int] = {}
-        peers: Dict[int, int] = {}
-        wire_messages = 0
-        wire_bytes = 0
-        n_sent = 0
-        n_delivered = 0
-        n_dup_tuples = 0
-        faulty = plane is not None and plane.has_message_faults
-        #: Deliveries under faults: slots[dst] holds (seq, payload) pairs,
-        #: reassembled into source order once retransmission settles.
-        slots: Dict[int, List[Tuple[int, Any]]] = {}
-        #: Wire messages with zero intact deliveries: (seq, src, dst,
-        #: payload, checksum, n_tuples, nbytes) awaiting retransmission.
-        pending: List[Tuple[int, int, int, Any, int, int, int]] = []
-        seq = 0
+        n_ranks = self.n_ranks
+        src, dst = table.src, table.dst
+        for ranks, what in ((dst, "destination"), (src, "source")):
+            outside = (ranks < 0) | (ranks >= n_ranks)
+            if outside.any():
+                raise ValueError(f"{what} rank {int(ranks[outside][0])} out of range")
+        # Messages: one per distinct (src, dst), in (src, dst) order; a
+        # message's boxes keep their table order.
+        order, starts, counts = group_columns([src, dst])
+        heads = order[starts]
+        m_src, m_dst = src[heads], dst[heads]
+        m_rows = _message_sums(table.n_rows, order, starts)
         tuple_bytes = self.cost.tuple_bytes
-        for src in sorted(sends):
-            for dst, payload in sorted(sends[src].items()):
-                if not payload:
-                    continue
-                if not 0 <= dst < self.n_ranks:
-                    raise ValueError(f"destination rank {dst} out of range")
-                if nbytes_of is None and pre_count_of is None:
-                    n_tuples = (
-                        len(payload)
-                        if count_of is None
-                        else sum(map(count_of, payload))
-                    )
-                    pre_tuples = n_tuples
-                    nbytes = tuple_bytes(n_tuples, arity)
-                else:
-                    # Wire boxes: all three totals in one pass (a route
-                    # exchange at 64 ranks sizes ~4k messages a superstep).
-                    n_tuples = pre_tuples = nbytes = 0
-                    for item in payload:
-                        n = 1 if count_of is None else count_of(item)
-                        n_tuples += n
-                        pre_tuples += n if pre_count_of is None else pre_count_of(item)
-                        nbytes += (
-                            tuple_bytes(n, arity)
-                            if nbytes_of is None
-                            else nbytes_of(item)
-                        )
-                n_sent += n_tuples
-                seq += 1
-                if src == dst:
-                    # Self-sends shortcut the wire; faults cannot hit them.
-                    if matrix is not None:
-                        matrix.add(src, dst, 0, n_tuples, channel=channel)
-                        if pre_count_of is not None:
-                            matrix.add(
-                                src, dst, 0, pre_tuples, channel="precombine"
-                            )
-                    if faulty:
-                        slots.setdefault(dst, []).append((seq, payload))
-                    else:
-                        recv.setdefault(dst, []).extend(payload)
-                    n_delivered += n_tuples
-                    continue
-                if pre_count_of is not None:
-                    pre_nbytes = tuple_bytes(pre_tuples, arity)
-                    self.route_precombine_bytes += pre_nbytes
-                    self.route_wire_bytes += nbytes
-                    if matrix is not None:
-                        matrix.add(
-                            src, dst, pre_nbytes, pre_tuples, channel="precombine"
-                        )
-                if matrix is not None:
-                    matrix.add(src, dst, nbytes, n_tuples, channel=channel)
-                sent_bytes[src] = sent_bytes.get(src, 0) + nbytes
-                recv_bytes[dst] = recv_bytes.get(dst, 0) + nbytes
-                peers[src] = peers.get(src, 0) + 1
-                peers[dst] = peers.get(dst, 0) + 1
-                wire_messages += 1
-                wire_bytes += nbytes
-                if not faulty:
-                    recv.setdefault(dst, []).extend(payload)
-                    n_delivered += n_tuples
-                    continue
-                checksum = payload_checksum(payload)
-                good = self._deliver_copies(
-                    plane, slots, seq, step, src, dst, payload, checksum, 0
-                )
-                if good == 0:
-                    pending.append(
-                        (seq, src, dst, payload, checksum, n_tuples, nbytes)
-                    )
-                else:
-                    n_delivered += good * n_tuples
-                    n_dup_tuples += (good - 1) * n_tuples
-        busiest = 0
-        for r in set(sent_bytes) | set(recv_bytes):
-            busiest = max(busiest, sent_bytes.get(r, 0) + recv_bytes.get(r, 0))
-        max_peers = max(peers.values(), default=0)
-        seconds = self.cost.alltoallv(self.n_ranks, busiest, max_peers)
-        if autotune and self.n_ranks > 1:
+        m_bytes = (
+            tuple_bytes(m_rows, arity)
+            if table.nbytes is None
+            else _message_sums(table.nbytes, order, starts)
+        )
+        remote = m_src != m_dst
+        r_src, r_dst, r_bytes = m_src[remote], m_dst[remote], m_bytes[remote]
+        wire_messages = int(r_src.shape[0])
+        wire_bytes = int(r_bytes.sum())
+        # Each rank's bytes sent plus received, and its peers.
+        weights = r_bytes.astype(np.float64)
+        busiest = int((
+            np.bincount(r_src, weights, n_ranks) + np.bincount(r_dst, weights, n_ranks)
+        ).max())
+        max_peers = int((
+            np.bincount(r_src, minlength=n_ranks) + np.bincount(r_dst, minlength=n_ranks)
+        ).max())
+        if table.pre_rows is not None:
+            m_pre = _message_sums(table.pre_rows, order, starts)
+            pre_bytes = np.where(remote, tuple_bytes(m_pre, arity), 0)
+            self.route_precombine_bytes += int(pre_bytes.sum())
+            self.route_wire_bytes += wire_bytes
+            if matrix is not None:
+                matrix.add_messages(m_src, m_dst, pre_bytes, m_pre, "precombine")
+        if matrix is not None:
+            matrix.add_messages(
+                m_src, m_dst, np.where(remote, m_bytes, 0), m_rows, channel
+            )
+        n_sent = int(table.n_rows.sum())
+        n_delivered, n_dup_tuples = n_sent, 0
+        faulty = plane is not None and plane.has_message_faults
+        if faulty:
+            slots, pending, n_delivered, n_dup_tuples = self._deliver_messages(
+                plane, table, step, order, starts, counts, m_src, m_dst, m_rows, m_bytes
+            )
+        else:
+            # Receivers in the order the (src, dst) sweep first reaches
+            # them, each one's messages by source.
+            receivers, first = np.unique(m_dst, return_index=True)
+            key = np.zeros(n_ranks, dtype=np.int64)
+            key[receivers] = first
+            by_dst = np.argsort(key[m_dst], kind="stable")
+            delivered = order[concat_ranges(starts[by_dst], counts[by_dst])]
+        seconds = self.cost.alltoallv(n_ranks, busiest, max_peers)
+        if autotune and n_ranks > 1:
             # Collective autotune: same observed message sizes, two
             # algorithm costs, charge the cheaper.  Data movement is
             # identical either way.
             direct_seconds = seconds
-            bruck_seconds = self.cost.alltoallv_bruck(self.n_ranks, busiest)
+            bruck_seconds = self.cost.alltoallv_bruck(n_ranks, busiest)
             chosen = "bruck" if bruck_seconds < direct_seconds else "direct"
             saved = 0.0
             if chosen == "bruck":
@@ -423,60 +396,100 @@ class SimCluster:
                 seconds=seconds,
             )
         )
-        if pending:
-            n_delivered, n_dup_tuples = self._retransmit(
-                plane, slots, step, phase, pending, n_delivered, n_dup_tuples
-            )
         if faulty:
+            if pending:
+                n_delivered, n_dup_tuples = self._retransmit(
+                    plane, slots, step, phase, pending, n_delivered, n_dup_tuples
+                )
             # Reassemble each receive buffer in send-loop order, so the
             # absorbed tuple sequence — and every downstream counter — is
             # exactly what a fault-free exchange would have produced.
-            for dst, entries in slots.items():
-                buf = recv.setdefault(dst, [])
-                for _seq, copy_payload in sorted(entries, key=lambda e: e[0]):
-                    buf.extend(copy_payload)
+            delivered = np.concatenate([
+                boxes
+                for entries in slots.values()
+                for _seq, boxes in sorted(entries, key=lambda e: e[0])
+            ] or [order[:0]])
         check_conservation(n_sent, n_delivered, n_dup_tuples)
         if self._reorder_rng is not None:
-            for buf in recv.values():
+            shuffled: List[int] = []
+            for _d, boxes in Delivery(table, delivered).boxes():
+                buf = boxes.tolist()
                 self._reorder_rng.shuffle(buf)
-        return recv
+                shuffled += buf
+            delivered = np.asarray(shuffled, dtype=np.int64)
+        return Delivery(table, delivered)
+
+    def _deliver_messages(
+        self, plane, table, step, order, starts, counts, m_src, m_dst, m_rows, m_bytes
+    ):
+        """First transmission of every message under message faults.
+
+        Each wire message's boxes become Python objects (the payload the
+        fault plane checksums and mutates); self-messages shortcut the
+        wire.  Returns the delivery slots, the messages still owed a
+        retransmission, and the delivered and duplicated tuple counts.
+        """
+        slots: Dict[int, List[Tuple[int, np.ndarray]]] = {}
+        pending: List[tuple] = []
+        n_delivered = n_dup_tuples = 0
+        for seq, (s, d, lo, c, n_tuples, nbytes) in enumerate(
+            zip(
+                m_src.tolist(), m_dst.tolist(), starts.tolist(), counts.tolist(),
+                m_rows.tolist(), m_bytes.tolist(),
+            ),
+            1,
+        ):
+            boxes = order[lo : lo + c]
+            if s == d:
+                # Self-sends shortcut the wire; faults cannot hit them.
+                slots.setdefault(d, []).append((seq, boxes))
+                n_delivered += n_tuples
+                continue
+            payload = [table.item(k) for k in boxes.tolist()]
+            message = (seq, s, d, payload, payload_checksum(payload), n_tuples,
+                       nbytes, boxes)
+            good = self._deliver_copies(plane, slots, step, message, 0)
+            if good == 0:
+                pending.append(message)
+            else:
+                n_delivered += good * n_tuples
+                n_dup_tuples += (good - 1) * n_tuples
+        return slots, pending, n_delivered, n_dup_tuples
 
     @staticmethod
     def _deliver_copies(
         plane: FaultPlane,
-        slots: Dict[int, List[Tuple[int, Any]]],
-        seq: int,
+        slots: Dict[int, List[Tuple[int, np.ndarray]]],
         step: int,
-        src: int,
-        dst: int,
-        payload: Any,
-        checksum: int,
+        message: _Message,
         attempt: int,
     ) -> int:
         """Deliver one wire message's planned copies; returns intact count.
 
         Copies whose CRC no longer matches the sender's envelope are
         discarded at the receiver (counted as detected corruptions) — the
-        caller retransmits if nothing intact got through.  Intact copies
-        land in ``slots[dst]`` tagged with the message's send sequence
-        number so the caller can reassemble source order.
+        caller retransmits if nothing intact got through.  Each intact
+        copy lands in ``slots[dst]`` as the message's boxes, tagged with
+        its send sequence number so the caller can reassemble source
+        order.
         """
+        seq, src, dst, payload, checksum, _n_tuples, _nbytes, boxes = message
         good = 0
         for copy_payload, intact in plane.deliveries(step, src, dst, payload, attempt):
             if not intact and payload_checksum(copy_payload) != checksum:
                 plane.stats.detected_corruptions += 1
                 continue
-            slots.setdefault(dst, []).append((seq, copy_payload))
+            slots.setdefault(dst, []).append((seq, boxes))
             good += 1
         return good
 
     def _retransmit(
         self,
         plane: FaultPlane,
-        slots: Dict[int, List[Tuple[int, Any]]],
+        slots: Dict[int, List[Tuple[int, np.ndarray]]],
         step: int,
         phase: str,
-        pending: List[Tuple[int, int, int, Any, int, int, int]],
+        pending: List[_Message],
         n_delivered: int,
         n_dup_tuples: int,
     ) -> Tuple[int, int]:
@@ -497,8 +510,9 @@ class SimCluster:
                 raise classify_loss(plane, src, dst, attempt)
             round_bytes = 0
             round_busiest = 0
-            still: List[Tuple[int, int, int, Any, int, int, int]] = []
-            for seq, src, dst, payload, checksum, n_tuples, nbytes in pending:
+            still: List[_Message] = []
+            for message in pending:
+                _seq, src, dst, _payload, _checksum, n_tuples, nbytes, _boxes = message
                 plane.stats.retransmits += 1
                 plane.stats.retransmitted_bytes += nbytes
                 round_bytes += nbytes
@@ -507,13 +521,9 @@ class SimCluster:
                     self.comm_recorder.record(
                         src, dst, nbytes, n_tuples, retransmit=True
                     )
-                good = self._deliver_copies(
-                    plane, slots, seq, step, src, dst, payload, checksum, attempt
-                )
+                good = self._deliver_copies(plane, slots, step, message, attempt)
                 if good == 0:
-                    still.append(
-                        (seq, src, dst, payload, checksum, n_tuples, nbytes)
-                    )
+                    still.append(message)
                 else:
                     n_delivered += good * n_tuples
                     n_dup_tuples += (good - 1) * n_tuples
@@ -528,3 +538,13 @@ class SimCluster:
             )
             pending = still
         return n_delivered, n_dup_tuples
+
+
+def _message_sums(
+    values: np.ndarray, order: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Per message (``group_columns`` groups ``order``/``starts``), the sum
+    of its boxes' ``values``."""
+    if not starts.shape[0]:
+        return np.zeros(0, dtype=np.int64)
+    return np.add.reduceat(values[order], starts)

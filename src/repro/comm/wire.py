@@ -13,10 +13,14 @@ when rows arrive sorted by independent key, which sender-side combining
 guarantees) and ``raw`` (native int64 bytes, which the reshard exchange
 ships with the layer off).
 
-Codec payloads are Python ``bytes`` on purpose: the fault plane's
-bit-flip mutator only targets integer/ndarray leaves, so a corrupted
-wire box flips header integers and is caught by the CRC-32 envelope
-before any decode runs — exactly like the un-encoded path in PR 4.
+An exchange's payloads travel in one ``uint8`` buffer
+(:class:`~repro.comm.boxes.BoxTable`): :func:`encode_blocks` returns the
+buffer of consecutive boxes with each box's byte length, and
+:func:`decode_blocks` reads boxes laid end to end back.  Where the fault
+plane needs a message as Python objects, each payload becomes ``bytes``
+on purpose: the plane's bit-flip mutator only targets integer/ndarray
+leaves, so a corrupted wire box flips header integers and is caught by
+the CRC-32 envelope before any decode runs, as an un-encoded box is.
 
 Encode/decode are exact inverses for every int64 block, including
 negative values and full-range bit patterns (deltas wrap modulo 2^64 on
@@ -28,7 +32,7 @@ sender-side fold is charged separately by the engine (see DESIGN §11).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -67,7 +71,7 @@ def _varint_encode(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """LEB128-encode a non-empty uint64 vector.
 
     Returns the byte buffer and each value's end offset in it, so a
-    caller holding many boxes in ``u`` can cut the buffer per box.  Pass
+    caller holding many boxes in ``u`` can find each box's byte length.  Pass
     ``j`` writes byte ``j`` of every value that has one, over a shrinking
     selection — total work is proportional to the bytes produced.
     """
@@ -90,17 +94,16 @@ def _varint_encode(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         pos, rest, left = pos[more] + 1, rest[more] >> np.uint64(7), left[more] - 1
 
 
-def _varint_decode(data: bytes, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`_varint_encode`.
+def _varint_decode(buf: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`_varint_encode` over a ``uint8`` buffer.
 
     Validates the stream shape and returns the values with each value's
     end offset (for the caller's per-box boundary check).
     """
     if count == 0:
-        if data:
+        if buf.shape[0]:
             raise ValueError("varint stream has trailing bytes")
         return np.zeros(0, np.uint64), np.zeros(0, np.int64)
-    buf = np.frombuffer(data, np.uint8)
     last = np.nonzero((buf & 0x80) == 0)[0]
     if last.shape[0] != count or last[-1] != buf.shape[0] - 1:
         raise ValueError(
@@ -146,15 +149,16 @@ def _box_major_index(starts: np.ndarray, arity: int) -> np.ndarray:
     return first[None, :] + np.arange(arity, dtype=np.int64)[:, None] * stride[None, :]
 
 
-def _delta_encode(rows: np.ndarray, starts: np.ndarray) -> List[bytes]:
+def _delta_encode(
+    rows: np.ndarray, starts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     """Per-column first differences (reset at box starts) → zigzag → LEB128."""
     arity = rows.shape[1]
-    lone = len(starts) == 2
     cols = np.ascontiguousarray(rows.T)
     d = np.empty_like(cols)
     d[:, 0] = cols[:, 0]
     d[:, 1:] = cols[:, 1:] - cols[:, :-1]
-    if lone:
+    if len(starts) == 2:
         stream = d.ravel()  # one box: the transpose is already the layout
     else:
         heads = starts[:-1][starts[:-1] < starts[1:]]
@@ -162,24 +166,19 @@ def _delta_encode(rows: np.ndarray, starts: np.ndarray) -> List[bytes]:
         stream = np.empty(d.size, np.int64)
         stream[_box_major_index(starts, arity).ravel()] = d.ravel()
     buf, ends = _varint_encode(_zigzag(stream))
-    data = buf.tobytes()
-    if lone:
-        return [data]
-    cuts = np.concatenate([np.zeros(1, np.int64), ends])[arity * starts].tolist()
-    return [data[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    return buf, np.diff(np.concatenate([np.zeros(1, np.int64), ends])[arity * starts])
 
 
 def _delta_decode(
-    payloads: Sequence[bytes], starts: np.ndarray, arity: int
+    data: np.ndarray, byte_len: np.ndarray, starts: np.ndarray, arity: int
 ) -> np.ndarray:
     n = int(starts[-1])
-    data = payloads[0] if len(payloads) == 1 else b"".join(payloads)
     u, ends = _varint_decode(data, n * arity)
     cuts = np.concatenate([np.zeros(1, np.int64), ends])[arity * starts]
-    if (np.diff(cuts) != [len(p) for p in payloads]).any():
+    if (np.diff(cuts) != byte_len).any():
         raise ValueError("varint stream does not split at the box boundaries")
     d = _unzigzag(u)
-    if len(payloads) == 1:
+    if len(starts) == 2:
         cols = np.cumsum(d.reshape(arity, n), axis=1, dtype=np.int64)
         return np.ascontiguousarray(cols.T)
     # Segmented cumsum: one running sum over the stream, rebased at each
@@ -194,54 +193,58 @@ def _delta_decode(
 _ONE_BOX = np.asarray([0, 1], np.int64)
 
 
-def encode_blocks(rows: np.ndarray, starts: np.ndarray, codec: str) -> List[bytes]:
+def encode_blocks(
+    rows: np.ndarray, starts: np.ndarray, codec: str
+) -> Tuple[np.ndarray, np.ndarray]:
     """Encode consecutive boxes of an ``(n, arity)`` int64 block.
 
-    One payload per box (``b""`` for an empty one).  ``delta`` runs a
+    Returns one ``uint8`` buffer of the payloads laid end to end and
+    each payload's byte length (0 for an empty box).  ``delta`` runs a
     single difference/zigzag/varint pass over the whole block; ``raw``
-    cuts the block's bytes.
+    is the block's own bytes.
     """
     if codec not in _CODECS:
         raise ValueError(f"unknown wire codec {codec!r}")
     if rows.shape[0] == 0:
-        return [b""] * (len(starts) - 1)
+        return np.zeros(0, np.uint8), np.zeros(len(starts) - 1, np.int64)
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     if codec == "delta":
         return _delta_encode(rows, starts)
-    rows = rows.astype("<i8", copy=False)
-    return [
-        rows[a:b].tobytes()
-        for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())
-    ]
+    return (
+        rows.astype("<i8", copy=False).view(np.uint8).ravel(),
+        np.diff(starts) * (rows.shape[1] * 8),
+    )
 
 
 def decode_blocks(
-    payloads: Sequence[bytes], starts: np.ndarray, arity: int, codec: str
+    data: np.ndarray, byte_len: np.ndarray, starts: np.ndarray, arity: int, codec: str
 ) -> np.ndarray:
-    """Exact inverse of :func:`encode_blocks`: the boxes' rows as one
-    writable ``(starts[-1], arity)`` block, box ``k`` at
-    ``[starts[k], starts[k + 1])``."""
+    """Exact inverse of :func:`encode_blocks`: the payloads laid end to end
+    in ``data`` (box ``k``'s ``byte_len[k]`` bytes) as one writable
+    ``(starts[-1], arity)`` block, box ``k`` at ``[starts[k], starts[k + 1])``."""
     if codec not in _CODECS:
         raise ValueError(f"unknown wire codec {codec!r}")
     n = int(starts[-1])
     if n == 0:
         return np.zeros((0, arity), np.int64)
     if codec == "delta":
-        return _delta_decode(payloads, starts, arity)
-    if (np.diff(starts) * (arity * 8) != [len(p) for p in payloads]).any():
+        return _delta_decode(data, byte_len, starts, arity)
+    if (np.diff(starts) * (arity * 8) != byte_len).any():
         raise ValueError("raw payload sizes do not match the box row counts")
-    data = payloads[0] if len(payloads) == 1 else b"".join(payloads)
     return np.frombuffer(data, "<i8").astype(np.int64).reshape(n, arity)
 
 
 def encode_rows(rows: np.ndarray, codec: str) -> bytes:
     """Encode one ``(n, arity)`` int64 box (:func:`encode_blocks` of one)."""
-    return encode_blocks(rows, _ONE_BOX * rows.shape[0], codec)[0]
+    return encode_blocks(rows, _ONE_BOX * rows.shape[0], codec)[0].tobytes()
 
 
 def decode_rows(data: bytes, n_rows: int, arity: int, codec: str) -> np.ndarray:
     """Exact inverse of :func:`encode_rows` (returns a writable block)."""
-    return decode_blocks([data], _ONE_BOX * n_rows, arity, codec)
+    return decode_blocks(
+        np.frombuffer(data, np.uint8), np.asarray([len(data)]), _ONE_BOX * n_rows,
+        arity, codec,
+    )
 
 
 def encoded_nbytes(payload: bytes) -> int:

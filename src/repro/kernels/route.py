@@ -1,26 +1,32 @@
-"""Vectorized send-side builders for the two communication phases.
+"""Vectorized send-side exchange tables and their codec pass.
+
+An exchange is one :class:`~repro.comm.boxes.BoxTable`: per-box int64
+columns over one grouped row block, built straight from the grouping
+that places the rows, and once encoded one payload buffer.  No Python
+runs per box between the build and absorb.
 
 ``build_intra_sends``
     Intra-bucket replication (pipeline phase 2): every outer tuple goes
-    to each sub-bucket owner of its inner-side bucket.  Payload boxes
-    are plain row blocks — a row's bucket is a hash of its join-key
-    values, which the receiver probes by anyway — and the all-to-all
-    charges them per tuple.
+    to each sub-bucket owner of its inner-side bucket.  Boxes are plain
+    rows — a row's bucket is a hash of its join-key values, which the
+    receiver probes by anyway — and the all-to-all charges them per
+    tuple.
 
 ``build_route_sends``
     Home routing of emitted head tuples (phase 4): where the wire
     layer's sender fold applies, each source's block is folded per
     independent key first; one hash pass then computes every remaining
     row's (bucket, sub, owner) and rows are stably grouped per
-    destination shard into ``(bucket, sub, row_block)`` boxes.
+    destination shard into route boxes.
 
 Both work on consecutive source ranks at once, up to :data:`_CHUNK_ROWS`
 rows (a larger source alone): one hash pass, one owner-table gather
 (:attr:`~repro.relational.distribution.Distribution.owner_table`) and
-one stable grouping keyed by source rank first serve the whole batch.
-The codec is batched the same way: :func:`encode_wire_sends` encodes
-every source's boxes, and :func:`decode_wire_boxes` decodes every
-receiver's inbox laid end to end, in :data:`_CHUNK_ROWS`-row chunks.
+one stable grouping serve the whole batch.  The codec is batched the
+same way: :func:`encode_wire_sends` encodes consecutive boxes, and
+:func:`decode_wire_boxes` the delivered ones in delivery order, in
+:data:`_CHUNK_ROWS`-row runs that the receiving store absorbs one at a
+time.
 
 Both keep each (src, dst) pair's rows in arrival order — the ordering
 the receiving shards' absorb semantics depend on.
@@ -32,21 +38,16 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.comm.wire import decode_blocks, decode_rows, encode_blocks, encode_rows
+from repro.comm.boxes import BoxTable, Delivery
+from repro.comm.wire import (
+    WIRE_HEADER_WORDS, decode_blocks, decode_rows, encode_blocks, encode_rows,
+)
 from repro.kernels.absorb import VectorCombiner, combine_block
 from repro.kernels.block import group_columns
 
-RouteBox = Tuple[int, int, np.ndarray]  # (bucket, sub, rows)
 #: One source's emitted rows: a row block, or a block the local join
 #: already folded in chunks with each row's pre-fold count.
 Emitted = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]
-#: A route box bound for the wire layer also says how many emitted rows
-#: it stands for (its own row count unless the sender fold ran).
-PreBox = Tuple[int, int, np.ndarray, int]  # (bucket, sub, rows, pre_rows)
-#: A route box in wire form: payload encoded, pre-combine row count kept
-#: so the per-edge savings stay observable (CommMatrix "precombine"
-#: channel, trace-report bytes-saved column).
-WireBox = Tuple[int, int, int, int, bytes]  # (bucket, sub, n_rows, pre_rows, payload)
 
 
 def _shard_boxes(
@@ -76,26 +77,43 @@ def _shard_boxes(
         yield dst, b, s, rows[order[s0 : s0 + c]], p
 
 
+_NONE = np.zeros(0, dtype=np.int64)
+
+
+def _table(parts: List[Dict[str, np.ndarray]], **empty) -> BoxTable:
+    """One table of per-batch columns and grouped row blocks, batch after
+    batch; ``empty`` gives the columns of a table without boxes."""
+    if not parts:
+        return BoxTable(_NONE, _NONE, _NONE, **empty)
+    return BoxTable(**{
+        name: parts[0][name] if len(parts) == 1
+        else np.concatenate([part[name] for part in parts])
+        for name in parts[0]
+    })
+
+
 def build_intra_sends(
     owner_blocks: Sequence[Tuple[int, np.ndarray]],
     dist,
     n_sub: int,
     probe_cols: Sequence[int],
     per_rank_ser: np.ndarray,
-) -> Tuple[Dict[int, Dict[int, List[np.ndarray]]], int]:
+) -> Tuple[BoxTable, int]:
     """Replicate outer blocks to the sub-bucket owners of their buckets.
 
     ``owner_blocks`` are (owner rank, matched rows) pairs in shard order;
     ``per_rank_ser`` accumulates each owner's serialization fanout
     (deduplicated destinations per tuple).  Consecutive blocks are
     replicated together, :data:`_CHUNK_ROWS` rows at a time, so each
-    ``(owner, dst)`` list holds one block per batch: the rows the owner
+    ``(owner, dst)`` message holds one box per batch: the rows the owner
     sends ``dst``, in shard order and within a shard in arrival order.
+    A batch's boxes go by destination, then owner, so one receiver's
+    rows from a one-batch exchange lie in its delivery order.
     """
-    sends: Dict[int, Dict[int, List[np.ndarray]]] = {}
+    parts = []
     n_intra = 0
     blocks = [(owner, rows) for owner, rows in owner_blocks if rows.shape[0]]
-    sizes = [rows.shape[0] for _owner, rows in blocks]
+    sizes = np.asarray([rows.shape[0] for _owner, rows in blocks], dtype=np.int64)
     for lo, hi in _row_chunks(sizes, _CHUNK_ROWS):
         rows = _concat([rows for _owner, rows in blocks[lo:hi]])
         owner = np.repeat(
@@ -108,24 +126,22 @@ def build_intra_sends(
             dst = dist.owner_table[buckets, 0]
         else:
             # Row-major (row, sub) pairs, one per *distinct* destination
-            # of the row's bucket: a stable grouping by (owner,
-            # destination) then leaves each pair's rows in arrival order.
+            # of the row's bucket: a stable grouping by (destination,
+            # owner) then leaves each pair's rows in arrival order.
             src_row, sub = np.nonzero(dist.distinct_owners[buckets])
             owner = owner[src_row]
             dst = dist.owner_table[buckets[src_row], sub]
-        order, starts, counts = group_columns([owner, dst])
+        order, starts, counts = group_columns([dst, owner])
         heads = order[starts]
-        grouped = rows[order if src_row is None else src_row[order]]
-        for s0, c, o, d in zip(
-            starts.tolist(),
-            counts.tolist(),
-            owner[heads].tolist(),
-            dst[heads].tolist(),
-        ):
-            sends.setdefault(o, {}).setdefault(d, []).append(grouped[s0 : s0 + c])
+        parts.append({
+            "src": owner[heads],
+            "dst": dst[heads],
+            "n_rows": counts,
+            "rows": rows[order if src_row is None else src_row[order]],
+        })
         per_rank_ser += np.bincount(owner, minlength=per_rank_ser.shape[0])
         n_intra += dst.shape[0]
-    return sends, n_intra
+    return _table(parts), n_intra
 
 
 def build_route_sends(
@@ -133,25 +149,26 @@ def build_route_sends(
     dist,
     for_wire: bool = False,
     fold: Optional[Tuple[int, Optional[VectorCombiner]]] = None,
-) -> Tuple[Dict[int, Dict[int, list]], int, Dict[int, int]]:
+) -> Tuple[BoxTable, int, Dict[int, int]]:
     """Group each source's emitted rows into per-shard boxes by owner.
 
     ``fold`` — a :func:`~repro.kernels.absorb.sender_fold_plan` — folds
     each source's block per independent key *before* it is hashed and
     boxed; a source whose block the local join already folded in chunks
     hands ``(rows, pre_fold_counts)`` instead, and the same fold merges
-    the chunks.  ``for_wire`` makes every box a :data:`PreBox`, the form
-    :func:`encode_wire_sends` takes.  Returns the sends, the number of
-    emitted (pre-fold) rows and, per source rank, the number of rows
-    that went through a fold (the engine charges those at serialization
-    cost; a box standing for one row had nothing to fold).
+    the chunks.  ``for_wire`` keeps each box's pre-fold row count
+    (``pre_rows``), the form :func:`encode_wire_sends` takes.  Returns
+    the table, the number of emitted (pre-fold) rows and, per source
+    rank, the number of rows that went through a fold (the engine
+    charges those at serialization cost; a box standing for one row had
+    nothing to fold).
 
     Consecutive sources are routed together, :data:`_CHUNK_ROWS` rows at
     a time (a larger source alone): one fold, one hash pass and one
     stable grouping by ``(source, bucket, sub)`` per batch.  Each
     source's boxes come out exactly as routing it alone leaves them.
     """
-    sends: Dict[int, Dict[int, list]] = {}
+    parts = []
     folded: Dict[int, int] = {}
     n_comm = 0
     batch: List[Tuple[int, np.ndarray, Optional[np.ndarray]]] = []
@@ -165,15 +182,22 @@ def build_route_sends(
         if n:
             batch.append((src, rows, weights))
             n_comm += n
-    sizes = [rows.shape[0] for _src, rows, _weights in batch]
+    sizes = np.asarray([rows.shape[0] for _src, rows, _w in batch], dtype=np.int64)
     for lo, hi in _row_chunks(sizes, _CHUNK_ROWS):
-        _route_batch(batch[lo:hi], dist, for_wire, fold, sends, folded)
-    return sends, n_comm, folded
+        parts.append(_route_batch(batch[lo:hi], dist, fold, folded))
+    table = _table(
+        parts, bucket=_NONE, sub=_NONE, pre_rows=_NONE,
+        rows=np.zeros((0, dist.schema.arity), dtype=np.int64),
+    )
+    if not for_wire:
+        table.pre_rows = None
+    return table, n_comm, folded
 
 
-def _route_batch(batch, dist, for_wire, fold, sends, folded) -> None:
-    """:func:`build_route_sends` for consecutive sources ``batch``."""
-    srcs = [src for src, _rows, _weights in batch]
+def _route_batch(batch, dist, fold, folded) -> Dict[str, np.ndarray]:
+    """:func:`build_route_sends` for consecutive sources ``batch``: the
+    batch's table columns and grouped rows."""
+    srcs = np.asarray([src for src, _rows, _weights in batch], dtype=np.int64)
     sizes = [rows.shape[0] for _src, rows, _weights in batch]
     rows = _concat([rows for _src, rows, _weights in batch])
     weights = None
@@ -201,51 +225,46 @@ def _route_batch(batch, dist, for_wire, fold, sends, folded) -> None:
     heads = order[starts]
     b_heads, s_heads, seg_heads = b_arr[heads], s_arr[heads], seg[heads]
     pre = counts if weights is None else np.add.reduceat(weights[order], starts)
-    grouped = rows[order]
-    for s0, c, p, g, dst, b, s in zip(
-        starts.tolist(),
-        counts.tolist(),
-        pre.tolist(),
-        seg_heads.tolist(),
-        dist.owner_table[b_heads, s_heads].tolist(),
-        b_heads.tolist(),
-        s_heads.tolist(),
-    ):
-        block = grouped[s0 : s0 + c]
-        sends.setdefault(srcs[g], {}).setdefault(dst, []).append(
-            (b, s, block, p) if for_wire else (b, s, block)
-        )
     # A box standing for one row had nothing to fold.
     n_folded = (
         np.zeros(len(batch), dtype=np.int64)
         if weights is None
         else np.bincount(seg_heads, np.where(pre > 1, pre, 0), minlength=len(batch))
     )
-    for src, n in zip(srcs, n_folded.tolist()):
+    for src, n in zip(srcs.tolist(), n_folded.tolist()):
         folded[src] = int(n)
+    return {
+        "src": srcs[seg_heads],
+        "dst": dist.owner_table[b_heads, s_heads],
+        "n_rows": counts,
+        "bucket": b_heads,
+        "sub": s_heads,
+        "pre_rows": pre,
+        "rows": rows[order],
+    }
 
 
 #: Row budget of one batch: the exchange builders take consecutive
-#: source blocks, and the codec consecutive boxes, up to this many rows
-#: at once (a larger block or box goes alone), so every temporary stays a
-#: bounded multiple of it however many ranks a batch spans.  The bound is
-#: for memory: see the budget sweeps in EXPERIMENTS.md ("Batched wire
-#: layer" and "Batched exchanges").
+#: source blocks, the codec consecutive boxes and absorb consecutive
+#: delivered boxes, up to this many rows at once (a larger block or box
+#: goes alone), so every temporary stays a bounded multiple of it however
+#: many ranks a batch spans.  The bound is for memory: see the budget
+#: sweeps in EXPERIMENTS.md ("Batched wire layer", "Batched exchanges"
+#: and "One row store per relation": one absorb of a whole exchange
+#: raised the skew run's peak RSS by 19%).
 _CHUNK_ROWS = 1 << 14
 
 
-def _row_chunks(counts: Sequence[int], budget: int) -> Iterator[Tuple[int, int]]:
+def _row_chunks(counts: np.ndarray, budget: int) -> Iterator[Tuple[int, int]]:
     """Index ranges ``[lo, hi)`` of consecutive items within ``budget``
     rows in all; an item over the budget is a range of its own."""
-    lo = 0
-    acc = 0
-    for i, c in enumerate(counts):
-        if i > lo and acc + c > budget:
-            yield lo, i
-            lo, acc = i, 0
-        acc += c
-    if lo < len(counts):
-        yield lo, len(counts)
+    ends = np.cumsum(counts)
+    lo, n = 0, ends.shape[0]
+    while lo < n:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, base + budget, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 def _concat(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -253,77 +272,71 @@ def _concat(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _offsets(counts: Sequence[int]) -> np.ndarray:
-    starts = np.zeros(len(counts) + 1, dtype=np.int64)
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Box bounds ``[0, c0, c0 + c1, …]`` of consecutive boxes."""
+    starts = np.zeros(counts.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
     return starts
 
 
-def encode_boxes(blocks: Sequence[np.ndarray], codec: str) -> List[bytes]:
-    """Encode row blocks, one payload each.
+def encode_wire_sends(table: BoxTable, *, codec: str) -> BoxTable:
+    """``table`` with every box's rows encoded into one payload buffer,
+    each box charged its payload plus :data:`~repro.comm.wire.
+    WIRE_HEADER_WORDS`.
 
-    Blocks are processed in row-bounded chunks: a chunk is concatenated
-    (a lone block is used as is) and encoded once by
-    :func:`~repro.comm.wire.encode_blocks` — byte-identical to encoding
-    each block on its own.
+    Consecutive boxes are encoded together, :data:`_CHUNK_ROWS` rows at
+    a time (a larger box alone), by one :func:`~repro.comm.wire.
+    encode_blocks` pass over their rows; every payload is byte-identical
+    to encoding its box alone.
     """
-    counts = [int(block.shape[0]) for block in blocks]
-    payloads: List[bytes] = []
-    for lo, hi in _row_chunks(counts, _CHUNK_ROWS):
-        payloads += encode_blocks(
-            _concat(blocks[lo:hi]), _offsets(counts[lo:hi]), codec
-        )
-    return payloads
-
-
-def decode_boxes(
-    payloads: Sequence[bytes], n_rows: Sequence[int], arity: int, codec: str
-) -> List[np.ndarray]:
-    """Inverse of :func:`encode_boxes`, in the same row-bounded chunks;
-    the returned blocks are writable views of each chunk's rows."""
-    out: List[np.ndarray] = []
+    bufs, lens = [], []
+    n_rows = table.n_rows
     for lo, hi in _row_chunks(n_rows, _CHUNK_ROWS):
-        starts = _offsets(n_rows[lo:hi])
-        rows = decode_blocks(payloads[lo:hi], starts, arity, codec)
-        bounds = starts.tolist()
-        out += [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    return out
+        boxes = np.arange(lo, hi)
+        buf, byte_len = encode_blocks(
+            table.rows_of(boxes), _offsets(n_rows[lo:hi]), codec
+        )
+        bufs.append(buf)
+        lens.append(byte_len)
+    byte_len = np.concatenate(lens) if lens else _NONE
+    return BoxTable(
+        table.src, table.dst, n_rows,
+        bucket=table.bucket, sub=table.sub, pre_rows=table.pre_rows,
+        rows=table.rows, row_lo=table.row_lo,
+        payload=_concat(bufs) if bufs else np.zeros(0, np.uint8),
+        byte_len=byte_len, nbytes=byte_len + WIRE_HEADER_WORDS * 8,
+    )
 
 
-def encode_wire_sends(
-    sends: Dict[int, Dict[int, List[PreBox]]], *, codec: str
-) -> Dict[int, Dict[int, List[WireBox]]]:
-    """Turn ``for_wire`` route boxes into wire boxes: codec encoding, one
-    :func:`encode_boxes` pass over every source's boxes."""
-    flat = [
-        (src, dst, box)
-        for src, per_dst in sends.items()
-        for dst, boxes in per_dst.items()
-        for box in boxes
-    ]
-    payloads = encode_boxes([box[2] for _src, _dst, box in flat], codec)
-    out: Dict[int, Dict[int, List[WireBox]]] = {
-        src: {dst: [] for dst in per_dst} for src, per_dst in sends.items()
-    }
-    for (src, dst, (b, s, rows, pre)), payload in zip(flat, payloads):
-        out[src][dst].append((b, s, int(rows.shape[0]), pre, payload))
-    return out
+def decode_wire_box(
+    table: BoxTable, boxes: np.ndarray, arity: int, codec: str
+) -> np.ndarray:
+    """The rows of encoded boxes ``boxes`` of ``table``, laid end to end:
+    one :func:`~repro.comm.wire.decode_blocks` pass over their payloads."""
+    return decode_blocks(
+        table.payload_of(boxes), table.byte_len[boxes],
+        _offsets(table.n_rows[boxes]), arity, codec,
+    )
 
 
 def decode_wire_boxes(
-    boxes: Sequence[WireBox], arity: int, codec: str
-) -> List[RouteBox]:
-    """Decode wire boxes (inverse of :func:`encode_wire_sends`): one
-    receiving rank's inbox, or every inbox of an exchange laid end to end."""
-    blocks = decode_boxes(
-        [box[4] for box in boxes], [box[2] for box in boxes], arity, codec
-    )
-    return [(box[0], box[1], rows) for box, rows in zip(boxes, blocks)]
-
-
-def decode_wire_box(box: WireBox, arity: int, codec: str) -> RouteBox:
-    """:func:`decode_wire_boxes` for a single box."""
-    return decode_wire_boxes([box], arity, codec)[0]
+    delivery: Delivery, arity: int, codec: str
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Every delivered box's rows in delivery order, as ``(boxes, rows)``
+    runs of consecutive deliveries up to :data:`_CHUNK_ROWS` rows (a
+    larger box alone): decoded from the payloads of an encoded table
+    (:func:`decode_wire_box`), else read off its row block."""
+    table, order = delivery.table, delivery.order
+    runs = []
+    for lo, hi in _row_chunks(table.n_rows[order], _CHUNK_ROWS):
+        boxes = order[lo:hi]
+        rows = (
+            table.rows_of(boxes)
+            if table.payload is None
+            else decode_wire_box(table, boxes, arity, codec)
+        )
+        runs.append((boxes, rows))
+    return runs
 
 
 #: A rebalance-exchange box: one (bucket, new sub-bucket) fragment of one

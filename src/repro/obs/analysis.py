@@ -114,6 +114,12 @@ class CommMatrix:
             cell[0] += nbytes
             cell[1] += tuples
 
+    def add_messages(self, src, dst, nbytes, tuples, channel: str) -> None:
+        """:meth:`add` for every message of an exchange, given as
+        equal-length integer arrays."""
+        for cell in zip(src.tolist(), dst.tolist(), nbytes.tolist(), tuples.tolist()):
+            self.add(*cell, channel=channel)
+
     # ---------------------------------------------------------------- totals
 
     def _chan(self, channel: str) -> Dict[Tuple[int, int], List[int]]:

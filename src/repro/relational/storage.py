@@ -22,23 +22,12 @@ import numpy as np
 
 from repro.kernels.absorb import AbsorbStats, make_shard
 from repro.kernels.block import concat_ranges
-from repro.kernels.route import _concat, _row_chunks
 from repro.relational.distribution import Distribution
 from repro.relational.schema import Schema
 from repro.util.hashing import HashSeed
 
 TupleT = Tuple[int, ...]
 ShardKey = Tuple[int, int]
-#: One routed box: (bucket, sub, rows).
-Box = Tuple[int, int, np.ndarray]
-
-#: Row budget of one table absorb of an exchange's boxes, the budget the
-#: exchange builders batch by: the kernel's row-sized temporaries stay
-#: bounded however many shards an exchange feeds.  Measured (EXPERIMENTS,
-#: "One row store per relation"): one absorb of a whole exchange raised
-#: the skew run's peak RSS by 19%.  A load goes in one call: it runs before the fixpoint's
-#: working set exists, and runs would refresh the table's index per run.
-_ABSORB_ROWS = 1 << 14
 
 
 class VersionedRelation:
@@ -117,31 +106,25 @@ class VersionedRelation:
         return admitted
 
     def absorb(
-        self, boxes: Sequence[Box], collect: Optional[List[np.ndarray]] = None
+        self,
+        runs: Iterable[Tuple[np.ndarray, np.ndarray]],
+        collect: Optional[List[np.ndarray]] = None,
     ) -> AbsorbStats:
-        """Absorb routed ``(bucket, sub, rows)`` boxes (dedup phase).
+        """Absorb routed rows (dedup phase).
 
-        Each shard takes its boxes' rows in box order.  Consecutive boxes
-        go to the table together, :data:`_ABSORB_ROWS` rows at a time (a
-        larger box alone): absorption is sequential, so the table ends
-        exactly as one absorb of every box would leave it.  Returns the
-        counts per rank, each box charged to its shard's owner.
+        ``runs`` are row blocks, each with every row's segment (``bucket *
+        n_subbuckets + sub``), one table absorb each: an exchange hands
+        its deliveries in bounded runs, so the kernel's row-sized
+        temporaries stay bounded however many shards it feeds.
+        Absorption is sequential, so each shard takes its rows in run
+        order and the table ends exactly as one absorb of every run would
+        leave it.  Returns the counts per rank, each row charged to its
+        segment's owner.
         """
         stats = AbsorbStats(self.rank_of_segment(), self.n_ranks)
-        n_sub = self.schema.n_subbuckets
-        sizes = [rows.shape[0] for _b, _s, rows in boxes]
-        segs = np.repeat(
-            np.asarray([b * n_sub + s for b, s, _rows in boxes], dtype=np.int64),
-            sizes,
-        )
-        admitted = base = 0
-        for lo, hi in _row_chunks(sizes, _ABSORB_ROWS):
-            rows = _concat([rows for _b, _s, rows in boxes[lo:hi]])
-            n = rows.shape[0]
-            admitted += self.table.absorb_block(
-                rows, stats, collect, segs[base : base + n]
-            )
-            base += n
+        admitted = 0
+        for rows, segs in runs:
+            admitted += self.table.absorb_block(rows, stats, collect, segs)
         if admitted:
             self.full_gen += 1
         return stats

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.comm.simcluster import SimCluster
-from repro.comm.wire import encoded_nbytes, payload_codec
+from repro.comm.wire import payload_codec
 from repro.core.balancer import recommend_subbuckets
 from repro.core.join_planner import JoinSide, vote_outer_relation
 from repro.faults.invariants import accumulator_map, monotonicity_audit
@@ -576,10 +576,7 @@ class Engine:
                 P_INTRA, per_rank_ser * (cost.tuple_serialize * cost.compute_scale)
             )
             recv = cluster.alltoallv(
-                sends,
-                arity=outer_rel.schema.arity,
-                phase=P_INTRA,
-                count_of=len,
+                sends, arity=outer_rel.schema.arity, phase=P_INTRA
             )
         stats.intra_tuples += n_intra
         self.counters["intra_bucket_tuples"] += n_intra
@@ -589,7 +586,7 @@ class Engine:
         per_rank_emit = np.zeros(cfg.n_ranks, dtype=np.int64)
         with self.timer.phase(P_JOIN):
             emitted = ex.local_join(
-                cr, outer_pos, recv, inner_rel, inner_ver, probe_cols,
+                cr, outer_pos, recv.rows(), inner_rel, inner_ver, probe_cols,
                 per_rank_probe, per_rank_emit, self._wire_plans.get(cr.head_name),
             )
             cluster.ledger.add_compute_step(
@@ -607,8 +604,8 @@ class Engine:
 
     def _wire_exchange(self, head, sends, folded: Dict[int, int]):
         """The route all-to-all, through the wire layer when it is on:
-        every received ``(bucket, sub, rows)`` box, inboxes in delivery
-        order.
+        every received row with its segment, as the bounded runs
+        :meth:`~repro.relational.storage.VersionedRelation.absorb` takes.
 
         Enabled, it ``delta``-encodes the boxes' payloads, charges the
         route step's sender fold (``folded`` rows per source) at
@@ -620,9 +617,9 @@ class Engine:
         wire = self.wire
         cluster = self.cluster
         arity = head.schema.arity
-        sizing = _RAW_BOX
+        codec = payload_codec(wire)
         if wire:
-            sends = encode_wire_sends(sends, codec=payload_codec(wire))
+            sends = encode_wire_sends(sends, codec=codec)
             if any(cluster.agree(
                 [folded.get(r, 0) for r in range(self.config.n_ranks)]
             )):
@@ -632,25 +629,29 @@ class Engine:
                 for src, n_folded in folded.items():
                     charge[src] = n_folded * per_tuple
                 cluster.ledger.add_compute_step(P_COMM, charge)
-            sizing = _WIRE_BOX
             pre0 = cluster.route_precombine_bytes
             wire0 = cluster.route_wire_bytes
             coll0 = dict(cluster.collective_counts)
-        recv = cluster.alltoallv(sends, arity=arity, phase=P_COMM, **sizing)
-        # Every inbox laid end to end, in delivery order.
-        boxes = [box for inbox in recv.values() for box in inbox]
-        if not wire:
-            return boxes
-        # Tally per exchange into the engine counters (not read off the
-        # cluster at the end) so checkpoint rollback rewinds them and a
-        # recovered run's books match a fault-free run's.
-        self.counters["wire_precombine_bytes"] += (
-            cluster.route_precombine_bytes - pre0
-        )
-        self.counters["wire_on_wire_bytes"] += cluster.route_wire_bytes - wire0
-        for choice, n in cluster.collective_counts.items():
-            self.counters[f"wire_collective_{choice}"] += n - coll0.get(choice, 0)
-        return decode_wire_boxes(boxes, arity, payload_codec(wire))
+        recv = cluster.alltoallv(sends, arity=arity, phase=P_COMM, autotune=wire)
+        if wire:
+            # Tally per exchange into the engine counters (not read off
+            # the cluster at the end) so checkpoint rollback rewinds them
+            # and a recovered run's books match a fault-free run's.
+            self.counters["wire_precombine_bytes"] += (
+                cluster.route_precombine_bytes - pre0
+            )
+            self.counters["wire_on_wire_bytes"] += cluster.route_wire_bytes - wire0
+            for choice, n in cluster.collective_counts.items():
+                self.counters[f"wire_collective_{choice}"] += n - coll0.get(choice, 0)
+        # The delivery's table: on a per-rank slice, every slice's boxes.
+        table = recv.table
+        n_sub = head.schema.n_subbuckets
+        return [
+            (rows, np.repeat(
+                table.bucket[boxes] * n_sub + table.sub[boxes], table.n_rows[boxes]
+            ))
+            for boxes, rows in decode_wire_boxes(recv, arity, codec)
+        ]
 
     def _route_and_absorb(self, head_name: str, emitted, stats: "_IterStats") -> None:
         """All-to-all emitted tuples to their home shards and absorb them.
@@ -693,20 +694,6 @@ class Engine:
         stats.suppressed += suppressed
         self.counters["admitted"] += admitted
         self.counters["suppressed"] += suppressed
-
-
-#: How ``SimCluster.alltoallv`` sizes a route box as built —
-#: ``(bucket, sub, rows)`` …
-_RAW_BOX = {"count_of": lambda box: len(box[2])}
-#: … and in wire form, ``(bucket, sub, n_rows, pre_rows, payload)``:
-#: charged at encoded bytes, pre-combine rows kept observable, under
-#: the collective autotune.
-_WIRE_BOX = {
-    "count_of": lambda box: box[2],
-    "nbytes_of": lambda box: encoded_nbytes(box[4]),
-    "pre_count_of": lambda box: box[3],
-    "autotune": True,
-}
 
 
 class _IterStats:

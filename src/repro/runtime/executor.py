@@ -16,7 +16,9 @@ transmit:
 * ``scan_emit`` — copy rules: scan one relation version, match, emit;
 * ``intra_sends`` — scan and match the outer side and replicate it to
   every sub-bucket owner of the matching inner bucket;
-* ``local_join`` — probe each rank's inner shards with what it received;
+* ``local_join`` — probe each rank's inner shards with the rows it
+  received (a range of the exchange's row block where they lie
+  consecutively, else one gather);
   where the engine hands in the head's sender fold, a large probe's
   pairs are folded as they are emitted instead of kept;
 * ``route_sends`` — group emitted tuples into ``(bucket, sub, batch)``
@@ -137,15 +139,16 @@ class ColumnarExecutor:
         return index
 
     def local_join(
-        self, cr, outer_pos, recv, inner_rel, inner_ver, probe_cols,
+        self, cr, outer_pos, received, inner_rel, inner_ver, probe_cols,
         per_rank_probe, per_rank_emit, fold=None,
     ):
+        """``received`` yields ``(rank, rows)``: every rank's received
+        outer rows (:meth:`~repro.comm.boxes.Delivery.rows`)."""
         inner_pos = 1 - outer_pos
         inner_mb = cr.matches_block[inner_pos]
         match_token = None if inner_mb is None else (id(cr), inner_pos)
         emitted: Dict[int, Emitted] = {}
-        for r, boxes in recv.items():
-            probe = boxes[0] if len(boxes) == 1 else np.vstack(boxes)
+        for r, probe in received:
             per_rank_probe[r] += probe.shape[0]
             index = self._rank_index(
                 inner_rel, inner_ver, r, match_token, inner_mb

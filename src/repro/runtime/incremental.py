@@ -47,14 +47,15 @@ diverging from the cold run:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.comm.wire import encoded_nbytes, payload_codec
+from repro.comm.boxes import BoxTable
+from repro.comm.wire import payload_codec
 from repro.faults.plane import PermanentRankFailure, RankFailure
 from repro.kernels.block import KeyIndex, lex_group
-from repro.kernels.route import encode_boxes
+from repro.kernels.route import decode_wire_boxes, encode_wire_sends
 from repro.planner.compile_rules import CompiledProgram
 from repro.planner.stratify import Stratum
 from repro.runtime.engine import P_SEED, Engine
@@ -340,38 +341,26 @@ class FixpointHandle:
             with engine.timer.phase(P_SEED):
                 dst_arr = rel.dist.rank_of_rows(arr)
                 src_arr = np.arange(arr.shape[0], dtype=np.int64) % n_ranks
-                order, starts, _counts = lex_group(
+                order, starts, counts = lex_group(
                     np.column_stack([src_arr, dst_arr])
                 )
-                routed = arr[order]
-                bounds = np.append(starts, arr.shape[0]).tolist()
-                boxes: List[object] = [
-                    routed[a:b] for a, b in zip(bounds[:-1], bounds[1:])
-                ]
-                sizing = {"count_of": len}
-                if wire:
-                    boxes = list(zip(boxes, encode_boxes(boxes, payload_codec(wire))))
-                    sizing = {
-                        "count_of": lambda box: box[0].shape[0],
-                        "nbytes_of": lambda box: encoded_nbytes(box[1]),
-                        "autotune": True,
-                    }
-                sends: Dict[int, Dict[int, List[object]]] = {}
                 heads = order[starts]
-                for src, dst, box in zip(
-                    src_arr[heads].tolist(), dst_arr[heads].tolist(), boxes
-                ):
-                    sends.setdefault(src, {})[dst] = [box]
+                sends = BoxTable(
+                    src_arr[heads], dst_arr[heads], counts, rows=arr[order]
+                )
+                codec = payload_codec(wire)
+                if wire:
+                    sends = encode_wire_sends(sends, codec=codec)
                 attempts = 0
                 while True:
                     try:
-                        cluster.alltoallv(
+                        recv = cluster.alltoallv(
                             sends,
                             arity=rel.schema.arity,
                             phase=P_SEED,
                             kind="incremental_seed",
                             channel="update",
-                            **sizing,
+                            autotune=wire,
                         )
                         break
                     except PermanentRankFailure:
@@ -386,10 +375,15 @@ class FixpointHandle:
                             raise
                         engine.fault_plane.mark_restarted(failure.rank)
                         engine.counters["update_seed_retries"] += 1
-                # Owners absorb the routed rows; the loader's placement is
-                # the same hash the exchange routed by, and absorption
-                # dedups, so duplicate deliveries can never double-apply.
-                rel.load(engine._owned_rows(rel, arr))
+                # Owners load the rows delivered to them: distinct (a
+                # duplicated delivery loads once) and in lexicographic
+                # order, the batch's own order.
+                runs = decode_wire_boxes(recv, rel.schema.arity, codec)
+                rel.load(np.unique(
+                    np.concatenate([rows for _boxes, rows in runs])
+                    if runs else arr[:0],
+                    axis=0,
+                ))
                 rel.advance()
                 per_rank_adm = rel.sizes_by_rank("delta")
                 cluster.ledger.add_compute_step(

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.comm.boxes import BoxTable
 from repro.comm.wire import encoded_nbytes, payload_codec
 from repro.core.balancer import recommend_subbuckets
 from repro.kernels.route import build_reshard_sends, decode_reshard_box
@@ -140,21 +141,18 @@ def reshard_relation(
         if key in deltas:
             blocks.append((src, 1, deltas[key]))
     sends, n_shipped, n_moved = build_reshard_sends(blocks, new_dist, codec)
-    wire_bytes = sum(
-        encoded_nbytes(box[4])
-        for src, per_dst in sends.items()
-        for dst, boxes in per_dst.items()
-        if dst != src
-        for box in boxes
-    )
-    recv = cluster.alltoallv(
+    table = BoxTable.from_sends(
         sends,
+        count_of=lambda box: box[3],
+        nbytes_of=lambda box: encoded_nbytes(box[4]),
+    )
+    wire_bytes = int(table.nbytes[table.src != table.dst].sum())
+    recv = cluster.alltoallv(
+        table,
         arity=new_schema.arity,
         phase=phase,
         kind="rebalance",
         channel="rebalance",
-        count_of=lambda box: box[3],
-        nbytes_of=lambda box: encoded_nbytes(box[4]),
         autotune=wire,
     )
     arity = new_schema.arity

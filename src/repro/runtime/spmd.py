@@ -9,16 +9,17 @@ only its own rank's shards, like the MPI ranks of the C++ original.
 
 There is no second pipeline here, only the comm each engine holds as its
 ``cluster``, with one rule: **every per-rank input comes from the slice
-that owns that rank**.  An ``alltoallv`` takes ``sends[src]`` from
-``src``'s engine and hands each engine only its own receive buffer; an
-``allreduce`` / ``allgather`` / ``agree`` list takes entry ``r`` from rank
-``r``'s engine; ``ledger.add_compute_step`` vectors wait for the next
-rendezvous, merged the same way and matched by position (``snapshot`` is
-a rendezvous too).  Each collective then runs once on the shared cluster,
-so answers and ledger equal the BSP run's bit for bit.  Slices that meet
-with different calls raise :class:`LockstepError`; a slice that raises
-breaks the barrier, so no thread waits for it.  Planes that read or
-charge state around the comm are refused up front (:func:`spmd_refusals`).
+that owns that rank**.  An ``alltoallv`` concatenates every slice's
+boxes from its own rank, in rank order, and hands each engine only its
+own deliveries; an ``allreduce`` / ``allgather`` / ``agree`` list takes
+entry ``r`` from rank ``r``'s engine; ``ledger.add_compute_step``
+vectors wait for the next rendezvous, merged the same way and matched by
+position (``snapshot`` is a rendezvous too).  Each collective then runs
+once on the shared cluster, so answers and ledger equal the BSP run's bit
+for bit.  Slices that meet with different calls raise
+:class:`LockstepError`; a slice that raises breaks the barrier, so no
+thread waits for it.  Planes that read or charge state around the comm
+are refused up front (:func:`spmd_refusals`).
 
 The threads, the barrier and the error propagation are
 :func:`run_ranks`, which runs any function once per rank on its
@@ -37,6 +38,7 @@ from typing import (
 
 import numpy as np
 
+from repro.comm.boxes import BoxTable, Delivery
 from repro.comm.simcluster import SimCluster
 from repro.planner.ast import Program
 from repro.relational.storage import RelationStore
@@ -103,9 +105,9 @@ class _Rendezvous:
             )
         values = [call[2] for call in calls]
         if name == "alltoallv":
-            return cluster.alltoallv(
-                {r: v[r] for r, v in enumerate(values) if r in v}, **kwargs
-            )
+            # Every slice's boxes from its own rank, in rank order.
+            own = [t.take(np.flatnonzero(t.src == r)) for r, t in enumerate(values)]
+            return cluster.alltoallv(BoxTable.concat(own), **kwargs)
         if name == "snapshot":
             return cluster.ledger.snapshot()
         if name == "finish":
@@ -146,9 +148,10 @@ class SliceComm:
             raise error
         return result
 
-    def alltoallv(self, sends, **kwargs) -> Dict[int, list]:
-        recv = self._meet("alltoallv", sends, **kwargs)
-        return {self.rank: recv[self.rank]} if self.rank in recv else {}
+    def alltoallv(self, sends, **kwargs) -> Delivery:
+        if not isinstance(sends, BoxTable):
+            sends = BoxTable.from_sends(sends)
+        return self._meet("alltoallv", sends, **kwargs).only(self.rank)
 
     def allreduce(self, per_rank_values, op=sum, **kwargs):
         return self._meet("allreduce", per_rank_values, op=op, **kwargs)

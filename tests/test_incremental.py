@@ -195,10 +195,7 @@ class TestIdentity:
 
             def spy(sends, **kw):
                 if kw.get("kind") == "incremental_seed":
-                    sent.extend(
-                        box for per_dst in sends.values()
-                        for boxes in per_dst.values() for box in boxes
-                    )
+                    sent.extend(sends.item(k) for k in range(len(sends)))
                 return exchange(sends, **kw)
 
             cluster.alltoallv = spy
@@ -265,6 +262,37 @@ class TestComposition:
             handle.update({"edge": batch})
             cold = cold_sssp(edges, [0], config)
             assert_bit_identical(handle.engine, cold)
+
+    @pytest.mark.parametrize("wire", [True, False], ids=["wire-on", "wire-off"])
+    def test_seed_loads_what_its_exchange_delivers(self, wire):
+        """The owners load the rows the seed exchange delivers, not the
+        sender's batch: a delivered box taken away after the exchange
+        never reaches ``edge``."""
+        from unittest import mock
+
+        from repro.comm.boxes import Delivery
+        from repro.comm.simcluster import SimCluster
+
+        edges = random_edges(50, 220, seed=14)
+        base, batch = split(edges, 15)
+        handle = FixpointHandle.converge(
+            sssp_program(), {"edge": base, "start": [(0,)]},
+            EngineConfig(n_ranks=6, wire=wire),
+        )
+        exchange, lost = SimCluster.alltoallv, []
+
+        def lose_first_seed_box(cluster, sends, **kw):
+            recv = exchange(cluster, sends, **kw)
+            if kw.get("kind") != "incremental_seed":
+                return recv
+            lost.extend(map(tuple, sends.rows_of(recv.order[:1]).tolist()))
+            return Delivery(recv.table, recv.order[1:])
+
+        with mock.patch.object(SimCluster, "alltoallv", lose_first_seed_box):
+            handle.update({"edge": batch})
+        assert lost and not set(lost) & set(base)
+        assert not set(lost) & handle.engine.store["edge"].as_set()
+        assert set(batch) - set(lost) <= handle.engine.store["edge"].as_set()
 
     @pytest.mark.parametrize("wire", [True, False], ids=["wire-on", "wire-off"])
     def test_seed_exchange_follows_the_wire(self, wire):

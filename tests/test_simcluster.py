@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.comm.boxes import BoxTable
 from repro.comm.costmodel import CostModel
 from repro.comm.ledger import PhaseLedger
 from repro.comm.simcluster import SimCluster
@@ -105,7 +106,10 @@ class TestAlltoallv:
     def test_count_of_batched_payload(self):
         c = SimCluster(4)
         box = (7, 0, [(1,), (2,), (3,)])
-        c.alltoallv({0: {1: [box]}}, arity=1, count_of=lambda b: len(b[2]))
+        c.alltoallv(
+            BoxTable.from_sends({0: {1: [box]}}, count_of=lambda b: len(b[2])),
+            arity=1,
+        )
         assert c.ledger.comm.bytes_total == 3 * 1 * 8
 
     def test_out_of_range_destination(self):

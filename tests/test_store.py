@@ -190,7 +190,11 @@ def test_store_equals_per_shard_reference(kind, n_sub, ops):
             n_sub = rel.schema.n_subbuckets
             boxes = [(b, s % n_sub, _rows(rows)) for b, s, rows in op[1]]
             out = []
-            stats = rel.absorb(boxes, collect=out)
+            runs = [  # one run per box: runs absorb one after another
+                (rows, np.full(rows.shape[0], b * n_sub + s, dtype=np.int64))
+                for b, s, rows in boxes
+            ]
+            stats = rel.absorb(runs, collect=out)
             received, admitted, collected = ref.absorb(boxes)
             assert stats.received.tolist() == received.tolist()
             assert stats.admitted.tolist() == admitted.tolist()

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import Engine
+from repro.comm.boxes import BoxTable, Delivery
 from repro.comm.wire import decode_rows, encode_rows, encoded_nbytes
 from repro.core.aggregators import TupleAggregator, make_aggregator
 from repro.kernels import absorb, route
@@ -60,8 +61,10 @@ class TestWireConfig:
             result = run_sssp(medium_weighted_graph, [0, 5], _cfg(wire=False))
         assert spy.called
         for call in spy.call_args_list:
-            assert "nbytes_of" not in call.kwargs
-            assert "pre_count_of" not in call.kwargs
+            table = call.args[1]
+            assert table.nbytes is None  # charged at raw tuple size
+            assert table.pre_rows is None  # no pre-combine accounting
+            assert table.payload is None  # not encoded
         assert not any(k.startswith("wire_") for k in result.fixpoint.counters)
         engine = Engine(sssp_program(), _cfg(wire=False))
         assert engine._wire_plans == {}
@@ -336,13 +339,20 @@ class TestBatchedKernels:
             assert np.array_equal(got, want)
             assert counts.shape[0] == want.shape[0] and counts.sum() == b.shape[0]
         with mock.patch.object(route, "_CHUNK_ROWS", budget):
-            payloads = route.encode_boxes([rows for rows, _counts in folded], codec)
-            n_rows = [r.shape[0] for r in expect_rows]
-            decoded = route.decode_boxes(payloads, n_rows, arity, codec)
-        assert payloads == expect
-        for got, want in zip(decoded, expect_rows):
-            assert got.dtype == np.int64 and np.array_equal(got, want)
-            got[:] = 0  # decoded blocks must be writable
+            table = route.encode_wire_sends(
+                _table_of([rows for rows, _counts in folded], arity), codec=codec
+            )
+            runs = route.decode_wire_boxes(
+                Delivery(table, np.arange(len(table))), arity, codec
+            )
+        assert [table.item(k)[1] for k in range(len(table))] == expect
+        delivered = np.concatenate([b for b, _rows in runs])
+        assert delivered.tolist() == list(range(len(table)))
+        decoded = np.concatenate([rows for _b, rows in runs])
+        assert decoded.dtype == np.int64
+        assert np.array_equal(decoded, np.concatenate(expect_rows))
+        for _b, rows in runs:
+            rows[:] = 0  # decoded blocks must be writable
         # The single-box entry point is the same kernel, batch of one.
         for want_rows, want in zip(expect_rows, expect):
             assert encode_rows(want_rows, codec) == want
@@ -436,20 +446,19 @@ class TestBatchedKernels:
         """A fault-plane ``dup`` delivers a box twice, adjacent to its
         original; the inbox decode returns both copies."""
         arity, boxes = case
-        inbox = [
-            (k, 0, b.shape[0], b.shape[0], _ref_encode_rows(b, codec))
-            for k, b in enumerate(boxes)
-        ]
-        dup %= len(inbox)
-        inbox.insert(dup, inbox[dup])
+        table = _wire_table([_ref_encode_rows(b, codec) for b in boxes], boxes)
+        dup %= len(boxes)
+        order = np.insert(np.arange(len(boxes)), dup, dup)
         boxes = boxes[:dup] + [boxes[dup]] + boxes[dup:]
         with mock.patch.object(route, "_CHUNK_ROWS", budget):
-            out = route.decode_wire_boxes(inbox, arity, codec)
-        assert [(b, s) for b, s, _rows in out] == [(w[0], 0) for w in inbox]
-        for (_b, _s, got), want in zip(out, boxes):
-            assert np.array_equal(got, want)
+            out = route.decode_wire_boxes(Delivery(table, order), arity, codec)
+        assert np.concatenate([b for b, _rows in out]).tolist() == order.tolist()
         assert np.array_equal(
-            route.decode_wire_box(inbox[dup], arity, codec)[2], boxes[dup]
+            np.concatenate([rows for _b, rows in out]), np.concatenate(boxes)
+        )
+        assert np.array_equal(
+            route.decode_wire_box(table, order[dup : dup + 1], arity, codec),
+            boxes[dup],
         )
 
     def test_box_boundary_mismatch_rejected(self):
@@ -457,9 +466,11 @@ class TestBatchedKernels:
         a = np.array([[1, 2], [3, 4]], dtype=np.int64)
         b = np.array([[5, 6]], dtype=np.int64)
         for codec in ("raw", "delta"):
-            payloads = [encode_rows(a, codec), encode_rows(b, codec)]
+            table = _wire_table(
+                [encode_rows(a, codec), encode_rows(b, codec)], [b, a]
+            )
             with pytest.raises(ValueError):
-                route.decode_boxes(payloads, [1, 2], 2, codec)
+                route.decode_wire_box(table, np.arange(2), 2, codec)
 
     @given(
         cols=st.integers(1, 4).flatmap(
@@ -573,11 +584,35 @@ def _fold_in_runs(rows, plan, budget):
     )
 
 
-def _flat_wire(sends):
+def _flat_wire(table):
+    """A table's boxes as ``{src: [(dst, *item), …]}``, each source's
+    destinations in order of their first box."""
+    sends = {}
+    for k, key in enumerate(zip(table.src.tolist(), table.dst.tolist())):
+        src, dst = key
+        sends.setdefault(src, {}).setdefault(dst, []).append(table.item(k))
     return {
         src: [(dst, *box) for dst, boxes in per_dst.items() for box in boxes]
         for src, per_dst in sends.items()
     }
+
+
+def _table_of(blocks, arity):
+    """Rank 0's boxes to itself, one per row block."""
+    n = np.asarray([b.shape[0] for b in blocks], dtype=np.int64)
+    zeros = np.zeros(len(blocks), dtype=np.int64)
+    rows = np.concatenate(blocks) if blocks else np.zeros((0, arity), np.int64)
+    return BoxTable(zeros, zeros, n, rows=rows.reshape(-1, arity))
+
+
+def _wire_table(payloads, blocks):
+    """Rank 0's encoded boxes to itself: ``payloads`` standing for ``blocks``."""
+    zeros = np.zeros(len(payloads), dtype=np.int64)
+    return BoxTable(
+        zeros, zeros, np.asarray([b.shape[0] for b in blocks], dtype=np.int64),
+        payload=np.frombuffer(b"".join(payloads), np.uint8),
+        byte_len=np.asarray([len(p) for p in payloads], dtype=np.int64),
+    )
 
 
 class TestFoldBeforeRoute:
@@ -687,7 +722,7 @@ class TestFoldBeforeRoute:
         tracemalloc.start()
         try:
             emitted = executor_mod.ColumnarExecutor().local_join(
-                cr, 0, {0: [probe]}, engine.store["edge"], "full",
+                cr, 0, [(0, probe)], engine.store["edge"], "full",
                 cr.probe_from_left, np.zeros(1, dtype=np.int64), per_rank_emit,
                 plan,
             )
@@ -747,10 +782,7 @@ class TestWireInvariance:
 
         def spy(sends, *, codec):
             out = route.encode_wire_sends(sends, codec=codec)
-            shipped.extend(
-                (codec, box) for per_dst in out.values()
-                for boxes in per_dst.values() for box in boxes
-            )
+            shipped.extend((codec, out.item(k)) for k in range(len(out)))
             return out
 
         with mock.patch.object(engine_mod, "encode_wire_sends", spy):
