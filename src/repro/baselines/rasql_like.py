@@ -150,17 +150,23 @@ class RaSQLLikeEngine(Engine):
         cost = self.cluster.cost
 
         # ---- all-to-all #1: candidates → global aggregation hashmap ----
-        sends: Dict[int, Dict[int, List[np.ndarray]]] = {}
-        n_comm = 0
+        # One box per (source, destination), sources and destinations
+        # ascending, each box's rows in arrival order.
         with self.timer.phase(P_COMM):
-            for src, rows in emitted.items():
-                if not rows.shape[0]:
-                    continue
-                ranks = agg_rel.dist.rank_of_rows(rows)
-                sends[src] = {dst: [rows[idx]] for dst, idx in _groups(ranks)}
-                n_comm += rows.shape[0]
+            blocks = {s: b for s, b in emitted.items() if b.shape[0]}
+            rows = np.concatenate(
+                [*blocks.values(), np.zeros((0, head.schema.arity), dtype=np.int64)]
+            )
+            src = np.repeat(
+                np.asarray(list(blocks), dtype=np.int64),
+                [b.shape[0] for b in blocks.values()],
+            )
+            dst = agg_rel.dist.rank_of_rows(rows)
+            order, starts, counts = group_columns([src, dst])
+            heads = order[starts]
+            n_comm = rows.shape[0]
             recv = self.cluster.alltoallv(
-                BoxTable.from_sends(sends, count_of=len),
+                BoxTable(src[heads], dst[heads], counts, rows=rows[order]),
                 arity=head.schema.arity,
                 phase=P_COMM,
             )
@@ -175,11 +181,8 @@ class RaSQLLikeEngine(Engine):
         improved: Dict[int, np.ndarray] = {}
         with self.timer.phase(P_DEDUP):
             receivers, parts, segs = [], [], []
-            for r, blocks in recv.items():
-                if not blocks:
-                    continue
+            for r, rows in recv.rows():
                 receivers.append(r)
-                rows = np.concatenate(blocks)
                 for seg, idx in _groups(agg_rel.segments_of_rows(rows)):
                     parts.append(rows[idx])
                     segs.append(np.full(idx.shape[0], seg, dtype=np.int64))

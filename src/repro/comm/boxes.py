@@ -1,7 +1,8 @@
 """What an all-to-all moves: one table of boxes.
 
 An exchange cuts its rows into *boxes*: one home shard's rows from one
-source (the route exchange), one batch's rows from one source to one
+source (the route exchange), one old shard version's rows bound for one
+new shard (the reshard), one batch's rows from one source to one
 sub-bucket owner (the intra-bucket exchange, the update seed), or one
 item of a hand-written ``sends[src][dst]`` list.  A message is every box
 of one ``(src, dst)`` pair.
@@ -14,8 +15,10 @@ not once per box.  :class:`Delivery` is what
 grouped by receiving rank, and a ``recv[dst]`` mapping view of them.
 
 A box becomes a Python object in two places only: the items of a
-hand-written send dict (:meth:`BoxTable.from_sends`, read back through
-the mapping view), and each message's payload under message faults,
+hand-written rank program's send dict (:meth:`BoxTable.from_sends`, one
+tuple a box, read back through the mapping view: ``examples/
+spmd_style.py`` and :class:`~repro.runtime.spmd.SliceComm`), and each
+message's payload under message faults,
 which the fault plane checksums and mutates box by box
 (:meth:`BoxTable.item`).
 """
@@ -23,7 +26,7 @@ which the fault plane checksums and mutates box by box
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -73,30 +76,20 @@ class BoxTable:
         self.byte_lo = None if payload is None else _starts(byte_len)
 
     @classmethod
-    def from_sends(
-        cls,
-        sends: Mapping,
-        count_of: Optional[Callable[[Any], int]] = None,
-        nbytes_of: Optional[Callable[[Any], int]] = None,
-    ) -> "BoxTable":
+    def from_sends(cls, sends: Mapping) -> "BoxTable":
         """The table of a hand-written ``sends[src][dst] = [items]`` dict:
-        one box per item, in ``(src, dst)`` order.  ``count_of`` gives an
-        item's tuple count (default 1) and ``nbytes_of`` its wire bytes
-        (default its raw tuple size)."""
+        one box of one tuple per item, in ``(src, dst)`` order, charged
+        its raw tuple size."""
         src, dst, items = [], [], []
         for s in sorted(sends):
             for d, payload in sorted(sends[s].items()):
                 src += [s] * len(payload)
                 dst += [d] * len(payload)
                 items += payload
-        n_rows = [1] * len(items) if count_of is None else list(map(count_of, items))
         return cls(
             np.asarray(src, dtype=np.int64),
             np.asarray(dst, dtype=np.int64),
-            np.asarray(n_rows, dtype=np.int64),
-            nbytes=None if nbytes_of is None else np.asarray(
-                list(map(nbytes_of, items)), dtype=np.int64
-            ),
+            np.ones(len(items), dtype=np.int64),
             items=items,
         )
 

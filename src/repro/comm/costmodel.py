@@ -218,25 +218,6 @@ class CostModel:
             + self.barrier(n_ranks)
         )
 
-    # --------------------------------------------------------------- compute
-
-    def join_cost(self, probes: int, emitted: int) -> float:
-        """Local-join compute: one index probe per outer tuple + emission."""
-        return (
-            probes * self.tuple_probe + emitted * self.tuple_emit
-        ) * self.compute_scale
-
-    def insert_cost(self, inserts: int, index_size: int) -> float:
-        """Indexed insertion with the B-tree's log-factor growth."""
-        depth = max(1.0, math.log2(index_size + 2) / 4.0)
-        return inserts * self.tuple_insert * depth * self.compute_scale
-
-    def agg_cost(self, absorbed: int) -> float:
-        return absorbed * self.tuple_agg * self.compute_scale
-
-    def serialize_cost(self, tuples: int) -> float:
-        return tuples * self.tuple_serialize * self.compute_scale
-
     @staticmethod
     def tuple_bytes(count: int, arity: int) -> int:
         """Serialized size of ``count`` tuples of the given arity."""

@@ -243,9 +243,8 @@ class SimCluster:
         sends:
             The exchange's boxes; a hand-written ``sends[src][dst]`` list
             of tuples is read as one box per tuple
-            (:meth:`BoxTable.from_sends`, which also takes per-item tuple
-            counts and wire sizes).  Every ``(src, dst)`` pair with a box
-            is one message.
+            (:meth:`BoxTable.from_sends`).  Every ``(src, dst)`` pair with
+            a box is one message.
         arity:
             Tuple width, for the raw size of boxes without ``nbytes``.
         autotune:

@@ -1,6 +1,6 @@
-"""Wire codecs for the route exchange (PR 7).
+"""Wire codecs for the engine's exchanges.
 
-The route exchange ships blocks of int64 tuples between ranks.  This
+The exchanges ship blocks of int64 tuples between ranks.  This
 module owns the *representation* of those blocks on the simulated wire.
 The layer has one switch, ``EngineConfig.wire`` (on by default): on,
 the engine folds each sender's duplicate keys, ships ``delta`` payloads
@@ -10,17 +10,19 @@ direct ``alltoallv``, raw byte charging).
 
 Row-block codecs: ``delta`` (per-column delta + zigzag varint; small
 when rows arrive sorted by independent key, which sender-side combining
-guarantees) and ``raw`` (native int64 bytes, which the reshard exchange
-ships with the layer off).
+guarantees) and ``raw`` (native int64 bytes, which the reshard ships
+with the layer off).
 
 An exchange's payloads travel in one ``uint8`` buffer
 (:class:`~repro.comm.boxes.BoxTable`): :func:`encode_blocks` returns the
 buffer of consecutive boxes with each box's byte length, and
-:func:`decode_blocks` reads boxes laid end to end back.  Where the fault
-plane needs a message as Python objects, each payload becomes ``bytes``
-on purpose: the plane's bit-flip mutator only targets integer/ndarray
-leaves, so a corrupted wire box flips header integers and is caught by
-the CRC-32 envelope before any decode runs, as an un-encoded box is.
+:func:`decode_blocks` reads boxes laid end to end back.  No exchange
+calls the one-box :func:`encode_rows` / :func:`decode_rows` any more;
+they stay as the tests' one-box codec and because the benchmark's trace
+patch table (``bench/trace.py``) names them.  Under message faults each
+payload becomes ``bytes`` on purpose: the bit-flip mutator only targets
+integer/ndarray leaves, so a corrupted wire box flips a header integer
+or row and the CRC-32 envelope catches it before any decode runs.
 
 Encode/decode are exact inverses for every int64 block, including
 negative values and full-range bit patterns (deltas wrap modulo 2^64 on
@@ -245,8 +247,3 @@ def decode_rows(data: bytes, n_rows: int, arity: int, codec: str) -> np.ndarray:
         np.frombuffer(data, np.uint8), np.asarray([len(data)]), _ONE_BOX * n_rows,
         arity, codec,
     )
-
-
-def encoded_nbytes(payload: bytes) -> int:
-    """Wire bytes charged for one box: payload plus the metadata words."""
-    return len(payload) + WIRE_HEADER_WORDS * 8

@@ -19,6 +19,11 @@ runs per box between the build and absorb.
     row's (bucket, sub, owner) and rows are stably grouped per
     destination shard into route boxes.
 
+``home_boxes``
+    That grouping, by (source block, bucket, sub): the route builder's
+    per batch, and the reshard's over a relation's full and Δ blocks
+    (:func:`~repro.runtime.rebalance.reshard_relation`).
+
 Both work on consecutive source ranks at once, up to :data:`_CHUNK_ROWS`
 rows (a larger source alone): one hash pass, one owner-table gather
 (:attr:`~repro.relational.distribution.Distribution.owner_table`) and
@@ -39,42 +44,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.comm.boxes import BoxTable, Delivery
-from repro.comm.wire import (
-    WIRE_HEADER_WORDS, decode_blocks, decode_rows, encode_blocks, encode_rows,
-)
+from repro.comm.wire import WIRE_HEADER_WORDS, decode_blocks, encode_blocks
 from repro.kernels.absorb import VectorCombiner, combine_block
 from repro.kernels.block import group_columns
 
 #: One source's emitted rows: a row block, or a block the local join
 #: already folded in chunks with each row's pre-fold count.
 Emitted = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]
-
-
-def _shard_boxes(
-    rows: np.ndarray, dist, weights: Optional[np.ndarray] = None
-) -> Iterator[Tuple[int, int, int, np.ndarray, int]]:
-    """``(owner, bucket, sub, block, pre_rows)`` for each home shard of
-    ``rows``.
-
-    One hash pass places every row; a stable grouping keeps each block's
-    rows in arrival order; blocks come in (bucket, sub) order.
-    ``pre_rows`` is the block's row count, or the sum of its rows'
-    ``weights`` (the pre-fold counts of folded rows).
-    """
-    b_arr, s_arr = dist.bucket_sub_of_rows(rows)
-    order, starts, counts = group_columns([b_arr, s_arr])
-    heads = order[starts]
-    b_heads, s_heads = b_arr[heads], s_arr[heads]
-    pre = counts if weights is None else np.add.reduceat(weights[order], starts)
-    for s0, c, p, dst, b, s in zip(
-        starts.tolist(),
-        counts.tolist(),
-        pre.tolist(),
-        dist.ranks_of_bucket_subs(b_heads, s_heads).tolist(),
-        b_heads.tolist(),
-        s_heads.tolist(),
-    ):
-        yield dst, b, s, rows[order[s0 : s0 + c]], p
 
 
 _NONE = np.zeros(0, dtype=np.int64)
@@ -220,11 +196,8 @@ def _route_batch(batch, dist, fold, folded) -> Dict[str, np.ndarray]:
                 np.column_stack([seg, rows]), n_indep + 1, combiner, weights
             )
             seg, rows = keyed[:, 0], keyed[:, 1:]
-    b_arr, s_arr = dist.bucket_sub_of_rows(rows)
-    order, starts, counts = group_columns([seg, b_arr, s_arr])
-    heads = order[starts]
-    b_heads, s_heads, seg_heads = b_arr[heads], s_arr[heads], seg[heads]
-    pre = counts if weights is None else np.add.reduceat(weights[order], starts)
+    seg_heads, box = home_boxes(seg, rows, dist, weights)
+    pre = box["pre_rows"]
     # A box standing for one row had nothing to fold.
     n_folded = (
         np.zeros(len(batch), dtype=np.int64)
@@ -233,8 +206,26 @@ def _route_batch(batch, dist, fold, folded) -> Dict[str, np.ndarray]:
     )
     for src, n in zip(srcs.tolist(), n_folded.tolist()):
         folded[src] = int(n)
-    return {
-        "src": srcs[seg_heads],
+    box["src"] = srcs[seg_heads]
+    return box
+
+
+def home_boxes(
+    seg: np.ndarray,
+    rows: np.ndarray,
+    dist,
+    weights: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """One box of ``rows`` per (source block ``seg``, home bucket, sub)
+    under ``dist``, boxes in that key order, each box's rows in arrival
+    order.  Returns each box's source block and its table columns but
+    ``src``; ``pre_rows`` sums the rows' ``weights`` (pre-fold counts)."""
+    b_arr, s_arr = dist.bucket_sub_of_rows(rows)
+    order, starts, counts = group_columns([seg, b_arr, s_arr])
+    heads = order[starts]
+    b_heads, s_heads = b_arr[heads], s_arr[heads]
+    pre = counts if weights is None else np.add.reduceat(weights[order], starts)
+    return seg[heads], {
         "dst": dist.owner_table[b_heads, s_heads],
         "n_rows": counts,
         "bucket": b_heads,
@@ -337,54 +328,3 @@ def decode_wire_boxes(
         )
         runs.append((boxes, rows))
     return runs
-
-
-#: A rebalance-exchange box: one (bucket, new sub-bucket) fragment of one
-#: version, codec-encoded.  ``kind`` is 0 for the full version, 1 for Δ.
-#: ``seq`` is a transport sequence number, unique per box across the
-#: exchange: the install step is not idempotent (unlike absorb, which
-#: deduplicates by set semantics), so the receiver drops at-least-once
-#: duplicate deliveries by sequence number.
-ReshardBox = Tuple[int, int, int, int, bytes, int]  # (bucket, sub, kind, n_rows, payload, seq)
-
-
-def build_reshard_sends(
-    blocks: Sequence[Tuple[int, int, np.ndarray]],
-    new_dist,
-    codec: str,
-) -> Tuple[Dict[int, Dict[int, List[ReshardBox]]], int, int]:
-    """Re-hash version blocks under a resized placement (rebalance exchange).
-
-    ``blocks`` are ``(src_rank, kind, rows)`` triples in deterministic
-    (sorted old shard key, version) order; every row is re-placed under
-    ``new_dist`` and grouped into per-(bucket, sub) boxes.  Buckets never
-    change on a sub-bucket resize (join columns and seed are fixed), so
-    this is purely intra-bucket traffic.
-
-    Returns the send plan plus total rows shipped and rows whose owner
-    actually changed (the migration volume).
-    """
-    sends: Dict[int, Dict[int, List[ReshardBox]]] = {}
-    n_shipped = 0
-    n_moved = 0
-    seq = 0
-    for src, kind, rows in blocks:
-        n = rows.shape[0]
-        if n == 0:
-            continue
-        row_map = sends.setdefault(src, {})
-        for dst, b, s, block, c in _shard_boxes(rows, new_dist):
-            row_map.setdefault(dst, []).append(
-                (b, s, kind, c, encode_rows(block, codec), seq)
-            )
-            seq += 1
-            if dst != src:
-                n_moved += c
-        n_shipped += n
-    return sends, n_shipped, n_moved
-
-
-def decode_reshard_box(box: ReshardBox, arity: int, codec: str):
-    """Inverse of the per-box encoding in :func:`build_reshard_sends`."""
-    b, s, kind, n_rows, payload, _seq = box
-    return b, s, kind, decode_rows(payload, n_rows, arity, codec)

@@ -253,16 +253,16 @@ class VersionedRelation:
     def install_reshard(
         self,
         new_schema: Schema,
-        parts: Sequence[Tuple[int, int, int, np.ndarray]],
+        runs: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     ) -> None:
         """Atomically swap in a resized sub-bucket map and its rows.
 
-        ``parts`` are ``(bucket, new sub-bucket, kind, rows)`` fragments
-        (kind 0 = full, 1 = Δ) in the redistribution exchange's
-        deterministic delivery order; each shard appends its fragments
-        in that order.  The old table is discarded wholesale; both
-        generations bump so every cached join index is rebuilt against
-        the new placement.
+        ``runs`` are ``(rows, segs, kinds)`` blocks: each row's segment
+        under ``new_schema`` and version (kind 0 = full, 1 = Δ), in the
+        redistribution exchange's deterministic delivery order; each
+        version keeps its rows in that order.  The old table is
+        discarded wholesale; both generations bump so every cached join
+        index is rebuilt against the new placement.
         """
         if (
             new_schema.name != self.schema.name
@@ -272,23 +272,14 @@ class VersionedRelation:
                 f"install_reshard: incompatible schema {new_schema.name!r} "
                 f"for relation {self.schema.name!r}"
             )
-        n_sub = new_schema.n_subbuckets
-        versions = []
-        for kind in (0, 1):
-            blocks = [(b * n_sub + s, rows) for b, s, k, rows in parts if k == kind]
-            versions.append((
-                np.concatenate(
-                    [rows for _seg, rows in blocks]
-                    or [np.empty((0, new_schema.arity), dtype=np.int64)]
-                ),
-                np.repeat(
-                    np.asarray([seg for seg, _rows in blocks], dtype=np.int64),
-                    [rows.shape[0] for _seg, rows in blocks],
-                ),
-            ))
+        if not runs:
+            none = np.empty(0, dtype=np.int64)
+            runs = [(none.reshape(0, new_schema.arity), none, none)]
+        rows, segs, kinds = (np.concatenate(cols) for cols in zip(*runs))
+        # np.compress: a boolean row mask on a 2-D block is several times slower.
+        full, delta = (np.compress(kinds == k, rows, axis=0) for k in (0, 1))
         table = make_shard(new_schema)
-        (full, full_segs), (delta, delta_segs) = versions
-        table.install_state(full, delta, full_segs, delta_segs)
+        table.install_state(full, delta, segs[kinds == 0], segs[kinds == 1])
         self.set_schema(new_schema)
         self.table = table
         self.full_gen += 1

@@ -38,7 +38,7 @@ from repro.core.join_planner import JoinSide, vote_outer_relation
 from repro.faults.invariants import accumulator_map, monotonicity_audit
 from repro.faults.plane import FaultPlane, RankFailure
 from repro.kernels.absorb import sender_fold_plan
-from repro.kernels.route import decode_wire_boxes, encode_wire_sends
+from repro.kernels.route import build_route_sends, decode_wire_boxes, encode_wire_sends
 from repro.obs.tracer import NULL_TRACER
 from repro.planner.ast import Program
 from repro.planner.compile_rules import CompiledProgram, CompiledRule, compile_program
@@ -661,11 +661,10 @@ class Engine:
         """
         head = self.store[head_name]
         cost = self.cluster.cost
-        ex = self._exec
 
         # ---- phase: all-to-all of materialized tuples ----
         with self.timer.phase(P_COMM):
-            sends, n_comm, folded = ex.route_sends(
+            sends, n_comm, folded = build_route_sends(
                 emitted, head.dist, self.wire,
                 self._wire_plans.get(head_name),
             )

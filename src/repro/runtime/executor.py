@@ -6,7 +6,9 @@ exchanges and the monotonicity audit.  How tuples are *held* while they
 cross it — int64 row blocks, moved by the :mod:`repro.kernels` calls —
 is :class:`ColumnarExecutor`'s business.
 
-The executor owns four steps (absorption is the head relation's own,
+The executor owns three steps (routing is
+:func:`~repro.kernels.route.build_route_sends`, which the engine calls
+itself, and absorption the head relation's own,
 :meth:`~repro.relational.storage.VersionedRelation.absorb`).
 ``emitted`` maps a rank to the head tuples it produced, ``per_rank_*``
 are int64 work tallies the engine turns into compute charges, and
@@ -20,10 +22,7 @@ transmit:
   received (a range of the exchange's row block where they lie
   consecutively, else one gather);
   where the engine hands in the head's sender fold, a large probe's
-  pairs are folded as they are emitted instead of kept;
-* ``route_sends`` — group emitted tuples into ``(bucket, sub, batch)``
-  boxes per home rank, after the wire layer's sender fold where the
-  engine hands one in.
+  pairs are folded as they are emitted instead of kept.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 from repro.kernels.absorb import combine_block
 from repro.kernels.block import concat_ranges
 from repro.kernels.join import RankJoinIndex
-from repro.kernels.route import Emitted, build_intra_sends, build_route_sends
+from repro.kernels.route import Emitted, build_intra_sends
 
 #: Join pairs one rank's probe materializes at once when the head has a
 #: sender fold.  A probe with more pairs emits and folds them in runs of
@@ -176,6 +175,3 @@ class ColumnarExecutor:
                 np.concatenate([pre for _, pre in parts]),
             )
         return emitted
-
-    def route_sends(self, emitted, dist, for_wire, fold):
-        return build_route_sends(emitted, dist, for_wire, fold)

@@ -16,17 +16,19 @@ Correctness story, proven by ``tests/test_rebalance.py``:
 * a tuple's bucket never changes on a resize (join columns and hash
   seed are fixed), so redistribution is purely intra-bucket traffic;
 * results, Δ trajectories and iteration counts are bit-identical to a
-  static run under both executors — only placement (and hence modeled
-  time) moves;
+  static run — only placement (and hence modeled time) moves;
+* every installed row, segment and charge equals the per-box tuple
+  protocol the exchange replaced (kept in the tests as the reference);
 * the trigger is a pure function of replicated post-checkpoint state,
   and the manager's bookkeeping rides in stratum checkpoints, so crash
   rollback replays every rebalance decision deterministically.
 
 Cost honesty: the periodic decision is charged as an allgather (each
-rank contributes its bucket occupancy), and the exchange goes through
-the PR 7 wire layer — codec-encoded payloads charged at encoded bytes
-to the α–β model, recorded as a ``rebalance`` CommEvent/CommMatrix
-channel and a ``rebalance`` trace instant.
+rank contributes its bucket occupancy), and the exchange is one
+:class:`~repro.comm.boxes.BoxTable` through the wire layer like every
+other all-to-all — codec-encoded payloads charged at encoded bytes to
+the α–β model, recorded as a ``rebalance`` CommEvent/CommMatrix channel
+and a ``rebalance`` trace instant.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.comm.boxes import BoxTable
-from repro.comm.wire import encoded_nbytes, payload_codec
+from repro.comm.boxes import BoxTable, Delivery
+from repro.comm.wire import payload_codec
 from repro.core.balancer import recommend_subbuckets
-from repro.kernels.route import build_reshard_sends, decode_reshard_box
+from repro.kernels.route import decode_wire_boxes, encode_wire_sends, home_boxes
 from repro.obs.analysis import gini
 
 #: Ledger/timer phase and CommMatrix channel for everything this module does.
@@ -114,16 +116,18 @@ def reshard_relation(
 
     Standalone (no Engine needed — the property tests drive it directly):
 
-    1. export every old shard's full and Δ version blocks, each in
-       nested order (:meth:`~repro.relational.storage.VersionedRelation.shard_blocks`);
-    2. re-hash each row under the new placement and build per-(bucket,
-       new sub-bucket) boxes, ``delta``-encoded when ``wire`` is on and
-       ``raw`` otherwise (:mod:`repro.comm.wire`);
+    1. take every old shard's full then Δ rows, each in nested order,
+       as one source block each;
+    2. re-hash every row under the new placement and cut one box table
+       by (source block, bucket, new sub-bucket)
+       (:func:`~repro.kernels.route.home_boxes`), each box's version
+       and new segment kept in box-aligned arrays, the payloads
+       ``delta``-encoded when ``wire`` is on and ``raw`` otherwise;
     3. one alltoallv charged at encoded bytes (collective autotuned
        when ``wire`` is on), ``kind="rebalance"``,
        into the CommMatrix ``rebalance`` channel;
-    4. install the received fragments into a fresh row table in
-       deterministic source-rank order.
+    4. install the delivered boxes into a fresh row table, receivers in
+       rank order, each one's boxes in delivery order, first copy only.
 
     Nothing is mutated before the collective returns, so a rank crash
     surfacing inside the exchange leaves the relation untouched for
@@ -134,19 +138,27 @@ def reshard_relation(
     new_schema = dataclasses.replace(rel.schema, n_subbuckets=n_subbuckets)
     new_dist = rel.dist.with_subbuckets(n_subbuckets)
     codec = payload_codec(wire)
-    deltas = {key: rows for key, _src, rows in rel.shard_blocks("delta")}
-    blocks: List[Tuple[int, int, np.ndarray]] = []
-    for key, src, rows in rel.shard_blocks("full"):
-        blocks.append((src, 0, rows))
-        if key in deltas:
-            blocks.append((src, 1, deltas[key]))
-    sends, n_shipped, n_moved = build_reshard_sends(blocks, new_dist, codec)
-    table = BoxTable.from_sends(
-        sends,
-        count_of=lambda box: box[3],
-        nbytes_of=lambda box: encoded_nbytes(box[4]),
-    )
-    wire_bytes = int(table.nbytes[table.src != table.dst].sum())
+    # Source blocks in (old segment, full before Δ) order: the full
+    # version keyed 2·seg, Δ 2·seg + 1, each in nested order.
+    full, full_segs = rel.table.version("full")
+    delta, delta_segs = rel.table.version("delta")
+    block = np.concatenate([2 * full_segs, 2 * delta_segs + 1])
+    block_heads, box = home_boxes(block, np.concatenate([full, delta]), new_dist)
+    src = rel.rank_of_segment()[block_heads >> 1]
+    # Boxes by receiver, then sender, each message's in block order: the
+    # order the install reads them in, so a fault-free delivery decodes
+    # slices of the payload buffer, not gathers of it.
+    k = np.lexsort((src, box["dst"]))
+    kinds = (block_heads & 1)[k]
+    segs = (box["bucket"] * n_subbuckets + box["sub"])[k]
+    row_lo = np.cumsum(box["n_rows"]) - box["n_rows"]
+    table = encode_wire_sends(BoxTable(
+        src[k], box["dst"][k], box["n_rows"][k], rows=box["rows"], row_lo=row_lo[k]
+    ), codec=codec)
+    remote = table.src != table.dst
+    n_shipped = int(table.n_rows.sum())
+    n_moved = int(table.n_rows[remote].sum())
+    wire_bytes = int(table.nbytes[remote].sum())
     recv = cluster.alltoallv(
         table,
         arity=new_schema.arity,
@@ -155,20 +167,19 @@ def reshard_relation(
         channel="rebalance",
         autotune=wire,
     )
-    arity = new_schema.arity
-    parts = []
     # The fault plane models at-least-once delivery; absorb-style
     # exchanges shrug off duplicates via set semantics, but this install
-    # replaces shard state wholesale, so drop re-deliveries by the box's
-    # transport sequence number.
-    seen: Set[int] = set()
-    for dst in sorted(recv):
-        for box in recv[dst]:
-            if box[5] in seen:
-                continue
-            seen.add(box[5])
-            parts.append(decode_reshard_box(box, arity, codec))
-    rel.install_reshard(new_schema, parts)
+    # replaces the relation's rows wholesale.  So receivers go in rank
+    # order, each one's boxes in delivery order, and a re-delivered box
+    # index is dropped.
+    order = recv.order[np.argsort(table.dst[recv.order], kind="stable")]
+    first = np.sort(np.unique(order, return_index=True)[1])
+    runs = decode_wire_boxes(Delivery(table, order[first]), new_schema.arity, codec)
+    rel.install_reshard(new_schema, [
+        (rows, np.repeat(segs[boxes], table.n_rows[boxes]),
+         np.repeat(kinds[boxes], table.n_rows[boxes]))
+        for boxes, rows in runs
+    ])
     return {"shipped": n_shipped, "moved": n_moved, "wire_bytes": wire_bytes}
 
 

@@ -1,10 +1,14 @@
 """Tests for the α–β cost model."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.comm.costmodel import BYTES_PER_WORD, CommEvent, CommStats, CostModel
+from repro.graphs.generators import rmat
+from repro.queries.sssp import run_sssp
+from repro.runtime.config import EngineConfig
 
 
 class TestValidation:
@@ -67,25 +71,28 @@ class TestCollectiveCosts:
 
 
 class TestComputeCosts:
-    def test_join_cost_linear(self):
-        cm = CostModel()
-        assert cm.join_cost(10, 0) == pytest.approx(10 * cm.tuple_probe)
-        assert cm.join_cost(0, 10) == pytest.approx(10 * cm.tuple_emit)
-
-    def test_insert_cost_log_factor(self):
-        cm = CostModel()
-        small = cm.insert_cost(100, 10)
-        large = cm.insert_cost(100, 10**9)
-        assert large > small
-
     def test_compute_scale_multiplies(self):
-        base = CostModel()
-        scaled = CostModel(compute_scale=64.0)
-        assert scaled.join_cost(10, 10) == pytest.approx(64 * base.join_cost(10, 10))
-        assert scaled.agg_cost(10) == pytest.approx(64 * base.agg_cost(10))
-        assert scaled.serialize_cost(10) == pytest.approx(
-            64 * base.serialize_cost(10)
+        """On one small run, every compute charge the engine makes grows
+        64x under ``compute_scale=64`` and no comm charge moves."""
+        graph = rmat(6, 4, seed=3).with_weights(np.random.default_rng(5), 8)
+        base, scaled = (
+            run_sssp(graph, [0, 1], EngineConfig(
+                n_ranks=4, cost_model=CostModel(compute_scale=k)
+            )).fixpoint.ledger
+            for k in (1.0, 64.0)
         )
+        assert scaled.comm.events == base.comm.events
+
+        def compute_by_phase(ledger):
+            out = dict(ledger.phase_seconds)
+            for event in ledger.comm.events:
+                out[event.phase] -= event.seconds
+            return out
+
+        want = {p: 64 * s for p, s in compute_by_phase(base).items()}
+        assert want["local_join"] > 0 and want["dedup_agg"] > 0
+        assert compute_by_phase(scaled) == pytest.approx(want, rel=1e-9, abs=1e-15)
+        assert scaled.rank_compute == pytest.approx(64 * base.rank_compute)
 
     def test_compute_scale_does_not_touch_comm(self):
         base = CostModel()

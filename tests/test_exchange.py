@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.comm.boxes import BoxTable
 from repro.comm.costmodel import CommEvent
 from repro.comm.simcluster import SimCluster
-from repro.comm.wire import encoded_nbytes
+from repro.comm.wire import WIRE_HEADER_WORDS
 from repro.faults.config import FaultConfig
 from repro.faults.invariants import check_conservation
 from repro.faults.plane import FaultPlane, classify_loss, payload_checksum
@@ -300,14 +300,14 @@ def _ref_retransmit(
 FORMS = {
     "wire": dict(
         count_of=lambda box: box[2],
-        nbytes_of=lambda box: encoded_nbytes(box[4]),
+        nbytes_of=lambda box: len(box[4]) + 8 * WIRE_HEADER_WORDS,
         pre_count_of=lambda box: box[3],
     ),
     "route": dict(count_of=lambda box: len(box[2])),
     "rows": dict(count_of=len),
     "seed": dict(
         count_of=lambda box: box[0].shape[0],
-        nbytes_of=lambda box: encoded_nbytes(box[1]),
+        nbytes_of=lambda box: len(box[1]) + 8 * WIRE_HEADER_WORDS,
     ),
 }
 

@@ -17,13 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm.boxes import BoxTable
 from repro.comm.simcluster import SimCluster
+from repro.comm.wire import WIRE_HEADER_WORDS, decode_rows, encode_rows, payload_codec
 from repro.core.aggregators import make_aggregator
 from repro.core.balancer import recommend_subbuckets, subbucket_growth
 from repro.faults import checkpoint as ckpt_mod
 from repro.faults.config import FaultConfig
+from repro.faults.plane import FaultPlane
 from repro.graphs.generators import rmat, skewed_hub_graph
+from repro.kernels.block import group_columns
 from repro.obs.analysis import CommMatrix, CommMatrixRecorder
+from repro.obs.tracer import Tracer
 from repro.queries.cc import run_cc
 from repro.queries.pagerank import run_pagerank
 from repro.queries.sssp import run_sssp
@@ -31,6 +36,7 @@ from repro.relational.schema import Schema
 from repro.relational.storage import VersionedRelation
 from repro.runtime.config import EngineConfig
 from repro.runtime.rebalance import (
+    REBALANCE_PHASE,
     RebalanceManager,
     SkewMeasure,
     measure_bucket_skew,
@@ -250,6 +256,176 @@ class TestReshardProperty:
         enc_info = reshard_relation(enc, 4, SimCluster(4), wire=True)
         assert enc_info["wire_bytes"] < raw_info["wire_bytes"]
         assert _rows_of(enc, "full") == _rows_of(raw, "full")
+
+
+# --------------------------------------------------------------------------
+# the box-table reshard against the per-box protocol it replaced
+
+
+def _ref_shard_boxes(rows, dist):
+    """``(owner, bucket, sub, block)`` per home shard of ``rows`` under
+    ``dist``: shards in (bucket, sub) order, each block in arrival order."""
+    b_arr, s_arr = dist.bucket_sub_of_rows(rows)
+    order, starts, counts = group_columns([b_arr, s_arr])
+    for lo, n in zip(starts.tolist(), counts.tolist()):
+        idx = order[lo : lo + n]
+        b, s = int(b_arr[idx[0]]), int(s_arr[idx[0]])
+        yield int(dist.owner_table[b, s]), b, s, rows[idx]
+
+
+def build_reshard_sends(blocks, new_dist, codec):
+    """The send dict of the per-box protocol: ``(src, kind, rows)``
+    blocks re-placed into ``(bucket, sub, kind, n_rows, payload, seq)``
+    boxes, each payload encoded alone, ``seq`` unique per box.  Returns
+    it with the rows shipped and the rows whose owner changed."""
+    sends = {}
+    n_shipped = n_moved = seq = 0
+    for src, kind, rows in blocks:
+        if not rows.shape[0]:
+            continue
+        row_map = sends.setdefault(src, {})
+        for dst, b, s, block in _ref_shard_boxes(rows, new_dist):
+            n = block.shape[0]
+            row_map.setdefault(dst, []).append(
+                (b, s, kind, n, encode_rows(block, codec), seq)
+            )
+            seq += 1
+            if dst != src:
+                n_moved += n
+        n_shipped += rows.shape[0]
+    return sends, n_shipped, n_moved
+
+
+def decode_reshard_box(box, arity, codec):
+    """Inverse of the per-box encoding in :func:`build_reshard_sends`."""
+    b, s, kind, n_rows, payload, _seq = box
+    return b, s, kind, decode_rows(payload, n_rows, arity, codec)
+
+
+def reference_reshard(rel, n_subbuckets, cluster, *, wire=False):
+    """``reshard_relation`` as it ran on the per-box protocol: one tuple
+    per box, sized per item, duplicates dropped by sequence number."""
+    if n_subbuckets == rel.schema.n_subbuckets:
+        return {"shipped": 0, "moved": 0, "wire_bytes": 0}
+    new_schema = dataclasses.replace(rel.schema, n_subbuckets=n_subbuckets)
+    codec = payload_codec(wire)
+    deltas = {key: rows for key, _src, rows in rel.shard_blocks("delta")}
+    blocks = []
+    for key, src, rows in rel.shard_blocks("full"):
+        blocks.append((src, 0, rows))
+        if key in deltas:
+            blocks.append((src, 1, deltas[key]))
+    sends, n_shipped, n_moved = build_reshard_sends(
+        blocks, rel.dist.with_subbuckets(n_subbuckets), codec
+    )
+    items = [
+        (s, d, box)
+        for s in sorted(sends)
+        for d, boxes in sorted(sends[s].items())
+        for box in boxes
+    ]
+    col = lambda f: np.asarray([f(*item) for item in items], dtype=np.int64)  # noqa: E731
+    table = BoxTable(
+        col(lambda s, _d, _box: s),
+        col(lambda _s, d, _box: d),
+        col(lambda _s, _d, box: box[3]),
+        nbytes=col(lambda _s, _d, box: len(box[4]) + 8 * WIRE_HEADER_WORDS),
+        items=[box for _s, _d, box in items],
+    )
+    wire_bytes = int(table.nbytes[table.src != table.dst].sum())
+    recv = cluster.alltoallv(
+        table, arity=new_schema.arity, phase=REBALANCE_PHASE,
+        kind="rebalance", channel="rebalance", autotune=wire,
+    )
+    runs, seen = [], set()
+    for dst in sorted(recv):
+        for box in recv[dst]:
+            if box[5] in seen:
+                continue
+            seen.add(box[5])
+            b, s, kind, rows = decode_reshard_box(box, new_schema.arity, codec)
+            n = rows.shape[0]
+            runs.append((
+                rows, np.full(n, b * n_subbuckets + s), np.full(n, kind)
+            ))
+    rel.install_reshard(new_schema, runs)
+    return {"shipped": n_shipped, "moved": n_moved, "wire_bytes": wire_bytes}
+
+
+def _reshard_outcome(reshard, rel, target, cluster, wire):
+    """Everything a reshard leaves behind on ``rel`` and ``cluster``."""
+    info = reshard(rel, target, cluster, wire=wire)
+    installed = [
+        tuple(a.tolist() for a in get(version))
+        for get in (rel.table.stored, rel.table.version)
+        for version in ("full", "delta")
+    ]
+    recorder = cluster.comm_recorder
+    return {
+        "info": info,
+        "schema": rel.schema,
+        "installed": installed,
+        "events": list(cluster.ledger.comm.events),
+        "phase_seconds": dict(cluster.ledger.phase_seconds),
+        "collective_counts": dict(cluster.collective_counts),
+        "injected": cluster.faults.stats.as_dict(),
+        "matrices": [m.to_dict() for m in recorder.matrices],
+        "spans": [
+            (sp.name, sp.cat, sp.rank, sp.attrs) for sp in cluster.tracer.spans
+        ],
+    }
+
+
+class TestReshardReference:
+    @given(
+        data=rows_strategy,
+        split=st.integers(0, 60),
+        aggregate=st.booleans(),
+        n_sub=st.integers(1, 3),
+        n_ranks=st.integers(1, 8),
+        target=st.integers(1, 8),
+        wire=st.booleans(),
+        reorder_seed=st.one_of(st.none(), st.integers(0, 99)),
+        faults=st.builds(
+            FaultConfig,
+            seed=st.integers(0, 99),
+            drop=st.sampled_from([0.0, 0.2]),
+            dup=st.sampled_from([0.0, 0.3]),
+            max_retries=st.just(12),
+        ),
+    )
+    @settings(deadline=None)
+    def test_table_reshard_equals_per_box_protocol(
+        self, data, split, aggregate, n_sub, n_ranks, target, wire,
+        reorder_seed, faults,
+    ):
+        """On any relation, empty Δ or not, the box-table reshard installs
+        the same rows and segments, returns the same totals and leaves
+        the same ledger events, phase seconds, collective counts,
+        injected faults, comm matrices and spans as the per-box protocol
+        — under drop/dup faults and delivery reordering too.
+
+        ``corrupt`` stays out: the mutator draws the leaf it flips from a
+        message's Python form (:meth:`~repro.comm.boxes.BoxTable.item`),
+        and a table box is ``(rows, payload)`` where the per-box protocol
+        shipped a six-field tuple, so the draws differ by design.
+        """
+        schema = (_agg_schema if aggregate else _plain_schema)(n_sub)
+        full = data[:split]
+        delta = [t for t in data[split:] if t not in set(full)]
+
+        def outcome(reshard):
+            cluster = SimCluster(
+                n_ranks,
+                reorder_seed=reorder_seed,
+                tracer=Tracer(),
+                fault_plane=FaultPlane(faults, n_ranks),
+                comm_recorder=CommMatrixRecorder(n_ranks),
+            )
+            rel = _relation(schema, n_ranks, full=full, delta=delta)
+            return _reshard_outcome(reshard, rel, target, cluster, wire)
+
+        assert outcome(reshard_relation) == outcome(reference_reshard)
 
 
 # --------------------------------------------------------------------------

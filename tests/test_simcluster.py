@@ -104,10 +104,11 @@ class TestAlltoallv:
         assert c.ledger.comm.bytes_total == 2 * 2 * 8
 
     def test_count_of_batched_payload(self):
+        """A box of several tuples is charged all of them (``n_rows``)."""
         c = SimCluster(4)
-        box = (7, 0, [(1,), (2,), (3,)])
+        rows = np.asarray([[1], [2], [3]], dtype=np.int64)
         c.alltoallv(
-            BoxTable.from_sends({0: {1: [box]}}, count_of=lambda b: len(b[2])),
+            BoxTable(np.asarray([0]), np.asarray([1]), np.asarray([3]), rows=rows),
             arity=1,
         )
         assert c.ledger.comm.bytes_total == 3 * 1 * 8

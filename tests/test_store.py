@@ -210,7 +210,10 @@ def test_store_equals_per_shard_reference(kind, n_sub, ops):
             ref.install_delta(delta)
         elif op[0] == "reshard":
             parts, new_schema = _reshard_parts(rel, op[1])
-            rel.install_reshard(new_schema, parts)
+            rel.install_reshard(new_schema, [  # one run per fragment
+                (rows, np.full(rows.shape[0], b * op[1] + s), np.full(rows.shape[0], kind))
+                for b, s, kind, rows in parts
+            ])
             ref.reshard(parts, new_schema)
         elif op[0] == "checkpoint":
             saved = (

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro import Engine
 from repro.comm.boxes import BoxTable, Delivery
-from repro.comm.wire import decode_rows, encode_rows, encoded_nbytes
+from repro.comm.wire import decode_rows, encode_rows
 from repro.core.aggregators import TupleAggregator, make_aggregator
 from repro.kernels import absorb, route
 from repro.kernels.absorb import combine_block, sender_fold_plan, vector_combiner
@@ -115,9 +115,14 @@ class TestCodecs:
                 decode_rows(b"\x00" * 8, 1, 1, codec)
 
     def test_encoded_nbytes_includes_header(self):
+        """An encoded box is charged its payload plus the header words."""
         rows = np.zeros((4, 2), dtype=np.int64)
-        payload = encode_rows(rows, "raw")
-        assert encoded_nbytes(payload) == len(payload) + 32
+        table = route.encode_wire_sends(
+            BoxTable(np.zeros(1, np.int64), np.ones(1, np.int64),
+                     np.asarray([4]), rows=rows),
+            codec="raw",
+        )
+        assert table.nbytes.tolist() == [len(encode_rows(rows, "raw")) + 32]
 
 
 class TestCombineBlock:
@@ -649,10 +654,11 @@ class TestFoldBeforeRoute:
                     if i % every == 0 else rows
                     for i, (src, rows) in enumerate(emitted.items())
                 })
-        ex = executor_mod.ColumnarExecutor()
         for blocks in runs:
             with mock.patch.object(route, "_CHUNK_ROWS", budget):
-                sends, n_comm, folded = ex.route_sends(blocks, dist, True, plan)
+                sends, n_comm, folded = route.build_route_sends(
+                    blocks, dist, True, plan
+                )
                 got = _flat_wire(route.encode_wire_sends(sends, codec=codec))
             assert n_comm == sum(rows.shape[0] for rows in emitted.values())
             assert got == {src: boxes for src, (boxes, _n) in want.items()}
@@ -667,8 +673,10 @@ class TestFoldBeforeRoute:
     # the id is the one the two-value axis gave it.
     @pytest.mark.parametrize("wire", [False], ids=["wire0"])
     def test_no_fold_reaches_the_route_step(self, wire, medium_weighted_graph):
+        from repro.runtime import engine as engine_mod
+
         with mock.patch.object(
-            executor_mod, "build_route_sends", wraps=route.build_route_sends
+            engine_mod, "build_route_sends", wraps=route.build_route_sends
         ) as spy:
             run_sssp(medium_weighted_graph, [0, 5], _cfg(wire=wire))
         assert spy.call_count
