@@ -22,6 +22,7 @@ Run:  python examples/spmd_style.py
 import itertools
 
 from repro import EngineConfig
+from repro.api import FaultOptions
 from repro.faults import FaultConfig
 from repro.graphs import erdos_renyi
 from repro.runtime.spmd import run_ranks
@@ -72,7 +73,8 @@ def main() -> None:
     faulty = FaultConfig(drop=0.3, dup=0.1, corrupt=0.1, max_retries=8, seed=3)
     for label, faults in (("perfect network", None), ("drop/dup/corrupt", faulty)):
         counts, cluster = run_ranks(
-            EngineConfig(n_ranks=8, faults=faults), triangle_count, edges
+            EngineConfig(n_ranks=8, faults=FaultOptions(config=faults)),
+            triangle_count, edges,
         )
         comm = cluster.ledger.comm
         plane = cluster.faults

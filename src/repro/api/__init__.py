@@ -1,18 +1,15 @@
 """``repro.api`` — the stable front door to the PARALAGG reproduction.
 
-The engine grew layer by layer (wire optimization, fault injection,
-checkpoint replication, adaptive rebalancing, diagnostics, incremental
-maintenance), and :class:`~repro.runtime.config.EngineConfig` grew a flat
-kwarg per knob.  This package is the curated surface on top:
-
-* :class:`Options` — typed option groups (:class:`FaultOptions`,
+* :class:`Options` — the one engine config,
+  :class:`~repro.runtime.config.EngineConfig`, under the name this API
+  has always used (``Options is EngineConfig``): top-level core fields, a
+  ``wire`` switch and four groups (:class:`FaultOptions`,
   :class:`RecoveryOptions`, :class:`RebalanceOptions`,
-  :class:`DiagnosticsOptions`) and one ``wire`` switch, with **all**
-  cross-field validation centralized in :meth:`Options.validate`, so a
-  bad combination fails in one place with a message naming the Options
-  field (and the CLI flag) instead of surfacing mid-run;
+  :class:`DiagnosticsOptions`).  Its ``validate()`` runs at construction
+  and in every driver, so a bad combination fails before any work with
+  an :class:`OptionsError` naming the fields (and the CLI flags);
 * :class:`Session` — one object for the whole lifecycle: build it from
-  options, call :meth:`Session.query` to converge a program, then
+  a config, call :meth:`Session.query` to converge a program, then
   :meth:`Session.update` to maintain the fixpoint incrementally.
 
 Quickstart::
@@ -24,15 +21,17 @@ Quickstart::
     result = session.update({"edge": new_edges})     # incremental, bit-identical
 """
 
-from repro.api.options import (
+from repro.api.session import Session
+from repro.runtime.config import (
     DiagnosticsOptions,
+    EngineConfig,
     FaultOptions,
-    Options,
     OptionsError,
     RebalanceOptions,
     RecoveryOptions,
 )
-from repro.api.session import Session
+
+Options = EngineConfig
 
 __all__ = [
     "DiagnosticsOptions",

@@ -1,10 +1,10 @@
 """The :class:`Session` facade: one object for query + incremental update.
 
-A Session owns the engine lifecycle that callers previously wired by
-hand (build config → build engine → load facts → run → keep the engine
-around for more).  After :meth:`Session.query` converges a program, the
-distributed state stays hot inside the session; :meth:`Session.update`
-maintains the fixpoint incrementally through
+A Session owns the engine lifecycle that callers otherwise wire by hand
+(build engine → load facts → run → keep the engine around for more).
+After :meth:`Session.query` converges a program, the distributed state
+stays hot inside the session; :meth:`Session.update` maintains the
+fixpoint incrementally through
 :class:`~repro.runtime.incremental.FixpointHandle` — bit-identical to a
 cold recompute on the union EDB, at a fraction of the modeled cost.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Set, Tuple
 
-from repro.api.options import Options
+from repro.runtime.config import EngineConfig
 from repro.runtime.engine import Engine
 from repro.runtime.incremental import FixpointHandle
 from repro.runtime.result import FixpointResult
@@ -24,7 +24,8 @@ TupleT = Tuple[int, ...]
 class Session:
     """A configured engine front end with incremental maintenance.
 
-    Build one from grouped :class:`~repro.api.Options`::
+    Build one from a :class:`~repro.runtime.config.EngineConfig`
+    (``repro.api.Options``)::
 
         session = Session(Options(n_ranks=8))
         result = session.query(program, {"edge": edges, "start": starts})
@@ -32,13 +33,13 @@ class Session:
 
     ``query`` replaces any previous state (a session runs one program at
     a time); ``update`` requires a prior ``query`` in this session.
-    Cross-field option validation happens eagerly at construction, so a
-    bad combination fails before any work is done.
+    The config is validated again here (it may have been mutated since it
+    was built), so a bad combination fails before any work is done.
     """
 
-    def __init__(self, options: Optional[Options] = None):
-        self.options = options if options is not None else Options()
-        self._config = self.options.to_engine_config()
+    def __init__(self, config: Optional[EngineConfig] = None):
+        self.config = config if config is not None else EngineConfig()
+        self.config.validate()
         self._engine: Optional[Engine] = None
         self._handle: Optional[FixpointHandle] = None
         self._result: Optional[FixpointResult] = None
@@ -77,11 +78,11 @@ class Session:
         """Converge ``program`` over ``facts``; retain state for updates.
 
         Each call starts fresh: a new engine is built from this
-        session's options, the facts are loaded, and the fixpoint runs
+        session's config, the facts are loaded, and the fixpoint runs
         to convergence.  The converged state stays live in the session
         for subsequent :meth:`update` calls.
         """
-        engine = Engine(program, self._config)
+        engine = Engine(program, self.config)
         for name, rows in facts.items():
             engine.load(name, rows)
         self._engine = engine

@@ -24,6 +24,7 @@ import json
 import re
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.experiments import ablations, fig2, fig3, fig4, fig5, fig6, fig7, table1, table2
@@ -32,7 +33,48 @@ from repro.graphs.datasets import DATASETS, load_dataset
 from repro.obs.tracer import Tracer
 from repro.queries.cc import run_cc
 from repro.queries.sssp import run_sssp
-from repro.runtime.config import EngineConfig
+from repro.runtime.config import (
+    DiagnosticsOptions,
+    EngineConfig,
+    FaultOptions,
+    OptionsError,
+    RebalanceOptions,
+    RecoveryOptions,
+)
+
+
+def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
+    """The dataset, placement and fault flags shared by ``run`` and ``update``."""
+    parser.add_argument("query", choices=["sssp", "cc"])
+    parser.add_argument("--dataset", default="twitter_like")
+    parser.add_argument("--ranks", type=int, default=64)
+    parser.add_argument("--subbuckets", type=int, default=8,
+                        help="spatial load-balancing factor for the edge relation")
+    parser.add_argument("--sources", default="0",
+                        help="comma-separated SSSP source vertices")
+    parser.add_argument("--scale-shift", type=int, default=0,
+                        help="halve the graph's linear scale this many times")
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument(
+        "--faults", metavar="SPEC",
+        help="inject faults under the comm substrate, e.g. "
+             "'crash=1@12,drop=0.02,dup=0.01,corrupt=0.01,"
+             "straggle=2:3.0,seed=7' (see repro.faults.parse_fault_spec); "
+             "results must match the fault-free run bit-for-bit",
+    )
+    parser.add_argument(
+        "--checkpoint-every", type=int, metavar="K",
+        default=RecoveryOptions.checkpoint_every,
+        help="checkpoint each recursive stratum every K iterations "
+             "(required to survive an injected rank crash)",
+    )
+    parser.add_argument(
+        "--replicas", type=int, metavar="N", default=RecoveryOptions.replicas,
+        help="mirror each rank's checkpoint to N buddy ranks (required "
+             ">= 1 to survive a permanent loss, crash_perm=R@S; the dead "
+             "rank's state is restored from a buddy and its buckets "
+             "re-owned onto the survivors)",
+    )
 
 
 def _add_wire_flags(parser: argparse.ArgumentParser) -> None:
@@ -46,7 +88,7 @@ def _add_wire_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_rebalance_flags(parser: argparse.ArgumentParser) -> None:
-    """Online-rebalancing flags shared by ``run`` and ``query``."""
+    """Online-rebalancing flags shared by ``run``, ``query`` and ``update``."""
     parser.add_argument(
         "--rebalance", action="store_true",
         help="enable online adaptive spatial rebalancing: grow a skewed "
@@ -55,91 +97,72 @@ def _add_rebalance_flags(parser: argparse.ArgumentParser) -> None:
              "static run; only placement and modeled time change)",
     )
     parser.add_argument(
-        "--rebalance-every", type=int, default=4, metavar="K",
+        "--rebalance-every", type=int, metavar="K",
+        default=RebalanceOptions.every,
         help="check the skew trigger every K iterations of a recursive "
-             "stratum (default: 4)",
+             "stratum (default: %(default)s)",
     )
     parser.add_argument(
-        "--rebalance-threshold", type=float, default=0.25, metavar="SHARE",
+        "--rebalance-threshold", type=float, metavar="SHARE",
+        default=RebalanceOptions.threshold,
         help="top-bucket share of a relation's tuples that arms the "
-             "trigger, in [0, 1] (default: 0.25)",
+             "trigger, in [0, 1] (default: %(default)s)",
     )
     parser.add_argument(
-        "--rebalance-factor", type=float, default=2.0, metavar="F",
+        "--rebalance-factor", type=float, metavar="F",
+        default=RebalanceOptions.factor,
         help="modeled-overload gate: rebalance only while top_share x "
              "n_ranks / n_subbuckets >= F, so growth self-extinguishes "
-             "once the fan-out catches up with the skew (default: 2.0)",
+             "once the fan-out catches up with the skew (default: %(default)s)",
     )
 
 
-def _options_from_args(args: argparse.Namespace, *, tracer=None):
-    """Lift a CLI flag namespace into grouped :class:`repro.api.Options`.
+def _options_from_args(args: argparse.Namespace) -> EngineConfig:
+    """The one :class:`EngineConfig` a ``run``, ``query`` or ``update``
+    flag namespace describes, validated by construction.
 
-    Flags a subcommand doesn't define fall back to the Options defaults,
-    so ``run``, ``query`` and ``update`` all share one lifting path and
-    one set of cross-field rules (crash vs --checkpoint-every,
-    crash_perm vs --replicas, rebalance factor) — the same
-    ``Options.validate`` the library runs.  A bad value exits here with
-    one line naming its flag.
+    ``query`` has no workload flags (``--seed``, ``--subbuckets``,
+    ``--faults``, ...), so it takes the config's defaults for them.
+    Diagnostics need the span stream, so they imply a live tracer.  A
+    bad value exits here with one line naming its flag.
     """
-    from repro.api import (
-        DiagnosticsOptions,
-        FaultOptions,
-        Options,
-        OptionsError,
-        RebalanceOptions,
-        RecoveryOptions,
-    )
-
-    from repro.faults.config import parse_fault_spec
-
-    core = {}
-    if hasattr(args, "subbuckets"):
-        core["subbuckets"] = {"edge": args.subbuckets}
-    if hasattr(args, "seed"):
-        core["seed"] = args.seed
-    spec = getattr(args, "faults", None)
+    want_diagnostics = _want_diagnostics(args)
+    tracer = Tracer() if args.trace or want_diagnostics else None
+    workload = {}
     try:
-        faults = parse_fault_spec(spec) if spec else None
-    except ValueError as exc:
-        raise SystemExit(f"bad --faults spec: {exc}")
-    options = Options(
-        n_ranks=args.ranks,
-        dynamic_join=not getattr(args, "no_dynamic_join", False),
-        **core,
-        wire=not args.no_wire,
-        faults=FaultOptions(config=faults),
-        recovery=RecoveryOptions(
-            checkpoint_every=getattr(args, "checkpoint_every", None),
-            replicas=getattr(args, "replicas", 0),
-        ),
-        rebalance=RebalanceOptions(
-            enabled=args.rebalance,
-            every=args.rebalance_every,
-            threshold=args.rebalance_threshold,
-            factor=args.rebalance_factor,
-        ),
-        diagnostics=DiagnosticsOptions(
-            enabled=_want_diagnostics(args), tracer=tracer
-        ),
-    )
-    try:
-        options.to_engine_config()
+        if hasattr(args, "seed"):  # run and update
+            workload = dict(
+                seed=args.seed,
+                subbuckets={"edge": args.subbuckets},
+                dynamic_join=not getattr(args, "no_dynamic_join", False),
+                faults=FaultOptions(spec=args.faults),
+                recovery=RecoveryOptions(
+                    checkpoint_every=args.checkpoint_every,
+                    replicas=args.replicas,
+                ),
+            )
+        return EngineConfig(
+            n_ranks=args.ranks,
+            wire=not args.no_wire,
+            rebalance=RebalanceOptions(
+                enabled=args.rebalance,
+                every=args.rebalance_every,
+                threshold=args.rebalance_threshold,
+                factor=args.rebalance_factor,
+            ),
+            diagnostics=DiagnosticsOptions(enabled=want_diagnostics, tracer=tracer),
+            **workload,
+        )
     except OptionsError as exc:
         raise SystemExit(str(exc))
     except ValueError as exc:
-        # A range error opens with the EngineConfig field it is about
-        # ("n_ranks must be >= 1", "subbuckets['edge'] must be ..."); the
-        # flags carry the fields' names.
-        field = re.match(r"\w+", str(exc)).group()
-        flag = "--" + field.removeprefix("n_").replace("_", "-")
-        raise SystemExit(f"bad {flag}: {exc}")
-    return options
-
-
-def _engine_config(args: argparse.Namespace, *, tracer=None) -> EngineConfig:
-    """Validated EngineConfig from CLI flags (SystemExit on bad values)."""
-    return _options_from_args(args, tracer=tracer).to_engine_config()
+        # A range error opens with the path of the field it is about
+        # ("n_ranks must be >= 1", "rebalance.every must be ..."); the
+        # flags carry the fields' names, the recovery flags without
+        # their group's (--checkpoint-every, --replicas).
+        field = re.match(r"[\w.]+", str(exc)).group()
+        field = field.removeprefix("n_").removeprefix("recovery.")
+        raise SystemExit(f"bad --{re.sub('[._]', '-', field)}: {exc}")
 
 
 def _dataset_from_args(args: argparse.Namespace):
@@ -272,42 +295,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("datasets", help="list the named stand-in graphs")
 
     run = sub.add_parser("run", help="run a query on a dataset")
-    run.add_argument("query", choices=["sssp", "cc"])
-    run.add_argument("--dataset", default="twitter_like")
-    run.add_argument("--ranks", type=int, default=64)
-    run.add_argument("--subbuckets", type=int, default=8,
-                     help="spatial load-balancing factor for the edge relation")
-    run.add_argument("--sources", default="0",
-                     help="comma-separated SSSP source vertices")
-    run.add_argument("--scale-shift", type=int, default=0,
-                     help="halve the graph's linear scale this many times")
-    run.add_argument("--seed", type=int, default=42)
+    _add_workload_flags(run)
     run.add_argument("--no-dynamic-join", action="store_true",
                      help="disable Algorithm 1's per-iteration vote")
     run.add_argument("--explain", action="store_true",
                      help="print the compiled evaluation plan before running")
-    run.add_argument(
-        "--faults", metavar="SPEC", default=None,
-        help="inject faults under the comm substrate, e.g. "
-             "'crash=1@12,drop=0.02,dup=0.01,corrupt=0.01,"
-             "straggle=2:3.0,seed=7' (see repro.faults.parse_fault_spec); "
-             "results must match the fault-free run bit-for-bit",
-    )
-    run.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="K",
-        help="checkpoint each recursive stratum every K iterations "
-             "(required to survive an injected rank crash)",
-    )
-    run.add_argument(
-        "--replicas", type=int, default=0, metavar="N",
-        help="mirror each rank's checkpoint to N buddy ranks (required "
-             ">= 1 to survive a permanent loss, crash_perm=R@S; the dead "
-             "rank's state is restored from a buddy and its buckets "
-             "re-owned onto the survivors)",
-    )
-    _add_obs_flags(run)
-    _add_wire_flags(run)
-    _add_rebalance_flags(run)
 
     update = sub.add_parser(
         "update",
@@ -316,17 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "batches through the Session API, and verify bit-identity "
              "against a cold recompute on the union EDB",
     )
-    update.add_argument("query", choices=["sssp", "cc"])
-    update.add_argument("--dataset", default="twitter_like")
-    update.add_argument("--ranks", type=int, default=64)
-    update.add_argument("--subbuckets", type=int, default=8,
-                        help="spatial load-balancing factor for the edge "
-                             "relation")
-    update.add_argument("--sources", default="0",
-                        help="comma-separated SSSP source vertices")
-    update.add_argument("--scale-shift", type=int, default=0,
-                        help="halve the graph's linear scale this many times")
-    update.add_argument("--seed", type=int, default=42)
+    _add_workload_flags(update)
     update.add_argument("--batch-frac", type=float, default=0.01,
                         metavar="FRAC",
                         help="fraction of edges held out and replayed as "
@@ -334,25 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     update.add_argument("--batches", type=int, default=1, metavar="N",
                         help="split the held-out edges into N sequential "
                              "update batches (default: 1)")
-    update.add_argument(
-        "--faults", metavar="SPEC", default=None,
-        help="inject faults under the comm substrate during convergence "
-             "AND the updates (see repro.faults.parse_fault_spec); the "
-             "maintained fixpoint must still match the fault-free cold "
-             "recompute bit-for-bit",
-    )
-    update.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="K",
-        help="checkpoint each recursive stratum every K iterations "
-             "(required to survive an injected rank crash)",
-    )
-    update.add_argument(
-        "--replicas", type=int, default=0, metavar="N",
-        help="mirror each rank's checkpoint to N buddy ranks",
-    )
-    _add_obs_flags(update)
-    _add_wire_flags(update)
-    _add_rebalance_flags(update)
 
     query = sub.add_parser(
         "query", help="run a Datalog source file (surface syntax)"
@@ -369,9 +332,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "per rank, in lockstep) instead of the BSP driver")
     query.add_argument("--limit", type=int, default=20,
                        help="max tuples to print per output relation")
-    _add_obs_flags(query)
-    _add_wire_flags(query)
-    _add_rebalance_flags(query)
+    for command in (run, update, query):
+        _add_obs_flags(command)
+        _add_wire_flags(command)
+        _add_rebalance_flags(command)
 
     tr = sub.add_parser(
         "trace-report",
@@ -408,11 +372,7 @@ def _want_diagnostics(args: argparse.Namespace) -> bool:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    # Diagnostics need the span stream, so they imply a live tracer.
-    tracer = Tracer() if args.trace or _want_diagnostics(args) else None
-    # All cross-field validation (crash vs --checkpoint-every, crash_perm
-    # vs --replicas, rebalance factor) lives in api.Options.validate().
-    config = _engine_config(args, tracer=tracer)
+    config = _options_from_args(args)
     sources = _sources_from_args(args)
     graph = _dataset_from_args(args)
     quiet = args.json
@@ -568,8 +528,8 @@ def _cmd_update(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--batch-frac must be in (0, 1), got {args.batch_frac}"
         )
-    tracer = Tracer() if args.trace or _want_diagnostics(args) else None
-    session = Session(_options_from_args(args, tracer=tracer))
+    config = _options_from_args(args)
+    session = Session(config)
     sources = _sources_from_args(args)
     graph = _dataset_from_args(args)
     program, edges, other_facts, answer_rel = _program_and_facts(
@@ -609,13 +569,11 @@ def _cmd_update(args: argparse.Namespace) -> int:
                 f"{update_costs[-1]:.6f}s"
             )
 
-    # The oracle: a fault-free cold recompute on the union EDB.
-    cold_options = _options_from_args(args, tracer=None)
-    cold_options.faults = type(cold_options.faults)()
-    cold_options.recovery = type(cold_options.recovery)()
-    cold = _cold_run(
-        program, edges, other_facts, cold_options.to_engine_config()
-    )
+    # The oracle: a fault-free, unobserved cold recompute on the union EDB.
+    cold = _cold_run(program, edges, other_facts, replace(
+        config, faults=FaultOptions(), recovery=RecoveryOptions(),
+        diagnostics=DiagnosticsOptions(),
+    ))
     cold_modeled = cold.cluster.ledger.total_seconds()
     names = sorted(cold.store.relations)
     identical_answers = session.relation(answer_rel) == cold.store[
@@ -772,8 +730,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.planner.parser import DatalogSyntaxError, parse_program
     from repro.runtime.engine import Engine
 
-    tracer = Tracer() if args.trace or _want_diagnostics(args) else None
-    config = _engine_config(args, tracer=tracer)
+    config = _options_from_args(args)
     if args.spmd:
         from repro.runtime.spmd import spmd_refusals
 

@@ -120,7 +120,7 @@ class SimCluster:
     def from_config(cls, config, *, tracer=None, comm_recorder=None) -> "SimCluster":
         """The cluster an ``EngineConfig`` describes (cost model, fault
         plane with its stragglers, delivery reordering), for both drivers."""
-        faults = config.faults
+        faults = config.faults.config
         return cls(
             config.n_ranks,
             config.cost_model,

@@ -40,8 +40,6 @@ def optimized_config(
     *,
     edge_subbuckets: int = 8,
     cost_model: Optional[CostModel] = None,
-    seed: int = 0xC0FFEE,
-    tracer=None,
 ) -> EngineConfig:
     """PARALAGG with both §IV optimizations on (the paper's "O")."""
     return EngineConfig(
@@ -49,8 +47,6 @@ def optimized_config(
         dynamic_join=True,
         subbuckets={"edge": edge_subbuckets},
         cost_model=cost_model,
-        seed=seed,
-        tracer=tracer,
     )
 
 
@@ -58,8 +54,6 @@ def baseline_config(
     n_ranks: int,
     *,
     cost_model: Optional[CostModel] = None,
-    seed: int = 0xC0FFEE,
-    tracer=None,
 ) -> EngineConfig:
     """The paper's "B": no vote, no sub-buckets, and the static layout
     that serializes the large static relation (§V-B: edges "mistakenly
@@ -70,8 +64,6 @@ def baseline_config(
         static_outer="right",
         default_subbuckets=1,
         cost_model=cost_model,
-        seed=seed,
-        tracer=tracer,
     )
 
 

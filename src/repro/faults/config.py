@@ -15,7 +15,7 @@ a config, e.g.::
 
 A config does not know the world it will run in, so the ranks it names
 are checked against one in one place, :meth:`FaultConfig.check_ranks`,
-called by the fault plane and by ``Options.validate``.
+called by the fault plane and by ``EngineConfig.validate``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class FaultConfig:
         Like ``crash_rank``/``crash_superstep`` but the loss is
         *permanent*: no spare exists, so recovery must re-own the dead
         rank's buckets onto the survivors and restore its state from a
-        checkpoint replica (requires ``EngineConfig.replicas >= 1``).
+        checkpoint replica (requires ``EngineConfig.recovery.replicas >= 1``).
         Mutually exclusive with the transient crash pair.
     stragglers:
         ``rank -> slowdown factor`` (>= 1): that rank's compute charges

@@ -28,10 +28,12 @@ computed from them on demand.
 Typical use::
 
     from repro import Engine, EngineConfig
+    from repro.api import DiagnosticsOptions
     from repro.obs import Tracer
 
     tracer = Tracer()
-    engine = Engine(program, EngineConfig(n_ranks=8, tracer=tracer))
+    engine = Engine(program, EngineConfig(
+        n_ranks=8, diagnostics=DiagnosticsOptions(tracer=tracer)))
     ...
     result = engine.run()
     result.write_trace("out.json")   # open in Perfetto

@@ -927,7 +927,7 @@ class DiagnosticsReport:
         if not cp.steps:
             lines.append(
                 "  needs a tracer: it is read off the per-rank span lanes "
-                "(--trace, or EngineConfig.tracer)"
+                "(--trace, or EngineConfig.diagnostics.tracer)"
             )
         else:
             lines.append(

@@ -1,4 +1,4 @@
-"""Engine configuration.
+"""Engine configuration: one typed dataclass, every default written once.
 
 The paper's RQ1 ablation (Fig. 2) compares a *baseline* — no dynamic join
 planning, no spatial load balancing — against the *optimized* engine.
@@ -7,16 +7,128 @@ Both are the same code here; only this config differs:
 >>> baseline  = EngineConfig(n_ranks=256, dynamic_join=False, default_subbuckets=1)
 >>> optimized = EngineConfig(n_ranks=256, dynamic_join=True,
 ...                          subbuckets={"edge": 8})
+
+Top-level fields are the engine's core shape (ranks, placement, join
+planning, the wire switch); each subsystem hangs off its own group:
+:class:`FaultOptions`, :class:`RecoveryOptions`,
+:class:`RebalanceOptions` and :class:`DiagnosticsOptions`:
+
+>>> crash_replay = EngineConfig(n_ranks=16, faults=FaultOptions(spec="crash=3@40"),
+...                             recovery=RecoveryOptions(checkpoint_every=8))
+
+:meth:`EngineConfig.validate` is the one place a value or a combination
+is rejected.  Construction runs it, and so does ``Engine.__init__``, so
+every driver (BSP, ``Session``, the per-rank slices) applies the same
+rules, even to a config mutated after it was built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, Literal, Optional
 
 from repro.comm.costmodel import CostModel
-from repro.faults.config import FaultConfig
+from repro.faults.config import FaultConfig, parse_fault_spec
 from repro.obs.tracer import Tracer
+
+
+class OptionsError(ValueError):
+    """A config that cannot run correctly: a combination of fields, or a
+    fault spec that does not parse or names a rank the world lacks."""
+
+
+@dataclass
+class FaultOptions:
+    """Fault injection under the comm substrate.
+
+    ``config`` is the declarative :class:`~repro.faults.FaultConfig`
+    schedule (crash, drop/dup/corrupt, stragglers); None is a perfect
+    network with zero fault-plane overhead.  ``spec`` takes the CLI's
+    compact mini-language instead, parsed here once into ``config`` —
+    pass one or the other, not both.
+    """
+
+    config: Optional[FaultConfig] = None
+    spec: InitVar[Optional[str]] = None
+
+    def __post_init__(self, spec: Optional[str]) -> None:
+        if spec is None:
+            return
+        if self.config is not None:
+            raise OptionsError(
+                "FaultOptions.config and FaultOptions.spec are alternatives "
+                "— pass the parsed FaultConfig or the spec string, not both"
+            )
+        try:
+            self.config = parse_fault_spec(spec)
+        except ValueError as exc:
+            raise OptionsError(f"bad --faults spec: {exc}") from None
+
+
+@dataclass
+class RecoveryOptions:
+    """Checkpointing and checkpoint replication."""
+
+    #: Take a coordinated checkpoint of every recursive stratum's state
+    #: every K iterations (plus one before the seed pass); required to
+    #: survive an injected rank crash.  None = no checkpoints.
+    checkpoint_every: Optional[int] = None
+    #: Mirror each rank's stratum snapshot to this many buddy ranks at
+    #: capture time (charged through the cost model).  Required (>= 1) to
+    #: survive a *permanent* rank loss (``crash_perm=R@S``): the dead
+    #: rank's state is restored from a surviving buddy and its buckets
+    #: re-owned onto the survivors.
+    replicas: int = 0
+
+
+@dataclass
+class RebalanceOptions:
+    """Online adaptive spatial rebalancing.
+
+    When enabled, every ``every`` iterations of a recursive stratum the
+    skew doctor's bucket-skew measurement is consulted per relation and,
+    past the trigger, the offending relation's sub-bucket count grows
+    mid-fixpoint via an intra-bucket redistribution exchange.  Results,
+    Δ trajectories and iteration counts are bit-identical to a static
+    run; only placement (and hence modeled time) moves.
+    """
+
+    enabled: bool = False
+    #: Check the trigger every K iterations (per recursive stratum).
+    every: int = 4
+    #: Top-bucket share of a relation's tuples that arms the trigger
+    #: (matches the skew doctor's ``top_bucket_threshold``).
+    threshold: float = 0.25
+    #: Projected per-rank overload (top_share × n_ranks / n_subbuckets)
+    #: below which the current fan-out is considered sufficient — this is
+    #: what makes repeated doubling self-extinguishing.
+    factor: float = 2.0
+    #: Hard cap on any relation's online sub-bucket count.
+    max_subbuckets: int = 64
+    #: Relations smaller than this never rebalance (migration would cost
+    #: more than the imbalance).
+    min_tuples: int = 64
+
+
+@dataclass
+class DiagnosticsOptions:
+    """Observation-only instrumentation: results and ledger totals are
+    bit-identical with any of it on or off."""
+
+    #: Capture one rank×rank communication matrix per exchange and
+    #: surface it on ``FixpointResult.comm_profile`` (the skew doctor and
+    #: critical-path attribution read it); with a tracer, the matrices
+    #: ride along in the trace as ``comm_matrix`` instant spans.
+    enabled: bool = False
+    #: Span/metrics sink (:class:`repro.obs.tracer.Tracer`): nested spans
+    #: for every phase, iteration and stratum, per-rank lane entries and a
+    #: metrics registry.  None = the zero-overhead no-op tracer.
+    tracer: Optional[Tracer] = None
+    #: Record an order-independent per-relation Δ fingerprint in every
+    #: IterationTrace (xor of row hashes) — the evidence that Δ
+    #: *trajectories*, not just final results, are identical across
+    #: configurations.  Costs one hash pass over Δ per iteration.
+    delta_fingerprints: bool = False
 
 
 @dataclass
@@ -27,6 +139,10 @@ class EngineConfig:
     ----------
     n_ranks:
         Number of simulated MPI ranks.
+    seed:
+        Seed for all hashing/placement; fixed seed = bit-reproducible runs.
+    max_iterations:
+        Safety bound on fixpoint length.
     dynamic_join:
         Enable Algorithm 1's per-iteration outer/inner vote (§IV-D).
     vote_abstain_empty:
@@ -43,98 +159,59 @@ class EngineConfig:
         Per-relation spatial load-balancing factor (§IV-C); the paper's
         default for input relations is 8.  Unlisted relations use
         ``default_subbuckets``.
+    auto_balance:
+        When set, ``run()`` adaptively sub-buckets every loaded EDB
+        relation until its projected max/mean imbalance is at or below
+        this value (§IV-C's "if ... still imbalanced" rule).
     cost_model:
         Interconnect + compute cost model for modeled time.
-    max_iterations:
-        Safety bound on fixpoint length.
-    seed:
-        Seed for all hashing/placement; fixed seed = bit-reproducible runs.
-    tracer:
-        Observability sink (:class:`repro.obs.tracer.Tracer`).  When set,
-        the engine emits nested spans for every pipeline phase, iteration
-        and stratum boundary, per-rank compute/comm lane entries, and a
-        metrics registry — exportable via :mod:`repro.obs.export`.  None
-        (the default) uses the zero-overhead no-op tracer.
+    reorder_messages_seed:
+        Shuffle every collective's delivery buffer with this seed (models
+        nondeterministic arrival order; results must be unchanged).
+    wire:
+        The wire-optimization layer under the route exchange: the sender
+        fold, the ``delta`` codec and the α–β collective autotune,
+        together.  ``False`` reproduces the pre-wire engine bit-for-bit
+        (results AND ledger); with it on, only modeled bytes/seconds move.
     """
 
     n_ranks: int = 4
+    seed: int = 0xC0FFEE
+    max_iterations: int = 1_000_000
     dynamic_join: bool = True
     vote_abstain_empty: bool = True
     static_outer: Literal["left", "right"] = "left"
     subbuckets: Dict[str, int] = field(default_factory=dict)
     default_subbuckets: int = 1
-    #: When set, run() adaptively sub-buckets every loaded EDB relation
-    #: until its projected max/mean imbalance is at or below this value
-    #: (the paper §IV-C's "if ... still imbalanced" rule); None disables.
     auto_balance: Optional[float] = None
     cost_model: Optional[CostModel] = None
-    max_iterations: int = 1_000_000
-    seed: int = 0xC0FFEE
-    #: Failure injection: shuffle every collective's delivery buffer with
-    #: this seed (models nondeterministic network arrival order; results
-    #: must be unchanged).  None = deterministic delivery.
     reorder_messages_seed: Optional[int] = None
-    tracer: Optional[Tracer] = None
-    #: Performance diagnostics (:mod:`repro.obs.analysis`): capture one
-    #: rank×rank communication matrix per exchange and surface it on
-    #: ``FixpointResult.comm_profile``.  Observation only — results and
-    #: ledger totals are bit-identical with the flag on or off; when a
-    #: tracer is also active, the matrices ride along in the trace as
-    #: ``comm_matrix`` instant spans for offline ``trace-report``.
-    diagnostics: bool = False
-    #: Fault schedule (:class:`repro.faults.FaultConfig`): rank crash,
-    #: message drop/dup/corrupt, stragglers.  None = perfect network with
-    #: zero fault-plane overhead (modeled ledger totals unchanged).
-    faults: Optional[FaultConfig] = None
-    #: Take a coordinated checkpoint of every recursive stratum's state
-    #: every K iterations (plus one before the seed pass); required to
-    #: survive an injected rank crash.  None = no checkpoints.
-    checkpoint_every: Optional[int] = None
-    #: Checkpoint replication factor (PR 9): mirror each rank's stratum
-    #: snapshot to this many buddy ranks at capture time (charged through
-    #: the cost model).  Required (>= 1) to survive a *permanent* rank
-    #: loss (``crash_perm=R@S``): the dead rank's state is restored from
-    #: a surviving buddy and its buckets re-owned onto the survivors.
-    #: 0 = no replication — a permanent loss then fails loudly with
-    #: :class:`repro.faults.UnrecoverableRankLoss`.
-    replicas: int = 0
-    #: Wire-optimization layer under the route exchange: the sender
-    #: fold, the ``delta`` codec and the α–β collective autotune,
-    #: together.  ``False`` reproduces the pre-wire engine bit-for-bit
-    #: (results AND ledger).  With the layer on, fixpoint results, Δ
-    #: contents and iteration counts are unchanged — only modeled
-    #: bytes/seconds move (that is the optimization).
     wire: bool = True
-    #: Online adaptive spatial rebalancing (PR 8): every
-    #: ``rebalance_every`` iterations of a recursive stratum, consult the
-    #: skew doctor's bucket-skew measurement per relation and, past the
-    #: trigger, grow the offending relation's sub-bucket count
-    #: mid-fixpoint via an intra-bucket redistribution exchange.  Results,
-    #: Δ trajectories and iteration counts are bit-identical to a static
-    #: run; only placement (and hence modeled time) moves.
-    rebalance: bool = False
-    #: Check the trigger every K iterations (per recursive stratum).
-    rebalance_every: int = 4
-    #: Top-bucket share of a relation's tuples that arms the trigger
-    #: (matches the skew doctor's ``top_bucket_threshold``).
-    rebalance_threshold: float = 0.25
-    #: Projected per-rank overload (top_share × n_ranks / n_subbuckets)
-    #: below which the current fan-out is considered sufficient — this is
-    #: what makes repeated doubling self-extinguishing.
-    rebalance_factor: float = 2.0
-    #: Hard cap on any relation's online sub-bucket count.
-    rebalance_max_subbuckets: int = 64
-    #: Relations smaller than this never rebalance (migration would cost
-    #: more than the imbalance).
-    rebalance_min_tuples: int = 64
-    #: Record an order-independent per-relation Δ fingerprint in every
-    #: IterationTrace (xor of row hashes) — the test plane's evidence
-    #: that Δ *trajectories*, not just final results, are identical
-    #: with rebalance on and off.  Off by default: it costs
-    #: one hash pass over Δ per iteration.
-    delta_fingerprints: bool = False
+    faults: FaultOptions = field(default_factory=FaultOptions)
+    recovery: RecoveryOptions = field(default_factory=RecoveryOptions)
+    rebalance: RebalanceOptions = field(default_factory=RebalanceOptions)
+    diagnostics: DiagnosticsOptions = field(default_factory=DiagnosticsOptions)
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Check every field, then every combination of fields.
+
+        A value out of range raises :class:`ValueError` opening with the
+        field's path (``rebalance.every must be >= 1``); a combination
+        that cannot run correctly raises :class:`OptionsError` naming the
+        fields and the CLI flags that set them:
+
+        * every rank a fault schedule names must exist at ``n_ranks``
+          (:meth:`~repro.faults.FaultConfig.check_ranks`, also run by the
+          fault plane itself);
+        * a crash schedule requires checkpoints to recover from;
+        * a permanent rank loss additionally requires replication;
+        * replication without checkpoints is a silent no-op;
+        * an enabled rebalancer whose ``max_subbuckets`` cap is at or
+          below the static sub-bucket fan-out can never grow anything.
+        """
         if self.n_ranks < 1:
             raise ValueError(f"n_ranks must be >= 1, got {self.n_ranks}")
         if self.max_iterations < 1:
@@ -156,37 +233,77 @@ class EngineConfig:
             raise ValueError(
                 f"auto_balance tolerance must be >= 1.0, got {self.auto_balance}"
             )
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-        if not 0 <= self.replicas < self.n_ranks:
-            raise ValueError(
-                f"replicas must be in [0, n_ranks), got {self.replicas} "
-                f"for {self.n_ranks} ranks"
-            )
         if not isinstance(self.wire, bool):
             raise ValueError(f"wire must be a bool, got {type(self.wire).__name__}")
-        if self.rebalance_every < 1:
+        recovery, rebalance = self.recovery, self.rebalance
+        if recovery.checkpoint_every is not None and recovery.checkpoint_every < 1:
             raise ValueError(
-                f"rebalance_every must be >= 1, got {self.rebalance_every}"
+                "recovery.checkpoint_every must be >= 1, "
+                f"got {recovery.checkpoint_every}"
             )
-        if not 0.0 <= self.rebalance_threshold <= 1.0:
+        if not 0 <= recovery.replicas < self.n_ranks:
             raise ValueError(
-                f"rebalance_threshold must be in [0, 1], "
-                f"got {self.rebalance_threshold}"
+                f"recovery.replicas must be in [0, n_ranks), got "
+                f"{recovery.replicas} for {self.n_ranks} ranks"
             )
-        if self.rebalance_factor < 0.0:
+        if rebalance.every < 1:
+            raise ValueError(f"rebalance.every must be >= 1, got {rebalance.every}")
+        if not 0.0 <= rebalance.threshold <= 1.0:
             raise ValueError(
-                f"rebalance_factor must be >= 0, got {self.rebalance_factor}"
+                f"rebalance.threshold must be in [0, 1], got {rebalance.threshold}"
             )
-        if self.rebalance_max_subbuckets < 1:
+        if rebalance.factor < 0.0:
+            raise ValueError(f"rebalance.factor must be >= 0, got {rebalance.factor}")
+        if rebalance.max_subbuckets < 1:
             raise ValueError(
-                f"rebalance_max_subbuckets must be >= 1, "
-                f"got {self.rebalance_max_subbuckets}"
+                f"rebalance.max_subbuckets must be >= 1, got {rebalance.max_subbuckets}"
             )
-        if self.rebalance_min_tuples < 0:
+        if rebalance.min_tuples < 0:
             raise ValueError(
-                f"rebalance_min_tuples must be >= 0, "
-                f"got {self.rebalance_min_tuples}"
+                f"rebalance.min_tuples must be >= 0, got {rebalance.min_tuples}"
             )
+
+        faults = self.faults.config
+        if faults is not None:
+            try:
+                faults.check_ranks(self.n_ranks)
+            except ValueError as exc:
+                raise OptionsError(f"bad --faults spec: {exc}") from None
+            if faults.has_crash and recovery.checkpoint_every is None:
+                raise OptionsError(
+                    "FaultOptions inject a rank crash but "
+                    "RecoveryOptions.checkpoint_every is unset; checkpoints "
+                    "are required to recover (--checkpoint-every K)"
+                )
+            if faults.has_permanent_crash and recovery.replicas < 1:
+                raise OptionsError(
+                    "FaultOptions inject a permanent rank loss (crash_perm) "
+                    "but RecoveryOptions.replicas is 0; a surviving buddy "
+                    "must hold the dead rank's checkpoint — set replicas "
+                    ">= 1 (--replicas N)"
+                )
+        if recovery.replicas > 0 and recovery.checkpoint_every is None:
+            raise OptionsError(
+                "RecoveryOptions.replicas > 0 replicates checkpoints, but "
+                "RecoveryOptions.checkpoint_every is unset so none are ever "
+                "taken; set checkpoint_every (--checkpoint-every K) or drop "
+                "the replicas"
+            )
+        if rebalance.enabled:
+            static_fanout = max([self.default_subbuckets, *self.subbuckets.values()])
+            if rebalance.max_subbuckets <= static_fanout:
+                raise OptionsError(
+                    "RebalanceOptions.max_subbuckets "
+                    f"({rebalance.max_subbuckets}) is at or below the "
+                    f"static sub-bucket fan-out ({static_fanout}) from "
+                    "Options.subbuckets/default_subbuckets (--subbuckets), so "
+                    "the enabled rebalancer can never grow any relation — a "
+                    "silent no-op; raise max_subbuckets, lower the static "
+                    "fan-out, or drop --rebalance"
+                )
+
+    def to_engine_config(self) -> "EngineConfig":
+        """This config, validated.  Kept only because ``bench/driver.py``
+        calls it; re-pointing that adapter (ROADMAP item 2) deletes it."""
+        self.validate()
+        return self

@@ -76,7 +76,9 @@ class Engine:
     def __init__(self, program: Program, config: Optional[EngineConfig] = None,
                  *, cluster=None):
         self.config = config or EngineConfig()
-        self.tracer = self.config.tracer if self.config.tracer is not None else NULL_TRACER
+        self.config.validate()
+        tracer = self.config.diagnostics.tracer
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.compiled: CompiledProgram = compile_program(
             program,
             subbuckets=self.config.subbuckets,
@@ -85,7 +87,7 @@ class Engine:
         #: Diagnostics plane: rank×rank traffic capture (observation only;
         #: results and ledger charges are bit-identical either way).
         self.comm_recorder = None
-        if self.config.diagnostics:
+        if self.config.diagnostics.enabled:
             from repro.obs.analysis import CommMatrixRecorder
 
             self.comm_recorder = CommMatrixRecorder(self.config.n_ranks)
@@ -101,15 +103,16 @@ class Engine:
         self.recovery: Optional[RecoveryManager] = (
             RecoveryManager(self.config)
             if self.fault_plane is not None
-            or self.config.checkpoint_every is not None
+            or self.config.recovery.checkpoint_every is not None
             else None
         )
         # Lattice monotonicity audit: only worth paying for when injected
         # corruption could actually reach an absorb.
+        faults = self.config.faults.config
         self._audit = (
-            self.config.faults is not None
-            and self.config.faults.audit_monotonicity
-            and self.config.faults.has_message_faults
+            faults is not None
+            and faults.audit_monotonicity
+            and faults.has_message_faults
         )
         #: The data plane: how tuples are held while they cross the pipeline.
         self._exec = ColumnarExecutor()
@@ -135,9 +138,9 @@ class Engine:
         }
         #: Online adaptive spatial rebalancing (PR 8): periodically grows
         #: skewed relations' sub-bucket counts mid-fixpoint.  None when
-        #: ``EngineConfig.rebalance`` is off.
+        #: ``EngineConfig.rebalance.enabled`` is off.
         self.rebalancer: Optional[RebalanceManager] = (
-            RebalanceManager(self.config) if self.config.rebalance else None
+            RebalanceManager(self.config) if self.config.rebalance.enabled else None
         )
 
     # ------------------------------------------------------------------ load
@@ -396,7 +399,7 @@ class Engine:
                 if (
                     self.rebalancer is not None
                     and changed
-                    and iteration % self.config.rebalance_every == 0
+                    and iteration % self.config.rebalance.every == 0
                 ):
                     # Iteration boundary: Δs advanced, nothing in flight
                     # (after the first pass, IDB relations it just
@@ -479,7 +482,7 @@ class Engine:
         wall_delta = self.timer.snapshot()
         fingerprints = (
             self._delta_fingerprints(stratum)
-            if self.config.delta_fingerprints
+            if self.config.diagnostics.delta_fingerprints
             else {}
         )
         if self.tracer.enabled:

@@ -370,7 +370,7 @@ class FixpointHandle:
                         # the exchange, within the fault plane's own retry
                         # budget (then escalate).
                         attempts += 1
-                        faults = engine.config.faults
+                        faults = engine.config.faults.config
                         if faults is None or attempts > faults.max_retries:
                             raise
                         engine.fault_plane.mark_restarted(failure.rank)

@@ -3,7 +3,7 @@
 The static engine fixes every relation's sub-bucket count up front
 (``Schema.n_subbuckets``), and the PR 6 skew doctor merely *reports* when
 a hot join key concentrates a relation on one bucket.  This module closes
-the loop: every ``EngineConfig.rebalance_every`` iterations of a
+the loop: every ``EngineConfig.rebalance.every`` iterations of a
 recursive stratum the engine measures per-bucket occupancy, and past a
 configurable top-bucket/Gini threshold it grows the offending relation's
 sub-bucket count **mid-fixpoint**, re-hashing the shards and moving rows
@@ -230,20 +230,20 @@ class RebalanceManager:
         """Trigger test + target count for one relation; None = keep."""
         cfg = self.config
         n_sub = rel.schema.n_subbuckets
-        if n_sub >= cfg.rebalance_max_subbuckets:
+        if n_sub >= cfg.rebalance.max_subbuckets:
             return None
-        if measure.total < cfg.rebalance_min_tuples:
+        if measure.total < cfg.rebalance.min_tuples:
             return None
-        if measure.top_share < cfg.rebalance_threshold:
+        if measure.top_share < cfg.rebalance.threshold:
             return None
         # Projected tuples on the hottest rank relative to the mean, if
         # the top bucket's mass splits across the current fan-out.  Once
         # the fan-out covers the skew this drops under the factor and
         # growth self-extinguishes.
         overload = measure.top_share * rel.n_ranks / n_sub
-        if overload < cfg.rebalance_factor:
+        if overload < cfg.rebalance.factor:
             return None
-        doubled = min(n_sub * 2, cfg.rebalance_max_subbuckets)
+        doubled = min(n_sub * 2, cfg.rebalance.max_subbuckets)
         if rel.schema.name not in self._seeded:
             # First trigger: seed from the offline recommender (satellite
             # of the paper's "if ... still imbalanced" rule), never less
@@ -253,11 +253,11 @@ class RebalanceManager:
                 list(rel.iter_full()),
                 rel.schema,
                 rel.n_ranks,
-                max_subbuckets=cfg.rebalance_max_subbuckets,
+                max_subbuckets=cfg.rebalance.max_subbuckets,
                 seed=rel.dist.seed,
             )
             target = max(doubled, recommended)
-            return min(target, cfg.rebalance_max_subbuckets), "recommend"
+            return min(target, cfg.rebalance.max_subbuckets), "recommend"
         return doubled, "double"
 
     # ----------------------------------------------------------------- hook

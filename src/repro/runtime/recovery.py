@@ -76,7 +76,7 @@ class RecoveryManager:
     def due(self, iteration: int, changed: bool) -> bool:
         """Cadence: before the first pass (``iteration == -1``), then at
         every ``checkpoint_every``-th iteration that changed something."""
-        every = self.config.checkpoint_every
+        every = self.config.recovery.checkpoint_every
         return every is not None and (
             iteration < 0 or (changed and iteration % every == 0)
         )
@@ -135,7 +135,7 @@ class RecoveryManager:
             )
             replica_bytes, replica_seconds = (
                 self._replicate(engine, ckpt, names, per_rank)
-                if cfg.replicas >= 1
+                if cfg.recovery.replicas >= 1
                 else (0, 0.0)
             )
         stats = self.stats
@@ -157,10 +157,10 @@ class RecoveryManager:
         ckpt.live_ranks = live
         if len(live) <= 1:
             return 0, 0.0
-        eff = min(cfg.replicas, len(live) - 1)
+        eff = min(cfg.recovery.replicas, len(live) - 1)
         nbytes = int(per_rank[live].sum()) * eff
         seconds = engine.cluster.cost.checkpoint_replicate(
-            cfg.n_ranks, int(per_rank.max()), cfg.replicas
+            cfg.n_ranks, int(per_rank.max()), cfg.recovery.replicas
         )
         engine.cluster.ledger.add_comm(
             CommEvent(
@@ -177,7 +177,7 @@ class RecoveryManager:
                 per_rank_tuples += engine.store[name].sizes_by_rank()
             m = engine.comm_recorder.begin("replica", "checkpoint")
             for rank in live:
-                for buddy in replica_buddies(rank, live, cfg.replicas):
+                for buddy in replica_buddies(rank, live, cfg.recovery.replicas):
                     m.add(
                         rank,
                         buddy,
@@ -271,7 +271,7 @@ class RecoveryManager:
         Raises :class:`UnrecoverableRankLoss` — loudly, never silently
         wrong — when no replica of its state survives; pure, so the raise
         leaves everything untouched."""
-        if self.config.replicas < 1:
+        if self.config.recovery.replicas < 1:
             raise UnrecoverableRankLoss(
                 failure.rank,
                 failure.superstep,
@@ -279,7 +279,7 @@ class RecoveryManager:
                 "rerun with --replicas >= 1",
             )
         buddies = replica_buddies(
-            failure.rank, ckpt.live_ranks, self.config.replicas
+            failure.rank, ckpt.live_ranks, self.config.recovery.replicas
         )
         for buddy in buddies:
             if buddy not in self.dead_ranks:

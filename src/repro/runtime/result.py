@@ -36,7 +36,7 @@ class IterationTrace:
     #: Host wall seconds by phase for this iteration (simulation cost).
     wall_phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Order-independent multiset digest of each stratum relation's Δ at
-    #: the end of this iteration (``EngineConfig.delta_fingerprints``);
+    #: the end of this iteration (``EngineConfig.diagnostics.delta_fingerprints``);
     #: empty when fingerprinting is off.  Placement-invariant, so
     #: trajectories can be compared across rebalance on/off runs.
     delta_fingerprints: Dict[str, int] = field(default_factory=dict)
@@ -59,11 +59,11 @@ class FixpointResult:
     recovery: Optional[RecoveryStats] = None
     #: Per-exchange rank×rank communication matrices
     #: (:class:`repro.obs.analysis.CommMatrixRecorder`); None unless the
-    #: run had ``EngineConfig.diagnostics`` enabled.
+    #: run had ``EngineConfig.diagnostics.enabled``.
     comm_profile: Optional[object] = None
     #: Executed online-rebalance events, as plain dicts
     #: (:class:`repro.runtime.rebalance.RebalanceEvent`); None unless the
-    #: run had ``EngineConfig.rebalance`` enabled.  Deliberately not part
+    #: run had ``EngineConfig.rebalance.enabled``.  Deliberately not part
     #: of :meth:`summary` — it describes placement, not semantics.
     rebalance: Optional[List[Dict[str, object]]] = None
     #: Elastic degraded-mode recovery accounting
@@ -292,7 +292,7 @@ class FixpointResult:
         """Run the diagnostics plane on this result.
 
         Returns a :class:`repro.obs.analysis.DiagnosticsReport` — critical
-        path, skew doctor, and (when ``EngineConfig.diagnostics`` captured
+        path, skew doctor, and (when ``EngineConfig.diagnostics.enabled`` captured
         comm matrices) ledger reconciliation.  The critical path is
         attributed over the per-rank span lanes, so it needs a traced run;
         the rest does not.

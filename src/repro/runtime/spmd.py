@@ -57,18 +57,18 @@ class LockstepError(RuntimeError):
 
 
 def spmd_refusals(config: EngineConfig) -> List[str]:
-    """The fields of ``config`` the per-rank driver refuses (empty: it
-    runs): planes that read or charge state around the comm."""
-    faults = config.faults
+    """The fields of ``config`` the per-rank driver refuses, by leaf name
+    (empty: it runs): planes that read or charge state around the comm."""
+    faults = config.faults.config
     checks = (
         ("faults.crash", faults is not None and faults.crash_rank is not None),
         ("faults.crash_perm", faults is not None and faults.has_permanent_crash),
-        ("checkpoint_every", config.checkpoint_every is not None),
-        ("replicas", config.replicas > 0),
-        ("rebalance", config.rebalance),
+        ("checkpoint_every", config.recovery.checkpoint_every is not None),
+        ("replicas", config.recovery.replicas > 0),
+        ("rebalance", config.rebalance.enabled),
         ("auto_balance", config.auto_balance is not None),
-        ("tracer", config.tracer is not None),
-        ("diagnostics", config.diagnostics),
+        ("tracer", config.diagnostics.tracer is not None),
+        ("diagnostics", config.diagnostics.enabled),
     )
     return [name for name, refused in checks if refused]
 
@@ -199,6 +199,7 @@ def run_ranks(
     arity=…)``) or its own entry (``allreduce({comm.rank: value})``).
     An exception in any rank is re-raised here once every thread is done.
     """
+    config.validate()
     rendezvous = _Rendezvous(SimCluster.from_config(config))
     n = config.n_ranks
     results: List[T] = [None] * n  # type: ignore[list-item]
@@ -239,6 +240,7 @@ def run_slices(
     each update batch (``FixpointHandle.update``); the engines and results
     in rank order — every result's ``ledger`` reads the shared one."""
     config = config or EngineConfig()
+    config.validate()
     refused = spmd_refusals(config)
     if refused:
         raise ValueError(

@@ -18,6 +18,11 @@ import math
 import pytest
 
 from repro import Engine, EngineConfig
+from repro.api import (
+    DiagnosticsOptions,
+    FaultOptions,
+    RecoveryOptions,
+)
 from repro.faults import FaultConfig
 from repro.obs import Tracer
 from repro.obs.analysis import (
@@ -40,13 +45,15 @@ from repro.queries.sssp import sssp_program
 RING = [(i, (i + 1) % 24) for i in range(24)] + [(0, 7), (3, 15), (9, 2)]
 
 
-def _run_tc(*, diagnostics=False, tracer=None, n_ranks=4, **kw):
+def _run_tc(*, diagnostics=False, tracer=None, n_ranks=4, faults=None,
+            checkpoint_every=None, **kw):
     engine = Engine(
         tc_program(),
         EngineConfig(
             n_ranks=n_ranks,
-            diagnostics=diagnostics,
-            tracer=tracer,
+            diagnostics=DiagnosticsOptions(enabled=diagnostics, tracer=tracer),
+            faults=FaultOptions(config=faults),
+            recovery=RecoveryOptions(checkpoint_every=checkpoint_every),
             **kw,
         ),
     )
@@ -227,7 +234,10 @@ class TestSkewDoctor:
         star = [(0, i) for i in range(1, 40)]
         engine = Engine(
             tc_program(),
-            EngineConfig(n_ranks=4, diagnostics=True, tracer=Tracer()),
+            EngineConfig(
+                n_ranks=4,
+                diagnostics=DiagnosticsOptions(enabled=True, tracer=Tracer()),
+            ),
         )
         engine.load("edge", star)
         fp = engine.run()
@@ -370,7 +380,9 @@ class TestOfflineDiagnostics:
     def test_untraced_run_diagnoses_without_critical_path(self):
         """The skew doctor and the reconciliation need no spans; only the
         critical path does, and the report says so instead of raising."""
-        engine = Engine(sssp_program(), EngineConfig(n_ranks=4, diagnostics=True))
+        engine = Engine(sssp_program(), EngineConfig(
+            n_ranks=4, diagnostics=DiagnosticsOptions(enabled=True)
+        ))
         engine.load("edge", [(i, (i + 1) % 12, 1) for i in range(12)])
         engine.load("start", [(0,)])
         report = engine.run().diagnose()
@@ -449,7 +461,10 @@ class TestSsspDiagnostics:
     def test_aggregating_program_reconciles(self):
         engine = Engine(
             sssp_program(4),
-            EngineConfig(n_ranks=4, diagnostics=True, tracer=Tracer()),
+            EngineConfig(
+                n_ranks=4,
+                diagnostics=DiagnosticsOptions(enabled=True, tracer=Tracer()),
+            ),
         )
         engine.load(
             "edge", [(i, (i + 1) % 12, 1) for i in range(12)] + [(0, 6, 9)]

@@ -1,11 +1,15 @@
-"""repro.api tests: Options groups, validation, Session lifecycle.
+"""repro.api tests: the one config, its validation, Session lifecycle.
 
-Satellite coverage for PR 10: every CLI flag of ``run``/``update``/
-``query``/``bench`` must round-trip flag → grouped Options →
-EngineConfig; cross-field validation must name the Options
-fields involved; and ``FixpointResult.to_dict`` must expose one stable
-schema regardless of which subsystems ran.
+Every CLI flag of ``run``/``update``/``query`` must land on its config
+field; every cross-field rule must name the fields involved and be
+applied by every driver; and ``FixpointResult.to_dict`` must expose one
+stable schema regardless of which subsystems ran.
 """
+
+import importlib
+import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,7 @@ from repro.api import (
 )
 from repro.cli import _build_parser, _options_from_args
 from repro.faults.config import FaultConfig
+from repro.runtime.spmd import run_slices
 
 #: The one data plane.  The axis has a single value: it keeps the
 #: ``columnar`` case ids from when a tuple-at-a-time plane ran beside it.
@@ -44,91 +49,112 @@ EDGES = [(0, 1, 4), (0, 2, 9), (1, 2, 1), (2, 3, 2), (3, 4, 3)]
 
 
 class TestOptionsRoundTrip:
-    def test_defaults_equal_engine_defaults(self):
-        assert Options().to_engine_config() == EngineConfig()
-
-    def test_lossless_round_trip(self):
-        options = Options(
-            n_ranks=16,
-            seed=7,
-            max_iterations=500,
-            dynamic_join=False,
-            vote_abstain_empty=False,
-            static_outer="right",
-            subbuckets={"edge": 4},
-            default_subbuckets=2,
-            auto_balance=1.5,
-            reorder_messages_seed=3,
-            wire=False,
-            faults=FaultOptions(config=FaultConfig(seed=9, drop=0.01)),
-            recovery=RecoveryOptions(checkpoint_every=3, replicas=1),
-            rebalance=RebalanceOptions(enabled=True, every=2, threshold=0.1,
-                                       factor=1.5, max_subbuckets=32,
-                                       min_tuples=8),
-            diagnostics=DiagnosticsOptions(enabled=True,
-                                           delta_fingerprints=True),
-        )
-        lifted = Options.from_engine_config(options.to_engine_config())
-        assert lifted == options
-        assert lifted.to_engine_config() == options.to_engine_config()
-
-    def test_wire_disabled_round_trip(self):
-        options = Options(wire=False)
-        config = options.to_engine_config()
-        assert config.wire is False
-        assert Options.from_engine_config(config).wire is False
+    """``Options`` is the engine config itself; what is left to check is
+    the fault spec, parsed once at construction."""
 
     def test_fault_spec_parses(self):
         options = Options(
             faults=FaultOptions(spec="drop=0.02,seed=7"),
         )
-        config = options.to_engine_config()
-        assert config.faults.drop == pytest.approx(0.02)
-        assert config.faults.seed == 7
+        assert options.faults.config.drop == pytest.approx(0.02)
+        assert options.faults.config.seed == 7
 
     def test_fault_spec_and_config_conflict(self):
-        options = Options(
-            faults=FaultOptions(config=FaultConfig(), spec="drop=0.1"),
-        )
         with pytest.raises(OptionsError, match="alternatives"):
-            options.to_engine_config()
+            Options(
+                faults=FaultOptions(config=FaultConfig(), spec="drop=0.1"),
+            )
+
+
+def _crash_without_checkpoints(config):
+    config.faults.config = FaultConfig(crash_rank=1, crash_superstep=3)
+
+
+def _crash_perm_without_replicas(config):
+    config.recovery.checkpoint_every = 2
+    config.faults.config = FaultConfig(crash_perm_rank=1,
+                                       crash_perm_superstep=3)
+
+
+def _replicas_without_checkpoints(config):
+    config.recovery.replicas = 1
+
+
+def _rebalance_cap_at_static_fanout(config):
+    config.rebalance.enabled = True
+    config.rebalance.max_subbuckets = 1
+
+
+def _fault_rank_out_of_range(config):
+    config.faults.config = FaultConfig(stragglers={9: 2.0})
+
+
+#: Each cross-field rule as a mutation that breaks a valid config, with
+#: fragments of the message it must raise.
+RULES = {
+    "crash-needs-checkpoints": (
+        _crash_without_checkpoints,
+        ("RecoveryOptions.checkpoint_every", "--checkpoint-every"),
+    ),
+    "crash_perm-needs-replicas": (
+        _crash_perm_without_replicas,
+        ("RecoveryOptions.replicas", "--replicas"),
+    ),
+    "replicas-need-checkpoints": (
+        _replicas_without_checkpoints,
+        ("RecoveryOptions.checkpoint_every is unset",),
+    ),
+    "rebalance-cap-at-fanout": (
+        _rebalance_cap_at_static_fanout,
+        ("RebalanceOptions.max_subbuckets (1)", "--subbuckets"),
+    ),
+    "fault-rank-out-of-range": (
+        _fault_rank_out_of_range,
+        ("bad --faults spec: straggle rank 9",),
+    ),
+}
+
+#: Every driver that takes a config, each handed the same program.
+ENTRY_POINTS = {
+    "Engine": lambda config: Engine(sssp_dsl(), config),
+    "Session": lambda config: Session(config),
+    "run_slices": lambda config: run_slices(
+        sssp_dsl(), {"edge": EDGES, "start": [(0,)]}, config=config
+    ),
+}
 
 
 class TestValidation:
     def test_crash_requires_checkpoints(self):
-        options = Options(
-            faults=FaultOptions(config=FaultConfig(crash_rank=1,
-                                                   crash_superstep=5)),
-        )
         with pytest.raises(OptionsError) as exc:
-            options.validate()
+            Options(
+                faults=FaultOptions(config=FaultConfig(crash_rank=1,
+                                                       crash_superstep=5)),
+            )
         assert "RecoveryOptions.checkpoint_every" in str(exc.value)
         assert "--checkpoint-every" in str(exc.value)
 
     def test_crash_perm_requires_replicas(self):
-        options = Options(
-            faults=FaultOptions(config=FaultConfig(crash_perm_rank=1,
-                                                   crash_perm_superstep=5)),
-            recovery=RecoveryOptions(checkpoint_every=2),
-        )
         with pytest.raises(OptionsError) as exc:
-            options.validate()
+            Options(
+                faults=FaultOptions(config=FaultConfig(crash_perm_rank=1,
+                                                       crash_perm_superstep=5)),
+                recovery=RecoveryOptions(checkpoint_every=2),
+            )
         assert "RecoveryOptions.replicas" in str(exc.value)
         assert "--replicas" in str(exc.value)
 
     def test_replicas_require_checkpoints(self):
-        options = Options(recovery=RecoveryOptions(replicas=2))
         with pytest.raises(OptionsError) as exc:
-            options.validate()
+            Options(recovery=RecoveryOptions(replicas=2))
         assert "checkpoint_every" in str(exc.value)
 
     def test_rebalance_cap_below_static_fanout(self):
-        options = Options(
-            subbuckets={"edge": 16},
-            rebalance=RebalanceOptions(enabled=True, max_subbuckets=16),
-        )
         with pytest.raises(OptionsError) as exc:
-            options.validate()
+            Options(
+                subbuckets={"edge": 16},
+                rebalance=RebalanceOptions(enabled=True, max_subbuckets=16),
+            )
         assert "RebalanceOptions.max_subbuckets" in str(exc.value)
         assert "--subbuckets" in str(exc.value)
         # A disabled group does not trip the cross-field rule.
@@ -154,10 +180,31 @@ class TestValidation:
         ).validate()
         Options(rebalance=RebalanceOptions(enabled=True, factor=1.0)).validate()
 
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_every_driver_rejects_up_front(self, entry, rule, monkeypatch):
+        """A config broken after it was built is refused by each driver
+        before any work, with the same message construction gives."""
+        import repro.runtime.engine as engine_mod
+
+        mutate, fragments = RULES[rule]
+        config = Options()
+        mutate(config)
+        # Nothing may be evaluated: loading or running a fact is work.
+        monkeypatch.setattr(engine_mod.Engine, "load", _no_work)
+        monkeypatch.setattr(engine_mod.Engine, "run", _no_work)
+        with pytest.raises(OptionsError) as exc:
+            ENTRY_POINTS[entry](config)
+        for fragment in fragments:
+            assert fragment in str(exc.value)
+
+
+def _no_work(*_args, **_kwargs):
+    raise AssertionError("a driver started work on an invalid config")
+
 
 class TestCliFlagRoundTrip:
-    """Every run/update/query/bench flag must land on the right
-    EngineConfig field after the flag → Options → EngineConfig trip."""
+    """Every run/update/query flag must land on the right config field."""
 
     def parse(self, argv):
         return _build_parser().parse_args(argv)
@@ -171,26 +218,25 @@ class TestCliFlagRoundTrip:
             "--rebalance-threshold", "0.5", "--rebalance-factor", "1.5",
             "--no-wire", "--diagnostics",
         ])
-        config = _options_from_args(args).to_engine_config()
+        config = _options_from_args(args)
         assert config.n_ranks == 32
         assert config.subbuckets == {"edge": 16}
         assert config.seed == 5
         assert config.dynamic_join is False
-        assert config.faults.crash_rank == 1
-        assert config.faults.crash_superstep == 12
-        assert config.checkpoint_every == 3
-        assert config.replicas == 1
-        assert config.rebalance is True
-        assert config.rebalance_every == 2
-        assert config.rebalance_threshold == pytest.approx(0.5)
-        assert config.rebalance_factor == pytest.approx(1.5)
+        assert config.faults.config.crash_rank == 1
+        assert config.faults.config.crash_superstep == 12
+        assert config.recovery.checkpoint_every == 3
+        assert config.recovery.replicas == 1
+        assert config.rebalance.enabled is True
+        assert config.rebalance.every == 2
+        assert config.rebalance.threshold == pytest.approx(0.5)
+        assert config.rebalance.factor == pytest.approx(1.5)
         assert config.wire is False
-        assert config.diagnostics is True
+        assert config.diagnostics.enabled is True
 
     def test_run_no_wire(self):
         args = self.parse(["run", "cc", "--no-wire"])
-        config = _options_from_args(args).to_engine_config()
-        assert config.wire is False
+        assert _options_from_args(args).wire is False
 
     def test_update_flags(self):
         args = self.parse([
@@ -200,7 +246,7 @@ class TestCliFlagRoundTrip:
         ])
         assert args.batch_frac == pytest.approx(0.05)
         assert args.batches == 3
-        config = _options_from_args(args).to_engine_config()
+        config = _options_from_args(args)
         assert config.n_ranks == 12
         assert config.subbuckets == {"edge": 2}
         assert config.seed == 9
@@ -208,21 +254,24 @@ class TestCliFlagRoundTrip:
 
     def test_query_flags_use_defaults_for_missing(self):
         args = self.parse(["query", "prog.dl", "--ranks", "6"])
-        config = _options_from_args(args).to_engine_config()
+        config = _options_from_args(args)
         assert config.n_ranks == 6
-        # query has no --seed/--subbuckets: Options defaults apply.
-        assert config.seed == EngineConfig().seed
+        # query has no workload flags: the config's defaults apply, and
+        # the rebalance flags' defaults are the config's own.
+        default = EngineConfig()
+        assert config.seed == default.seed
         assert config.subbuckets == {}
+        assert config.faults == default.faults
+        assert config.recovery == default.recovery
+        assert config.rebalance == default.rebalance
 
     def test_invalid_cli_combo_exits_with_flag_hint(self):
         args = self.parse([
             "run", "sssp", "--faults", "crash_perm=1@5",
             "--checkpoint-every", "2",
         ])
-        from repro.cli import _engine_config
-
         with pytest.raises(SystemExit) as exc:
-            _engine_config(args)
+            _options_from_args(args)
         assert "--replicas" in str(exc.value)
 
 
@@ -334,3 +383,51 @@ class TestResultSchema:
         assert "updates" not in r  # cold run: no update clutter
         session.update({"edge": EDGES[3:]})
         assert "updates=1" in repr(session.result())
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+_BENCH_SIBLINGS = ("driver", "oracle", "report", "trace", "workloads")
+
+
+@pytest.fixture(scope="module")
+def bench_driver():
+    """``bench/driver.py`` imported as its own scripts import it (its
+    siblings on the path, ``bench/trace.py`` shadowing the standard
+    library's ``trace`` while the import runs), unedited.  Its import
+    pins thread counts in the environment and puts ``src/`` on the path;
+    both are put back."""
+    saved_path, saved_env = list(sys.path), os.environ.copy()
+    saved = {n: sys.modules.pop(n) for n in _BENCH_SIBLINGS if n in sys.modules}
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield importlib.import_module("driver")
+    finally:
+        sys.path[:] = saved_path
+        os.environ.clear()
+        os.environ.update(saved_env)
+        for name in _BENCH_SIBLINGS:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)
+
+
+class TestBenchAdapter:
+    """The benchmark's adapter builds its options through ``repro.api``
+    and hands them to both drivers; the one config must keep taking them."""
+
+    def test_options_is_the_engine_config(self):
+        assert Options is EngineConfig
+
+    @pytest.mark.parametrize("observe", [False, True], ids=["plain", "observe"])
+    @pytest.mark.parametrize("workload", [
+        "sssp-skew-p64", "sssp-dense-p4", "cc-mesh-ckpt-p16", "sssp-update-p16",
+    ])
+    def test_build_options_constructs_both_drivers(
+        self, bench_driver, workload, observe
+    ):
+        spec = bench_driver.WORKLOADS[workload]
+        program, _answer = bench_driver.build_program(spec)
+        options = bench_driver.build_options(spec, observe=observe)
+        assert isinstance(options, EngineConfig)
+        assert Engine(program, options.to_engine_config()).config is options
+        assert Session(options).config is options
+        assert options.diagnostics.enabled is observe

@@ -323,7 +323,7 @@ class TestDiagnosticsFlags:
         assert [e.cluster.rank for e in built] == [0, 1, 2]
         assert all(
             e.config.n_ranks == 3 and e.config.wire is False
-            and not e.config.rebalance
+            and not e.config.rebalance.enabled
             for e in built
         )
         assert set(map(id, loaded)) == set(map(id, ran)) == set(map(id, built))

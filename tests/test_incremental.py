@@ -21,6 +21,12 @@ from repro import (
     SUM,
     vars_,
 )
+from repro.api import (
+    DiagnosticsOptions,
+    FaultOptions,
+    RebalanceOptions,
+    RecoveryOptions,
+)
 from repro.faults.config import FaultConfig
 from repro.queries.sssp import sssp_program
 from repro.runtime.incremental import (
@@ -237,7 +243,9 @@ class TestIdentity:
 
         edges = random_edges(30, 90, seed=8)
         base, batch = split(edges, 6)
-        config = EngineConfig(n_ranks=4, tracer=Tracer())
+        config = EngineConfig(
+            n_ranks=4, diagnostics=DiagnosticsOptions(tracer=Tracer())
+        )
         handle = FixpointHandle.converge(
             sssp_program(), {"edge": base, "start": [(0,)]}, config
         )
@@ -302,7 +310,10 @@ class TestComposition:
 
         edges = random_edges(50, 220, seed=7)
         base, batch = split(edges, 11)
-        config = EngineConfig(n_ranks=6, wire=wire, tracer=Tracer())
+        config = EngineConfig(
+            n_ranks=6, wire=wire,
+            diagnostics=DiagnosticsOptions(tracer=Tracer()),
+        )
         handle = FixpointHandle.converge(
             sssp_program(), {"edge": base, "start": [(0,)]}, config
         )
@@ -319,9 +330,7 @@ class TestComposition:
         base, batch = split(edges, 17)
         config = EngineConfig(
             n_ranks=8,
-            rebalance=True,
-            rebalance_every=2,
-            rebalance_threshold=0.05,
+            rebalance=RebalanceOptions(enabled=True, every=2, threshold=0.05),
             subbuckets={"edge": 1},
         )
         handle = FixpointHandle.converge(
@@ -336,7 +345,7 @@ class TestComposition:
         base, batch = split(edges, 13)
         chaos = EngineConfig(
             n_ranks=6,
-            faults=FaultConfig(seed=31, drop=0.05, dup=0.05),
+            faults=FaultOptions(config=FaultConfig(seed=31, drop=0.05, dup=0.05)),
         )
         handle = FixpointHandle.converge(
             sssp_program(), {"edge": base, "start": [(0,)]}, chaos
@@ -352,7 +361,8 @@ class TestComposition:
         # Probe the superstep clock with an inert fault plane to find
         # the update window.
         probe_cfg = EngineConfig(
-            n_ranks=6, faults=FaultConfig(seed=1), checkpoint_every=2
+            n_ranks=6, faults=FaultOptions(config=FaultConfig(seed=1)),
+            recovery=RecoveryOptions(checkpoint_every=2),
         )
         probe = FixpointHandle.converge(
             sssp_program(), {"edge": base, "start": [(0,)]}, probe_cfg
@@ -365,10 +375,10 @@ class TestComposition:
         crash_at = (ss_conv + ss_done) // 2
         chaos = EngineConfig(
             n_ranks=6,
-            faults=FaultConfig(
+            faults=FaultOptions(config=FaultConfig(
                 seed=1, crash_rank=2, crash_superstep=crash_at
-            ),
-            checkpoint_every=2,
+            )),
+            recovery=RecoveryOptions(checkpoint_every=2),
         )
         handle = FixpointHandle.converge(
             sssp_program(), {"edge": base, "start": [(0,)]}, chaos
@@ -601,9 +611,7 @@ class TestChangeSet:
         base, batches = random_batches(edges, seed, hub)
         config = EngineConfig(
             n_ranks=8,
-            rebalance=True,
-            rebalance_every=2,
-            rebalance_threshold=0.05,
+            rebalance=RebalanceOptions(enabled=True, every=2, threshold=0.05),
             subbuckets={"edge": 1},
         )
         handle = FixpointHandle.converge(
@@ -626,7 +634,8 @@ class TestChangeSet:
         # Probe the superstep clock with an inert fault plane to find
         # the last batch's window, then crash a rank in its middle.
         probe_cfg = EngineConfig(
-            n_ranks=6, faults=FaultConfig(seed=1), checkpoint_every=2
+            n_ranks=6, faults=FaultOptions(config=FaultConfig(seed=1)),
+            recovery=RecoveryOptions(checkpoint_every=2),
         )
         probe = FixpointHandle.converge(sssp_program(), facts, probe_cfg)
         for batch in batches[:-1]:
@@ -636,8 +645,10 @@ class TestChangeSet:
         crash_at = (start + probe.engine.fault_plane.superstep) // 2
         chaos = EngineConfig(
             n_ranks=6,
-            faults=FaultConfig(seed=1, crash_rank=2, crash_superstep=crash_at),
-            checkpoint_every=2,
+            faults=FaultOptions(
+                config=FaultConfig(seed=1, crash_rank=2, crash_superstep=crash_at)
+            ),
+            recovery=RecoveryOptions(checkpoint_every=2),
         )
         handle = FixpointHandle.converge(sssp_program(), facts, chaos)
         checked = check_change_sets(handle)

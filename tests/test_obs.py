@@ -21,7 +21,11 @@ PIPELINE_PHASES = ("vote", "intra_bucket", "local_join", "comm", "dedup_agg")
 def run_traced(n_ranks=4, **config_kwargs):
     tracer = Tracer()
     engine = Engine(
-        sssp_program(), EngineConfig(n_ranks=n_ranks, tracer=tracer, **config_kwargs)
+        sssp_program(),
+        EngineConfig(
+            n_ranks=n_ranks, diagnostics=DiagnosticsOptions(tracer=tracer),
+            **config_kwargs,
+        ),
     )
     engine.load("edge", EDGES)
     engine.load("start", [(0,)])

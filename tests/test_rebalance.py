@@ -34,7 +34,13 @@ from repro.queries.pagerank import run_pagerank
 from repro.queries.sssp import run_sssp
 from repro.relational.schema import Schema
 from repro.relational.storage import VersionedRelation
-from repro.runtime.config import EngineConfig
+from repro.runtime.config import (
+    DiagnosticsOptions,
+    EngineConfig,
+    FaultOptions,
+    RebalanceOptions,
+    RecoveryOptions,
+)
 from repro.runtime.rebalance import (
     REBALANCE_PHASE,
     RebalanceManager,
@@ -80,15 +86,23 @@ def _rows_of(rel, version):
     return sorted(map(tuple, np.vstack(blocks).tolist()))
 
 
-def _forced(**kw):
-    """Config whose trigger always fires: every boundary, any skew."""
-    kw.setdefault("n_ranks", 8)
-    kw.setdefault("rebalance_max_subbuckets", 8)
-    kw.setdefault("rebalance_every", 1)
-    kw.setdefault("rebalance_threshold", 0.0)
-    kw.setdefault("rebalance_factor", 0.0)
-    kw.setdefault("rebalance_min_tuples", 0)
-    return EngineConfig(rebalance=True, **kw)
+def _forced(*, n_ranks=8, faults=None, checkpoint_every=None,
+            diagnostics=False, tracer=None, delta_fingerprints=False,
+            **rebalance):
+    """Config whose trigger always fires: every boundary, any skew.
+    ``rebalance`` overrides fields of the :class:`RebalanceOptions`."""
+    rebalance = {"max_subbuckets": 8, "every": 1, "threshold": 0.0,
+                 "factor": 0.0, "min_tuples": 0, **rebalance}
+    return EngineConfig(
+        n_ranks=n_ranks,
+        faults=FaultOptions(config=faults),
+        recovery=RecoveryOptions(checkpoint_every=checkpoint_every),
+        rebalance=RebalanceOptions(enabled=True, **rebalance),
+        diagnostics=DiagnosticsOptions(
+            enabled=diagnostics, tracer=tracer,
+            delta_fingerprints=delta_fingerprints,
+        ),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -448,25 +462,25 @@ class TestTriggerPolicy:
         return RebalanceManager(config), rel
 
     def test_small_relation_never_rebalances(self):
-        mgr, rel = self._manager_and_rel(rebalance_min_tuples=10_000)
+        mgr, rel = self._manager_and_rel(min_tuples=10_000)
         assert mgr._target_subbuckets(rel, _measure()) is None
 
     def test_capped_relation_never_rebalances(self):
         mgr, rel = self._manager_and_rel(
-            n_sub=8, rebalance_max_subbuckets=8
+            n_sub=8, max_subbuckets=8
         )
         assert mgr._target_subbuckets(rel, _measure()) is None
 
     def test_below_threshold_skips(self):
-        mgr, rel = self._manager_and_rel(rebalance_threshold=0.8)
+        mgr, rel = self._manager_and_rel(threshold=0.8)
         assert mgr._target_subbuckets(rel, _measure(top_share=0.5)) is None
 
     def test_overload_factor_self_extinguishes(self):
         # top_share 0.5 on 8 ranks: overload is 4.0 at 1 sub-bucket
         # (trigger), 1.0 at 4 sub-buckets (below the factor: stop).
-        mgr, rel = self._manager_and_rel(rebalance_factor=2.0)
+        mgr, rel = self._manager_and_rel(factor=2.0)
         assert mgr._target_subbuckets(rel, _measure(top_share=0.5)) is not None
-        mgr2, rel4 = self._manager_and_rel(n_sub=4, rebalance_factor=2.0)
+        mgr2, rel4 = self._manager_and_rel(n_sub=4, factor=2.0)
         assert mgr2._target_subbuckets(rel4, _measure(top_share=0.5)) is None
 
     def test_first_trigger_recommends_then_doubles(self):
@@ -598,7 +612,7 @@ class TestEngineForcedRebalance:
         # is indistinguishable from rebalance-off beyond the flag itself.
         on = run_sssp(
             graph, [0],
-            EngineConfig(n_ranks=8, rebalance=True),
+            EngineConfig(n_ranks=8, rebalance=RebalanceOptions(enabled=True)),
         )
         assert on.fixpoint.rebalance == []
         assert on.fixpoint.counters.get("rebalance_events", 0) == 0
@@ -610,10 +624,13 @@ class TestEngineForcedRebalance:
 
 def _matrix_config(ranks, rebalance=False):
     if not rebalance:
-        return EngineConfig(n_ranks=ranks, delta_fingerprints=True)
+        return EngineConfig(
+            n_ranks=ranks,
+            diagnostics=DiagnosticsOptions(delta_fingerprints=True),
+        )
     return _forced(
         n_ranks=ranks, delta_fingerprints=True,
-        rebalance_max_subbuckets=min(8, max(2, ranks)),
+        max_subbuckets=min(8, max(2, ranks)),
     )
 
 
@@ -771,13 +788,15 @@ class TestDeltaFingerprints:
         a = run_sssp(
             graph, [0],
             EngineConfig(
-                n_ranks=8, subbuckets={"edge": 1}, delta_fingerprints=True
+                n_ranks=8, subbuckets={"edge": 1},
+                diagnostics=DiagnosticsOptions(delta_fingerprints=True),
             ),
         )
         b = run_sssp(
             graph, [0],
             EngineConfig(
-                n_ranks=8, subbuckets={"edge": 8}, delta_fingerprints=True
+                n_ranks=8, subbuckets={"edge": 8},
+                diagnostics=DiagnosticsOptions(delta_fingerprints=True),
             ),
         )
         assert [t.delta_fingerprints for t in a.fixpoint.trace] == [
@@ -785,8 +804,11 @@ class TestDeltaFingerprints:
         ]
 
     def test_sensitive_to_trajectory_change(self, graph):
-        a = run_sssp(graph, [0], EngineConfig(n_ranks=4, delta_fingerprints=True))
-        b = run_sssp(graph, [1], EngineConfig(n_ranks=4, delta_fingerprints=True))
+        config = EngineConfig(
+            n_ranks=4, diagnostics=DiagnosticsOptions(delta_fingerprints=True)
+        )
+        a = run_sssp(graph, [0], config)
+        b = run_sssp(graph, [1], config)
         assert [t.delta_fingerprints for t in a.fixpoint.trace] != [
             t.delta_fingerprints for t in b.fixpoint.trace
         ]
@@ -809,15 +831,16 @@ class TestConfigValidation:
         ),
     )
     def test_bad_values_rejected(self, field, bad):
-        with pytest.raises(ValueError, match=field):
-            EngineConfig(**{field: bad})
+        name = field.removeprefix("rebalance_")
+        with pytest.raises(ValueError, match=f"rebalance.{name}"):
+            EngineConfig(rebalance=RebalanceOptions(**{name: bad}))
 
     def test_defaults_are_off_and_sane(self):
         cfg = EngineConfig()
-        assert cfg.rebalance is False
-        assert cfg.rebalance_every >= 1
-        assert 0.0 <= cfg.rebalance_threshold <= 1.0
-        assert cfg.delta_fingerprints is False
+        assert cfg.rebalance.enabled is False
+        assert cfg.rebalance.every >= 1
+        assert 0.0 <= cfg.rebalance.threshold <= 1.0
+        assert cfg.diagnostics.delta_fingerprints is False
 
 
 class TestCli:
@@ -866,10 +889,12 @@ class TestRebalanceBench:
             "twitter_like", ranks=16, seed=42, scale_shift=5
         )
 
-        def run(subbuckets, **kw):
+        def run(subbuckets, enabled=False):
             return run_sssp(g, [0], EngineConfig(
                 n_ranks=16, subbuckets={"edge": subbuckets}, seed=42,
-                rebalance_every=1, rebalance_threshold=self.THRESHOLD, **kw,
+                rebalance=RebalanceOptions(
+                    enabled=enabled, every=1, threshold=self.THRESHOLD
+                ),
             ))
 
         static_1 = run(1)
@@ -878,7 +903,7 @@ class TestRebalanceBench:
             list(edge.iter_full()), edge.schema, 16, seed=edge.dist.seed
         )
         tuned = run(tuned_subbuckets)
-        adaptive = run(1, rebalance=True)
+        adaptive = run(1, enabled=True)
 
         assert static_1.distances == tuned.distances == adaptive.distances
         assert static_1.iterations == tuned.iterations == adaptive.iterations

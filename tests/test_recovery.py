@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 
 from repro.faults import (
     FaultConfig,
-    RankFailure,
     UnrecoverableRankLoss,
-    parse_fault_spec,
 )
 from repro.queries.cc import run_cc
 from repro.queries.pagerank import run_pagerank
 from repro.queries.sssp import run_sssp
-from repro.runtime.config import EngineConfig
+from repro.runtime.config import (
+    DiagnosticsOptions,
+    EngineConfig,
+    FaultOptions,
+    OptionsError,
+    RecoveryOptions,
+)
 
 #: The one data plane.  The axis has a single value: it keeps the
 #: ``columnar`` case ids from when a tuple-at-a-time plane ran beside it.
@@ -42,10 +46,11 @@ def _cfg(faults=None, checkpoint_every=None, n_ranks=4,
          replicas=0, delta_fingerprints=False):
     return EngineConfig(
         n_ranks=n_ranks,
-        faults=faults,
-        checkpoint_every=checkpoint_every,
-        replicas=replicas,
-        delta_fingerprints=delta_fingerprints,
+        faults=FaultOptions(config=faults),
+        recovery=RecoveryOptions(
+            checkpoint_every=checkpoint_every, replicas=replicas
+        ),
+        diagnostics=DiagnosticsOptions(delta_fingerprints=delta_fingerprints),
     )
 
 
@@ -132,7 +137,7 @@ class TestChaosWireMatrix:
         ).fixpoint
         faulty_on = run_sssp(
             medium_weighted_graph, sources,
-            EngineConfig(n_ranks=4, faults=CHAOS[fault],
+            EngineConfig(n_ranks=4, faults=FaultOptions(config=CHAOS[fault]),
                          wire=codec == "delta"),
         ).fixpoint
         assert faulty_on.query("spath") == clean_off.query("spath")
@@ -214,12 +219,10 @@ class TestCrashRecovery:
         )
         assert np.array_equal(base, faulty)
 
-    def test_crash_without_checkpoint_raises(self, medium_weighted_graph):
-        with pytest.raises(RankFailure):
-            run_sssp(
-                medium_weighted_graph, list(range(10)),
-                _cfg(CRASH),
-            )
+    def test_crash_without_checkpoint_raises(self):
+        """Up front, not as a RankFailure mid-run."""
+        with pytest.raises(OptionsError, match="--checkpoint-every"):
+            _cfg(CRASH)
 
     def test_crash_with_message_faults_combined(self, medium_weighted_graph):
         sources = list(range(10))
@@ -278,7 +281,7 @@ def test_fault_plane_outcomes_are_pinned(query, medium_graph, medium_weighted_gr
     config = EngineConfig(
         n_ranks=16,
         default_subbuckets=4,
-        faults=parse_fault_spec("drop=0.05,dup=0.05,corrupt=0.05,seed=7"),
+        faults=FaultOptions(spec="drop=0.05,dup=0.05,corrupt=0.05,seed=7"),
     )
     if query == "sssp":
         fp = run_sssp(medium_weighted_graph, list(range(10)), config).fixpoint
@@ -400,9 +403,9 @@ class TestReplication:
 
     def test_replicas_validated_against_world(self):
         with pytest.raises(ValueError, match="replicas"):
-            EngineConfig(n_ranks=4, replicas=4)
+            _cfg(checkpoint_every=2, replicas=4)
         with pytest.raises(ValueError, match="replicas"):
-            EngineConfig(n_ranks=4, replicas=-1)
+            _cfg(checkpoint_every=2, replicas=-1)
 
 
 class TestPermanentLoss:
@@ -482,23 +485,16 @@ class TestPermanentLoss:
         )
         assert faulty.degraded.replica_sources == [(3, 0)]
 
-    def test_unreplicated_loss_is_unrecoverable(self, medium_weighted_graph):
+    def test_unreplicated_loss_is_unrecoverable(self):
         """replicas=0 + permanent loss must fail loudly, with a message
-        that says how to fix it — never a silent wrong answer."""
-        with pytest.raises(UnrecoverableRankLoss, match="--replicas"):
-            run_sssp(
-                medium_weighted_graph, list(range(10)),
-                _cfg(PERM, checkpoint_every=2),
-            )
+        that says how to fix it — never a silent wrong answer.  The config
+        refuses it before anything runs."""
+        with pytest.raises(OptionsError, match="--replicas"):
+            _cfg(PERM, checkpoint_every=2)
 
-    def test_permanent_loss_without_checkpoint_raises(
-        self, medium_weighted_graph
-    ):
-        with pytest.raises(RankFailure):
-            run_sssp(
-                medium_weighted_graph, list(range(10)),
-                _cfg(PERM, replicas=1),
-            )
+    def test_permanent_loss_without_checkpoint_raises(self):
+        with pytest.raises(OptionsError, match="--checkpoint-every"):
+            _cfg(PERM, replicas=1)
 
     def test_degraded_report_fields(self, medium_weighted_graph):
         faulty = run_sssp(
@@ -546,11 +542,14 @@ class TestOneRollback:
 
     def test_unrecoverable_loss_mutates_nothing(self, medium_weighted_graph):
         """Buddy lookup precedes the rollback: with no replica to restore
-        from, the failure surfaces before any state is rewound."""
+        from, the failure surfaces before any state is rewound.  The config
+        refuses replicas=0 up front, so the replicas are dropped after the
+        engine is built to reach the recovery plane's own guard."""
         from repro.queries.sssp import sssp_program
         from repro.runtime.engine import Engine
 
-        eng = Engine(sssp_program(), _cfg(PERM, checkpoint_every=2))
+        eng = Engine(sssp_program(), _cfg(PERM, checkpoint_every=2, replicas=1))
+        eng.config.recovery.replicas = 0
         eng.load("edge", medium_weighted_graph.tuples())
         eng.load("start", [(s,) for s in range(10)])
         with pytest.raises(UnrecoverableRankLoss):

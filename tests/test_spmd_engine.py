@@ -15,6 +15,12 @@ import numpy as np
 import pytest
 
 from repro import Engine, EngineConfig, MIN, Program, Rel, vars_
+from repro.api import (
+    DiagnosticsOptions,
+    FaultOptions,
+    RebalanceOptions,
+    RecoveryOptions,
+)
 from repro.comm.costmodel import CostModel
 from repro.faults.config import FaultConfig
 from repro.faults.plane import RankFailure
@@ -230,8 +236,12 @@ def assert_ledger_identity(program, facts, config, updates=()):
     return bsp, slices
 
 
-def _cfg(**kw):
-    return EngineConfig(delta_fingerprints=True, **kw)
+def _cfg(faults=None, **kw):
+    return EngineConfig(
+        faults=FaultOptions(config=faults),
+        diagnostics=DiagnosticsOptions(delta_fingerprints=True),
+        **kw,
+    )
 
 
 class TestLedgerIdentity:
@@ -327,27 +337,39 @@ class TestConfigHonouredOrRefused:
         "field, config",
         [
             ("faults.crash", EngineConfig(
-                n_ranks=4, faults=FaultConfig(crash_rank=1, crash_superstep=3))),
+                n_ranks=4, faults=FaultOptions(spec="crash=1@3"),
+                recovery=RecoveryOptions(checkpoint_every=2))),
             ("faults.crash_perm", EngineConfig(
-                n_ranks=4, faults=FaultConfig(crash_perm_rank=1, crash_perm_superstep=3))),
-            ("checkpoint_every", EngineConfig(n_ranks=4, checkpoint_every=2)),
-            ("replicas", EngineConfig(n_ranks=4, replicas=1)),
-            ("rebalance", EngineConfig(n_ranks=4, rebalance=True)),
+                n_ranks=4, faults=FaultOptions(spec="crash_perm=1@3"),
+                recovery=RecoveryOptions(checkpoint_every=2, replicas=1))),
+            ("checkpoint_every", EngineConfig(
+                n_ranks=4, recovery=RecoveryOptions(checkpoint_every=2))),
+            ("replicas", EngineConfig(
+                n_ranks=4, recovery=RecoveryOptions(checkpoint_every=2, replicas=1))),
+            ("rebalance", EngineConfig(
+                n_ranks=4, rebalance=RebalanceOptions(enabled=True))),
             ("auto_balance", EngineConfig(n_ranks=4, auto_balance=1.5)),
-            ("tracer", EngineConfig(n_ranks=4, tracer=Tracer())),
-            ("diagnostics", EngineConfig(n_ranks=4, diagnostics=True)),
+            ("tracer", EngineConfig(
+                n_ranks=4, diagnostics=DiagnosticsOptions(tracer=Tracer()))),
+            ("diagnostics", EngineConfig(
+                n_ranks=4, diagnostics=DiagnosticsOptions(enabled=True))),
         ],
         ids=lambda v: v if isinstance(v, str) else "",
     )
     def test_refused(self, field, config):
+        # A crash schedule is valid only with checkpoints (and a permanent
+        # loss only with replicas), so the message may name those too.
         program, facts = _query_facts("sssp")
-        with pytest.raises(ValueError, match=f"does not run {field}"):
+        with pytest.raises(ValueError, match=rf"does not run (.*, )?{field}[,;]"):
             run_spmd_engine(program, facts, config)
 
     def test_one_check_names_every_refused_field(self):
         config = EngineConfig(
-            n_ranks=4, checkpoint_every=2, rebalance=True, diagnostics=True,
-            faults=FaultConfig(crash_rank=1, crash_superstep=3),
+            n_ranks=4,
+            recovery=RecoveryOptions(checkpoint_every=2),
+            rebalance=RebalanceOptions(enabled=True),
+            diagnostics=DiagnosticsOptions(enabled=True),
+            faults=FaultOptions(config=FaultConfig(crash_rank=1, crash_superstep=3)),
         )
         program, facts = _query_facts("sssp")
         with pytest.raises(ValueError) as exc:
@@ -446,7 +468,8 @@ class TestRankPrograms:
             assert total == sum(b for _a, b in ROWS)
         faults = FaultConfig(drop=0.3, dup=0.1, corrupt=0.1, max_retries=12, seed=1)
         faulty, cluster = _within(
-            30, run_ranks, EngineConfig(n_ranks=4, faults=faults), route_and_sum, ROWS
+            30, run_ranks, EngineConfig(n_ranks=4, faults=FaultOptions(config=faults)),
+            route_and_sum, ROWS,
         )
         assert faulty == clean
         stats = cluster.faults.stats
@@ -463,9 +486,12 @@ class TestRankPrograms:
                 raised[comm.rank] = exc
                 raise
 
-        # Superstep 0 is the all-to-all, 1 the allreduce.
+        # Superstep 0 is the all-to-all, 1 the allreduce.  A crash schedule
+        # is valid only with checkpoints; a hand-written rank program takes
+        # none, so the crash reaches every slice.
         config = EngineConfig(
-            n_ranks=4, faults=FaultConfig(crash_rank=2, crash_superstep=1)
+            n_ranks=4, faults=FaultOptions(spec="crash=2@1"),
+            recovery=RecoveryOptions(checkpoint_every=1),
         )
         with pytest.raises(RankFailure) as exc:
             _within(5, run_ranks, config, program, ROWS)

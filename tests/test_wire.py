@@ -24,7 +24,7 @@ from repro.queries.sssp import run_sssp, sssp_program
 from repro.relational.distribution import Distribution
 from repro.relational.schema import Schema
 from repro.runtime import executor as executor_mod
-from repro.runtime.config import EngineConfig
+from repro.runtime.config import DiagnosticsOptions, EngineConfig
 from repro.util.hashing import HashSeed
 
 I64 = np.iinfo(np.int64)
@@ -35,8 +35,12 @@ I64 = np.iinfo(np.int64)
 CODECS = ("raw", "delta")
 
 
-def _cfg(wire=True, n_ranks=4, **kw):
-    return EngineConfig(n_ranks=n_ranks, wire=wire, **kw)
+def _cfg(wire=True, n_ranks=4, diagnostics=False, tracer=None, **kw):
+    return EngineConfig(
+        n_ranks=n_ranks, wire=wire,
+        diagnostics=DiagnosticsOptions(enabled=diagnostics, tracer=tracer),
+        **kw,
+    )
 
 
 rows_strategy = st.lists(
