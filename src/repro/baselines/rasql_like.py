@@ -67,11 +67,11 @@ class _UnfoldedJoin(ColumnarExecutor):
     shuffle carries every join candidate, suppressed ones included."""
 
     def local_join(
-        self, cr, outer_pos, received, inner_rel, inner_ver, probe_cols,
+        self, cr, outer_pos, delivery, inner_rel, inner_ver, probe_cols,
         per_rank_probe, per_rank_emit, fold=None,
     ):
         return super().local_join(
-            cr, outer_pos, received, inner_rel, inner_ver, probe_cols,
+            cr, outer_pos, delivery, inner_rel, inner_ver, probe_cols,
             per_rank_probe, per_rank_emit,
         )
 
@@ -181,8 +181,9 @@ class RaSQLLikeEngine(Engine):
         improved: Dict[int, np.ndarray] = {}
         with self.timer.phase(P_DEDUP):
             receivers, parts, segs = [], [], []
-            for r, rows in recv.rows():
+            for r, boxes in recv.boxes():
                 receivers.append(r)
+                rows = recv.table.rows_of(boxes)
                 for seg, idx in _groups(agg_rel.segments_of_rows(rows)):
                     parts.append(rows[idx])
                     segs.append(np.full(idx.shape[0], seg, dtype=np.int64))

@@ -30,15 +30,10 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.block import concat_ranges
+from repro.kernels.block import concat_ranges, offsets
 
 _COLUMNS = ("src", "dst", "n_rows", "bucket", "sub", "pre_rows", "row_lo",
             "byte_lo", "byte_len", "nbytes")
-
-
-def _starts(counts: np.ndarray) -> np.ndarray:
-    """Where each of consecutive ranges of ``counts`` starts."""
-    return np.cumsum(counts, dtype=np.int64) - counts
 
 
 class BoxTable:
@@ -71,9 +66,9 @@ class BoxTable:
         self.src, self.dst, self.n_rows = src, dst, n_rows
         self.bucket, self.sub, self.pre_rows = bucket, sub, pre_rows
         self.rows, self.payload, self.items = rows, payload, items
-        self.row_lo = _starts(n_rows) if rows is not None and row_lo is None else row_lo
+        self.row_lo = offsets(n_rows)[:-1] if rows is not None and row_lo is None else row_lo
         self.byte_len, self.nbytes = byte_len, nbytes
-        self.byte_lo = None if payload is None else _starts(byte_len)
+        self.byte_lo = None if payload is None else offsets(byte_len)[:-1]
 
     @classmethod
     def from_sends(cls, sends: Mapping) -> "BoxTable":
@@ -150,7 +145,7 @@ class BoxTable:
         for block, lo in (("rows", "row_lo"), ("payload", "byte_lo")):
             blocks = [getattr(t, block) for t in tables]
             if blocks[0] is not None:
-                base = _starts(np.asarray([b.shape[0] for b in blocks]))
+                base = offsets(np.asarray([b.shape[0] for b in blocks]))[:-1]
                 setattr(out, lo, np.concatenate(
                     [getattr(t, lo) + b for t, b in zip(tables, base.tolist())]
                 ))
@@ -183,20 +178,16 @@ class Delivery(Mapping):
         self.table = table
         self.order = order
         dst = table.dst[order]
-        cuts = np.flatnonzero(dst[1:] != dst[:-1]) + 1
-        self._bounds = [0, *cuts.tolist(), order.shape[0]]
-        self._dsts = dst[self._bounds[:-1]].tolist() if order.shape[0] else []
+        heads = np.flatnonzero(np.diff(dst, prepend=-1))  # ranks are >= 0
+        #: Every receiving rank in delivery order, and where its boxes lie
+        #: in ``order``: receiver ``i``'s are ``order[bounds[i] :
+        #: bounds[i + 1]]``.
+        self.dsts = dst[heads]
+        self.bounds = np.append(heads, order.shape[0])
 
     def boxes(self) -> Iterator[Tuple[int, np.ndarray]]:
         """``(dst, delivered box indices)`` per receiving rank."""
-        for d, lo, hi in zip(self._dsts, self._bounds[:-1], self._bounds[1:]):
-            yield d, self.order[lo:hi]
-
-    def rows(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """``(dst, rows)`` per receiving rank: its delivered boxes' rows
-        laid end to end (:meth:`BoxTable.rows_of`)."""
-        for d, boxes in self.boxes():
-            yield d, self.table.rows_of(boxes)
+        yield from zip(self.dsts.tolist(), np.split(self.order, self.bounds[1:-1]))
 
     def only(self, dst: int) -> "Delivery":
         """What rank ``dst`` received, alone."""
@@ -209,7 +200,7 @@ class Delivery(Mapping):
         raise KeyError(dst)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._dsts)
+        return iter(self.dsts.tolist())
 
     def __len__(self) -> int:
-        return len(self._dsts)
+        return self.dsts.shape[0]

@@ -117,9 +117,9 @@ def capture(
 def restore(store, ckpt: StratumCheckpoint) -> None:
     """Roll the named relations back to the checkpoint's row tables.
 
-    Deep-copies out of the snapshot (the checkpoint stays reusable);
-    the caller drops the executor's join-index cache, since the restored
-    tables are new objects.
+    Deep-copies out of the snapshot (the checkpoint stays reusable); the
+    restored tables are new objects, so every join index a relation
+    cached over the old ones is rebuilt on its next use.
     """
     for name, snap in ckpt.relations.items():
         rel = store[name]

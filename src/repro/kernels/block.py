@@ -22,9 +22,9 @@ Python tuples.  The primitives every kernel builds on:
     Inclusive scan of an associative ``join`` inside each group — every
     group's accumulator after every arrival, which is all the fused
     dedup/aggregation needs.
-``concat_ranges``
+``concat_ranges`` / ``offsets``
     Flatten ``[start, start+count)`` ranges into one index vector — the
-    inner-side gather of the batch join.
+    inner-side gather of the batch join — and lay ranges end to end.
 """
 
 from __future__ import annotations
@@ -188,8 +188,10 @@ class KeyIndex:
             # its own copy, so the caller may mutate the rows it indexed
             self._keys = [col.copy() for col in cols]
 
-    def find(self, queries) -> np.ndarray:
-        """Slot of each query row's stored key; -1 = miss."""
+    def find(self, queries, *, sort: bool = False) -> np.ndarray:
+        """Slot of each query row's stored key; -1 = miss.  ``sort`` looks
+        the queries up in key order (where key and position bits fit 63),
+        so each binary search starts where the last one ended."""
         qcols = _key_cols(queries)
         m = qcols[0].shape[0]
         if self.n == 0 or m == 0:
@@ -202,11 +204,21 @@ class KeyIndex:
         for col, width in zip(qcols, self._widths):
             valid &= (col.view(np.uint64) >> np.uint64(width)) == 0
         key = _pack(qcols, self._widths)
+        pos_bits = (m - 1).bit_length()
+        perm = None
+        if sort and sum(self._widths) + pos_bits <= 63:
+            key = np.where(valid, key, 0) << pos_bits | np.arange(m)
+            key.sort()
+            perm, key = key & ((1 << pos_bits) - 1), key >> pos_bits
+            valid = valid[perm]
         pos = np.searchsorted(self._words, key << self._slot_bits)
         np.minimum(pos, self.n - 1, out=pos)
         hit = self._words[pos]
         found = valid & ((hit >> self._slot_bits) == key)
-        return np.where(found, hit & ((1 << self._slot_bits) - 1), -1)
+        slot = np.where(found, hit & ((1 << self._slot_bits) - 1), -1)
+        if perm is not None:
+            slot[perm] = slot.copy()
+        return slot
 
     def _find_wide(self, qcols: List[np.ndarray]) -> np.ndarray:
         n = self.n
@@ -264,10 +276,16 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)[:-1]]
+    return np.repeat(starts - offsets(counts)[:-1], counts) + np.arange(
+        total, dtype=np.int64
     )
-    return np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
+
+
+def offsets(counts: np.ndarray) -> np.ndarray:
+    """Bounds ``[0, c0, c0 + c1, …]`` of consecutive ranges of ``counts``."""
+    out = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
 class GrowBuf:

@@ -46,7 +46,7 @@ import numpy as np
 from repro.comm.boxes import BoxTable, Delivery
 from repro.comm.wire import WIRE_HEADER_WORDS, decode_blocks, encode_blocks
 from repro.kernels.absorb import VectorCombiner, combine_block
-from repro.kernels.block import group_columns
+from repro.kernels.block import group_columns, offsets
 
 #: One source's emitted rows: a row block, or a block the local join
 #: already folded in chunks with each row's pre-fold count.
@@ -263,13 +263,6 @@ def _concat(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """Box bounds ``[0, c0, c0 + c1, …]`` of consecutive boxes."""
-    starts = np.zeros(counts.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    return starts
-
-
 def encode_wire_sends(table: BoxTable, *, codec: str) -> BoxTable:
     """``table`` with every box's rows encoded into one payload buffer,
     each box charged its payload plus :data:`~repro.comm.wire.
@@ -285,7 +278,7 @@ def encode_wire_sends(table: BoxTable, *, codec: str) -> BoxTable:
     for lo, hi in _row_chunks(n_rows, _CHUNK_ROWS):
         boxes = np.arange(lo, hi)
         buf, byte_len = encode_blocks(
-            table.rows_of(boxes), _offsets(n_rows[lo:hi]), codec
+            table.rows_of(boxes), offsets(n_rows[lo:hi]), codec
         )
         bufs.append(buf)
         lens.append(byte_len)
@@ -306,7 +299,7 @@ def decode_wire_box(
     one :func:`~repro.comm.wire.decode_blocks` pass over their payloads."""
     return decode_blocks(
         table.payload_of(boxes), table.byte_len[boxes],
-        _offsets(table.n_rows[boxes]), arity, codec,
+        offsets(table.n_rows[boxes]), arity, codec,
     )
 
 

@@ -21,7 +21,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.kernels.absorb import AbsorbStats, make_shard
-from repro.kernels.block import concat_ranges
+from repro.kernels.block import concat_ranges, offsets
+from repro.kernels.join import RankJoinIndex
 from repro.relational.distribution import Distribution
 from repro.relational.schema import Schema
 from repro.util.hashing import HashSeed
@@ -45,14 +46,13 @@ class VersionedRelation:
         self.dist = Distribution(schema, n_ranks, seed)
         #: Every shard's rows, each tagged with its segment.
         self.table = make_shard(schema)
-        #: Version generations for join-index caching: ``full_gen`` bumps
-        #: whenever the full version changes, ``delta_gen`` whenever Δ is
-        #: replaced.  An index built at generation g stays valid while
-        #: the generation holds.
+        #: Version generations for the :meth:`_cached` values: ``full_gen``
+        #: bumps whenever the full version changes, ``delta_gen`` whenever
+        #: Δ is replaced.
         self.full_gen = 0
         self.delta_gen = 0
-        #: version → (state it was built for, row order by owner, rank bounds).
-        self._rank_layouts: Dict[str, tuple] = {}
+        #: What :meth:`_cached` built: key → (state it was built for, value).
+        self._cache: Dict[tuple, tuple] = {}
 
     # ---------------------------------------------------------------- shards
 
@@ -163,7 +163,10 @@ class VersionedRelation:
 
     def sizes_by_rank(self, version: str = "full") -> np.ndarray:
         """Rows of one version on each rank."""
-        return np.diff(self._rank_layout(version)[1])
+        return self._cached(("sizes", version), version, lambda: np.bincount(
+            self.rank_of_segment()[self.table.stored(version)[1]],
+            minlength=self.n_ranks,
+        )).copy()
 
     # ------------------------------------------------------------- iterators
 
@@ -181,49 +184,45 @@ class VersionedRelation:
         owner rank, rows)``: non-empty shards in (bucket, sub) order, each
         in nested order, as ``(n, arity)`` int64 views."""
         rows, segs = self.table.version(version)
-        n = segs.shape[0]
-        if not n:
-            return
-        bounds = [0, *(np.flatnonzero(segs[1:] != segs[:-1]) + 1).tolist(), n]
-        heads = segs[bounds[:-1]]
+        heads = np.flatnonzero(np.diff(segs, prepend=-1))  # segments are >= 0
+        bounds = np.append(heads, segs.shape[0]).tolist()
         n_sub = self.schema.n_subbuckets
         for lo, hi, seg, owner in zip(
             bounds[:-1],
             bounds[1:],
-            heads.tolist(),
-            self.rank_of_segment()[heads].tolist(),
+            segs[heads].tolist(),
+            self.rank_of_segment()[segs[heads]].tolist(),
         ):
             yield divmod(seg, n_sub), owner, rows[lo:hi]
 
-    def rank_block(self, version: str, rank: int) -> np.ndarray:
-        """Every row of one version that ``rank`` owns: its shards in
-        (bucket, sub) order, each in nested order."""
-        order, bounds = self._rank_layout(version)
-        return self.table.version(version)[0][order[bounds[rank] : bounds[rank + 1]]]
+    def owner_blocks(self, version: str) -> Tuple[np.ndarray, np.ndarray]:
+        """One version's rows by owner rank — each rank's shards in
+        (bucket, sub) order, each in nested order — and each rank's row
+        count: segment ranges, the segments stably sorted by owner."""
+        rows, segs = self.table.version(version)
+        owner = self.rank_of_segment()
+        counts = np.bincount(segs, minlength=owner.shape[0])
+        by_owner = np.argsort(owner, kind="stable")
+        order = concat_ranges(offsets(counts)[by_owner], counts[by_owner])
+        return np.take(rows, order, axis=0), self.sizes_by_rank(version)
 
-    def _rank_layout(self, version: str) -> Tuple[np.ndarray, np.ndarray]:
-        """The version's rows stably ordered by owner, and each rank's
-        bounds in that order; built once per state of the version.
+    def join_index(self, version: str, match_token=None, match_block=None):
+        """The version's :class:`~repro.kernels.join.RankJoinIndex` over
+        the rows ``match_block`` keeps (``match_token`` names it)."""
+        return self._cached(
+            ("index", version, match_token), version,
+            lambda: RankJoinIndex.build(self, version, match_block),
+        )
 
-        The version is in segment order, so the order is every segment's
-        row range, the segments stably sorted by owner.  Segment sizes do
-        not depend on row order, so they are counted without sorting the
-        version into nested order.
-        """
+    def _cached(self, key: tuple, version: str, build):
+        """``build()`` once per state of ``version``: its table and
+        placement by identity, and its generation."""
         gen = self.full_gen if version == "full" else self.delta_gen
         state = (self.table, gen, self.dist)
-        hit = self._rank_layouts.get(version)
-        if hit is None or hit[0] != state:  # tables and placements by identity
-            owner = self.rank_of_segment()
-            segs = self.table.stored(version)[1]
-            counts = np.bincount(segs, minlength=owner.shape[0])
-            by_owner = np.argsort(owner, kind="stable")
-            starts = np.cumsum(counts) - counts
-            order = concat_ranges(starts[by_owner], counts[by_owner])
-            bounds = np.zeros(self.n_ranks + 1, dtype=np.int64)
-            np.cumsum(np.bincount(owner, counts, self.n_ranks), out=bounds[1:])
-            hit = self._rank_layouts[version] = (state, order, bounds)
-        return hit[1], hit[2]
+        hit = self._cache.get(key)
+        if hit is None or hit[0] != state:
+            hit = self._cache[key] = (state, build())
+        return hit[1]
 
     # ------------------------------------------------------------- rebalance
 

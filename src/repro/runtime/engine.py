@@ -204,7 +204,6 @@ class Engine:
         if n_sub != rel.schema.n_subbuckets:
             reshard_relation(rel, n_sub, self.cluster, phase="balance")
             self.compiled.schemas[name] = rel.schema
-            self._exec.invalidate()
         return n_sub
 
     # ------------------------------------------------------------------- run
@@ -589,7 +588,7 @@ class Engine:
         per_rank_emit = np.zeros(cfg.n_ranks, dtype=np.int64)
         with self.timer.phase(P_JOIN):
             emitted = ex.local_join(
-                cr, outer_pos, recv.rows(), inner_rel, inner_ver, probe_cols,
+                cr, outer_pos, recv, inner_rel, inner_ver, probe_cols,
                 per_rank_probe, per_rank_emit, self._wire_plans.get(cr.head_name),
             )
             cluster.ledger.add_compute_step(

@@ -15,42 +15,42 @@ are int64 work tallies the engine turns into compute charges, and
 ``outer_pos`` (0 = left, 1 = right) is the body atom the vote chose to
 transmit:
 
-* ``scan_emit`` — copy rules: scan one relation version, match, emit;
+* ``scan_emit`` — copy rules: match and emit one relation version in one
+  pass, split into each owner's rows;
 * ``intra_sends`` — scan and match the outer side and replicate it to
   every sub-bucket owner of the matching inner bucket;
-* ``local_join`` — probe each rank's inner shards with the rows it
-  received (a range of the exchange's row block where they lie
-  consecutively, else one gather);
-  where the engine hands in the head's sender fold, a large probe's
-  pairs are folded as they are emitted instead of kept.
+* ``local_join`` — probe the inner version's join index once per run of
+  receivers (up to :data:`~repro.kernels.route._CHUNK_ROWS` rows) and
+  emit once per :data:`_PAIR_BUDGET` pairs; under the head's sender fold
+  a larger receiver's pairs are folded as they are emitted.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
 from repro.kernels.absorb import combine_block
-from repro.kernels.block import concat_ranges
-from repro.kernels.join import RankJoinIndex
-from repro.kernels.route import Emitted, build_intra_sends
+from repro.kernels.block import concat_ranges, offsets
+from repro.kernels.route import _CHUNK_ROWS, Emitted, _row_chunks, build_intra_sends
 
-#: Join pairs one rank's probe materializes at once when the head has a
-#: sender fold.  A probe with more pairs emits and folds them in runs of
-#: this many, so the unfolded block — 9.3M rows on the 4-rank dense
-#: workload, 6x what the fold keeps — is never allocated.  The value is
-#: for memory: see the budget sweep in EXPERIMENTS.md.
+#: Join pairs one emission materializes at once: receivers emit together
+#: up to this many.  Under the head's sender fold, a receiver with more
+#: emits and folds them in runs of this many, so the unfolded block —
+#: 9.3M rows on the 4-rank dense workload, 6x what the fold keeps — is
+#: never allocated.  The value is for memory: see the budget sweep in
+#: EXPERIMENTS.md.
 _PAIR_BUDGET = 1 << 18
 
 
 def _emit_pairs(cr, outer_pos, probe, inner_rows, lo, starts, counts):
     """Head rows of the join pairs of probe rows ``lo, lo + 1, …``, row
     ``lo + i`` paired with inner rows ``[starts[i], starts[i] + counts[i])``."""
-    outer = probe[
-        np.repeat(np.arange(lo, lo + counts.shape[0], dtype=np.int64), counts)
-    ]
-    inner = inner_rows[concat_ranges(starts, counts)]
+    # np.take: a row gather several times faster than fancy indexing.
+    rep = np.repeat(np.arange(lo, lo + counts.shape[0], dtype=np.int64), counts)
+    outer = np.take(probe, rep, axis=0)
+    inner = np.take(inner_rows, concat_ranges(starts, counts), axis=0)
     if outer_pos == 0:
         return cr.emit_spec.eval_block(outer, inner)
     return cr.emit_spec.eval_block(inner, outer)
@@ -82,37 +82,32 @@ def _pair_chunks(starts, counts, budget):
 class ColumnarExecutor:
     """Row-block data plane: the :mod:`repro.kernels` batch kernels."""
 
-    def __init__(self) -> None:
-        #: (relation, version, rank, match token) → (generation, index).
-        self._index_cache: Dict[Tuple, Tuple[int, RankJoinIndex]] = {}
-
-    def invalidate(self) -> None:
-        """Drop cached join indexes (placement changed under them)."""
-        self._index_cache.clear()
-
     def scan_emit(self, cr, rel, version, per_rank_scan):
+        rows, sizes = rel.owner_blocks(version)
+        per_rank_scan += sizes
+        ends = offsets(sizes)
         match_block = cr.matches_block[0]
-        emitted: Dict[int, np.ndarray] = {}
-        for owner in range(rel.n_ranks):
-            block = rel.rank_block(version, owner)
-            per_rank_scan[owner] += block.shape[0]
-            if match_block is not None:
-                block = block[match_block.mask(block)]
-            if block.shape[0]:
-                emitted[owner] = cr.emit_spec.eval_block(block, None)
-        return emitted
+        if match_block is not None:
+            keep = match_block.mask(rows)
+            rows = np.compress(keep, rows, axis=0)
+            ends = offsets(keep)[ends]
+        out = cr.emit_spec.eval_block(rows, None)
+        ends = ends.tolist()
+        return {
+            owner: out[lo:hi]
+            for owner, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]))
+            if hi > lo
+        }
 
     def intra_sends(
         self, cr, outer_pos, outer_rel, outer_ver, inner_rel, probe_cols,
         per_rank_ser,
     ):
         outer_mb = cr.matches_block[outer_pos]
-        owner_blocks: List[Tuple[int, np.ndarray]] = []
-        for _key, owner, block in outer_rel.shard_blocks(outer_ver):
-            if outer_mb is not None and block.shape[0]:
-                block = block[outer_mb.mask(block)]
-            if block.shape[0]:
-                owner_blocks.append((owner, block))
+        owner_blocks = [
+            (owner, block if outer_mb is None else block[outer_mb.mask(block)])
+            for _key, owner, block in outer_rel.shard_blocks(outer_ver)
+        ]
         return build_intra_sends(
             owner_blocks,
             inner_rel.dist,
@@ -121,57 +116,59 @@ class ColumnarExecutor:
             per_rank_ser,
         )
 
-    def _rank_index(self, rel, version, rank, match_token, match_block):
-        """Build-or-reuse the batch join index for one (relation, rank).
-
-        Cache entries are validated by the relation's version generation,
-        so static inners (EDB relations) index once per run while evolving
-        fulls rebuild only after an absorb actually admitted something.
-        """
-        gen = rel.delta_gen if version == "delta" else rel.full_gen
-        key = (rel.schema.name, version, rank, match_token)
-        hit = self._index_cache.get(key)
-        if hit is not None and hit[0] == gen:
-            return hit[1]
-        index = RankJoinIndex.build(rel, version, rank, match_block)
-        self._index_cache[key] = (gen, index)
-        return index
-
     def local_join(
-        self, cr, outer_pos, received, inner_rel, inner_ver, probe_cols,
+        self, cr, outer_pos, delivery, inner_rel, inner_ver, probe_cols,
         per_rank_probe, per_rank_emit, fold=None,
     ):
-        """``received`` yields ``(rank, rows)``: every rank's received
-        outer rows (:meth:`~repro.comm.boxes.Delivery.rows`)."""
+        """Join the rows of ``delivery`` (the intra-bucket exchange's
+        :class:`~repro.comm.boxes.Delivery`) with the inner version."""
         inner_pos = 1 - outer_pos
         inner_mb = cr.matches_block[inner_pos]
-        match_token = None if inner_mb is None else (id(cr), inner_pos)
+        index = inner_rel.join_index(
+            inner_ver, None if inner_mb is None else (id(cr), inner_pos), inner_mb
+        )
+        table, order, bounds = delivery.table, delivery.order, delivery.bounds
+        row_ends = offsets(table.n_rows[order])[bounds]
+        sizes = np.diff(row_ends)
         emitted: Dict[int, Emitted] = {}
-        for r, probe in received:
-            per_rank_probe[r] += probe.shape[0]
-            index = self._rank_index(
-                inner_rel, inner_ver, r, match_token, inner_mb
+        for lo, hi in _row_chunks(sizes, _CHUNK_ROWS):
+            dsts = delivery.dsts[lo:hi]
+            probe = table.rows_of(order[bounds[lo] : bounds[hi]])
+            probe_ends = (row_ends[lo : hi + 1] - row_ends[lo]).tolist()
+            starts, counts = index.probe(
+                np.repeat(dsts, sizes[lo:hi]), probe, probe_cols
             )
-            starts, counts = index.probe(probe, probe_cols)
-            n_pairs = int(counts.sum())
-            per_rank_emit[r] += n_pairs
-            if not n_pairs:
-                continue
-            if fold is None or n_pairs <= _PAIR_BUDGET:
-                emitted[r] = _emit_pairs(
-                    cr, outer_pos, probe, index.rows, 0, starts, counts
-                )
-                continue
-            # Fold as we emit: only each chunk's fold is kept, with its
-            # pre-fold counts; the route step's fold merges the chunks.
-            parts = [
-                combine_block(
-                    _emit_pairs(cr, outer_pos, probe, index.rows, lo, s, c), *fold
-                )
-                for lo, s, c in _pair_chunks(starts, counts, _PAIR_BUDGET)
-            ]
-            emitted[r] = (
-                np.concatenate([rows for rows, _ in parts]),
-                np.concatenate([pre for _, pre in parts]),
-            )
+            pair_ends = offsets(counts)[probe_ends]
+            n_pairs = np.diff(pair_ends)
+            per_rank_probe[dsts] += sizes[lo:hi]  # a delivery's receivers are distinct
+            per_rank_emit[dsts] += n_pairs
+            dsts, ends = dsts.tolist(), pair_ends.tolist()
+            # Receivers emit together up to the pair budget, one over it
+            # alone: under a fold, in budget-sized chunks, each folded
+            # before the next is emitted (the route step merges them).
+            for k0, k1 in _row_chunks(n_pairs, _PAIR_BUDGET):
+                a, b = probe_ends[k0], probe_ends[k1]
+                if fold is not None and ends[k1] - ends[k0] > _PAIR_BUDGET:
+                    parts = [
+                        combine_block(_emit_pairs(
+                            cr, outer_pos, probe, index.rows, a + p, s, c
+                        ), *fold)
+                        for p, s, c in _pair_chunks(
+                            starts[a:b], counts[a:b], _PAIR_BUDGET
+                        )
+                    ]
+                    emitted[dsts[k0]] = (
+                        np.concatenate([rows for rows, _ in parts]),
+                        np.concatenate([pre for _, pre in parts]),
+                    )
+                elif ends[k1] > ends[k0]:
+                    block = _emit_pairs(
+                        cr, outer_pos, probe, index.rows, a, starts[a:b],
+                        counts[a:b],
+                    )
+                    for k in range(k0, k1):
+                        if ends[k + 1] > ends[k]:
+                            emitted[dsts[k]] = block[
+                                ends[k] - ends[k0] : ends[k + 1] - ends[k0]
+                            ]
         return emitted

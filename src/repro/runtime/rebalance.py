@@ -305,10 +305,8 @@ class RebalanceManager:
                     phase=REBALANCE_PHASE,
                 )
                 # The relation's schema object changed; keep the compiled
-                # program's view (used by routing and explain) in sync and
-                # drop every join index built under the old placement.
+                # program's view (used by routing and explain) in sync.
                 engine.compiled.schemas[name] = rel.schema
-                engine._exec.invalidate()
                 event = RebalanceEvent(
                     relation=name,
                     stratum=stratum.index,

@@ -9,7 +9,7 @@ to :meth:`~RecoveryManager.recover`, which holds the one rollback:
 
 1. shards, version generations and the pinned sub-bucket schema of every
    checkpointed relation (:func:`repro.faults.checkpoint.restore`);
-2. the executor's join-index cache (dropped: the shard objects are new);
+2. the relations' cached join indexes (retired: the tables are new);
 3. ``Engine.counters``, the iteration total and the trace, so a
    recovered run's books match a fault-free run's;
 4. the compiled program's schema view and the rebalancer's bookkeeping,
@@ -224,7 +224,6 @@ class RecoveryManager:
                     _state_bytes(store, ckpt.relations, cfg.n_ranks)[rank]
                 )
                 ckpt_mod.restore(store, ckpt)
-                engine._exec.invalidate()
                 engine.counters = defaultdict(int)
                 engine.counters.update(ckpt.counters)
                 engine._iterations = ckpt.iterations_total

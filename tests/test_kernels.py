@@ -23,8 +23,10 @@ from repro.core.aggregators import (
     SumAggregator,
     UnionAggregator,
 )
+from repro import Engine
+from repro.comm.boxes import BoxTable, Delivery
 from repro.kernels import block, route
-from repro.kernels.absorb import _COMBINERS, AbsorbStats, make_shard
+from repro.kernels.absorb import _COMBINERS, AbsorbStats, combine_block, make_shard
 from repro.kernels.block import (
     KeyIndex,
     concat_ranges,
@@ -36,9 +38,12 @@ from repro.kernels.join import RankJoinIndex
 from repro.kernels.route import build_intra_sends, build_route_sends
 from repro.planner.ast import Atom, BinOp, Const, Var
 from repro.planner.compile_rules import EmitSpec
+from repro.queries.sssp import sssp_program
 from repro.relational.distribution import Distribution
 from repro.relational.schema import Schema
 from repro.relational.storage import VersionedRelation
+from repro.runtime import executor as executor_mod
+from repro.runtime.config import EngineConfig
 from repro.util.hashing import HashSeed
 
 
@@ -636,11 +641,12 @@ def test_rank_join_index_probe_matches_brute_force(rows, n_ranks):
     rel = VersionedRelation(schema, n_ranks)
     rel.load([tuple(r) for r in rows])
     probe_cols = (0,)
+    index = RankJoinIndex.build(rel, "full")
+    keys = sorted({r[0] for r in rows})
+    probe = np.asarray([(k, 0, 0) for k in keys], dtype=np.int64)
     for rank in range(n_ranks):
-        index = RankJoinIndex.build(rel, "full", rank)
-        keys = sorted({r[0] for r in rows})
-        probe = np.asarray([(k, 0, 0) for k in keys], dtype=np.int64)
-        starts, counts = index.probe(probe, probe_cols)
+        ranks = np.full(len(keys), rank, dtype=np.int64)
+        starts, counts = index.probe(ranks, probe, probe_cols)
         for i, k in enumerate(keys):
             got = [
                 tuple(r)
@@ -652,6 +658,251 @@ def test_rank_join_index_probe_matches_brute_force(rows, n_ranks):
             assert all(
                 rel.dist.bucket_of(t) == rel.dist.bucket_of_key((k,)) for t in got
             )
+
+
+class _EvenLast:
+    """A body atom's row filter: keeps rows whose last column is even."""
+
+    def mask(self, rows):
+        return rows[:, -1] % 2 == 0
+
+
+def _ref_rank_index(rel, version, rank, match_block=None):
+    """The per-rank index the relation-wide one replaced, as ``(rows,
+    key index, starts, counts)``: the rank's rows — its shards in
+    (bucket, sub) order, each in nested order — stably grouped by join
+    key, each key's rows one ``[start, start + count)`` range."""
+    blocks = [b for _key, owner, b in rel.shard_blocks(version) if owner == rank]
+    rows = np.concatenate(blocks) if blocks else np.empty(
+        (0, rel.schema.arity), dtype=np.int64
+    )
+    if match_block is not None and rows.shape[0]:
+        rows = rows[match_block.mask(rows)]
+    keymat = rows[:, list(rel.schema.join_cols)]
+    order, starts, counts = lex_group(keymat)
+    return rows[order], KeyIndex(keymat[order[starts]]), starts, counts
+
+
+def _ref_probe(ref, probe, probe_cols):
+    """Per probe row, the (start, count) of its matches in ``ref``."""
+    _rows, keys, starts, counts = ref
+    slot = keys.find(probe[:, list(probe_cols)])
+    return np.append(starts, 0)[slot], np.append(counts, 0)[slot]
+
+
+_KEYS = st.integers(-2, 3) | st.sampled_from([-(2**62), 2**62 - 1, 2**62])
+
+
+@given(
+    rows=st.lists(
+        st.tuples(_KEYS, st.integers(0, 6), st.integers(0, 9)),
+        min_size=0,
+        max_size=80,
+        unique=True,
+    ),
+    n_ranks=st.sampled_from([1, 3, 7, 64]),
+    n_sub=st.sampled_from([1, 3, 8]),
+    aggregate=st.booleans(),
+    filtered=st.booleans(),
+    version=st.sampled_from(["full", "delta"]),
+    data=st.data(),
+)
+def test_join_index_matches_per_rank_indexes(
+    rows, n_ranks, n_sub, aggregate, filtered, version, data
+):
+    """One index over the whole version returns, for every (rank, key),
+    exactly the rows and the order the rank's own index returned — under
+    sub-buckets, a degraded-mode overlay, a row filter, either version,
+    and keys of both key-index tiers."""
+    dead = set()
+    if n_ranks > 1:
+        dead = data.draw(st.sets(st.integers(0, n_ranks - 1), max_size=n_ranks - 1))
+    _check_join_index(
+        rows, n_ranks, n_sub, aggregate, filtered, version,
+        data.draw(st.integers(0, len(rows))), dead,
+        np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+    )
+
+
+@pytest.mark.parametrize("n_ranks", [1, 3])
+def test_join_index_orders_a_key_by_segment_then_arrival(n_ranks):
+    """Dense fixed relations: a key's rows on one rank sit in several
+    sub-bucket segments and arrive interleaved across them."""
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        rows = [tuple(map(int, r)) for r in rng.integers(0, (3, 7, 10), (60, 3))]
+        _check_join_index(rows, n_ranks, 8, False, False, "full", 30, set(), rng)
+
+
+def _check_join_index(
+    rows, n_ranks, n_sub, aggregate, filtered, version, cut, dead, rng
+):
+    """Assert :class:`RankJoinIndex` over a relation of ``rows`` (the
+    first ``cut`` loaded and advanced first, ``dead`` ranks excluded)
+    answers one probe of every (rank, key) pair, in ``rng``'s order, as
+    each rank's own index (:func:`_ref_rank_index`) does: the rank's
+    shards in (bucket, sub) order, each in nested order."""
+    schema = Schema(
+        name="rel", arity=3, join_cols=(0,), n_subbuckets=n_sub,
+        **({"n_dep": 1, "aggregator": MinAggregator()} if aggregate else {}),
+    )
+    rel = VersionedRelation(schema, n_ranks)
+    rel.load(rows[:cut])
+    rel.advance()
+    rel.load(rows[cut:])
+    if version == "delta":
+        rel.advance()
+    if dead:
+        rel.exclude_ranks(dead)
+    match_block = _EvenLast() if filtered else None
+    index = RankJoinIndex.build(rel, version, match_block)
+    keys = sorted({r[0] for r in rows} | {7})  # 7 is never stored
+    ranks = np.repeat(np.arange(n_ranks, dtype=np.int64), len(keys))
+    probe = np.tile(np.asarray([(k, 1, 1) for k in keys], dtype=np.int64), (n_ranks, 1))
+    perm = rng.permutation(ranks.shape[0])
+    ranks, probe = ranks[perm], probe[perm]
+    starts, counts = index.probe(ranks, probe, (0,))
+    for rank in range(n_ranks):
+        ref = _ref_rank_index(rel, version, rank, match_block)
+        mine = ranks == rank
+        ref_starts, ref_counts = _ref_probe(ref, probe[mine], (0,))
+        np.testing.assert_array_equal(counts[mine], ref_counts)
+        np.testing.assert_array_equal(
+            index.rows[concat_ranges(starts[mine], counts[mine])],
+            ref[0][concat_ranges(ref_starts, ref_counts)],
+        )
+
+
+def _ref_local_join(
+    cr, outer_pos, delivery, inner_rel, inner_ver, probe_cols,
+    per_rank_probe, per_rank_emit, fold=None,
+):
+    """The per-rank loop the run-wise join replaced: per receiving rank,
+    its own index (:func:`_ref_rank_index`), one probe and one emission,
+    folded as it is emitted past the pair budget."""
+    inner_mb = cr.matches_block[1 - outer_pos]
+    budget = executor_mod._PAIR_BUDGET
+    emitted = {}
+    for r, boxes in delivery.boxes():
+        probe = delivery.table.rows_of(boxes)
+        per_rank_probe[r] += probe.shape[0]
+        ref = _ref_rank_index(inner_rel, inner_ver, r, inner_mb)
+        starts, counts = _ref_probe(ref, probe, probe_cols)
+        n_pairs = int(counts.sum())
+        per_rank_emit[r] += n_pairs
+        if not n_pairs:
+            continue
+        if fold is None or n_pairs <= budget:
+            emitted[r] = executor_mod._emit_pairs(
+                cr, outer_pos, probe, ref[0], 0, starts, counts
+            )
+            continue
+        parts = [
+            combine_block(
+                executor_mod._emit_pairs(cr, outer_pos, probe, ref[0], lo, s, c),
+                *fold,
+            )
+            for lo, s, c in executor_mod._pair_chunks(starts, counts, budget)
+        ]
+        emitted[r] = (
+            np.concatenate([rows for rows, _ in parts]),
+            np.concatenate([pre for _, pre in parts]),
+        )
+    return emitted
+
+
+@given(
+    n_ranks=st.sampled_from([1, 3, 7]),
+    n_sub=st.sampled_from([1, 3]),
+    edges=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 5)),
+        max_size=60,
+    ),
+    boxes=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 12)),
+        min_size=2,
+        max_size=16,
+    ),
+    inner_ver=st.sampled_from(["full", "delta"]),
+    fold=st.booleans(),
+    chunk_rows=st.integers(4, 48),
+    pair_budget=st.integers(1, 24),
+    data=st.data(),
+)
+def test_local_join_matches_per_rank_loop(
+    n_ranks, n_sub, edges, boxes, inner_ver, fold, chunk_rows, pair_budget, data
+):
+    """The run-wise local join on a random delivery — receivers in any
+    order, one box delivered twice, small runs and a small pair budget so
+    receivers share runs, fill runs alone and fold past the budget —
+    emits what the per-rank loop emitted."""
+    _check_local_join(
+        n_ranks, n_sub, edges, boxes, inner_ver, fold, chunk_rows, pair_budget,
+        np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+    )
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_local_join_groups_like_per_rank_loop(fold):
+    """Dense fixed deliveries: runs of several receivers, each run cut
+    into several emission groups, folded receivers behind others."""
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        edges = [tuple(map(int, e)) for e in rng.integers((0, 0, 1), (6, 6, 6), (40, 3))]
+        boxes = [tuple(map(int, b)) for b in rng.integers(0, 13, (12, 3))]
+        _check_local_join(3, 1, edges, boxes, "full", fold, 48, 3, rng)
+
+
+def _check_local_join(
+    n_ranks, n_sub, edges, boxes, inner_ver, fold, chunk_rows, pair_budget, rng
+):
+    """Assert the local join of a delivery of ``boxes`` (``(src, dst,
+    n_rows)``, taken modulo the rank count and 13) against an SSSP edge
+    relation equals :func:`_ref_local_join`'s: the same receivers in the
+    same order, the same blocks and dtypes, the same tallies."""
+    engine = Engine(
+        sssp_program(), EngineConfig(n_ranks=n_ranks, subbuckets={"edge": n_sub})
+    )
+    half = len(edges) // 2
+    engine.load("edge", edges[:half])
+    engine.load("edge", edges[half:])
+    cr = next(cr for cr in engine.compiled.compiled.values() if cr.is_join)
+    assert cr.body_names == ("spath", "edge")
+    src, dst, n_rows = (
+        np.asarray(col, dtype=np.int64) % m
+        for col, m in zip(zip(*boxes), (n_ranks, n_ranks, 13))
+    )
+    rows = rng.integers(0, 7, (int(n_rows.sum()), 3))
+    table = BoxTable(src, dst, n_rows, rows=rows)
+    # Receivers in a random order, each one's boxes shuffled, and one box
+    # delivered twice.
+    order = [
+        rng.permutation(np.flatnonzero(dst == d))
+        for d in rng.permutation(np.unique(dst))
+    ]
+    twice = int(rng.integers(len(order)))
+    order[twice] = np.append(order[twice], order[twice][0])
+    delivery = Delivery(table, np.concatenate(order))
+    plan = engine._wire_plans["spath"] if fold else None
+    args = (cr, 0, delivery, engine.store["edge"], inner_ver, cr.probe_from_left)
+    got_tallies = [np.zeros(n_ranks, dtype=np.int64) for _ in range(2)]
+    ref_tallies = [np.zeros(n_ranks, dtype=np.int64) for _ in range(2)]
+    with mock.patch.object(executor_mod, "_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(executor_mod, "_PAIR_BUDGET", pair_budget):
+        got = executor_mod.ColumnarExecutor().local_join(*args, *got_tallies, plan)
+        ref = _ref_local_join(*args, *ref_tallies, plan)
+    assert list(got) == list(ref)
+    for r, block in ref.items():
+        if isinstance(block, tuple):
+            assert isinstance(got[r], tuple)
+            for a, b in zip(got[r], block):
+                np.testing.assert_array_equal(a, b)
+                assert a.dtype == b.dtype
+        else:
+            np.testing.assert_array_equal(got[r], block)
+            assert got[r].dtype == block.dtype
+    for a, b in zip(got_tallies, ref_tallies):
+        np.testing.assert_array_equal(a, b)
 
 
 # ----------------------------------------------------------------- route

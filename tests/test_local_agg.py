@@ -14,7 +14,6 @@ from repro.kernels.absorb import (
 )
 from repro.relational.schema import Schema
 from repro.relational.storage import VersionedRelation
-from repro.runtime.executor import ColumnarExecutor
 
 
 def plain_schema():
@@ -54,8 +53,10 @@ def probe(schema, version, tuples, jk):
     rel.load(tuples)
     if version == "delta":
         rel.advance()
-    index = ColumnarExecutor()._rank_index(rel, version, 0, None, None)
-    starts, counts = index.probe(np.asarray([jk], dtype=np.int64), (0,))
+    index = rel.join_index(version)
+    starts, counts = index.probe(
+        np.zeros(1, dtype=np.int64), np.asarray([jk], dtype=np.int64), (0,)
+    )
     return [tuple(t) for t in index.rows[starts[0] : starts[0] + counts[0]].tolist()]
 
 

@@ -7,7 +7,9 @@ from repro.core.aggregators import MinAggregator
 from repro.kernels.absorb import AbsorbStats
 from repro.relational.schema import Schema
 from repro.relational.storage import RelationStore, VersionedRelation
-from repro.runtime.executor import ColumnarExecutor
+from repro.comm.simcluster import SimCluster
+from repro.faults.checkpoint import capture, restore
+from repro.runtime.rebalance import reshard_relation
 from repro.util.hashing import HashSeed
 
 
@@ -89,20 +91,55 @@ class TestVersionedRelation:
             list(rel.shard_blocks("nope"))
 
     def test_probe_cache_invalidation(self):
-        """The executor's cached join index of a rank is rebuilt once a
-        load changes the relation's full version under it."""
+        """The relation's cached join index is reused while the full
+        version holds, and rebuilt — with no invalidate call anywhere —
+        once a load, a degraded-mode overlay, a reshard or a checkpoint
+        restore changes the rows or their placement under it."""
         rel = VersionedRelation(edge_schema(), 4)
+        store = {"edge": rel}
+
+        def matches():
+            """Key 0's rows as the index returns them, per rank, against
+            every key-0 row of the table under today's placement."""
+            index = rel.join_index("full")
+            ranks = np.arange(4, dtype=np.int64)
+            starts, counts = index.probe(
+                ranks, np.zeros((4, 3), dtype=np.int64), (0,)
+            )
+            got = {
+                r: sorted(map(tuple, index.rows[s : s + c].tolist()))
+                for r, s, c in zip(ranks.tolist(), starts.tolist(), counts.tolist())
+            }
+            want = {r: [] for r in range(4)}
+            for row in sorted(rel.as_set()):
+                if row[0] == 0:
+                    want[rel.dist.rank_of(row)].append(row)
+            assert got == want
+            return got
+
         rel.load([(0, 1, 1)])
+        before = rel.join_index("full")
+        assert before is rel.join_index("full")
         rank = rel.dist.rank_of((0, 1, 1))
-        ex = ColumnarExecutor()
-        before = ex._rank_index(rel, "full", rank, None, None)
-        assert before is ex._rank_index(rel, "full", rank, None, None)
-        assert before.rows.tolist() == [[0, 1, 1]]
-        # a new row lands on the same rank: the cache must refresh
-        other = next(k for k in range(1, 1000) if rel.dist.rank_of((k, 0, 0)) == rank)
-        rel.load([(other, 0, 0)])
-        again = ex._rank_index(rel, "full", rank, None, None)
-        assert sorted(again.rows.tolist()) == sorted([[0, 1, 1], [other, 0, 0]])
+        assert matches()[rank] == [(0, 1, 1)]
+        ckpt = capture(
+            store, ["edge"], stratum=0, iteration=0, changed=False,
+            iterations_total=0, counters={}, trace_len=0,
+        )
+        rel.load([(0, 2, 2)])
+        assert matches()[rank] == [(0, 1, 1), (0, 2, 2)]
+        # Back to the checkpoint's table and generation, then another
+        # row: the generation the index was built at, other rows.
+        restore(store, ckpt)
+        rel.load([(0, 3, 3)])
+        assert rel.full_gen == 2
+        assert matches()[rank] == [(0, 1, 1), (0, 3, 3)]
+        # The overlay moves the dead rank's shards: same rows, same
+        # generation, another owner.
+        rel.exclude_ranks([rank])
+        assert matches()[rank] == []
+        reshard_relation(rel, 3, SimCluster(4))
+        matches()
 
     def test_repr(self):
         rel = VersionedRelation(edge_schema(), 4)

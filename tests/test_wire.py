@@ -731,10 +731,16 @@ class TestFoldBeforeRoute:
         probe = np.asarray([(s % 4, 0, s) for s in range(1000)], dtype=np.int64)
         plan = engine._wire_plans["spath"]
         per_rank_emit = np.zeros(1, dtype=np.int64)
+        # All 1,000 probes in one box delivered to rank 0.
+        delivery = Delivery(
+            BoxTable(np.zeros(1, np.int64), np.zeros(1, np.int64),
+                     np.asarray([probe.shape[0]]), rows=probe),
+            np.zeros(1, dtype=np.int64),
+        )
         tracemalloc.start()
         try:
             emitted = executor_mod.ColumnarExecutor().local_join(
-                cr, 0, [(0, probe)], engine.store["edge"], "full",
+                cr, 0, delivery, engine.store["edge"], "full",
                 cr.probe_from_left, np.zeros(1, dtype=np.int64), per_rank_emit,
                 plan,
             )
