@@ -249,8 +249,11 @@ class _RowStore:
 
     An exact :class:`~repro.kernels.block.KeyIndex` over (segment,
     identity columns) maps a group to its row id; it compares exact
-    column values, so lookups can never confuse distinct groups.  It is
-    rebuilt when a lookup finds rows appended since.
+    column values, so lookups can never confuse distinct groups.  Rows
+    appended since it was built go into a second, tail index, rebuilt
+    when a lookup finds rows appended since and probed for the main
+    index's misses only; once the tail is as long as the main index, the
+    main index is rebuilt over every row.
     """
 
     __slots__ = (
@@ -260,6 +263,7 @@ class _RowStore:
         "_data",
         "_seg",
         "_index",
+        "_tail",
         "_pending_ids",
         "_in_pending",
         "_delta",
@@ -275,7 +279,7 @@ class _RowStore:
         self._jk_cols = list(schema.join_cols)
         self._data = GrowBuf(schema.arity)
         self._seg = GrowBuf()
-        self._index = KeyIndex([_NO_ROWS])
+        self._index = self._tail = KeyIndex([_NO_ROWS])
         self._pending_ids = GrowBuf()
         self._in_pending = GrowBuf(dtype=bool, fill=False)
         #: Each version as (rows, segments); Δ nested once it is read.
@@ -376,11 +380,22 @@ class _RowStore:
         """Row id per (segment, query identity); -1 = miss.  ``queries``
         are rows over the identity columns, in segment 0 by default."""
         data, seg = self.stored()
-        if self._index.n != data.shape[0]:
-            self._index = KeyIndex(_key_columns(seg, data, self.n_indep))
-        return self._index.find(
-            _key_columns(_segments(segs, queries.shape[0]), queries, self.n_indep)
-        )
+        base = self._index.n
+        if base + self._tail.n != data.shape[0]:
+            if data.shape[0] - base >= base:
+                self._index = KeyIndex(_key_columns(seg, data, self.n_indep))
+                self._tail = KeyIndex([_NO_ROWS])
+            else:
+                self._tail = KeyIndex(
+                    _key_columns(seg[base:], data[base:], self.n_indep)
+                )
+        keys = _key_columns(_segments(segs, queries.shape[0]), queries, self.n_indep)
+        slot = self._index.find(keys)
+        if self._tail.n:
+            miss = np.flatnonzero(slot < 0)
+            tail = self._tail.find([col[miss] for col in keys])
+            slot[miss] = np.where(tail < 0, -1, tail + self._index.n)
+        return slot
 
     def _append_rows(self, rows: np.ndarray, segs: np.ndarray) -> int:
         """Append admitted group rows; returns the base row id."""

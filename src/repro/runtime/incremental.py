@@ -462,7 +462,7 @@ class FixpointHandle:
             for name in names:
                 rel = engine.store[name]
                 full = rel.table.stored()[0]
-                diff = full[before[name].find(full) < 0]
+                diff = full[before[name].find(full, sort=True) < 0]
                 rel.install_delta(np.unique(diff, axis=0) if diff.shape[0] else None)
                 by_rank[name] = rel.sizes_by_rank("delta")
         out = self._agreed_sizes(by_rank)

@@ -2,14 +2,18 @@
 
 The engine has one data plane, and nothing inside the engine checks it.
 This property is its oracle: it draws a small graph, a program, a rank
-count, the wire layer on or off and the local join's pair budget
+count, the EDB relations' sub-bucket count (1, 2 or 4), the wire layer
+on or off (on, a sub-bucketed EDB inner gets the key directory), the
+driver (the BSP engine, or one engine per rank through
+:func:`repro.runtime.spmd.run_slices`) and the local join's pair budget
 (``runtime.executor._PAIR_BUDGET``, patched to a few pairs so that large
 probes fold in runs), runs the engine, and asserts that every relation
 equals what :func:`repro.planner.interpreter.interpret` — a naive
 evaluator that shares each aggregate's ``partial_agg`` with the engine
-and nothing else — derives.  A run at the small pair budget must also
-leave :meth:`FixpointResult.summary` (iterations, counters, per-rank
-sizes, every modeled charge) exactly as the default budget leaves it.
+and nothing else — derives.  A BSP run at the small pair budget must
+also leave :meth:`FixpointResult.summary` (iterations, counters,
+per-rank sizes, every modeled charge) exactly as the default budget
+leaves it.
 
 The programs cover each kind of head the data plane evaluates:
 numpy-combined aggregates (SSSP's ``$MIN``, CC, widest path's
@@ -47,6 +51,7 @@ from repro.queries.sssp import sssp_program
 from repro.runtime import executor as executor_mod
 from repro.runtime.config import EngineConfig
 from repro.runtime.engine import Engine
+from repro.runtime.spmd import run_spmd_engine
 
 INF = 10**6
 f, t, m, n, a, b, c, w, g = vars_("f t m n a b c w g")
@@ -186,13 +191,26 @@ def assert_equals_interpreter(result, expected):
     kind=st.sampled_from(sorted(PROGRAMS)),
     graph=graphs(),
     n_ranks=st.sampled_from([1, 2, 3, 7]),
+    edb_subbuckets=st.sampled_from([1, 2, 4]),
     wire=st.booleans(),
+    spmd=st.booleans(),
     small_budget=st.booleans(),
 )
-def test_engine_equals_interpreter(kind, graph, n_ranks, wire, small_budget):
+def test_engine_equals_interpreter(
+    kind, graph, n_ranks, edb_subbuckets, wire, spmd, small_budget
+):
     program, facts = PROGRAMS[kind](*graph)
     expected = interpret(program, facts)
-    config = EngineConfig(n_ranks=n_ranks, wire=wire)
+    config = EngineConfig(
+        n_ranks=n_ranks,
+        wire=wire,
+        subbuckets={decl.name: edb_subbuckets for decl in program.edb},
+    )
+    if spmd:
+        assert run_spmd_engine(program, facts, config) == {
+            name: set(tuples) for name, tuples in expected.items()
+        }
+        return
     result = _run(program, facts, config)
     assert_equals_interpreter(result, expected)
     if small_budget:
