@@ -270,24 +270,31 @@ class TestIdempotence:
 #: seconds and comm bytes of the run.  The draws depend on every
 #: message's content (the corruption mutator picks a leaf among all of a
 #: payload's values), so these pin how the exchanges cut messages.
+#: Refereed by the fault-free run: equal answers and admissions (every
+#: duplicate dropped at absorb), and every corruption detected.
 FAULT_GOLDEN = {
-    "sssp": ((56, 50, 64, 115, 7901), 0.00042350989999999995, 104782),
-    "cc": ((41, 57, 57, 94, 4642), 0.000272247, 43507),
+    "sssp": ((68, 63, 59, 123, 7344), 0.00042061400000000004, 86717),
+    "cc": ((54, 56, 50, 102, 4119), 0.0002819425, 42220),
 }
 
 
 @pytest.mark.parametrize("query", sorted(FAULT_GOLDEN))
 def test_fault_plane_outcomes_are_pinned(query, medium_graph, medium_weighted_graph):
-    config = EngineConfig(
-        n_ranks=16,
-        default_subbuckets=4,
-        faults=FaultOptions(spec="drop=0.05,dup=0.05,corrupt=0.05,seed=7"),
-    )
-    if query == "sssp":
-        fp = run_sssp(medium_weighted_graph, list(range(10)), config).fixpoint
-    else:
-        fp = run_cc(medium_graph, config).fixpoint
+    def run(spec):
+        config = EngineConfig(
+            n_ranks=16, default_subbuckets=4, faults=FaultOptions(spec=spec)
+        )
+        if query == "sssp":
+            return run_sssp(medium_weighted_graph, list(range(10)), config).fixpoint
+        return run_cc(medium_graph, config).fixpoint
+
+    fp = run("drop=0.05,dup=0.05,corrupt=0.05,seed=7")
+    clean = run(None)
+    for name in clean.relations:
+        assert fp.query(name) == clean.query(name), name
+    assert fp.counters["admitted"] == clean.counters["admitted"]
     inj = fp.recovery.injected
+    assert inj.detected_corruptions == inj.corruptions
     injected, modeled, comm_bytes = FAULT_GOLDEN[query]
     assert (
         inj.drops, inj.dups, inj.corruptions, inj.retransmits,
