@@ -4,12 +4,13 @@ The exchanges ship blocks of int64 tuples between ranks.  This
 module owns the *representation* of those blocks on the simulated wire.
 The layer has one switch, ``EngineConfig.wire`` (on by default): on,
 the engine folds each sender's duplicate keys, ships ``delta`` payloads,
-lets the α–β model pick the collective per exchange and sends an
-intra-bucket copy only to the sub-bucket owners a key directory lists
-for its join key (:class:`~repro.kernels.route.KeyDirectory`); off, it
-reproduces the pre-wire engine bit-for-bit (no folding, no encoding,
-direct ``alltoallv``, raw byte charging, every sub-bucket owner sent a
-copy).
+lets the α–β model pick the collective per exchange and places a
+sub-bucketed EDB relation by heavy and light join keys, so an outer
+tuple of a light key crosses the intra-bucket exchange once
+(:meth:`~repro.runtime.engine.Engine.load`); off, it reproduces the
+pre-wire engine bit-for-bit (no folding, no encoding, direct
+``alltoallv``, raw byte charging, §IV-C's placement with every
+sub-bucket owner sent a copy).
 
 Row-block codecs: ``delta`` (per-column delta + zigzag varint; small
 when rows arrive sorted by independent key, which sender-side combining

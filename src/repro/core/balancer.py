@@ -15,6 +15,7 @@ This module provides the *measurement* side:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
@@ -99,8 +100,9 @@ def recommend_subbuckets(
     """Adaptive sub-bucket sizing.
 
     Doubles the sub-bucket count until the projected max/mean imbalance
-    drops under ``tolerance`` (the ~2× residual the paper reports for 8
-    sub-buckets on Twitter) or ``max_subbuckets`` is reached.
+    (placed by ``schema``'s own heavy-key set) drops under ``tolerance``
+    (the ~2× residual the paper reports for 8 sub-buckets on Twitter) or
+    ``max_subbuckets`` is reached.
 
     Returns the chosen count and the report at that count.
     """
@@ -110,14 +112,7 @@ def recommend_subbuckets(
     n_sub = 1
     best: Tuple[int, ImbalanceReport] | None = None
     while True:
-        trial_schema = Schema(
-            name=schema.name,
-            arity=schema.arity,
-            join_cols=schema.join_cols,
-            n_dep=schema.n_dep,
-            aggregator=schema.aggregator,
-            n_subbuckets=n_sub,
-        )
+        trial_schema = dataclasses.replace(schema, n_subbuckets=n_sub)
         report = measure_imbalance(rows, Distribution(trial_schema, n_ranks, seed))
         if best is None or report.ratio_max_mean < best[1].ratio_max_mean:
             best = (n_sub, report)

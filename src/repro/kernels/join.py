@@ -30,7 +30,7 @@ from repro.kernels.block import KeyIndex, group_columns
 class RankJoinIndex:
     """Every row of one relation version, grouped by (owner rank, join key)."""
 
-    __slots__ = ("rows", "groups", "_keys", "_key_starts", "_key_counts")
+    __slots__ = ("rows", "_keys", "_key_starts", "_key_counts")
 
     @classmethod
     def build(cls, rel, version: str, match_block=None) -> "RankJoinIndex":
@@ -53,9 +53,7 @@ class RankJoinIndex:
         key_starts = starts[new_key]
         index = cls.__new__(cls)
         index.rows = np.take(rows, order, axis=0)
-        #: Every distinct (owner, *key) as columns, in that order.
-        index.groups = [col[new_key] for col in key_cols]
-        index._keys = KeyIndex(index.groups)
+        index._keys = KeyIndex([col[new_key] for col in key_cols])
         # One trailing empty range: a miss (slot -1) reads (0, 0).
         index._key_starts = np.append(key_starts, 0)
         index._key_counts = np.append(np.diff(key_starts, append=rows.shape[0]), 0)

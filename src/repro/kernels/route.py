@@ -6,20 +6,14 @@ that places the rows, and once encoded one payload buffer.  No Python
 runs per box between the build and absorb.
 
 ``build_intra_sends``
-    Intra-bucket replication (pipeline phase 2): every outer tuple goes
-    to each sub-bucket owner of its inner-side bucket, or, given a
-    :class:`KeyDirectory`, only to the owners that hold an inner row with
-    its join key — a copy anywhere else finds no partner.  Boxes are
-    plain rows — a row's bucket is a hash of its join-key values, which
-    the receiver probes by anyway — and the all-to-all charges them per
-    tuple.
-
-``build_directory_sends``
-    The key-directory exchange behind :class:`KeyDirectory`: each rank
-    ships the sorted distinct join keys it holds of a sub-bucketed inner
-    relation to the ranks holding the outer rows of those keys' buckets.
-    The directory is built from what that exchange delivered, never from
-    the sender's store, so a per-rank driver's slice builds the same one.
+    Intra-bucket replication (pipeline phase 2): an outer tuple whose
+    join key is light in the inner relation's placement goes to the one
+    owner of the cell the key's inner rows share; a heavy key's goes to
+    each sub-bucket owner of its inner-side bucket
+    (:meth:`~repro.relational.distribution.Distribution.key_subs`).
+    Boxes are plain rows — a row's bucket is a hash of its join-key
+    values, which the receiver probes by anyway — and the all-to-all
+    charges them per tuple.
 
 ``build_route_sends``
     Home routing of emitted head tuples (phase 4): where the wire
@@ -55,7 +49,7 @@ import numpy as np
 from repro.comm.boxes import BoxTable, Delivery
 from repro.comm.wire import WIRE_HEADER_WORDS, decode_blocks, encode_blocks
 from repro.kernels.absorb import VectorCombiner, combine_block
-from repro.kernels.block import KeyIndex, concat_ranges, group_columns, offsets
+from repro.kernels.block import group_columns, offsets
 
 #: One source's emitted rows: a row block, or a block the local join
 #: already folded in chunks with each row's pre-fold count.
@@ -83,17 +77,14 @@ def build_intra_sends(
     n_sub: int,
     probe_cols: Sequence[int],
     per_rank_ser: np.ndarray,
-    directory: Optional["KeyDirectory"] = None,
-    per_rank_lookup: Optional[np.ndarray] = None,
 ) -> Tuple[BoxTable, int]:
-    """Replicate outer blocks to the sub-bucket owners of their buckets.
+    """Replicate outer blocks to the inner owners of their join keys.
 
     ``owner_blocks`` are (owner rank, matched rows) pairs in shard order;
     ``per_rank_ser`` accumulates each owner's serialization fanout
-    (deduplicated destinations per tuple).  Given a ``directory``, a row
-    goes only to the ranks it lists for the row's key (none for a key
-    no rank holds), and ``per_rank_lookup`` accumulates each owner's
-    looked-up rows.  Consecutive blocks are replicated together,
+    (deduplicated destinations per tuple).  A row of a light key goes to
+    its key's cell, a heavy one to every distinct sub-bucket owner of its
+    bucket.  Consecutive blocks are replicated together,
     :data:`_CHUNK_ROWS` rows at a time, so each
     ``(owner, dst)`` message holds one box per batch: the rows the owner
     sends ``dst``, in shard order and within a shard in arrival order.
@@ -110,20 +101,25 @@ def build_intra_sends(
             np.asarray([o for o, _rows in blocks[lo:hi]], dtype=np.int64),
             sizes[lo:hi],
         )
-        if directory is not None:
-            per_rank_lookup += np.bincount(owner, minlength=per_rank_lookup.shape[0])
-            # Row-major (row, holder) pairs, as the last branch's.
-            src_row, dst = directory.holders_of(rows, probe_cols)
-            owner = owner[src_row]
-        elif n_sub == 1:
+        buckets = dist.buckets_of_key_rows(rows, probe_cols)
+        subs = (
+            np.zeros_like(buckets) if n_sub == 1
+            else dist.key_subs(rows, probe_cols)
+        )
+        if subs is not None and (subs >= 0).all():
             src_row = None
-            dst = dist.owner_table[dist.buckets_of_key_rows(rows, probe_cols), 0]
+            dst = dist.owner_table[buckets, subs]
         else:
-            buckets = dist.buckets_of_key_rows(rows, probe_cols)
             # Row-major (row, sub) pairs, one per *distinct* destination
-            # of the row's bucket: a stable grouping by (destination,
-            # owner) then leaves each pair's rows in arrival order.
-            src_row, sub = np.nonzero(dist.distinct_owners[buckets])
+            # of a heavy row's bucket and one for a light row: a stable
+            # grouping by (destination, owner) then leaves each pair's
+            # rows in arrival order.
+            cells = dist.distinct_owners[buckets]
+            if subs is not None:
+                light = np.flatnonzero(subs >= 0)
+                cells[light] = False
+                cells[light, subs[light]] = True
+            src_row, sub = np.nonzero(cells)
             owner = owner[src_row]
             dst = dist.owner_table[buckets[src_row], sub]
         order, starts, counts = group_columns([dst, owner])
@@ -137,80 +133,6 @@ def build_intra_sends(
         per_rank_ser += np.bincount(owner, minlength=per_rank_ser.shape[0])
         n_intra += dst.shape[0]
     return _table(parts), n_intra
-
-
-def build_directory_sends(groups, dist, senders) -> Tuple[BoxTable, np.ndarray]:
-    """The key-directory exchange of an inner relation placed by ``dist``,
-    and the keys each rank ships.
-
-    ``groups`` are the distinct (holder rank, *join key) columns of the
-    inner version, sorted (:attr:`~repro.kernels.join.RankJoinIndex.
-    groups`).  Each holder sends its keys of a bucket to every rank that
-    the outer relation's placement ``senders`` puts the bucket on — the
-    ranks whose outer rows carry those keys.  One box per (holder,
-    receiver), its keys sorted, so the ``delta`` codec ships small gaps.
-    """
-    holder, *keys = groups
-    bucket = dist.buckets_of_key_rows(np.column_stack(keys), range(len(keys)))
-    pair, sub = np.nonzero(senders.distinct_owners[bucket])
-    src, dst = holder[pair], senders.owner_table[bucket[pair], sub]
-    # Pairs are row-major over groups sorted by (holder, key): a stable
-    # grouping by (holder, receiver) keeps each box's keys sorted.
-    order, starts, counts = group_columns([src, dst])
-    heads = order[starts]
-    table = BoxTable(
-        src[heads], dst[heads], counts,
-        rows=np.column_stack([key[pair[order]] for key in keys]),
-    )
-    return table, np.bincount(src, minlength=dist.n_ranks)
-
-
-class KeyDirectory:
-    """Join key → the ranks holding inner rows with that key, as the
-    key-directory exchange (:func:`build_directory_sends`) delivered it.
-
-    Every holder of a key sends it to every outer owner of the key's
-    bucket, so each rank that sends a row of that key learns the same
-    holders: one directory over every delivered box answers for all of
-    them.
-    """
-
-    __slots__ = ("_keys", "_starts", "_counts", "_holders")
-
-    def __init__(self, delivery: Delivery, width: int, codec: str):
-        table = delivery.table
-        runs = decode_wire_boxes(delivery, width, codec)
-        keys = _concat(
-            [rows for _boxes, rows in runs] or [np.zeros((0, width), np.int64)]
-        )
-        holder = _concat([
-            np.repeat(table.src[boxes], table.n_rows[boxes]) for boxes, _rows in runs
-        ] or [_NONE])
-        # A duplicated box delivers its keys twice: one entry per (key, holder).
-        cols = [keys[:, c] for c in range(width)]
-        order, starts, _counts = group_columns([*cols, holder])
-        heads = order[starts]
-        new_key = np.zeros(heads.shape[0], dtype=bool)
-        new_key[:1] = True
-        for col in cols:
-            new_key[1:] |= col[heads[1:]] != col[heads[:-1]]
-        key_starts = np.flatnonzero(new_key)
-        self._holders = holder[heads]
-        self._keys = KeyIndex([col[heads[key_starts]] for col in cols])
-        # One trailing empty range: a miss (slot -1) reads (0, 0).
-        self._starts = np.append(key_starts, 0)
-        self._counts = np.append(np.diff(key_starts, append=heads.shape[0]), 0)
-
-    def holders_of(
-        self, rows: np.ndarray, key_cols: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Every (row, holder) pair of ``rows``, keyed at ``key_cols``,
-        row-major, each row's holders in rank order: the row indices and
-        the holders."""
-        slot = self._keys.find([rows[:, c] for c in key_cols], sort=True)
-        counts = self._counts[slot]
-        pair_row = np.repeat(np.arange(rows.shape[0], dtype=np.int64), counts)
-        return pair_row, self._holders[concat_ranges(self._starts[slot], counts)]
 
 
 def build_route_sends(

@@ -9,18 +9,28 @@ deterministic pseudo-random ranks (sub-bucket 0 stays home).  This realizes
 millions of followers — has one bucket but spreads across ``n_subbuckets``
 ranks.
 
+Only a *heavy* key needs spreading.  A schema that carries a heavy-key
+set (``Schema.heavy_keys``, :func:`heavy_keys`, after *Skew in Parallel
+Query Processing*) places a row of any other, *light*, key by a hash of
+its join key instead, so the key's rows share one (bucket, sub) cell and
+a joining tuple needs one copy, to that cell's owner
+(:meth:`Distribution.key_subs`).  Without a set every key is heavy: the
+paper's placement.
+
 Correctness invariant: a tuple's rank is a pure function of its independent
-columns, so all members of one aggregation group colocate, which is exactly
-what makes fused local aggregation communication-free (§III-A).
+columns (the join columns are among them), so all members of one
+aggregation group colocate, which is exactly what makes fused local
+aggregation communication-free (§III-A).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import FrozenSet, Iterable, Sequence, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.kernels.block import KeyIndex, group_columns
 from repro.relational.schema import Schema
 from repro.util.hashing import (
     HashSeed,
@@ -87,7 +97,8 @@ class Distribution:
         Buckets are untouched (join columns and seed are unchanged), so a
         resize only moves tuples *within* their bucket's rank set — the
         invariant behind the intra-bucket redistribution exchange.  The
-        degraded overlay, when installed, carries over.
+        heavy-key set and the degraded overlay, when installed, carry
+        over.
         """
         import dataclasses
 
@@ -124,6 +135,9 @@ class Distribution:
         """Sub-bucket index of a tuple (0 when sub-bucketing is off)."""
         if self.schema.n_subbuckets == 1:
             return 0
+        heavy, jk = self.schema.heavy_keys, self.schema.key_of(t)
+        if heavy is not None and jk not in heavy:
+            return hash_tuple(jk, self.seed.subbucket) % self.schema.n_subbuckets
         other = self.schema.other_of(t)
         if not other:
             return 0
@@ -146,17 +160,53 @@ class Distribution:
         if rows.shape[0] == 0:
             z = np.zeros(0, dtype=np.int64)
             return z, z
-        buckets = (
-            hash_columns(rows, self.schema.join_cols, self.seed.bucket)
-            % np.uint64(self.n_ranks)
-        ).astype(np.int64)
-        if self.schema.n_subbuckets == 1 or not self.schema.other_cols:
+        schema = self.schema
+        buckets = self.buckets_of_key_rows(rows, schema.join_cols)
+        if schema.n_subbuckets == 1:
             return buckets, np.zeros_like(buckets)
-        subs = (
+        subs = self.key_subs(rows, schema.join_cols)
+        if subs is None:
+            return buckets, self._other_subs(rows)
+        heavy = np.flatnonzero(subs < 0)
+        if heavy.shape[0]:
+            subs[heavy] = self._other_subs(np.take(rows, heavy, axis=0))
+        return buckets, subs
+
+    def _other_subs(self, rows: np.ndarray) -> np.ndarray:
+        """§IV-C's sub-bucket of every row: a hash of its non-join
+        independent columns (0 without any)."""
+        if not self.schema.other_cols:
+            return np.zeros(rows.shape[0], dtype=np.int64)
+        return (
             hash_columns(rows, self.schema.other_cols, self.seed.subbucket)
             % np.uint64(self.schema.n_subbuckets)
         ).astype(np.int64)
-        return buckets, subs
+
+    def key_subs(self, rows: np.ndarray, key_cols: Sequence[int]) -> Optional[np.ndarray]:
+        """The sub-bucket of each row's join key when the key is light,
+        -1 when it is heavy; None when every key is heavy.
+
+        ``key_cols`` are the key's positions in ``rows``, in this
+        relation's join-column order (as :meth:`buckets_of_key_rows`'),
+        so a joining tuple finds the one cell a light key's rows share.
+        """
+        heavy = self.schema.heavy_keys
+        if heavy is None:
+            return None
+        subs = (
+            hash_columns(rows, key_cols, self.seed.subbucket)
+            % np.uint64(self.schema.n_subbuckets)
+        ).astype(np.int64)
+        if not heavy:
+            return subs
+        keys = np.asarray(heavy, dtype=np.int64).reshape(len(heavy), len(key_cols))
+        if len(key_cols) == 1:
+            # One key column: np.isin's lookup table, several times faster.
+            is_heavy = np.isin(rows[:, key_cols[0]], keys[:, 0])
+        else:
+            is_heavy = KeyIndex(keys).find(rows[:, list(key_cols)]) >= 0
+        subs[is_heavy] = -1
+        return subs
 
     def rank_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`rank_of` over an ``(n, arity)`` array."""
@@ -219,3 +269,24 @@ class Distribution:
         return (
             hash_columns(rows, key_cols, self.seed.bucket) % np.uint64(self.n_ranks)
         ).astype(np.int64)
+
+
+def heavy_keys(
+    rows: np.ndarray, key_cols: Sequence[int], n_cells: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """The keys (values at ``key_cols``) held by more than m / ``n_cells``
+    of the m ``rows`` — more than an average cell's share — sorted: fewer
+    than ``n_cells`` of them."""
+    m = rows.shape[0]
+    if not m:
+        return ()
+    keys = rows[:, list(key_cols)]
+    if keys.shape[1] == 1 and keys.min() >= 0 and keys.max() < 4 * m:
+        # One column of small non-negative ids (vertices): count by value,
+        # several times faster than grouping.
+        heavy = np.flatnonzero(np.bincount(keys[:, 0]) * n_cells > m)
+        return tuple((key,) for key in heavy.tolist())
+    order, starts, counts = group_columns(
+        [keys[:, c] for c in range(keys.shape[1])] or [np.zeros(m, np.int64)]
+    )
+    return tuple(map(tuple, keys[order[starts[counts * n_cells > m]]].tolist()))

@@ -14,7 +14,11 @@ A :class:`Schema` fixes a relation's shape for the engine:
 * ``aggregator`` — the :class:`~repro.core.aggregators.RecursiveAggregator`
   governing the dependent columns (required iff ``n_dep > 0``);
 * ``n_subbuckets`` — spatial load-balancing factor (§IV-C); 1 disables
-  sub-bucketing.
+  sub-bucketing;
+* ``heavy_keys`` — the join keys spread over the sub-buckets, sorted;
+  every other key is *light* and keeps all its rows in one sub-bucket.
+  ``None`` makes every key heavy, the paper's placement
+  (:class:`~repro.relational.distribution.Distribution`).
 
 The split/merge helpers define the storage layout: a tuple is decomposed
 into its join key ``jk`` (bucket determinant), its remaining independent
@@ -41,6 +45,7 @@ class Schema:
     n_dep: int = 0
     aggregator: Optional["RecursiveAggregator"] = None
     n_subbuckets: int = 1
+    heavy_keys: Optional[Tuple[Tuple[int, ...], ...]] = None
     #: Derived, cached in __post_init__ via object.__setattr__.
     other_cols: Tuple[int, ...] = field(default=(), compare=False)
 
@@ -78,6 +83,12 @@ class Schema:
         if self.n_subbuckets < 1:
             raise ValueError(
                 f"{self.name}: n_subbuckets must be >= 1, got {self.n_subbuckets}"
+            )
+        if self.heavy_keys is not None and any(
+            len(key) != len(jc) for key in self.heavy_keys
+        ):
+            raise ValueError(
+                f"{self.name}: every heavy key needs {len(jc)} join-column values"
             )
         object.__setattr__(
             self,

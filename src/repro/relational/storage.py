@@ -214,33 +214,15 @@ class VersionedRelation:
             lambda: RankJoinIndex.build(self, version, match_block),
         )
 
-    def key_directory(self, token, senders):
-        """The :class:`~repro.kernels.route.KeyDirectory` stored under
-        ``token`` (:meth:`set_key_directory`), or None when the full
-        version or the senders' placement ``senders`` changed since."""
-        hit = self._cache.get(("directory", token))
-        if hit is None or hit[0] != (self._state("full"), senders):
-            return None
-        return hit[1]
-
-    def set_key_directory(self, token, senders, directory) -> None:
-        """Store ``directory``, shipped for this state of the full version
-        to the ranks of placement ``senders``, under ``token``."""
-        self._cache[("directory", token)] = ((self._state("full"), senders), directory)
-
     def _cached(self, key: tuple, version: str, build):
-        """``build()`` once per state of ``version``."""
-        state = self._state(version)
+        """``build()`` once per state of ``version``: its table and
+        placement by identity, and its generation."""
+        gen = self.full_gen if version == "full" else self.delta_gen
+        state = (self.table, gen, self.dist)
         hit = self._cache.get(key)
         if hit is None or hit[0] != state:
             hit = self._cache[key] = (state, build())
         return hit[1]
-
-    def _state(self, version: str) -> tuple:
-        """What a cached value of ``version`` is valid for: the table and
-        placement by identity, and the version's generation."""
-        gen = self.full_gen if version == "full" else self.delta_gen
-        return (self.table, gen, self.dist)
 
     # ------------------------------------------------------------- rebalance
 

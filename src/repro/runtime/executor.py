@@ -17,10 +17,9 @@ transmit:
 
 * ``scan_emit`` — copy rules: match and emit one relation version in one
   pass, split into each owner's rows;
-* ``intra_sends`` — scan and match the outer side and replicate it to
-  every sub-bucket owner of the matching inner bucket, or, given the
-  inner side's :class:`~repro.kernels.route.KeyDirectory`, to the owners
-  holding each row's key;
+* ``intra_sends`` — scan and match the outer side and send each row to
+  the inner owner of its join key's cell (a light key), or to every
+  sub-bucket owner of the matching inner bucket (a heavy key);
 * ``local_join`` — probe the inner version's join index once per run of
   receivers (up to :data:`~repro.kernels.route._CHUNK_ROWS` rows) and
   emit once per :data:`_PAIR_BUDGET` pairs; under the head's sender fold
@@ -103,7 +102,7 @@ class ColumnarExecutor:
 
     def intra_sends(
         self, cr, outer_pos, outer_rel, outer_ver, inner_rel, probe_cols,
-        per_rank_ser, directory=None, per_rank_lookup=None,
+        per_rank_ser,
     ):
         outer_mb = cr.matches_block[outer_pos]
         owner_blocks = [
@@ -116,8 +115,6 @@ class ColumnarExecutor:
             inner_rel.schema.n_subbuckets,
             probe_cols,
             per_rank_ser,
-            directory,
-            per_rank_lookup,
         )
 
     def local_join(

@@ -178,7 +178,8 @@ class FixpointHandle:
     """A converged fixpoint kept hot for incremental EDB updates.
 
     Wraps an :class:`~repro.runtime.engine.Engine` *after* convergence
-    (constructing a handle on an un-run engine runs it first) and keeps
+    (constructing a handle on an un-run engine runs it first; a run
+    engine's last result is reused) and keeps
     every piece of distributed state live: shards, sub-bucket placement,
     degraded-mode overlays, join-index caches, and the checkpointed counters —
     so each :meth:`update` resumes exactly where the last fixpoint
@@ -195,7 +196,9 @@ class FixpointHandle:
     def __init__(self, engine: Engine, result: Optional[FixpointResult] = None):
         self.engine = engine
         check_program_supported(engine.compiled)
-        self._result = result if result is not None else engine.run()
+        if result is None:
+            result = engine.last_result or engine.run()
+        self._result = result
         self._edb_names = {d.name for d in engine.compiled.program.edb}
         self._watch = improvable_watch(engine.compiled)
         self._updates = 0

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.aggregators import MinAggregator
-from repro.relational.distribution import Distribution
+from repro.relational.distribution import Distribution, heavy_keys
 from repro.relational.schema import Schema
 from repro.util.hashing import HashSeed
 
@@ -14,7 +14,7 @@ COL = st.integers(min_value=0, max_value=10**6)
 ROWS = st.lists(st.tuples(COL, COL, COL), min_size=1, max_size=50)
 
 
-def dist(n_ranks=32, join_cols=(0,), n_sub=1, n_dep=0, seed=None):
+def dist(n_ranks=32, join_cols=(0,), n_sub=1, n_dep=0, seed=None, heavy=None):
     schema = Schema(
         name="r",
         arity=3,
@@ -22,6 +22,7 @@ def dist(n_ranks=32, join_cols=(0,), n_sub=1, n_dep=0, seed=None):
         n_dep=n_dep,
         aggregator=MinAggregator() if n_dep else None,
         n_subbuckets=n_sub,
+        heavy_keys=heavy,
     )
     return Distribution(schema, n_ranks, seed)
 
@@ -94,6 +95,35 @@ class TestVectorizedEquivalence:
             assert d.bucket_of(row) == int(b)
             assert d.sub_of(row) == int(s)
 
+    @given(ROWS, st.sampled_from([(0,), (2, 0)]), st.data())
+    def test_heavy_light_placement_matches_scalar(self, rows, join_cols, data):
+        """With a heavy-key set, a heavy key's rows spread by their other
+        columns and each light key's rows share one (bucket, sub) cell;
+        the vectorized and scalar placements agree."""
+        keys = sorted({tuple(row[c] for c in join_cols) for row in rows})
+        heavy = tuple(data.draw(st.lists(st.sampled_from(keys), unique=True)))
+        d = dist(n_ranks=13, join_cols=join_cols, n_sub=4, heavy=tuple(sorted(heavy)))
+        arr = np.asarray(rows, dtype=np.int64)
+        buckets, subs = d.bucket_sub_of_rows(arr)
+        key_subs = d.key_subs(arr, join_cols)
+        cells = {}
+        for row, b, s, ks in zip(rows, buckets, subs, key_subs):
+            assert (d.bucket_of(row), d.sub_of(row)) == (int(b), int(s))
+            key = tuple(row[c] for c in join_cols)
+            assert (int(ks) < 0) == (key in heavy)
+            if key not in heavy:
+                assert int(ks) == int(s)
+                cells.setdefault(key, set()).add(int(s))
+        assert all(len(subs) == 1 for subs in cells.values())
+
+    def test_no_heavy_set_is_the_paper_placement(self):
+        rows = np.random.default_rng(1).integers(0, 50, size=(200, 3))
+        paper, light = dist(n_sub=8), dist(n_sub=8, heavy=())
+        assert paper.key_subs(rows, (0,)) is None
+        assert (light.key_subs(rows, (0,)) >= 0).all()
+        all_heavy = dist(n_sub=8, heavy=tuple((k,) for k in range(50)))
+        assert all_heavy.rank_of_rows(rows).tolist() == paper.rank_of_rows(rows).tolist()
+
     @given(ROWS)
     def test_ranks_of_bucket_subs_matches_owner(self, rows):
         d = dist(n_ranks=11, n_sub=5)
@@ -140,6 +170,28 @@ class TestVectorizedEquivalence:
         assert got[2] == inner.bucket_of((6, 0, 0))
 
 
+class TestHeavyKeys:
+    def test_threshold_is_more_than_m_over_p(self):
+        rows = np.asarray(
+            [(1, 0, 0)] * 5 + [(2, 0, 0)] * 3 + [(3, 0, 0)] * 2, dtype=np.int64
+        )
+        assert heavy_keys(rows, (0,), 4) == ((1,), (2,))  # m/p = 2.5
+        assert heavy_keys(rows, (0,), 2) == ()  # 5 is not more than 5
+        assert heavy_keys(rows[:0], (0,), 4) == ()
+        assert heavy_keys(rows, (0, 1), 4) == ((1, 0), (2, 0))
+        wide = rows * 10**12 - 7  # past the count-by-value path
+        assert heavy_keys(wide, (0,), 4) == ((10**12 - 7,), (2 * 10**12 - 7,))
+
+    def test_carried_by_resize_and_overlay(self):
+        d = dist(n_ranks=8, n_sub=4, heavy=((3,),))
+        for other in (d.with_subbuckets(8), d.exclude_ranks([2])):
+            assert other.schema.heavy_keys == ((3,),)
+
+    def test_key_width_checked(self):
+        with pytest.raises(ValueError, match="heavy key"):
+            dist(join_cols=(0, 1), heavy=((1,),))
+
+
 class TestBalancing:
     def test_subbuckets_spread_hot_key(self):
         """A star graph's hub edges concentrate on one rank without
@@ -154,3 +206,9 @@ class TestBalancing:
         d8 = dist(n_ranks=64, n_sub=8)
         ranks8 = set(d8.rank_of_rows(arr).tolist())
         assert 4 <= len(ranks8) <= 8
+
+        # Only a heavy hub spreads; a light one keeps one cell.
+        heavy = heavy_keys(arr, (0,), 64)
+        assert heavy == ((0,),)
+        assert set(dist(n_ranks=64, n_sub=8, heavy=heavy).rank_of_rows(arr).tolist()) == ranks8
+        assert len(set(dist(n_ranks=64, n_sub=8, heavy=()).rank_of_rows(arr).tolist())) == 1

@@ -748,3 +748,21 @@ class TestProgramGate:
     def test_sssp_supported(self):
         engine = Engine(sssp_program(), EngineConfig(n_ranks=2))
         check_program_supported(engine.compiled)  # must not raise
+
+    def test_handle_reuses_a_run_engines_result(self):
+        """A handle on an engine that already converged takes its last
+        result instead of evaluating the fixpoint again: the books read
+        as after ``run()`` alone."""
+        def converged():
+            engine = Engine(sssp_program(), EngineConfig(n_ranks=4))
+            engine.load("edge", [(0, 1, 1), (1, 2, 1), (0, 2, 5)])
+            engine.load("start", [(0,)])
+            return engine, engine.run()
+
+        _engine, alone = converged()
+        engine, result = converged()
+        handle = FixpointHandle(engine)
+        assert handle.result() is result
+        again = engine._build_result()
+        assert again.modeled_seconds() == alone.modeled_seconds()
+        assert again.counters["alltoall_tuples"] == alone.counters["alltoall_tuples"]

@@ -44,7 +44,7 @@ from repro.relational.schema import Schema
 from repro.relational.storage import VersionedRelation
 from repro.runtime import executor as executor_mod
 from repro.runtime.config import EngineConfig
-from repro.util.hashing import HashSeed
+from repro.util.hashing import HashSeed, hash_tuple
 
 
 # ----------------------------------------------------------- block primitives
@@ -909,7 +909,11 @@ def _check_local_join(
 
 def _ref_intra_sends(owner_blocks, dist, n_sub, probe_cols, per_rank_ser):
     """Intra-bucket replication one owner block at a time, with every
-    owner read off the scalar ``Distribution.owner``."""
+    owner read off the scalar ``Distribution.owner``: a row whose key is
+    in the inner schema's heavy set (every key when it has none) goes to
+    each distinct sub-bucket owner of its bucket, a light one to the owner
+    of sub-bucket ``hash_tuple(key) % n_sub``."""
+    heavy = dist.schema.heavy_keys
     sends = {}
     n_intra = 0
     for owner, rows in owner_blocks:
@@ -925,6 +929,11 @@ def _ref_intra_sends(owner_blocks, dist, n_sub, probe_cols, per_rank_ser):
         for s in range(1, n_sub):
             for p in range(s):
                 keep[s] &= dst_mat[s] != dst_mat[p]
+        for i, row in enumerate(rows.tolist()):
+            key = tuple(row[c] for c in probe_cols)
+            if n_sub > 1 and heavy is not None and key not in heavy:
+                keep[:, i] = False
+                keep[hash_tuple(key, dist.seed.subbucket) % n_sub, i] = True
         src_row = np.nonzero(keep.T)[0]
         dst = dst_mat.T[keep.T]
         order, starts, counts = group_columns([dst])
@@ -957,9 +966,15 @@ def test_batched_intra_sends_match_per_owner_model(n_ranks, n_sub, data, budget)
     """Replicating consecutive owners' blocks in one batch sends every
     ``(owner, dst)`` pair the same rows in the same order, with the same
     fan-out tallies, as replicating each block alone — batches split
-    anywhere, under a dead-rank overlay too."""
+    anywhere, under a dead-rank overlay too, with no heavy set (every key
+    heavy), an empty one (every key light) or some heavy keys."""
     dead = data.draw(st.sets(st.integers(0, n_ranks - 1), max_size=n_ranks - 1))
-    schema = Schema(name="inner", arity=3, join_cols=(0,), n_subbuckets=n_sub)
+    heavy = data.draw(st.none() | st.lists(
+        st.integers(-5, 40), unique=True, max_size=6
+    ).map(lambda keys: tuple((k,) for k in sorted(keys))))
+    schema = Schema(
+        name="inner", arity=3, join_cols=(0,), n_subbuckets=n_sub, heavy_keys=heavy
+    )
     dist = Distribution(
         schema, n_ranks, HashSeed().derive(data.draw(st.integers(0, 9))), dead
     )

@@ -3,7 +3,9 @@
 The engine has one data plane, and nothing inside the engine checks it.
 This property is its oracle: it draws a small graph, a program, a rank
 count, the EDB relations' sub-bucket count (1, 2 or 4), the wire layer
-on or off (on, a sub-bucketed EDB inner gets the key directory), the
+on or off (on, a sub-bucketed EDB relation places its light join keys
+whole in one sub-bucket and spreads its heavy ones: a star's hub,
+which the graph draw adds half the time, is heavy), the
 driver (the BSP engine, or one engine per rank through
 :func:`repro.runtime.spmd.run_slices`) and the local join's pair budget
 (``runtime.executor._PAIR_BUDGET``, patched to a few pairs so that large
@@ -161,7 +163,9 @@ PROGRAMS = {
 @st.composite
 def graphs(draw):
     """Weighted edges ``(src, dst, w)``, ``w`` in 1..9, of a small rmat or
-    Erdős–Rényi graph, and one or two start vertices."""
+    Erdős–Rényi graph, half the time with a star from vertex 0 (three
+    edges to every vertex, so its key tends to hold more than m/p of the
+    m edges: a heavy key), and one or two start vertices."""
     seed = draw(st.integers(0, 2**16))
     if draw(st.booleans()):
         graph = rmat(draw(st.integers(2, 4)), draw(st.integers(1, 3)), seed=seed)
@@ -169,6 +173,8 @@ def graphs(draw):
         size = draw(st.integers(2, 12))
         graph = erdos_renyi(size, draw(st.integers(1, 3 * size)), seed=seed)
     edges = graph.with_weights(np.random.default_rng(seed), 9).tuples()
+    if draw(st.booleans()):
+        edges = edges + [(0, v, w) for v in range(graph.n_nodes) for w in (1, 4, 9)]
     starts = draw(st.sets(st.integers(0, graph.n_nodes - 1), min_size=1, max_size=2))
     return edges, sorted((s,) for s in starts)
 

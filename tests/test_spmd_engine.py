@@ -283,26 +283,20 @@ class TestLedgerIdentity:
         bsp, slices = assert_ledger_identity(program, base, config, updates)
         assert all(s.counters["updates"] == 2 for s in slices)
 
-    def test_key_directory_rebuilt_on_every_slice(self):
-        """A one-edge batch changes one slice's sub-bucketed edge shards
-        only; every slice ships the key directory again all the same, so
-        the slices meet at the same exchange."""
-        from repro.kernels.route import build_directory_sends
-        from repro.runtime import engine as engine_mod
-
+    def test_heavy_set_same_on_every_slice(self):
+        """Every slice reads every edge at its first load, so every slice
+        freezes the same heavy-key set as the BSP engine (a star's hub,
+        here) and they meet at the same allgather; an update batch places
+        its rows by that set on every slice alike."""
         program, facts = _query_facts("sssp")
-        # A shortcut from a source to the busiest vertex: the distances it
-        # improves take the update through joins with the full edge shards.
-        hub = np.bincount([src for src, _dst, _w in facts["edge"]])[1:].argmax() + 1
+        hub = 1
+        star = [(hub, v, w) for v in range(32) for w in (1, 5)]
+        facts = {**facts, "edge": facts["edge"] + star}
         config = _cfg(n_ranks=4, subbuckets={"edge": 4})
-        with mock.patch.object(
-            engine_mod, "build_directory_sends", wraps=build_directory_sends
-        ) as builds:
-            assert_ledger_identity(
-                program, facts, config, [{"edge": [(0, int(hub), 1)]}]
-            )
-        # Converge, then the update: on the BSP engine and on each slice.
-        assert builds.call_count == 2 * (1 + config.n_ranks)
+        engines, _results = run_slices(program, facts, (), config)
+        (heavy,) = {e.store["edge"].schema.heavy_keys for e in engines}
+        assert (hub,) in heavy
+        assert_ledger_identity(program, facts, config, [{"edge": [(0, 31, 1)]}])
 
     @pytest.mark.parametrize("query", ["sssp", "tc"])
     def test_folding_join(self, query, monkeypatch):

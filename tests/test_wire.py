@@ -1026,11 +1026,17 @@ class TestSpmdWire:
         assert results["on"]["dist"] == results["off"]["dist"]
 
 
-class TestKeyDirectory:
-    """With the wire on, an outer row goes only to the sub-bucket owners
-    holding its join key (the key-directory exchange); the join's output
-    cannot change, because a dropped copy is one whose probe found no
-    match.  Wire off keeps §IV-C's full replication."""
+class TestHeavyLightPlacement:
+    """With the wire on, a sub-bucketed EDB relation's first load freezes
+    its heavy keys (more than m/(p·n_sub) of its m rows).  A light key's rows
+    share one (bucket, sub) cell and its outer tuples cross the
+    intra-bucket exchange once, to that cell's owner; a heavy key keeps
+    §IV-C's spread and its outer tuples reach every owner of its bucket.
+    The join's output cannot change.  Wire off keeps §IV-C's placement."""
+
+    N_RANKS = 8
+    #: The star's key: (x, y) of its label-1 hops.
+    HUB = (0, 0)
 
     @staticmethod
     def _program():
@@ -1044,120 +1050,198 @@ class TestKeyDirectory:
                 walk(y, z, MIN(d + 1)) <= (walk(x, y, d), hop(x, y, 1, z)),
             ],
             edb=[
-                EdbDecl("hop", arity=4, join_cols=(0, 1), n_subbuckets=4),
+                EdbDecl("hop", arity=4, join_cols=(0, 1), n_subbuckets=8),
                 EdbDecl("start", arity=2, join_cols=(0,)),
             ],
         )
 
-    @staticmethod
-    def _hops(seed, n):
-        rng = np.random.default_rng(seed)
-        cols = [rng.integers(0, 10, n), rng.integers(0, 10, n),
-                rng.integers(0, 2, n), rng.integers(0, 10, n)]
-        return [tuple(row) for row in np.column_stack(cols).tolist()]
+    @classmethod
+    def _facts(cls, hub):
+        """Three random hops for each of 100 keys (x, y) — 300 rows, so an
+        average one of the 64 cells holds 4.7 — and a star of ``hub``
+        label-1 hops from :attr:`HUB`."""
+        rng = np.random.default_rng(5)
+        hops = [
+            (x, y, *map(int, rng.integers(0, [2, 10])))
+            for x in range(10) for y in range(10) for _ in range(3)
+        ]
+        hops += [(*cls.HUB, 1, 10 + i) for i in range(hub)]
+        return {"hop": hops, "start": [(0, 1), (2, 3), cls.HUB]}
 
-    @staticmethod
-    def _partnerless(delivery, hop):
-        """Delivered walk rows with no label-1 hop of their key (x, y) at
-        their receiver: a brute-force reference over the hop store."""
-        rows, segs = hop.table.stored("full")
-        held = {
-            (rank, a, b)
-            for rank, (a, b, label, _z) in zip(
-                hop.rank_of_segment()[segs].tolist(), rows.tolist()
-            )
-            if label == 1
-        }
-        return sum(
-            (dst, x, y) not in held
-            for dst, boxes in delivery.boxes()
-            for x, y, _d in delivery.table.rows_of(boxes).tolist()
-        )
+    def _run(self, wire, hub=0, scenario=None):
+        """Converge (the walk side always outer) and apply ``scenario``.
 
-    def _run(self, wire, scenario, **kw):
-        """Converge (the walk side always outer), then apply ``scenario``.
-
-        Returns the result, the partnerless rows every join with the full
-        inner version received, and the directory builds before and after
-        the scenario's event.
+        Returns the result, the engine, and per intra-bucket exchange the
+        outer rows sent and the table built.
         """
-        from repro.runtime import engine as engine_mod
-        from repro.runtime.executor import ColumnarExecutor
+        from repro.faults.checkpoint import capture, restore
         from repro.runtime.incremental import FixpointHandle
         from repro.runtime.rebalance import reshard_relation
 
         config = EngineConfig(
-            n_ranks=4, wire=wire, dynamic_join=False, static_outer="left", **kw
+            n_ranks=self.N_RANKS, wire=wire, dynamic_join=False,
+            static_outer="left",
         )
         engine = Engine(self._program(), config)
-        engine.load("hop", self._hops(5, 300))
-        engine.load("start", [(0, 1), (2, 3)])
-        partnerless = []
-        local_join = ColumnarExecutor.local_join
+        for name, rows in self._facts(hub).items():
+            engine.load(name, rows)
+        sent = []
 
-        def spy(ex, cr, outer_pos, delivery, inner_rel, inner_ver, *rest):
-            # An update's first pass joins the hop Δ: no directory there.
-            if inner_ver == "full":
-                partnerless.append(self._partnerless(delivery, inner_rel))
-            return local_join(ex, cr, outer_pos, delivery, inner_rel, inner_ver, *rest)
+        def spy(owner_blocks, *args):
+            table, n_intra = route.build_intra_sends(owner_blocks, *args)
+            sent.append((np.concatenate([rows for _o, rows in owner_blocks]), table))
+            return table, n_intra
 
-        with mock.patch.object(ColumnarExecutor, "local_join", spy), \
-                mock.patch.object(
-                    engine_mod, "build_directory_sends",
-                    side_effect=route.build_directory_sends,
-                ) as builds:
+        with mock.patch.object(executor_mod, "build_intra_sends", spy):
             result = engine.run()
-            before = builds.call_count
-            if scenario in ("update", "reshard"):
-                if scenario == "reshard":
-                    hop = engine.store["hop"]
-                    reshard_relation(hop, 2, engine.cluster, wire=wire)
-                    engine.compiled.schemas["hop"] = hop.schema
-                # A walk (a, b) → (b, 20) → (20, 21): the second hop's key
-                # (b, 20) is new, and only the walk's Δ reaches it, through
-                # the rebuilt directory.
-                a, b, _d = min(result.query("walk"))
-                result = FixpointHandle(engine, result).update(
-                    {"hop": [(a, b, 1, 20), (b, 20, 1, 21)]}
+            hop = engine.store["hop"]
+            if scenario == "reshard":
+                reshard_relation(hop, 2, engine.cluster, wire=wire)
+                engine.compiled.schemas["hop"] = hop.schema
+            elif scenario == "restore":
+                ckpt = capture(
+                    engine.store, ["hop"], stratum=0, iteration=0, changed=True,
+                    iterations_total=0, counters={}, trace_len=0,
                 )
+                reshard_relation(hop, 2, engine.cluster, wire=wire)
+                restore(engine.store, ckpt)
+            if scenario is not None:
+                # A walk (a, b) → (b, 20) → (20, 21): the second hop's key
+                # (b, 20) is new; (20, 21) gets 100 rows, heavy if counted.
+                a, b, _d = min(result.query("walk"))
+                result = FixpointHandle(engine, result).update({"hop": [
+                    (a, b, 1, 20), (b, 20, 1, 21),
+                    *((20, 21, 0, 30 + i) for i in range(100)),
+                ]})
                 assert (20, 21) in {(f, t) for f, t, _d in result.query("walk")}
-            after = builds.call_count
-        return result, partnerless, before, after
+        return result, engine, sent
 
-    @pytest.mark.parametrize("scenario", ["cold", "update", "reshard"])
-    def test_copies_go_only_where_they_join(self, scenario):
-        off, off_partnerless, off_before, off_after = self._run(False, scenario)
-        on, on_partnerless, before, after = self._run(True, scenario)
+    @staticmethod
+    def _assert_same_answers(on, off):
         assert on.query("walk") == off.query("walk")
         assert on.iterations == off.iterations
         assert on.counters["emitted"] == off.counters["emitted"]
-        assert on.counters["intra_bucket_tuples"] < off.counters["intra_bucket_tuples"]
-        assert sum(on_partnerless) == 0
-        assert sum(off_partnerless) > 0  # the reference sees the dropped copies
-        assert (off_before, off_after) == (0, 0)
-        assert before == 1
-        # The update (after a reshard too) changed the inner's state.
-        assert after == (1 if scenario == "cold" else 2)
 
-    def test_rebuilt_after_exclude_ranks(self):
+    @staticmethod
+    def _cells(hop):
+        """Each hop key's distinct segments, and its distinct owners."""
+        rows, segs = hop.table.stored("full")
+        cells = {}
+        for (x, y, _label, _z), seg in zip(rows.tolist(), segs.tolist()):
+            cells.setdefault((x, y), set()).add(seg)
+        owner = hop.rank_of_segment()
+        return cells, {key: {int(owner[s]) for s in segs} for key, segs in cells.items()}
+
+    def _assert_placed(self, hop, heavy):
+        cells, owners = self._cells(hop)
+        assert hop.schema.heavy_keys == heavy
+        for key, segs in cells.items():
+            if key in heavy:
+                assert len(owners[key]) >= 4, (key, owners[key])
+            else:
+                assert len(segs) == 1, (key, segs)
+
+    def test_light_keys_cross_once(self):
+        """No key is heavy: every outer row sent is one intra copy."""
+        from repro.planner.interpreter import interpret
+
+        on, engine, sent = self._run(True)
+        off, _engine, _sent = self._run(False)
+        self._assert_placed(engine.store["hop"], ())
+        n_sent = sum(rows.shape[0] for rows, _table in sent)
+        assert on.counters["intra_bucket_tuples"] == n_sent
+        assert off.counters["intra_bucket_tuples"] > n_sent
+        self._assert_same_answers(on, off)
+        expected = interpret(self._program(), self._facts(0))
+        assert on.query("walk") == expected["walk"]
+
+    def test_hub_is_spread_and_replicated(self):
+        """The star's key is heavy: its rows span the bucket's owners, and
+        each of its outer rows reaches every distinct owner of its bucket,
+        while each light outer row reaches one."""
+        from repro.planner.interpreter import interpret
+
+        on, engine, sent = self._run(True, hub=200)
+        off, _engine, _sent = self._run(False, hub=200)
+        hop = engine.store["hop"]
+        self._assert_placed(hop, (self.HUB,))
+        dist = hop.dist
+        hub_bucket = int(dist.buckets_of_key_rows(np.asarray([self.HUB]), (0, 1))[0])
+        hub_owners = set(dist.owner_table[hub_bucket].tolist())
+        n_hub = n_light = 0
+        for rows, table in sent:
+            copies = {}
+            for k, dst in enumerate(table.dst.tolist()):
+                for row in table.rows_of(np.asarray([k])).tolist():
+                    copies.setdefault(tuple(row), []).append(dst)
+            assert len(copies) == rows.shape[0]
+            for row in map(tuple, rows.tolist()):
+                if row[:2] == self.HUB:
+                    n_hub += 1
+                    assert sorted(copies[row]) == sorted(hub_owners)
+                else:
+                    n_light += 1
+                    assert len(copies[row]) == 1
+        assert n_hub and n_light
+        self._assert_same_answers(on, off)
+        expected = interpret(self._program(), self._facts(200))
+        assert on.query("walk") == expected["walk"]
+
+    @pytest.mark.parametrize("scenario", ["update", "reshard", "restore"])
+    def test_set_survives(self, scenario):
+        """The frozen set carries through a reshard, a checkpoint restore
+        and an update batch: inserted rows place by it, so a key that
+        grows heavy stays light, in one cell."""
+        on, engine, _sent = self._run(True, hub=200, scenario=scenario)
+        off, _engine, _sent = self._run(False, hub=200, scenario=scenario)
+        hop = engine.store["hop"]
+        assert hop.schema.n_subbuckets == (2 if scenario == "reshard" else 8)
+        assert engine.compiled.schemas["hop"].heavy_keys == (self.HUB,)
+        cells, _owners = self._cells(hop)
+        assert len(cells[(20, 21)]) == 1
+        for key, segs in cells.items():
+            assert key == self.HUB or len(segs) == 1, (key, segs)
+        self._assert_same_answers(on, off)
+
+    def test_set_frozen_at_first_load(self):
+        """A second load does not recount: the star loaded after the
+        random hops stays light, whole in one cell, and still joins."""
+        config = EngineConfig(
+            n_ranks=self.N_RANKS, dynamic_join=False, static_outer="left"
+        )
+        engine = Engine(self._program(), config)
+        facts = self._facts(200)
+        engine.load("hop", facts["hop"][:300])
+        engine.load("hop", facts["hop"][300:])
+        engine.load("start", facts["start"])
+        on = engine.run()
+        off, _engine, _sent = self._run(False, hub=200)
+        self._assert_placed(engine.store["hop"], ())
+        self._assert_same_answers(on, off)
+
+    def test_set_survives_exclude_ranks(self):
         """``crash_perm``'s recovery re-owns the dead rank's shards
-        (``exclude_ranks``): the directory is shipped again for the new
-        owners, and the run still matches the fault-free wire-off run."""
+        (``exclude_ranks``) under the same heavy set, and the run still
+        matches the fault-free wire-off run."""
         from repro.faults import FaultConfig
         from repro.runtime.config import FaultOptions, RecoveryOptions
 
-        off, _partnerless, _before, _after = self._run(False, "cold")
+        off, _engine, _sent = self._run(False, hub=200)
         crash = FaultConfig(seed=3, crash_perm_rank=1, crash_perm_superstep=12)
-        on, partnerless, builds, _after = self._run(
-            True, "cold",
+        config = EngineConfig(
+            n_ranks=self.N_RANKS, dynamic_join=False, static_outer="left",
             faults=FaultOptions(config=crash),
             recovery=RecoveryOptions(checkpoint_every=1, replicas=1),
         )
+        engine = Engine(self._program(), config)
+        for name, rows in self._facts(200).items():
+            engine.load(name, rows)
+        on = engine.run()
         assert on.degraded.excluded_ranks == [1]
-        assert on.query("walk") == off.query("walk")
-        assert on.iterations == off.iterations
-        assert sum(partnerless) == 0
-        assert builds == 2
+        hop = engine.store["hop"]
+        assert 1 in hop.dist.dead_ranks
+        self._assert_placed(hop, (self.HUB,))
+        self._assert_same_answers(on, off)
 
     def test_wire_off_replicates_as_before(self, medium_weighted_graph):
         """Wire off, a sub-bucketed run's answers, counters, charges and
