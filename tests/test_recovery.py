@@ -270,11 +270,12 @@ class TestIdempotence:
 #: seconds and comm bytes of the run.  The draws depend on every
 #: message's content (the corruption mutator picks a leaf among all of a
 #: payload's values), so these pin how the exchanges cut messages.
-#: Refereed by the fault-free run: equal answers and admissions (every
-#: duplicate dropped at absorb), and every corruption detected.
+#: Refereed by the fault-free run: equal answers, every corruption
+#: detected, and equal admissions with dups injected (each duplicated
+#: copy dropped once at absorb).
 FAULT_GOLDEN = {
-    "sssp": ((68, 63, 59, 123, 7344), 0.00042061400000000004, 86717),
-    "cc": ((54, 56, 50, 102, 4119), 0.0002819425, 42220),
+    "sssp": ((63, 56, 45, 104, 6690), 0.00038193929999999997, 77154),
+    "cc": ((42, 44, 37, 77, 3014), 0.00024928959999999997, 35039),
 }
 
 
@@ -292,8 +293,8 @@ def test_fault_plane_outcomes_are_pinned(query, medium_graph, medium_weighted_gr
     clean = run(None)
     for name in clean.relations:
         assert fp.query(name) == clean.query(name), name
-    assert fp.counters["admitted"] == clean.counters["admitted"]
     inj = fp.recovery.injected
+    assert inj.dups and fp.counters["admitted"] == clean.counters["admitted"]
     assert inj.detected_corruptions == inj.corruptions
     injected, modeled, comm_bytes = FAULT_GOLDEN[query]
     assert (
