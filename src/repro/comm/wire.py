@@ -6,8 +6,10 @@ The layer has one switch, ``EngineConfig.wire`` (on by default): on,
 the engine folds each sender's duplicate keys, ships ``delta`` payloads,
 lets the α–β model pick the collective per exchange and places a
 sub-bucketed EDB relation by heavy and light join keys, so an outer
-tuple of a light key crosses the intra-bucket exchange once
-(:meth:`~repro.runtime.engine.Engine.load`); off, it reproduces the
+tuple of a light key goes once, to its bucket's home rank, where an
+outer relation placed by the same key already holds it (a self-send
+nothing charges; :meth:`~repro.runtime.engine.Engine.load`); off, it
+reproduces the
 pre-wire engine bit-for-bit (no folding, no encoding, direct
 ``alltoallv``, raw byte charging, §IV-C's placement with every
 sub-bucket owner sent a copy).

@@ -21,7 +21,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from repro.relational.distribution import Distribution
+from repro.relational.distribution import Distribution, heavy_keys
 from repro.relational.schema import Schema
 from repro.util.hashing import HashSeed
 
@@ -89,7 +89,7 @@ def measure_imbalance(
 
 
 def recommend_subbuckets(
-    tuples: List[Tuple[int, ...]],
+    rows: np.ndarray,
     schema: Schema,
     n_ranks: int,
     *,
@@ -97,22 +97,30 @@ def recommend_subbuckets(
     max_subbuckets: int = 64,
     seed: HashSeed | None = None,
 ) -> Tuple[int, ImbalanceReport]:
-    """Adaptive sub-bucket sizing.
+    """Adaptive sub-bucket sizing over a relation's ``(m, arity)`` rows.
 
-    Doubles the sub-bucket count until the projected max/mean imbalance
-    (placed by ``schema``'s own heavy-key set) drops under ``tolerance``
-    (the ~2× residual the paper reports for 8 sub-buckets on Twitter) or
-    ``max_subbuckets`` is reached.
+    Doubles the sub-bucket count n until the projected max/mean imbalance
+    drops under ``tolerance`` (the ~2× residual the paper reports for 8
+    sub-buckets on Twitter) or ``max_subbuckets`` is reached.  A schema
+    with a heavy-key set is projected with the set a resize to n would
+    recount, the keys above m/(p·n) rows
+    (:func:`~repro.relational.distribution.heavy_keys`); one without
+    spreads every key.
 
     Returns the chosen count and the report at that count.
     """
     if tolerance < 1.0:
         raise ValueError(f"tolerance must be >= 1.0, got {tolerance}")
-    rows = np.asarray(tuples, dtype=np.int64) if tuples else np.zeros((0, schema.arity), dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, schema.arity)
     n_sub = 1
     best: Tuple[int, ImbalanceReport] | None = None
     while True:
-        trial_schema = dataclasses.replace(schema, n_subbuckets=n_sub)
+        heavy = schema.heavy_keys
+        if heavy is not None:
+            heavy = heavy_keys(rows, schema.join_cols, n_ranks * n_sub)
+        trial_schema = dataclasses.replace(
+            schema, n_subbuckets=n_sub, heavy_keys=heavy
+        )
         report = measure_imbalance(rows, Distribution(trial_schema, n_ranks, seed))
         if best is None or report.ratio_max_mean < best[1].ratio_max_mean:
             best = (n_sub, report)

@@ -7,10 +7,13 @@ runs per box between the build and absorb.
 
 ``build_intra_sends``
     Intra-bucket replication (pipeline phase 2): an outer tuple whose
-    join key is light in the inner relation's placement goes to the one
-    owner of the cell the key's inner rows share; a heavy key's goes to
-    each sub-bucket owner of its inner-side bucket
-    (:meth:`~repro.relational.distribution.Distribution.key_subs`).
+    join key is light in the inner relation's placement goes to its
+    bucket's home cell, sub-bucket 0, where every inner row of the key
+    lives; a heavy key's goes to each sub-bucket owner of its inner-side
+    bucket (:meth:`~repro.relational.distribution.Distribution.
+    heavy_rows`).  The home cell sits on the bucket's own rank, which
+    holds the outer tuples of any relation placed by the same key, so
+    their light copies are self-sends the all-to-all never charges.
     Boxes are plain rows — a row's bucket is a hash of its join-key
     values, which the receiver probes by anyway — and the all-to-all
     charges them per tuple.
@@ -83,8 +86,8 @@ def build_intra_sends(
     ``owner_blocks`` are (owner rank, matched rows) pairs in shard order;
     ``per_rank_ser`` accumulates each owner's serialization fanout
     (deduplicated destinations per tuple).  A row of a light key goes to
-    its key's cell, a heavy one to every distinct sub-bucket owner of its
-    bucket.  Consecutive blocks are replicated together,
+    its bucket's home cell, a heavy one to every distinct sub-bucket
+    owner of its bucket.  Consecutive blocks are replicated together,
     :data:`_CHUNK_ROWS` rows at a time, so each
     ``(owner, dst)`` message holds one box per batch: the rows the owner
     sends ``dst``, in shard order and within a shard in arrival order.
@@ -102,23 +105,18 @@ def build_intra_sends(
             sizes[lo:hi],
         )
         buckets = dist.buckets_of_key_rows(rows, probe_cols)
-        subs = (
-            np.zeros_like(buckets) if n_sub == 1
-            else dist.key_subs(rows, probe_cols)
-        )
-        if subs is not None and (subs >= 0).all():
+        heavy = None if n_sub == 1 else dist.heavy_rows(rows, probe_cols)
+        if n_sub == 1 or (heavy is not None and not heavy.any()):
             src_row = None
-            dst = dist.owner_table[buckets, subs]
+            dst = dist.owner_table[buckets, 0]
         else:
             # Row-major (row, sub) pairs, one per *distinct* destination
-            # of a heavy row's bucket and one for a light row: a stable
-            # grouping by (destination, owner) then leaves each pair's
-            # rows in arrival order.
+            # of a heavy row's bucket and one, its home cell, for a light
+            # row: a stable grouping by (destination, owner) then leaves
+            # each pair's rows in arrival order.
             cells = dist.distinct_owners[buckets]
-            if subs is not None:
-                light = np.flatnonzero(subs >= 0)
-                cells[light] = False
-                cells[light, subs[light]] = True
+            if heavy is not None:
+                cells[~heavy, 1:] = False
             src_row, sub = np.nonzero(cells)
             owner = owner[src_row]
             dst = dist.owner_table[buckets[src_row], sub]

@@ -11,11 +11,11 @@ ranks.
 
 Only a *heavy* key needs spreading.  A schema that carries a heavy-key
 set (``Schema.heavy_keys``, :func:`heavy_keys`, after *Skew in Parallel
-Query Processing*) places a row of any other, *light*, key by a hash of
-its join key instead, so the key's rows share one (bucket, sub) cell and
-a joining tuple needs one copy, to that cell's owner
-(:meth:`Distribution.key_subs`).  Without a set every key is heavy: the
-paper's placement.
+Query Processing*) places every row of any other, *light*, key in
+sub-bucket 0 of its bucket, the home cell on the bucket's own rank, so a
+joining tuple placed by the same key is already there
+(:meth:`Distribution.heavy_rows`).  Without a set every key is heavy:
+the paper's placement.
 
 Correctness invariant: a tuple's rank is a pure function of its independent
 columns (the join columns are among them), so all members of one
@@ -135,9 +135,9 @@ class Distribution:
         """Sub-bucket index of a tuple (0 when sub-bucketing is off)."""
         if self.schema.n_subbuckets == 1:
             return 0
-        heavy, jk = self.schema.heavy_keys, self.schema.key_of(t)
-        if heavy is not None and jk not in heavy:
-            return hash_tuple(jk, self.seed.subbucket) % self.schema.n_subbuckets
+        heavy = self.schema.heavy_keys
+        if heavy is not None and self.schema.key_of(t) not in heavy:
+            return 0
         other = self.schema.other_of(t)
         if not other:
             return 0
@@ -164,10 +164,11 @@ class Distribution:
         buckets = self.buckets_of_key_rows(rows, schema.join_cols)
         if schema.n_subbuckets == 1:
             return buckets, np.zeros_like(buckets)
-        subs = self.key_subs(rows, schema.join_cols)
-        if subs is None:
+        is_heavy = self.heavy_rows(rows, schema.join_cols)
+        if is_heavy is None:
             return buckets, self._other_subs(rows)
-        heavy = np.flatnonzero(subs < 0)
+        subs = np.zeros_like(buckets)
+        heavy = np.flatnonzero(is_heavy)
         if heavy.shape[0]:
             subs[heavy] = self._other_subs(np.take(rows, heavy, axis=0))
         return buckets, subs
@@ -182,31 +183,24 @@ class Distribution:
             % np.uint64(self.schema.n_subbuckets)
         ).astype(np.int64)
 
-    def key_subs(self, rows: np.ndarray, key_cols: Sequence[int]) -> Optional[np.ndarray]:
-        """The sub-bucket of each row's join key when the key is light,
-        -1 when it is heavy; None when every key is heavy.
+    def heavy_rows(self, rows: np.ndarray, key_cols: Sequence[int]) -> Optional[np.ndarray]:
+        """Whether each row's join key is heavy; None when every key is.
 
         ``key_cols`` are the key's positions in ``rows``, in this
-        relation's join-column order (as :meth:`buckets_of_key_rows`'),
-        so a joining tuple finds the one cell a light key's rows share.
+        relation's join-column order (as :meth:`buckets_of_key_rows`'), so
+        a joining tuple learns whether its key's rows spread over the
+        bucket's sub-buckets or all sit in its home cell, sub-bucket 0.
         """
         heavy = self.schema.heavy_keys
         if heavy is None:
             return None
-        subs = (
-            hash_columns(rows, key_cols, self.seed.subbucket)
-            % np.uint64(self.schema.n_subbuckets)
-        ).astype(np.int64)
         if not heavy:
-            return subs
+            return np.zeros(rows.shape[0], dtype=bool)
         keys = np.asarray(heavy, dtype=np.int64).reshape(len(heavy), len(key_cols))
         if len(key_cols) == 1:
             # One key column: np.isin's lookup table, several times faster.
-            is_heavy = np.isin(rows[:, key_cols[0]], keys[:, 0])
-        else:
-            is_heavy = KeyIndex(keys).find(rows[:, list(key_cols)]) >= 0
-        subs[is_heavy] = -1
-        return subs
+            return np.isin(rows[:, key_cols[0]], keys[:, 0])
+        return KeyIndex(keys).find(rows[:, list(key_cols)]) >= 0
 
     def rank_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`rank_of` over an ``(n, arity)`` array."""

@@ -16,7 +16,8 @@ A :class:`Schema` fixes a relation's shape for the engine:
 * ``n_subbuckets`` — spatial load-balancing factor (§IV-C); 1 disables
   sub-bucketing;
 * ``heavy_keys`` — the join keys spread over the sub-buckets, sorted;
-  every other key is *light* and keeps all its rows in one sub-bucket.
+  every other key is *light* and keeps all its rows in sub-bucket 0,
+  its bucket's home cell.
   ``None`` makes every key heavy, the paper's placement
   (:class:`~repro.relational.distribution.Distribution`).
 

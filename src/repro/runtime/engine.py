@@ -6,8 +6,9 @@ Each iteration of a recursive stratum executes, per rule:
    choosing the smaller side as the *outer* (transmitted) relation;
 2. **intra-bucket comm** — the outer side is serialized and sent to every
    sub-bucket rank of the matching inner bucket (``MPI_Alltoallv``); with
-   the wire layer on, an EDB inner's light join keys each live in one
-   sub-bucket (:meth:`Engine.load`), so their tuples are sent there only;
+   the wire layer on, an EDB inner's light join keys live in their
+   bucket's home cell on the bucket's own rank (:meth:`Engine.load`), so
+   their tuples are sent there only;
 3. **local join** — each rank probes its inner shards' nested index with
    the received outer tuples and emits head tuples;
 4. **all-to-all** — emitted tuples are routed to their home rank by the
@@ -158,7 +159,9 @@ class Engine:
         """Load facts into a relation (EDB input, or IDB warm start).
 
         With the wire layer on, a sub-bucketed EDB relation's first load
-        fixes its heavy-key set for good (:meth:`_freeze_heavy_keys`).
+        fixes its heavy-key set (:meth:`_freeze_heavy_keys`) until a
+        resize recounts it
+        (:func:`~repro.runtime.rebalance.reshard_relation`).
         """
         if name not in self.store:
             raise KeyError(
@@ -177,13 +180,15 @@ class Engine:
 
     def _first_split_load(self, rel: VersionedRelation) -> bool:
         """Whether loading ``rel`` now fixes its heavy-key set: the wire
-        layer is on, ``rel`` is an EDB relation that is sub-bucketed or
-        may be resized (a rebalancer or ``auto_balance``), and no load,
-        update or iteration has advanced it yet — the same test on every
-        slice of a per-rank run."""
+        layer is on, ``rel`` is an EDB relation with a non-join column
+        (without one every row sits in sub-bucket 0 anyway) that is
+        sub-bucketed or may be resized (a rebalancer or
+        ``auto_balance``), and no load, update or iteration has advanced
+        it yet — the same test on every slice of a per-rank run."""
         return (
             self.wire
             and rel.schema.name in self._edb
+            and bool(rel.schema.other_cols)
             and (
                 rel.schema.n_subbuckets > 1
                 or self.rebalancer is not None
@@ -243,17 +248,18 @@ class Engine:
         count until max/mean ≤ ``tolerance`` (or the cap), and physically
         redistributes the shards through the rebalancer's block exchange
         (:func:`~repro.runtime.rebalance.reshard_relation`, full and Δ
-        kept as they are) — charged at raw bytes to the ``balance``
-        phase, as the real system would pay it.
+        kept as they are, a heavy-key set recounted at the new count) —
+        charged to the ``balance`` phase through the wire layer when it
+        is on, as the real system would pay it.
 
         Returns the chosen sub-bucket count.
         """
         rel = self.store[name]
-        tuples = list(rel.iter_full())
-        if not tuples:
+        rows = rel.table.version_block("full")
+        if not rows.shape[0]:
             return rel.schema.n_subbuckets
         n_sub, _report = recommend_subbuckets(
-            tuples,
+            rows,
             rel.schema,
             self.config.n_ranks,
             tolerance=tolerance,
@@ -261,7 +267,9 @@ class Engine:
             seed=rel.dist.seed,
         )
         if n_sub != rel.schema.n_subbuckets:
-            reshard_relation(rel, n_sub, self.cluster, phase="balance")
+            reshard_relation(
+                rel, n_sub, self.cluster, wire=self.wire, phase="balance"
+            )
             self.compiled.schemas[name] = rel.schema
         return n_sub
 

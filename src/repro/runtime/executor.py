@@ -18,8 +18,8 @@ transmit:
 * ``scan_emit`` — copy rules: match and emit one relation version in one
   pass, split into each owner's rows;
 * ``intra_sends`` — scan and match the outer side and send each row to
-  the inner owner of its join key's cell (a light key), or to every
-  sub-bucket owner of the matching inner bucket (a heavy key);
+  its inner bucket's home cell (a light key), or to every sub-bucket
+  owner of the matching inner bucket (a heavy key);
 * ``local_join`` — probe the inner version's join index once per run of
   receivers (up to :data:`~repro.kernels.route._CHUNK_ROWS` rows) and
   emit once per :data:`_PAIR_BUDGET` pairs; under the head's sender fold

@@ -24,7 +24,8 @@ Correctness story, proven by ``tests/test_rebalance.py``:
   rollback replays every rebalance decision deterministically.
 
 Cost honesty: the periodic decision is charged as an allgather (each
-rank contributes its bucket occupancy), and the exchange is one
+rank contributes its bucket occupancy, and the key counts that recount
+a heavy-key set at the new count), and the exchange is one
 :class:`~repro.comm.boxes.BoxTable` through the wire layer like every
 other all-to-all — codec-encoded payloads charged at encoded bytes to
 the α–β model, recorded as a ``rebalance`` CommEvent/CommMatrix channel
@@ -42,8 +43,10 @@ import numpy as np
 from repro.comm.boxes import BoxTable, Delivery
 from repro.comm.wire import payload_codec
 from repro.core.balancer import recommend_subbuckets
+from repro.kernels.block import group_columns
 from repro.kernels.route import decode_wire_boxes, encode_wire_sends, home_boxes
 from repro.obs.analysis import gini
+from repro.relational.distribution import Distribution, heavy_keys
 
 #: Ledger/timer phase and CommMatrix channel for everything this module does.
 REBALANCE_PHASE = "rebalance"
@@ -104,6 +107,32 @@ def measure_bucket_skew(rel) -> Optional[SkewMeasure]:
     )
 
 
+def recount_words(rel, n_cells: int) -> np.ndarray:
+    """Words each rank contributes to recount ``rel``'s heavy-key set at
+    ``n_cells`` cells: its row count, then a (key, count) pair for each
+    key it holds that is heavy now (a partial count) or holds more than
+    m/``n_cells`` of the m rows (all of a light key's rows sit in its
+    home cell, so that count is the key's own)."""
+    rows, segs = rel.table.version("full")
+    owner = rel.rank_of_segment()[segs]
+    join_cols = rel.schema.join_cols
+    words = np.ones(rel.n_ranks, dtype=np.int64)
+    if not rows.shape[0]:
+        return words
+    order, starts, counts = group_columns(
+        [owner] + [rows[:, c] for c in join_cols]
+    )
+    heads = order[starts]
+    report = counts * n_cells > rows.shape[0]
+    is_heavy = rel.dist.heavy_rows(rows[heads], join_cols)
+    if is_heavy is not None:
+        report |= is_heavy
+    words += (len(join_cols) + 1) * np.bincount(
+        owner[heads[report]], minlength=rel.n_ranks
+    )
+    return words
+
+
 def reshard_relation(
     rel,
     n_subbuckets: int,
@@ -111,6 +140,7 @@ def reshard_relation(
     *,
     wire: bool = False,
     phase: str = REBALANCE_PHASE,
+    recount_charged: bool = False,
 ) -> Dict[str, int]:
     """Resize ``rel`` to ``n_subbuckets`` via the redistribution exchange.
 
@@ -118,15 +148,21 @@ def reshard_relation(
 
     1. take every old shard's full then Δ rows, each in nested order,
        as one source block each;
-    2. re-hash every row under the new placement and cut one box table
+    2. recount a heavy-key set, when ``rel`` has one, at the new count:
+       the keys above m/(p·``n_subbuckets``) of the m full rows
+       (:func:`~repro.relational.distribution.heavy_keys`), since a
+       light key stays whole however many sub-buckets there are.  The
+       partial counts are one allgather of :func:`recount_words`,
+       unless the caller already paid for them (``recount_charged``);
+    3. re-hash every row under the new placement and cut one box table
        by (source block, bucket, new sub-bucket)
        (:func:`~repro.kernels.route.home_boxes`), each box's version
        and new segment kept in box-aligned arrays, the payloads
        ``delta``-encoded when ``wire`` is on and ``raw`` otherwise;
-    3. one alltoallv charged at encoded bytes (collective autotuned
+    4. one alltoallv charged at encoded bytes (collective autotuned
        when ``wire`` is on), ``kind="rebalance"``,
        into the CommMatrix ``rebalance`` channel;
-    4. install the delivered boxes into a fresh row table, receivers in
+    5. install the delivered boxes into a fresh row table, receivers in
        rank order, each one's boxes in delivery order, first copy only.
 
     Nothing is mutated before the collective returns, so a rank crash
@@ -135,13 +171,25 @@ def reshard_relation(
     """
     if n_subbuckets == rel.schema.n_subbuckets:
         return {"shipped": 0, "moved": 0, "wire_bytes": 0}
-    new_schema = dataclasses.replace(rel.schema, n_subbuckets=n_subbuckets)
-    new_dist = rel.dist.with_subbuckets(n_subbuckets)
-    codec = payload_codec(wire)
     # Source blocks in (old segment, full before Δ) order: the full
     # version keyed 2·seg, Δ 2·seg + 1, each in nested order.
     full, full_segs = rel.table.version("full")
     delta, delta_segs = rel.table.version("delta")
+    n_cells = rel.n_ranks * n_subbuckets
+    heavy = rel.schema.heavy_keys
+    if heavy is not None:
+        if not recount_charged:
+            cluster.allgather(
+                [None] * rel.n_ranks,
+                nbytes_per_rank=8 * int(recount_words(rel, n_cells).max()),
+                phase=phase,
+            )
+        heavy = heavy_keys(full, rel.schema.join_cols, n_cells)
+    new_schema = dataclasses.replace(
+        rel.schema, n_subbuckets=n_subbuckets, heavy_keys=heavy
+    )
+    new_dist = Distribution(new_schema, rel.n_ranks, rel.dist.seed, rel.dist.dead_ranks)
+    codec = payload_codec(wire)
     block = np.concatenate([2 * full_segs, 2 * delta_segs + 1])
     block_heads, box = home_boxes(block, np.concatenate([full, delta]), new_dist)
     src = rel.rank_of_segment()[block_heads >> 1]
@@ -224,13 +272,21 @@ class RebalanceManager:
             if rel.schema.other_cols
         )
 
+    def _may_grow(self, rel) -> bool:
+        """Whether a check can still resize ``rel``: it is under the cap,
+        and its top bucket (a share of at most 1) split over today's
+        fan-out could still overload a rank past ``factor``."""
+        cfg = self.config.rebalance
+        n_sub = rel.schema.n_subbuckets
+        return n_sub < cfg.max_subbuckets and rel.n_ranks >= cfg.factor * n_sub
+
     def _target_subbuckets(
         self, rel, measure: SkewMeasure
     ) -> Optional[Tuple[int, str]]:
         """Trigger test + target count for one relation; None = keep."""
         cfg = self.config
         n_sub = rel.schema.n_subbuckets
-        if n_sub >= cfg.rebalance.max_subbuckets:
+        if not self._may_grow(rel):
             return None
         if measure.total < cfg.rebalance.min_tuples:
             return None
@@ -250,7 +306,7 @@ class RebalanceManager:
             # than one doubling.
             self._seeded.add(rel.schema.name)
             recommended, _report = recommend_subbuckets(
-                list(rel.iter_full()),
+                rel.table.version_block("full"),
                 rel.schema,
                 rel.n_ranks,
                 max_subbuckets=cfg.rebalance.max_subbuckets,
@@ -267,8 +323,11 @@ class RebalanceManager:
 
         Runs at an iteration boundary (Δs advanced, no pending absorbs).
         Charges one decision allgather per check — each rank contributes
-        its local bucket occupancy — then executes every triggered
-        resize.  Returns the number of relations resized.
+        its local bucket occupancy and, for a relation with a heavy-key
+        set that may still grow, the key counts a resize recounts the
+        set from (:func:`recount_words` at the cap, so any target's set
+        follows) — then executes every triggered resize.
+        Returns the number of relations resized.
         """
         store = engine.store
         names = self.eligible_names(store)
@@ -276,14 +335,22 @@ class RebalanceManager:
             return 0
         cluster = engine.cluster
         plane = engine.fault_plane
+        n_ranks = engine.config.n_ranks
         n_resized = 0
         with engine.timer.phase(REBALANCE_PHASE):
+            words = np.full(n_ranks, 2 * len(names), dtype=np.int64)
+            for name in names:
+                rel = store[name]
+                if rel.schema.heavy_keys is not None and self._may_grow(rel):
+                    words += recount_words(
+                        rel, n_ranks * self.config.rebalance.max_subbuckets
+                    )
             # The decision rendezvous: bucket occupancies are replicated
             # so every rank reaches the same verdict.  Also the first
             # crash point of a rebalance round.
             cluster.allgather(
-                [len(names)] * engine.config.n_ranks,
-                nbytes_per_rank=2 * 8 * len(names),
+                [len(names)] * n_ranks,
+                nbytes_per_rank=8 * int(words.max()),
                 phase=REBALANCE_PHASE,
             )
             for name in names:
@@ -303,6 +370,7 @@ class RebalanceManager:
                     cluster,
                     wire=engine.wire,
                     phase=REBALANCE_PHASE,
+                    recount_charged=True,
                 )
                 # The relation's schema object changed; keep the compiled
                 # program's view (used by routing and explain) in sync.

@@ -98,29 +98,33 @@ class TestVectorizedEquivalence:
     @given(ROWS, st.sampled_from([(0,), (2, 0)]), st.data())
     def test_heavy_light_placement_matches_scalar(self, rows, join_cols, data):
         """With a heavy-key set, a heavy key's rows spread by their other
-        columns and each light key's rows share one (bucket, sub) cell;
-        the vectorized and scalar placements agree."""
+        columns and every light key's rows sit in their bucket's home
+        cell, sub-bucket 0; the vectorized and scalar placements agree."""
         keys = sorted({tuple(row[c] for c in join_cols) for row in rows})
         heavy = tuple(data.draw(st.lists(st.sampled_from(keys), unique=True)))
         d = dist(n_ranks=13, join_cols=join_cols, n_sub=4, heavy=tuple(sorted(heavy)))
+        paper = dist(n_ranks=13, join_cols=join_cols, n_sub=4)
         arr = np.asarray(rows, dtype=np.int64)
         buckets, subs = d.bucket_sub_of_rows(arr)
-        key_subs = d.key_subs(arr, join_cols)
-        cells = {}
-        for row, b, s, ks in zip(rows, buckets, subs, key_subs):
+        is_heavy = d.heavy_rows(arr, join_cols)
+        for row, b, s, h in zip(rows, buckets, subs, is_heavy):
             assert (d.bucket_of(row), d.sub_of(row)) == (int(b), int(s))
             key = tuple(row[c] for c in join_cols)
-            assert (int(ks) < 0) == (key in heavy)
-            if key not in heavy:
-                assert int(ks) == int(s)
-                cells.setdefault(key, set()).add(int(s))
-        assert all(len(subs) == 1 for subs in cells.values())
+            assert bool(h) == (key in heavy)
+            if key in heavy:
+                assert d.sub_of(row) == paper.sub_of(row)
+            else:
+                assert d.sub_of(row) == 0
+                assert d.rank_of(row) == d.owner(int(b), 0) == int(b)
 
     def test_no_heavy_set_is_the_paper_placement(self):
         rows = np.random.default_rng(1).integers(0, 50, size=(200, 3))
         paper, light = dist(n_sub=8), dist(n_sub=8, heavy=())
-        assert paper.key_subs(rows, (0,)) is None
-        assert (light.key_subs(rows, (0,)) >= 0).all()
+        assert paper.heavy_rows(rows, (0,)) is None
+        assert not light.heavy_rows(rows, (0,)).any()
+        assert light.rank_of_rows(rows).tolist() == light.buckets_of_key_rows(
+            rows, (0,)
+        ).tolist()
         all_heavy = dist(n_sub=8, heavy=tuple((k,) for k in range(50)))
         assert all_heavy.rank_of_rows(rows).tolist() == paper.rank_of_rows(rows).tolist()
 

@@ -142,6 +142,25 @@ class TestAutoBalance:
         assert res.phase_breakdown().get("balance", 0) > 0
         assert (0, 7, 1) in res.query("spath")
 
+    @pytest.mark.parametrize("wire", [True, False])
+    def test_reshard_follows_the_wire_switch(self, wire):
+        """The balancing reshard goes through the wire layer when it is
+        on, like the rebalancer's, and recounts the heavy-key set."""
+        from unittest import mock
+
+        from repro.runtime import engine as engine_mod
+
+        g = star(3000).with_unit_weights()
+        eng = Engine(sssp_program(), EngineConfig(n_ranks=32, auto_balance=2.0, wire=wire))
+        eng.load("edge", g.tuples())
+        eng.load("start", [(0,)])
+        with mock.patch.object(
+            engine_mod, "reshard_relation", wraps=engine_mod.reshard_relation
+        ) as reshard:
+            eng.run()
+        assert reshard.call_args.kwargs["wire"] is wire
+        assert eng.store["edge"].schema.heavy_keys == (((0,),) if wire else None)
+
     def test_balanced_relation_untouched(self):
         eng = Engine(sssp_program(), EngineConfig(n_ranks=2, auto_balance=4.0))
         eng.load("edge", [(i, i + 1, 1) for i in range(64)])

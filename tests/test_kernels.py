@@ -44,7 +44,7 @@ from repro.relational.schema import Schema
 from repro.relational.storage import VersionedRelation
 from repro.runtime import executor as executor_mod
 from repro.runtime.config import EngineConfig
-from repro.util.hashing import HashSeed, hash_tuple
+from repro.util.hashing import HashSeed
 
 
 # ----------------------------------------------------------- block primitives
@@ -911,8 +911,8 @@ def _ref_intra_sends(owner_blocks, dist, n_sub, probe_cols, per_rank_ser):
     """Intra-bucket replication one owner block at a time, with every
     owner read off the scalar ``Distribution.owner``: a row whose key is
     in the inner schema's heavy set (every key when it has none) goes to
-    each distinct sub-bucket owner of its bucket, a light one to the owner
-    of sub-bucket ``hash_tuple(key) % n_sub``."""
+    each distinct sub-bucket owner of its bucket, a light one to the
+    bucket's home cell, the owner of sub-bucket 0."""
     heavy = dist.schema.heavy_keys
     sends = {}
     n_intra = 0
@@ -932,8 +932,7 @@ def _ref_intra_sends(owner_blocks, dist, n_sub, probe_cols, per_rank_ser):
         for i, row in enumerate(rows.tolist()):
             key = tuple(row[c] for c in probe_cols)
             if n_sub > 1 and heavy is not None and key not in heavy:
-                keep[:, i] = False
-                keep[hash_tuple(key, dist.seed.subbucket) % n_sub, i] = True
+                keep[1:, i] = False
         src_row = np.nonzero(keep.T)[0]
         dst = dst_mat.T[keep.T]
         order, starts, counts = group_columns([dst])

@@ -1028,11 +1028,13 @@ class TestSpmdWire:
 
 class TestHeavyLightPlacement:
     """With the wire on, a sub-bucketed EDB relation's first load freezes
-    its heavy keys (more than m/(p·n_sub) of its m rows).  A light key's rows
-    share one (bucket, sub) cell and its outer tuples cross the
-    intra-bucket exchange once, to that cell's owner; a heavy key keeps
-    §IV-C's spread and its outer tuples reach every owner of its bucket.
-    The join's output cannot change.  Wire off keeps §IV-C's placement."""
+    its heavy keys (more than m/(p·n_sub) of its m rows).  A light key's
+    rows all sit in its bucket's home cell, sub-bucket 0 on the bucket's
+    own rank, and its outer tuples cross the intra-bucket exchange once,
+    to that rank: for an outer relation placed by the same key, a
+    self-send.  A heavy key keeps §IV-C's spread and its outer tuples
+    reach every owner of its bucket.  The join's output cannot change.
+    Wire off keeps §IV-C's placement."""
 
     N_RANKS = 8
     #: The star's key: (x, y) of its label-1 hops.
@@ -1135,22 +1137,44 @@ class TestHeavyLightPlacement:
     def _assert_placed(self, hop, heavy):
         cells, owners = self._cells(hop)
         assert hop.schema.heavy_keys == heavy
+        n_sub = hop.schema.n_subbuckets
         for key, segs in cells.items():
             if key in heavy:
                 assert len(owners[key]) >= 4, (key, owners[key])
             else:
-                assert len(segs) == 1, (key, segs)
+                assert len(segs) == 1 and min(segs) % n_sub == 0, (key, segs)
+
+    @staticmethod
+    def _remote_keys(sent):
+        """The join key of every intra copy that left its rank."""
+        return [
+            tuple(row[:2])
+            for _rows, table in sent
+            for k in np.flatnonzero(table.src != table.dst)
+            for row in table.rows_of(np.asarray([k])).tolist()
+        ]
+
+    @staticmethod
+    def _intra_bytes(result):
+        return sum(
+            ev.nbytes for ev in result.ledger.comm.events
+            if ev.phase == "intra_bucket"
+        )
 
     def test_light_keys_cross_once(self):
-        """No key is heavy: every outer row sent is one intra copy."""
+        """No key is heavy: every outer row sent is one intra copy, and a
+        self-send, since ``walk`` is placed by the join key too: the
+        intra exchange's remote bytes read 0."""
         from repro.planner.interpreter import interpret
 
         on, engine, sent = self._run(True)
         off, _engine, _sent = self._run(False)
         self._assert_placed(engine.store["hop"], ())
         n_sent = sum(rows.shape[0] for rows, _table in sent)
-        assert on.counters["intra_bucket_tuples"] == n_sent
+        assert n_sent and on.counters["intra_bucket_tuples"] == n_sent
         assert off.counters["intra_bucket_tuples"] > n_sent
+        assert self._remote_keys(sent) == []
+        assert self._intra_bytes(on) == 0 < self._intra_bytes(off)
         self._assert_same_answers(on, off)
         expected = interpret(self._program(), self._facts(0))
         assert on.query("walk") == expected["walk"]
@@ -1183,15 +1207,18 @@ class TestHeavyLightPlacement:
                     n_light += 1
                     assert len(copies[row]) == 1
         assert n_hub and n_light
+        remote = self._remote_keys(sent)
+        assert remote and set(remote) == {self.HUB}
         self._assert_same_answers(on, off)
         expected = interpret(self._program(), self._facts(200))
         assert on.query("walk") == expected["walk"]
 
     @pytest.mark.parametrize("scenario", ["update", "reshard", "restore"])
     def test_set_survives(self, scenario):
-        """The frozen set carries through a reshard, a checkpoint restore
-        and an update batch: inserted rows place by it, so a key that
-        grows heavy stays light, in one cell."""
+        """The set carries through a checkpoint restore and an update
+        batch, and a reshard recounts it (the star stays heavy at the new
+        count): inserted rows place by it, so a key that grows heavy
+        through insertions stays light, in one cell."""
         on, engine, _sent = self._run(True, hub=200, scenario=scenario)
         off, _engine, _sent = self._run(False, hub=200, scenario=scenario)
         hop = engine.store["hop"]
