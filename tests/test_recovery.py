@@ -274,8 +274,8 @@ class TestIdempotence:
 #: detected, and equal admissions with dups injected (each duplicated
 #: copy dropped once at absorb).
 FAULT_GOLDEN = {
-    "sssp": ((63, 56, 45, 104, 6690), 0.00038193929999999997, 77154),
-    "cc": ((42, 44, 37, 77, 3014), 0.00024928959999999997, 35039),
+    "sssp": ((55, 50, 44, 95, 7063), 0.0003759433999999999, 83046),
+    "cc": ((41, 42, 40, 79, 2717), 0.00021958020000000002, 31735),
 }
 
 
