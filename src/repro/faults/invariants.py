@@ -8,19 +8,20 @@ Two independent nets sit under the checksum (defense in depth):
   fabricates tuples trips :func:`check_conservation`.
 * **Lattice monotonicity** — aggregate accumulators may only move *up*
   the semilattice (shorter paths for ``$MIN``, larger values for
-  ``$MAX``).  :func:`monotonicity_audit` compares a relation's grouped
-  accumulators before and after an absorb; a regression means corrupted
-  data reached storage and raises
+  ``$MAX``).  :func:`monotonicity_audit` compares an aggregate
+  relation's stored rows before and after an absorb, group by group
+  through a :class:`~repro.kernels.block.KeyIndex` over the packed group
+  keys; a regression means corrupted data reached storage and raises
   :class:`~repro.faults.plane.CorruptionError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import numpy as np
 
 from repro.faults.plane import CorruptionError
-
-TupleT = Tuple[int, ...]
+from repro.kernels.absorb import vector_combiner
+from repro.kernels.block import KeyIndex
 
 
 class ConservationError(CorruptionError):
@@ -38,42 +39,37 @@ def check_conservation(
         )
 
 
-def accumulator_map(rel) -> Dict[TupleT, TupleT]:
-    """Group key → dependent values of an aggregate relation's full store.
+def monotonicity_audit(before: np.ndarray, rel) -> None:
+    """Verify aggregate relation ``rel`` only moved up-lattice relative
+    to ``before``, a copy of its stored full rows taken before an absorb.
 
-    For non-aggregate relations returns the identity map over tuples
-    (monotonicity degenerates to "nothing disappears").
-    """
-    schema = rel.schema
-    if not schema.is_aggregate:
-        return {t: t for t in rel.iter_full()}
-    out: Dict[TupleT, TupleT] = {}
-    for t in rel.iter_full():
-        out[schema.indep_of(t)] = schema.dep_of(t)
-    return out
-
-
-def monotonicity_audit(before: Dict[TupleT, TupleT], rel) -> None:
-    """Verify ``rel`` only moved up-lattice relative to ``before``.
-
-    Every group present before must still exist, and each aggregate
-    accumulator must satisfy ``join(old, new) == new`` (i.e. the stored
+    Every group present before must still exist, and each accumulator
+    that changed must satisfy ``join(old, new) == new`` (i.e. the stored
     value absorbed the old one — it never regressed or wandered off the
-    lattice path).  Plain relations must simply not lose tuples.
+    lattice path).
     """
-    after = accumulator_map(rel)
     schema = rel.schema
-    agg = schema.aggregator if schema.is_aggregate else None
-    for key, old in before.items():
-        new = after.get(key)
-        if new is None:
-            raise CorruptionError(
-                f"{schema.name}: group {key} vanished during absorb "
-                "(monotonicity audit)"
-            )
-        if agg is not None and new != old:
-            if agg.partial_agg(old, new) != new:
-                raise CorruptionError(
-                    f"{schema.name}: accumulator for {key} regressed "
-                    f"{old} -> {new} (lattice monotonicity violated)"
-                )
+    k = schema.n_indep
+    after = rel.table.stored()[0]
+    slot = KeyIndex(after[:, :k]).find(before[:, :k])
+    missing = np.flatnonzero(slot < 0)
+    if missing.shape[0]:
+        key = tuple(before[missing[0], :k].tolist())
+        raise CorruptionError(
+            f"{schema.name}: group {key} vanished during absorb "
+            "(monotonicity audit)"
+        )
+    old, new = before[:, k:], after[slot, k:]
+    changed = (old != new).any(axis=1)
+    old, new = old[changed], new[changed]
+    regressed = np.flatnonzero(
+        (vector_combiner(schema.aggregator).join(old, new) != new).any(axis=1)
+    )
+    if regressed.shape[0]:
+        i = regressed[0]
+        key = tuple(before[changed][i, :k].tolist())
+        raise CorruptionError(
+            f"{schema.name}: accumulator for {key} regressed "
+            f"{tuple(old[i].tolist())} -> {tuple(new[i].tolist())} "
+            "(lattice monotonicity violated)"
+        )

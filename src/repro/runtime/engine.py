@@ -39,7 +39,7 @@ from repro.comm.simcluster import SimCluster
 from repro.comm.wire import payload_codec
 from repro.core.balancer import recommend_subbuckets
 from repro.core.join_planner import JoinSide, vote_outer_relation
-from repro.faults.invariants import accumulator_map, monotonicity_audit
+from repro.faults.invariants import monotonicity_audit
 from repro.faults.plane import FaultPlane, RankFailure
 from repro.kernels.absorb import sender_fold_plan
 from repro.kernels.route import build_route_sends, decode_wire_boxes, encode_wire_sends
@@ -114,11 +114,7 @@ class Engine:
         # Lattice monotonicity audit: only worth paying for when injected
         # corruption could actually reach an absorb.
         faults = self.config.faults.config
-        self._audit = (
-            faults is not None
-            and faults.audit_monotonicity
-            and faults.has_message_faults
-        )
+        self._audit = faults is not None and faults.has_message_faults
         #: The data plane: how tuples are held while they cross the pipeline.
         self._exec = ColumnarExecutor()
         self.store = RelationStore(
@@ -744,7 +740,7 @@ class Engine:
 
         # ---- phase: fused dedup / local aggregation ----
         before = (
-            accumulator_map(head)
+            head.table.stored()[0].copy()
             if self._audit and head.schema.is_aggregate
             else None
         )

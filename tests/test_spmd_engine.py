@@ -481,7 +481,7 @@ class TestRankPrograms:
         for rank, (mine, total) in enumerate(clean):
             assert mine == sorted(row for row in ROWS if row[0] % 4 == rank)
             assert total == sum(b for _a, b in ROWS)
-        faults = FaultConfig(drop=0.3, dup=0.1, corrupt=0.1, max_retries=12, seed=1)
+        faults = FaultConfig(drop=0.3, dup=0.1, corrupt=0.1, max_retries=12, seed=2)
         faulty, cluster = _within(
             30, run_ranks, EngineConfig(n_ranks=4, faults=FaultOptions(config=faults)),
             route_and_sum, ROWS,
