@@ -25,10 +25,9 @@ buffer of consecutive boxes with each box's byte length, and
 :func:`decode_blocks` reads boxes laid end to end back.  No exchange
 calls the one-box :func:`encode_rows` / :func:`decode_rows` any more;
 they stay as the tests' one-box codec and because the benchmark's trace
-patch table (``bench/trace.py``) names them.  Under message faults each
-payload becomes ``bytes`` on purpose: the bit-flip mutator only targets
-integer/ndarray leaves, so a corrupted wire box flips a header integer
-or row and the CRC-32 envelope catches it before any decode runs.
+patch table (``bench/trace.py``) names them.  Message faults act on
+whole messages: a corrupted copy fails the receiver's CRC-32 and is
+rejected before any decode runs.
 
 Encode/decode are exact inverses for every int64 block, including
 negative values and full-range bit patterns (deltas wrap modulo 2^64 on
@@ -140,7 +139,7 @@ def _varint_decode(buf: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]
 # The batched entry points take consecutive boxes of one row block: box
 # ``k`` is ``rows[starts[k]:starts[k + 1]]``.  Every payload is exactly
 # what encoding that box alone produces, so batching is invisible on the
-# wire (byte counts, CRC envelopes, checkpoints) — see DESIGN §11.
+# wire (byte counts, checkpoints) — see DESIGN §11.
 
 def _box_major_index(starts: np.ndarray, arity: int) -> np.ndarray:
     """``(arity, n)`` stream position of cell ``(column, row)``.

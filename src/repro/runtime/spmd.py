@@ -25,8 +25,8 @@ The threads, the barrier and the error propagation are
 :func:`run_ranks`, which runs any function once per rank on its
 :class:`SliceComm`: :func:`run_slices` is ``run_ranks`` with an
 engine-building rank function, and a hand-written rank program
-(``examples/spmd_style.py``) is another, with the cluster's CRC envelope,
-retransmission, fault plane and ledger under every collective it calls.
+(``examples/spmd_style.py``) is another, with the cluster's fault plane,
+retransmission and ledger under every collective it calls.
 """
 
 from __future__ import annotations
