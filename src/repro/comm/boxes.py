@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.kernels.block import concat_ranges, offsets
 
-_COLUMNS = ("src", "dst", "n_rows", "bucket", "sub", "pre_rows", "row_lo",
+_COLUMNS = ("src", "dst", "n_rows", "header", "pre_rows", "row_lo",
             "byte_lo", "byte_len", "nbytes")
 
 
@@ -39,8 +39,10 @@ class BoxTable:
 
     ``src``, ``dst``, ``n_rows``
         sender, receiver and tuple count of every box;
-    ``bucket``, ``sub``
-        a route box's home shard;
+    ``header``
+        the words besides its rows a box's receiver reads, one row of
+        them per box: a route box's home segment ``bucket · n_sub + sub``,
+        a reshard box's ``2 · segment + version``;
     ``pre_rows``
         the rows a route box stood for before the sender fold; with it
         the exchange also accounts the un-combined traffic;
@@ -48,8 +50,11 @@ class BoxTable:
         box ``k``'s rows are ``rows[row_lo[k] : row_lo[k] + n_rows[k]]``
         (``row_lo`` defaults to the boxes laid end to end);
     ``payload``, ``byte_lo``, ``byte_len``
-        its encoded payload in one ``uint8`` buffer, likewise (the
-        boxes' payloads end to end);
+        its encoded payload — under ``delta`` its frame (row count and
+        header words), then its rows (:mod:`repro.comm.wire`) — in one
+        ``uint8`` buffer, likewise (the boxes' payloads end to end).
+        Only a box bound for another rank is encoded; a self-send keeps
+        ``byte_len`` 0 and is read off the row block, header and all;
     ``nbytes``
         the wire bytes a box is charged; absent, its raw tuple size;
     ``items``
@@ -58,11 +63,11 @@ class BoxTable:
 
     __slots__ = _COLUMNS + ("rows", "payload", "items")
 
-    def __init__(self, src, dst, n_rows, *, bucket=None, sub=None,
-                 pre_rows=None, rows=None, row_lo=None, payload=None,
-                 byte_len=None, nbytes=None, items=None):
+    def __init__(self, src, dst, n_rows, *, header=None, pre_rows=None,
+                 rows=None, row_lo=None, payload=None, byte_len=None,
+                 nbytes=None, items=None):
         self.src, self.dst, self.n_rows = src, dst, n_rows
-        self.bucket, self.sub, self.pre_rows = bucket, sub, pre_rows
+        self.header, self.pre_rows = header, pre_rows
         self.rows, self.payload, self.items = rows, payload, items
         self.row_lo = offsets(n_rows)[:-1] if rows is not None and row_lo is None else row_lo
         self.byte_len, self.nbytes = byte_len, nbytes
@@ -90,26 +95,24 @@ class BoxTable:
         return self.src.shape[0]
 
     def item(self, k: int):
-        """Box ``k`` as a Python object, the form the exchanges always
-        shipped: a hand-written item as given; a route box as
-        ``(bucket, sub, n_rows, pre_rows, payload)`` once encoded, else
-        ``(bucket, sub, rows)``; any other box as its rows, or ``(rows,
-        payload)`` once encoded."""
+        """Box ``k`` as a Python object: a hand-written item as given;
+        else its header words, then — once encoded — ``n_rows``,
+        ``pre_rows`` (when tallied) and its payload bytes, frame
+        included (a self-send's rows: it skips the codec), or else its
+        rows; a box of rows alone is its rows."""
         if self.items is not None:
             return self.items[k]
-        rows = payload = None
-        if self.rows is not None:
-            lo = int(self.row_lo[k])
-            rows = self.rows[lo : lo + int(self.n_rows[k])]
-        if self.payload is not None:
+        head = () if self.header is None else tuple(self.header[k].tolist())
+        if self.payload is not None and self.src[k] != self.dst[k]:
             lo = int(self.byte_lo[k])
-            payload = self.payload[lo : lo + int(self.byte_len[k])].tobytes()
-        if self.bucket is None:
-            return rows if payload is None else (rows, payload)
-        b, s = int(self.bucket[k]), int(self.sub[k])
-        if payload is None:
-            return b, s, rows
-        return b, s, int(self.n_rows[k]), int(self.pre_rows[k]), payload
+            body = self.payload[lo : lo + int(self.byte_len[k])].tobytes()
+        else:
+            lo = int(self.row_lo[k])
+            body = self.rows[lo : lo + int(self.n_rows[k])]
+        if self.payload is not None:
+            pre = () if self.pre_rows is None else (int(self.pre_rows[k]),)
+            return (*head, int(self.n_rows[k]), *pre, body)
+        return (*head, body) if head else body
 
     def rows_of(self, boxes: np.ndarray) -> np.ndarray:
         """The rows of ``boxes`` laid end to end."""

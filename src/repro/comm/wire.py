@@ -17,17 +17,25 @@ sub-bucket owner sent a copy).
 Row-block codecs: ``delta`` (per-column delta + zigzag varint; small
 when rows arrive sorted by independent key, which sender-side combining
 guarantees) and ``raw`` (native int64 bytes, which the reshard ships
-with the layer off).
+with the layer off).  A ``delta`` box is its bytes: each payload opens
+with a frame — the box's row count and the header words its receiver
+reads (a route box's segment, a reshard box's segment and version), as
+plain varints — and is charged exactly its length.  A ``raw`` box
+writes no frame and is charged :data:`WIRE_HEADER_WORDS` on top, as the
+pre-wire engine's boxes were.
 
 An exchange's payloads travel in one ``uint8`` buffer
 (:class:`~repro.comm.boxes.BoxTable`): :func:`encode_blocks` returns the
 buffer of consecutive boxes with each box's byte length, and
-:func:`decode_blocks` reads boxes laid end to end back.  No exchange
-calls the one-box :func:`encode_rows` / :func:`decode_rows` any more;
-they stay as the tests' one-box codec and because the benchmark's trace
-patch table (``bench/trace.py``) names them.  Message faults act on
-whole messages: a corrupted copy fails the receiver's CRC-32 and is
-rejected before any decode runs.
+:func:`decode_blocks` reads boxes laid end to end back, with their
+header words.  The receiver locates the boxes from their row counts
+(what MPI's count exchange tells it) and rejects a payload whose frame
+or byte length disagrees.  No exchange calls the one-box
+:func:`encode_rows` / :func:`decode_rows` any more; they stay as the
+tests' one-box codec and because the benchmark's trace patch table
+(``bench/trace.py``) names them.  Message faults act on whole messages:
+a corrupted copy fails the receiver's CRC-32 and is rejected before any
+decode runs.
 
 Encode/decode are exact inverses for every int64 block, including
 negative values and full-range bit patterns (deltas wrap modulo 2^64 on
@@ -39,7 +47,7 @@ sender-side fold is charged separately by the engine (see DESIGN §11).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -53,9 +61,9 @@ def payload_codec(wire: bool) -> str:
     return "delta" if wire else "raw"
 
 
-#: Integer words of per-box metadata (bucket, sub, n_rows, pre_rows)
-#: that travel alongside the encoded payload and are charged as wire
-#: bytes with it.
+#: Integer words of per-box metadata (bucket, sub, n_rows, pre_rows) a
+#: ``raw`` box is charged on top of its payload, as the pre-wire engine
+#: shipped them beside its rows; a ``delta`` box writes its frame instead.
 WIRE_HEADER_WORDS = 4
 
 
@@ -140,105 +148,144 @@ def _varint_decode(buf: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]
 # ``k`` is ``rows[starts[k]:starts[k + 1]]``.  Every payload is exactly
 # what encoding that box alone produces, so batching is invisible on the
 # wire (byte counts, checkpoints) — see DESIGN §11.
+#
+# A ``delta`` payload is its box's frame, then its body, in one varint
+# stream.  The frame is the box's row count and header words, plain
+# LEB128.  The body is the box's columns one after another: per column
+# the first row's value, then first differences, each zigzag-mapped.
 
-def _box_major_index(starts: np.ndarray, arity: int) -> np.ndarray:
-    """``(arity, n)`` stream position of cell ``(column, row)``.
+def _box_starts(starts: np.ndarray, arity: int, width: int) -> np.ndarray:
+    """Where each box's values begin in a stream whose boxes lead with
+    ``width`` frame values, and (last) the stream's length."""
+    return arity * starts + width * np.arange(starts.shape[0], dtype=np.int64)
 
-    A delta stream is box-major, column-major inside a box: box ``k``
-    starts at value ``arity * starts[k]`` and holds its columns one after
-    another.  Encode scatters through this index, decode gathers.
-    """
+
+def _body_index(starts: np.ndarray, arity: int, width: int) -> np.ndarray:
+    """``(arity, n)`` stream position of cell ``(column, row)``: box ``k``
+    starts at ``_box_starts(...)[k]``, then holds its frame and its
+    columns one after another.  Encode scatters through this index,
+    decode gathers."""
     counts = np.diff(starts)
-    first = (arity - 1) * np.repeat(starts[:-1], counts) + np.arange(
-        starts[-1], dtype=np.int64
-    )
+    first = np.repeat(
+        (arity - 1) * starts[:-1] + width * np.arange(1, counts.shape[0] + 1), counts
+    ) + np.arange(starts[-1], dtype=np.int64)
     stride = np.repeat(counts, counts)
     return first[None, :] + np.arange(arity, dtype=np.int64)[:, None] * stride[None, :]
 
 
 def _delta_encode(
-    rows: np.ndarray, starts: np.ndarray
+    rows: np.ndarray, starts: np.ndarray, frame: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-column first differences (reset at box starts) → zigzag → LEB128."""
+    """Frame values, then per-column first differences (reset at box
+    starts) → zigzag, all → LEB128."""
     arity = rows.shape[1]
-    cols = np.ascontiguousarray(rows.T)
-    d = np.empty_like(cols)
-    d[:, 0] = cols[:, 0]
-    d[:, 1:] = cols[:, 1:] - cols[:, :-1]
-    if len(starts) == 2:
-        stream = d.ravel()  # one box: the transpose is already the layout
-    else:
-        heads = starts[:-1][starts[:-1] < starts[1:]]
-        d[:, heads] = cols[:, heads]
-        stream = np.empty(d.size, np.int64)
-        stream[_box_major_index(starts, arity).ravel()] = d.ravel()
-    buf, ends = _varint_encode(_zigzag(stream))
-    return buf, np.diff(np.concatenate([np.zeros(1, np.int64), ends])[arity * starts])
+    n_boxes, width = frame.shape
+    at = _box_starts(starts, arity, width)
+    u = np.empty(int(at[-1]), np.uint64)
+    u[(at[:-1, None] + np.arange(width)).ravel()] = frame.ravel()
+    if rows.shape[0]:
+        cols = np.ascontiguousarray(rows.T)
+        d = np.empty_like(cols)
+        d[:, 0] = cols[:, 0]
+        d[:, 1:] = cols[:, 1:] - cols[:, :-1]
+        if n_boxes == 1:  # one box: the transpose is already the layout
+            u[width:] = _zigzag(d.ravel())
+        else:
+            heads = starts[:-1][starts[:-1] < starts[1:]]
+            d[:, heads] = cols[:, heads]
+            u[_body_index(starts, arity, width)] = _zigzag(d)
+    buf, ends = _varint_encode(u)
+    return buf, np.diff(np.concatenate([np.zeros(1, np.int64), ends])[at])
 
 
 def _delta_decode(
-    data: np.ndarray, byte_len: np.ndarray, starts: np.ndarray, arity: int
-) -> np.ndarray:
+    data: np.ndarray, byte_len: np.ndarray, starts: np.ndarray, arity: int, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The boxes' rows and header words; the table's row counts locate
+    the boxes in the stream, and each frame must agree with them."""
+    counts = np.diff(starts)
+    at = _box_starts(starts, arity, width)
+    u, ends = _varint_decode(data, int(at[-1]))
+    if (np.diff(np.concatenate([np.zeros(1, np.int64), ends])[at]) != byte_len).any():
+        raise ValueError("a box's values do not end on its byte boundary")
+    at_frame = at[:-1, None] + np.arange(width)
+    frame = u[at_frame].astype(np.int64)
+    if (frame[:, 0] != counts).any():
+        raise ValueError("a frame's row count disagrees with its box's")
     n = int(starts[-1])
-    u, ends = _varint_decode(data, n * arity)
-    cuts = np.concatenate([np.zeros(1, np.int64), ends])[arity * starts]
-    if (np.diff(cuts) != byte_len).any():
-        raise ValueError("varint stream does not split at the box boundaries")
     d = _unzigzag(u)
-    if len(starts) == 2:
-        cols = np.cumsum(d.reshape(arity, n), axis=1, dtype=np.int64)
-        return np.ascontiguousarray(cols.T)
+    if counts.shape[0] == 1:
+        cols = np.cumsum(d[width:].reshape(arity, n), axis=1, dtype=np.int64)
+        return np.ascontiguousarray(cols.T), frame[:, 1:]
     # Segmented cumsum: one running sum over the stream, rebased at each
-    # (box, column) segment start.  int64 wraps mod 2^64 on both sides.
+    # (box, column) segment start, a box's frame zeroed at the head of
+    # its first column's segment.  int64 wraps mod 2^64 on both sides.
+    d[at_frame] = 0
+    seg_len = np.repeat(counts, arity)
+    seg_len[::arity] += width
     total = np.concatenate([np.zeros(1, np.int64), np.cumsum(d, dtype=np.int64)])
-    seg_len = np.repeat(np.diff(starts), arity)
-    seg_start = np.cumsum(seg_len) - seg_len
-    total[1:] -= np.repeat(total[seg_start], seg_len)
-    return total[1:][_box_major_index(starts, arity).T]
-
-
-_ONE_BOX = np.asarray([0, 1], np.int64)
+    total[1:] -= np.repeat(total[np.cumsum(seg_len) - seg_len], seg_len)
+    rows = total[1:][_body_index(starts, arity, width).T]
+    return rows, frame[:, 1:]
 
 
 def encode_blocks(
-    rows: np.ndarray, starts: np.ndarray, codec: str
+    rows: np.ndarray, starts: np.ndarray, codec: str, header: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Encode consecutive boxes of an ``(n, arity)`` int64 block.
 
     Returns one ``uint8`` buffer of the payloads laid end to end and
-    each payload's byte length (0 for an empty box).  ``delta`` runs a
-    single difference/zigzag/varint pass over the whole block; ``raw``
-    is the block's own bytes.
+    each payload's byte length.  ``delta`` runs a single
+    difference/zigzag/varint pass over the whole block, each box's body
+    behind its frame: its row count, then its row of ``header`` (an
+    ``(n_boxes, h)`` block of non-negative words).  ``raw`` is the
+    block's own bytes and writes no frame (an empty box has none).
     """
     if codec not in _CODECS:
         raise ValueError(f"unknown wire codec {codec!r}")
-    if rows.shape[0] == 0:
-        return np.zeros(0, np.uint8), np.zeros(len(starts) - 1, np.int64)
     rows = np.ascontiguousarray(rows, dtype=np.int64)
-    if codec == "delta":
-        return _delta_encode(rows, starts)
-    return (
-        rows.astype("<i8", copy=False).view(np.uint8).ravel(),
-        np.diff(starts) * (rows.shape[1] * 8),
-    )
+    if codec == "raw":
+        return (
+            rows.astype("<i8", copy=False).view(np.uint8).ravel(),
+            np.diff(starts) * (rows.shape[1] * 8),
+        )
+    if starts.shape[0] == 1:
+        return np.zeros(0, np.uint8), np.zeros(0, np.int64)
+    frame = np.diff(starts)[:, None]
+    if header is not None:
+        frame = np.column_stack([frame, header])
+    return _delta_encode(rows, starts, frame.astype(np.uint64))
 
 
 def decode_blocks(
-    data: np.ndarray, byte_len: np.ndarray, starts: np.ndarray, arity: int, codec: str
-) -> np.ndarray:
+    data: np.ndarray, byte_len: np.ndarray, starts: np.ndarray, arity: int,
+    codec: str, n_header: int = 0,
+) -> Tuple[np.ndarray, np.ndarray]:
     """Exact inverse of :func:`encode_blocks`: the payloads laid end to end
     in ``data`` (box ``k``'s ``byte_len[k]`` bytes) as one writable
-    ``(starts[-1], arity)`` block, box ``k`` at ``[starts[k], starts[k + 1])``."""
+    ``(starts[-1], arity)`` block, box ``k`` at ``[starts[k], starts[k + 1])``,
+    and each box's ``n_header`` header words read from its frame.
+
+    ``starts`` stands for the row counts an MPI receiver learns from the
+    count exchange; a payload whose frame or byte length disagrees with
+    them raises.  ``raw`` payloads carry no header words."""
     if codec not in _CODECS:
         raise ValueError(f"unknown wire codec {codec!r}")
-    n = int(starts[-1])
-    if n == 0:
-        return np.zeros((0, arity), np.int64)
     if codec == "delta":
-        return _delta_decode(data, byte_len, starts, arity)
+        if starts.shape[0] == 1:
+            if data.shape[0]:
+                raise ValueError("varint stream has trailing bytes")
+            return np.zeros((0, arity), np.int64), np.zeros((0, n_header), np.int64)
+        return _delta_decode(data, byte_len, starts, arity, 1 + n_header)
+    if n_header:
+        raise ValueError("raw payloads carry no header words")
     if (np.diff(starts) * (arity * 8) != byte_len).any():
         raise ValueError("raw payload sizes do not match the box row counts")
-    return np.frombuffer(data, "<i8").astype(np.int64).reshape(n, arity)
+    rows = np.frombuffer(data, "<i8").astype(np.int64).reshape(int(starts[-1]), arity)
+    return rows, np.zeros((starts.shape[0] - 1, 0), np.int64)
+
+
+_ONE_BOX = np.asarray([0, 1], np.int64)
 
 
 def encode_rows(rows: np.ndarray, codec: str) -> bytes:
@@ -251,4 +298,5 @@ def decode_rows(data: bytes, n_rows: int, arity: int, codec: str) -> np.ndarray:
     return decode_blocks(
         np.frombuffer(data, np.uint8), np.asarray([len(data)]), _ONE_BOX * n_rows,
         arity, codec,
-    )
+    )[0]
+

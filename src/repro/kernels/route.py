@@ -23,7 +23,8 @@ runs per box between the build and absorb.
     layer's sender fold applies, each source's block is folded per
     independent key first; one hash pass then computes every remaining
     row's (bucket, sub, owner) and rows are stably grouped per
-    destination shard into route boxes.
+    destination shard into route boxes, each headed by its segment
+    ``bucket · n_sub + sub``.
 
 ``home_boxes``
     That grouping, by (source block, bucket, sub): the route builder's
@@ -34,10 +35,12 @@ Both work on consecutive source ranks at once, up to :data:`_CHUNK_ROWS`
 rows (a larger source alone): one hash pass, one owner-table gather
 (:attr:`~repro.relational.distribution.Distribution.owner_table`) and
 one stable grouping serve the whole batch.  The codec is batched the
-same way: :func:`encode_wire_sends` encodes consecutive boxes, and
-:func:`decode_wire_boxes` the delivered ones in delivery order, in
-:data:`_CHUNK_ROWS`-row runs that the receiving store absorbs one at a
-time.
+same way: :func:`encode_wire_sends` encodes consecutive boxes, each
+framed with the header words its receiver reads (a route box's home
+segment), and :func:`decode_wire_boxes` the delivered ones in delivery
+order, in :data:`_CHUNK_ROWS`-row runs that the receiving store absorbs
+one at a time, reading the segments back from the frames.  A self-send
+is not on the wire: it skips the codec both ways.
 
 Both keep each (src, dst) pair's rows in arrival order — the ordering
 the receiving shards' absorb semantics depend on.
@@ -175,7 +178,7 @@ def build_route_sends(
     for lo, hi in _row_chunks(sizes, _CHUNK_ROWS):
         parts.append(_route_batch(batch[lo:hi], dist, fold, folded))
     table = _table(
-        parts, bucket=_NONE, sub=_NONE, pre_rows=_NONE,
+        parts, header=np.zeros((0, 1), dtype=np.int64), pre_rows=_NONE,
         rows=np.zeros((0, dist.schema.arity), dtype=np.int64),
     )
     if not for_wire:
@@ -232,7 +235,8 @@ def home_boxes(
     """One box of ``rows`` per (source block ``seg``, home bucket, sub)
     under ``dist``, boxes in that key order, each box's rows in arrival
     order.  Returns each box's source block and its table columns but
-    ``src``; ``pre_rows`` sums the rows' ``weights`` (pre-fold counts)."""
+    ``src``: the ``header`` is the home segment ``bucket · n_sub + sub``,
+    and ``pre_rows`` sums the rows' ``weights`` (pre-fold counts)."""
     b_arr, s_arr = dist.bucket_sub_of_rows(rows)
     order, starts, counts = group_columns([seg, b_arr, s_arr])
     heads = order[starts]
@@ -241,8 +245,7 @@ def home_boxes(
     return seg[heads], {
         "dst": dist.owner_table[b_heads, s_heads],
         "n_rows": counts,
-        "bucket": b_heads,
-        "sub": s_heads,
+        "header": (b_heads * dist.schema.n_subbuckets + s_heads)[:, None],
         "pre_rows": pre,
         "rows": rows[order],
     }
@@ -277,60 +280,120 @@ def _concat(blocks: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def encode_wire_sends(table: BoxTable, *, codec: str) -> BoxTable:
-    """``table`` with every box's rows encoded into one payload buffer,
-    each box charged its payload plus :data:`~repro.comm.wire.
-    WIRE_HEADER_WORDS`.
+    """``table`` with every box bound for another rank encoded into one
+    payload buffer, and charged: under ``delta`` exactly its payload,
+    frame included, under ``raw`` its payload plus :data:`~repro.comm.
+    wire.WIRE_HEADER_WORDS`.  A self-send is not on the wire: it skips
+    the codec and stays on the row block, charged nothing.
 
     Consecutive boxes are encoded together, :data:`_CHUNK_ROWS` rows at
     a time (a larger box alone), by one :func:`~repro.comm.wire.
     encode_blocks` pass over their rows; every payload is byte-identical
     to encoding its box alone.
     """
+    wired = table.src != table.dst
+    n_rows, header = table.n_rows, table.header
     bufs, lens = [], []
-    n_rows = table.n_rows
     for lo, hi in _row_chunks(n_rows, _CHUNK_ROWS):
+        sent = wired[lo:hi]
+        if not sent.any():
+            continue
         boxes = np.arange(lo, hi)
+        rows = table.rows_of(boxes)
+        if not sent.all():
+            rows = np.compress(np.repeat(sent, n_rows[lo:hi]), rows, axis=0)
+            boxes = boxes[sent]
         buf, byte_len = encode_blocks(
-            table.rows_of(boxes), offsets(n_rows[lo:hi]), codec
+            rows, offsets(n_rows[boxes]), codec,
+            None if header is None else header[boxes],
         )
         bufs.append(buf)
         lens.append(byte_len)
-    byte_len = np.concatenate(lens) if lens else _NONE
+    byte_len = np.zeros(len(table), dtype=np.int64)
+    if lens:
+        byte_len[wired] = np.concatenate(lens)
+    nbytes = byte_len
+    if codec == "raw":
+        nbytes = byte_len + wired * (WIRE_HEADER_WORDS * 8)
     return BoxTable(
         table.src, table.dst, n_rows,
-        bucket=table.bucket, sub=table.sub, pre_rows=table.pre_rows,
+        header=header, pre_rows=table.pre_rows,
         rows=table.rows, row_lo=table.row_lo,
         payload=_concat(bufs) if bufs else np.zeros(0, np.uint8),
-        byte_len=byte_len, nbytes=byte_len + WIRE_HEADER_WORDS * 8,
+        byte_len=byte_len, nbytes=nbytes,
     )
 
 
 def decode_wire_box(
     table: BoxTable, boxes: np.ndarray, arity: int, codec: str
-) -> np.ndarray:
-    """The rows of encoded boxes ``boxes`` of ``table``, laid end to end:
-    one :func:`~repro.comm.wire.decode_blocks` pass over their payloads."""
-    return decode_blocks(
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The rows of encoded boxes ``boxes`` of ``table``, laid end to end,
+    and their header words: one :func:`~repro.comm.wire.decode_blocks`
+    pass over their payloads, the words read from the ``delta`` frames
+    (a ``raw`` payload has none, so they come off the table)."""
+    framed = table.header is not None and codec == "delta"
+    rows, header = decode_blocks(
         table.payload_of(boxes), table.byte_len[boxes],
         offsets(table.n_rows[boxes]), arity, codec,
+        table.header.shape[1] if framed else 0,
     )
+    if table.header is None:
+        header = None
+    elif not framed:  # a raw payload writes no frame
+        header = table.header[boxes]
+    return rows, header
 
 
 def decode_wire_boxes(
     delivery: Delivery, arity: int, codec: str
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Every delivered box's rows in delivery order, as ``(boxes, rows)``
-    runs of consecutive deliveries up to :data:`_CHUNK_ROWS` rows (a
-    larger box alone): decoded from the payloads of an encoded table
-    (:func:`decode_wire_box`), else read off its row block."""
+) -> List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """Every delivered box's rows and header words in delivery order, as
+    ``(boxes, rows, header)`` runs of consecutive deliveries up to
+    :data:`_CHUNK_ROWS` rows (a larger box alone).  A box that crossed
+    the wire is decoded from its payload (:func:`decode_wire_box`); a
+    self-send, or any box of a table never encoded, is read off the row
+    block and the table's ``header`` column.  ``header`` is None for a
+    table without one."""
     table, order = delivery.table, delivery.order
+    width = None if table.header is None else table.header.shape[1]
     runs = []
     for lo, hi in _row_chunks(table.n_rows[order], _CHUNK_ROWS):
         boxes = order[lo:hi]
-        rows = (
-            table.rows_of(boxes)
+        wired = (
+            np.zeros(boxes.shape[0], dtype=bool)
             if table.payload is None
-            else decode_wire_box(table, boxes, arity, codec)
+            else table.src[boxes] != table.dst[boxes]
         )
-        runs.append((boxes, rows))
+        if wired.all():
+            rows, header = decode_wire_box(table, boxes, arity, codec)
+        elif not wired.any():
+            rows = table.rows_of(boxes)
+            header = None if width is None else table.header[boxes]
+        else:
+            # Both kinds in one run: a stretch of wired boxes is a slice of
+            # the decoded rows, a self-send its slice of the row block.
+            own = ~wired
+            decoded, framed = decode_wire_box(table, boxes[wired], arity, codec)
+            n_rows = table.n_rows[boxes]
+            in_decoded = offsets(np.where(wired, n_rows, 0)).tolist()
+            cuts = np.flatnonzero(wired[1:] != wired[:-1]) + 1
+            cuts = [0, *cuts.tolist(), boxes.shape[0]]
+            sent, row_lo = wired.tolist(), table.row_lo[boxes].tolist()
+            n_rows = n_rows.tolist()
+            parts = []
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                if sent[a]:
+                    parts.append(decoded[in_decoded[a] : in_decoded[b]])
+                else:
+                    parts += [
+                        table.rows[row_lo[k] : row_lo[k] + n_rows[k]]
+                        for k in range(a, b)
+                    ]
+            rows = np.concatenate(parts)
+            header = None
+            if width is not None:
+                header = np.empty((boxes.shape[0], width), dtype=np.int64)
+                header[wired] = framed
+                header[own] = table.header[boxes[own]]
+        runs.append((boxes, rows, header))
     return runs

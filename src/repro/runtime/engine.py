@@ -673,12 +673,12 @@ class Engine:
         every received row with its segment, as the bounded runs
         :meth:`~repro.relational.storage.VersionedRelation.absorb` takes.
 
-        Enabled, it ``delta``-encodes the boxes' payloads, charges the
-        route step's sender fold (``folded`` rows per source) at
-        serialization cost and the exchange at *encoded* bytes, lets the
-        collective autotuner pick direct vs Bruck, and decodes on the
-        receive side; disabled, boxes travel as built at their raw tuple
-        size.
+        Enabled, it ``delta``-encodes the payloads of the boxes bound
+        for other ranks, each framed with its segment, charges the route
+        step's sender fold (``folded`` rows per source) at serialization
+        cost and the exchange at *encoded* bytes, lets the collective
+        autotuner pick direct vs Bruck, and decodes on the receive side;
+        disabled, boxes travel as built at their raw tuple size.
         """
         wire = self.wire
         cluster = self.cluster
@@ -710,13 +710,12 @@ class Engine:
             for choice, n in cluster.collective_counts.items():
                 self.counters[f"wire_collective_{choice}"] += n - coll0.get(choice, 0)
         # The delivery's table: on a per-rank slice, every slice's boxes.
-        table = recv.table
-        n_sub = head.schema.n_subbuckets
+        # A box's segment is its header word, read from its frame when it
+        # crossed the wire.
+        n_rows = recv.table.n_rows
         return [
-            (rows, np.repeat(
-                table.bucket[boxes] * n_sub + table.sub[boxes], table.n_rows[boxes]
-            ))
-            for boxes, rows in decode_wire_boxes(recv, arity, codec)
+            (rows, np.repeat(header[:, 0], n_rows[boxes]))
+            for boxes, rows, header in decode_wire_boxes(recv, arity, codec)
         ]
 
     def _route_and_absorb(self, head_name: str, emitted, stats: "_IterStats") -> None:

@@ -383,7 +383,7 @@ class FixpointHandle:
                 # order, the batch's own order.
                 runs = decode_wire_boxes(recv, rel.schema.arity, codec)
                 rel.load(np.unique(
-                    np.concatenate([rows for _boxes, rows in runs])
+                    np.concatenate([rows for _boxes, rows, _header in runs])
                     if runs else arr[:0],
                     axis=0,
                 ))

@@ -156,14 +156,15 @@ def reshard_relation(
        unless the caller already paid for them (``recount_charged``);
     3. re-hash every row under the new placement and cut one box table
        by (source block, bucket, new sub-bucket)
-       (:func:`~repro.kernels.route.home_boxes`), each box's version
-       and new segment kept in box-aligned arrays, the payloads
-       ``delta``-encoded when ``wire`` is on and ``raw`` otherwise;
+       (:func:`~repro.kernels.route.home_boxes`), each box's header word
+       ``2 · new segment + version``, the payloads ``delta``-encoded
+       (that word framed) when ``wire`` is on and ``raw`` otherwise;
     4. one alltoallv charged at encoded bytes (collective autotuned
        when ``wire`` is on), ``kind="rebalance"``,
        into the CommMatrix ``rebalance`` channel;
     5. install the delivered boxes into a fresh row table, receivers in
-       rank order, each one's boxes in delivery order, first copy only.
+       rank order, each one's boxes in delivery order, first copy only,
+       segment and version read from each box's header word.
 
     Nothing is mutated before the collective returns, so a rank crash
     surfacing inside the exchange leaves the relation untouched for
@@ -196,12 +197,14 @@ def reshard_relation(
     # Boxes by receiver, then sender, each message's in block order: the
     # order the install reads them in, so a fault-free delivery decodes
     # slices of the payload buffer, not gathers of it.
+    # A box's header word is its block key over the new segment,
+    # 2·segment + version.
     k = np.lexsort((src, box["dst"]))
-    kinds = (block_heads & 1)[k]
-    segs = (box["bucket"] * n_subbuckets + box["sub"])[k]
     row_lo = np.cumsum(box["n_rows"]) - box["n_rows"]
     table = encode_wire_sends(BoxTable(
-        src[k], box["dst"][k], box["n_rows"][k], rows=box["rows"], row_lo=row_lo[k]
+        src[k], box["dst"][k], box["n_rows"][k],
+        header=2 * box["header"][k] + (block_heads & 1)[k, None],
+        rows=box["rows"], row_lo=row_lo[k],
     ), codec=codec)
     remote = table.src != table.dst
     n_shipped = int(table.n_rows.sum())
@@ -223,11 +226,11 @@ def reshard_relation(
     order = recv.order[np.argsort(table.dst[recv.order], kind="stable")]
     first = np.sort(np.unique(order, return_index=True)[1])
     runs = decode_wire_boxes(Delivery(table, order[first]), new_schema.arity, codec)
-    rel.install_reshard(new_schema, [
-        (rows, np.repeat(segs[boxes], table.n_rows[boxes]),
-         np.repeat(kinds[boxes], table.n_rows[boxes]))
-        for boxes, rows in runs
-    ])
+    keyed = [
+        (rows, np.repeat(header[:, 0], table.n_rows[boxes]))
+        for boxes, rows, header in runs
+    ]
+    rel.install_reshard(new_schema, [(rows, key >> 1, key & 1) for rows, key in keyed])
     return {"shipped": n_shipped, "moved": n_moved, "wire_bytes": wire_bytes}
 
 

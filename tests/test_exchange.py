@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.comm.boxes import BoxTable
 from repro.comm.costmodel import CommEvent
 from repro.comm.simcluster import SimCluster
-from repro.comm.wire import WIRE_HEADER_WORDS
 from repro.faults.config import FaultConfig
 from repro.faults.invariants import check_conservation
 from repro.faults.plane import FaultPlane, classify_loss
@@ -299,25 +298,33 @@ def _ref_retransmit(
 #: Box forms, as the engine ships them: encoded route boxes, raw route
 #: boxes, raw row blocks (the intra-bucket exchange) and encoded row
 #: blocks (the update seed), with the sizing the reference took for each.
+#: An encoded form's self-send skips the codec: it carries its rows where
+#: a wire box carries its payload, and is charged nothing.
 FORMS = {
     "wire": dict(
-        count_of=lambda box: box[2],
-        nbytes_of=lambda box: len(box[4]) + 8 * WIRE_HEADER_WORDS,
-        pre_count_of=lambda box: box[3],
+        count_of=lambda box: box[1],
+        nbytes_of=lambda box: _charged(box[3]),
+        pre_count_of=lambda box: box[2],
     ),
-    "route": dict(count_of=lambda box: len(box[2])),
+    "route": dict(count_of=lambda box: len(box[1])),
     "rows": dict(count_of=len),
     "seed": dict(
-        count_of=lambda box: box[0].shape[0],
-        nbytes_of=lambda box: len(box[1]) + 8 * WIRE_HEADER_WORDS,
+        count_of=lambda box: box[0],
+        nbytes_of=lambda box: _charged(box[1]),
     ),
 }
+
+
+def _charged(body):
+    """An encoded box is charged its payload, frame included; a
+    self-send's rows are not on the wire."""
+    return len(body) if isinstance(body, bytes) else 0
 
 
 @st.composite
 def exchanges(draw):
     """(n_ranks, form, arity, boxes in table order): each box
-    ``(src, dst, bucket, sub, rows, pre_rows, payload)``."""
+    ``(src, dst, segment, rows, pre_rows, payload)``."""
     n_ranks = draw(st.integers(1, 16))
     form = draw(st.sampled_from(sorted(FORMS)))
     arity = draw(st.integers(1, 3))
@@ -332,7 +339,7 @@ def exchanges(draw):
         for _ in range(n_boxes):
             n = int(rng.integers(0, 5))  # empty boxes included
             boxes.append((
-                src, dst, int(rng.integers(0, 50)), int(rng.integers(0, 4)),
+                src, dst, int(rng.integers(0, 200)),
                 rng.integers(-9, 9, (n, arity)), n + int(rng.integers(0, 3)),
                 rng.integers(0, 256, int(rng.integers(0, 12))).astype(np.uint8).tobytes(),
             ))
@@ -347,31 +354,33 @@ def exchanges(draw):
 
 
 def _item(form, box):
-    _src, _dst, b, s, rows, pre, payload = box
+    src, dst, seg, rows, pre, payload = box
+    body = payload if src != dst else rows
     return {
-        "wire": (b, s, rows.shape[0], pre, payload),
-        "route": (b, s, rows),
+        "wire": (seg, rows.shape[0], pre, body),
+        "route": (seg, rows),
         "rows": rows,
-        "seed": (rows, payload),
+        "seed": (rows.shape[0], body),
     }[form]
 
 
 def _table(form, arity, boxes):
     """The table the engine builds for ``boxes``."""
     col = lambda i: np.asarray([box[i] for box in boxes], dtype=np.int64)  # noqa: E731
-    n_rows = np.asarray([box[4].shape[0] for box in boxes], dtype=np.int64)
-    rows = np.concatenate([box[4] for box in boxes] or [np.zeros((0, arity))])
+    n_rows = np.asarray([box[3].shape[0] for box in boxes], dtype=np.int64)
+    rows = np.concatenate([box[3] for box in boxes] or [np.zeros((0, arity))])
     kw: Dict[str, Any] = {"rows": rows.astype(np.int64)}
     if form in ("wire", "route"):
-        kw.update(bucket=col(2), sub=col(3))
+        kw["header"] = col(2).reshape(-1, 1)
     if form == "wire":
-        kw["pre_rows"] = col(5)
+        kw["pre_rows"] = col(4)
     if form in ("wire", "seed"):
-        byte_len = np.asarray([len(box[6]) for box in boxes], dtype=np.int64)
+        sent = [box[5] if box[0] != box[1] else b"" for box in boxes]
+        byte_len = np.asarray([len(p) for p in sent], dtype=np.int64)
         kw.update(
-            payload=np.frombuffer(b"".join(box[6] for box in boxes), np.uint8),
+            payload=np.frombuffer(b"".join(sent), np.uint8),
             byte_len=byte_len,
-            nbytes=byte_len + 32,
+            nbytes=byte_len,
         )
     return BoxTable(col(0), col(1), n_rows, **kw)
 

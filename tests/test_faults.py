@@ -1,6 +1,7 @@
 """Tests for the fault plane: config parsing, deterministic injection,
 checksums, conservation, and the SimCluster substrate integration."""
 
+import itertools
 import zlib
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from repro.comm.boxes import BoxTable
 from repro.comm.costmodel import CostModel
 from repro.comm.simcluster import SimCluster
+from repro.kernels.route import encode_wire_sends
 from repro.faults import (
     ConservationError,
     FaultConfig,
@@ -201,19 +203,17 @@ class TestFailureDetector:
 
 @st.composite
 def _sent_messages(draw):
-    """A table of 1–6 boxes, encoded (a ``uint8`` payload) or raw (an
-    int64 row block), and one message of it: some of its boxes."""
+    """A table of 1–6 boxes, encoded (framed ``delta`` payloads, each
+    box's frame carrying a header word) or raw (an int64 row block), and
+    one message of it: some of its boxes."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_rows = rng.integers(1, 5, int(rng.integers(1, 7)))
     src = np.zeros(n_rows.shape[0], dtype=np.int64)
     rows = rng.integers(-2**40, 2**40, (int(n_rows.sum()), 3))
+    table = BoxTable(src, src + 1, n_rows, rows=rows)
     if draw(st.booleans()):
-        byte_len = rng.integers(1, 20, n_rows.shape[0])
-        payload = rng.integers(0, 256, int(byte_len.sum())).astype(np.uint8)
-        table = BoxTable(src, src + 1, n_rows, rows=rows, payload=payload,
-                         byte_len=byte_len, nbytes=byte_len + 32)
-    else:
-        table = BoxTable(src, src + 1, n_rows, rows=rows)
+        table.header = rng.integers(0, 2**20, (n_rows.shape[0], 1))
+        table = encode_wire_sends(table, codec="delta")
     boxes = np.flatnonzero(rng.random(n_rows.shape[0]) < 0.7)
     return table, boxes if boxes.shape[0] else np.arange(1)
 
@@ -404,13 +404,17 @@ class TestSimClusterFaults:
         faulty = _exchange(SimCluster(4, fault_plane=plane))
         # Retransmission + source-order reassembly: the delivered
         # sequences match a fault-free exchange except for duplicates,
-        # which appear adjacent to their original.
+        # which appear adjacent to their original.  A message is three
+        # boxes (one per tuple), so a duplicated one repeats as a block.
         for dst in clean:
             dedup = []
-            for t in faulty[dst]:
-                if not dedup or dedup[-1] != t or clean[dst].count(t) > dedup.count(t):
-                    dedup.append(t)
-            assert set(faulty[dst]) == set(clean[dst])
+            for src, run in itertools.groupby(faulty[dst], key=lambda t: t[0]):
+                run = list(run)
+                message = [t for t in clean[dst] if t[0] == src]
+                copies, rest = divmod(len(run), len(message))
+                assert not rest and run == message * copies
+                dedup += message
+            assert dedup == clean[dst]
         assert plane.stats.drops + plane.stats.dups + plane.stats.corruptions > 0
 
     def test_drop_only_recv_identical(self):

@@ -1019,13 +1019,14 @@ def test_build_route_sends_partitions_all_rows():
     assert n_comm == 217 and folded == {0: 0, 2: 0}
     for src, expect in ((0, rows), (2, rows[:17])):
         boxes = [box for row in sends[src].values() for box in row]
-        got = np.vstack([b[2] for b in boxes])
+        got = np.vstack([b[1] for b in boxes])
         # Every row routed exactly once (multiset equality via sort).
         assert sorted(map(tuple, got.tolist())) == sorted(
             map(tuple, expect.tolist())
         )
         for dst, row_boxes in sends[src].items():
-            for b, s, blk in row_boxes:
+            for seg, blk in row_boxes:  # a box's header: its home segment
+                b, s = divmod(seg, schema.n_subbuckets)
                 bb, ss = rel.dist.bucket_sub_of_rows(blk)
                 assert (bb == b).all() and (ss == s).all()
                 assert rel.dist.owner(b, s) == dst

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.comm.boxes import BoxTable
 from repro.comm.simcluster import SimCluster
-from repro.comm.wire import WIRE_HEADER_WORDS, decode_rows, encode_rows, payload_codec
+from repro.comm.wire import WIRE_HEADER_WORDS, decode_blocks, encode_blocks, payload_codec
 from repro.core.aggregators import make_aggregator
 from repro.core.balancer import measure_imbalance, recommend_subbuckets, subbucket_growth
 from repro.faults import checkpoint as ckpt_mod
@@ -292,30 +292,55 @@ def _ref_shard_boxes(rows, dist):
 def build_reshard_sends(blocks, new_dist, codec):
     """The send dict of the per-box protocol: ``(src, kind, rows)``
     blocks re-placed into ``(bucket, sub, kind, n_rows, payload, seq)``
-    boxes, each payload encoded alone, ``seq`` unique per box.  Returns
-    it with the rows shipped and the rows whose owner changed."""
+    boxes, each payload encoded alone — under ``delta`` framed with its
+    row count and ``2 · segment + kind`` — and a self-send's rows left as
+    they are; ``seq`` is unique per box.  Returns it with the rows
+    shipped and the rows whose owner changed."""
     sends = {}
     n_shipped = n_moved = seq = 0
+    n_sub = new_dist.schema.n_subbuckets
     for src, kind, rows in blocks:
         if not rows.shape[0]:
             continue
         row_map = sends.setdefault(src, {})
         for dst, b, s, block in _ref_shard_boxes(rows, new_dist):
             n = block.shape[0]
-            row_map.setdefault(dst, []).append(
-                (b, s, kind, n, encode_rows(block, codec), seq)
-            )
-            seq += 1
+            payload = block
             if dst != src:
+                header = np.asarray([[2 * (b * n_sub + s) + kind]])
+                payload = encode_blocks(
+                    block, np.asarray([0, n]), codec, header
+                )[0].tobytes()
                 n_moved += n
+            row_map.setdefault(dst, []).append((b, s, kind, n, payload, seq))
+            seq += 1
         n_shipped += rows.shape[0]
     return sends, n_shipped, n_moved
 
 
-def decode_reshard_box(box, arity, codec):
-    """Inverse of the per-box encoding in :func:`build_reshard_sends`."""
+def decode_reshard_box(box, arity, codec, n_sub):
+    """Inverse of the per-box encoding in :func:`build_reshard_sends`:
+    under ``delta`` the segment and kind come from the frame."""
     b, s, kind, n_rows, payload, _seq = box
-    return b, s, kind, decode_rows(payload, n_rows, arity, codec)
+    if isinstance(payload, np.ndarray):
+        return b, s, kind, payload
+    rows, header = decode_blocks(
+        np.frombuffer(payload, np.uint8), np.asarray([len(payload)]),
+        np.asarray([0, n_rows]), arity, codec, int(codec == "delta"),
+    )
+    if codec == "delta":
+        (key,) = header[0].tolist()
+        (b, s), kind = divmod(key >> 1, n_sub), key & 1
+    return b, s, kind, rows
+
+
+def _charged(box, codec):
+    """A remote box's wire bytes: its payload, plus under ``raw`` the
+    header words it does not write."""
+    payload = box[4]
+    if isinstance(payload, np.ndarray):
+        return 0  # a self-send
+    return len(payload) + (8 * WIRE_HEADER_WORDS if codec == "raw" else 0)
 
 
 def reference_reshard(rel, n_subbuckets, cluster, *, wire=False):
@@ -345,7 +370,7 @@ def reference_reshard(rel, n_subbuckets, cluster, *, wire=False):
         col(lambda s, _d, _box: s),
         col(lambda _s, d, _box: d),
         col(lambda _s, _d, box: box[3]),
-        nbytes=col(lambda _s, _d, box: len(box[4]) + 8 * WIRE_HEADER_WORDS),
+        nbytes=col(lambda _s, _d, box: _charged(box, codec)),
         items=[box for _s, _d, box in items],
     )
     wire_bytes = int(table.nbytes[table.src != table.dst].sum())
@@ -359,7 +384,9 @@ def reference_reshard(rel, n_subbuckets, cluster, *, wire=False):
             if box[5] in seen:
                 continue
             seen.add(box[5])
-            b, s, kind, rows = decode_reshard_box(box, new_schema.arity, codec)
+            b, s, kind, rows = decode_reshard_box(
+                box, new_schema.arity, codec, n_subbuckets
+            )
             n = rows.shape[0]
             runs.append((
                 rows, np.full(n, b * n_subbuckets + s), np.full(n, kind)
