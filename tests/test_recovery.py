@@ -274,8 +274,8 @@ class TestIdempotence:
 #: corruption detected, and equal admissions with dups injected (each
 #: duplicated copy dropped once at absorb).
 FAULT_GOLDEN = {
-    "sssp": ((47, 50, 55, 97, 7375), 0.0003811874, 83358),
-    "cc": ((42, 40, 39, 76, 2529), 0.0002182546, 31547),
+    "sssp": ((47, 50, 55, 97, 3625), 0.000379084, 38118),
+    "cc": ((42, 40, 39, 76, 669), 0.0002174892, 8747),
 }
 
 
