@@ -272,10 +272,6 @@ def decode_blocks(
     if codec not in _CODECS:
         raise ValueError(f"unknown wire codec {codec!r}")
     if codec == "delta":
-        if starts.shape[0] == 1:
-            if data.shape[0]:
-                raise ValueError("varint stream has trailing bytes")
-            return np.zeros((0, arity), np.int64), np.zeros((0, n_header), np.int64)
         return _delta_decode(data, byte_len, starts, arity, 1 + n_header)
     if n_header:
         raise ValueError("raw payloads carry no header words")
