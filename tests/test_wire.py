@@ -263,7 +263,7 @@ def _ref_frame(n_rows, words=()):
 
 def _ref_payload(rows, codec, words=()):
     """A box's payload: ``raw`` is its rows' bytes; ``delta`` its frame,
-    then the PR-7 body."""
+    then the reference body (:func:`_ref_encode_rows`)."""
     body = _ref_encode_rows(rows, codec)
     return body if codec == "raw" else _ref_frame(rows.shape[0], words) + body
 
@@ -541,7 +541,7 @@ _FRAME_WORDS = st.one_of(
 
 class TestFrame:
     """A ``delta`` payload is its box's frame — row count, then header
-    words, plain LEB128 — followed by exactly the PR-7 body of the box;
+    words, plain LEB128 — followed by exactly the reference body of the box;
     the receiver reads the words back from the frame, and rejects a frame
     or a box boundary that disagrees with the table's row counts."""
 
