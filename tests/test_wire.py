@@ -1036,6 +1036,7 @@ class TestChargedBytesAreTheBytes:
             assert sum(e.nbytes for e in events) == int(table.byte_len[remote].sum())
             kinds.update(e.kind for e in events)
         assert kinds == {"alltoallv", "incremental_seed", "rebalance"}
+        assert any((table.src == table.dst).any() for table, _n in encoded)
 
 
 class TestCollectiveAutotune:
