@@ -3,11 +3,11 @@
 * :class:`Options` — the one engine config,
   :class:`~repro.runtime.config.EngineConfig`, under the name this API
   has always used (``Options is EngineConfig``): top-level core fields, a
-  ``wire`` switch and four groups (:class:`FaultOptions`,
-  :class:`RecoveryOptions`, :class:`RebalanceOptions`,
-  :class:`DiagnosticsOptions`).  Its ``validate()`` runs at construction
-  and in every driver, so a bad combination fails before any work with
-  an :class:`OptionsError` naming the fields (and the CLI flags);
+  ``wire`` switch and three groups (:class:`FaultOptions`,
+  :class:`RecoveryOptions`, :class:`DiagnosticsOptions`).  Its
+  ``validate()`` runs at construction and in every driver, so a bad
+  combination fails before any work with an :class:`OptionsError`
+  naming the fields (and the CLI flags);
 * :class:`Session` — one object for the whole lifecycle: build it from
   a config, call :meth:`Session.query` to converge a program, then
   :meth:`Session.update` to maintain the fixpoint incrementally.
@@ -27,7 +27,6 @@ from repro.runtime.config import (
     EngineConfig,
     FaultOptions,
     OptionsError,
-    RebalanceOptions,
     RecoveryOptions,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "FaultOptions",
     "Options",
     "OptionsError",
-    "RebalanceOptions",
     "RecoveryOptions",
     "Session",
 ]

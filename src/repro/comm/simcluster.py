@@ -255,7 +255,7 @@ class SimCluster:
             span.
         kind:
             Ledger/recorder tag for this exchange (the CommEvent kind and
-            the CommMatrix kind).  The rebalancer's redistribution passes
+            the CommMatrix kind).  A resize's redistribution passes
             ``"rebalance"`` so migration traffic stays separable from the
             fixpoint's own all-to-alls.
         channel:

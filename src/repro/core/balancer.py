@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -130,30 +130,3 @@ def recommend_subbuckets(
         # be the *last* trial, not skipped by the doubling overshoot.
         n_sub = min(n_sub * 2, max_subbuckets)
 
-
-def subbucket_growth(
-    n_tuples: int,
-    n_ranks: int,
-    *,
-    start: int = 1,
-    max_subbuckets: int = 64,
-) -> List[int]:
-    """The doubling ladder the online policy walks, pinned for tests.
-
-    Pure arithmetic (no hashing): from ``start``, double until either the
-    fan-out covers every rank or ``max_subbuckets`` is hit, clamping the
-    final step to the cap exactly like :func:`recommend_subbuckets` does.
-    An empty relation never grows.
-    """
-    if start < 1:
-        raise ValueError(f"start must be >= 1, got {start}")
-    if max_subbuckets < 1:
-        raise ValueError(f"max_subbuckets must be >= 1, got {max_subbuckets}")
-    if n_tuples <= 0:
-        return []
-    ladder: List[int] = []
-    n = start
-    while n < max_subbuckets and n < n_ranks:
-        n = min(n * 2, max_subbuckets)
-        ladder.append(n)
-    return ladder

@@ -318,7 +318,7 @@ class _RowStore:
         return k
 
     def install_state(self, full_rows, delta_rows, full_segs=None, delta_segs=None):
-        """Install redistributed fragments wholesale (rebalance exchange).
+        """Install redistributed fragments wholesale (a resize's exchange).
 
         Only legal on a fresh store.  Each segment's full rows arrive in
         their source shards' nested order, and appending them in delivery

@@ -52,10 +52,10 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 #: have carried without the PR 7 wire layer (sender-side combining +
 #: codec) — it is never charged to the ledger, so bytes saved on any edge
 #: is simply ``precombine − data``.
-#: ``rebalance`` carries the online rebalancer's intra-bucket
-#: redistribution exchanges (PR 8) — real charged traffic like ``data``,
+#: ``rebalance`` carries a resize's intra-bucket redistribution
+#: exchange (``auto_balance``) — real charged traffic like ``data``,
 #: but tagged separately so migration volume is visible per edge and the
-#: fixpoint's own traffic stays comparable across rebalance on/off runs.
+#: fixpoint's own traffic stays comparable with a statically placed run.
 #: ``replica`` carries buddy checkpoint replication (PR 9: each rank's
 #: snapshot mirrored to its replica ring), and ``recovery`` carries the
 #: re-owning scatter after a permanent rank loss — both real charged
@@ -569,6 +569,24 @@ def gini(values: Iterable[float]) -> float:
     return (2.0 * cum) / (n * total) - (n + 1.0) / n
 
 
+def measure_bucket_skew(rel) -> Optional[Dict[str, Any]]:
+    """Bucket-occupancy skew of one relation: its full rows per non-empty
+    bucket, summarized (order-independent); None when it is empty."""
+    import numpy as np
+
+    by_bucket = np.bincount(rel.table.stored()[1] // rel.schema.n_subbuckets)
+    sizes = by_bucket[by_bucket > 0].tolist()
+    total = sum(sizes)
+    if total <= 0:
+        return None
+    return {
+        "tuples": total,
+        "buckets": len(sizes),
+        "gini_buckets": gini(sizes),
+        "top_bucket_share": max(sizes) / total,
+    }
+
+
 def _vote_flips(spans: Sequence[Any]) -> Tuple[Dict[str, int], int]:
     """Per-rule outer-side flip counts from ``iteration_summary`` spans."""
     last: Dict[str, str] = {}
@@ -708,32 +726,26 @@ def diagnose_skew(
     # ---- relation placement skew ----------------------------------------
     relation_skew: Dict[str, Dict[str, Any]] = {}
     if relations:
-        from repro.runtime.rebalance import measure_bucket_skew
-
         for name in sorted(relations):
             rel = relations[name]
-            skew = measure_bucket_skew(rel)
-            if skew is None:
+            stats = measure_bucket_skew(rel)
+            if stats is None:
                 continue
             by_rank = rel.sizes_by_rank()
             mean_rank = float(by_rank.mean())
-            rank_imb = float(by_rank.max()) / mean_rank if mean_rank > 0 else 1.0
-            stats = {
-                "tuples": skew.total,
-                "buckets": skew.n_buckets,
-                "gini_buckets": skew.gini,
-                "top_bucket_share": skew.top_share,
-                "rank_imbalance": rank_imb,
-                "subbuckets": rel.schema.n_subbuckets,
-            }
+            stats["rank_imbalance"] = (
+                float(by_rank.max()) / mean_rank if mean_rank > 0 else 1.0
+            )
+            stats["subbuckets"] = rel.schema.n_subbuckets
             relation_skew[name] = stats
-            if skew.top_share >= top_bucket_threshold and skew.n_buckets > 1:
+            share = stats["top_bucket_share"]
+            if share >= top_bucket_threshold and stats["buckets"] > 1:
                 diagnoses.append(Diagnosis(
                     code="bucket-skew",
                     severity="warn",
                     message=(
                         f"sub-bucket relation {name!r}: top bucket holds "
-                        f"{skew.top_share:.0%} of {skew.total} tuples "
+                        f"{share:.0%} of {stats['tuples']} tuples "
                         f"(Gini {stats['gini_buckets']:.2f})"
                     ),
                     recommendation=(

@@ -224,16 +224,17 @@ class VersionedRelation:
             hit = self._cache[key] = (state, build())
         return hit[1]
 
-    # ------------------------------------------------------------- rebalance
+    # ---------------------------------------------------------------- resize
 
     def set_schema(self, new_schema: Schema) -> None:
         """Point the relation at a (possibly resized) schema + placement.
 
-        Used by the online rebalancer and by checkpoint restore: the
-        placement is a pure function of (schema, n_ranks, seed, dead set),
-        so swapping the schema re-derives it exactly — the degraded-mode
-        overlay, when installed, survives the swap.  Segment ids number
-        shards under the sub-bucket count: the caller swaps the table too.
+        Used by a resize (:meth:`install_reshard`) and by a load's
+        heavy-key freeze: the placement is a pure function of (schema,
+        n_ranks, seed, dead set), so swapping the schema re-derives it
+        exactly — the degraded-mode overlay, when installed, survives the
+        swap.  Segment ids number shards under the sub-bucket count: the
+        caller swaps the table too.
         """
         self.schema = new_schema
         self.dist = Distribution(

@@ -20,8 +20,8 @@ Each update:
    ranks;
 2. runs each stratum's *update pass* — one semi-naïve direction per
    pending body atom — then resumes the recursive loop to quiescence,
-   with the cold loop's own checkpoint/rollback, rebalance, and wire
-   behavior;
+   with the cold loop's own checkpoint/rollback and wire behavior (a
+   relation's sub-bucket map stays as the cold run left it);
 3. installs each changed relation's *final* change set (a set difference
    of full versions, never the intermediate Δs — transient aggregate
    improvements must not leak downstream, paper §III-A) as Δ for later
@@ -53,7 +53,6 @@ import numpy as np
 
 from repro.comm.boxes import BoxTable
 from repro.comm.wire import payload_codec
-from repro.faults.plane import PermanentRankFailure, RankFailure
 from repro.kernels.block import KeyIndex, lex_group
 from repro.kernels.route import decode_wire_boxes, encode_wire_sends
 from repro.planner.compile_rules import CompiledProgram
@@ -323,10 +322,10 @@ class FixpointHandle:
         update's seed) is flushed first; afterwards Δ holds exactly the
         batch rows newly admitted on the affected ranks.
 
-        A restartable rank crash during the exchange retries after
-        ``FaultPlane.mark_restarted`` — nothing has been absorbed yet, so
-        the retry replays bit-identically.  Returns each relation's
-        global Δ size.
+        A restartable rank crash during the exchange restarts the rank and
+        runs it again (``Engine._restartable``) — nothing has been
+        absorbed yet, so the retry replays bit-identically.  Returns each
+        relation's global Δ size.
         """
         engine = self.engine
         cluster, wire = engine.cluster, engine.wire
@@ -354,30 +353,14 @@ class FixpointHandle:
                 codec = payload_codec(wire)
                 if wire:
                     sends = encode_wire_sends(sends, codec=codec)
-                attempts = 0
-                while True:
-                    try:
-                        recv = cluster.alltoallv(
-                            sends,
-                            arity=rel.schema.arity,
-                            phase=P_SEED,
-                            kind="incremental_seed",
-                            channel="update",
-                            autotune=wire,
-                        )
-                        break
-                    except PermanentRankFailure:
-                        raise
-                    except RankFailure as failure:
-                        # Nothing absorbed yet: restart the rank and replay
-                        # the exchange, within the fault plane's own retry
-                        # budget (then escalate).
-                        attempts += 1
-                        faults = engine.config.faults.config
-                        if faults is None or attempts > faults.max_retries:
-                            raise
-                        engine.fault_plane.mark_restarted(failure.rank)
-                        engine.counters["update_seed_retries"] += 1
+                recv = engine._restartable(lambda: cluster.alltoallv(
+                    sends,
+                    arity=rel.schema.arity,
+                    phase=P_SEED,
+                    kind="incremental_seed",
+                    channel="update",
+                    autotune=wire,
+                ), "update_seed_retries")
                 # Owners load the rows delivered to them: distinct (a
                 # duplicated delivery loads once) and in lexicographic
                 # order, the batch's own order.
@@ -421,7 +404,7 @@ class FixpointHandle:
         into heads exactly as a cold iteration would — instead of the
         naive seed pass; recursive strata then continue the normal
         semi-naïve iterations to quiescence, with the loop's own
-        checkpoint/rollback, rebalance and wire behavior.  Because the
+        checkpoint/rollback and wire behavior.  Because the
         converged state is a sound under-approximation of the union-EDB
         least fixpoint and absorption is inflationary, resuming from it
         converges to the same lattice point a cold recompute reaches.

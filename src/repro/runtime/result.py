@@ -38,7 +38,7 @@ class IterationTrace:
     #: Order-independent multiset digest of each stratum relation's Δ at
     #: the end of this iteration (``EngineConfig.diagnostics.delta_fingerprints``);
     #: empty when fingerprinting is off.  Placement-invariant, so
-    #: trajectories can be compared across rebalance on/off runs.
+    #: trajectories can be compared across sub-bucket counts.
     delta_fingerprints: Dict[str, int] = field(default_factory=dict)
 
 
@@ -61,18 +61,13 @@ class FixpointResult:
     #: (:class:`repro.obs.analysis.CommMatrixRecorder`); None unless the
     #: run had ``EngineConfig.diagnostics.enabled``.
     comm_profile: Optional[object] = None
-    #: Executed online-rebalance events, as plain dicts
-    #: (:class:`repro.runtime.rebalance.RebalanceEvent`); None unless the
-    #: run had ``EngineConfig.rebalance.enabled``.  Deliberately not part
-    #: of :meth:`summary` — it describes placement, not semantics.
-    rebalance: Optional[List[Dict[str, object]]] = None
     #: Elastic degraded-mode recovery accounting
     #: (:class:`repro.faults.checkpoint.DegradedStats`); None unless a
     #: rank was permanently lost and the run finished on the shrunken
-    #: world.  Deliberately not part of :meth:`summary` — like
-    #: ``rebalance`` it describes placement, not semantics (query results,
-    #: Δ fingerprints and iteration counts stay fault-free-identical; the
-    #: per-rank layout legitimately differs on a degraded world).
+    #: world.  Deliberately not part of :meth:`summary` — it describes
+    #: placement, not semantics (query results, Δ fingerprints and
+    #: iteration counts stay fault-free-identical; the per-rank layout
+    #: legitimately differs on a degraded world).
     degraded: Optional[DegradedStats] = None
 
     def query(self, name: str) -> Set[TupleT]:
@@ -124,7 +119,7 @@ class FixpointResult:
         zeroed default, so downstream tooling never branches on which
         subsystems a run happened to enable.  ``recovery`` and
         ``degraded`` are the zero-valued stats dicts when the subsystem
-        was off; ``rebalance.events`` is an empty list; ``wire`` carries
+        was off; ``wire`` carries
         the canonical tally keys (all zero with the layer disabled);
         ``incremental`` counts update batches (zero for a cold-only run).
         """
@@ -132,7 +127,7 @@ class FixpointResult:
         recovery = (self.recovery or RecoveryStats()).as_dict()
         degraded = (self.degraded or DegradedStats()).as_dict()
         return {
-            "schema_version": 2,
+            "schema_version": 3,
             "iterations": self.iterations,
             "modeled_seconds": self.ledger.total_seconds(),
             "wall_seconds": self.timer.total(),
@@ -156,10 +151,6 @@ class FixpointResult:
                 "bytes_saved": counters.get("wire_precombine_bytes", 0)
                 - counters.get("wire_on_wire_bytes", 0),
             },
-            "rebalance": {
-                "enabled": self.rebalance is not None,
-                "events": list(self.rebalance or []),
-            },
             "recovery": recovery,
             "degraded": degraded,
             "incremental": {
@@ -179,8 +170,6 @@ class FixpointResult:
         updates = self.counters.get("updates", 0)
         if updates:
             extras.append(f"updates={updates}")
-        if self.rebalance:
-            extras.append(f"rebalance_events={len(self.rebalance)}")
         if self.recovery is not None and self.recovery.recoveries:
             extras.append(f"recoveries={self.recovery.recoveries}")
         if self.degraded is not None:

@@ -65,7 +65,6 @@ def spmd_refusals(config: EngineConfig) -> List[str]:
         ("faults.crash_perm", faults is not None and faults.has_permanent_crash),
         ("checkpoint_every", config.recovery.checkpoint_every is not None),
         ("replicas", config.recovery.replicas > 0),
-        ("rebalance", config.rebalance.enabled),
         ("auto_balance", config.auto_balance is not None),
         ("tracer", config.diagnostics.tracer is not None),
         ("diagnostics", config.diagnostics.enabled),

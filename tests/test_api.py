@@ -19,7 +19,6 @@ from repro.api import (
     FaultOptions,
     Options,
     OptionsError,
-    RebalanceOptions,
     RecoveryOptions,
     Session,
 )
@@ -80,11 +79,6 @@ def _replicas_without_checkpoints(config):
     config.recovery.replicas = 1
 
 
-def _rebalance_cap_at_static_fanout(config):
-    config.rebalance.enabled = True
-    config.rebalance.max_subbuckets = 1
-
-
 def _fault_rank_out_of_range(config):
     config.faults.config = FaultConfig(stragglers={9: 2.0})
 
@@ -103,10 +97,6 @@ RULES = {
     "replicas-need-checkpoints": (
         _replicas_without_checkpoints,
         ("RecoveryOptions.checkpoint_every is unset",),
-    ),
-    "rebalance-cap-at-fanout": (
-        _rebalance_cap_at_static_fanout,
-        ("RebalanceOptions.max_subbuckets (1)", "--subbuckets"),
     ),
     "fault-rank-out-of-range": (
         _fault_rank_out_of_range,
@@ -149,24 +139,6 @@ class TestValidation:
             Options(recovery=RecoveryOptions(replicas=2))
         assert "checkpoint_every" in str(exc.value)
 
-    def test_rebalance_cap_below_static_fanout(self):
-        with pytest.raises(OptionsError) as exc:
-            Options(
-                subbuckets={"edge": 16},
-                rebalance=RebalanceOptions(enabled=True, max_subbuckets=16),
-            )
-        assert "RebalanceOptions.max_subbuckets" in str(exc.value)
-        assert "--subbuckets" in str(exc.value)
-        # A disabled group does not trip the cross-field rule.
-        Options(
-            subbuckets={"edge": 16},
-            rebalance=RebalanceOptions(enabled=False, max_subbuckets=16),
-        ).validate()
-        # A sub-1 growth gate is legal — it forces aggressive doubling and
-        # the max_subbuckets cap still self-extinguishes (the seed's CLI
-        # rebalance smoke test drives factor=0.5 on purpose).
-        Options(rebalance=RebalanceOptions(enabled=True, factor=0.5)).validate()
-
     def test_valid_combinations_pass(self):
         Options(
             faults=FaultOptions(config=FaultConfig(crash_rank=0,
@@ -178,7 +150,7 @@ class TestValidation:
                                                    crash_perm_superstep=3)),
             recovery=RecoveryOptions(checkpoint_every=2, replicas=1),
         ).validate()
-        Options(rebalance=RebalanceOptions(enabled=True, factor=1.0)).validate()
+        Options(subbuckets={"edge": 16}, auto_balance=1.5).validate()
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize("rule", sorted(RULES))
@@ -214,8 +186,7 @@ class TestCliFlagRoundTrip:
             "run", "sssp", "--ranks", "32", "--subbuckets", "16",
             "--seed", "5", "--no-dynamic-join",
             "--faults", "crash=1@12,seed=7", "--checkpoint-every", "3",
-            "--replicas", "1", "--rebalance", "--rebalance-every", "2",
-            "--rebalance-threshold", "0.5", "--rebalance-factor", "1.5",
+            "--replicas", "1", "--auto-balance", "1.5",
             "--no-wire", "--diagnostics",
         ])
         config = _options_from_args(args)
@@ -227,10 +198,7 @@ class TestCliFlagRoundTrip:
         assert config.faults.config.crash_superstep == 12
         assert config.recovery.checkpoint_every == 3
         assert config.recovery.replicas == 1
-        assert config.rebalance.enabled is True
-        assert config.rebalance.every == 2
-        assert config.rebalance.threshold == pytest.approx(0.5)
-        assert config.rebalance.factor == pytest.approx(1.5)
+        assert config.auto_balance == pytest.approx(1.5)
         assert config.wire is False
         assert config.diagnostics.enabled is True
 
@@ -257,13 +225,13 @@ class TestCliFlagRoundTrip:
         config = _options_from_args(args)
         assert config.n_ranks == 6
         # query has no workload flags: the config's defaults apply, and
-        # the rebalance flags' defaults are the config's own.
+        # the --auto-balance default is the config's own.
         default = EngineConfig()
         assert config.seed == default.seed
         assert config.subbuckets == {}
         assert config.faults == default.faults
         assert config.recovery == default.recovery
-        assert config.rebalance == default.rebalance
+        assert config.auto_balance == default.auto_balance
 
     def test_invalid_cli_combo_exits_with_flag_hint(self):
         args = self.parse([
@@ -353,13 +321,12 @@ class TestResultSchema:
         for key in (
             "schema_version", "iterations", "modeled_seconds",
             "wall_seconds", "phase_seconds", "imbalance_ratio", "counters",
-            "relation_sizes", "comm", "wire", "rebalance", "recovery",
-            "degraded", "incremental",
+            "relation_sizes", "comm", "wire", "recovery", "degraded",
+            "incremental",
         ):
             assert key in d, key
-        assert d["schema_version"] == 2
-        assert "executor" not in d
-        assert d["rebalance"] == {"enabled": False, "events": []}
+        assert d["schema_version"] == 3
+        assert "executor" not in d and "rebalance" not in d
         assert d["incremental"]["updates"] == 0
         assert d["degraded"]["excluded_ranks"] == []
         import json

@@ -80,8 +80,8 @@ class TestOptionErrorsNameTheirFlag:
             (["--ranks", "4", "--subbuckets", "0"], "--subbuckets"),
             (["--ranks", "4", "--checkpoint-every", "0"], "--checkpoint-every"),
             (["--ranks", "4", "--replicas", "-1"], "--replicas"),
-            (["--ranks", "4", "--rebalance-every", "0"], "--rebalance-every"),
-            (["--ranks", "4", "--rebalance-threshold", "2"], "--rebalance-threshold"),
+            (["--ranks", "4", "--auto-balance", "0.5"], "--auto-balance"),
+            (["--ranks", "4", "--replicas", "4"], "--replicas"),
             (["--ranks", "4", "--sources", "abc"], "--sources"),
             (["--ranks", "4", "--sources", ""], "--sources"),
             (["--ranks", "4", "--sources", " , "], "--sources"),
@@ -99,7 +99,7 @@ class TestOptionErrorsNameTheirFlag:
         "flags,flag",
         [
             (["--ranks", "0"], "--ranks"),
-            (["--rebalance-threshold", "-1"], "--rebalance-threshold"),
+            (["--auto-balance", "0.5"], "--auto-balance"),
         ],
     )
     def test_query(self, tmp_path, flags, flag):
@@ -273,7 +273,7 @@ class TestDiagnosticsFlags:
         # The driver's refused config fields, then the output flags that
         # read a BSP result — one message, nothing refused twice.
         for flags, named in (
-            (["--rebalance"], "rebalance"),
+            (["--auto-balance", "1.5"], "auto_balance"),
             (["--json"], "--json"),
             (["--trace", str(tmp_path / "t.json")], "tracer"),
             (["--diagnostics"], "tracer, diagnostics"),
@@ -284,8 +284,8 @@ class TestDiagnosticsFlags:
                 main(["query", str(src), "--spmd", *flags])
             assert str(exc.value).startswith(f"{named} require")
         with pytest.raises(SystemExit) as exc:
-            main(["query", str(src), "--spmd", "--rebalance", "--json"])
-        assert str(exc.value).startswith("rebalance, --json require")
+            main(["query", str(src), "--spmd", "--auto-balance", "1.5", "--json"])
+        assert str(exc.value).startswith("auto_balance, --json require")
 
     def test_spmd_builds_no_bsp_engine(self, capsys, tmp_path, monkeypatch):
         """Every engine --spmd runs is a slice of the per-rank driver, on
@@ -323,7 +323,7 @@ class TestDiagnosticsFlags:
         assert [e.cluster.rank for e in built] == [0, 1, 2]
         assert all(
             e.config.n_ranks == 3 and e.config.wire is False
-            and not e.config.rebalance.enabled
+            and e.config.auto_balance is None
             for e in built
         )
         assert set(map(id, loaded)) == set(map(id, ran)) == set(map(id, built))
@@ -434,7 +434,7 @@ class TestUpdate:
         ])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["incremental"]["updates"] == 1
         assert report["identical_answers"] is True
         assert report["identical_multisets"] is True
@@ -452,11 +452,10 @@ class TestUpdate:
                 "--scale-shift", "4", "--faults", "crash_perm=1@5",
                 "--checkpoint-every", "2",
             ])
-        with pytest.raises(SystemExit, match="max_subbuckets"):
+        with pytest.raises(SystemExit, match="^bad --auto-balance: "):
             main([
                 "run", "sssp", "--dataset", "topcats", "--ranks", "4",
-                "--scale-shift", "4", "--rebalance",
-                "--subbuckets", "128",
+                "--scale-shift", "4", "--auto-balance", "0.9",
             ])
 
     def test_bad_fault_spec_rejected(self):

@@ -24,7 +24,6 @@ from repro import (
 from repro.api import (
     DiagnosticsOptions,
     FaultOptions,
-    RebalanceOptions,
     RecoveryOptions,
 )
 from repro.faults.config import FaultConfig
@@ -326,17 +325,18 @@ class TestComposition:
         assert len(seed_choices) == (1 if wire else 0)
 
     def test_rebalance(self):
+        """The cold run's resize fixes ``edge``'s sub-bucket map; an
+        update routes its batch under that map and leaves it as it is."""
         edges = random_edges(60, 400, seed=8)
         base, batch = split(edges, 17)
-        config = EngineConfig(
-            n_ranks=8,
-            rebalance=RebalanceOptions(enabled=True, every=2, threshold=0.05),
-            subbuckets={"edge": 1},
-        )
+        config = EngineConfig(n_ranks=8, auto_balance=1.0, subbuckets={"edge": 1})
         handle = FixpointHandle.converge(
             sssp_program(), {"edge": base, "start": [(0,)]}, config
         )
+        n_sub = handle.engine.store["edge"].schema.n_subbuckets
+        assert n_sub > 1
         handle.update({"edge": batch})
+        assert handle.engine.store["edge"].schema.n_subbuckets == n_sub
         cold = cold_sssp(edges, [0], EngineConfig(n_ranks=8))
         assert handle.query("spath") == cold.store["spath"].as_set()
 
@@ -604,25 +604,21 @@ class TestChangeSet:
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_random_splits_with_rebalance(self, seed):
-        """A hub's edges arrive late, so the update that brings them
-        reshards ``edge`` before its first pass."""
+        """A hub's edges arrive late, and every update lands them under
+        the sub-bucket map the cold run's resize chose for ``edge``."""
         edges = random_edges(60, 400, seed=seed)
         hub = [(0, v, 1 + v % 5) for v in range(1, 60)]
         base, batches = random_batches(edges, seed, hub)
-        config = EngineConfig(
-            n_ranks=8,
-            rebalance=RebalanceOptions(enabled=True, every=2, threshold=0.05),
-            subbuckets={"edge": 1},
-        )
+        config = EngineConfig(n_ranks=8, auto_balance=1.0, subbuckets={"edge": 1})
         handle = FixpointHandle.converge(
             sssp_program(), {"edge": base, "start": [(0,)]}, config
         )
-        assert not handle.result().rebalance
+        n_sub = handle.engine.store["edge"].schema.n_subbuckets
         checked = check_change_sets(handle)
         for batch in batches:
             handle.update({"edge": batch})
         assert checked.count("spath") == len(batches)
-        assert handle.result().rebalance
+        assert handle.engine.store["edge"].schema.n_subbuckets == n_sub
         cold = cold_sssp(sorted(set(edges) | set(hub)), [0], EngineConfig(n_ranks=8))
         assert handle.query("spath") == cold.store["spath"].as_set()
 

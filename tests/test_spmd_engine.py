@@ -18,7 +18,6 @@ from repro import Engine, EngineConfig, MIN, Program, Rel, vars_
 from repro.api import (
     DiagnosticsOptions,
     FaultOptions,
-    RebalanceOptions,
     RecoveryOptions,
 )
 from repro.comm.costmodel import CostModel
@@ -361,8 +360,6 @@ class TestConfigHonouredOrRefused:
                 n_ranks=4, recovery=RecoveryOptions(checkpoint_every=2))),
             ("replicas", EngineConfig(
                 n_ranks=4, recovery=RecoveryOptions(checkpoint_every=2, replicas=1))),
-            ("rebalance", EngineConfig(
-                n_ranks=4, rebalance=RebalanceOptions(enabled=True))),
             ("auto_balance", EngineConfig(n_ranks=4, auto_balance=1.5)),
             ("tracer", EngineConfig(
                 n_ranks=4, diagnostics=DiagnosticsOptions(tracer=Tracer()))),
@@ -382,14 +379,16 @@ class TestConfigHonouredOrRefused:
         config = EngineConfig(
             n_ranks=4,
             recovery=RecoveryOptions(checkpoint_every=2),
-            rebalance=RebalanceOptions(enabled=True),
+            auto_balance=1.5,
             diagnostics=DiagnosticsOptions(enabled=True),
             faults=FaultOptions(config=FaultConfig(crash_rank=1, crash_superstep=3)),
         )
         program, facts = _query_facts("sssp")
         with pytest.raises(ValueError) as exc:
             run_spmd_engine(program, facts, config)
-        assert "faults.crash, checkpoint_every, rebalance, diagnostics" in str(exc.value)
+        assert "faults.crash, checkpoint_every, auto_balance, diagnostics" in str(
+            exc.value
+        )
 
 
 def _within(seconds, fn, *args):

@@ -5,8 +5,9 @@ One row store holds every shard of a relation, each row tagged with its
 single-segment store per shard — a single-segment store is exactly one
 shard, which ``tests/test_kernels.py`` pins against absorbing one tuple
 at a time — and replays every operation shard by shard.  Absorbs, Δ
-advances and installs, resharding and checkpoint/restore are drawn in
-random order over random segments, and after each one every observable
+advances and installs, resharding and checkpoint/restore (never a
+restore across a reshard) are drawn in random order over random
+segments, and after each one every observable
 must agree: per-shard full and Δ block bytes, sizes by rank and by
 bucket, per-rank absorb counts and the collected improvements.
 """
@@ -21,9 +22,9 @@ from hypothesis import strategies as st
 from repro.core.aggregators import MinAggregator, SumAggregator
 from repro.faults.checkpoint import capture, restore
 from repro.kernels.absorb import AbsorbStats, make_shard
+from repro.obs.analysis import measure_bucket_skew
 from repro.relational.schema import Schema
 from repro.relational.storage import VersionedRelation
-from repro.runtime.rebalance import measure_bucket_skew
 from repro.util.hashing import HashSeed
 
 N_RANKS = 3
@@ -172,10 +173,10 @@ def _assert_same(rel, ref):
     if by_bucket.sum() == 0:
         assert skew is None
     else:
-        assert (skew.total, skew.n_buckets) == (
+        assert (skew["tuples"], skew["buckets"]) == (
             int(by_bucket.sum()), int((by_bucket > 0).sum())
         )
-        assert skew.top_share == by_bucket.max() / by_bucket.sum()
+        assert skew["top_bucket_share"] == by_bucket.max() / by_bucket.sum()
     assert rel.full_size() == sum(s.full_size() for s in ref.shards.values())
 
 
@@ -215,6 +216,9 @@ def test_store_equals_per_shard_reference(kind, n_sub, ops):
                 for b, s, kind, rows in parts
             ])
             ref.reshard(parts, new_schema)
+            # A resize runs before any checkpoint of the run is taken, so
+            # no restore crosses one.
+            saved = None
         elif op[0] == "checkpoint":
             saved = (
                 capture({"r": rel}, ["r"], stratum=0, iteration=0, changed=True,

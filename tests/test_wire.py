@@ -972,12 +972,11 @@ class TestWireInvariance:
 
 class TestChargedBytesAreTheBytes:
     def test_every_exchange_charges_its_remote_payloads_and_encodes_no_self_box(self):
-        """On an 8-rank SSSP run with the wire on — a converge, a forced
-        reshard and an update — every route, seed and reshard exchange's
+        """On an 8-rank SSSP run with the wire on — a resize, a converge
+        and an update — every route, seed and reshard exchange's
         ledger bytes are the byte lengths of its remote boxes' payloads,
         each box charged exactly its payload, and every box that reaches
         the codec is bound for another rank."""
-        from repro.runtime.config import RebalanceOptions
         from repro.runtime.incremental import FixpointHandle
 
         rng = np.random.default_rng(5)
@@ -986,13 +985,7 @@ class TestChargedBytesAreTheBytes:
             for a, b, w in zip(rng.integers(0, 60, 400), rng.integers(0, 60, 400),
                                rng.integers(1, 9, 400))
         ]
-        config = EngineConfig(
-            n_ranks=8, subbuckets={"edge": 1},
-            rebalance=RebalanceOptions(
-                enabled=True, every=1, threshold=0.0, factor=0.0, min_tuples=0,
-                max_subbuckets=4,
-            ),
-        )
+        config = EngineConfig(n_ranks=8, subbuckets={"edge": 1}, auto_balance=1.0)
         exchanges, encoded, framed = [], [], []
         alltoallv, encode_wire_sends = SimCluster.alltoallv, route.encode_wire_sends
         encode_blocks = route.encode_blocks
@@ -1024,6 +1017,7 @@ class TestChargedBytesAreTheBytes:
                 sssp_program(), {"edge": edges[:360], "start": [(0,)]}, config
             )
             handle.update({"edge": edges[360:]})
+        assert handle.engine.store["edge"].schema.n_subbuckets > 1
         kinds = set()
         for table, n_framed in encoded:
             remote = table.src != table.dst
@@ -1296,7 +1290,7 @@ class TestHeavyLightPlacement:
                     engine.store, ["hop"], stratum=0, iteration=0, changed=True,
                     iterations_total=0, counters={}, trace_len=0,
                 )
-                reshard_relation(hop, 2, engine.cluster, wire=wire)
+                hop.table = None  # the rows are lost; the restore brings them back
                 restore(engine.store, ckpt)
             if scenario is not None:
                 # A walk (a, b) → (b, 20) → (20, 21): the second hop's key
