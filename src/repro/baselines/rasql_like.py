@@ -18,8 +18,9 @@ This engine reproduces that strategy on our substrate:
 PARALAGG pays exactly one all-to-all for the same work, because its
 placement makes the aggregation group's home rank and the join-layout home
 rank the *same* rank.  The engine also uses a static join order (Spark
-plans don't re-order per iteration) and no sub-bucketing, and its cost
-model adds Spark scheduling latency and a driver serial fraction.
+plans don't re-order per iteration), no sub-bucketing and no wire layer
+(its shuffles move raw tuples), and its cost model adds Spark scheduling
+latency and a driver serial fraction.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ class RaSQLLikeEngine(Engine):
             static_outer="left",
             subbuckets={},                # no spatial load balancing
             default_subbuckets=1,
+            wire=False,                   # no fold, no codec: raw tuples
         )
         if config.cost_model is None:
             config = replace(config, cost_model=rasql_cost_model())

@@ -58,6 +58,7 @@ class SociaLiteLikeEngine(Engine):
             static_outer="left",
             subbuckets={},
             default_subbuckets=1,
+            wire=False,
         )
         if config.cost_model is None:
             config = replace(config, cost_model=socialite_cost_model())

@@ -71,7 +71,9 @@ def run_stratified_sssp(
     """
     if not graph.weighted:
         graph = graph.with_unit_weights()
-    config = replace(config or EngineConfig(), max_iterations=max_iterations)
+    config = replace(
+        config or EngineConfig(), max_iterations=max_iterations, wire=False
+    )
     engine = Engine(stratified_sssp_program(), config)
     engine.load("edge", graph.tuples())
     engine.load("start", [(int(s),) for s in sources])

@@ -55,7 +55,8 @@ def baseline_config(
     *,
     cost_model: Optional[CostModel] = None,
 ) -> EngineConfig:
-    """The paper's "B": no vote, no sub-buckets, and the static layout
+    """The paper's "B": no vote, no sub-buckets, no wire layer (raw
+    tuples, every intra-bucket copy exchanged), and the static layout
     that serializes the large static relation (§V-B: edges "mistakenly
     placed" on the transmitted side)."""
     return EngineConfig(
@@ -64,6 +65,7 @@ def baseline_config(
         static_outer="right",
         default_subbuckets=1,
         cost_model=cost_model,
+        wire=False,
     )
 
 
