@@ -39,7 +39,6 @@ from repro.relational.schema import Schema
 from repro.relational.storage import VersionedRelation
 from repro.runtime.config import EngineConfig
 from repro.runtime.engine import Engine, P_COMM, P_DEDUP
-from repro.runtime.executor import ColumnarExecutor
 from repro.util.hashing import HashSeed
 
 
@@ -61,20 +60,6 @@ def rasql_cost_model(compute_scale: float = 1.0) -> CostModel:
         tuple_serialize=1.2e-7,  # Kryo/Java serialization per tuple
         compute_scale=compute_scale,
     )
-
-
-class _UnfoldedJoin(ColumnarExecutor):
-    """The local join without its sender fold: the global hashmap's
-    shuffle carries every join candidate, suppressed ones included."""
-
-    def local_join(
-        self, cr, outer_pos, delivery, inner_rel, inner_ver, probe_cols,
-        per_rank_probe, per_rank_emit, fold=None,
-    ):
-        return super().local_join(
-            cr, outer_pos, delivery, inner_rel, inner_ver, probe_cols,
-            per_rank_probe, per_rank_emit,
-        )
 
 
 def _groups(keys: np.ndarray):
@@ -110,7 +95,6 @@ class RaSQLLikeEngine(Engine):
         if config.cost_model is None:
             config = replace(config, cost_model=rasql_cost_model())
         super().__init__(program, config)
-        self._exec = _UnfoldedJoin()
         # serial_fraction=0 isolates the *algorithmic* communication
         # difference from Spark's driver constants (ablation use).
         frac = self.SERIAL_FRACTION if serial_fraction is None else serial_fraction

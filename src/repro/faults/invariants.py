@@ -8,11 +8,10 @@ Two independent nets sit under the checksum (defense in depth):
   fabricates tuples trips :func:`check_conservation`.
 * **Lattice monotonicity** — aggregate accumulators may only move *up*
   the semilattice (shorter paths for ``$MIN``, larger values for
-  ``$MAX``).  :func:`monotonicity_audit` compares an aggregate
-  relation's stored rows before and after an absorb, group by group
-  through a :class:`~repro.kernels.block.KeyIndex` over the packed group
-  keys; a regression means corrupted data reached storage and raises
-  :class:`~repro.faults.plane.CorruptionError`.
+  ``$MAX``).  :func:`monotonicity_audit` compares each group an absorb
+  touched with the prior accumulator the store read to fold into it; a
+  vanished group or a regression means corrupted data reached storage
+  and raises :class:`~repro.faults.plane.CorruptionError`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 
 from repro.faults.plane import CorruptionError
 from repro.kernels.absorb import vector_combiner
-from repro.kernels.block import KeyIndex
 
 
 class ConservationError(CorruptionError):
@@ -39,37 +37,44 @@ def check_conservation(
         )
 
 
-def monotonicity_audit(before: np.ndarray, rel) -> None:
-    """Verify aggregate relation ``rel`` only moved up-lattice relative
-    to ``before``, a copy of its stored full rows taken before an absorb.
+def monotonicity_audit(rel, touched) -> None:
+    """Verify aggregate relation ``rel`` only moved up-lattice in the
+    groups an absorb touched.
 
-    Every group present before must still exist, and each accumulator
-    that changed must satisfy ``join(old, new) == new`` (i.e. the stored
-    value absorbed the old one — it never regressed or wandered off the
-    lattice path).
+    ``touched`` holds the ``(row ids, group keys, prior accumulators)``
+    triples the absorb collected
+    (:meth:`~repro.relational.storage.VersionedRelation.absorb`'s
+    ``audit``): the stored groups its arrivals met, as they stood before.
+    Every such group must still sit at its row, and each accumulator that
+    changed must satisfy ``join(old, new) == new`` (i.e. the stored value
+    absorbed the old one — it never regressed or wandered off the lattice
+    path).
     """
     schema = rel.schema
     k = schema.n_indep
-    after = rel.table.stored()[0]
-    slot = KeyIndex(after[:, :k]).find(before[:, :k])
-    missing = np.flatnonzero(slot < 0)
-    if missing.shape[0]:
-        key = tuple(before[missing[0], :k].tolist())
-        raise CorruptionError(
-            f"{schema.name}: group {key} vanished during absorb "
-            "(monotonicity audit)"
-        )
-    old, new = before[:, k:], after[slot, k:]
-    changed = (old != new).any(axis=1)
-    old, new = old[changed], new[changed]
-    regressed = np.flatnonzero(
-        (vector_combiner(schema.aggregator).join(old, new) != new).any(axis=1)
-    )
-    if regressed.shape[0]:
-        i = regressed[0]
-        key = tuple(before[changed][i, :k].tolist())
-        raise CorruptionError(
-            f"{schema.name}: accumulator for {key} regressed "
-            f"{tuple(old[i].tolist())} -> {tuple(new[i].tolist())} "
-            "(lattice monotonicity violated)"
-        )
+    join = vector_combiner(schema.aggregator).join
+    data = rel.table.stored()[0]
+    for ids, keys, old in touched:
+        held = ids < data.shape[0]
+        now = data[ids[held]]
+        kept = np.zeros(ids.shape[0], dtype=bool)
+        kept[held] = (now[:, :k] == keys[held]).all(axis=1)
+        missing = np.flatnonzero(~kept)
+        if missing.shape[0]:
+            key = tuple(keys[missing[0]].tolist())
+            raise CorruptionError(
+                f"{schema.name}: group {key} vanished during absorb "
+                "(monotonicity audit)"
+            )
+        new = now[:, k:]
+        changed = np.flatnonzero((old != new).any(axis=1))
+        regressed = changed[
+            (join(old[changed], new[changed]) != new[changed]).any(axis=1)
+        ]
+        if regressed.shape[0]:
+            i = regressed[0]
+            raise CorruptionError(
+                f"{schema.name}: accumulator for {tuple(keys[i].tolist())} "
+                f"regressed {tuple(old[i].tolist())} -> "
+                f"{tuple(new[i].tolist())} (lattice monotonicity violated)"
+            )

@@ -433,14 +433,14 @@ class ColumnarPlainShard(_RowStore):
 
     __slots__ = ()
 
-    def absorb_block(self, rows, stats=None, collect=None, segs=None) -> int:
+    def absorb_block(self, rows, stats=None, collect=None, segs=None, audit=None) -> int:
         """Absorb a row block; return how many arrivals were admitted.
 
         ``segs`` gives each row's segment (all 0 when omitted); each
         segment absorbs its rows in arrival order.  ``collect``, if
         given, receives one block: each admitted arrival's row as stored
         after it, in arrival order (the baseline engines that re-shuffle
-        improvements read it).
+        improvements read it).  A set has no accumulator to ``audit``.
         """
         rows = as_rows(rows, self.schema.arity)
         segs = _segments(segs, rows.shape[0])
@@ -484,9 +484,12 @@ class ColumnarAggregateShard(_RowStore):
         self.aggregator: RecursiveAggregator = schema.aggregator
         self._combiner = vector_combiner(schema.aggregator)
 
-    def absorb_block(self, rows, stats=None, collect=None, segs=None) -> int:
+    def absorb_block(self, rows, stats=None, collect=None, segs=None, audit=None) -> int:
         """:meth:`ColumnarPlainShard.absorb_block`, folding each group's
-        arrivals into its accumulator."""
+        arrivals into its accumulator.  ``audit``, if given, receives one
+        ``(row ids, group keys, prior accumulators)`` triple: every stored
+        group the block touched, as it stood before
+        (:func:`~repro.faults.invariants.monotonicity_audit`)."""
         rows = as_rows(rows, self.schema.arity)
         n = rows.shape[0]
         if n == 0:
@@ -506,6 +509,8 @@ class ColumnarAggregateShard(_RowStore):
         # arrival is stored raw as the accumulator and is always admitted.
         old_heads = starts[exists]
         stored = self._data.view()[row_id[exists], n_indep:]
+        if audit is not None:
+            audit.append((row_id[exists], indep[rep[exists]], stored))
         acc = rows[:, n_indep:][order]
         acc[old_heads] = join(stored, acc[old_heads])
         segmented_scan(acc, starts, counts, join)

@@ -55,7 +55,7 @@ import numpy as np
 from repro.comm.boxes import BoxTable, Delivery
 from repro.comm.wire import WIRE_HEADER_WORDS, decode_blocks, encode_blocks
 from repro.kernels.absorb import VectorCombiner, combine_block
-from repro.kernels.block import group_columns, offsets
+from repro.kernels.block import concat_ranges, group_columns, offsets
 
 #: One source's emitted rows: a row block, or a block the local join
 #: already folded in chunks with each row's pre-fold count.
@@ -78,62 +78,70 @@ def _table(parts: List[Dict[str, np.ndarray]], **empty) -> BoxTable:
 
 
 def build_intra_sends(
-    owner_blocks: Sequence[Tuple[int, np.ndarray]],
+    rows: np.ndarray,
+    ends: np.ndarray,
     dist,
     n_sub: int,
     probe_cols: Sequence[int],
-    per_rank_ser: np.ndarray,
-) -> Tuple[BoxTable, int]:
-    """Replicate outer blocks to the inner owners of their join keys.
+) -> Tuple[np.ndarray, np.ndarray, BoxTable]:
+    """Replicate each rank's outer rows to the inner owners of their join
+    keys.
 
-    ``owner_blocks`` are (owner rank, matched rows) pairs in shard order;
-    ``per_rank_ser`` accumulates each owner's serialization fanout
-    (deduplicated destinations per tuple).  A row of a light key goes to
-    its bucket's home cell, a heavy one to every distinct sub-bucket
-    owner of its bucket.  Consecutive blocks are replicated together,
-    :data:`_CHUNK_ROWS` rows at a time, so each
+    ``rows`` are every rank's matched outer rows by rank, rank ``r``'s
+    ``rows[ends[r] : ends[r + 1]]`` in shard order.  A row of a light key
+    goes to its bucket's home cell, a heavy one to every distinct
+    sub-bucket owner of its bucket.  A copy bound for its own rank is no
+    message: returns the *home* rows — each rank's copies to itself, by
+    rank and in row order; ``rows`` itself when none crosses — their
+    per-rank ends, and a table of only the copies that cross.
+
+    Rows are replicated :data:`_CHUNK_ROWS` at a time, so each
     ``(owner, dst)`` message holds one box per batch: the rows the owner
-    sends ``dst``, in shard order and within a shard in arrival order.
-    A batch's boxes go by destination, then owner, so one receiver's
-    rows from a one-batch exchange lie in its delivery order.
+    sends ``dst``, in row order.  A batch's boxes go by destination, then
+    owner, so one receiver's rows from a one-batch exchange lie in its
+    delivery order.
     """
-    parts = []
-    n_intra = 0
-    blocks = [(owner, rows) for owner, rows in owner_blocks if rows.shape[0]]
-    sizes = np.asarray([rows.shape[0] for _owner, rows in blocks], dtype=np.int64)
-    for lo, hi in _row_chunks(sizes, _CHUNK_ROWS):
-        rows = _concat([rows for _owner, rows in blocks[lo:hi]])
-        owner = np.repeat(
-            np.asarray([o for o, _rows in blocks[lo:hi]], dtype=np.int64),
-            sizes[lo:hi],
-        )
-        buckets = dist.buckets_of_key_rows(rows, probe_cols)
-        heavy = None if n_sub == 1 else dist.heavy_rows(rows, probe_cols)
+    n, n_ranks = rows.shape[0], ends.shape[0] - 1
+    owner_of = np.repeat(np.arange(n_ranks, dtype=np.int64), np.diff(ends))
+    parts, home = [], []
+    for lo in range(0, n, _CHUNK_ROWS):
+        block = rows[lo : lo + _CHUNK_ROWS]
+        buckets = dist.buckets_of_key_rows(block, probe_cols)
+        heavy = None if n_sub == 1 else dist.heavy_rows(block, probe_cols)
         if n_sub == 1 or (heavy is not None and not heavy.any()):
-            src_row = None
+            src_row = np.arange(block.shape[0], dtype=np.int64)
             dst = dist.owner_table[buckets, 0]
         else:
             # Row-major (row, sub) pairs, one per *distinct* destination
             # of a heavy row's bucket and one, its home cell, for a light
             # row: a stable grouping by (destination, owner) then leaves
-            # each pair's rows in arrival order.
+            # each pair's rows in row order.
             cells = dist.distinct_owners[buckets]
             if heavy is not None:
                 cells[~heavy, 1:] = False
             src_row, sub = np.nonzero(cells)
-            owner = owner[src_row]
             dst = dist.owner_table[buckets[src_row], sub]
+        owner = owner_of[lo + src_row]
+        own = dst == owner
+        home.append(lo + src_row[own])
+        if own.all():
+            continue
+        cross = ~own
+        src_row, owner, dst = src_row[cross], owner[cross], dst[cross]
         order, starts, counts = group_columns([dst, owner])
         heads = order[starts]
         parts.append({
             "src": owner[heads],
             "dst": dst[heads],
             "n_rows": counts,
-            "rows": rows[order if src_row is None else src_row[order]],
+            "rows": np.take(block, src_row[order], axis=0),
         })
-        per_rank_ser += np.bincount(owner, minlength=per_rank_ser.shape[0])
-        n_intra += dst.shape[0]
-    return _table(parts), n_intra
+    home = _concat(home) if home else _NONE
+    home_ends = offsets(np.bincount(owner_of[home], minlength=n_ranks))
+    # A row has at most one copy to its own rank: n home rows are all rows.
+    if home.shape[0] < n:
+        rows = np.take(rows, home, axis=0)
+    return rows, home_ends, _table(parts, rows=rows[:0])
 
 
 def build_route_sends(
@@ -274,6 +282,20 @@ def _row_chunks(counts: np.ndarray, budget: int) -> Iterator[Tuple[int, int]]:
         lo = hi
 
 
+def interleave(
+    a: np.ndarray, b: np.ndarray, from_a: np.ndarray, lo: np.ndarray, n: np.ndarray
+) -> np.ndarray:
+    """Row ranges laid end to end: range ``k`` is ``a[lo[k] : lo[k] +
+    n[k]]`` where ``from_a[k]``, else the same range of ``b``."""
+    out = np.empty((int(n.sum()), a.shape[1]), dtype=a.dtype)
+    at = offsets(n)[:-1]
+    for block, mine in ((a, from_a), (b, ~from_a)):
+        out[concat_ranges(at[mine], n[mine])] = np.take(
+            block, concat_ranges(lo[mine], n[mine]), axis=0
+        )
+    return out
+
+
 def _concat(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """One block of ``blocks``' rows (a lone block as is)."""
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
@@ -370,26 +392,13 @@ def decode_wire_boxes(
             rows = table.rows_of(boxes)
             header = None if width is None else table.header[boxes]
         else:
-            # Both kinds in one run: a stretch of wired boxes is a slice of
-            # the decoded rows, a self-send its slice of the row block.
+            # Both kinds in one run: a wired box's rows come out of the
+            # decoded block, a self-send's off the row block.
             own = ~wired
             decoded, framed = decode_wire_box(table, boxes[wired], arity, codec)
             n_rows = table.n_rows[boxes]
-            in_decoded = offsets(np.where(wired, n_rows, 0)).tolist()
-            cuts = np.flatnonzero(wired[1:] != wired[:-1]) + 1
-            cuts = [0, *cuts.tolist(), boxes.shape[0]]
-            sent, row_lo = wired.tolist(), table.row_lo[boxes].tolist()
-            n_rows = n_rows.tolist()
-            parts = []
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                if sent[a]:
-                    parts.append(decoded[in_decoded[a] : in_decoded[b]])
-                else:
-                    parts += [
-                        table.rows[row_lo[k] : row_lo[k] + n_rows[k]]
-                        for k in range(a, b)
-                    ]
-            rows = np.concatenate(parts)
+            lo = np.where(own, table.row_lo[boxes], offsets(n_rows * wired)[:-1])
+            rows = interleave(table.rows, decoded, own, lo, n_rows)
             header = None
             if width is not None:
                 header = np.empty((boxes.shape[0], width), dtype=np.int64)

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.kernels.absorb import AbsorbStats, make_shard
-from repro.kernels.block import concat_ranges, offsets
+from repro.kernels.block import concat_ranges
 from repro.kernels.join import RankJoinIndex
 from repro.relational.distribution import Distribution
 from repro.relational.schema import Schema
@@ -109,6 +109,7 @@ class VersionedRelation:
         self,
         runs: Iterable[Tuple[np.ndarray, np.ndarray]],
         collect: Optional[List[np.ndarray]] = None,
+        audit: Optional[list] = None,
     ) -> AbsorbStats:
         """Absorb routed rows (dedup phase).
 
@@ -119,12 +120,13 @@ class VersionedRelation:
         Absorption is sequential, so each shard takes its rows in run
         order and the table ends exactly as one absorb of every run would
         leave it.  Returns the counts per rank, each row charged to its
-        segment's owner.
+        segment's owner.  ``audit`` collects an aggregate store's touched
+        groups and their prior accumulators, one triple per run.
         """
         stats = AbsorbStats(self.rank_of_segment(), self.n_ranks)
         admitted = 0
         for rows, segs in runs:
-            admitted += self.table.absorb_block(rows, stats, collect, segs)
+            admitted += self.table.absorb_block(rows, stats, collect, segs, audit)
         if admitted:
             self.full_gen += 1
         return stats
@@ -198,12 +200,18 @@ class VersionedRelation:
     def owner_blocks(self, version: str) -> Tuple[np.ndarray, np.ndarray]:
         """One version's rows by owner rank — each rank's shards in
         (bucket, sub) order, each in nested order — and each rank's row
-        count: segment ranges, the segments stably sorted by owner."""
+        count: segment ranges, the segments stably sorted by owner; the
+        version's block itself, a view, where its segments already lie
+        by owner."""
         rows, segs = self.table.version(version)
         owner = self.rank_of_segment()
-        counts = np.bincount(segs, minlength=owner.shape[0])
+        bounds = np.searchsorted(segs, np.arange(owner.shape[0] + 1))
+        counts = np.diff(bounds)
+        held = owner[counts > 0]
+        if (held[1:] >= held[:-1]).all():
+            return rows, self.sizes_by_rank(version)
         by_owner = np.argsort(owner, kind="stable")
-        order = concat_ranges(offsets(counts)[by_owner], counts[by_owner])
+        order = concat_ranges(bounds[:-1][by_owner], counts[by_owner])
         return np.take(rows, order, axis=0), self.sizes_by_rank(version)
 
     def join_index(self, version: str, match_token=None, match_block=None):

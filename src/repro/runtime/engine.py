@@ -72,8 +72,6 @@ P_OTHER = "other"
 #: home shards and installing downstream change-set Δs.
 P_SEED = "incremental_seed"
 
-PHASES = (P_VOTE, P_INTRA, P_JOIN, P_COMM, P_DEDUP, P_OTHER, P_SEED)
-
 
 class Engine:
     """Evaluates one compiled program on a simulated cluster — its own
@@ -144,6 +142,8 @@ class Engine:
         #: Relations only loads and updates write: placed by heavy and
         #: light keys under the wire layer.
         self._edb = frozenset(decl.name for decl in self.compiled.program.edb)
+        #: :meth:`_co_placed`'s answers, per (outer, inner placement, key).
+        self._co_placed_cache: Dict[tuple, bool] = {}
 
     # ------------------------------------------------------------------ load
 
@@ -634,28 +634,42 @@ class Engine:
         probe_cols = (cr.probe_from_left, cr.probe_from_right)[outer_pos]
 
         # ---- phase: intra-bucket communication (serialize + replicate) ----
-        per_rank_ser = np.zeros(cfg.n_ranks, dtype=np.int64)
+        co_placed = self._co_placed(outer_rel, inner_rel, probe_cols)
+        n_remote = 0
+        recv = None
         with self.timer.phase(P_INTRA):
-            sends, n_intra = ex.intra_sends(
+            home, home_ends, sends = ex.intra_sends(
                 cr, outer_pos, outer_rel, outer_ver, inner_rel, probe_cols,
-                per_rank_ser,
+                co_placed,
             )
-            cluster.ledger.add_compute_step(
-                P_INTRA, per_rank_ser * (cost.tuple_serialize * cost.compute_scale)
-            )
-            recv = cluster.alltoallv(
-                sends, arity=outer_rel.schema.arity, phase=P_INTRA
-            )
+            if sends is not None:
+                # Each rank serializes the copies it sends: with the wire
+                # on, those that cross; off, every copy (§IV-C).
+                per_rank_ser = np.bincount(
+                    sends.src, sends.n_rows, minlength=cfg.n_ranks
+                )
+                if not self.wire:
+                    per_rank_ser += np.diff(home_ends)
+                cluster.ledger.add_compute_step(
+                    P_INTRA, per_rank_ser * (cost.tuple_serialize * cost.compute_scale)
+                )
+                recv = cluster.alltoallv(
+                    sends, arity=outer_rel.schema.arity, phase=P_INTRA
+                )
+                n_remote = int(sends.n_rows.sum())
+        n_intra = home.shape[0] + n_remote
         stats.intra_tuples += n_intra
         self.counters["intra_bucket_tuples"] += n_intra
+        self.counters["intra_remote_tuples"] += n_remote
 
         # ---- phase: local join ----
         per_rank_probe = np.zeros(cfg.n_ranks, dtype=np.int64)
         per_rank_emit = np.zeros(cfg.n_ranks, dtype=np.int64)
         with self.timer.phase(P_JOIN):
             emitted = ex.local_join(
-                cr, outer_pos, recv, inner_rel, inner_ver, probe_cols,
-                per_rank_probe, per_rank_emit, self._wire_plans.get(cr.head_name),
+                cr, outer_pos, home, home_ends, recv, inner_rel, inner_ver,
+                probe_cols, per_rank_probe, per_rank_emit,
+                fold=self._wire_plans.get(cr.head_name),
             )
             cluster.ledger.add_compute_step(
                 P_JOIN,
@@ -667,6 +681,33 @@ class Engine:
         self.counters["emitted"] += n_emitted
 
         self._route_and_absorb(cr.head_name, emitted, stats)
+
+    def _co_placed(
+        self, outer: VersionedRelation, inner: VersionedRelation, probe_cols
+    ) -> bool:
+        """Whether the plan proves that no intra-bucket copy of a join
+        leaves its rank, so the join builds no table and calls no
+        collective: the wire is on, neither relation spreads a key (one
+        sub-bucket, or an empty heavy set: every row in its bucket's home
+        cell), the outer is placed by the join key (its join columns are
+        ``probe_cols``; every relation hashes with the store's one seed)
+        and both place each bucket's home cell on one rank, degraded
+        overlay included.  Wire off, §IV-C's exchange runs on every copy.
+        It reads the two placements, never a row, so every slice of a
+        per-rank run agrees, and is cached per pair of them."""
+        key = (outer.dist, inner.dist, tuple(probe_cols))
+        if key not in self._co_placed_cache:
+            self._co_placed_cache[key] = self.wire and (
+                all(
+                    rel.schema.n_subbuckets == 1 or rel.schema.heavy_keys == ()
+                    for rel in (outer, inner)
+                )
+                and outer.schema.join_cols == key[2]
+                and bool((
+                    outer.dist.owner_table[:, 0] == inner.dist.owner_table[:, 0]
+                ).all())
+            )
+        return self._co_placed_cache[key]
 
     # ------------------------------------------------ routing and absorption
 
@@ -740,20 +781,16 @@ class Engine:
         self.counters["alltoall_tuples"] += n_comm
 
         # ---- phase: fused dedup / local aggregation ----
-        before = (
-            head.table.stored()[0].copy()
-            if self._audit and head.schema.is_aggregate
-            else None
-        )
+        touched = [] if self._audit and head.schema.is_aggregate else None
         with self.timer.phase(P_DEDUP):
-            absorbed = head.absorb(routed)
+            absorbed = head.absorb(routed, audit=touched)
             self.cluster.ledger.add_compute_step(
                 P_DEDUP,
                 absorbed.received * (cost.tuple_agg * cost.compute_scale)
                 + absorbed.admitted * (cost.tuple_insert * cost.compute_scale),
             )
-        if before is not None:
-            monotonicity_audit(before, head)
+        if touched is not None:
+            monotonicity_audit(head, touched)
         admitted = int(absorbed.admitted.sum())
         suppressed = int(absorbed.received.sum()) - admitted
         stats.admitted += admitted

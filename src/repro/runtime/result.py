@@ -14,6 +14,9 @@ from repro.util.timing import PhaseTimer
 
 TupleT = Tuple[int, ...]
 
+#: The join pipeline's phases (paper Fig. 2's breakdown).
+PIPELINE_PHASES = ("vote", "intra_bucket", "local_join", "comm", "dedup_agg")
+
 
 @dataclass
 class IterationTrace:
@@ -79,7 +82,10 @@ class FixpointResult:
         return self.ledger.total_seconds()
 
     def phase_breakdown(self) -> Dict[str, float]:
-        return dict(self.ledger.phase_seconds)
+        """Modeled seconds per phase: every phase of the join pipeline,
+        0.0 where nothing was charged (a co-placed join's intra-bucket
+        exchange), and every other phase that was."""
+        return {**dict.fromkeys(PIPELINE_PHASES, 0.0), **self.ledger.phase_seconds}
 
     def wall_seconds(self) -> float:
         """Host wall-clock spent simulating (not a cluster-time claim)."""

@@ -3,6 +3,7 @@ checksums, conservation, and the SimCluster substrate integration."""
 
 import itertools
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -354,26 +355,70 @@ def _min_relation(rows):
     return rel
 
 
+def _absorb(rel, rows):
+    """Absorb ``rows`` into ``rel``'s home shards; the audit's triples."""
+    rows = np.asarray(rows, dtype=np.int64)
+    touched = []
+    rel.absorb([(rows, rel.segments_of_rows(rows))], audit=touched)
+    return touched
+
+
 class TestMonotonicityAudit:
     def test_improvements_and_new_groups_pass(self):
         rel = _min_relation([(1, 2, 9), (3, 4, 5)])
-        before = rel.table.stored()[0].copy()
-        rel.load([(1, 2, 4), (5, 6, 1), (3, 4, 8)])
-        monotonicity_audit(before, rel)
+        touched = _absorb(rel, [(1, 2, 4), (5, 6, 1), (3, 4, 8)])
+        # Only the stored groups the arrivals met, with their prior values.
+        ids, keys, old = touched[0]
+        assert sorted(map(tuple, np.column_stack([keys, old]).tolist())) == [
+            (1, 2, 9), (3, 4, 5),
+        ]
+        monotonicity_audit(rel, touched)
 
     def test_regressed_accumulator_raises(self):
         rel = _min_relation([(1, 2, 9), (3, 4, 5)])
-        before = rel.table.stored()[0].copy()
+        touched = _absorb(rel, [(3, 4, 6)])
         rows = rel.table.stored()[0]  # the store's own rows
         rows[rows[:, 0] == 3, 2] = 7
         with pytest.raises(CorruptionError, match=r"\(3, 4\) regressed \(5,\) -> \(7,\)"):
-            monotonicity_audit(before, rel)
+            monotonicity_audit(rel, touched)
 
     def test_vanished_group_raises(self):
-        rel = _min_relation([(1, 2, 9)])
-        before = np.asarray([[1, 2, 9], [3, 4, 5]])
+        rel = _min_relation([(1, 2, 9), (3, 4, 5)])
+        touched = _absorb(rel, [(3, 4, 2)])
+        rows = rel.table.stored()[0]
+        rows[rows[:, 0] == 3, :2] = (8, 8)
         with pytest.raises(CorruptionError, match=r"group \(3, 4\) vanished"):
-            monotonicity_audit(before, rel)
+            monotonicity_audit(rel, touched)
+
+    @pytest.mark.parametrize("plant", ["regress", "vanish"])
+    def test_engine_raises_a_planted_corruption(self, plant):
+        """Under message faults the engine audits every aggregate absorb:
+        an accumulator regressed, or a group overwritten, right after the
+        store folded into it surfaces as :class:`CorruptionError`."""
+        from repro.graphs.generators import rmat
+        from repro.kernels.absorb import ColumnarAggregateShard
+        from repro.queries.sssp import run_sssp
+        from repro.runtime.config import EngineConfig, FaultOptions
+
+        real = ColumnarAggregateShard.absorb_block
+
+        def corrupting(shard, rows, stats=None, collect=None, segs=None, audit=None):
+            admitted = real(shard, rows, stats, collect, segs, audit)
+            if audit and audit[-1][0].shape[0]:
+                row = audit[-1][0][0]
+                data = shard.stored()[0]
+                if plant == "regress":
+                    data[row, -1] = audit[-1][2][0, -1] + 1
+                else:
+                    data[row, 0] = -1
+            return admitted
+
+        graph = rmat(5, 3, seed=3).with_weights(np.random.default_rng(2), 9)
+        config = EngineConfig(n_ranks=4, faults=FaultOptions(spec="dup=0.01,seed=3"))
+        want = "regressed" if plant == "regress" else "vanished"
+        with mock.patch.object(ColumnarAggregateShard, "absorb_block", corrupting):
+            with pytest.raises(CorruptionError, match=want):
+                run_sssp(graph, [0, 1], config)
 
 
 class TestConservation:

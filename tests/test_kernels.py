@@ -32,6 +32,7 @@ from repro.kernels.block import (
     concat_ranges,
     group_columns,
     lex_group,
+    offsets,
     segmented_scan,
 )
 from repro.kernels.join import RankJoinIndex
@@ -774,17 +775,30 @@ def _check_join_index(
 
 
 def _ref_local_join(
-    cr, outer_pos, delivery, inner_rel, inner_ver, probe_cols,
+    cr, outer_pos, home, home_ends, delivery, inner_rel, inner_ver, probe_cols,
     per_rank_probe, per_rank_emit, fold=None,
 ):
-    """The per-rank loop the run-wise join replaced: per receiving rank,
-    its own index (:func:`_ref_rank_index`), one probe and one emission,
-    folded as it is emitted past the pair budget."""
+    """The per-rank loop the run-wise join replaced: per rank in rank
+    order, its probe rows — its delivered boxes from lower ranks, its
+    home rows, its boxes from the rest, each in delivery order — its own
+    index (:func:`_ref_rank_index`), one probe and one emission, folded as
+    it is emitted past the pair budget."""
     inner_mb = cr.matches_block[1 - outer_pos]
     budget = executor_mod._PAIR_BUDGET
+    received = {} if delivery is None else dict(delivery.boxes())
     emitted = {}
-    for r, boxes in delivery.boxes():
-        probe = delivery.table.rows_of(boxes)
+    for r in range(home_ends.shape[0] - 1):
+        mine = home[home_ends[r] : home_ends[r + 1]]
+        if r not in received and not mine.shape[0]:
+            continue
+        probe = mine
+        if r in received:
+            boxes = received[r]
+            low = delivery.table.src[boxes] < r
+            probe = np.concatenate([
+                delivery.table.rows_of(boxes[low]), mine,
+                delivery.table.rows_of(boxes[~low]),
+            ])
         per_rank_probe[r] += probe.shape[0]
         ref = _ref_rank_index(inner_rel, inner_ver, r, inner_mb)
         starts, counts = _ref_probe(ref, probe, probe_cols)
@@ -823,6 +837,8 @@ def _ref_local_join(
         min_size=2,
         max_size=16,
     ),
+    home_rows=st.lists(st.integers(0, 9), min_size=7, max_size=7),
+    delivered=st.booleans(),
     inner_ver=st.sampled_from(["full", "delta"]),
     fold=st.booleans(),
     chunk_rows=st.integers(4, 48),
@@ -830,14 +846,16 @@ def _ref_local_join(
     data=st.data(),
 )
 def test_local_join_matches_per_rank_loop(
-    n_ranks, n_sub, edges, boxes, inner_ver, fold, chunk_rows, pair_budget, data
+    n_ranks, n_sub, edges, boxes, home_rows, delivered, inner_ver, fold,
+    chunk_rows, pair_budget, data,
 ):
-    """The run-wise local join on a random delivery — receivers in any
-    order, one box delivered twice, small runs and a small pair budget so
-    receivers share runs, fill runs alone and fold past the budget —
-    emits what the per-rank loop emitted."""
+    """The run-wise local join on random home rows and a random delivery
+    (or none) — receivers in any order, one box delivered twice, small
+    runs and a small pair budget so receivers share runs, fill runs alone
+    and fold past the budget — emits what the per-rank loop emitted."""
     _check_local_join(
-        n_ranks, n_sub, edges, boxes, inner_ver, fold, chunk_rows, pair_budget,
+        n_ranks, n_sub, edges, boxes, home_rows[:n_ranks], delivered,
+        inner_ver, fold, chunk_rows, pair_budget,
         np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
     )
 
@@ -845,21 +863,27 @@ def test_local_join_matches_per_rank_loop(
 @pytest.mark.parametrize("fold", [False, True])
 def test_local_join_groups_like_per_rank_loop(fold):
     """Dense fixed deliveries: runs of several receivers, each run cut
-    into several emission groups, folded receivers behind others."""
+    into several emission groups, folded receivers behind others, with
+    and without home rows and without a delivery."""
     rng = np.random.default_rng(7)
-    for _ in range(8):
+    for k in range(8):
         edges = [tuple(map(int, e)) for e in rng.integers((0, 0, 1), (6, 6, 6), (40, 3))]
         boxes = [tuple(map(int, b)) for b in rng.integers(0, 13, (12, 3))]
-        _check_local_join(3, 1, edges, boxes, "full", fold, 48, 3, rng)
+        home_rows = (rng.integers(0, 9, 3) * (k % 2)).tolist()
+        _check_local_join(
+            3, 1, edges, boxes, home_rows, k % 4 != 3, "full", fold, 48, 3, rng
+        )
 
 
 def _check_local_join(
-    n_ranks, n_sub, edges, boxes, inner_ver, fold, chunk_rows, pair_budget, rng
+    n_ranks, n_sub, edges, boxes, home_rows, delivered, inner_ver, fold,
+    chunk_rows, pair_budget, rng,
 ):
-    """Assert the local join of a delivery of ``boxes`` (``(src, dst,
-    n_rows)``, taken modulo the rank count and 13) against an SSSP edge
-    relation equals :func:`_ref_local_join`'s: the same receivers in the
-    same order, the same blocks and dtypes, the same tallies."""
+    """Assert the local join of ``home_rows[r]`` home rows per rank and,
+    when ``delivered``, a delivery of ``boxes`` (``(src, dst, n_rows)``,
+    taken modulo the rank count and 13) against an SSSP edge relation
+    equals :func:`_ref_local_join`'s: the same receivers in the same
+    order, the same blocks and dtypes, the same tallies."""
     engine = Engine(
         sssp_program(), EngineConfig(n_ranks=n_ranks, subbuckets={"edge": n_sub})
     )
@@ -868,23 +892,30 @@ def _check_local_join(
     engine.load("edge", edges[half:])
     cr = next(cr for cr in engine.compiled.compiled.values() if cr.is_join)
     assert cr.body_names == ("spath", "edge")
-    src, dst, n_rows = (
-        np.asarray(col, dtype=np.int64) % m
-        for col, m in zip(zip(*boxes), (n_ranks, n_ranks, 13))
-    )
-    rows = rng.integers(0, 7, (int(n_rows.sum()), 3))
-    table = BoxTable(src, dst, n_rows, rows=rows)
-    # Receivers in a random order, each one's boxes shuffled, and one box
-    # delivered twice.
-    order = [
-        rng.permutation(np.flatnonzero(dst == d))
-        for d in rng.permutation(np.unique(dst))
-    ]
-    twice = int(rng.integers(len(order)))
-    order[twice] = np.append(order[twice], order[twice][0])
-    delivery = Delivery(table, np.concatenate(order))
+    home_ends = offsets(np.asarray(home_rows, dtype=np.int64))
+    home = rng.integers(0, 7, (int(home_ends[-1]), 3))
+    delivery = None
+    if delivered:
+        src, dst, n_rows = (
+            np.asarray(col, dtype=np.int64) % m
+            for col, m in zip(zip(*boxes), (n_ranks, n_ranks, 13))
+        )
+        rows = rng.integers(0, 7, (int(n_rows.sum()), 3))
+        table = BoxTable(src, dst, n_rows, rows=rows)
+        # Receivers in a random order, each one's boxes shuffled, and one
+        # box delivered twice.
+        order = [
+            rng.permutation(np.flatnonzero(dst == d))
+            for d in rng.permutation(np.unique(dst))
+        ]
+        twice = int(rng.integers(len(order)))
+        order[twice] = np.append(order[twice], order[twice][0])
+        delivery = Delivery(table, np.concatenate(order))
     plan = engine._wire_plans["spath"] if fold else None
-    args = (cr, 0, delivery, engine.store["edge"], inner_ver, cr.probe_from_left)
+    args = (
+        cr, 0, home, home_ends, delivery, engine.store["edge"], inner_ver,
+        cr.probe_from_left,
+    )
     got_tallies = [np.zeros(n_ranks, dtype=np.int64) for _ in range(2)]
     ref_tallies = [np.zeros(n_ranks, dtype=np.int64) for _ in range(2)]
     with mock.patch.object(executor_mod, "_CHUNK_ROWS", chunk_rows), \
@@ -964,7 +995,8 @@ def _sends(table):
 def test_batched_intra_sends_match_per_owner_model(n_ranks, n_sub, data, budget):
     """Replicating consecutive owners' blocks in one batch sends every
     ``(owner, dst)`` pair the same rows in the same order, with the same
-    fan-out tallies, as replicating each block alone — batches split
+    fan-out tallies, as replicating each block alone — a rank's copies to
+    itself as its home rows, never a box — batches split
     anywhere, under a dead-rank overlay too, with no heavy set (every key
     heavy), an empty one (every key light) or some heavy keys."""
     dead = data.draw(st.sets(st.integers(0, n_ranks - 1), max_size=n_ranks - 1))
@@ -993,9 +1025,19 @@ def test_batched_intra_sends_match_per_owner_model(n_ranks, n_sub, data, budget)
     ]
     want_ser = np.zeros(n_ranks, dtype=np.int64)
     want, want_n = _ref_intra_sends(owner_blocks, dist, n_sub, probe_cols, want_ser)
-    got_ser = np.zeros(n_ranks, dtype=np.int64)
+    # Every rank's blocks end to end, by rank: the layout the executor hands.
+    blocks = sorted(owner_blocks, key=lambda block: block[0])
+    rows = np.concatenate(
+        [rows for _owner, rows in blocks] or [np.zeros((0, 3), dtype=np.int64)]
+    )
+    ends = offsets(np.bincount(
+        np.asarray([owner for owner, _rows in blocks], dtype=np.int64),
+        [block.shape[0] for _owner, block in blocks], minlength=n_ranks,
+    ).astype(np.int64))
     with mock.patch.object(route, "_CHUNK_ROWS", budget):
-        got, got_n = build_intra_sends(owner_blocks, dist, n_sub, probe_cols, got_ser)
+        home, home_ends, table = build_intra_sends(
+            rows, ends, dist, n_sub, probe_cols
+        )
 
     def flat(sends):
         return {
@@ -1004,9 +1046,18 @@ def test_batched_intra_sends_match_per_owner_model(n_ranks, n_sub, data, budget)
             for dst, blocks in per_dst.items()
         }
 
-    assert flat(_sends(got)) == flat(want)
-    assert got_n == want_n
-    assert got_ser.tolist() == want_ser.tolist()
+    # Only crossing copies are boxes; each rank's own are its home rows.
+    assert (table.src != table.dst).all()
+    got = flat(_sends(table))
+    for r in range(n_ranks):
+        if home_ends[r + 1] > home_ends[r]:
+            got[(r, r)] = home[home_ends[r] : home_ends[r + 1]].tolist()
+    assert got == flat(want)
+    n_home = np.diff(home_ends)
+    assert (home is rows) == (n_home.sum() == rows.shape[0])
+    assert int(n_home.sum() + table.n_rows.sum()) == want_n
+    sent = n_home + np.bincount(table.src, table.n_rows, minlength=n_ranks)
+    assert sent.astype(np.int64).tolist() == want_ser.tolist()
 
 
 def test_build_route_sends_partitions_all_rows():

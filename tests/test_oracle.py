@@ -15,7 +15,9 @@ evaluator that shares each aggregate's ``partial_agg`` with the engine
 and nothing else — derives.  A BSP run at the small pair budget must
 also leave :meth:`FixpointResult.summary` (iterations, counters,
 per-rank sizes, every modeled charge) exactly as the default budget
-leaves it.
+leaves it.  A fixed graph with a hub key runs every program under both
+drivers with the wire on and a sub-bucketed EDB relation, so each join
+probes home rows and crossing copies in one stream per rank.
 
 The programs cover each kind of head the data plane evaluates:
 numpy-combined aggregates (SSSP's ``$MIN``, CC, widest path's
@@ -29,6 +31,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,7 +56,7 @@ from repro.queries.sssp import sssp_program
 from repro.runtime import executor as executor_mod
 from repro.runtime.config import EngineConfig
 from repro.runtime.engine import Engine
-from repro.runtime.spmd import run_spmd_engine
+from repro.runtime.spmd import run_slices, run_spmd_engine
 
 INF = 10**6
 f, t, m, n, a, b, c, w, g = vars_("f t m n a b c w g")
@@ -224,3 +227,39 @@ def test_engine_equals_interpreter(
             folded = _run(program, facts, config)
         assert_equals_interpreter(folded, expected)
         assert folded.summary() == result.summary()
+
+
+@pytest.mark.parametrize("spmd", [False, True], ids=["bsp", "spmd"])
+@pytest.mark.parametrize("kind", sorted(PROGRAMS))
+def test_hub_key_mixes_home_and_crossing_copies(kind, spmd):
+    """A star's hub is heavy in a sub-bucketed EDB relation with the wire
+    on, so a join over it is not co-placed: the hub's outer copies cross
+    to its bucket's other owners while the light keys' stay home, in one
+    probe stream per rank.  That mixed path equals the interpreter under
+    both drivers."""
+    edges = rmat(4, 2, seed=5).with_weights(np.random.default_rng(5), 9).tuples()
+    edges += [(0, v, w) for v in range(16) for w in (1, 4, 9)]
+    program, facts = PROGRAMS[kind](edges, [(0,), (3,)])
+    expected = interpret(program, facts)
+    config = EngineConfig(
+        n_ranks=4, subbuckets={decl.name: 4 for decl in program.edb}
+    )
+    if spmd:
+        engines, results = run_slices(program, facts, config=config)
+        got = {}
+        for engine in engines:
+            for rel in engine.store:
+                got.setdefault(rel.schema.name, set()).update(rel.iter_full())
+        counters = [
+            sum(r.counters.get(key, 0) for r in results)
+            for key in ("intra_remote_tuples", "intra_bucket_tuples")
+        ]
+    else:
+        result = _run(program, facts, config)
+        got = {name: result.query(name) for name in result.relations}
+        counters = [result.counters[key] for key in (
+            "intra_remote_tuples", "intra_bucket_tuples"
+        )]
+    assert got == {name: set(tuples) for name, tuples in expected.items()}
+    n_remote, n_intra = counters
+    assert 0 < n_remote < n_intra

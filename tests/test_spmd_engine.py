@@ -184,7 +184,7 @@ class TestValidation:
 
 #: Counters each slice tallies for its own rank: they sum to the BSP run's.
 SUMMED = ("emitted", "admitted", "suppressed", "intra_bucket_tuples",
-          "alltoall_tuples", "loaded")
+          "intra_remote_tuples", "alltoall_tuples", "loaded")
 
 
 def _query_facts(query):

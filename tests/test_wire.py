@@ -21,7 +21,7 @@ from repro.kernels import absorb, route
 from repro.kernels.absorb import combine_block, sender_fold_plan, vector_combiner
 from repro.kernels.block import concat_ranges, group_columns, lex_group, offsets
 from repro.planner.ast import MIN, EdbDecl, Program, Rel, vars_
-from repro.queries.cc import run_cc
+from repro.queries.cc import cc_program, run_cc
 from repro.queries.sssp import run_sssp, sssp_program
 from repro.relational.distribution import Distribution
 from repro.relational.schema import Schema
@@ -854,10 +854,12 @@ class TestFoldBeforeRoute:
                      np.asarray([probe.shape[0]]), rows=probe),
             np.zeros(1, dtype=np.int64),
         )
+        no_home = np.zeros((0, 3), dtype=np.int64)
         tracemalloc.start()
         try:
             emitted = executor_mod.ColumnarExecutor().local_join(
-                cr, 0, delivery, engine.store["edge"], "full",
+                cr, 0, no_home, np.zeros(2, dtype=np.int64), delivery,
+                engine.store["edge"], "full",
                 cr.probe_from_left, np.zeros(1, dtype=np.int64), per_rank_emit,
                 plan,
             )
@@ -1258,8 +1260,9 @@ class TestHeavyLightPlacement:
     def _run(self, wire, hub=0, scenario=None):
         """Converge (the walk side always outer) and apply ``scenario``.
 
-        Returns the result, the engine, and per intra-bucket exchange the
-        outer rows sent and the table built.
+        Returns the result, the engine, and per join evaluation the outer
+        rows, the home rows and their per-rank ends, and the table of
+        crossing copies (None where the join is co-placed).
         """
         from repro.faults.checkpoint import capture, restore
         from repro.runtime.incremental import FixpointHandle
@@ -1274,12 +1277,14 @@ class TestHeavyLightPlacement:
             engine.load(name, rows)
         sent = []
 
-        def spy(owner_blocks, *args):
-            table, n_intra = route.build_intra_sends(owner_blocks, *args)
-            sent.append((np.concatenate([rows for _o, rows in owner_blocks]), table))
-            return table, n_intra
+        real = executor_mod.ColumnarExecutor.intra_sends
 
-        with mock.patch.object(executor_mod, "build_intra_sends", spy):
+        def spy(ex, cr, outer_pos, outer_rel, outer_ver, *args):
+            out = real(ex, cr, outer_pos, outer_rel, outer_ver, *args)
+            sent.append((outer_rel.owner_blocks(outer_ver)[0], *out))
+            return out
+
+        with mock.patch.object(executor_mod.ColumnarExecutor, "intra_sends", spy):
             result = engine.run()
             hop = engine.store["hop"]
             if scenario == "reshard":
@@ -1334,9 +1339,8 @@ class TestHeavyLightPlacement:
         """The join key of every intra copy that left its rank."""
         return [
             tuple(row[:2])
-            for _rows, table in sent
-            for k in np.flatnonzero(table.src != table.dst)
-            for row in table.rows_of(np.asarray([k])).tolist()
+            for *_home, table in sent if table is not None and len(table)
+            for row in table.rows_of(np.arange(len(table))).tolist()
         ]
 
     @staticmethod
@@ -1355,9 +1359,13 @@ class TestHeavyLightPlacement:
         on, engine, sent = self._run(True)
         off, _engine, _sent = self._run(False)
         self._assert_placed(engine.store["hop"], ())
-        n_sent = sum(rows.shape[0] for rows, _table in sent)
+        n_sent = sum(rows.shape[0] for rows, *_out in sent)
         assert n_sent and on.counters["intra_bucket_tuples"] == n_sent
         assert off.counters["intra_bucket_tuples"] > n_sent
+        # Co-placed: every outer row is its rank's home row, no table built.
+        for rows, home, _ends, table in sent:
+            assert home is rows and table is None
+        assert on.counters["intra_remote_tuples"] == 0
         assert self._remote_keys(sent) == []
         assert self._intra_bytes(on) == 0 < self._intra_bytes(off)
         self._assert_same_answers(on, off)
@@ -1378,8 +1386,11 @@ class TestHeavyLightPlacement:
         hub_bucket = int(dist.buckets_of_key_rows(np.asarray([self.HUB]), (0, 1))[0])
         hub_owners = set(dist.owner_table[hub_bucket].tolist())
         n_hub = n_light = 0
-        for rows, table in sent:
+        for rows, home, home_ends, table in sent:
             copies = {}
+            for r in range(home_ends.shape[0] - 1):
+                for row in home[home_ends[r] : home_ends[r + 1]].tolist():
+                    copies.setdefault(tuple(row), []).append(r)
             for k, dst in enumerate(table.dst.tolist()):
                 for row in table.rows_of(np.asarray([k])).tolist():
                     copies.setdefault(tuple(row), []).append(dst)
@@ -1464,7 +1475,8 @@ class TestHeavyLightPlacement:
         assert summary["iterations"] == 6
         assert summary["counters"] == {
             "admitted": 164, "alltoall_tuples": 616, "emitted": 614,
-            "intra_bucket_tuples": 484, "loaded": 393, "suppressed": 452,
+            "intra_bucket_tuples": 484, "intra_remote_tuples": 342,
+            "loaded": 393, "suppressed": 452,
         }
         assert (summary["comm_bytes"], summary["comm_messages"]) == (21800, 407)
         assert summary["phase_seconds"] == pytest.approx({
@@ -1473,3 +1485,140 @@ class TestHeavyLightPlacement:
             "local_join": 1.2039999999999998e-05,
             "other": 2.1016800000000002e-05, "vote": 2.1004199999999998e-05,
         }, rel=1e-12)
+
+
+class TestCoPlacedJoin:
+    """With the wire on, a join whose inner has no heavy key and whose
+    outer is placed by the join key is *co-placed*: every outer row
+    already sits on the rank holding the inner rows of its key.  The plan
+    proves it from the two placements, so the join builds no intra-bucket
+    table, calls no collective and charges no serialization; a rank's
+    own rows go straight to its probe.  Otherwise only the copies that
+    cross are boxed and charged."""
+
+    RING = [(i, (i + 1) % 16, 1 + i % 3) for i in range(16)]
+    #: The ring plus a star from vertex 0: 48 of its 64 edges, a heavy key.
+    HUB = RING + [(0, v, w) for v in range(16) for w in (1, 4, 9)]
+
+    @staticmethod
+    def _engine(program, edges, **options):
+        config = EngineConfig(n_ranks=4, subbuckets={"edge": 4}, **options)
+        engine = Engine(program, config)
+        arity = engine.compiled.schemas["edge"].arity
+        engine.load("edge", [edge[:arity] for edge in edges])
+        return engine
+
+    @staticmethod
+    def _joins(engine):
+        """Per join rule, the predicate with the left and with the right
+        atom as the outer."""
+        out = []
+        for cr in engine.compiled.compiled.values():
+            if cr.is_join:
+                left, right = (engine.store[name] for name in cr.body_names)
+                out.append((
+                    engine._co_placed(left, right, cr.probe_from_left),
+                    engine._co_placed(right, left, cr.probe_from_right),
+                ))
+        return out
+
+    @pytest.mark.parametrize("program", [sssp_program, cc_program])
+    def test_no_heavy_key_reads_co_placed(self, program):
+        engine = self._engine(program(), self.RING)
+        assert engine.store["edge"].schema.heavy_keys == ()
+        assert self._joins(engine) == [(True, True)]
+        # One sub-bucket has no heavy key either.
+        one = Engine(program(), EngineConfig(n_ranks=4))
+        assert self._joins(one) == [(True, True)]
+
+    @pytest.mark.parametrize("program", [sssp_program, cc_program])
+    def test_heavy_key_wire_off_or_spread_idb_outer_read_not(self, program):
+        hub = self._engine(program(), self.HUB)
+        assert (0,) in hub.store["edge"].schema.heavy_keys
+        assert self._joins(hub) == [(False, False)]
+        off = self._engine(program(), self.RING, wire=False)
+        assert self._joins(off) == [(False, False)]
+        # A sub-bucketed IDB relation spreads every key: as the outer it
+        # is not placed by the key alone; as the inner, every key is heavy.
+        head = program().idb_relations()[0]
+        spread = Engine(program(), EngineConfig(
+            n_ranks=4, subbuckets={"edge": 4, head: 4}
+        ))
+        spread.load("edge", [e[:spread.compiled.schemas["edge"].arity] for e in self.RING])
+        assert self._joins(spread) == [(False, False)]
+
+    def test_exclude_ranks_overlay_on_both_reads_co_placed(self):
+        """The degraded overlay reroutes a dead owner's cells by a hash of
+        (bucket, sub) under the shared seed, so both relations excluding
+        the same rank keep one home rank per bucket: co-placed.  Only one
+        of them excluding it moves that relation's home cells alone: not."""
+        engine = self._engine(sssp_program(), self.RING)
+        cr = next(cr for cr in engine.compiled.compiled.values() if cr.is_join)
+        spath, edge = engine.store["spath"], engine.store["edge"]
+        edge.exclude_ranks([1])
+        assert not engine._co_placed(spath, edge, cr.probe_from_left)
+        spath.exclude_ranks([1])
+        assert engine._co_placed(spath, edge, cr.probe_from_left)
+        assert engine._co_placed(edge, spath, cr.probe_from_right)
+
+    def test_predicate_is_cached_per_placement_pair(self):
+        engine = self._engine(sssp_program(), self.RING)
+        cr = next(cr for cr in engine.compiled.compiled.values() if cr.is_join)
+        spath, edge = engine.store["spath"], engine.store["edge"]
+        for _ in range(3):
+            assert engine._co_placed(spath, edge, cr.probe_from_left)
+        edge.exclude_ranks([2])  # a new placement object: asked again
+        assert not engine._co_placed(spath, edge, cr.probe_from_left)
+        assert list(engine._co_placed_cache.values()) == [True, False]
+
+    @staticmethod
+    def _run(edges, wire):
+        engine = TestCoPlacedJoin._engine(sssp_program(), edges, wire=wire)
+        engine.load("start", [(0,), (5,)])
+        return engine.run()
+
+    def test_co_placed_ledger_has_no_intra_exchange(self):
+        on, off = self._run(self.RING, True), self._run(self.RING, False)
+        assert on.query("spath") == off.query("spath")
+        assert on.counters["intra_bucket_tuples"] > 0
+        assert on.counters["intra_remote_tuples"] == 0
+        assert not [e for e in on.ledger.comm.events if e.phase == "intra_bucket"]
+        assert "intra_bucket" not in on.ledger.phase_seconds
+        assert on.phase_breakdown()["intra_bucket"] == 0.0
+        # Wire off keeps the exchange and the serialization of every copy.
+        assert [e for e in off.ledger.comm.events if e.phase == "intra_bucket"]
+        assert off.ledger.phase_seconds["intra_bucket"] > 0
+
+    def test_hub_charges_only_crossing_copies(self):
+        """On the hub graph the join is not co-placed: each rank's
+        serialization charge is its crossing copies, never its home rows."""
+        engine = self._engine(sssp_program(), self.HUB)
+        engine.load("start", [(0,), (5,)])
+        cost = engine.cluster.cost
+        per_tuple = cost.tuple_serialize * cost.compute_scale
+        crossing, charged = [], []
+        real_sends = executor_mod.ColumnarExecutor.intra_sends
+        real_step = engine.cluster.ledger.add_compute_step
+
+        def sends(ex, *args):
+            home, home_ends, table = out = real_sends(ex, *args)
+            crossing.append(np.bincount(table.src, table.n_rows, minlength=4))
+            return out
+
+        def step(phase, seconds):
+            if phase == "intra_bucket":
+                charged.append(seconds)
+            return real_step(phase, seconds)
+
+        with mock.patch.object(executor_mod.ColumnarExecutor, "intra_sends", sends), \
+                mock.patch.object(engine.cluster.ledger, "add_compute_step", step):
+            result = engine.run()
+        assert len(charged) == len(crossing) > 0
+        for got, want in zip(charged, crossing):
+            np.testing.assert_array_equal(got, want * per_tuple)
+        n_remote = int(sum(c.sum() for c in crossing))
+        assert 0 < n_remote == result.counters["intra_remote_tuples"]
+        assert n_remote < result.counters["intra_bucket_tuples"]
+        off = self._run(self.HUB, False)
+        assert result.query("spath") == off.query("spath")
+        assert result.counters["emitted"] == off.counters["emitted"]
