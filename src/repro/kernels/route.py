@@ -13,10 +13,13 @@ runs per box between the build and absorb.
     bucket (:meth:`~repro.relational.distribution.Distribution.
     heavy_rows`).  The home cell sits on the bucket's own rank, which
     holds the outer tuples of any relation placed by the same key, so
-    their light copies are self-sends the all-to-all never charges.
+    their light copies stay home.  A copy bound for its own rank is no
+    box: each rank keeps those as its *home rows*, the store's own block
+    where nothing crosses, and only the crossing copies are boxed.
     Boxes are plain rows — a row's bucket is a hash of its join-key
     values, which the receiver probes by anyway — and the all-to-all
-    charges them per tuple.
+    charges them per tuple.  :func:`interleave` lays a receiver's home
+    rows and delivered boxes end to end for its probe.
 
 ``build_route_sends``
     Home routing of emitted head tuples (phase 4): where the wire

@@ -8,7 +8,12 @@ Each iteration of a recursive stratum executes, per rule:
    sub-bucket rank of the matching inner bucket (``MPI_Alltoallv``); with
    the wire layer on, an EDB inner's light join keys live in their
    bucket's home cell on the bucket's own rank (:meth:`Engine.load`), so
-   their tuples are sent there only;
+   their tuples are sent there only.  A copy bound for its own rank is
+   never a message: it goes straight to that rank's probe, and only the
+   copies that cross are charged serialization.  A *co-placed* join —
+   no heavy key on either side, the outer placed by the join key
+   (:meth:`Engine._co_placed`) — has nothing to cross and runs no
+   exchange at all;
 3. **local join** — each rank probes its inner shards' nested index with
    the received outer tuples and emits head tuples;
 4. **all-to-all** — emitted tuples are routed to their home rank by the
@@ -657,6 +662,8 @@ class Engine:
                     sends, arity=outer_rel.schema.arity, phase=P_INTRA
                 )
                 n_remote = int(sends.n_rows.sum())
+            else:
+                cluster.skip_superstep()
         n_intra = home.shape[0] + n_remote
         stats.intra_tuples += n_intra
         self.counters["intra_bucket_tuples"] += n_intra
@@ -685,16 +692,11 @@ class Engine:
     def _co_placed(
         self, outer: VersionedRelation, inner: VersionedRelation, probe_cols
     ) -> bool:
-        """Whether the plan proves that no intra-bucket copy of a join
-        leaves its rank, so the join builds no table and calls no
-        collective: the wire is on, neither relation spreads a key (one
-        sub-bucket, or an empty heavy set: every row in its bucket's home
-        cell), the outer is placed by the join key (its join columns are
-        ``probe_cols``; every relation hashes with the store's one seed)
-        and both place each bucket's home cell on one rank, degraded
-        overlay included.  Wire off, §IV-C's exchange runs on every copy.
-        It reads the two placements, never a row, so every slice of a
-        per-rank run agrees, and is cached per pair of them."""
+        """Whether no intra-bucket copy of the join can leave its rank:
+        the wire is on, neither relation spreads a key (one sub-bucket or
+        an empty heavy set), the outer is placed by the join key and both
+        put each bucket's home cell on one rank, overlay included.  Read
+        off the placements, never a row, so every slice agrees."""
         key = (outer.dist, inner.dist, tuple(probe_cols))
         if key not in self._co_placed_cache:
             self._co_placed_cache[key] = self.wire and (
@@ -703,9 +705,9 @@ class Engine:
                     for rel in (outer, inner)
                 )
                 and outer.schema.join_cols == key[2]
-                and bool((
-                    outer.dist.owner_table[:, 0] == inner.dist.owner_table[:, 0]
-                ).all())
+                and np.array_equal(
+                    outer.dist.owner_table[:, 0], inner.dist.owner_table[:, 0]
+                )
             )
         return self._co_placed_cache[key]
 

@@ -35,9 +35,9 @@ from typing import Dict
 
 import numpy as np
 
+from repro.comm.boxes import BoxTable, Delivery
 from repro.kernels.absorb import combine_block
 from repro.kernels.block import concat_ranges, offsets
-from repro.comm.boxes import BoxTable, Delivery
 from repro.kernels.route import (
     _CHUNK_ROWS, _NONE, Emitted, _row_chunks, build_intra_sends, interleave,
 )

@@ -107,6 +107,8 @@ class _Rendezvous:
             # Every slice's boxes from its own rank, in rank order.
             own = [t.take(np.flatnonzero(t.src == r)) for r, t in enumerate(values)]
             return cluster.alltoallv(BoxTable.concat(own), **kwargs)
+        if name == "skip_superstep":
+            return cluster.skip_superstep(**kwargs)
         if name == "snapshot":
             return cluster.ledger.snapshot()
         if name == "finish":
@@ -151,6 +153,10 @@ class SliceComm:
         if not isinstance(sends, BoxTable):
             sends = BoxTable.from_sends(sends)
         return self._meet("alltoallv", sends, **kwargs).only(self.rank)
+
+    def skip_superstep(self, **kwargs) -> None:
+        if self.faults is not None:  # the shared fault clock ticks once
+            self._meet("skip_superstep", **kwargs)
 
     def allreduce(self, per_rank_values, op=sum, **kwargs):
         return self._meet("allreduce", per_rank_values, op=op, **kwargs)

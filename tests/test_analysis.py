@@ -429,7 +429,7 @@ class TestChaosTracing:
         assert clean.comm_profile.bytes_total("retransmit") == 0
 
     def test_crash_recovery_spans_present(self, tmp_path):
-        fp = self._chaos_run(crash_rank=1, crash_superstep=5)
+        fp = self._chaos_run(crash_rank=1, crash_superstep=6)
         assert fp.recovery.recoveries >= 1
         recovery_spans = [
             sp for sp in fp.spans

@@ -35,11 +35,11 @@ CHAOS = {
     "flaky-link": FaultConfig(seed=15, per_edge={(0, 1): (0.6, 0.2, 0.4)}),
 }
 
-CRASH = FaultConfig(seed=21, crash_rank=1, crash_superstep=9)
+CRASH = FaultConfig(seed=21, crash_rank=1, crash_superstep=12)
 
 #: Permanent loss of rank 1 mid-run: no restart, the run must finish
 #: elastically on the surviving ranks.
-PERM = FaultConfig(seed=31, crash_perm_rank=1, crash_perm_superstep=9)
+PERM = FaultConfig(seed=31, crash_perm_rank=1, crash_perm_superstep=12)
 
 
 def _cfg(faults=None, checkpoint_every=None, n_ranks=4,
@@ -215,7 +215,7 @@ class TestCrashRecovery:
         base = run_pagerank(medium_graph, iterations=3, config=_cfg())
         faulty = run_pagerank(
             medium_graph, iterations=3,
-            config=_cfg(FaultConfig(seed=22, crash_rank=1, crash_superstep=3),
+            config=_cfg(FaultConfig(seed=22, crash_rank=1, crash_superstep=4),
                         checkpoint_every=1),
         )
         assert np.array_equal(base, faulty)
@@ -231,7 +231,7 @@ class TestCrashRecovery:
             medium_weighted_graph, sources, _cfg()
         ).fixpoint
         combined = FaultConfig(
-            seed=23, drop=0.02, corrupt=0.02, crash_rank=2, crash_superstep=8
+            seed=23, drop=0.02, corrupt=0.02, crash_rank=2, crash_superstep=10
         )
         faulty = run_sssp(
             medium_weighted_graph, sources,
@@ -477,7 +477,7 @@ class TestPermanentLoss:
     def test_ring_wraparound_buddy(self, medium_weighted_graph):
         """Losing the last rank in the ring restores from rank 0."""
         perm_last = FaultConfig(seed=33, crash_perm_rank=3,
-                                crash_perm_superstep=9)
+                                crash_perm_superstep=12)
         sources = list(range(10))
         base = run_sssp(
             medium_weighted_graph, sources,

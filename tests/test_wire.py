@@ -1589,6 +1589,34 @@ class TestCoPlacedJoin:
         assert [e for e in off.ledger.comm.events if e.phase == "intra_bucket"]
         assert off.ledger.phase_seconds["intra_bucket"] > 0
 
+    @pytest.mark.parametrize("spec", ["drop=0.05,dup=0.05,seed=3", "crash=1@20,seed=3"])
+    def test_fault_clock_counts_the_skipped_exchange(self, spec):
+        """A skipped exchange still ticks the fault clock, so a fault
+        schedule lands where it did when every join exchanged: the same
+        supersteps, fates, rollback and answers as the same join forced
+        through an (empty) intra-bucket collective."""
+        from repro.runtime.config import FaultOptions, RecoveryOptions
+
+        def run():
+            engine = self._engine(
+                sssp_program(), self.RING, faults=FaultOptions(spec=spec),
+                recovery=RecoveryOptions(checkpoint_every=2),
+            )
+            engine.load("start", [(0,), (5,)])
+            return engine.run()
+
+        skipped = run()
+        with mock.patch.object(Engine, "_co_placed", return_value=False):
+            exchanged = run()
+        assert skipped.query("spath") == exchanged.query("spath")
+        assert skipped.recovery.injected == exchanged.recovery.injected
+        assert skipped.recovery.rolled_back_iterations == (
+            exchanged.recovery.rolled_back_iterations
+        )
+        assert exchanged.counters["intra_remote_tuples"] == 0
+        assert [e for e in exchanged.ledger.comm.events if e.phase == "intra_bucket"]
+        assert not [e for e in skipped.ledger.comm.events if e.phase == "intra_bucket"]
+
     def test_hub_charges_only_crossing_copies(self):
         """On the hub graph the join is not co-placed: each rank's
         serialization charge is its crossing copies, never its home rows."""
