@@ -156,14 +156,14 @@ class SimCluster:
             raise
         return step
 
-    def skip_superstep(self, kind: str = "alltoallv") -> None:
+    def skip_superstep(self) -> None:
         """A superstep with nothing to exchange (a co-placed join's
         intra-bucket step): no rendezvous and no charge, but the fault
         clock counts it, so a fault schedule names the same point of the
         algorithm whether or not the step communicates.  A crash due at
         it is detected at the next collective."""
         if self.faults is not None:
-            self.faults.begin_superstep(kind)
+            self.faults.begin_superstep("alltoallv")
 
     # ------------------------------------------------------------ collectives
 

@@ -115,8 +115,7 @@ class ColumnarExecutor:
         }
 
     def intra_sends(
-        self, cr, outer_pos, outer_rel, outer_ver, inner_rel, probe_cols,
-        co_placed=False,
+        self, cr, outer_pos, outer_rel, outer_ver, inner_rel, probe_cols, co_placed
     ):
         """Every rank's matched outer rows, by rank: its home rows, their
         per-rank ends and the table of copies that cross

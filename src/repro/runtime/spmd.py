@@ -108,7 +108,7 @@ class _Rendezvous:
             own = [t.take(np.flatnonzero(t.src == r)) for r, t in enumerate(values)]
             return cluster.alltoallv(BoxTable.concat(own), **kwargs)
         if name == "skip_superstep":
-            return cluster.skip_superstep(**kwargs)
+            return cluster.skip_superstep()
         if name == "snapshot":
             return cluster.ledger.snapshot()
         if name == "finish":
@@ -154,9 +154,9 @@ class SliceComm:
             sends = BoxTable.from_sends(sends)
         return self._meet("alltoallv", sends, **kwargs).only(self.rank)
 
-    def skip_superstep(self, **kwargs) -> None:
+    def skip_superstep(self) -> None:
         if self.faults is not None:  # the shared fault clock ticks once
-            self._meet("skip_superstep", **kwargs)
+            self._meet("skip_superstep")
 
     def allreduce(self, per_rank_values, op=sum, **kwargs):
         return self._meet("allreduce", per_rank_values, op=op, **kwargs)
